@@ -515,6 +515,82 @@ impl Mft {
     }
 }
 
+/// Rule selection for the streaming engine, built once per run from a
+/// finished transducer: every state's `(q,σ)`-rules as one run of a shared
+/// table, sorted by symbol, with the text-default and default rules as the
+/// fall-through. Size and construction are O(number of rules) — a table
+/// indexed by symbol would be O(states × |Σ|) for a query chosen to make
+/// it so, and an engine is built per request.
+pub(crate) struct Dispatch<'m> {
+    alphabet: &'m Alphabet,
+    states: Vec<StateDispatch<'m>>,
+    /// The states' `(q,σ)`-rules, one run per state.
+    by_sym: Vec<(SymId, &'m Rhs)>,
+    /// Some `(q,σ)`-rule is on a text constant.
+    text_rules: bool,
+}
+
+struct StateDispatch<'m> {
+    /// `by_sym[at..end]` are this state's `(q,σ)`-rules.
+    at: usize,
+    end: usize,
+    /// The rule for a text node without a `(q,σ)`-rule.
+    text: &'m Rhs,
+    default: &'m Rhs,
+    eps: &'m Rhs,
+}
+
+impl<'m> Dispatch<'m> {
+    pub(crate) fn new(mft: &'m Mft) -> Self {
+        let mut by_sym = Vec::with_capacity(mft.rules.iter().map(|r| r.by_sym.len()).sum());
+        let mut states = Vec::with_capacity(mft.rules.len());
+        for rules in &mft.rules {
+            let at = by_sym.len();
+            by_sym.extend(rules.by_sym.iter().map(|(sym, rhs)| (*sym, rhs)));
+            by_sym[at..].sort_unstable_by_key(|(sym, _)| *sym);
+            states.push(StateDispatch {
+                at,
+                end: by_sym.len(),
+                text: rules.text_default.as_ref().unwrap_or(&rules.default),
+                default: &rules.default,
+                eps: &rules.eps,
+            });
+        }
+        let text_rules = by_sym
+            .iter()
+            .any(|(sym, _)| mft.alphabet.label(*sym).is_text());
+        Dispatch {
+            alphabet: &mft.alphabet,
+            states,
+            by_sym,
+            text_rules,
+        }
+    }
+
+    /// The symbol of an input label, if a `(q,σ)`-rule could select on it
+    /// — resolved once per input event, however many states expand on it.
+    pub(crate) fn sym(&self, label: &Label) -> Option<SymId> {
+        if self.by_sym.is_empty() || (label.is_text() && !self.text_rules) {
+            return None;
+        }
+        self.alphabet.lookup(label)
+    }
+
+    /// The rule of `q` for a node whose label resolved to `sym`.
+    pub(crate) fn node_rule(&self, q: StateId, sym: Option<SymId>, is_text: bool) -> &'m Rhs {
+        let state = &self.states[q.idx()];
+        let rules = &self.by_sym[state.at..state.end];
+        sym.and_then(|sym| rules.binary_search_by_key(&sym, |(s, _)| *s).ok())
+            .map(|i| rules[i].1)
+            .unwrap_or(if is_text { state.text } else { state.default })
+    }
+
+    /// The ε-rule of `q`.
+    pub(crate) fn eps_rule(&self, q: StateId) -> &'m Rhs {
+        self.states[q.idx()].eps
+    }
+}
+
 /// Result of [`Mft::projection`]: the label alphabet this transducer can
 /// react to, plus whether events outside it are skippable. Consumed by the
 /// multi-query engine's shared start-tag prefilter

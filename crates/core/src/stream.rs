@@ -8,7 +8,11 @@
 //!   the forest that starts at the current parse position, one per open
 //!   element for the forest after its closing tag. An `open` event defines
 //!   the current location as `label(child)·sib` (two fresh locations); a
-//!   `close`/end-of-input event defines it as ε.
+//!   `close`/end-of-input event defines it as ε. A location is an index
+//!   into a slab of subscriber lists, recycled when its event arrives —
+//!   and a location nothing subscribed to is *dead*: the locations its
+//!   events define are dead too, so a whole subtree the transducer is not
+//!   looking at costs a counter bump per event.
 //! * The output under construction is a **reference-counted expression
 //!   graph**: ground nodes, forests, and *pending* state calls. A pending
 //!   call subscribes to the location it reads; when the location is defined,
@@ -29,12 +33,10 @@
 //! plots: constant for optimized streamable queries, linear in the input for
 //! the unoptimized translation (which holds `qcopy(x0)` in a parameter).
 
-use crate::mft::{Mft, OutLabel, Rhs, RhsNode, StateId, XVar};
-use foxq_forest::{Label, Tree};
+use crate::mft::{Dispatch, Mft, OutLabel, Rhs, RhsNode, StateId, XVar};
+use foxq_forest::{Label, SymId, Tree};
 use foxq_xml::{EventSource, XmlError, XmlEvent, XmlReader, XmlSink};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// The output-event budget [`PreparedQuery`](../../foxq_service) serving and
 /// the `foxq` CLI apply by default: generous enough for any legitimate run
@@ -295,6 +297,8 @@ struct Arena {
     peak_bytes: usize,
     pending: usize,
     peak_pending: usize,
+    /// Work list of [`Arena::release`], kept for its capacity.
+    releasing: Vec<ExprId>,
 }
 
 impl Arena {
@@ -354,6 +358,14 @@ impl Arena {
         self.slots[id.idx as usize].expr.as_mut().unwrap()
     }
 
+    /// The label of a ground output node.
+    fn node_label(&self, id: ExprId) -> &Label {
+        match self.get(id) {
+            Expr::Node { label, .. } => label,
+            _ => unreachable!("tag of a non-node"),
+        }
+    }
+
     fn rc(&self, id: ExprId) -> u32 {
         self.slots[id.idx as usize].rc
     }
@@ -365,7 +377,8 @@ impl Arena {
 
     /// Decrement a reference count, freeing recursively at zero.
     fn release(&mut self, id: ExprId) {
-        let mut stack = vec![id];
+        let mut stack = std::mem::take(&mut self.releasing);
+        stack.push(id);
         while let Some(id) = stack.pop() {
             let slot = &mut self.slots[id.idx as usize];
             debug_assert!(
@@ -391,6 +404,7 @@ impl Arena {
                 }
             }
         }
+        self.releasing = stack;
     }
 
     /// Replace a pending call's expression in place (the expansion
@@ -429,19 +443,26 @@ fn approx_bytes(e: &Expr) -> usize {
 // Locations
 // ---------------------------------------------------------------------------
 
-/// A location: the subscriber list of pending calls waiting on it.
-type LocRef = Rc<RefCell<Vec<ExprId>>>;
+/// A location, as the index of its subscriber list — the pending calls
+/// waiting on it — in [`Engine::locs`].
+type Loc = u32;
 
-fn new_loc() -> LocRef {
-    Rc::new(RefCell::new(Vec::new()))
-}
+/// The location without subscribers. A pending call subscribes to the
+/// child or sibling location of an `open` event only while a subscriber
+/// of the current location expands on that event, so once an event finds
+/// no subscriber the locations it defines have none either: the whole
+/// subtree and every following sibling, up to the parent's close, move
+/// nothing but counters.
+const DEAD: Loc = Loc::MAX;
 
 /// The definition applied to a location by one input event.
-enum Ctx {
+#[derive(Clone, Copy)]
+enum Ctx<'a> {
+    /// `label(child) sib`; `sym` is the label's symbol in the transducer's
+    /// alphabet, resolved once for the event.
     Open {
-        label: Label,
-        child: LocRef,
-        sib: LocRef,
+        label: &'a Label,
+        sym: Option<SymId>,
     },
     Eps,
 }
@@ -471,12 +492,30 @@ struct Frame {
 /// compiles every hook out.
 pub struct Engine<'m, S, O: StreamObserver = ()> {
     mft: &'m Mft,
+    dispatch: Dispatch<'m>,
     sink: S,
     arena: Arena,
+    /// Subscriber lists by [`Loc`]. A list goes back to `free_locs`, with
+    /// its capacity, when its location's event arrives, so the slab holds
+    /// one list per location subscribed to at once: O(depth).
+    locs: Vec<Vec<ExprId>>,
+    free_locs: Vec<Loc>,
     /// The location beginning at the current parse position.
-    current: LocRef,
-    /// Locations for the forests after each open element's closing tag.
-    stack: Vec<LocRef>,
+    current: Loc,
+    /// Locations for the forests after the closing tags of the elements
+    /// that were opened on a live location.
+    stack: Vec<Loc>,
+    /// Elements opened on a dead location: their sibling locations are
+    /// dead, so a count stands for them. Nonzero only while `current` is.
+    dead_depth: usize,
+    /// The child and sibling locations of the `open` event in progress;
+    /// each gets a list when its first subscriber arrives.
+    child: Loc,
+    sib: Loc,
+    /// The calls still to expand within the event in progress.
+    work: VecDeque<ExprId>,
+    /// Which arguments of the call being expanded its rule has used.
+    used: Vec<bool>,
     frames: Vec<Frame>,
     limits: StreamLimits,
     stats: StreamStats,
@@ -498,12 +537,10 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
     /// An engine whose hook sites report to `obs`.
     pub fn with_observer(mft: &'m Mft, sink: S, limits: StreamLimits, obs: O) -> Self {
         let mut arena = Arena::default();
-        let current = new_loc();
         let root = arena.alloc(Expr::Pending {
             state: mft.initial,
             args: Vec::new(),
         });
-        current.borrow_mut().push(root);
         let frames = vec![Frame {
             node: root,
             idx: 0,
@@ -512,10 +549,18 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         }];
         Engine {
             mft,
+            dispatch: Dispatch::new(mft),
             sink,
             arena,
-            current,
+            locs: vec![vec![root]],
+            free_locs: Vec::new(),
+            current: 0,
             stack: Vec::new(),
+            dead_depth: 0,
+            child: DEAD,
+            sib: DEAD,
+            work: VecDeque::new(),
+            used: Vec::new(),
             frames,
             limits,
             stats: StreamStats::default(),
@@ -529,33 +574,47 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         debug_assert!(!self.finished);
         self.stats.events += 1;
         self.stats.open_events += 1;
-        let child = new_loc();
-        let sib = new_loc();
-        let ctx = Ctx::Open {
-            label: label.clone(),
-            child: child.clone(),
-            sib: sib.clone(),
-        };
-        let subs = std::mem::take(&mut *self.current.borrow_mut());
-        self.expand_all(subs, &ctx)?;
-        self.stack.push(sib);
-        self.stats.max_depth = self.stats.max_depth.max(self.stack.len());
-        self.current = child;
-        self.flush()?;
-        self.sync_peaks();
-        self.note_event();
+        if self.current == DEAD {
+            // The child and sibling of a dead location are dead.
+            self.dead_depth += 1;
+        } else {
+            let sym = self.dispatch.sym(label);
+            self.expand_subscribers(Ctx::Open { label, sym })?;
+            self.stack.push(self.sib);
+            self.current = self.child;
+            self.flush()?;
+        }
+        let depth = self.stack.len() + self.dead_depth;
+        self.stats.max_depth = self.stats.max_depth.max(depth);
+        self.end_event();
         Ok(())
     }
 
-    fn sync_peaks(&mut self) {
+    /// Feed the closing event of the most recently opened node.
+    pub fn close(&mut self) -> Result<(), StreamError> {
+        debug_assert!(!self.finished);
+        self.stats.events += 1;
+        self.stats.close_events += 1;
+        if self.dead_depth > 0 {
+            self.dead_depth -= 1; // on to a dead sibling location
+        } else {
+            if self.current != DEAD {
+                self.expand_subscribers(Ctx::Eps)?;
+            }
+            self.current = self.stack.pop().expect("close without matching open");
+            self.flush()?;
+        }
+        self.end_event();
+        Ok(())
+    }
+
+    /// Publish the event's effect: peaks to the stats, the post-event
+    /// buffer occupancy to the observer.
+    #[inline]
+    fn end_event(&mut self) {
         self.stats.peak_live_nodes = self.arena.peak_live;
         self.stats.peak_live_bytes = self.arena.peak_bytes;
         self.stats.peak_pending_calls = self.arena.peak_pending;
-    }
-
-    /// Report the post-event buffer occupancy to the observer.
-    #[inline]
-    fn note_event(&mut self) {
         if O::ENABLED {
             self.obs.on_event(BufferSample {
                 input_event_index: self.stats.events,
@@ -569,20 +628,6 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         }
     }
 
-    /// Feed the closing event of the most recently opened node.
-    pub fn close(&mut self) -> Result<(), StreamError> {
-        debug_assert!(!self.finished);
-        self.stats.events += 1;
-        self.stats.close_events += 1;
-        let subs = std::mem::take(&mut *self.current.borrow_mut());
-        self.expand_all(subs, &Ctx::Eps)?;
-        self.current = self.stack.pop().expect("close without matching open");
-        self.flush()?;
-        self.sync_peaks();
-        self.note_event();
-        Ok(())
-    }
-
     /// Signal end of input and retrieve the sink and run statistics.
     pub fn finish(self) -> Result<(S, StreamStats), StreamError> {
         self.finish_observed().map(|(sink, stats, _)| (sink, stats))
@@ -590,16 +635,19 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
 
     /// [`Engine::finish`], also handing back the observer.
     pub fn finish_observed(mut self) -> Result<(S, StreamStats, O), StreamError> {
-        debug_assert!(self.stack.is_empty(), "unclosed elements at finish");
+        debug_assert!(
+            self.stack.is_empty() && self.dead_depth == 0,
+            "unclosed elements at finish"
+        );
         // Everything emitted so far streamed out before the document
         // ended; whatever the eof tick below adds was end-buffered.
         self.stats.streamed_output_events = self.stats.output_events;
         self.stats.events += 1;
-        let subs = std::mem::take(&mut *self.current.borrow_mut());
-        self.expand_all(subs, &Ctx::Eps)?;
+        if self.current != DEAD {
+            self.expand_subscribers(Ctx::Eps)?;
+        }
         self.flush()?;
-        self.sync_peaks();
-        self.note_event();
+        self.end_event();
         debug_assert!(
             self.frames.is_empty(),
             "output frontier not ground after end of input"
@@ -631,10 +679,18 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
 
     // ---- expansion ----------------------------------------------------
 
-    fn expand_all(&mut self, subs: Vec<ExprId>, ctx: &Ctx) -> Result<(), StreamError> {
-        let mut work: VecDeque<ExprId> = subs.into();
+    /// Define the current (live) location as `ctx` says: expand every call
+    /// subscribed to it and the stay moves those expansions make, leaving
+    /// in `child` / `sib` the locations the event defines — each [`DEAD`]
+    /// unless an expansion subscribed to it.
+    fn expand_subscribers(&mut self, ctx: Ctx<'_>) -> Result<(), StreamError> {
+        debug_assert!(self.work.is_empty());
+        self.work.extend(self.locs[self.current as usize].drain(..));
+        self.free_locs.push(self.current);
+        self.child = DEAD;
+        self.sib = DEAD;
         let mut fuel = self.limits.max_expansions_per_event;
-        while let Some(id) = work.pop_front() {
+        while let Some(id) = self.work.pop_front() {
             if !self.arena.alive(id) {
                 continue; // dropped branch
             }
@@ -646,13 +702,13 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                 return Err(StreamError::Fuel { state });
             }
             fuel -= 1;
-            self.expand_one(id, ctx, &mut work);
+            self.expand_one(id, ctx);
         }
         Ok(())
     }
 
     /// Rewrite one pending call in place using the rule selected by `ctx`.
-    fn expand_one(&mut self, id: ExprId, ctx: &Ctx, work: &mut VecDeque<ExprId>) {
+    fn expand_one(&mut self, id: ExprId, ctx: Ctx<'_>) {
         self.stats.expansions += 1;
         let before = if O::ENABLED {
             (self.arena.live, self.arena.live_bytes, self.arena.pending)
@@ -663,25 +719,21 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             Expr::Pending { state, args } => (*state, std::mem::take(args)),
             _ => unreachable!("expand target must be pending"),
         };
-        let rules = &self.mft.rules[state.idx()];
-        let rhs: &Rhs = match ctx {
-            Ctx::Eps => &rules.eps,
-            Ctx::Open { label, .. } => match self.mft.alphabet.lookup(label) {
-                Some(sym) if rules.by_sym.contains_key(&sym) => &rules.by_sym[&sym],
-                _ if label.is_text() && rules.text_default.is_some() => {
-                    rules.text_default.as_ref().unwrap()
-                }
-                _ => &rules.default,
-            },
+        let rhs = match ctx {
+            Ctx::Eps => self.dispatch.eps_rule(state),
+            Ctx::Open { label, sym } => self.dispatch.node_rule(state, sym, label.is_text()),
         };
-        let mut used = vec![false; args.len()];
-        let children = self.instantiate(rhs, ctx, &args, &mut used, work);
+        let mut used = std::mem::take(&mut self.used);
+        used.clear();
+        used.resize(args.len(), false);
+        let children = self.instantiate(rhs, ctx, &args, &mut used);
         // Arguments the rule dropped: release their subgraphs.
         for (arg, used) in args.iter().zip(&used) {
             if !used {
                 self.arena.release(*arg);
             }
         }
+        self.used = used;
         self.arena.resolve(id, Expr::Forest(children));
         if O::ENABLED {
             self.obs.on_expansion(
@@ -698,10 +750,9 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
     fn instantiate(
         &mut self,
         rhs: &Rhs,
-        ctx: &Ctx,
+        ctx: Ctx<'_>,
         args: &[ExprId],
         used: &mut [bool],
-        work: &mut VecDeque<ExprId>,
     ) -> VecDeque<ExprId> {
         let mut out = VecDeque::with_capacity(rhs.len());
         for node in rhs {
@@ -723,7 +774,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                             Ctx::Eps => unreachable!("%t in ε context (validated)"),
                         },
                     };
-                    let kids = self.instantiate(children, ctx, args, used, work);
+                    let kids = self.instantiate(children, ctx, args, used);
                     out.push_back(self.arena.alloc(Expr::Node {
                         label,
                         children: kids,
@@ -736,7 +787,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                 } => {
                     let mut new_args = Vec::with_capacity(cargs.len());
                     for a in cargs {
-                        let f = self.instantiate(a, ctx, args, used, work);
+                        let f = self.instantiate(a, ctx, args, used);
                         new_args.push(self.arena.alloc(Expr::Forest(f)));
                     }
                     let pid = self.arena.alloc(Expr::Pending {
@@ -744,13 +795,11 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                         args: new_args,
                     });
                     match (input, ctx) {
-                        (XVar::X0, _) => work.push_back(pid), // stay move: same event
-                        (XVar::X1, Ctx::Open { child, .. }) => {
-                            child.borrow_mut().push(pid);
+                        (XVar::X0, _) => self.work.push_back(pid), // stay move: same event
+                        (XVar::X1, Ctx::Open { .. }) => {
+                            self.child = self.subscribe(self.child, pid)
                         }
-                        (XVar::X2, Ctx::Open { sib, .. }) => {
-                            sib.borrow_mut().push(pid);
-                        }
+                        (XVar::X2, Ctx::Open { .. }) => self.sib = self.subscribe(self.sib, pid),
                         // ε-rules may only use x0 (validated), so x1/x2 in an
                         // Eps context cannot occur.
                         (_, Ctx::Eps) => unreachable!("x1/x2 in ε context (validated)"),
@@ -760,6 +809,20 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             }
         }
         out
+    }
+
+    /// Add `id` to the subscribers of `loc`, giving it a (recycled) list
+    /// if it had none; returns the location.
+    fn subscribe(&mut self, loc: Loc, id: ExprId) -> Loc {
+        let loc = match loc {
+            DEAD => self.free_locs.pop().unwrap_or_else(|| {
+                self.locs.push(Vec::new());
+                Loc::try_from(self.locs.len()).expect("fewer than 2^32 live locations") - 1
+            }),
+            loc => loc,
+        };
+        self.locs[loc as usize].push(id);
+        loc
     }
 
     // ---- emission -------------------------------------------------------
@@ -806,8 +869,8 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                 Stall,
                 Descend(ExprId),
                 PopForest,
-                OpenNode(Label),
-                PopNode(Label),
+                OpenNode,
+                PopNode,
             }
             let step = match self.arena.get_mut(node) {
                 Expr::Pending { .. } => Step::Stall,
@@ -827,14 +890,14 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                         }
                     }
                 }
-                Expr::Node { label, children } => {
+                Expr::Node { children, .. } => {
                     if !top.opened {
                         top.opened = true;
-                        Step::OpenNode(label.clone())
+                        Step::OpenNode
                     } else if destructive {
                         match children.pop_front() {
                             Some(c) => Step::Descend(c),
-                            None => Step::PopNode(label.clone()),
+                            None => Step::PopNode,
                         }
                     } else {
                         match children.get(top.idx) {
@@ -842,7 +905,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                                 top.idx += 1;
                                 Step::Descend(c)
                             }
-                            None => Step::PopNode(label.clone()),
+                            None => Step::PopNode,
                         }
                     }
                 }
@@ -875,13 +938,15 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                         self.arena.release(f.node);
                     }
                 }
-                Step::OpenNode(label) => {
+                // The tag's label is lent to the sink straight from the
+                // arena: `arena` and `sink` are disjoint fields.
+                Step::OpenNode => {
                     self.count_output_event()?;
-                    self.sink.open(&label);
+                    self.sink.open(self.arena.node_label(node));
                 }
-                Step::PopNode(label) => {
+                Step::PopNode => {
                     self.count_output_event()?;
-                    self.sink.close(&label);
+                    self.sink.close(self.arena.node_label(node));
                     let f = self.frames.pop().unwrap();
                     if f.holds_ref {
                         self.arena.release(f.node);

@@ -388,7 +388,15 @@ impl<R: BufRead> XmlReader<R> {
                     return Ok(());
                 }
             } else {
-                matched = if c == terminator[0] { 1 } else { 0 };
+                // Fall back to the longest prefix of the terminator that
+                // the input still ends with: `--` + `-` ends with `--`.
+                matched = (1..=matched)
+                    .rev()
+                    .find(|&k| {
+                        terminator[k - 1] == c
+                            && terminator[..k - 1] == terminator[matched + 1 - k..matched]
+                    })
+                    .unwrap_or(0);
             }
         }
     }
@@ -478,7 +486,11 @@ impl<R: BufRead> XmlReader<R> {
                     Ok(c) => c,
                     Err(_) => return self.syntax("bad numeric character reference"),
                 };
-                match char::from_u32(code) {
+                // XML 1.0 `Char`: no C0 control but tab, LF and CR, no
+                // surrogate (`from_u32` refuses those), not #xFFFE / #xFFFF.
+                let legal =
+                    matches!(code, 0x9 | 0xA | 0xD | 0x20..) && !matches!(code, 0xFFFE | 0xFFFF);
+                match char::from_u32(code).filter(|_| legal) {
                     Some(ch) => {
                         let mut buf = [0u8; 4];
                         out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
@@ -629,6 +641,57 @@ mod tests {
         assert_eq!(
             events(xml),
             vec![open("a"), open("b"), close("b"), close("a"), XmlEvent::Eof]
+        );
+    }
+
+    #[test]
+    fn terminators_overlapping_their_own_prefix_end_the_construct() {
+        // `---` before `>`, `??` before `>`, `]]]` before `>`: the byte
+        // that breaks a partial match may itself continue one.
+        let a_b = vec![open("a"), open("b"), close("b"), close("a"), XmlEvent::Eof];
+        assert_eq!(events("<a><!-- c ---><b/><!-- d --></a>"), a_b);
+        assert_eq!(events("<a><!-----><b/><!-- - -- d --></a>"), a_b);
+        assert_eq!(events("<a><?pi c ??><b/><?pi d?></a>"), a_b);
+        assert_eq!(
+            events("<a><![CDATA[c]]]><b/><![CDATA[]]]]></a>"),
+            vec![
+                open("a"),
+                topen("c]"),
+                tclose("c]"),
+                open("b"),
+                close("b"),
+                topen("]]"),
+                tclose("]]"),
+                close("a"),
+                XmlEvent::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn illegal_character_references_are_syntax_errors() {
+        for reference in [
+            "&#0;", "&#x0;", "&#8;", "&#x1F;", "&#xFFFE;", "&#65535;", "&#xD800;",
+        ] {
+            for xml in [
+                format!("<a>x{reference}</a>"),
+                format!("<a t='{reference}'/>"),
+            ] {
+                let mut reader = XmlReader::new(xml.as_bytes());
+                let error = loop {
+                    match reader.next_event() {
+                        Ok(XmlEvent::Eof) => panic!("{xml} accepted"),
+                        Ok(_) => {}
+                        Err(e) => break e,
+                    }
+                };
+                assert!(matches!(error, XmlError::Syntax { .. }), "{xml}: {error}");
+            }
+        }
+        // The legal control characters and the edges of the legal ranges.
+        assert_eq!(
+            events("<a>x&#9;&#xA;&#13;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;</a>")[1],
+            topen("x\t\n\r \u{D7FF}\u{E000}\u{FFFD}\u{10000}\u{10FFFF}")
         );
     }
 

@@ -1,0 +1,214 @@
+//! Allocation guard for the engine's event loop, and a parity guard for
+//! what it reports.
+//!
+//! The streaming claim rests on a small constant cost per input event, so
+//! the engine must not allocate per event outside of building output.
+//! These tests count allocations exactly, through `foxq_obs`'s counting
+//! allocator — no timing, so they hold in debug builds — and pin the
+//! engine's counters and profile to the values the `Rc<RefCell<_>>`-location
+//! engine before this one produced on the same input.
+
+use foxq::core::mft::Mft;
+use foxq::core::profile::StreamProfiler;
+use foxq::core::stream::{BufferSample, Engine, StreamLimits, StreamObserver, StreamStats};
+use foxq::core::StateId;
+use foxq::gen::Dataset;
+use foxq::obs::AllocScope;
+use foxq::service::PreparedQuery;
+use foxq::xml::{forest_to_xml_string, NullSink, XmlEvent, XmlReader};
+use foxq_bench::query_source;
+
+/// 256 KiB of XMark, tokenized ahead of the measured runs.
+fn xmark_events() -> Vec<XmlEvent> {
+    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 256 << 10, 0xF0E5));
+    let mut reader = XmlReader::new(xml.as_bytes());
+    let mut events = Vec::new();
+    loop {
+        match reader.next_event().unwrap() {
+            XmlEvent::Eof => return events,
+            event => events.push(event),
+        }
+    }
+}
+
+fn compile(name: &str) -> PreparedQuery {
+    PreparedQuery::compile(query_source(name)).unwrap()
+}
+
+fn feed<O: StreamObserver>(engine: &mut Engine<'_, NullSink, O>, event: &XmlEvent) {
+    match event {
+        XmlEvent::Open(label) => engine.open(label).unwrap(),
+        XmlEvent::Close(_) => engine.close().unwrap(),
+        XmlEvent::Eof => unreachable!("tokenized without the eof"),
+    }
+}
+
+/// Allocations per input event of one whole engine run, output dropped.
+fn allocations_per_event(mft: &Mft, events: &[XmlEvent]) -> f64 {
+    let scope = AllocScope::begin();
+    let mut engine = Engine::new(mft, NullSink);
+    for event in events {
+        feed(&mut engine, event);
+    }
+    engine.finish().unwrap();
+    scope.delta().allocations as f64 / events.len() as f64
+}
+
+#[test]
+fn selecting_engine_allocates_only_where_it_expands() {
+    let events = xmark_events();
+    let q1 = compile("Q1");
+    let per_event = allocations_per_event(q1.mft(), &events);
+    assert!(per_event <= 0.35, "Q1: {per_event:.3} allocations/event");
+
+    // Q1 reads /site/people only: below every other child of <site> no
+    // call is subscribed, so those events must move nothing but counters.
+    let mut engine = Engine::new(q1.mft(), NullSink);
+    let mut path: Vec<&str> = Vec::new();
+    let mut dead_events = 0usize;
+    for event in &events {
+        let dead = path.len() >= 2 && path[1] != "people";
+        let expansions = engine.stats().expansions;
+        let scope = AllocScope::begin();
+        feed(&mut engine, event);
+        if dead {
+            dead_events += 1;
+            assert_eq!(scope.delta().allocations, 0, "at {path:?}");
+            assert_eq!(engine.stats().expansions, expansions, "at {path:?}");
+        }
+        match event {
+            XmlEvent::Open(label) => path.push(&label.name),
+            _ => drop(path.pop()),
+        }
+    }
+    let (_, stats) = engine.finish().unwrap();
+    assert!(dead_events * 2 > events.len(), "{dead_events} dead events");
+    // Dead events are events all the same.
+    assert_eq!(stats.events, events.len() as u64 + 1);
+    assert_eq!(stats.open_events + stats.close_events + 1, stats.events);
+}
+
+#[test]
+fn copying_engine_allocates_for_its_output_only() {
+    let events = xmark_events();
+    let copy = PreparedQuery::compile("<o>{$input/site}</o>").unwrap();
+    // Per copied node: its children list and the forest it is part of.
+    let per_event = allocations_per_event(copy.mft(), &events);
+    assert!(per_event <= 1.5, "copy: {per_event:.3} allocations/event");
+}
+
+/// A [`StreamProfiler`] that also checks `on_event` fires exactly once per
+/// input event, in order.
+struct CountingProfiler {
+    profiler: StreamProfiler,
+    events_seen: u64,
+}
+
+impl StreamObserver for CountingProfiler {
+    const ENABLED: bool = true;
+
+    fn on_expansion(&mut self, state: StateId, d_nodes: i64, d_bytes: i64, d_pending: i64) {
+        self.profiler
+            .on_expansion(state, d_nodes, d_bytes, d_pending);
+    }
+
+    fn on_output_event(&mut self) {
+        self.profiler.on_output_event();
+    }
+
+    fn on_event(&mut self, sample: BufferSample) {
+        self.events_seen += 1;
+        assert_eq!(sample.input_event_index, self.events_seen);
+        self.profiler.on_event(sample);
+    }
+}
+
+/// FNV-1a, to pin a long rendering without checking it in.
+fn fingerprint(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1_0000_01B3)
+    })
+}
+
+#[test]
+fn stats_and_profile_are_what_they_were() {
+    // Recorded at the parent of the slab / dead-location engine (commit
+    // a82e42a), over the same events: every counter of `StreamStats`, and
+    // the fingerprint of the whole `StreamProfile` (per-state attribution,
+    // peaks, buffer timeline). Events in dead regions still count and
+    // still reach `on_event`; nothing else may move.
+    let document = StreamStats {
+        events: 27855,
+        open_events: 13927,
+        close_events: 13927,
+        max_depth: 13,
+        first_emit_events: 1,
+        ..StreamStats::default()
+    };
+    let recorded = [
+        (
+            "Q1",
+            StreamStats {
+                expansions: 3609,
+                peak_live_nodes: 29,
+                peak_live_bytes: 1638,
+                peak_pending_calls: 8,
+                output_events: 6,
+                emit_flushes: 6,
+                streamed_output_events: 5,
+                ..document
+            },
+            0x9741_D21B_C725_1544u64,
+        ),
+        (
+            "Q13",
+            StreamStats {
+                expansions: 1699,
+                peak_live_nodes: 41,
+                peak_live_bytes: 2402,
+                peak_pending_calls: 12,
+                output_events: 1022,
+                emit_flushes: 206,
+                streamed_output_events: 1021,
+                ..document
+            },
+            0xC86F_FF58_152F_5D4E,
+        ),
+        (
+            "double",
+            StreamStats {
+                expansions: 55711,
+                peak_live_nodes: 41824,
+                peak_live_bytes: 2469251,
+                peak_pending_calls: 29,
+                output_events: 55712,
+                emit_flushes: 27855,
+                streamed_output_events: 27856,
+                ..document
+            },
+            0x851D_B650_BEC7_B51A,
+        ),
+    ];
+    let events = xmark_events();
+    for (name, stats_then, profile_then) in recorded {
+        let query = compile(name);
+        let mft = query.mft();
+        let observer = CountingProfiler {
+            profiler: StreamProfiler::for_mft(mft),
+            events_seen: 0,
+        };
+        let mut engine = Engine::with_observer(mft, NullSink, StreamLimits::default(), observer);
+        for event in &events {
+            feed(&mut engine, event);
+        }
+        let (_, stats, observer) = engine.finish_observed().unwrap();
+        assert_eq!(stats, stats_then, "{name}");
+        assert_eq!(observer.events_seen, stats.events, "{name}");
+        let profile = observer.profiler.into_profile(mft);
+        let profile_now = fingerprint(&format!("{profile:?}"));
+        assert!(
+            profile_now == profile_then,
+            "{name}: profile fingerprint {profile_now:#X}"
+        );
+    }
+}

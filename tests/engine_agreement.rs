@@ -8,17 +8,25 @@
 //! * `run_mft ∘ translate`  — Theorem 1 (the translation is semantics-
 //!   preserving);
 //! * `run_mft ∘ optimize`   — §4.1 (optimizations are semantics-preserving);
-//! * streaming engine       — on both the optimized and unoptimized MFT;
+//! * streaming engine       — on both the optimized and unoptimized MFT,
+//!   bare, with a `StreamProfiler` observing, and as lanes of a
+//!   pass-through `MultiQueryEngine`;
 //! * the GCX baseline       — when it supports the query.
 //!
 //! Queries are generated respecting the §2.1 scope discipline (paths start
 //! at the nearest enclosing for-variable or `$input`), so translation never
 //! rejects them.
 
-use foxq::core::stream::run_streaming_on_forest;
-use foxq::forest::{elem, text, Forest, Tree};
+use foxq::core::profile::StreamProfiler;
+use foxq::core::stream::{
+    run_streaming_on_forest, run_streaming_to_string_with_limits, Engine, StreamError,
+    StreamLimits, StreamStats,
+};
+use foxq::core::{parse_mft, run_mft, Mft};
+use foxq::forest::term::parse_forest;
+use foxq::forest::{elem, text, Forest, Label, Tree};
 use foxq::gcx::{run_gcx_on_forest, GcxError};
-use foxq::service::QueryCache;
+use foxq::service::{MultiQueryEngine, QueryCache, QuerySetPlan};
 use foxq::xml::{forest_to_xml_string, ForestSink};
 use foxq::xquery::ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
 use foxq::xquery::eval_query;
@@ -214,6 +222,48 @@ fn shared_cache() -> &'static Mutex<QueryCache> {
     CACHE.get_or_init(|| Mutex::new(QueryCache::new(512)))
 }
 
+/// `doc` as the input events it stands for: `Some` opens, `None` closes.
+fn events_of(doc: &[Tree]) -> Vec<Option<&Label>> {
+    fn walk<'a>(t: &'a Tree, out: &mut Vec<Option<&'a Label>>) {
+        out.push(Some(&t.label));
+        for c in &t.children {
+            walk(c, out);
+        }
+        out.push(None);
+    }
+    let mut out = Vec::new();
+    for t in doc {
+        walk(t, &mut out);
+    }
+    out
+}
+
+/// Every event counts, whether or not the engine had anything to do on it.
+fn assert_counts_every_event(stats: &StreamStats, doc: &[Tree], context: &str) {
+    let opens = events_of(doc).iter().flatten().count() as u64;
+    assert_eq!(stats.open_events, opens, "{context}");
+    assert_eq!(stats.close_events, opens, "{context}");
+    assert_eq!(stats.events, 2 * opens + 1, "{context}");
+}
+
+/// `m` over `doc` with a profiler observing: output and statistics.
+fn stream_profiled(m: &Mft, doc: &[Tree]) -> (String, StreamStats) {
+    let profiler = StreamProfiler::for_mft(m);
+    let mut engine = Engine::with_observer(m, ForestSink::new(), StreamLimits::default(), profiler);
+    for event in events_of(doc) {
+        match event {
+            Some(label) => engine.open(label).unwrap(),
+            None => engine.close().unwrap(),
+        }
+    }
+    let (sink, stats, profiler) = engine.finish_observed().unwrap();
+    let profile = profiler.into_profile(m);
+    let attributed: u64 = profile.states.iter().map(|s| s.expansions).sum();
+    assert_eq!(attributed, stats.expansions);
+    assert_eq!(profile.peak_live_bytes, stats.peak_live_bytes as u64);
+    (forest_to_xml_string(&sink.into_forest()), stats)
+}
+
 /// Run one (query, doc) sample through every engine and compare.
 fn check_sample(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -240,12 +290,41 @@ fn check_sample(seed: u64) {
             interp, expected,
             "{label} interp (seed {seed})\nquery: {query}"
         );
-        let (sink, _) = run_streaming_on_forest(m, &doc, ForestSink::new()).unwrap();
+        let (sink, stats) = run_streaming_on_forest(m, &doc, ForestSink::new()).unwrap();
         let streamed = forest_to_xml_string(&sink.into_forest());
         assert_eq!(
             streamed, expected,
             "{label} stream (seed {seed})\nquery: {query}"
         );
+        assert_counts_every_event(&stats, &doc, &format!("{label} stream (seed {seed})"));
+        // An observer sees the same run: same output, same counters.
+        let (profiled, profiled_stats) = stream_profiled(m, &doc);
+        assert_eq!(
+            profiled, expected,
+            "{label} profiled (seed {seed})\nquery: {query}"
+        );
+        assert_eq!(profiled_stats, stats, "{label} profiled (seed {seed})");
+    }
+    // Both transducers as lanes of one multi-query pass, nothing withheld.
+    let mut multi = MultiQueryEngine::with_plan(
+        [unopt, opt].map(|m| (m, ForestSink::new())),
+        StreamLimits::default(),
+        &QuerySetPlan::pass_through(2),
+    );
+    for event in events_of(&doc) {
+        match event {
+            Some(label) => multi.open(label),
+            None => multi.close(),
+        }
+    }
+    for (lane, result) in multi.finish().into_iter().enumerate() {
+        let (sink, stats) = result.unwrap();
+        assert_eq!(
+            forest_to_xml_string(&sink.into_forest()),
+            expected,
+            "multi lane {lane} (seed {seed})\nquery: {query}"
+        );
+        assert_counts_every_event(&stats, &doc, &format!("multi lane {lane} (seed {seed})"));
     }
     match run_gcx_on_forest(&query, &doc, ForestSink::new()) {
         Ok((sink, _)) => {
@@ -269,5 +348,116 @@ proptest! {
     #[test]
     fn engines_agree_on_random_seeds(seed in any::<u64>()) {
         check_sample(seed);
+    }
+}
+
+/// `m` over `doc`: the streaming engine — bare and profiled — against the
+/// in-memory interpreter; returns the run's statistics.
+fn check_dead_region_case(m: &Mft, doc: &str) -> StreamStats {
+    let doc = parse_forest(doc).unwrap();
+    let expected = forest_to_xml_string(&run_mft(m, &doc).unwrap());
+    let (sink, stats) = run_streaming_on_forest(m, &doc, ForestSink::new()).unwrap();
+    assert_eq!(forest_to_xml_string(&sink.into_forest()), expected);
+    assert_counts_every_event(&stats, &doc, "dead-region case");
+    assert_eq!(stream_profiled(m, &doc), (expected, stats));
+    stats
+}
+
+/// An event on a location no call subscribed to expands nothing, and
+/// neither does any event of the subtree and the siblings that follow:
+/// the engine only counts them. These enter and leave such regions where
+/// the bookkeeping is most likely to slip.
+#[test]
+fn dead_regions_are_entered_and_left_everywhere() {
+    // Depth 0. Labels of the top-level trees only: every subtree is dead,
+    // and each top-level close leaves the region again.
+    let tops = parse_mft("q0(%t(x1) x2) -> %t() q0(x2); q0(eps) -> eps;").unwrap();
+    let stats = check_dead_region_case(&tops, r#"a(b(c) "t") "u" d e(f(g(h)))"#);
+    assert_eq!(stats.max_depth, 4);
+    assert_eq!(stats.expansions, 5); // four top-level trees and the end
+                                     // Depth 0 again: after the first <a> nothing is subscribed anywhere —
+                                     // the region lasts until, and includes, the end of input.
+    let first_a =
+        parse_mft("q0(a(x1) x2) -> a(); q0(%t(x1) x2) -> q0(x2); q0(eps) -> none();").unwrap();
+    let stats = check_dead_region_case(&first_a, r#"b(a) "t" a(b(c)) d(e) f"#);
+    assert_eq!((stats.max_depth, stats.expansions), (3, 3));
+    check_dead_region_case(&first_a, "b c");
+    check_dead_region_case(&first_a, "");
+
+    // Maximum depth: whatever is below /a/b is dead, down to the deepest
+    // node of the document — which still sets `max_depth`.
+    let hits = foxq::core::opt::optimize(
+        foxq::core::translate::translate(
+            &foxq::xquery::parse_query("<o>{ for $x in $input/a/b return <hit/> }</o>").unwrap(),
+        )
+        .unwrap(),
+    );
+    let stats = check_dead_region_case(&hits, "a(b(c(d(e))) b x(b(c))) a(b) b(a(b(c(d(e(f))))))");
+    assert_eq!(stats.max_depth, 7);
+    assert_eq!(stats.output_events, 2 + 2 * 3);
+
+    // Directly before a text node: <b>'s subtree is dead, and the event
+    // after its close — back on a live location — is a text node; a text
+    // node is also the first and the last thing inside a dead region.
+    let texts = parse_mft(
+        r#"q0(a(x1) x2) -> q1(x1) q0(x2); q0(%t(x1) x2) -> q0(x2); q0(eps) -> eps;
+           q1(%ttext(x1) x2) -> %t() q1(x2); q1(%t(x1) x2) -> q1(x2); q1(eps) -> eps;"#,
+    )
+    .unwrap();
+    check_dead_region_case(
+        &texts,
+        r#"a(b(c) "t" b("x") "u" b("y" c "z") "v") c("w") a("k")"#,
+    );
+
+    // Under a stay move: the calls made on x0 expand within the same
+    // event, and only what *they* subscribe keeps the region alive.
+    let stay = parse_mft(
+        r#"q0(%) -> o(q1(x0) q2(x0));
+           q1(a(x1) x2) -> a(q1(x1)); q1(%t(x1) x2) -> skipped(); q1(eps) -> eps;
+           q2(b(x1) x2) -> q2(x2); q2(%t(x1) x2) -> eps; q2(eps) -> end();"#,
+    )
+    .unwrap();
+    for doc in ["a(a(c(d) a) a) b", "b(c(d)) b", "c(d(e)) a", "b", ""] {
+        check_dead_region_case(&stay, doc);
+    }
+}
+
+#[test]
+fn limits_fail_with_the_state_and_budget_they_always_named() {
+    // A stay loop entered after a dead region, deep in the document.
+    let looping = parse_mft(
+        r#"q0(a(x1) x2) -> spin(x0); q0(%t(x1) x2) -> q0(x2); q0(eps) -> eps;
+           spin(%) -> spin(x0);"#,
+    )
+    .unwrap();
+    let limits = StreamLimits {
+        max_expansions_per_event: 50,
+        ..StreamLimits::default()
+    };
+    match run_streaming_to_string_with_limits(&looping, b"<b><c/></b><a/>", limits) {
+        Err(StreamError::Fuel { state }) => assert_eq!(state, "spin"),
+        other => panic!("expected Fuel, got {other:?}"),
+    }
+    // Fuel is per event: 50 expansions spread over many events are fine.
+    let copy = parse_mft("q(%t(x1) x2) -> %t(q(x1)) q(x2); q(eps) -> eps;").unwrap();
+    let wide = "<a/>".repeat(100);
+    let out = run_streaming_to_string_with_limits(&copy, wide.as_bytes(), limits).unwrap();
+    assert_eq!(out.stats.expansions, 201);
+
+    // The output budget admits exactly `max_output_events` events.
+    for (max_output_events, fits) in [(200, true), (199, false)] {
+        let limits = StreamLimits {
+            max_output_events,
+            ..StreamLimits::default()
+        };
+        match run_streaming_to_string_with_limits(&copy, wide.as_bytes(), limits) {
+            Ok(out) if fits => assert_eq!(out.stats.output_events, 200),
+            Err(StreamError::OutputLimit {
+                max_output_events: reported,
+            }) if !fits => {
+                assert_eq!(reported, max_output_events)
+            }
+            other => panic!("budget {max_output_events}: {other:?}"),
+        }
     }
 }

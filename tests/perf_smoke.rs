@@ -68,9 +68,17 @@ fn optimizer_is_polynomial_on_nested_doubling_lets() {
     use foxq::xquery::parse_query;
     let q = parse_query(&nested_doubling_lets(20)).unwrap();
     let m = translate(&q).unwrap();
-    let start = Instant::now();
-    let (opt, stats) = optimize_with_stats(m);
-    let elapsed = start.elapsed();
+    // Best of 3: one 50 ms sample is at the mercy of the other tests of
+    // this file running beside it.
+    let (elapsed, (opt, stats)) = (0..3)
+        .map(|_| {
+            let m = m.clone();
+            let start = Instant::now();
+            let optimized = optimize_with_stats(m);
+            (start.elapsed(), optimized)
+        })
+        .min_by_key(|(elapsed, _)| *elapsed)
+        .unwrap();
     assert!(stats.inline_budget_skips > 0, "{stats:?}");
     assert!(opt.size() < 100_000, "size {}", opt.size());
     assert!(
