@@ -149,15 +149,23 @@ pub struct StreamStats {
     pub max_depth: usize,
     /// Output events pushed to the sink.
     pub output_events: u64,
-    /// Input events an upstream label prefilter withheld on this engine's
-    /// behalf (they were never fed, so they appear in no other counter).
-    /// Always 0 for solo runs; set by `foxq_service::MultiQueryEngine`.
+    /// Input events withheld upstream on this engine's behalf (they were
+    /// never fed, so they appear in no other counter). The engine itself
+    /// never sets it; `foxq_service::MultiQueryEngine` does, for two
+    /// reasons: its label prefilter withheld the event from this lane (any
+    /// input, prefilter-eligible lanes only), or a seekable tape jumped
+    /// over the interior of a subtree at whose open every lane reported
+    /// [`Engine::is_dead`] (tapes only, every lane — so a solo replay of a
+    /// subtree-copying query over a tape reports it too). 0 for
+    /// `run_streaming*` and for pass-through lanes over parsed XML.
     pub prefiltered_events: u64,
     /// Tape bytes an upstream seekable event source (`foxq_store`) jumped
-    /// over instead of scanning, on this engine's behalf. The events inside
-    /// those bytes are counted in [`StreamStats::prefiltered_events`];
-    /// this records how much input never even had to be decoded. Always 0
-    /// when the input is parsed XML.
+    /// over instead of decoding, on this engine's behalf, each jump
+    /// starting from a decoded open whose subtree no lane could use. The
+    /// events inside those bytes are counted in
+    /// [`StreamStats::prefiltered_events`]. Set by
+    /// `foxq_service::MultiQueryEngine`'s tape drivers on every lane of
+    /// the run; always 0 when the input is parsed XML.
     pub seek_skipped_bytes: u64,
     /// Tape bytes the label skip index proved irrelevant, so the merged
     /// posting-list cursor never visited them at all (no open frame was
@@ -654,6 +662,16 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         );
         self.finished = true;
         Ok((self.sink, self.stats, self.obs))
+    }
+
+    /// Whether the location at the current parse position has no
+    /// subscriber. Right after an [`Engine::open`] that is the verdict on
+    /// the whole subtree: nothing below can subscribe either, so feeding
+    /// its interior would move only `events`, `open_events`,
+    /// `close_events` and `max_depth` — a seekable source may jump to the
+    /// matching close instead (the close itself must still be fed).
+    pub fn is_dead(&self) -> bool {
+        self.current == DEAD
     }
 
     /// Access the sink mid-run (e.g. to inspect counters).

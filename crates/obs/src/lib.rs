@@ -53,7 +53,7 @@ pub enum Stage {
     Execute,
     /// Engine event loop over a FET1 tape (corpus path).
     TapeReplay,
-    /// Forward seeks over prefiltered subtrees within a tape.
+    /// Forward seeks within a tape, over subtrees no lane can use.
     TapeSeek,
     /// Merging and advancing FET2 posting lists on the index read path.
     IndexProbe,

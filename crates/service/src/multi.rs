@@ -25,11 +25,24 @@
 //! label-agnostic (descendant axes, subtree copies, stay loops) simply
 //! passes through and keeps receiving every event; the withheld-event count
 //! is reported per lane in [`StreamStats::prefiltered_events`].
+//!
+//! ## The dead-location verdict drives seekable sources
+//!
+//! The prefilter is a static over-approximation of something each engine
+//! knows exactly at run time: after an `open`, a lane whose current
+//! location has no subscriber ([`Engine::is_dead`]) cannot be affected by
+//! anything inside that subtree. [`MultiQueryEngine::all_lanes_dead`] is
+//! that verdict for the whole set — a lane the prefilter is withholding
+//! from, or one that failed, is dead by definition — and the tape drivers
+//! act on it: they feed the open, and when every lane is dead they seek to
+//! the matching close instead of decoding the interior. That is the only
+//! skip protocol; "the prefilter withheld it" is one way of being dead.
 
 use foxq_core::emit::EmitSink;
 use foxq_core::mft::Mft;
 use foxq_core::stream::{Engine, StreamError, StreamLimits, StreamObserver, StreamStats};
 use foxq_forest::{FxHashSet, Label, Tree};
+use foxq_store::tape::VERSION_V1;
 use foxq_store::{index_drive, IndexedReplay, StoreError, TapeDrive, TapeReader};
 use foxq_xml::{EventSource, XmlError, XmlEvent, XmlReader, XmlSink};
 use std::io::{BufRead, Seek};
@@ -134,9 +147,6 @@ struct Prefilter {
     skip_depth: u64,
     /// Events withheld so far (opens + closes).
     skipped: u64,
-    /// Tape bytes a seeking driver jumped over on the eligible lanes'
-    /// behalf (see [`MultiQueryEngine::note_skipped_subtree`]).
-    seek_bytes: u64,
     /// Tape bytes a label skip index proved irrelevant on the eligible
     /// lanes' behalf (see [`MultiQueryEngine::note_index_skipped`]).
     index_bytes: u64,
@@ -158,6 +168,12 @@ pub struct MultiQueryEngine<'m, S, O: StreamObserver = ()> {
     filter: Option<Prefilter>,
     running: usize,
     input_events: u64,
+    /// Events inside subtrees a tape driver seeked over because every lane
+    /// was dead at the open — withheld from *every* lane, on top of what
+    /// the prefilter withholds from the eligible ones.
+    seek_events: u64,
+    /// Tape bytes those seeks never decoded.
+    seek_bytes: u64,
     /// Per-lane wall time (nanoseconds), when lane timing is enabled.
     lane_nanos: Option<Vec<u64>>,
 }
@@ -223,7 +239,6 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             texts: plan.texts,
             skip_depth: 0,
             skipped: 0,
-            seek_bytes: 0,
             index_bytes: 0,
             text_parents: Vec::new(),
             open_texts: 0,
@@ -234,6 +249,8 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             eligible,
             filter,
             input_events: 0,
+            seek_events: 0,
+            seek_bytes: 0,
             lane_nanos: None,
         }
     }
@@ -279,15 +296,16 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
         }
     }
 
-    /// Events the prefilter withheld from the eligible lanes so far.
+    /// Events withheld from the eligible lanes so far: by the prefilter,
+    /// and inside subtrees a tape driver seeked over.
     pub fn prefiltered_events(&self) -> u64 {
-        self.filter.as_ref().map_or(0, |f| f.skipped)
+        self.seek_events + self.filter.as_ref().map_or(0, |f| f.skipped)
     }
 
-    /// Bytes a seeking driver reported via
-    /// [`MultiQueryEngine::note_skipped_subtree`].
+    /// Tape bytes the drivers seeked over because
+    /// [`MultiQueryEngine::all_lanes_dead`] held at a subtree's open.
     pub fn seek_skipped_bytes(&self) -> u64 {
-        self.filter.as_ref().map_or(0, |f| f.seek_bytes)
+        self.seek_bytes
     }
 
     /// Bytes an index-driven replay reported via
@@ -297,11 +315,10 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     }
 
     /// Record what an index-driven tape replay withheld wholesale:
-    /// `events` opens + closes that were never decoded and `bytes` of tape
-    /// the merged cursor jumped over. The index equivalent of
-    /// [`MultiQueryEngine::note_skipped_subtree`], reported once at end of
-    /// input (the index knows the exact remainder from the footer's event
-    /// count, not per skipped subtree).
+    /// `events` opens + closes that were never delivered and `bytes` of
+    /// tape the merged cursor jumped over. Reported once at end of input
+    /// (the index knows the exact remainder from the footer's event count,
+    /// not per skipped subtree).
     pub fn note_index_skipped(&mut self, events: u64, bytes: u64) {
         self.input_events += events;
         let f = self
@@ -312,51 +329,38 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
         f.index_bytes += bytes;
     }
 
-    /// Would feeding `open(label)` at this point deliver the event to *no*
-    /// lane? True exactly when every running lane is prefilter-eligible and
-    /// the event would start (or extend) a skip — the caller may then skip
-    /// the **entire subtree** externally (a seekable tape jumps straight to
-    /// the close frame) and report it with
-    /// [`MultiQueryEngine::note_skipped_subtree`] instead of feeding it.
-    pub fn can_skip_subtree(&self, label: &Label) -> bool {
-        let Some(f) = &self.filter else {
-            return false;
-        };
-        // A pass-through (non-eligible) lane still needs every event.
-        let all_eligible = self
-            .lanes
-            .iter()
-            .zip(&self.eligible)
-            .all(|(lane, &e)| e || !matches!(lane, Lane::Running(_)));
-        if !all_eligible {
-            return false;
-        }
-        if f.skip_depth > 0 {
-            // Already inside a scan-mode skip: the subtree is withheld
-            // either way, and it is internally balanced, so jumping over
-            // it leaves the skip depth correct.
-            return true;
-        }
-        if f.open_texts > 0 {
-            return false;
-        }
-        let kind_ok = !label.is_text() || f.texts;
-        kind_ok && !f.matched.contains(label)
+    /// Can nothing inside the subtree of the `open` just fed reach any
+    /// lane? True when every running lane is either being withheld from by
+    /// the label prefilter or reports [`Engine::is_dead`]; failed lanes
+    /// count as dead. A seekable source may then jump to the matching
+    /// close — which must still be fed — instead of producing the interior.
+    pub fn all_lanes_dead(&self) -> bool {
+        self.lanes_idle(true)
     }
 
-    /// Record a subtree that an external driver skipped without feeding:
-    /// `events` opens + closes (the subtree's own open and close included)
-    /// and `bytes` of undecoded input. Only valid right after
-    /// [`MultiQueryEngine::can_skip_subtree`] returned true for the
-    /// subtree's open event.
-    pub fn note_skipped_subtree(&mut self, events: u64, bytes: u64) {
+    /// [`MultiQueryEngine::all_lanes_dead`]; with `ask_engines` false only
+    /// the prefilter's withholding counts, not the engines' own verdicts.
+    fn lanes_idle(&self, ask_engines: bool) -> bool {
+        let withholding = self.filter.as_ref().is_some_and(|f| f.skip_depth > 0);
+        self.lanes
+            .iter()
+            .zip(&self.eligible)
+            .all(|(lane, &eligible)| match lane {
+                Lane::Running(engine) => {
+                    (eligible && withholding) || (ask_engines && engine.is_dead())
+                }
+                Lane::Failed(_) => true,
+            })
+    }
+
+    /// Account the interior of a subtree a tape driver seeked over after
+    /// [`MultiQueryEngine::all_lanes_dead`]: `events` opens + closes
+    /// nobody was fed (the subtree's own open and close are fed and not
+    /// among them) and `bytes` of undecoded tape.
+    fn note_seek_skipped(&mut self, events: u64, bytes: u64) {
         self.input_events += events;
-        let f = self
-            .filter
-            .as_mut()
-            .expect("note_skipped_subtree without a prefilter");
-        f.skipped += events;
-        f.seek_bytes += bytes;
+        self.seek_events += events;
+        self.seek_bytes += bytes;
     }
 
     /// Turn the shared prefilter off (every lane then receives every
@@ -441,9 +445,11 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
         self.each_running(deliver_all, |e| e.close());
     }
 
-    /// Signal end of input; collect each lane's sink and statistics. Lanes
-    /// the prefilter served report the withheld-event count in
-    /// [`StreamStats::prefiltered_events`].
+    /// Signal end of input; collect each lane's sink and statistics. Every
+    /// lane reports what tape seeks withheld from it in
+    /// [`StreamStats::prefiltered_events`] /
+    /// [`StreamStats::seek_skipped_bytes`]; lanes the prefilter served add
+    /// its withheld-event count.
     pub fn finish(self) -> Vec<Result<(S, StreamStats), StreamError>> {
         self.finish_observed()
             .into_iter()
@@ -454,8 +460,8 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     /// [`MultiQueryEngine::finish`], also handing back each lane's
     /// observer.
     pub fn finish_observed(mut self) -> Vec<Result<(S, StreamStats, O), StreamError>> {
+        let (seek_events, seek_bytes) = (self.seek_events, self.seek_bytes);
         let skipped = self.prefiltered_events();
-        let seek_bytes = self.seek_skipped_bytes();
         let index_bytes = self.index_skipped_bytes();
         let eligible = std::mem::take(&mut self.eligible);
         self.lanes
@@ -463,9 +469,9 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             .zip(eligible)
             .map(|(lane, eligible)| match lane {
                 Lane::Running(engine) => engine.finish_observed().map(|(sink, mut stats, obs)| {
+                    stats.prefiltered_events = if eligible { skipped } else { seek_events };
+                    stats.seek_skipped_bytes = seek_bytes;
                     if eligible {
-                        stats.prefiltered_events = skipped;
-                        stats.seek_skipped_bytes = seek_bytes;
                         stats.index_skipped_bytes = index_bytes;
                     }
                     (sink, stats, obs)
@@ -496,9 +502,9 @@ pub struct MultiRun<S> {
     /// Events consumed from the (single) reader pass, including the
     /// end-of-input tick — equals each successful lane's `stats.events`.
     pub input_events: u64,
-    /// Input bytes the pass *seeked over* instead of decoding. Nonzero only
-    /// for [`run_multi_on_tape`] (XML text cannot be skipped without being
-    /// scanned).
+    /// Input bytes the pass *seeked over* instead of decoding, because
+    /// every lane was dead at a subtree's open. Nonzero only for the tape
+    /// drivers (XML text cannot be skipped without being scanned).
     pub seek_skipped_bytes: u64,
     /// Wall time spent seeking (inside [`TapeReader::skip_subtree`]), in
     /// microseconds — splits tape cost into replay vs. seek for the
@@ -681,7 +687,7 @@ fn run_multi_hooked<'m, E: EventSource, S: XmlSink, O: StreamObserver>(
 /// Run N transducers over one replay of a [`TapeReader`], reading as
 /// little of the tape as the query set permits.
 ///
-/// Two escalating read paths, picked automatically:
+/// Two read paths, picked automatically:
 ///
 /// * **Index** — when the tape is FET2 with a usable skip index and
 ///   *every* lane participates in the prefilter, the matched labels'
@@ -689,15 +695,25 @@ fn run_multi_hooked<'m, E: EventSource, S: XmlSink, O: StreamObserver>(
 ///   that decodes only candidate frames; everything between them is
 ///   jumped over without so much as a tag-byte read, reported in
 ///   [`MultiRun::index_skipped_bytes`].
-/// * **Scan with seek** — otherwise (FET1 tapes, flagged tapes, a
-///   pass-through lane in the set), every frame is decoded and, when
-///   [`MultiQueryEngine::can_skip_subtree`] says an open event would reach
-///   no lane, the tape jumps straight to the matching close frame
-///   ([`MultiRun::seek_skipped_bytes`]).
+/// * **Scan** — otherwise (FET1 tapes, flagged tapes, a pass-through lane
+///   in the set), frames are decoded in order.
 ///
-/// Output and event accounting are identical across both paths and a full
-/// replay (`tests/store.rs` proves it); [`run_multi_on_tape_scan`] forces
-/// the scan path for A/B measurement.
+/// Both obey one skip rule: an element's open is fed, and when
+/// [`MultiQueryEngine::all_lanes_dead`] then holds the source seeks to the
+/// matching close instead of producing the interior
+/// ([`MultiRun::seek_skipped_bytes`]). A subtree the prefilter withholds
+/// from every lane is the static case of that; a subtree-copying or
+/// descendant-axis query gets it wherever its engine has no subscriber
+/// left. On FET2 every decoded subtree is still verified and a skipped
+/// child's stored hash is folded into its parent; a FET1 tape loses its
+/// one footer checksum at the first seek, so there only the prefilter's
+/// withholding triggers one — as it always has — and a pass-through
+/// replay stays fully verified.
+///
+/// Output is identical across both paths and a full replay, and every
+/// lane's `events + prefiltered_events` adds up to
+/// [`MultiRun::input_events`] (`tests/store.rs` proves it);
+/// [`run_multi_on_tape_scan`] forces the scan path for A/B measurement.
 pub fn run_multi_on_tape<R: BufRead + Seek, S: XmlSink>(
     mfts: &[&Mft],
     tape: TapeReader<R>,
@@ -758,11 +774,12 @@ fn run_multi_on_index_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObserve
     );
     let done = |engine: MultiQueryEngine<'_, S, O>, drive: &IndexedReplay<R>, eof: bool| {
         let input_events = engine.input_events() + u64::from(eof);
+        let seek_skipped_bytes = engine.seek_skipped_bytes();
         let index_skipped_bytes = engine.index_skipped_bytes();
         ObservedMultiRun {
             results: engine.finish_observed(),
             input_events,
-            seek_skipped_bytes: 0,
+            seek_skipped_bytes,
             tape_seek_micros: 0,
             index_skipped_bytes,
             index_probe_micros: drive.probe_micros(),
@@ -773,7 +790,17 @@ fn run_multi_on_index_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObserve
             return Ok(done(engine, &drive, false));
         }
         match drive.next_event()? {
-            XmlEvent::Open(label) => engine.open(&label),
+            XmlEvent::Open(label) => {
+                engine.open(&label);
+                if !label.is_text() && engine.all_lanes_dead() {
+                    // The interior's events are part of the remainder
+                    // accounted at end of input.
+                    let bytes = drive.skip_subtree()?;
+                    engine.note_seek_skipped(0, bytes);
+                    after_event(&mut engine);
+                    engine.close();
+                }
+            }
             XmlEvent::Close(_) => engine.close(),
             XmlEvent::Eof => {
                 engine.note_index_skipped(drive.undelivered_events(), drive.index_skipped_bytes());
@@ -784,9 +811,9 @@ fn run_multi_on_index_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObserve
     }
 }
 
-/// [`run_multi_on_tape`] restricted to the scan-with-seek path — what
-/// every tape got before the FET2 skip index, kept callable for FET1
-/// tapes and A/B measurement.
+/// [`run_multi_on_tape`] restricted to the scan path — what every tape
+/// got before the FET2 skip index, kept callable for FET1 tapes and A/B
+/// measurement.
 pub fn run_multi_on_tape_scan<R: BufRead + Seek, S: XmlSink>(
     mfts: &[&Mft],
     tape: TapeReader<R>,
@@ -836,17 +863,21 @@ fn run_multi_on_tape_scan_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObs
             index_probe_micros: 0,
         }
     };
+    // A FET1 seek forfeits the footer checksum, so those tapes keep the
+    // skips they always took: the ones the prefilter asks for.
+    let ask_engines = tape.info().version != VERSION_V1;
     loop {
         if engine.running() == 0 {
             return Ok(done(engine, tape.seek_micros(), false));
         }
         match tape.next_event()? {
             XmlEvent::Open(label) => {
-                if tape.skippable() && engine.can_skip_subtree(&label) {
+                engine.open(&label);
+                if !label.is_text() && tape.skippable() && engine.lanes_idle(ask_engines) {
                     let skipped = tape.skip_subtree()?;
-                    engine.note_skipped_subtree(skipped.events, skipped.bytes);
-                } else {
-                    engine.open(&label);
+                    engine.note_seek_skipped(skipped.events - 2, skipped.bytes);
+                    after_event(&mut engine);
+                    engine.close();
                 }
             }
             XmlEvent::Close(_) => engine.close(),
@@ -1295,34 +1326,54 @@ mod tests {
     }
 
     #[test]
-    fn tape_seek_is_disabled_while_an_agnostic_lane_runs() {
+    fn tape_seek_waits_for_every_lane_to_be_dead() {
         let navigator = mft_of("<o>{$input/site/people/person/name/text()}</o>");
         let copier =
             parse_mft("qcopy(%t(x1) x2) -> %t(qcopy(x1)) qcopy(x2); qcopy(eps) -> eps;").unwrap();
+        let people = mft_of("<p>{$input/site/people}</p>");
+        assert!(!people.projection().elements, "subtree copy is agnostic");
         let xml = "<site><junk><a/><b>t</b></junk><people><person><name>Li</name></person></people></site>";
-        let plan = QuerySetPlan::new([&navigator, &copier]);
-        assert_eq!(plan.eligible_lanes(), 1);
-        let run = run_multi_on_tape(
-            &[&navigator, &copier],
-            tape_of(xml),
-            vec![ForestSink::new(), ForestSink::new()],
-            StreamLimits::default(),
-            &plan,
-        )
-        .unwrap();
-        // The copier needs every event, so nothing could be seeked over…
-        assert_eq!(run.seek_skipped_bytes, 0);
-        let mut results = run.results.into_iter();
-        let (nav, nav_stats) = results.next().unwrap().unwrap();
-        let (copy, _) = results.next().unwrap().unwrap();
-        // …but the scan-mode prefilter still withheld events from the
-        // navigator, and both outputs are correct.
-        assert!(nav_stats.prefiltered_events > 0);
-        assert_eq!(forest_to_xml_string(&nav.into_forest()), "<o>Li</o>");
+        let copied = "<site><junk><a></a><b>t</b></junk><people><person><name>Li</name></person></people></site>";
+        let run = |second: &Mft| {
+            let plan = QuerySetPlan::new([&navigator, second]);
+            assert_eq!(plan.eligible_lanes(), 1);
+            let run = run_multi_on_tape(
+                &[&navigator, second],
+                tape_of(xml),
+                vec![ForestSink::new(), ForestSink::new()],
+                StreamLimits::default(),
+                &plan,
+            )
+            .unwrap();
+            let mut results = run.results.into_iter();
+            let (nav, nav_stats) = results.next().unwrap().unwrap();
+            let (other, other_stats) = results.next().unwrap().unwrap();
+            // The prefilter withheld <junk> from the navigator either way.
+            assert_eq!(forest_to_xml_string(&nav.into_forest()), "<o>Li</o>");
+            assert!(nav_stats.prefiltered_events > other_stats.prefiltered_events);
+            for stats in [nav_stats, other_stats] {
+                assert_eq!(stats.events + stats.prefiltered_events, run.input_events);
+                assert_eq!(stats.seek_skipped_bytes, run.seek_skipped_bytes);
+            }
+            (
+                forest_to_xml_string(&other.into_forest()),
+                other_stats,
+                run.seek_skipped_bytes,
+            )
+        };
+        // The copier subscribes everywhere: nothing can be seeked over.
+        let (out, stats, seeked) = run(&copier);
+        assert_eq!(out, copied);
+        assert_eq!((stats.prefiltered_events, seeked), (0, 0));
+        // A lane that copies only <people> is dead inside <junk>, where the
+        // navigator is withheld from: the tape jumps over <a/><b>t</b>.
+        let (out, stats, seeked) = run(&people);
         assert_eq!(
-            forest_to_xml_string(&copy.into_forest()),
-            "<site><junk><a></a><b>t</b></junk><people><person><name>Li</name></person></people></site>"
+            out,
+            "<p><people><person><name>Li</name></person></people></p>"
         );
+        assert_eq!(stats.prefiltered_events, 6);
+        assert!(seeked > 0);
     }
 
     #[test]

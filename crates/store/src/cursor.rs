@@ -145,6 +145,8 @@ struct Frame {
     complete: bool,
     /// Where the next child frame starts if the subtree stays contiguous.
     next_at: u64,
+    /// [`IndexedReplay::position`] right after this frame's open.
+    opened_at: u64,
 }
 
 /// Replays the prefilter-surviving events of a FET2 tape by merging the
@@ -162,6 +164,12 @@ pub struct IndexedReplay<R> {
     texts_filtered: bool,
     stack: Vec<Frame>,
     delivered: u64,
+    /// Events behind the read position *within the innermost contiguous
+    /// frame*: delivered ones plus, for every closed child, what its close
+    /// frame says it held. Gaps between children are not counted, so the
+    /// value only means something to a frame decoded without gaps — where
+    /// it must equal the frame's own stored count.
+    position: u64,
     index_skipped_bytes: u64,
     probe_micros: u64,
     finished: bool,
@@ -172,8 +180,8 @@ pub struct IndexedReplay<R> {
 pub enum TapeDrive<R> {
     /// FET2 index path: only candidate frames are decoded.
     Indexed(IndexedReplay<R>),
-    /// Scan path: every frame is decoded, the prefilter seeks over
-    /// unmatched subtrees (FET1 tapes, flagged tapes).
+    /// Scan path: frames are decoded in order, the driver seeks over
+    /// subtrees no lane can use (FET1 tapes, flagged tapes).
     Linear(TapeReader<R>),
 }
 
@@ -240,6 +248,7 @@ pub fn index_drive<R: BufRead + Seek>(
         hash: EventHash::new(),
         complete: true,
         next_at: TAPE_START,
+        opened_at: 0,
     };
     tape.input.seek(SeekFrom::Start(TAPE_START))?;
     tape.offset = TAPE_START;
@@ -252,6 +261,7 @@ pub fn index_drive<R: BufRead + Seek>(
         texts_filtered: texts,
         stack: vec![root],
         delivered: 0,
+        position: 0,
         index_skipped_bytes: 0,
         probe_micros,
         finished: false,
@@ -350,6 +360,15 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
                     format!("expected the Eof tag, found {:#04x}", b[0]),
                 );
             }
+            if contiguous && self.position != self.tape.info.events {
+                return self.corrupt(
+                    frame.close_at,
+                    format!(
+                        "tape replayed {} events, its footer counts {}",
+                        self.position, self.tape.info.events
+                    ),
+                );
+            }
             let mut h = frame.hash;
             h.eof();
             if contiguous && h.0 != self.tape.info.checksum {
@@ -366,12 +385,12 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
                 return None;
             }
             let mut i = 1usize;
-            let _subtree_events = slice_varint(b, &mut i)?;
+            let subtree_events = slice_varint(b, &mut i)?;
             let stored = u32::from_le_bytes(b.get(i..i + 4)?.try_into().ok()?);
-            Some((stored, i + 4))
+            Some(((subtree_events, stored), i + 4))
         })?;
-        let stored = match fast {
-            Some(stored) => stored,
+        let (subtree_events, stored) = match fast {
+            Some(pair) => pair,
             None => {
                 let mut b = [0u8];
                 read_exact_at(&mut self.tape.input, &mut b, self.tape.offset)?;
@@ -382,13 +401,29 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
                         format!("open frame's close offset points at tag {:#04x}", b[0]),
                     );
                 }
-                let _subtree_events = read_varint(&mut self.tape.input, &mut self.tape.offset)?;
+                let subtree_events = read_varint(&mut self.tape.input, &mut self.tape.offset)?;
                 let mut sum = [0u8; 4];
                 read_exact_at(&mut self.tape.input, &mut sum, self.tape.offset)?;
                 self.tape.offset += 4;
-                u32::from_le_bytes(sum)
+                (subtree_events, u32::from_le_bytes(sum))
             }
         };
+        // The count sits outside the subtree hash. A subtree decoded
+        // without gaps must have replayed exactly that many events (its
+        // children's counts included); one with gaps holds at least what
+        // was replayed, and its count is what the parent goes by.
+        let replayed = self.position + 1 - frame.opened_at + 1;
+        let room = (self.tape.info.events + 1).saturating_sub(frame.opened_at);
+        if subtree_events < replayed
+            || subtree_events > room
+            || (contiguous && subtree_events != replayed)
+        {
+            return self.corrupt(
+                frame.close_at,
+                format!("close frame counts {subtree_events} subtree events, {replayed} replayed"),
+            );
+        }
+        self.position = frame.opened_at + subtree_events - 1;
         let mut h = frame.hash;
         h.close();
         if contiguous && h.trunc32() != stored {
@@ -402,6 +437,31 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
         parent.next_at = self.tape.offset;
         self.delivered += 1;
         Ok(XmlEvent::Close(frame.label))
+    }
+
+    /// Drop the rest of the innermost open subtree: seek to its close
+    /// frame and consume it, as [`TapeReader::skip_subtree`] does on a
+    /// scan. Returns the tape bytes between the read position and that
+    /// close, none of which is decoded now (they are not counted as
+    /// index-skipped: the jump starts from a decoded open). The postings
+    /// inside the subtree are discarded by the depth rule as the merge
+    /// reaches them, and the frame counts as not fully decoded, so its
+    /// stored hash is folded into the parent unverified — exactly a
+    /// skipped child. Panics when no delivered open is waiting for its
+    /// close.
+    pub fn skip_subtree(&mut self) -> Result<u64, StoreError> {
+        assert!(
+            self.stack.len() > 1,
+            "skip_subtree outside any open subtree"
+        );
+        let top = self.stack.last_mut().expect("checked non-empty");
+        top.complete = false;
+        let close_at = top.close_at;
+        let bytes = close_at - self.tape.offset;
+        self.tape.input.seek(SeekFrom::Start(close_at))?;
+        self.tape.offset = close_at;
+        self.deliver_close()?;
+        Ok(bytes)
     }
 
     /// Pull the next prefilter-surviving event.
@@ -549,7 +609,9 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
                 hash,
                 complete: true,
                 next_at: self.tape.offset,
+                opened_at: self.position + 1,
             });
+            self.position += 1;
             self.delivered += 1;
             return Ok(XmlEvent::Open(label));
         }

@@ -21,7 +21,8 @@
 //! * [`IndexedReplay`] (built by [`index_drive`]) merges the matched
 //!   labels' posting lists and delivers exactly the events the shared
 //!   label prefilter would — cost proportional to the answer, not the
-//!   document.
+//!   document. It has the same [`IndexedReplay::skip_subtree`], so a
+//!   driver drops a delivered subtree the same way on either path.
 //! * [`Corpus`] manages a directory of tapes with a durable manifest
 //!   (doc id → file, version, byte/event counts, checksum) and can
 //!   [`Corpus::migrate`] FET1 tapes to FET2 in place.
@@ -96,7 +97,12 @@
 //! events of the subtree it terminates, *its own open and close included*
 //! (a leaf carries 2). A seeking reader learns the event count of what it
 //! skipped from the close frame alone, keeping downstream event accounting
-//! exact.
+//! exact. The count is not covered by the subtree hash, so readers check
+//! it themselves: at every decoded close against the events replayed since
+//! the matching open (skipped children counted by *their* stored counts),
+//! at `Eof` against the footer's `event_count`, and at a skip — where
+//! nothing was replayed — for being at least 2 and at most what is left
+//! of the tape; any mismatch is [`StoreError::Corrupt`].
 //!
 //! **Compositional checksums.** FET2 hashes each node independently with
 //! FNV-1a 64 (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`):

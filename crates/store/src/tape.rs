@@ -688,11 +688,13 @@ struct SkipHandle {
     close_at: u64,
 }
 
-/// One open node on the reader's stack: its label and (v2) the
-/// compositional hash accumulated so far.
+/// One open node on the reader's stack: its label, (v2) the compositional
+/// hash accumulated so far, and the tape position of its open event.
 struct OpenNode {
     label: Label,
     hash: EventHash,
+    /// [`TapeReader::position`] right after this node's open.
+    opened_at: u64,
 }
 
 /// Location of one posting list inside a FET2 footer.
@@ -710,7 +712,7 @@ pub struct PostingDirEntry {
 ///
 /// After an `Open` event, [`TapeReader::skippable`] tells whether the
 /// subtree can be seeked over ([`TapeReader::skip_subtree`]); drivers use
-/// that to honor a label prefilter in O(1) per pruned subtree. On v1
+/// that to drop a subtree no query can use in O(1). On v1
 /// tapes, a replay that never seeks verifies the footer checksum at
 /// `Eof`; on v2 tapes every decoded subtree is verified against its close
 /// frame's stored hash — seeks included, because a skipped child's stored
@@ -728,6 +730,10 @@ pub struct TapeReader<R> {
     open_stack: Vec<OpenNode>,
     last_open: Option<SkipHandle>,
     events_read: u64,
+    /// Open/close events of the tape behind the read position: the ones
+    /// returned plus everything [`TapeReader::skip_subtree`] jumped over.
+    /// Every close frame's `subtree_events` is checked against it.
+    position: u64,
     seek_skipped_events: u64,
     seek_skipped_bytes: u64,
     seek_micros: u64,
@@ -894,6 +900,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
             open_stack: Vec::new(),
             last_open: None,
             events_read: 0,
+            position: 0,
             seek_skipped_events: 0,
             seek_skipped_bytes: 0,
             seek_micros: 0,
@@ -1056,7 +1063,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
                 Ok(XmlEvent::Open(label))
             }
             TAG_CLOSE => {
-                let _subtree_events = self.read_varint_here()?;
+                let subtree_events = self.read_varint_here()?;
                 let stored = if self.info.version == VERSION_V1 {
                     0
                 } else {
@@ -1068,6 +1075,15 @@ impl<R: BufRead + Seek> TapeReader<R> {
                 let Some(node) = self.open_stack.pop() else {
                     return self.corrupt("close frame without an open node");
                 };
+                self.position += 1;
+                // The count is outside the subtree hash, and skip
+                // accounting trusts it: check it wherever it is decoded.
+                let replayed = self.position - node.opened_at + 1;
+                if subtree_events != replayed {
+                    return self.corrupt(format!(
+                        "close frame counts {subtree_events} subtree events, {replayed} replayed"
+                    ));
+                }
                 if self.info.version == VERSION_V1 {
                     self.hash.close();
                 } else {
@@ -1094,6 +1110,12 @@ impl<R: BufRead + Seek> TapeReader<R> {
                 }
                 if self.offset != self.footer_offset {
                     return self.corrupt("Eof frame does not sit at the footer boundary");
+                }
+                if self.position != self.info.events {
+                    return self.corrupt(format!(
+                        "tape replayed {} events, its footer counts {}",
+                        self.position, self.info.events
+                    ));
                 }
                 self.hash.eof();
                 self.finished = true;
@@ -1129,9 +1151,11 @@ impl<R: BufRead + Seek> TapeReader<R> {
         } else {
             node_hash.open(&label);
         }
+        self.position += 1;
         self.open_stack.push(OpenNode {
             label,
             hash: node_hash,
+            opened_at: self.position,
         });
         self.events_read += 1;
         Ok(())
@@ -1150,7 +1174,10 @@ impl<R: BufRead + Seek> TapeReader<R> {
     /// On v2 tapes the skipped subtree's stored hash is folded into its
     /// parent, so verification of everything *around* the skip — including
     /// the footer's document hash at `Eof` — survives. On v1 tapes the
-    /// first skip disables verification.
+    /// first skip disables verification. The close frame's event count is
+    /// the one stored fact a skip takes on trust until an enclosing close
+    /// (or `Eof`) is decoded: a count that cannot be right is
+    /// [`StoreError::Corrupt`] here, a wrong one there.
     pub fn skip_subtree(&mut self) -> Result<SkippedSubtree, StoreError> {
         let start = std::time::Instant::now();
         let handle = self
@@ -1169,18 +1196,25 @@ impl<R: BufRead + Seek> TapeReader<R> {
             }
         }
         let events = self.read_varint_here()?;
+        // Nothing was replayed to check the count against, and callers
+        // account `events - 2` withheld events: it must at least cover the
+        // subtree's own open and close, and cannot exceed what the footer
+        // says is left. Enclosing decoded closes check it exactly.
+        if events < 2 || events - 1 > self.info.events.saturating_sub(self.position) {
+            return self.corrupt(format!(
+                "close frame counts {events} subtree events ({} of {} replayed)",
+                self.position, self.info.events
+            ));
+        }
+        self.position += events - 1;
+        self.open_stack.pop().expect("skip with empty open stack");
         if self.info.version == VERSION_V1 {
             self.verify = false;
         } else {
             let mut b = [0u8; 4];
             read_exact_at(&mut self.input, &mut b, self.offset)?;
             self.offset += 4;
-            let stored = u32::from_le_bytes(b);
-            self.open_stack.pop().expect("skip with empty open stack");
-            self.fold_child(stored);
-        }
-        if self.info.version == VERSION_V1 {
-            self.open_stack.pop().expect("skip with empty open stack");
+            self.fold_child(u32::from_le_bytes(b));
         }
         self.seek_skipped_events += events;
         self.seek_skipped_bytes += bytes;

@@ -64,11 +64,19 @@ const USAGE: &str = "\
 usage:
   foxq run [--stream] <query.xq> [input.xml|input.fet]
       stream input (default stdin) through the query; a .fet input replays
-      the pre-parsed event tape (no XML tokenization) and seeks over
-      subtrees the query's label prefilter withholds. --stream flushes
-      stdout at every emission boundary: each irrevocable output prefix
-      appears as soon as the engine proves it final, not when the output
-      buffer fills or the input ends
+      the pre-parsed event tape (no XML tokenization) and decodes only what
+      the query can use: after each element's open, if the engine has no
+      pending call left at that position (its label prefilter withholding
+      the element is the static case), the tape seeks to the matching
+      close. That helps the queries without a label projection — subtree
+      copies ($i/description), descendant axes below a child path
+      (/site/regions//item), query sets mixing those with navigators. On
+      FET2 every decoded subtree is still checked against its stored hash
+      and a skipped one's hash is folded into its parent's; what lies
+      inside a skipped subtree is never read, so never verified. --stream
+      flushes stdout at every emission boundary: each irrevocable output
+      prefix appears as soon as the engine proves it final, not when the
+      output buffer fills or the input ends
   foxq stats [--timing] [--profile] <query.xq> [input.xml|input.fet]
       run and report engine statistics to stderr, including an earliest
       emission summary (early-emitting states, streamed output fraction,
@@ -94,8 +102,9 @@ usage:
   foxq store query --dir DIR [-q <query.xq>]... [--threads N] [--stats]
       [--max-output N] [id ...]
       run the query set over every stored document (or just the given ids),
-      replaying tapes via the label skip index (FET2) or seek-based subtree
-      skipping (FET1) — no XML re-parsing either way
+      replaying tapes via the label skip index where the whole set has a
+      label projection (FET2) and by a scan otherwise, seeking over every
+      subtree no query of the set can use — no XML re-parsing either way
 
   foxq serve --addr HOST:PORT [--threads N] [--max-body-bytes N]
       [--cache-capacity N] [--read-timeout-ms N] [--write-timeout-ms N]
@@ -199,8 +208,8 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
         max_output_events: max_output,
         ..StreamLimits::default()
     };
-    // A `.fet` input replays the pre-parsed tape, seeking over prefiltered
-    // subtrees, instead of re-tokenizing XML.
+    // A `.fet` input replays the pre-parsed tape, seeking over the
+    // subtrees the engine is dead in, instead of re-tokenizing XML.
     if let Some(path) = positional.get(1).filter(|p| p.ends_with(".fet")) {
         if stream {
             return run_streaming_on_tape(&mft, path, limits);
@@ -301,7 +310,7 @@ fn run_streaming_on_tape(mft: &Mft, path: &str, limits: StreamLimits) -> Result<
         .map_err(|e| e.to_string())
 }
 
-/// One query over one tape file, with seek-based subtree skipping.
+/// One query over one tape file, seeking over subtrees it cannot use.
 /// Returns the lane stats, the microseconds spent seeking, and (with
 /// `--profile`) the finished resource profile.
 fn run_query_on_tape(

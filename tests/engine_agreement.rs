@@ -9,8 +9,9 @@
 //!   preserving);
 //! * `run_mft ∘ optimize`   — §4.1 (optimizations are semantics-preserving);
 //! * streaming engine       — on both the optimized and unoptimized MFT,
-//!   bare, with a `StreamProfiler` observing, and as lanes of a
-//!   pass-through `MultiQueryEngine`;
+//!   bare, with a `StreamProfiler` observing, as lanes of a
+//!   pass-through `MultiQueryEngine`, and over a FET2 tape of the document
+//!   whose subtrees are seeked over wherever every lane is dead;
 //! * the GCX baseline       — when it supports the query.
 //!
 //! Queries are generated respecting the §2.1 scope discipline (paths start
@@ -26,13 +27,15 @@ use foxq::core::{parse_mft, run_mft, Mft};
 use foxq::forest::term::parse_forest;
 use foxq::forest::{elem, text, Forest, Label, Tree};
 use foxq::gcx::{run_gcx_on_forest, GcxError};
-use foxq::service::{MultiQueryEngine, QueryCache, QuerySetPlan};
+use foxq::service::{run_multi_on_tape, MultiQueryEngine, QueryCache, QuerySetPlan};
+use foxq::store::{TapeReader, TapeWriter};
 use foxq::xml::{forest_to_xml_string, ForestSink};
 use foxq::xquery::ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
 use foxq::xquery::eval_query;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
@@ -264,6 +267,10 @@ fn stream_profiled(m: &Mft, doc: &[Tree]) -> (String, StreamStats) {
     (forest_to_xml_string(&sink.into_forest()), stats)
 }
 
+/// Tape bytes the samples' pass-through replays seeked over on the
+/// engines' verdict alone.
+static SEEKED_ON_VERDICT: AtomicU64 = AtomicU64::new(0);
+
 /// Run one (query, doc) sample through every engine and compare.
 fn check_sample(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -326,6 +333,49 @@ fn check_sample(seed: u64) {
         );
         assert_counts_every_event(&stats, &doc, &format!("multi lane {lane} (seed {seed})"));
     }
+    // The same two lanes over a tape of the document: the drivers seek
+    // over every subtree at whose open both lanes are dead (or withheld
+    // from, under the lanes' own plan), and must not change an answer or
+    // lose an event doing so.
+    let mut writer = TapeWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
+    for event in events_of(&doc) {
+        match event {
+            Some(label) => writer.open(label).unwrap(),
+            None => writer.close().unwrap(),
+        }
+    }
+    let (tape, info) = writer.finish().unwrap();
+    let tape = tape.into_inner();
+    for plan in [
+        QuerySetPlan::new([unopt, opt]),
+        QuerySetPlan::pass_through(2),
+    ] {
+        let run = run_multi_on_tape(
+            &[unopt, opt],
+            TapeReader::new(std::io::Cursor::new(tape.clone())).unwrap(),
+            vec![ForestSink::new(), ForestSink::new()],
+            StreamLimits::default(),
+            &plan,
+        )
+        .unwrap();
+        assert_eq!(run.input_events, info.events + 1, "tape (seed {seed})");
+        if plan.eligible_lanes() == 0 {
+            SEEKED_ON_VERDICT.fetch_add(run.seek_skipped_bytes, Ordering::Relaxed);
+        }
+        for (lane, result) in run.results.into_iter().enumerate() {
+            let (sink, stats) = result.unwrap();
+            assert_eq!(
+                forest_to_xml_string(&sink.into_forest()),
+                expected,
+                "tape lane {lane} (seed {seed})\nquery: {query}"
+            );
+            assert_eq!(
+                stats.events + stats.prefiltered_events,
+                run.input_events,
+                "tape lane {lane} (seed {seed})"
+            );
+        }
+    }
     match run_gcx_on_forest(&query, &doc, ForestSink::new()) {
         Ok((sink, _)) => {
             let out = forest_to_xml_string(&sink.into_forest());
@@ -341,6 +391,10 @@ fn engines_agree_on_fixed_seeds() {
     for seed in 0..400u64 {
         check_sample(seed);
     }
+    assert!(
+        SEEKED_ON_VERDICT.load(Ordering::Relaxed) > 0,
+        "no sample ever seeked over a dead subtree"
+    );
 }
 
 proptest! {

@@ -23,24 +23,31 @@
 //! magnitude below the pre-fix numbers (a regression cannot sneak under
 //! them) while leaving 3–25× headroom over the measured post-fix times for
 //! scheduler noise. All tests no-op in debug builds (debug constant factors
-//! are not what they guard); CI runs them via `cargo test --release`.
+//! are not what they guard); CI runs them via `cargo test --release`. They
+//! run one at a time: every guard holds [`release_only`]'s lock while it
+//! measures, so on a 2-core runner no guard's clock is running against
+//! another guard's load.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Skip (returning true) unless this is an optimized build.
-fn debug_build() -> bool {
+/// `None` (skip) unless this is an optimized build; there, the lock that
+/// serializes this file's wall-clock guards, held until the guard is done.
+fn release_only() -> Option<MutexGuard<'static, ()>> {
+    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
     if cfg!(debug_assertions) {
         eprintln!("perf_smoke: skipped (debug build; run with --release)");
-        return true;
+        return None;
     }
-    false
+    // A guard that failed while measuring poisons nothing worth keeping.
+    Some(ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 #[test]
 fn composed_ft_ft_interpretation_is_subsecond() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     use foxq::core::interp::run_mft;
     use foxq::core::parse_mft;
     use foxq::forest::term::parse_forest;
@@ -60,16 +67,16 @@ fn composed_ft_ft_interpretation_is_subsecond() {
 
 #[test]
 fn optimizer_is_polynomial_on_nested_doubling_lets() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     use foxq::core::opt::{nested_doubling_lets, optimize_with_stats};
     use foxq::core::translate::translate;
     use foxq::xquery::parse_query;
     let q = parse_query(&nested_doubling_lets(20)).unwrap();
     let m = translate(&q).unwrap();
-    // Best of 3: one 50 ms sample is at the mercy of the other tests of
-    // this file running beside it.
+    // Best of 3: one 50 ms sample is at the mercy of whatever else the
+    // box is running.
     let (elapsed, (opt, stats)) = (0..3)
         .map(|_| {
             let m = m.clone();
@@ -90,9 +97,9 @@ fn optimizer_is_polynomial_on_nested_doubling_lets() {
 
 #[test]
 fn tape_seek_replay_beats_reparse_by_3x() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     use foxq::core::stream::StreamLimits;
     use foxq::gen::Dataset;
     use foxq::service::{run_multi, run_multi_on_tape_scan, PreparedQuery, QuerySetPlan};
@@ -147,9 +154,9 @@ fn tape_seek_replay_beats_reparse_by_3x() {
 
 #[test]
 fn fet2_index_read_beats_fet1_seek_replay_by_2x() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     use foxq::gen::Dataset;
     use foxq::service::{PreparedQuery, QuerySetPlan};
     use foxq::store::{
@@ -261,9 +268,9 @@ fn fet2_index_read_beats_fet1_seek_replay_by_2x() {
 
 #[test]
 fn instrumented_keep_alive_throughput_within_5_percent() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     use foxq::server::client::{self, Client};
     use foxq::server::{Server, ServerConfig};
 
@@ -343,9 +350,9 @@ fn instrumented_keep_alive_throughput_within_5_percent() {
 
 #[test]
 fn profiled_keep_alive_throughput_within_5_percent() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     use foxq::server::client::{self, Client};
     use foxq::server::{Server, ServerConfig};
 
@@ -421,9 +428,9 @@ fn profiled_keep_alive_throughput_within_5_percent() {
 
 #[test]
 fn streamed_query_ttfb_and_peak_output_buffer() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     use foxq::core::stream::StreamLimits;
     use foxq::gen::Dataset;
     use foxq::server::client::{self, Client};
@@ -556,9 +563,9 @@ fn streamed_query_ttfb_and_peak_output_buffer() {
 
 #[test]
 fn compose_example_completes_under_wall_clock_guard() {
-    if debug_build() {
+    let Some(_alone) = release_only() else {
         return;
-    }
+    };
     // The example binary sits next to the test binary's profile directory.
     // `cargo test --release --test perf_smoke` does not build examples, so
     // build it here if a previous step has not (e.g. a fresh CI runner).

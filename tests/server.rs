@@ -888,6 +888,69 @@ fn streamed_doc_query_serves_from_corpus_tape() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A subtree-copying query has no label projection, so no skip index: over
+/// a corpus tape it is the engine's dead-location verdict that keeps the
+/// server from decoding what the query never looks at — and the skip shows
+/// in the metric, in the buffered reply's headers and in the streamed
+/// reply's trailers.
+#[test]
+fn copying_doc_query_seeks_over_dead_subtrees() {
+    const PEOPLE: &str = "<o>{$input/site/people/person}</o>";
+    let dir = std::env::temp_dir().join(format!("foxq-server-seek-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start(ServerConfig {
+        corpus_dir: Some(dir.to_string_lossy().into_owned()),
+        ..test_config()
+    });
+    let addr = handle.local_addr();
+    let mut c = Client::connect(addr).unwrap();
+    let r = c
+        .request("POST", "/corpus/alpha", &[], &doc(&["Jim", "Li"]))
+        .unwrap();
+    assert_eq!(r.status, 200);
+    let seeked_total = |addr| {
+        let text = client::get(addr, "/metrics").unwrap().text();
+        metric(&text, "foxq_seek_skipped_bytes_total")
+    };
+    assert_eq!(seeked_total(addr), 0);
+
+    let target = client::query_doc_target(PEOPLE, "alpha");
+    let buffered = c.request("POST", &target, &[], &[]).unwrap();
+    assert_eq!(
+        (buffered.status, buffered.text().as_str()),
+        (
+            200,
+            "<o><person><name>Jim</name></person><person><name>Li</name></person></o>"
+        )
+    );
+    let number = |value: Option<&str>| {
+        value
+            .expect("skip statistic missing")
+            .parse::<u64>()
+            .unwrap()
+    };
+    let seeked = number(buffered.header("x-foxq-seek-skipped-bytes"));
+    assert!(seeked > 0, "<regions> was decoded, not seeked over");
+    assert_eq!(number(buffered.header("x-foxq-index-skipped-bytes")), 0);
+    // <africa><item/></africa>: four events nobody was fed.
+    assert_eq!(number(buffered.header("x-foxq-prefiltered-events")), 4);
+    assert_eq!(seeked_total(addr), seeked);
+
+    let streamed = c
+        .request("POST", &format!("{target}&stream=1"), &[], &[])
+        .unwrap();
+    assert_eq!(streamed.header("transfer-encoding"), Some("chunked"));
+    assert_eq!(streamed.body, buffered.body);
+    assert_eq!(
+        number(streamed.trailer("x-foxq-seek-skipped-bytes")),
+        seeked
+    );
+    assert_eq!(number(streamed.trailer("x-foxq-prefiltered-events")), 4);
+    assert_eq!(seeked_total(addr), 2 * seeked);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A run that fails after the head is on the wire cannot be un-sent: the
 /// server truncates the chunked body (no terminating zero chunk) and closes,
 /// which a conforming client must treat as an incomplete response.

@@ -399,6 +399,49 @@ fn cli_store_roundtrip_and_tape_stats() {
     assert!(!tape.exists());
 }
 
+/// A subtree-copying query has no label projection, yet over a tape it is
+/// not fed what its engine is dead in: `foxq stats` says how much.
+#[test]
+fn cli_stats_on_a_tape_reports_what_a_copying_query_skipped() {
+    let dir = scratch("tape-skip");
+    let corpus = dir.join("corpus");
+    let q = write(&dir, "copy.xq", "<o>{$input/site/people/person}</o>");
+    let x = write(
+        &dir,
+        "site.xml",
+        "<site><regions><africa><item><name>decoy</name></item></africa></regions>\
+         <people><person><name>Jim</name></person></people></site>",
+    );
+    let out = foxq()
+        .args(["store", "add", "--dir"])
+        .arg(&corpus)
+        .arg(&x)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let tape = corpus.join("site.fet");
+    let out = foxq().arg("stats").arg(&q).arg(&tape).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "stderr: {stderr}");
+    // <africa>…</africa>: eight events inside <regions> nobody was fed.
+    assert!(stderr.contains("prefiltered:       8 events"), "{stderr}");
+    let seeked = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("seek-skipped:"))
+        .unwrap_or_else(|| panic!("no seek-skipped line in:\n{stderr}"));
+    assert!(!seeked.trim().starts_with('0'), "{stderr}");
+    assert!(!stderr.contains("index-skipped:"), "{stderr}");
+
+    let from_xml = foxq().arg("run").arg(&q).arg(&x).output().unwrap();
+    assert!(from_xml.status.success());
+    assert_eq!(stdout_of(&out), stdout_of(&from_xml));
+    assert_eq!(
+        stdout_of(&out),
+        "<o><person><name>Jim</name></person></o>\n"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Examples
 // ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 //! vs scan-path vs prefilter-off agreement, and corrupt-tape error paths
 //! surfaced through the serving layer.
 
-use foxq::core::stream::StreamLimits;
+use foxq::core::emit::EmitWriter;
+use foxq::core::stream::{StreamError, StreamLimits};
+use foxq::core::{parse_mft, Mft};
 use foxq::forest::Label;
 use foxq::gen::Dataset;
 use foxq::service::{
-    run_multi, run_multi_on_tape, run_multi_on_tape_scan, BatchDriver, MultiQueryEngine,
+    run_multi, run_multi_emit, run_multi_on_tape, run_multi_on_tape_emit, run_multi_on_tape_scan,
+    run_multi_on_tape_scan_emit, run_multi_with_plan, BatchDriver, MultiQueryEngine, MultiRun,
     PreparedQuery, QuerySetPlan,
 };
-use foxq::store::{ingest_xml_to_tape, ingest_xml_to_tape_v1, Corpus, TapeReader};
-use foxq::xml::{forest_to_xml_string, ForestSink, XmlEvent, XmlReader};
+use foxq::store::{ingest_xml_to_tape, ingest_xml_to_tape_v1, Corpus, StoreError, TapeReader};
+use foxq::xml::{forest_to_xml_string, ForestSink, WriterSink, XmlEvent, XmlReader};
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::path::PathBuf;
@@ -454,4 +457,475 @@ fn corpus_round_trip_over_all_datasets() {
         assert!(row[0].output.as_ref().unwrap().starts_with("<all>"));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Engine-driven subtree skipping: one answer on every read path
+// ---------------------------------------------------------------------------
+
+fn v2_tape(xml: &str) -> Vec<u8> {
+    let (out, _, _) = ingest_xml_to_tape(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
+    out.into_inner()
+}
+
+fn v1_tape(xml: &str) -> Vec<u8> {
+    let (out, _, _) = ingest_xml_to_tape_v1(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
+    out.into_inner()
+}
+
+fn reader(tape: &[u8]) -> TapeReader<Cursor<Vec<u8>>> {
+    TapeReader::new(Cursor::new(tape.to_vec())).unwrap()
+}
+
+/// Per lane: the output bytes and, when the run was an `_emit` one, the
+/// sequence of emission chunks — or the error's text.
+type LaneOutcome = Result<(Vec<u8>, Vec<Vec<u8>>), String>;
+
+/// A buffered run's lanes, with the accounting identity checked on every
+/// successful one.
+fn buffered<E: std::fmt::Debug>(
+    run: Result<MultiRun<WriterSink<Vec<u8>>>, E>,
+    what: &str,
+) -> (Vec<LaneOutcome>, u64) {
+    let run = run.unwrap_or_else(|e| panic!("{what}: {e:?}"));
+    let input_events = run.input_events;
+    let lanes = run
+        .results
+        .into_iter()
+        .map(|lane| match lane {
+            Ok((sink, stats)) => {
+                assert_eq!(
+                    stats.events + stats.prefiltered_events,
+                    input_events,
+                    "{what}: delivered + withheld must cover the input"
+                );
+                Ok((sink.finish().unwrap(), Vec::new()))
+            }
+            Err(e) => Err(e.to_string()),
+        })
+        .collect();
+    (lanes, input_events)
+}
+
+/// The chunks one emitting lane delivered, in order.
+type Chunks = std::cell::RefCell<Vec<Vec<u8>>>;
+
+/// One emitting sink per lane, recording its chunks into `chunked`.
+fn emitters(chunked: &[Chunks]) -> Vec<EmitWriter<impl FnMut(&[u8]) -> std::io::Result<()> + '_>> {
+    chunked
+        .iter()
+        .map(|lane| {
+            lane.borrow_mut().clear();
+            EmitWriter::new(move |c: &[u8]| {
+                lane.borrow_mut().push(c.to_vec());
+                Ok(())
+            })
+        })
+        .collect()
+}
+
+/// An emitting run's lanes (bytes = the chunks concatenated), with the
+/// accounting identity checked on every successful one.
+fn emitted<F: FnMut(&[u8]) -> std::io::Result<()>>(
+    run: MultiRun<EmitWriter<F>>,
+    chunked: &[Chunks],
+    what: &str,
+) -> (Vec<LaneOutcome>, u64) {
+    let input = run.input_events;
+    let lanes = run
+        .results
+        .into_iter()
+        .zip(chunked)
+        .map(|(lane, chunks)| match lane {
+            Ok((sink, stats)) => {
+                sink.finish().unwrap();
+                assert_eq!(stats.events + stats.prefiltered_events, input, "{what}");
+                let chunks = chunks.borrow().clone();
+                Ok((chunks.concat(), chunks))
+            }
+            Err(e) => Err(e.to_string()),
+        })
+        .collect();
+    (lanes, input)
+}
+
+/// Each lane's bytes (or error), without the chunking.
+fn bytes_of(lanes: &[LaneOutcome]) -> Vec<Result<&Vec<u8>, &String>> {
+    lanes
+        .iter()
+        .map(|lane| lane.as_ref().map(|(bytes, _)| bytes))
+        .collect()
+}
+
+/// Every read path of one query set over one tape must give each lane the
+/// same bytes — and, when emitting, the same chunks — as a full replay that
+/// skips nothing.
+fn assert_paths_agree(mfts: &[&Mft], tape: &[u8], limits: StreamLimits, what: &str) {
+    let n = mfts.len();
+    let plan = QuerySetPlan::new(mfts.iter().copied());
+    let pass = QuerySetPlan::pass_through(n);
+    let sinks = || {
+        (0..n)
+            .map(|_| WriterSink::new(Vec::new()))
+            .collect::<Vec<_>>()
+    };
+
+    // The reference: the generic event-source loop, every frame decoded,
+    // nothing withheld.
+    let (full, input_events) = buffered(
+        run_multi_with_plan(mfts, reader(tape), sinks(), limits, &pass),
+        what,
+    );
+    let mut chunked: Vec<Chunks> = Vec::new();
+    chunked.resize_with(n, Default::default);
+    for (plan, mode) in [(&plan, "plan"), (&pass, "pass-through")] {
+        let what = format!("{what}, {mode}");
+        // Withholding an event from a lane also withholds the flush it
+        // would have made, so the chunk sequence is compared with a full
+        // replay under the same plan: seeking must not move a boundary.
+        let (full_emit, _) = emitted(
+            run_multi_emit(mfts, reader(tape), emitters(&chunked), limits, plan).unwrap(),
+            &chunked,
+            &what,
+        );
+        assert_eq!(bytes_of(&full_emit), bytes_of(&full), "{what}: full emit");
+
+        let (auto, auto_input) = buffered(
+            run_multi_on_tape(mfts, reader(tape), sinks(), limits, plan),
+            &what,
+        );
+        let (scan, scan_input) = buffered(
+            run_multi_on_tape_scan(mfts, reader(tape), sinks(), limits, plan),
+            &what,
+        );
+        assert_eq!(auto, full, "{what}: auto path");
+        assert_eq!(scan, full, "{what}: scan path");
+
+        let (auto_emit, auto_emit_input) = emitted(
+            run_multi_on_tape_emit(mfts, reader(tape), emitters(&chunked), limits, plan).unwrap(),
+            &chunked,
+            &what,
+        );
+        let (scan_emit, scan_emit_input) = emitted(
+            run_multi_on_tape_scan_emit(mfts, reader(tape), emitters(&chunked), limits, plan)
+                .unwrap(),
+            &chunked,
+            &what,
+        );
+        assert_eq!(auto_emit, full_emit, "{what}: auto path, emitting");
+        assert_eq!(scan_emit, full_emit, "{what}: scan path, emitting");
+
+        // A pass that ends early (every lane failed) may stop anywhere;
+        // one that reaches the end has seen or accounted every event.
+        if full.iter().any(|lane| lane.is_ok()) {
+            for input in [auto_input, scan_input, auto_emit_input, scan_emit_input] {
+                assert_eq!(input, input_events, "{what}: input events");
+            }
+        }
+    }
+}
+
+/// A query native to each generator's vocabulary that copies subtrees, so
+/// the dead-location rule has work on the documents XMark queries only
+/// glance at.
+fn copying_query_for(dataset: Dataset) -> &'static str {
+    match dataset {
+        Dataset::Xmark => "<o>{$input/site/people/person/name}</o>",
+        Dataset::Treebank => "<o>{for $s in $input/FILE/EMPTY/S return <s>{$s/NP}</s>}</o>",
+        Dataset::Medline => "<o>{$input/MedlineCitationSet/MedlineCitation/Article/AuthorList}</o>",
+        Dataset::Protein => "<o>{$input/ProteinDatabase/ProteinEntry/protein}</o>",
+    }
+}
+
+#[test]
+fn every_read_path_agrees_with_a_full_replay() {
+    for dataset in Dataset::ALL {
+        let xml = forest_to_xml_string(&foxq::gen::generate(dataset, 40_000, 0x5EED));
+        let (v1, v2) = (v1_tape(&xml), v2_tape(&xml));
+        let mut sources: Vec<(&str, &str)> = foxq_bench::QUERIES
+            .iter()
+            .filter(|(name, _)| *name != "fourstar")
+            .copied()
+            .collect();
+        sources.push(("copy", "<o>{$input/site}</o>"));
+        sources.push(("native", copying_query_for(dataset)));
+        for (name, source) in sources {
+            let prepared = PreparedQuery::compile(source).unwrap();
+            for (tape, fmt) in [(&v1, "FET1"), (&v2, "FET2")] {
+                assert_paths_agree(
+                    &[prepared.mft()],
+                    tape,
+                    StreamLimits::default(),
+                    &format!("{} {fmt} {name}", dataset.name()),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_lane_sets_agree_with_a_full_replay() {
+    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 60_000, 21));
+    let (v1, v2) = (v1_tape(&xml), v2_tape(&xml));
+    let compile = |name: &str| PreparedQuery::compile(foxq_bench::query_source(name)).unwrap();
+    let (q1, q13, q16) = (compile("Q1"), compile("Q13"), compile("Q16"));
+    let copy = PreparedQuery::compile("<o>{$input/site/people}</o>").unwrap();
+    let looping = parse_mft("q0(%) -> q0(x0);").unwrap();
+    let limits = StreamLimits {
+        max_expansions_per_event: 100_000,
+        ..StreamLimits::default()
+    };
+    let sets: [(&str, Vec<&Mft>); 4] = [
+        (
+            "eligible + pass-through",
+            vec![q1.mft(), q13.mft(), q16.mft()],
+        ),
+        ("a lane out of fuel", vec![q1.mft(), &looping, q13.mft()]),
+        ("all pass-through", vec![q13.mft(), copy.mft()]),
+        ("every lane out of fuel", vec![&looping, &looping]),
+    ];
+    for (name, mfts) in &sets {
+        for (tape, fmt) in [(&v1, "FET1"), (&v2, "FET2")] {
+            assert_paths_agree(mfts, tape, limits, &format!("{name}, {fmt}"));
+        }
+    }
+    // The failing lane really failed, and the others really skipped.
+    let mfts = &sets[1].1;
+    let run = run_multi_on_tape(
+        mfts,
+        reader(&v2),
+        (0..3).map(|_| WriterSink::new(Vec::new())).collect(),
+        limits,
+        &QuerySetPlan::new(mfts.iter().copied()),
+    )
+    .unwrap();
+    assert!(matches!(run.results[1], Err(StreamError::Fuel { .. })));
+    assert!(
+        run.seek_skipped_bytes > 0,
+        "a failed lane must not pin the tape"
+    );
+}
+
+#[test]
+fn q13_reads_a_tenth_of_the_2mib_xmark_tape() {
+    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 2 << 20, 0xF0E5));
+    let tape = v2_tape(&xml);
+    let tape_events = reader(&tape).info().events;
+    let q13 = PreparedQuery::compile(foxq_bench::query_source("Q13")).unwrap();
+    assert!(
+        !q13.mft().projection().elements,
+        "Q13 copies subtrees: no static projection, no skip index"
+    );
+    let run = run_multi_on_tape(
+        &[q13.mft()],
+        reader(&tape),
+        vec![WriterSink::new(Vec::new())],
+        StreamLimits::default(),
+        &QuerySetPlan::new([q13.mft()]),
+    )
+    .unwrap();
+    let (sink, stats) = run.results.into_iter().next().unwrap().unwrap();
+    assert_eq!(run.input_events, tape_events + 1);
+    assert_eq!(stats.events + stats.prefiltered_events, run.input_events);
+    assert!(
+        stats.events * 10 <= tape_events,
+        "Q13 was fed {} of {tape_events} events",
+        stats.events
+    );
+    assert!(stats.seek_skipped_bytes * 10 >= tape.len() as u64 * 7);
+    let reparsed = q13
+        .run_to_string_with_limits(xml.as_bytes(), StreamLimits::default())
+        .unwrap();
+    assert_eq!(
+        String::from_utf8(sink.finish().unwrap()).unwrap(),
+        reparsed.output
+    );
+}
+
+/// A document where Q13 copies one description and never looks at the
+/// other region; the four texts are findable on the tape (short texts are
+/// stored raw).
+const TWO_REGIONS: &str = "<site><regions><africa><item><name>decoyname</name>\
+    <description><text>decoytext</text></description></item></africa>\
+    <australia><item><name>wantedname</name>\
+    <description><text>wantedtext</text></description></item></australia>\
+    </regions></site>";
+
+fn flip_text(tape: &[u8], text: &str) -> Vec<u8> {
+    let mut bytes = tape.to_vec();
+    let at = bytes
+        .windows(text.len())
+        .position(|w| w == text.as_bytes())
+        .unwrap_or_else(|| panic!("{text} not found on the tape"));
+    bytes[at + 1] ^= 0x20;
+    bytes
+}
+
+fn run_q13(tape: &[u8]) -> Result<(String, u64), StoreError> {
+    let q13 = PreparedQuery::compile(foxq_bench::query_source("Q13")).unwrap();
+    let run = run_multi_on_tape(
+        &[q13.mft()],
+        reader(tape),
+        vec![WriterSink::new(Vec::new())],
+        StreamLimits::default(),
+        &QuerySetPlan::new([q13.mft()]),
+    )?;
+    let seeked = run.seek_skipped_bytes;
+    let (sink, _) = run.results.into_iter().next().unwrap().unwrap();
+    Ok((String::from_utf8(sink.finish().unwrap()).unwrap(), seeked))
+}
+
+#[test]
+fn a_skipping_replay_verifies_what_it_decodes_and_only_that() {
+    let tape = v2_tape(TWO_REGIONS);
+    let (clean, seeked) = run_q13(&tape).unwrap();
+    assert!(clean.contains("wantedtext") && !clean.contains("decoy"));
+    assert!(seeked > 0, "<africa> was not seeked over");
+    // Inside the copied description, and in the name Q13 reads: caught at
+    // the enclosing close.
+    for text in ["wantedtext", "wantedname"] {
+        match run_q13(&flip_text(&tape, text)) {
+            Err(StoreError::Checksum { .. }) => {}
+            other => panic!("flip in {text}: {other:?}"),
+        }
+    }
+    // Inside the region nobody subscribed to: never read. The run succeeds
+    // with the same answer, which also means every enclosing hash —
+    // <regions>, <site>, the document's — verified over the stored hash of
+    // the skipped child.
+    for text in ["decoytext", "decoyname"] {
+        let (out, _) = run_q13(&flip_text(&tape, text)).unwrap();
+        assert_eq!(out, clean, "flip in {text}");
+    }
+    // A FET1 tape has one checksum, at the end of a full replay, and a
+    // pass-through query keeps it: no seek is made on its engine's word.
+    let v1 = v1_tape(TWO_REGIONS);
+    let (out, seeked) = run_q13(&v1).unwrap();
+    assert_eq!((out, seeked), (clean, 0));
+    for text in ["decoytext", "decoyname", "wantedtext", "wantedname"] {
+        match run_q13(&flip_text(&v1, text)) {
+            Err(StoreError::Checksum { .. }) => {}
+            other => panic!("FET1 flip in {text}: {other:?}"),
+        }
+    }
+}
+
+/// Offsets of the `subtree_events` varint of every close frame of a FET2
+/// tape, found by walking the frames as the crate docs lay them out.
+fn close_count_offsets(tape: &[u8]) -> Vec<usize> {
+    fn varint(bytes: &[u8], at: &mut usize) -> u64 {
+        let (mut value, mut shift) = (0u64, 0);
+        loop {
+            let b = bytes[*at];
+            *at += 1;
+            value |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return value;
+            }
+            shift += 7;
+        }
+    }
+    let mut at = 13;
+    let mut found = Vec::new();
+    loop {
+        let tag = tape[at];
+        at += 1;
+        match tag {
+            0x00 => return found,
+            0x01 => {
+                varint(tape, &mut at);
+                at += 4;
+            }
+            0x02 => {
+                varint(tape, &mut at);
+                at += varint(tape, &mut at) as usize + 4;
+            }
+            0x03 => {
+                found.push(at);
+                varint(tape, &mut at);
+                at += 4;
+            }
+            other => panic!("unknown frame tag {other:#04x} at {}", at - 1),
+        }
+    }
+}
+
+#[test]
+fn a_wrong_subtree_event_count_is_corrupt_wherever_it_is_read() {
+    let tape = v2_tape(TWO_REGIONS);
+    let events = reader(&tape).info().events;
+    let (clean, _) = run_q13(&tape).unwrap();
+    let names =
+        PreparedQuery::compile("<o>{$input/site/regions/australia/item/name/text()}</o>").unwrap();
+    let names_plan = QuerySetPlan::new([names.mft()]);
+    assert!(
+        names_plan.prefilters_whole_set(),
+        "must take the index path"
+    );
+    let by_index = |tape: &[u8]| {
+        run_multi_on_tape(
+            &[names.mft()],
+            reader(tape),
+            vec![WriterSink::new(Vec::new())],
+            StreamLimits::default(),
+            &names_plan,
+        )
+        .map(|run| {
+            let input = run.input_events;
+            let (sink, stats) = run.results.into_iter().next().unwrap().unwrap();
+            assert_eq!(stats.events + stats.prefiltered_events, input);
+            (sink.finish().unwrap(), input)
+        })
+    };
+    let (clean_names, _) = by_index(&tape).unwrap();
+
+    let offsets = close_count_offsets(&tape);
+    assert_eq!(offsets.len() as u64 * 2, events);
+    for &at in &offsets {
+        assert!(tape[at] < 0x80, "single-byte counts on this small tape");
+        for wrong in [0, 1, tape[at] ^ 1, tape[at] + 2, 0x7F] {
+            if wrong == tape[at] {
+                continue;
+            }
+            let mut bad = tape.clone();
+            bad[at] = wrong;
+            // A full scan decodes every close: always caught.
+            let mut full = reader(&bad);
+            let err = loop {
+                match full.next_event() {
+                    Ok(XmlEvent::Eof) => panic!("count {wrong} at {at} went unnoticed"),
+                    Ok(_) => {}
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+            // A skipping scan reads it unless it lies strictly inside a
+            // skipped subtree; the index path goes by the footer's total.
+            // Either way: an error, or the clean answer with every event
+            // accounted — never a panic, never a wrong count.
+            match run_q13(&bad) {
+                Ok((out, _)) => assert_eq!(out, clean),
+                Err(e) => assert!(matches!(e, StoreError::Corrupt { .. }), "{e}"),
+            }
+            match by_index(&bad) {
+                Ok((out, input)) => assert_eq!((out, input), (clean_names.clone(), events + 1)),
+                Err(e) => assert!(matches!(e, StoreError::Corrupt { .. }), "{e}"),
+            }
+        }
+    }
+    // The close of the skipped <africa> (the seventh on the tape) is read
+    // by the skip itself: a count that cannot be right is refused there, a
+    // merely wrong one at the close of <regions>, where it does not add up.
+    let africa_close = offsets[6];
+    assert_eq!(tape[africa_close], 14);
+    for wrong in [0u8, 1, 12, 16] {
+        let mut bad = tape.clone();
+        bad[africa_close] = wrong;
+        match run_q13(&bad) {
+            Err(StoreError::Corrupt { msg, .. }) => {
+                assert!(msg.contains("subtree events"), "{msg}")
+            }
+            other => panic!("count {wrong} on the skipped subtree's close: {other:?}"),
+        }
+    }
 }
