@@ -295,8 +295,8 @@ enum BodyState {
 
 /// Streams a request body off the connection without ever buffering it.
 ///
-/// Implements `BufRead` so `XmlReader` can parse straight off the socket
-/// buffer; reports clean EOF at the body's end, leaving the transport
+/// Implements `Read` (what `XmlReader` fills its window with) and
+/// `BufRead`; reports clean EOF at the body's end, leaving the transport
 /// positioned at the next request (keep-alive safe). Chunk-size lines are
 /// bounded; `Transfer-Encoding: chunked` trailers are consumed and dropped.
 pub struct BodyReader<'a, R: BufRead> {
@@ -363,42 +363,25 @@ impl<'a, R: BufRead> BodyReader<'a, R> {
         };
         Ok(())
     }
-}
 
-impl<R: BufRead> Read for BodyReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let available = self.fill_buf()?;
-        let n = available.len().min(buf.len());
-        buf[..n].copy_from_slice(&available[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl<R: BufRead> BufRead for BodyReader<'_, R> {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+    /// How many body bytes may be taken off the transport before the next
+    /// piece of framing: the rest of a sized body or of the current chunk,
+    /// 0 once the body is done.
+    fn framed(&mut self) -> Result<usize, Error> {
         self.next_chunk()?;
-        let limit = match self.state {
-            BodyState::Done => return Ok(&[]),
+        let framed = match self.state {
+            BodyState::Done => 0,
             BodyState::Sized(n) => n,
             BodyState::Chunked { in_chunk, .. } => in_chunk,
         };
-        let buf = self.inner.fill_buf()?;
-        if buf.is_empty() {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                HttpError("connection closed mid-body".into()),
-            ));
-        }
-        let n = buf.len().min(usize::try_from(limit).unwrap_or(usize::MAX));
-        Ok(&buf[..n])
+        Ok(usize::try_from(framed).unwrap_or(usize::MAX))
     }
 
-    fn consume(&mut self, amt: usize) {
+    /// `amt` body bytes have left the transport.
+    fn taken(&mut self, amt: usize) {
         if amt == 0 {
             return;
         }
-        self.inner.consume(amt);
         match &mut self.state {
             BodyState::Sized(n) => {
                 *n -= amt as u64;
@@ -409,6 +392,52 @@ impl<R: BufRead> BufRead for BodyReader<'_, R> {
             BodyState::Chunked { in_chunk, .. } => *in_chunk -= amt as u64,
             BodyState::Done => unreachable!("consume on finished body"),
         }
+    }
+}
+
+fn closed_mid_body() -> Error {
+    Error::new(
+        ErrorKind::UnexpectedEof,
+        HttpError("connection closed mid-body".into()),
+    )
+}
+
+impl<R: BufRead> Read for BodyReader<'_, R> {
+    /// Reads straight into `buf`: a `BufReader` underneath hands a read as
+    /// large as its own buffer on to the socket, so a consumer with a big
+    /// window (`XmlReader`) crosses the socket once per window, and never
+    /// for more than what is left of the framed body.
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let take = buf.len().min(self.framed()?);
+        if take == 0 {
+            return Ok(0);
+        }
+        match self.inner.read(&mut buf[..take])? {
+            0 => Err(closed_mid_body()),
+            n => {
+                self.taken(n);
+                Ok(n)
+            }
+        }
+    }
+}
+
+impl<R: BufRead> BufRead for BodyReader<'_, R> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        let framed = self.framed()?;
+        if framed == 0 {
+            return Ok(&[]);
+        }
+        let buf = self.inner.fill_buf()?;
+        if buf.is_empty() {
+            return Err(closed_mid_body());
+        }
+        Ok(&buf[..buf.len().min(framed)])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.inner.consume(amt);
+        self.taken(amt);
     }
 }
 

@@ -52,7 +52,14 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
+    fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
+    fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
 }
+
+// `asm-generic/socket.h`; mips, sparc, alpha and parisc number these
+// differently.
+const SOL_SOCKET: i32 = 1;
+const SO_RCVBUF: i32 = 8;
 
 fn cvt(ret: i32) -> std::io::Result<i32> {
     if ret < 0 {
@@ -60,6 +67,51 @@ fn cvt(ret: i32) -> std::io::Result<i32> {
     } else {
         Ok(ret)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Socket options
+// ---------------------------------------------------------------------------
+
+/// `SO_RCVBUF` of a socket, as the kernel accounts it (twice what was set).
+fn receive_buffer(socket: RawFd) -> std::io::Result<usize> {
+    let mut bytes: i32 = 0;
+    let mut len = std::mem::size_of::<i32>() as u32;
+    // SAFETY: `bytes` and `len` are live, writable locals for the whole
+    // call and `len` says how large `bytes` is, so the kernel writes at
+    // most four bytes into it and keeps neither pointer. A descriptor that
+    // is closed or no socket makes the call fail (EBADF / ENOTSOCK); it
+    // cannot touch memory.
+    cvt(unsafe { getsockopt(socket, SOL_SOCKET, SO_RCVBUF, &mut bytes, &mut len) })?;
+    Ok(bytes.max(0) as usize)
+}
+
+/// Fix the receive buffer of every connection a listening socket accepts
+/// from now on at the size it starts with; returns that size.
+///
+/// A receive buffer nobody set is autotuned: it starts at `tcp_rmem[1]`
+/// and grows towards `tcp_rmem[2]` (tens of megabytes) while a sender
+/// outpaces the reader — memory per connection that no request asked for
+/// and no limit of this server bounds. Setting the size the socket already
+/// has changes nothing today and marks it as the application's choice,
+/// which ends autotuning; accepted sockets inherit size and mark. The
+/// kernel doubles what it is given and reports the doubled value, so half
+/// of what it reports sets the same size again.
+pub(crate) fn pin_receive_buffer(listener: RawFd) -> std::io::Result<usize> {
+    let half = (receive_buffer(listener)? / 2) as i32;
+    // SAFETY: `half` is a live local for the whole call and the length
+    // passed is its size; the kernel reads those four bytes and keeps no
+    // pointer. A bad descriptor fails with EBADF / ENOTSOCK.
+    cvt(unsafe {
+        setsockopt(
+            listener,
+            SOL_SOCKET,
+            SO_RCVBUF,
+            &half,
+            std::mem::size_of::<i32>() as u32,
+        )
+    })?;
+    receive_buffer(listener)
 }
 
 // ---------------------------------------------------------------------------
@@ -208,6 +260,37 @@ mod tests {
         assert!(ready[0].1 & EPOLLIN != 0);
         waker.drain();
         assert!(poller.wait(0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn accepted_sockets_inherit_the_pinned_receive_buffer() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let before = receive_buffer(listener.as_raw_fd()).unwrap();
+        let pinned = pin_receive_buffer(listener.as_raw_fd()).unwrap();
+        assert_eq!(pinned, before, "the pin keeps the size the socket had");
+
+        // A sender that outpaces the reader is what makes an unpinned
+        // buffer grow; a pinned one reads the same before and after.
+        let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut accepted, _) = listener.accept().unwrap();
+        assert_eq!(receive_buffer(accepted.as_raw_fd()).unwrap(), pinned);
+        let sender = std::thread::spawn(move || {
+            let block = vec![b'x'; 1 << 20];
+            for _ in 0..32 {
+                client.write_all(&block).unwrap();
+            }
+        });
+        let mut sink = vec![0u8; 256 << 10];
+        while std::io::Read::read(&mut accepted, &mut sink).unwrap() > 0 {}
+        sender.join().unwrap();
+        assert_eq!(receive_buffer(accepted.as_raw_fd()).unwrap(), pinned);
+    }
+
+    #[test]
+    fn pinning_what_is_no_socket_is_an_error_not_a_crash() {
+        let waker = Waker::new().unwrap();
+        assert!(pin_receive_buffer(waker.as_raw_fd()).is_err());
+        assert!(receive_buffer(-1).is_err());
     }
 
     #[test]

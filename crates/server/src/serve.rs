@@ -32,7 +32,7 @@ use crate::http::{
     BodyReader, Request,
 };
 use crate::metrics::{add, sub, Endpoint, Metrics};
-use crate::reactor::{Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::reactor::{pin_receive_buffer, Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use foxq_core::emit::EmitWriter;
 use foxq_core::profile::{StreamProfile, StreamProfiler};
 use foxq_core::stream::{StreamError, StreamLimits, StreamObserver, StreamStats};
@@ -190,6 +190,11 @@ impl Server {
                 std::io::Error::new(ErrorKind::InvalidInput, "unresolvable address")
             })?;
         let listener = TcpListener::bind(addr)?;
+        // Every resource of a connection has a bound, its kernel-side
+        // receive buffer included. Without the pin the server still serves.
+        if let Err(e) = pin_receive_buffer(listener.as_raw_fd()) {
+            eprintln!("foxq-server: receive buffers stay autotuned: {e}");
+        }
         let cache = SharedQueryCache::with_limits(config.cache_capacity, config.compile_limits);
         let corpus = match &config.corpus_dir {
             Some(dir) => Some(Mutex::new(Corpus::open(dir).map_err(|e| {

@@ -14,7 +14,7 @@ use foxq_core::stream::{StreamLimits, StreamStats};
 use foxq_core::Mft;
 use foxq_store::Corpus;
 use foxq_xml::{WriterSink, XmlReader};
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -112,7 +112,7 @@ impl BatchDriver {
         let plan = plan_of(queries);
         self.run_with(paths.len(), |d| {
             match std::fs::File::open(paths[d].as_ref()) {
-                Ok(file) => run_one_doc(std::io::BufReader::new(file), queries, self.limits, &plan),
+                Ok(file) => run_one_doc(file, queries, self.limits, &plan),
                 Err(e) => DocRow::failed(
                     &format!("cannot open {}: {e}", paths[d].as_ref().display()),
                     queries,
@@ -285,7 +285,7 @@ fn sinks_for(queries: &[Arc<PreparedQuery>]) -> Vec<WriterSink<Vec<u8>>> {
 }
 
 /// All queries over one readable document, single pass.
-fn run_one_doc<R: BufRead>(
+fn run_one_doc<R: Read>(
     reader: R,
     queries: &[Arc<PreparedQuery>],
     limits: StreamLimits,

@@ -15,7 +15,7 @@ use crate::mmap::TapeInput;
 use crate::tape::{ingest_xml_to_tape, StoreError, TapeInfo, TapeReader, TapeWriter, VERSION};
 use foxq_xml::XmlEvent;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Manifest file name inside the corpus directory.
@@ -131,7 +131,7 @@ impl Corpus {
 
     /// Parse `xml` and store it under `id` (an upsert: re-ingesting an id
     /// replaces its tape). One streaming pass, constant memory.
-    pub fn add_xml(&mut self, id: &str, xml: impl BufRead) -> Result<DocMeta, StoreError> {
+    pub fn add_xml(&mut self, id: &str, xml: impl Read) -> Result<DocMeta, StoreError> {
         if !valid_doc_id(id) {
             return Err(StoreError::BadDocId { id: id.to_string() });
         }
@@ -297,7 +297,7 @@ fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
 /// and commit with [`Corpus::install_tape`].
 pub fn ingest_xml_to_tmp(
     tmp: &Path,
-    xml: impl BufRead,
+    xml: impl Read,
 ) -> Result<(crate::tape::TapeInfo, u64), StoreError> {
     let result = (|| {
         let out = std::fs::File::create(tmp)?;

@@ -611,7 +611,7 @@ impl<W: Write + Seek> TapeWriter<W> {
 
 /// Parse XML and write it to a FET2 tape in one streaming pass. Returns
 /// the tape facts and the number of XML source bytes consumed.
-pub fn ingest_xml_to_tape<R: BufRead, W: Write + Seek>(
+pub fn ingest_xml_to_tape<R: Read, W: Write + Seek>(
     xml: R,
     out: W,
 ) -> Result<(W, TapeInfo, u64), StoreError> {
@@ -620,14 +620,14 @@ pub fn ingest_xml_to_tape<R: BufRead, W: Write + Seek>(
 
 /// Like [`ingest_xml_to_tape`] but writing the legacy FET1 format — the
 /// migration-equivalence and perf-baseline counterpart.
-pub fn ingest_xml_to_tape_v1<R: BufRead, W: Write + Seek>(
+pub fn ingest_xml_to_tape_v1<R: Read, W: Write + Seek>(
     xml: R,
     out: W,
 ) -> Result<(W, TapeInfo, u64), StoreError> {
     ingest_with(xml, TapeWriter::new_v1(out)?)
 }
 
-fn ingest_with<R: BufRead, W: Write + Seek>(
+fn ingest_with<R: Read, W: Write + Seek>(
     xml: R,
     mut writer: TapeWriter<W>,
 ) -> Result<(W, TapeInfo, u64), StoreError> {
@@ -644,28 +644,17 @@ fn ingest_with<R: BufRead, W: Write + Seek>(
     Ok((out, info, counted.n))
 }
 
-/// Counts consumed bytes of a `BufRead` (the XML source size of an ingest).
+/// Counts the bytes read through it (the XML source size of an ingest).
 struct CountingRead<R> {
     inner: R,
     n: u64,
 }
 
-impl<R: BufRead> Read for CountingRead<R> {
+impl<R: Read> Read for CountingRead<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let got = self.inner.read(buf)?;
         self.n += got as u64;
         Ok(got)
-    }
-}
-
-impl<R: BufRead> BufRead for CountingRead<R> {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        self.inner.fill_buf()
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.n += amt as u64;
-        self.inner.consume(amt);
     }
 }
 

@@ -173,7 +173,7 @@ mod tests {
     fn xml_reader_over_bounded_reader_aborts_mid_parse() {
         let xml = b"<a><b>text</b></a>";
         let bounded = BoundedReader::new(&xml[..], 7);
-        let mut reader = crate::XmlReader::new(std::io::BufReader::new(bounded));
+        let mut reader = crate::XmlReader::new(bounded);
         let err = loop {
             match reader.next_event() {
                 Ok(crate::XmlEvent::Eof) => panic!("expected the limit to trip"),

@@ -4,7 +4,8 @@
 //! provides that substrate (the authors use Expat under OCaml):
 //!
 //! * [`XmlReader`] — a pull parser producing [`XmlEvent`]s over any
-//!   `BufRead`. Attributes are expanded into leading element children
+//!   `Read`, tokenizing inside a window it fills with one read at a
+//!   time. Attributes are expanded into leading element children
 //!   (`<a b="c"/>` ⇒ `a(b("c"))`), matching the paper's data adaptation
 //!   ("All attribute nodes are encoded as element nodes", Table 1).
 //! * [`XmlWriter`] / [`write_forest`] — serializer with text escaping.

@@ -8,12 +8,21 @@
 //!
 //! Attributes are *expanded into leading element children* so that the
 //! downstream transducers see the paper's attribute-free encoding.
+//!
+//! The reader tokenizes inside a contiguous window of its input: one `read`
+//! fills the window, every construct that lies wholly inside it is
+//! recognised in place (a word-at-a-time scan to the next `<` or `&`, a byte
+//! table for names, UTF-8 validated once per text run), and a construct cut
+//! off by the window's end waits for the next `read` behind what is left of
+//! it. Element and attribute names are interned per reader, so an `Open`
+//! costs an `Arc` clone and a text node one allocation.
 
 use crate::error::XmlError;
 use crate::event::{EventSource, XmlEvent};
 use foxq_forest::Label;
 use std::collections::VecDeque;
-use std::io::BufRead;
+use std::io::{ErrorKind, Read};
+use std::str::{from_utf8, Utf8Error};
 
 /// How to treat text nodes that consist only of whitespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,35 +33,44 @@ pub enum WhitespaceMode {
     SkipWhitespaceOnly,
     /// Keep all text nodes exactly as written.
     Preserve,
-    /// Trim leading/trailing ASCII whitespace; drop the node if it becomes
-    /// empty.
+    /// Trim leading/trailing whitespace; drop the node if it becomes empty.
     Trim,
 }
 
-/// A pull parser over any `BufRead`, producing [`XmlEvent`]s.
+/// The window starts this small, so that a reader over a small document
+/// costs what the document does, …
+const FIRST_WINDOW: usize = 4 << 10;
+/// … and doubles up to this while the input keeps filling it. Only a single
+/// tag, text node or CDATA section longer than the window grows it further.
+const WINDOW: usize = 64 << 10;
+
+/// A pull parser over any `Read`, producing [`XmlEvent`]s.
+///
+/// The reader buffers for itself: hand it the file or the socket, not a
+/// `BufReader` around it. It reads no further ahead than one window, and
+/// only by calling `read` — an input that frames a message (a request
+/// body) is never read past its end.
 pub struct XmlReader<R> {
     input: R,
-    /// Byte offset of the next unread byte (for error messages).
-    offset: u64,
-    /// One byte of pushback.
-    pushback: Option<u8>,
-    /// Events synthesized but not yet returned (attribute expansion,
-    /// self-closing tags).
-    queue: VecDeque<XmlEvent>,
-    /// Names of currently open elements.
-    stack: Vec<Label>,
-    ws: WhitespaceMode,
+    /// `buf[pos..len]` is read and not yet tokenized, `buf[len..]` is room
+    /// for the next read.
+    buf: Vec<u8>,
+    pos: usize,
+    len: usize,
+    /// Offset of `buf[0]` in the input (for error messages).
+    base: u64,
+    /// The input has reported its end.
+    eof: bool,
+    /// Set once Eof has been returned.
+    finished: bool,
     /// Open/close events returned so far (Eof excluded). Lets callers prove
     /// single-pass properties: fanning one reader out to N engines must not
     /// move this counter faster than N = 1 would.
     events_read: u64,
-    /// Set once Eof has been returned.
-    finished: bool,
-    /// Scratch buffer reused across text nodes.
-    scratch: Vec<u8>,
+    tokens: Tokenizer,
 }
 
-impl<R: BufRead> XmlReader<R> {
+impl<R: Read> XmlReader<R> {
     pub fn new(input: R) -> Self {
         Self::with_mode(input, WhitespaceMode::default())
     }
@@ -60,20 +78,28 @@ impl<R: BufRead> XmlReader<R> {
     pub fn with_mode(input: R, ws: WhitespaceMode) -> Self {
         XmlReader {
             input,
-            offset: 0,
-            pushback: None,
-            queue: VecDeque::new(),
-            stack: Vec::new(),
-            ws,
-            events_read: 0,
+            buf: Vec::new(),
+            pos: 0,
+            len: 0,
+            base: 0,
+            eof: false,
             finished: false,
-            scratch: Vec::new(),
+            events_read: 0,
+            tokens: Tokenizer {
+                queue: VecDeque::new(),
+                stack: Vec::new(),
+                names: Names::default(),
+                ws,
+                skipping: None,
+                doctype_depth: 0,
+                scratch: Vec::new(),
+            },
         }
     }
 
     /// Current depth of open elements.
     pub fn depth(&self) -> usize {
-        self.stack.len()
+        self.tokens.stack.len()
     }
 
     /// Open/close events returned so far (`Eof` excluded).
@@ -92,419 +118,80 @@ impl<R: BufRead> XmlReader<R> {
     }
 
     fn pull_event(&mut self) -> Result<XmlEvent, XmlError> {
-        if let Some(ev) = self.queue.pop_front() {
-            return Ok(ev);
-        }
-        if self.finished {
-            return Ok(XmlEvent::Eof);
-        }
         loop {
-            match self.read_byte()? {
-                None => {
-                    if !self.stack.is_empty() {
-                        return Err(XmlError::UnexpectedEof {
-                            offset: self.offset,
-                            open_elements: self.stack.len(),
-                        });
-                    }
-                    self.finished = true;
-                    return Ok(XmlEvent::Eof);
+            if let Some(ev) = self.tokens.queue.pop_front() {
+                return Ok(ev);
+            }
+            if self.finished {
+                return Ok(XmlEvent::Eof);
+            }
+            let window = &self.buf[self.pos..self.len];
+            let at = self.base + self.pos as u64;
+            match self.tokens.scan(window, at, self.eof)? {
+                Scan::Event(ev, used) => {
+                    self.pos += used;
+                    return Ok(ev);
                 }
-                Some(b'<') => {
-                    if let Some(ev) = self.markup()? {
-                        return Ok(ev);
-                    }
-                    // Comment / PI / DOCTYPE: keep scanning.
-                    if let Some(ev) = self.queue.pop_front() {
-                        return Ok(ev);
-                    }
+                Scan::Skip(used) => self.pos += used,
+                Scan::More(needle) => {
+                    // A construct that holds the byte it ends with (a `>` in
+                    // an attribute value, say) is not over when that byte
+                    // arrives: it has to double before it is looked at
+                    // again, or a hostile one is rescanned read after read.
+                    let doubled = match window.contains(&needle) {
+                        true => 2 * window.len(),
+                        false => 0,
+                    };
+                    self.refill(needle, doubled)?;
                 }
-                Some(c) => {
-                    if let Some(ev) = self.text(c)? {
-                        return Ok(ev);
-                    }
-                    // Whitespace-only text dropped: keep scanning.
-                }
+                Scan::End => self.finished = true,
             }
         }
     }
 
-    // ---- byte-level helpers -------------------------------------------
-
-    fn read_byte(&mut self) -> Result<Option<u8>, XmlError> {
-        if let Some(b) = self.pushback.take() {
-            self.offset += 1;
-            return Ok(Some(b));
+    /// Move what is left of the window to the front of the buffer and read
+    /// behind it until `needle` arrives in a window of at least `at_least`
+    /// bytes, the buffer is full or the input ends — usually one `read`.
+    fn refill(&mut self, needle: u8, at_least: usize) -> Result<(), XmlError> {
+        // Grow while reads use up all the room there is: up to `WINDOW`
+        // because the input has more to give, beyond it because one
+        // construct is longer than the buffer.
+        let filled = self.len == self.buf.len();
+        self.buf.copy_within(self.pos..self.len, 0);
+        self.base += self.pos as u64;
+        self.len -= self.pos;
+        self.pos = 0;
+        if filled && (self.buf.len() < WINDOW || self.len == self.buf.len()) {
+            let size = (self.buf.len() * 2).max(FIRST_WINDOW);
+            self.buf.resize(size, 0);
         }
-        let offset = self.offset;
-        let buf = self
-            .input
-            .fill_buf()
-            .map_err(|e| XmlError::io_at(offset, e))?;
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let b = buf[0];
-        self.input.consume(1);
-        self.offset += 1;
-        Ok(Some(b))
-    }
-
-    fn unread(&mut self, b: u8) {
-        debug_assert!(self.pushback.is_none());
-        self.pushback = Some(b);
-        self.offset -= 1;
-    }
-
-    fn expect_byte(&mut self) -> Result<u8, XmlError> {
-        self.read_byte()?.ok_or(XmlError::UnexpectedEof {
-            offset: self.offset,
-            open_elements: self.stack.len(),
-        })
-    }
-
-    fn syntax<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
-        Err(XmlError::Syntax {
-            offset: self.offset,
-            msg: msg.into(),
-        })
-    }
-
-    // ---- markup --------------------------------------------------------
-
-    /// Called after consuming `<`. Returns an event for tags, `None` for
-    /// skipped constructs (with possible queued events).
-    fn markup(&mut self) -> Result<Option<XmlEvent>, XmlError> {
-        match self.expect_byte()? {
-            b'/' => self.close_tag().map(Some),
-            b'!' => {
-                self.bang()?;
-                Ok(None)
-            }
-            b'?' => {
-                self.skip_until(b"?>")?;
-                Ok(None)
-            }
-            c if is_name_start(c) => self.open_tag(c).map(Some),
-            c => self.syntax(format!("unexpected character {:?} after '<'", c as char)),
-        }
-    }
-
-    fn read_name(&mut self, first: u8) -> Result<String, XmlError> {
-        let mut name = Vec::with_capacity(16);
-        name.push(first);
-        loop {
-            match self.read_byte()? {
-                Some(c) if is_name_cont(c) => name.push(c),
-                Some(c) => {
-                    self.unread(c);
+        // The tokenizer rescans a cut-off construct from its start, so it
+        // is asked again only once the byte that can end it is there: the
+        // work per byte is constant, whatever size the input's reads are.
+        let mut arrived = false;
+        while self.len < self.buf.len() {
+            match self.input.read(&mut self.buf[self.len..]) {
+                Ok(0) => {
+                    self.eof = true;
                     break;
                 }
-                None => break,
-            }
-        }
-        String::from_utf8(name).map_err(|_| XmlError::Utf8 {
-            offset: self.offset,
-        })
-    }
-
-    fn skip_ws(&mut self) -> Result<(), XmlError> {
-        loop {
-            match self.read_byte()? {
-                Some(c) if c.is_ascii_whitespace() => continue,
-                Some(c) => {
-                    self.unread(c);
-                    return Ok(());
-                }
-                None => return Ok(()),
-            }
-        }
-    }
-
-    /// `<name attr="v"…>` or `<name …/>`; the `<` and first name byte are
-    /// already consumed.
-    fn open_tag(&mut self, first: u8) -> Result<XmlEvent, XmlError> {
-        let name = self.read_name(first)?;
-        let label = Label::elem(name);
-        let mut self_closing = false;
-        loop {
-            self.skip_ws()?;
-            match self.expect_byte()? {
-                b'>' => break,
-                b'/' => {
-                    if self.expect_byte()? != b'>' {
-                        return self.syntax("expected '>' after '/'");
-                    }
-                    self_closing = true;
-                    break;
-                }
-                c if is_name_start(c) => {
-                    let (aname, avalue) = self.attribute(c)?;
-                    // <e a="v"> ⇒ child a("v")
-                    let alabel = Label::elem(aname);
-                    self.queue.push_back(XmlEvent::Open(alabel.clone()));
-                    if !avalue.is_empty() {
-                        let tlabel = Label::text(avalue);
-                        self.queue.push_back(XmlEvent::Open(tlabel.clone()));
-                        self.queue.push_back(XmlEvent::Close(tlabel));
-                    }
-                    self.queue.push_back(XmlEvent::Close(alabel));
-                }
-                c => {
-                    return self.syntax(format!("unexpected {:?} in start tag", c as char));
-                }
-            }
-        }
-        if self_closing {
-            self.queue.push_back(XmlEvent::Close(label.clone()));
-        } else {
-            self.stack.push(label.clone());
-        }
-        Ok(XmlEvent::Open(label))
-    }
-
-    fn attribute(&mut self, first: u8) -> Result<(String, String), XmlError> {
-        let name = self.read_name(first)?;
-        self.skip_ws()?;
-        if self.expect_byte()? != b'=' {
-            return self.syntax("expected '=' in attribute");
-        }
-        self.skip_ws()?;
-        let quote = self.expect_byte()?;
-        if quote != b'"' && quote != b'\'' {
-            return self.syntax("expected quoted attribute value");
-        }
-        let mut raw = Vec::with_capacity(16);
-        loop {
-            let c = self.expect_byte()?;
-            if c == quote {
-                break;
-            }
-            if c == b'&' {
-                self.entity(&mut raw)?;
-            } else {
-                raw.push(c);
-            }
-        }
-        let value = String::from_utf8(raw).map_err(|_| XmlError::Utf8 {
-            offset: self.offset,
-        })?;
-        Ok((name, value))
-    }
-
-    /// `</name>`; `</` already consumed.
-    fn close_tag(&mut self) -> Result<XmlEvent, XmlError> {
-        let first = self.expect_byte()?;
-        if !is_name_start(first) {
-            return self.syntax("expected element name in closing tag");
-        }
-        let name = self.read_name(first)?;
-        self.skip_ws()?;
-        if self.expect_byte()? != b'>' {
-            return self.syntax("expected '>' in closing tag");
-        }
-        match self.stack.pop() {
-            Some(label) if *label.name == name => Ok(XmlEvent::Close(label)),
-            Some(label) => Err(XmlError::MismatchedClose {
-                offset: self.offset,
-                expected: label.name.to_string(),
-                found: name,
-            }),
-            None => Err(XmlError::MismatchedClose {
-                offset: self.offset,
-                expected: "(document end)".into(),
-                found: name,
-            }),
-        }
-    }
-
-    /// `<!…`: comment, CDATA or DOCTYPE. CDATA is treated as text.
-    fn bang(&mut self) -> Result<(), XmlError> {
-        match self.expect_byte()? {
-            b'-' => {
-                if self.expect_byte()? != b'-' {
-                    return self.syntax("malformed comment");
-                }
-                self.skip_until(b"-->")
-            }
-            b'[' => {
-                // <![CDATA[ … ]]> — produce a text node (no entity decoding).
-                for &expected in b"CDATA[" {
-                    if self.expect_byte()? != expected {
-                        return self.syntax("malformed CDATA section");
-                    }
-                }
-                let mut raw = Vec::new();
-                let mut tail = [0u8; 2];
-                loop {
-                    let c = self.expect_byte()?;
-                    if c == b'>' && tail == *b"]]" {
-                        raw.truncate(raw.len().saturating_sub(2));
+                Ok(n) => {
+                    let fresh = self.len..self.len + n;
+                    self.len = fresh.end;
+                    arrived |= self.buf[fresh].contains(&needle);
+                    if arrived && self.len >= at_least {
                         break;
                     }
-                    raw.push(c);
-                    tail[0] = tail[1];
-                    tail[1] = c;
                 }
-                let content = String::from_utf8(raw).map_err(|_| XmlError::Utf8 {
-                    offset: self.offset,
-                })?;
-                if !content.is_empty() {
-                    let label = Label::text(content);
-                    self.queue.push_back(XmlEvent::Open(label.clone()));
-                    self.queue.push_back(XmlEvent::Close(label));
-                }
-                Ok(())
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(XmlError::io_at(self.base + self.len as u64, e)),
             }
-            b'D' => self.skip_doctype(),
-            _ => self.syntax("unsupported '<!' construct"),
-        }
-    }
-
-    /// Skip a DOCTYPE declaration, tolerating an internal subset.
-    fn skip_doctype(&mut self) -> Result<(), XmlError> {
-        let mut depth = 1usize; // the '<' of <!DOCTYPE
-        loop {
-            match self.expect_byte()? {
-                b'<' => depth += 1,
-                b'>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(());
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn skip_until(&mut self, terminator: &[u8]) -> Result<(), XmlError> {
-        let mut matched = 0usize;
-        loop {
-            let c = self.expect_byte()?;
-            if c == terminator[matched] {
-                matched += 1;
-                if matched == terminator.len() {
-                    return Ok(());
-                }
-            } else {
-                // Fall back to the longest prefix of the terminator that
-                // the input still ends with: `--` + `-` ends with `--`.
-                matched = (1..=matched)
-                    .rev()
-                    .find(|&k| {
-                        terminator[k - 1] == c
-                            && terminator[..k - 1] == terminator[matched + 1 - k..matched]
-                    })
-                    .unwrap_or(0);
-            }
-        }
-    }
-
-    // ---- text ----------------------------------------------------------
-
-    /// Accumulate character data starting with `first` until the next `<`.
-    /// Returns `None` if the node is dropped by the whitespace mode.
-    fn text(&mut self, first: u8) -> Result<Option<XmlEvent>, XmlError> {
-        self.scratch.clear();
-        if first == b'&' {
-            let mut tmp = Vec::new();
-            self.entity(&mut tmp)?;
-            self.scratch.extend_from_slice(&tmp);
-        } else {
-            self.scratch.push(first);
-        }
-        loop {
-            match self.read_byte()? {
-                None => break,
-                Some(b'<') => {
-                    self.unread(b'<');
-                    break;
-                }
-                Some(b'&') => {
-                    let mut tmp = Vec::new();
-                    self.entity(&mut tmp)?;
-                    self.scratch.extend_from_slice(&tmp);
-                }
-                Some(c) => self.scratch.push(c),
-            }
-        }
-        let raw = std::mem::take(&mut self.scratch);
-        let content = String::from_utf8(raw).map_err(|_| XmlError::Utf8 {
-            offset: self.offset,
-        })?;
-        let content = match self.ws {
-            WhitespaceMode::Preserve => content,
-            WhitespaceMode::SkipWhitespaceOnly => {
-                if content.bytes().all(|b| b.is_ascii_whitespace()) {
-                    return Ok(None);
-                }
-                content
-            }
-            WhitespaceMode::Trim => {
-                let trimmed = content.trim();
-                if trimmed.is_empty() {
-                    return Ok(None);
-                }
-                trimmed.to_string()
-            }
-        };
-        let label = Label::text(content);
-        self.queue.push_back(XmlEvent::Close(label.clone()));
-        Ok(Some(XmlEvent::Open(label)))
-    }
-
-    /// Decode an entity after its `&`.
-    fn entity(&mut self, out: &mut Vec<u8>) -> Result<(), XmlError> {
-        let mut name = Vec::with_capacity(8);
-        loop {
-            let c = self.expect_byte()?;
-            if c == b';' {
-                break;
-            }
-            if name.len() > 16 {
-                return self.syntax("entity reference too long");
-            }
-            name.push(c);
-        }
-        match name.as_slice() {
-            b"lt" => out.push(b'<'),
-            b"gt" => out.push(b'>'),
-            b"amp" => out.push(b'&'),
-            b"apos" => out.push(b'\''),
-            b"quot" => out.push(b'"'),
-            n if n.first() == Some(&b'#') => {
-                let s = std::str::from_utf8(&n[1..]).map_err(|_| XmlError::Utf8 {
-                    offset: self.offset,
-                })?;
-                let code = if let Some(hex) = s.strip_prefix('x').or_else(|| s.strip_prefix('X')) {
-                    u32::from_str_radix(hex, 16)
-                } else {
-                    s.parse::<u32>()
-                };
-                let code = match code {
-                    Ok(c) => c,
-                    Err(_) => return self.syntax("bad numeric character reference"),
-                };
-                // XML 1.0 `Char`: no C0 control but tab, LF and CR, no
-                // surrogate (`from_u32` refuses those), not #xFFFE / #xFFFF.
-                let legal =
-                    matches!(code, 0x9 | 0xA | 0xD | 0x20..) && !matches!(code, 0xFFFE | 0xFFFF);
-                match char::from_u32(code).filter(|_| legal) {
-                    Some(ch) => {
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                    }
-                    None => return self.syntax("invalid character code"),
-                }
-            }
-            _ => return self.syntax("unknown entity reference"),
         }
         Ok(())
     }
 }
 
-impl<R: BufRead> EventSource for XmlReader<R> {
+impl<R: Read> EventSource for XmlReader<R> {
     fn next_event(&mut self) -> Result<XmlEvent, XmlError> {
         XmlReader::next_event(self)
     }
@@ -514,12 +201,671 @@ impl<R: BufRead> EventSource for XmlReader<R> {
     }
 }
 
-fn is_name_start(c: u8) -> bool {
-    c.is_ascii_alphabetic() || c == b'_' || c >= 0x80
+// ---- tokenizer ----------------------------------------------------------
+
+/// What the tokenizer made of the front of a window.
+enum Scan {
+    /// An event — more may be queued behind it — and the bytes it used up.
+    Event(XmlEvent, usize),
+    /// That many bytes hold nothing to report.
+    Skip(usize),
+    /// The window ends inside a construct that cannot end before this byte
+    /// arrives.
+    More(u8),
+    /// The input ended where a document may end.
+    End,
 }
 
-fn is_name_cont(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80
+/// Everything the reader knows apart from the window. Its methods are handed
+/// the window — `win`, whose first byte lies at offset `at` of the input, and
+/// which ends where the input does if `eof` — and never keep a reference
+/// into it.
+struct Tokenizer {
+    /// Events synthesized but not yet returned (attribute expansion,
+    /// self-closing tags, the close of a text node).
+    queue: VecDeque<XmlEvent>,
+    /// Names of currently open elements.
+    stack: Vec<Label>,
+    names: Names,
+    ws: WhitespaceMode,
+    /// Inside a comment, a processing instruction or a DOCTYPE literal:
+    /// everything up to and including this terminator is skipped, in
+    /// however many windows it takes.
+    skipping: Option<&'static [u8]>,
+    /// How many `<` of a DOCTYPE declaration await their `>`; 0 outside one.
+    doctype_depth: usize,
+    /// Text and attribute values that hold references are decoded here.
+    scratch: Vec<u8>,
+}
+
+impl Tokenizer {
+    fn scan(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        if let Some(terminator) = self.skipping {
+            return self.skip_until(terminator, win, at, eof);
+        }
+        if self.doctype_depth > 0 {
+            return self.doctype(win, at, eof);
+        }
+        match win.first() {
+            Some(b'<') => self.markup(win, at, eof),
+            Some(_) => self.text(win, at, eof),
+            None if !eof => Ok(Scan::More(b'<')),
+            None if self.stack.is_empty() => Ok(Scan::End),
+            None => Err(self.eof_at(at)),
+        }
+    }
+
+    fn eof_at(&self, offset: u64) -> XmlError {
+        XmlError::UnexpectedEof {
+            offset,
+            open_elements: self.stack.len(),
+        }
+    }
+
+    /// The window ends inside a construct that `needle` ends.
+    fn cut_off(&self, needle: u8, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        if eof {
+            Err(self.eof_at(at + win.len() as u64))
+        } else {
+            Ok(Scan::More(needle))
+        }
+    }
+
+    // ---- skipped constructs ---------------------------------------------
+
+    fn skip_until(
+        &mut self,
+        terminator: &'static [u8],
+        win: &[u8],
+        at: u64,
+        eof: bool,
+    ) -> Result<Scan, XmlError> {
+        // The window may end with the terminator's first bytes.
+        let kept = terminator.len() - 1;
+        if let Some(found) = find(win, terminator) {
+            self.skipping = None;
+            Ok(Scan::Skip(found + terminator.len()))
+        } else if win.len() > kept {
+            Ok(Scan::Skip(win.len() - kept))
+        } else {
+            self.cut_off(terminator[kept], win, at, eof)
+        }
+    }
+
+    /// Inside `<!DOCTYPE … >`: the declaration ends with the `>` that
+    /// balances its `<`, not counting those inside quoted literals, comments
+    /// and processing instructions of the internal subset.
+    fn doctype(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        let next = win
+            .iter()
+            .position(|c| matches!(c, b'<' | b'>' | b'"' | b'\''))
+            .unwrap_or(win.len());
+        let used = match &win[next..] {
+            [b'"', ..] => {
+                self.skipping = Some(b"\"");
+                1
+            }
+            [b'\'', ..] => {
+                self.skipping = Some(b"'");
+                1
+            }
+            [b'>', ..] => {
+                self.doctype_depth -= 1;
+                1
+            }
+            [b'<', b'?', ..] => {
+                self.skipping = Some(b"?>");
+                2
+            }
+            [b'<', b'!', b'-', b'-', ..] => {
+                self.skipping = Some(b"-->");
+                4
+            }
+            // Nothing of interest, or too little of it to tell a comment
+            // from a declaration: skip what is before it and wait.
+            [] | [b'<'] | [b'<', b'!'] | [b'<', b'!', b'-'] => {
+                return match next {
+                    0 => self.cut_off(b'>', win, at, eof),
+                    skipped => Ok(Scan::Skip(skipped)),
+                };
+            }
+            // A declaration; the byte that showed it is no comment is
+            // looked at again.
+            [b'<', rest @ ..] => {
+                self.doctype_depth += 1;
+                match rest {
+                    [b'!', b'-', ..] => 3,
+                    [b'!', ..] => 2,
+                    _ => 1,
+                }
+            }
+            _ => unreachable!("`next` is the index of one of the four bytes above"),
+        };
+        Ok(Scan::Skip(next + used))
+    }
+
+    // ---- markup -----------------------------------------------------------
+
+    /// `win` starts with `<`.
+    fn markup(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        match win.get(1) {
+            None => self.cut_off(b'>', win, at, eof),
+            Some(b'/') => self.close_tag(win, at, eof),
+            Some(b'?') => {
+                self.skipping = Some(b"?>");
+                Ok(Scan::Skip(2))
+            }
+            Some(b'!') => self.bang(win, at, eof),
+            Some(&c) if is_name_start(c) => {
+                let scanned = self.open_tag(win, at, eof);
+                if !matches!(scanned, Ok(Scan::Event(..))) {
+                    // Attributes of a tag that did not end (yet).
+                    self.queue.clear();
+                }
+                scanned
+            }
+            Some(&c) => syntax(
+                at + 2,
+                format!("unexpected character {:?} after '<'", c as char),
+            ),
+        }
+    }
+
+    /// `<name attr="v"…>` or `<name …/>`.
+    fn open_tag(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        let Some((label, mut i)) = self.name(1, win, at, eof)? else {
+            return Ok(Scan::More(b'>'));
+        };
+        loop {
+            i = skip_ws(win, i);
+            match win.get(i) {
+                None => return self.cut_off(b'>', win, at, eof),
+                Some(b'>') => {
+                    self.stack.push(label.clone());
+                    return Ok(Scan::Event(XmlEvent::Open(label), i + 1));
+                }
+                Some(b'/') => {
+                    return match win.get(i + 1) {
+                        None => self.cut_off(b'>', win, at, eof),
+                        Some(b'>') => {
+                            self.queue.push_back(XmlEvent::Close(label.clone()));
+                            Ok(Scan::Event(XmlEvent::Open(label), i + 2))
+                        }
+                        Some(_) => syntax(at + i as u64 + 2, "expected '>' after '/'"),
+                    };
+                }
+                Some(&c) if is_name_start(c) => match self.attribute(i, win, at, eof)? {
+                    Some(end) => i = end,
+                    None => return self.cut_off(b'>', win, at, eof),
+                },
+                Some(&c) => {
+                    return syntax(
+                        at + i as u64 + 1,
+                        format!("unexpected {:?} in start tag", c as char),
+                    );
+                }
+            }
+        }
+    }
+
+    /// The name that starts at `win[start]`, as a label, and where it ends;
+    /// `None` if the window may end inside it.
+    fn name(
+        &mut self,
+        start: usize,
+        win: &[u8],
+        at: u64,
+        eof: bool,
+    ) -> Result<Option<(Label, usize)>, XmlError> {
+        let end = name_end(win, start + 1);
+        if end == win.len() && !eof {
+            return Ok(None);
+        }
+        match self.names.label(&win[start..end]) {
+            Ok(label) => Ok(Some((label, end))),
+            Err(_) => Err(XmlError::Utf8 {
+                offset: at + end as u64,
+            }),
+        }
+    }
+
+    /// The attribute whose name starts at `win[start]`: queues `<e a="v">` as
+    /// the child `a("v")` and returns where it ends, `None` if the window
+    /// ends first.
+    fn attribute(
+        &mut self,
+        start: usize,
+        win: &[u8],
+        at: u64,
+        eof: bool,
+    ) -> Result<Option<usize>, XmlError> {
+        let Some((name, end)) = self.name(start, win, at, eof)? else {
+            return Ok(None);
+        };
+        let mut i = skip_ws(win, end);
+        match win.get(i) {
+            None => return Ok(None),
+            Some(b'=') => {}
+            Some(_) => return syntax(at + i as u64 + 1, "expected '=' in attribute"),
+        }
+        i = skip_ws(win, i + 1);
+        let quote = match win.get(i) {
+            None => return Ok(None),
+            Some(&quote @ (b'"' | b'\'')) => quote,
+            Some(_) => return syntax(at + i as u64 + 1, "expected quoted attribute value"),
+        };
+        let from = i + 1;
+        let Some(plain) = win[from..].iter().position(|&c| c == quote || c == b'&') else {
+            return Ok(None);
+        };
+        let mut end = from + plain;
+        let value = if win[end] == quote {
+            &win[from..end]
+        } else {
+            self.scratch.clear();
+            match decode_run(win, from, quote, at, &mut self.scratch)? {
+                Some(closing) if closing < win.len() => end = closing,
+                _ => return Ok(None),
+            }
+            &self.scratch
+        };
+        let value = from_utf8(value).map_err(|_| XmlError::Utf8 {
+            offset: at + end as u64 + 1,
+        })?;
+        self.queue.push_back(XmlEvent::Open(name.clone()));
+        if !value.is_empty() {
+            let text = Label::text(value);
+            self.queue.push_back(XmlEvent::Open(text.clone()));
+            self.queue.push_back(XmlEvent::Close(text));
+        }
+        self.queue.push_back(XmlEvent::Close(name));
+        Ok(Some(end + 1))
+    }
+
+    /// `</name>`.
+    fn close_tag(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        // Nearly always the innermost open element's name and a `>`.
+        if let Some(top) = self.stack.last() {
+            let end = 2 + top.name.len();
+            if win.get(end) == Some(&b'>') && win[2..end] == *top.name.as_bytes() {
+                let label = self.stack.pop().expect("the stack has a top");
+                return Ok(Scan::Event(XmlEvent::Close(label), end + 1));
+            }
+        }
+        match win.get(2) {
+            None => return self.cut_off(b'>', win, at, eof),
+            Some(&c) if is_name_start(c) => {}
+            Some(_) => return syntax(at + 3, "expected element name in closing tag"),
+        }
+        let end = name_end(win, 3);
+        if end == win.len() && !eof {
+            return Ok(Scan::More(b'>'));
+        }
+        let found = from_utf8(&win[2..end]).map_err(|_| XmlError::Utf8 {
+            offset: at + end as u64,
+        })?;
+        let i = skip_ws(win, end);
+        match win.get(i) {
+            None => return self.cut_off(b'>', win, at, eof),
+            Some(b'>') => {}
+            Some(_) => return syntax(at + i as u64 + 1, "expected '>' in closing tag"),
+        }
+        match self.stack.pop() {
+            Some(label) if *label.name == *found => Ok(Scan::Event(XmlEvent::Close(label), i + 1)),
+            top => Err(XmlError::MismatchedClose {
+                offset: at + i as u64 + 1,
+                expected: match top {
+                    Some(label) => label.name.to_string(),
+                    None => "(document end)".into(),
+                },
+                found: found.into(),
+            }),
+        }
+    }
+
+    /// `<!…`: comment, CDATA or DOCTYPE. CDATA is treated as text.
+    fn bang(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        match &win[2..] {
+            [] | [b'-'] => self.cut_off(b'>', win, at, eof),
+            [b'-', b'-', ..] => {
+                self.skipping = Some(b"-->");
+                Ok(Scan::Skip(4))
+            }
+            [b'-', ..] => syntax(at + 4, "malformed comment"),
+            [b'[', ..] => self.cdata(win, at, eof),
+            [b'D', ..] => {
+                self.doctype_depth = 1; // the '<' of <!DOCTYPE
+                Ok(Scan::Skip(3))
+            }
+            [_, ..] => syntax(at + 3, "unsupported '<!' construct"),
+        }
+    }
+
+    /// `<![CDATA[ … ]]>` — a text node (no entity decoding, no whitespace
+    /// mode).
+    fn cdata(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        const OPEN: &[u8] = b"<![CDATA[";
+        for (i, expected) in OPEN.iter().enumerate().skip(3) {
+            match win.get(i) {
+                None => return self.cut_off(b'>', win, at, eof),
+                Some(c) if c == expected => {}
+                Some(_) => return syntax(at + i as u64 + 1, "malformed CDATA section"),
+            }
+        }
+        let Some(len) = find(&win[OPEN.len()..], b"]]>") else {
+            return self.cut_off(b'>', win, at, eof);
+        };
+        let end = OPEN.len() + len + 3;
+        let content = from_utf8(&win[OPEN.len()..][..len]).map_err(|_| XmlError::Utf8 {
+            offset: at + end as u64,
+        })?;
+        Ok(if content.is_empty() {
+            Scan::Skip(end)
+        } else {
+            Scan::Event(text_node(&mut self.queue, content), end)
+        })
+    }
+
+    // ---- text -------------------------------------------------------------
+
+    /// Character data up to the next `<`.
+    fn text(&mut self, win: &[u8], at: u64, eof: bool) -> Result<Scan, XmlError> {
+        let mut end = find_markup(win);
+        let run = match win.get(end) {
+            Some(b'<') => &win[..end],
+            None if eof => win,
+            None => return Ok(Scan::More(b'<')),
+            Some(_) => {
+                self.scratch.clear();
+                match decode_run(win, 0, b'<', at, &mut self.scratch)? {
+                    Some(stop) if stop < win.len() || eof => end = stop,
+                    _ => return self.cut_off(b'<', win, at, eof),
+                }
+                &self.scratch
+            }
+        };
+        if self.ws == WhitespaceMode::SkipWhitespaceOnly
+            && run.iter().all(|c| c.is_ascii_whitespace())
+        {
+            return Ok(Scan::Skip(end));
+        }
+        let mut content = from_utf8(run).map_err(|_| XmlError::Utf8 {
+            offset: at + end as u64,
+        })?;
+        if self.ws == WhitespaceMode::Trim {
+            content = content.trim();
+            if content.is_empty() {
+                return Ok(Scan::Skip(end));
+            }
+        }
+        Ok(Scan::Event(text_node(&mut self.queue, content), end))
+    }
+}
+
+/// The open event of a text node, its close queued behind it.
+fn text_node(queue: &mut VecDeque<XmlEvent>, content: &str) -> XmlEvent {
+    let label = Label::text(content);
+    queue.push_back(XmlEvent::Close(label.clone()));
+    XmlEvent::Open(label)
+}
+
+fn syntax<T>(offset: u64, msg: impl Into<String>) -> Result<T, XmlError> {
+    Err(XmlError::Syntax {
+        offset,
+        msg: msg.into(),
+    })
+}
+
+/// Copy `win[from..]` up to its first `stop` byte (or the window's end) onto
+/// `out`, references decoded. Returns where the run stopped; `None` if the
+/// window ends inside a reference.
+fn decode_run(
+    win: &[u8],
+    from: usize,
+    stop: u8,
+    at: u64,
+    out: &mut Vec<u8>,
+) -> Result<Option<usize>, XmlError> {
+    let mut i = from;
+    loop {
+        let plain = win[i..]
+            .iter()
+            .position(|&c| c == stop || c == b'&')
+            .unwrap_or(win.len() - i);
+        out.extend_from_slice(&win[i..i + plain]);
+        i += plain;
+        if win.get(i) != Some(&b'&') {
+            return Ok(Some(i));
+        }
+        match reference(win, i, at, out)? {
+            Some(end) => i = end,
+            None => return Ok(None),
+        }
+    }
+}
+
+/// Decode the reference whose `&` is `win[amp]` onto `out`. Returns the
+/// index behind its `;`, `None` if the window ends first.
+fn reference(
+    win: &[u8],
+    amp: usize,
+    at: u64,
+    out: &mut Vec<u8>,
+) -> Result<Option<usize>, XmlError> {
+    let body = &win[amp + 1..];
+    let mut len = 0;
+    loop {
+        match body.get(len) {
+            None => return Ok(None),
+            Some(b';') => break,
+            Some(_) if len > 16 => {
+                return syntax(at + (amp + len) as u64 + 2, "entity reference too long");
+            }
+            Some(_) => len += 1,
+        }
+    }
+    let end = amp + len + 2;
+    let offset = at + end as u64;
+    match &body[..len] {
+        b"lt" => out.push(b'<'),
+        b"gt" => out.push(b'>'),
+        b"amp" => out.push(b'&'),
+        b"apos" => out.push(b'\''),
+        b"quot" => out.push(b'"'),
+        [b'#', digits @ ..] => {
+            let s = from_utf8(digits).map_err(|_| XmlError::Utf8 { offset })?;
+            let code = if let Some(hex) = s.strip_prefix('x').or_else(|| s.strip_prefix('X')) {
+                u32::from_str_radix(hex, 16)
+            } else {
+                s.parse::<u32>()
+            };
+            let Ok(code) = code else {
+                return syntax(offset, "bad numeric character reference");
+            };
+            // XML 1.0 `Char`: no C0 control but tab, LF and CR, no
+            // surrogate (`from_u32` refuses those), not #xFFFE / #xFFFF.
+            let legal =
+                matches!(code, 0x9 | 0xA | 0xD | 0x20..) && !matches!(code, 0xFFFE | 0xFFFF);
+            match char::from_u32(code).filter(|_| legal) {
+                Some(ch) => out.extend_from_slice(ch.encode_utf8(&mut [0u8; 4]).as_bytes()),
+                None => return syntax(offset, "invalid character code"),
+            }
+        }
+        _ => return syntax(offset, "unknown entity reference"),
+    }
+    Ok(Some(end))
+}
+
+// ---- byte scanning ------------------------------------------------------
+
+/// Index of the first `<` or `&` of `hay`, or its length: eight bytes at a
+/// time.
+fn find_markup(hay: &[u8]) -> usize {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    // The high bit of every zero byte of `word` (and of some bytes above
+    // the lowest zero byte, which is the one looked at).
+    let zero_bytes = |word: u64| word.wrapping_sub(LOW) & !word & HIGH;
+    let mut words = hay.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks of eight"));
+        let hits = zero_bytes(word ^ (LOW * b'<' as u64)) | zero_bytes(word ^ (LOW * b'&' as u64));
+        if hits != 0 {
+            return at + hits.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    at + tail
+        .iter()
+        .position(|&c| c == b'<' || c == b'&')
+        .unwrap_or(tail.len())
+}
+
+fn find(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    hay.windows(needle.len()).position(|w| w == needle)
+}
+
+const NAME_START: u8 = 1;
+const NAME: u8 = 2;
+
+/// Which bytes start and continue a name. Every byte of a multi-byte
+/// character does both; what they spell is checked as UTF-8 once per name.
+static NAME_BYTES: [u8; 256] = {
+    let mut class = [0u8; 256];
+    let mut c = 0;
+    while c < 256 {
+        let byte = c as u8;
+        if byte.is_ascii_alphabetic() || byte == b'_' || byte >= 0x80 {
+            class[c] = NAME_START | NAME;
+        } else if byte.is_ascii_digit() || matches!(byte, b'-' | b'.' | b':') {
+            class[c] = NAME;
+        }
+        c += 1;
+    }
+    class
+};
+
+fn is_name_start(c: u8) -> bool {
+    NAME_BYTES[c as usize] & NAME_START != 0
+}
+
+/// Index of the first byte of `win[from..]` that does not continue a name.
+fn name_end(win: &[u8], from: usize) -> usize {
+    win[from..]
+        .iter()
+        .position(|&c| NAME_BYTES[c as usize] & NAME == 0)
+        .map_or(win.len(), |n| from + n)
+}
+
+/// Index of the first byte of `win[from..]` that is not whitespace.
+fn skip_ws(win: &[u8], from: usize) -> usize {
+    win[from..]
+        .iter()
+        .position(|c| !c.is_ascii_whitespace())
+        .map_or(win.len(), |n| from + n)
+}
+
+// ---- names --------------------------------------------------------------
+
+/// The table starts with this many slots and doubles when half full, …
+const FIRST_SLOTS: usize = 64;
+/// … up to this many, i.e. `MAX_SLOTS / 2` names, …
+const MAX_SLOTS: usize = 2048;
+/// … of this many bytes in total.
+const MAX_NAME_BYTES: usize = 64 << 10;
+/// A name lives in one of this many slots, from where its hash points on.
+const PROBES: usize = 16;
+
+/// The element and attribute names seen so far, so that the label of a
+/// start tag is an `Arc` clone.
+///
+/// The names are the document's, so nothing here relies on the hash being
+/// hard to collide or on the vocabulary being small: a name that finds
+/// neither itself nor a free slot among its [`PROBES`] slots, or that comes
+/// after the table has reached its caps, gets a label of its own every time
+/// — slower, same events.
+#[derive(Default)]
+struct Names {
+    /// Empty, or a power of two of slots that hashes point to and
+    /// `PROBES - 1` more behind them.
+    slots: Vec<Option<Label>>,
+    held: usize,
+    held_bytes: usize,
+}
+
+impl Names {
+    /// The element label of `name`.
+    fn label(&mut self, name: &[u8]) -> Result<Label, Utf8Error> {
+        let known = self.slots[self.slots_of(name)]
+            .iter()
+            .flatten()
+            .find(|label| label.name.as_bytes() == name);
+        if let Some(label) = known {
+            return Ok(label.clone());
+        }
+        let label = Label::elem(from_utf8(name)?);
+        if self.held_bytes + name.len() <= MAX_NAME_BYTES {
+            if self.held * 2 >= self.hashed_slots() && self.hashed_slots() < MAX_SLOTS {
+                self.grow();
+            }
+            if self.held * 2 < self.hashed_slots() {
+                self.keep(label.clone());
+            }
+        }
+        Ok(label)
+    }
+
+    fn hashed_slots(&self) -> usize {
+        self.slots.len().saturating_sub(PROBES - 1)
+    }
+
+    /// The slots `name` may live in.
+    fn slots_of(&self, name: &[u8]) -> std::ops::Range<usize> {
+        if self.slots.is_empty() {
+            return 0..0;
+        }
+        // The high bits of a multiplicative hash are the mixed ones.
+        let home = (hash(name) >> (64 - self.hashed_slots().trailing_zeros())) as usize;
+        home..home + PROBES
+    }
+
+    fn keep(&mut self, label: Label) {
+        let slots = self.slots_of(label.name.as_bytes());
+        if let Some(free) = self.slots[slots].iter_mut().find(|slot| slot.is_none()) {
+            self.held += 1;
+            self.held_bytes += label.name.len();
+            *free = Some(label);
+        }
+    }
+
+    fn grow(&mut self) {
+        let hashed = (self.hashed_slots() * 2).max(FIRST_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![None; hashed + PROBES - 1]);
+        self.held = 0;
+        self.held_bytes = 0;
+        for label in old.into_iter().flatten() {
+            self.keep(label);
+        }
+    }
+}
+
+/// Cheap, and easy to collide on purpose; see [`Names`] for why that is
+/// affordable.
+fn hash(name: &[u8]) -> u64 {
+    const K: u64 = 0x517C_C1B7_2722_0A95;
+    let mut words = name.chunks_exact(8);
+    let mut h = name.len() as u64;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("chunks of eight"));
+        h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+    let tail = words
+        .remainder()
+        .iter()
+        .fold(0u64, |tail, &c| tail << 8 | c as u64);
+    (h.rotate_left(5) ^ tail).wrapping_mul(K)
 }
 
 #[cfg(test)]
@@ -642,6 +988,30 @@ mod tests {
             events(xml),
             vec![open("a"), open("b"), close("b"), close("a"), XmlEvent::Eof]
         );
+    }
+
+    #[test]
+    fn doctype_literals_comments_and_pis_may_hold_angle_brackets() {
+        // Each of these used to end the DOCTYPE at the `>` inside it and
+        // hand the rest of the subset on as top-level text (`]>`).
+        let a = vec![open("a"), close("a"), XmlEvent::Eof];
+        assert_eq!(events("<!DOCTYPE a [<!ENTITY e \"x>y\">]><a/>"), a);
+        assert_eq!(events("<!DOCTYPE a [<!-- a > b -->]><a/>"), a);
+        assert_eq!(events("<!DOCTYPE a [<?pi a > b ?>]><a/>"), a);
+        assert_eq!(
+            events("<!DOCTYPE a SYSTEM 'x>y.dtd' [<!ATTLIST a b CDATA '<'>]><a/>"),
+            a
+        );
+        // A literal that never ends takes the document with it.
+        let unterminated = "<!DOCTYPE a [<!ENTITY e \"x>y>]><a/>";
+        let mut r = XmlReader::new(unterminated.as_bytes());
+        match r.next_event() {
+            Err(XmlError::UnexpectedEof {
+                offset,
+                open_elements: 0,
+            }) => assert_eq!(offset, unterminated.len() as u64),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use foxq::service::{
 use foxq::store::{Corpus, TapeReader};
 use foxq::xml::{WriterSink, XmlReader};
 use foxq::xquery::parse_query;
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -240,7 +240,7 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
             Box::new(stdin.lock())
         }
     };
-    let reader = XmlReader::new(BufReader::new(input));
+    let reader = XmlReader::new(input);
     let stdout = std::io::stdout();
     if stream {
         // Earliest emission to a pipe: every irrevocable prefix is
@@ -583,7 +583,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             .iter()
             .map(|_| WriterSink::new(Vec::new()))
             .collect();
-        match run_multi_with_limits(&mfts, XmlReader::new(BufReader::new(input)), sinks, limits) {
+        match run_multi_with_limits(&mfts, XmlReader::new(input), sinks, limits) {
             Ok(run) => {
                 if report_stats {
                     eprintln!("input events:      {} (one pass)", run.input_events);
@@ -774,7 +774,7 @@ fn store_add(args: &[String]) -> Result<(), String> {
         };
         let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
         let meta = corpus
-            .add_xml(&id, BufReader::new(file))
+            .add_xml(&id, file)
             .map_err(|e| format!("{path}: {e}"))?;
         println!(
             "stored {}: {} events, {} tape bytes (from {} XML bytes)",

@@ -109,9 +109,10 @@ fn tape_seek_replay_beats_reparse_by_3x() {
 
     // The store_replay acceptance bar: a prefilter-eligible query over a
     // stored XMark tape must run ≥ 3× faster via the seek path than by
-    // re-parsing the XML (measured ~6× at 2 MiB; 3× leaves 2× headroom
-    // for scheduler noise). Scan mode is forced — the index path has its
-    // own, stricter guard below.
+    // re-parsing the XML (measured 4.3–4.9× at 2 MiB — 2.9 ms against the
+    // in-window tokenizer's 13.8 ms — so 3× leaves 1.5× headroom for
+    // scheduler noise). Scan mode is forced — the index path has its own,
+    // stricter guard below.
     let forest = foxq::gen::generate(Dataset::Xmark, 2 << 20, 0xF0E5);
     let xml = forest_to_xml_string(&forest).into_bytes();
     let (out, _, _) = ingest_xml_to_tape(&xml[..], Cursor::new(Vec::new())).unwrap();

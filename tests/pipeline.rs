@@ -56,6 +56,20 @@ fn cdata_and_comments_flow_through() {
 }
 
 #[test]
+fn a_doctype_subset_leaves_no_stray_text() {
+    // A `>` inside an entity literal or a comment of the internal subset
+    // used to end the DOCTYPE early: this query answered `<o>]&gt;</o>`.
+    let q = "<o>{$input/text()}</o>";
+    for xml in [
+        "<!DOCTYPE a [<!ENTITY e \"x>y\">]><a/>",
+        "<!DOCTYPE a [<!-- a > b -->]><a/>",
+    ] {
+        assert_eq!(pipeline(q, xml), "<o></o>", "{xml}");
+        assert_eq!(pipeline(q, xml), reference(q, xml));
+    }
+}
+
+#[test]
 fn streaming_into_a_writer_sink_matches_string_driver() {
     let xml = "<site><a><b>x</b></a><a><b>y</b></a></site>";
     let q = "<o>{$input//b}</o>";

@@ -977,3 +977,180 @@ fn streamed_mid_run_failure_truncates_the_chunked_body() {
     assert!(metric(&text, "foxq_lane_failures_total") >= 1);
     handle.shutdown();
 }
+
+// ---- the in-window tokenizer behind the body framing --------------------------
+
+/// ~1 MiB whose every record has a multi-byte character and a reference.
+fn big_accented_doc() -> (Vec<u8>, String) {
+    let mut xml = String::from("<site><people>");
+    let mut expected = String::from("<o>");
+    for i in 0.. {
+        if xml.len() >= 1 << 20 {
+            break;
+        }
+        xml.push_str(&format!(
+            "<person id=\"p{i}\"><name>Zo\u{e9} &amp; Ren\u{e9}e {i}</name></person>"
+        ));
+        expected.push_str(&format!("Zo\u{e9} &amp; Ren\u{e9}e {i}"));
+    }
+    xml.push_str("</people></site>");
+    expected.push_str("</o>");
+    (xml.into_bytes(), expected)
+}
+
+/// The tokenizer sees a chunked body as whatever reads the chunk decoder
+/// hands it: chunk boundaries inside a tag, inside a reference and between
+/// the two bytes of a character must not show in the answer.
+#[test]
+fn chunk_boundaries_inside_tags_references_and_characters_do_not_show() {
+    let handle = start(test_config());
+    let addr = handle.local_addr();
+    let target = client::query_target(PERSON_NAMES);
+    let (body, expected) = big_accented_doc();
+
+    let plain = client::post(addr, &target, &body).unwrap();
+    assert_eq!(plain.status, 200, "{}", plain.text());
+    assert_eq!(plain.text(), expected);
+
+    // From 64 places spread over the document, the next `<per|son`, the
+    // next `&a|mp;` and the next `\xC3|\xA9`.
+    let find = |from: usize, pattern: &[u8]| {
+        from + body[from..]
+            .windows(pattern.len())
+            .position(|w| w == pattern)
+            .expect("the pattern recurs to the end")
+    };
+    let mut cuts = Vec::new();
+    for k in 0..64 {
+        let from = k * (body.len() - 200) / 64;
+        let tag = find(from, b"<person") + 4;
+        let reference = find(tag, b"&amp;") + 2;
+        let character = find(reference, "\u{e9}".as_bytes()) + 1;
+        cuts.extend([tag, reference, character]);
+    }
+    cuts.dedup();
+    assert!(cuts.windows(2).all(|w| w[0] < w[1]), "cuts in order");
+    let mut chunks = Vec::new();
+    let mut rest = &body[..];
+    let mut taken = 0;
+    for cut in cuts {
+        let (chunk, tail) = rest.split_at(cut - taken);
+        chunks.push(chunk);
+        rest = tail;
+        taken = cut;
+    }
+    chunks.push(rest);
+
+    let mut c = Client::connect(addr).unwrap();
+    let chunked = c.request_chunked("POST", &target, chunks).unwrap();
+    assert_eq!(chunked.status, 200, "{}", chunked.text());
+    assert_eq!(chunked.text(), expected);
+    // The body was read to its framed end: the connection is still good.
+    let again = c.request("GET", "/healthz", &[], &[]).unwrap();
+    assert_eq!((again.status, again.text().as_str()), (200, "ok\n"));
+    handle.shutdown();
+}
+
+/// The byte budget trips on the first byte past it, and by then the server
+/// has taken no more off the socket than the budget and one window of the
+/// reader: the tokenizer's larger reads do not read around the limit.
+#[test]
+fn the_byte_limit_fires_at_limit_plus_one_within_one_window() {
+    const LIMIT: usize = 100_000;
+    let handle = start(ServerConfig {
+        max_body_bytes: LIMIT as u64,
+        ..test_config()
+    });
+    let addr = handle.local_addr();
+    let target = client::query_target(PERSON_NAMES);
+    // Padded with trailing whitespace to an exact size.
+    let sized = |bytes: usize| {
+        let mut body = doc(&["Edge"]);
+        body.resize(bytes, b' ');
+        body
+    };
+
+    let at_limit = client::post(addr, &target, &sized(LIMIT)).unwrap();
+    assert_eq!(
+        (at_limit.status, at_limit.text().as_str()),
+        (200, "<o>Edge</o>")
+    );
+    let one_over = client::post(addr, &target, &sized(LIMIT + 1)).unwrap();
+    assert_eq!(one_over.status, 413, "{}", one_over.text());
+
+    let before = metric(
+        &client::get(addr, "/metrics").unwrap().text(),
+        "foxq_bytes_in_total",
+    );
+    let far_over = client::post(addr, &target, &sized(512 << 10)).unwrap();
+    assert_eq!(far_over.status, 413, "{}", far_over.text());
+    let after = metric(
+        &client::get(addr, "/metrics").unwrap().text(),
+        "foxq_bytes_in_total",
+    );
+    // Both scrapes' own request heads are in the difference too.
+    let consumed = (after - before) as usize;
+    assert!(
+        consumed <= LIMIT + (64 << 10) + 1024,
+        "the server took {consumed} bytes of a 512 KiB upload under a limit of {LIMIT}"
+    );
+    handle.shutdown();
+}
+
+/// A request pipelined behind a body several windows long: the reader's
+/// reads are clipped to the framed body, so the next head stays where the
+/// reactor finds it — for a sized body and for a chunked one.
+#[test]
+fn a_request_pipelined_behind_a_long_body_is_not_swallowed() {
+    use std::io::Write;
+    let handle = start(test_config());
+    let addr = handle.local_addr();
+    let target = client::query_target(PERSON_NAMES);
+    let names: Vec<String> = (0..9000).map(|i| format!("p{i}")).collect();
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let body = doc(&refs); // ~300 KiB
+    assert!(body.len() > 4 * (64 << 10));
+    let expected = format!("<o>{}</o>", names.join(""));
+
+    for chunked in [false, true] {
+        let mut wire = Vec::new();
+        if chunked {
+            wire.extend_from_slice(
+                format!(
+                    "POST {target} HTTP/1.1\r\nhost: foxq\r\ntransfer-encoding: chunked\r\n\r\n"
+                )
+                .as_bytes(),
+            );
+            for chunk in body.chunks(70_001) {
+                wire.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                wire.extend_from_slice(chunk);
+                wire.extend_from_slice(b"\r\n");
+            }
+            wire.extend_from_slice(b"0\r\n\r\n");
+        } else {
+            wire.extend_from_slice(
+                format!(
+                    "POST {target} HTTP/1.1\r\nhost: foxq\r\ncontent-length: {}\r\n\r\n",
+                    body.len()
+                )
+                .as_bytes(),
+            );
+            wire.extend_from_slice(&body);
+        }
+        wire.extend_from_slice(b"GET /healthz HTTP/1.1\r\nhost: foxq\r\n\r\n");
+
+        let mut c = Client::connect(addr).unwrap();
+        c.raw_writer().write_all(&wire).unwrap();
+        c.raw_writer().flush().unwrap();
+        let first = c.read_response().unwrap();
+        assert_eq!(first.status, 200, "chunked {chunked}: {}", first.text());
+        assert_eq!(first.text(), expected, "chunked {chunked}");
+        let second = c.read_response().unwrap();
+        assert_eq!(
+            (second.status, second.text().as_str()),
+            (200, "ok\n"),
+            "chunked {chunked}"
+        );
+    }
+    handle.shutdown();
+}
