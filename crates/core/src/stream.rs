@@ -145,19 +145,26 @@ pub struct StreamStats {
     /// of the first pending call could in principle be flushed. The
     /// streamability planner (ROADMAP item 4) predicts this quantity.
     pub peak_pending_calls: usize,
-    /// Maximum element nesting depth seen.
+    /// Maximum nesting depth among the events the engine was fed. Subtrees
+    /// withheld upstream (see [`StreamStats::prefiltered_events`]) are not
+    /// looked into: over a tape seek, an index jump or an XML skim alike,
+    /// this is the depth of what was fed, not of the document.
     pub max_depth: usize,
     /// Output events pushed to the sink.
     pub output_events: u64,
     /// Input events withheld upstream on this engine's behalf (they were
-    /// never fed, so they appear in no other counter). The engine itself
-    /// never sets it; `foxq_service::MultiQueryEngine` does, for two
-    /// reasons: its label prefilter withheld the event from this lane (any
-    /// input, prefilter-eligible lanes only), or a seekable tape jumped
-    /// over the interior of a subtree at whose open every lane reported
-    /// [`Engine::is_dead`] (tapes only, every lane — so a solo replay of a
-    /// subtree-copying query over a tape reports it too). 0 for
-    /// `run_streaming*` and for pass-through lanes over parsed XML.
+    /// never fed, so they appear in no other counter; `events +
+    /// prefiltered_events` is what the source held). The engine itself
+    /// never sets it; its drivers do, for two reasons. One is static:
+    /// `foxq_service::MultiQueryEngine`'s label prefilter withheld the event
+    /// from this lane (any input, prefilter-eligible lanes only). The other
+    /// is the run-time verdict: at an element's open the engine — every
+    /// lane, under a `MultiQueryEngine` — reported [`Engine::is_dead`], and
+    /// the source skipped to the matching close
+    /// ([`EventSource::skip_subtree`]): a tape seeks over the interior, an
+    /// [`XmlReader`] skims it — every byte checked, no event built. So a
+    /// solo `run_streaming*` of a selecting query reports it too; 0 when
+    /// nothing was dead.
     pub prefiltered_events: u64,
     /// Tape bytes an upstream seekable event source (`foxq_store`) jumped
     /// over instead of decoding, on this engine's behalf, each jump
@@ -178,10 +185,10 @@ pub struct StreamStats {
     /// [`EmitSink`](crate::emit::EmitSink) sees at most this many non-empty
     /// emission boundaries.
     pub emit_flushes: u64,
-    /// 1-based index of the input event whose flush produced the *first*
-    /// output event (0 if the run produced no output). This is the
-    /// events-to-first-emit measure: how much input had to be consumed
-    /// before any prefix became irrevocable.
+    /// 1-based index, among the events fed, of the input event whose flush
+    /// produced the *first* output event (0 if the run produced no output).
+    /// This is the events-to-first-emit measure: how much input had to be
+    /// processed before any prefix became irrevocable.
     pub first_emit_events: u64,
     /// Output events that were already emitted when end-of-input arrived —
     /// i.e. output that streamed out *before* the document ended. The
@@ -1005,18 +1012,49 @@ pub fn run_streaming_with_limits<E: EventSource, S: XmlSink>(
 /// `StreamProfiler`), handed back alongside the sink and stats.
 pub fn run_streaming_with_observer<E: EventSource, S: XmlSink, O: StreamObserver>(
     mft: &Mft,
-    mut events: E,
+    events: E,
     sink: S,
     limits: StreamLimits,
     obs: O,
 ) -> Result<(S, StreamStats, O), StreamError> {
+    drive(mft, events, sink, limits, obs, |_| Ok(()))
+}
+
+/// The event-source loop: feed each event to the engine, then let
+/// `after_event` fire on the sink. After an element's open that leaves
+/// [`Engine::is_dead`], the source skips to the matching close
+/// ([`EventSource::skip_subtree`]: an `XmlReader` skims the interior, a tape
+/// seeks over it), the interior is accounted to
+/// [`StreamStats::prefiltered_events`], and the close is fed.
+fn drive<E: EventSource, S: XmlSink, O: StreamObserver>(
+    mft: &Mft,
+    mut events: E,
+    sink: S,
+    limits: StreamLimits,
+    obs: O,
+    mut after_event: impl FnMut(&mut S) -> Result<(), StreamError>,
+) -> Result<(S, StreamStats, O), StreamError> {
     let mut engine = Engine::with_observer(mft, sink, limits, obs);
+    let mut withheld = 0;
     loop {
         match events.next_event()? {
-            XmlEvent::Open(label) => engine.open(&label)?,
+            XmlEvent::Open(label) => {
+                engine.open(&label)?;
+                if !label.is_text() && engine.is_dead() {
+                    withheld += events.skip_subtree()? - 1;
+                    after_event(engine.sink_mut())?;
+                    engine.close()?;
+                }
+            }
             XmlEvent::Close(_) => engine.close()?,
-            XmlEvent::Eof => return engine.finish_observed(),
+            XmlEvent::Eof => {
+                let (mut sink, mut stats, obs) = engine.finish_observed()?;
+                stats.prefiltered_events = withheld;
+                after_event(&mut sink)?;
+                return Ok((sink, stats, obs));
+            }
         }
+        after_event(engine.sink_mut())?;
     }
 }
 
@@ -1040,24 +1078,12 @@ pub fn run_streaming_emit<E: EventSource, S: crate::emit::EmitSink>(
 /// [`run_streaming_emit`] with a live [`StreamObserver`].
 pub fn run_streaming_emit_observed<E: EventSource, S: crate::emit::EmitSink, O: StreamObserver>(
     mft: &Mft,
-    mut events: E,
+    events: E,
     sink: S,
     limits: StreamLimits,
     obs: O,
 ) -> Result<(S, StreamStats, O), StreamError> {
-    let mut engine = Engine::with_observer(mft, sink, limits, obs);
-    loop {
-        match events.next_event()? {
-            XmlEvent::Open(label) => engine.open(&label)?,
-            XmlEvent::Close(_) => engine.close()?,
-            XmlEvent::Eof => {
-                let (mut sink, stats, obs) = engine.finish_observed()?;
-                sink.emit()?;
-                return Ok((sink, stats, obs));
-            }
-        }
-        engine.sink_mut().emit()?;
-    }
+    drive(mft, events, sink, limits, obs, |sink| Ok(sink.emit()?))
 }
 
 /// Drive the engine from an in-memory forest (no XML parsing involved) —

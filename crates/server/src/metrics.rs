@@ -102,7 +102,8 @@ pub struct Metrics {
     pub lane_runs_total: AtomicU64,
     /// Lanes that ended in a per-lane error (fuel, output budget).
     pub lane_failures_total: AtomicU64,
-    /// Input events the shared label prefilter withheld from eligible lanes.
+    /// Input events withheld from lanes: by the shared label prefilter, and
+    /// inside subtrees every lane was dead in (tape seek, XML skim).
     pub prefilter_skipped_total: AtomicU64,
     /// Tape bytes seeked over (never decoded) on corpus query runs.
     pub seek_skipped_bytes_total: AtomicU64,
@@ -280,7 +281,7 @@ impl Metrics {
         );
         counter(
             "foxq_prefilter_skipped_events_total",
-            "Input events withheld from eligible lanes by the label prefilter.",
+            "Input events withheld from lanes: by the label prefilter, or skipped (tape seek, XML skim) where every lane was dead.",
             get(&self.prefilter_skipped_total),
         );
         counter(

@@ -26,17 +26,21 @@
 //! passes through and keeps receiving every event; the withheld-event count
 //! is reported per lane in [`StreamStats::prefiltered_events`].
 //!
-//! ## The dead-location verdict drives seekable sources
+//! ## The dead-location verdict drives the source
 //!
 //! The prefilter is a static over-approximation of something each engine
 //! knows exactly at run time: after an `open`, a lane whose current
 //! location has no subscriber ([`Engine::is_dead`]) cannot be affected by
 //! anything inside that subtree. [`MultiQueryEngine::all_lanes_dead`] is
 //! that verdict for the whole set — a lane the prefilter is withholding
-//! from, or one that failed, is dead by definition — and the tape drivers
-//! act on it: they feed the open, and when every lane is dead they seek to
-//! the matching close instead of decoding the interior. That is the only
-//! skip protocol; "the prefilter withheld it" is one way of being dead.
+//! from, or one that failed, is dead by definition — and every driver acts
+//! on it: it feeds the open, and when every lane is dead it has the source
+//! skip to the matching close instead of producing the interior
+//! ([`EventSource::skip_subtree`]). A tape seeks there; an [`XmlReader`]
+//! *skims* — every byte is still checked, so a malformed document fails as
+//! it always did, but no name is interned, no text allocated, no event
+//! built. That is the only skip protocol; "the prefilter withheld it" is
+//! one way of being dead.
 
 use foxq_core::emit::EmitSink;
 use foxq_core::mft::Mft;
@@ -168,9 +172,10 @@ pub struct MultiQueryEngine<'m, S, O: StreamObserver = ()> {
     filter: Option<Prefilter>,
     running: usize,
     input_events: u64,
-    /// Events inside subtrees a tape driver seeked over because every lane
-    /// was dead at the open — withheld from *every* lane, on top of what
-    /// the prefilter withholds from the eligible ones.
+    /// Events inside subtrees a driver had its source skip (a tape seek,
+    /// an XML skim) because every lane was dead at the open — withheld from
+    /// *every* lane, on top of what the prefilter withholds from the
+    /// eligible ones.
     seek_events: u64,
     /// Tape bytes those seeks never decoded.
     seek_bytes: u64,
@@ -297,7 +302,7 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     }
 
     /// Events withheld from the eligible lanes so far: by the prefilter,
-    /// and inside subtrees a tape driver seeked over.
+    /// and inside subtrees the source skipped (a tape seek, an XML skim).
     pub fn prefiltered_events(&self) -> u64 {
         self.seek_events + self.filter.as_ref().map_or(0, |f| f.skipped)
     }
@@ -353,10 +358,10 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             })
     }
 
-    /// Account the interior of a subtree a tape driver seeked over after
+    /// Account the interior of a subtree the source skipped after
     /// [`MultiQueryEngine::all_lanes_dead`]: `events` opens + closes
     /// nobody was fed (the subtree's own open and close are fed and not
-    /// among them) and `bytes` of undecoded tape.
+    /// among them) and `bytes` of undecoded tape (0 for skimmed XML).
     fn note_seek_skipped(&mut self, events: u64, bytes: u64) {
         self.input_events += events;
         self.seek_events += events;
@@ -446,7 +451,7 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     }
 
     /// Signal end of input; collect each lane's sink and statistics. Every
-    /// lane reports what tape seeks withheld from it in
+    /// lane reports what tape seeks and XML skims withheld from it in
     /// [`StreamStats::prefiltered_events`] /
     /// [`StreamStats::seek_skipped_bytes`]; lanes the prefilter served add
     /// its withheld-event count.
@@ -636,7 +641,10 @@ pub fn run_multi_with_plan_observed<E: EventSource, S: XmlSink, O: StreamObserve
 
 /// The shared event-source loop: feed each event to the fan-out, then let
 /// `after_event` fire (the `*_emit` drivers release irrevocable prefixes
-/// there; plain drivers pass a no-op that compiles away).
+/// there; plain drivers pass a no-op that compiles away). After an
+/// element's open that leaves [`MultiQueryEngine::all_lanes_dead`], the
+/// source skips to the matching close — an [`XmlReader`] skims — and the
+/// interior is accounted as withheld from every lane, as on a tape.
 fn run_multi_hooked<'m, E: EventSource, S: XmlSink, O: StreamObserver>(
     mfts: &[&'m Mft],
     mut events: E,
@@ -666,7 +674,19 @@ fn run_multi_hooked<'m, E: EventSource, S: XmlSink, O: StreamObserver>(
             });
         }
         match events.next_event()? {
-            XmlEvent::Open(label) => engine.open(&label),
+            XmlEvent::Open(label) => {
+                engine.open(&label);
+                // (With every lane failed the pass is over: nothing is left
+                // to skim for.)
+                if !label.is_text() && engine.running() > 0 && engine.all_lanes_dead() {
+                    // Nobody can use the subtree: the source consumes it
+                    // without building its events (an `XmlReader` skims).
+                    let skipped = events.skip_subtree()?;
+                    engine.note_seek_skipped(skipped - 1, 0);
+                    after_event(&mut engine);
+                    engine.close();
+                }
+            }
             XmlEvent::Close(_) => engine.close(),
             XmlEvent::Eof => {
                 let input_events = engine.input_events() + 1;
@@ -795,8 +815,8 @@ fn run_multi_on_index_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObserve
                 if !label.is_text() && engine.all_lanes_dead() {
                     // The interior's events are part of the remainder
                     // accounted at end of input.
-                    let bytes = drive.skip_subtree()?;
-                    engine.note_seek_skipped(0, bytes);
+                    let skipped = drive.skip_subtree()?;
+                    engine.note_seek_skipped(0, skipped.bytes);
                     after_event(&mut engine);
                     engine.close();
                 }
@@ -875,7 +895,7 @@ fn run_multi_on_tape_scan_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObs
                 engine.open(&label);
                 if !label.is_text() && tape.skippable() && engine.lanes_idle(ask_engines) {
                     let skipped = tape.skip_subtree()?;
-                    engine.note_seek_skipped(skipped.events - 2, skipped.bytes);
+                    engine.note_seek_skipped(skipped.events - 1, skipped.bytes);
                     after_event(&mut engine);
                     engine.close();
                 }

@@ -38,8 +38,8 @@
 //! sound.
 
 use crate::tape::{
-    read_exact_at, read_varint, slice_varint, EventHash, PostingDirEntry, StoreError, TapeInfo,
-    TapeReader, TAG_CLOSE, TAG_EOF, TAG_OPEN_ELEM, TAG_OPEN_TEXT, TAPE_START,
+    read_exact_at, read_varint, slice_varint, EventHash, PostingDirEntry, SkippedSubtree,
+    StoreError, TapeInfo, TapeReader, TAG_CLOSE, TAG_EOF, TAG_OPEN_ELEM, TAG_OPEN_TEXT, TAPE_START,
 };
 use foxq_forest::{FxHashSet, Label};
 use foxq_xml::{EventSource, XmlError, XmlEvent};
@@ -164,6 +164,9 @@ pub struct IndexedReplay<R> {
     texts_filtered: bool,
     stack: Vec<Frame>,
     delivered: u64,
+    /// Events [`IndexedReplay::skip_subtree`] counted without delivering
+    /// them.
+    seek_skipped_events: u64,
     /// Events behind the read position *within the innermost contiguous
     /// frame*: delivered ones plus, for every closed child, what its close
     /// frame says it held. Gaps between children are not counted, so the
@@ -261,6 +264,7 @@ pub fn index_drive<R: BufRead + Seek>(
         texts_filtered: texts,
         stack: vec![root],
         delivered: 0,
+        seek_skipped_events: 0,
         position: 0,
         index_skipped_bytes: 0,
         probe_micros,
@@ -439,17 +443,16 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
         Ok(XmlEvent::Close(frame.label))
     }
 
-    /// Drop the rest of the innermost open subtree: seek to its close
-    /// frame and consume it, as [`TapeReader::skip_subtree`] does on a
-    /// scan. Returns the tape bytes between the read position and that
-    /// close, none of which is decoded now (they are not counted as
-    /// index-skipped: the jump starts from a decoded open). The postings
-    /// inside the subtree are discarded by the depth rule as the merge
-    /// reaches them, and the frame counts as not fully decoded, so its
-    /// stored hash is folded into the parent unverified — exactly a
-    /// skipped child. Panics when no delivered open is waiting for its
-    /// close.
-    pub fn skip_subtree(&mut self) -> Result<u64, StoreError> {
+    /// [`EventSource::skip_subtree`] for an indexed replay, as
+    /// [`TapeReader::skip_subtree`] is for a scan: seek to the close frame
+    /// of the innermost open subtree and consume it. The bytes in between,
+    /// none of which is decoded now, are not counted as index-skipped: the
+    /// jump starts from a decoded open. The postings inside the subtree are
+    /// discarded by the depth rule as the merge reaches them, and the frame
+    /// counts as not fully decoded, so its stored hash is folded into the
+    /// parent unverified — exactly a skipped child. Panics when no
+    /// delivered open is waiting for its close.
+    pub fn skip_subtree(&mut self) -> Result<SkippedSubtree, StoreError> {
         assert!(
             self.stack.len() > 1,
             "skip_subtree outside any open subtree"
@@ -460,8 +463,12 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
         let bytes = close_at - self.tape.offset;
         self.tape.input.seek(SeekFrom::Start(close_at))?;
         self.tape.offset = close_at;
+        let before = self.position;
         self.deliver_close()?;
-        Ok(bytes)
+        // The close frame's count moved the position over the interior.
+        let events = self.position - before;
+        self.seek_skipped_events += events - 1;
+        Ok(SkippedSubtree { events, bytes })
     }
 
     /// Pull the next prefilter-surviving event.
@@ -624,6 +631,13 @@ impl<R: BufRead + Seek> EventSource for IndexedReplay<R> {
     }
 
     fn events_read(&self) -> u64 {
-        self.delivered
+        self.delivered + self.seek_skipped_events
+    }
+
+    fn skip_subtree(&mut self) -> Result<u64, XmlError> {
+        match IndexedReplay::skip_subtree(self) {
+            Ok(skipped) => Ok(skipped.events),
+            Err(e) => Err(e.into_xml()),
+        }
     }
 }

@@ -13,8 +13,9 @@
 //!   (O(depth) bookkeeping plus a fixed-size write buffer); text payloads
 //!   are LZ-compressed per frame, posting lists accumulate per label.
 //! * [`TapeReader`] implements the engine's event-source interface
-//!   ([`foxq_xml::EventSource`]) and exposes [`TapeReader::skip_subtree`]
-//!   for seek-based subtree pruning. File-opened readers sit on a
+//!   ([`foxq_xml::EventSource`]); its `skip_subtree` is a seek
+//!   ([`TapeReader::skip_subtree`] is the same operation, also reporting
+//!   the bytes it saved). File-opened readers sit on a
 //!   [`TapeInput`] — a raw memory map when the platform grants one
 //!   (zero-copy, page-cache-friendly), buffered file I/O otherwise
 //!   (`FOXQ_STORE_NO_MMAP=1` forces the fallback).

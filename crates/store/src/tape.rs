@@ -662,10 +662,13 @@ impl<R: Read> Read for CountingRead<R> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// What [`TapeReader::skip_subtree`] jumped over.
+/// What a tape's `skip_subtree` ([`TapeReader::skip_subtree`],
+/// [`crate::IndexedReplay::skip_subtree`]) consumed.
 #[derive(Debug, Clone, Copy)]
 pub struct SkippedSubtree {
-    /// Open + close events of the subtree, its own open and close included.
+    /// Open + close events consumed — the subtree's interior and its close;
+    /// its open had been returned. What [`EventSource::skip_subtree`]
+    /// returns.
     pub events: u64,
     /// Tape bytes that were never decoded.
     pub bytes: u64,
@@ -718,12 +721,10 @@ pub struct TapeReader<R> {
     pub(crate) postings_dir: Vec<PostingDirEntry>,
     open_stack: Vec<OpenNode>,
     last_open: Option<SkipHandle>,
-    events_read: u64,
     /// Open/close events of the tape behind the read position: the ones
     /// returned plus everything [`TapeReader::skip_subtree`] jumped over.
     /// Every close frame's `subtree_events` is checked against it.
     position: u64,
-    seek_skipped_events: u64,
     seek_skipped_bytes: u64,
     seek_micros: u64,
     hash: EventHash,
@@ -888,9 +889,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
             postings_dir,
             open_stack: Vec::new(),
             last_open: None,
-            events_read: 0,
             position: 0,
-            seek_skipped_events: 0,
             seek_skipped_bytes: 0,
             seek_micros: 0,
             hash: EventHash::new(),
@@ -924,15 +923,10 @@ impl<R: BufRead + Seek> TapeReader<R> {
         self.info.version != VERSION_V1 && self.info.flags & KNOWN_FLAGS == 0
     }
 
-    /// Open/close events returned so far (skipped subtrees excluded, except
-    /// for their already-returned open event).
+    /// Open/close events consumed so far: the ones returned and the ones
+    /// [`TapeReader::skip_subtree`] counted.
     pub fn events_read(&self) -> u64 {
-        self.events_read
-    }
-
-    /// Events jumped over by [`TapeReader::skip_subtree`] so far.
-    pub fn seek_skipped_events(&self) -> u64 {
-        self.seek_skipped_events
+        self.position
     }
 
     /// Tape bytes jumped over (never decoded) so far.
@@ -1087,7 +1081,6 @@ impl<R: BufRead + Seek> TapeReader<R> {
                     }
                     self.fold_child(stored);
                 }
-                self.events_read += 1;
                 Ok(XmlEvent::Close(node.label))
             }
             TAG_EOF => {
@@ -1146,7 +1139,6 @@ impl<R: BufRead + Seek> TapeReader<R> {
             hash: node_hash,
             opened_at: self.position,
         });
-        self.events_read += 1;
         Ok(())
     }
 
@@ -1156,23 +1148,30 @@ impl<R: BufRead + Seek> TapeReader<R> {
         self.last_open.is_some()
     }
 
-    /// Seek over the subtree of the most recently returned `Open` event,
-    /// consuming its close frame. The opens and closes in between are never
-    /// decoded. Panics if [`TapeReader::skippable`] is false.
+    /// [`EventSource::skip_subtree`] for a tape, which also says how many
+    /// bytes that saved: right after an `Open`, consume its subtree through
+    /// the close frame. Where [`TapeReader::skippable`] holds that is a seek
+    /// and the opens and closes in between are never decoded; an open whose
+    /// close offset overflowed its field is decoded through instead.
     ///
     /// On v2 tapes the skipped subtree's stored hash is folded into its
     /// parent, so verification of everything *around* the skip — including
     /// the footer's document hash at `Eof` — survives. On v1 tapes the
-    /// first skip disables verification. The close frame's event count is
-    /// the one stored fact a skip takes on trust until an enclosing close
+    /// first seek disables verification. The close frame's event count is
+    /// the one stored fact a seek takes on trust until an enclosing close
     /// (or `Eof`) is decoded: a count that cannot be right is
     /// [`StoreError::Corrupt`] here, a wrong one there.
     pub fn skip_subtree(&mut self) -> Result<SkippedSubtree, StoreError> {
+        let Some(handle) = self.last_open.take() else {
+            let opened = self.open_stack.len();
+            let before = self.position;
+            while self.open_stack.len() >= opened && self.next_event()? != XmlEvent::Eof {}
+            return Ok(SkippedSubtree {
+                events: self.position - before,
+                bytes: 0,
+            });
+        };
         let start = std::time::Instant::now();
-        let handle = self
-            .last_open
-            .take()
-            .expect("skip_subtree without a skippable open event");
         let bytes = handle.close_at - self.offset;
         self.input.seek(SeekFrom::Start(handle.close_at))?;
         self.offset = handle.close_at;
@@ -1184,11 +1183,12 @@ impl<R: BufRead + Seek> TapeReader<R> {
                 ))
             }
         }
+        // The subtree's own open and close included.
         let events = self.read_varint_here()?;
         // Nothing was replayed to check the count against, and callers
-        // account `events - 2` withheld events: it must at least cover the
-        // subtree's own open and close, and cannot exceed what the footer
-        // says is left. Enclosing decoded closes check it exactly.
+        // account it as withheld: it must at least cover the subtree's own
+        // open and close, and cannot exceed what the footer says is left.
+        // Enclosing decoded closes check it exactly.
         if events < 2 || events - 1 > self.info.events.saturating_sub(self.position) {
             return self.corrupt(format!(
                 "close frame counts {events} subtree events ({} of {} replayed)",
@@ -1205,10 +1205,12 @@ impl<R: BufRead + Seek> TapeReader<R> {
             self.offset += 4;
             self.fold_child(u32::from_le_bytes(b));
         }
-        self.seek_skipped_events += events;
         self.seek_skipped_bytes += bytes;
         self.seek_micros += start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        Ok(SkippedSubtree { events, bytes })
+        Ok(SkippedSubtree {
+            events: events - 1,
+            bytes,
+        })
     }
 }
 
@@ -1218,7 +1220,14 @@ impl<R: BufRead + Seek> EventSource for TapeReader<R> {
     }
 
     fn events_read(&self) -> u64 {
-        self.events_read
+        TapeReader::events_read(self)
+    }
+
+    fn skip_subtree(&mut self) -> Result<u64, XmlError> {
+        match TapeReader::skip_subtree(self) {
+            Ok(skipped) => Ok(skipped.events),
+            Err(e) => Err(e.into_xml()),
+        }
     }
 }
 
@@ -1406,15 +1415,28 @@ mod tests {
     #[test]
     fn skip_subtree_jumps_to_the_close() {
         let xml = "<r><junk><x>1</x><y>2</y></junk><keep>3</keep></r>";
-        for (bytes, _) in [tape_of(xml), tape_of_v1(xml)] {
+        // By a seek — or, had the close offset overflowed its field, by
+        // decoding; through the trait it is the same operation.
+        for ((bytes, _), seeks) in [
+            (tape_of(xml), true),
+            (tape_of_v1(xml), true),
+            (tape_of(xml), false),
+        ] {
             let mut r = TapeReader::new(Cursor::new(bytes)).unwrap();
             assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("r")));
             assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("junk")));
             assert!(r.skippable());
-            let skipped = r.skip_subtree().unwrap();
-            // junk + x + "1" + y + "2": 5 opens + 5 closes.
-            assert_eq!(skipped.events, 10);
-            assert!(skipped.bytes > 0);
+            let skipped = if seeks {
+                r.skip_subtree().unwrap()
+            } else {
+                r.last_open = None;
+                let events = EventSource::skip_subtree(&mut r).unwrap();
+                SkippedSubtree { events, bytes: 0 }
+            };
+            // x + "1" + y + "2", opens and closes, and the close of junk.
+            assert_eq!(skipped.events, 9);
+            assert_eq!(r.events_read(), 11);
+            assert_eq!(skipped.bytes > 0, seeks);
             assert_eq!(r.seek_skipped_bytes(), skipped.bytes);
             // The replay resumes exactly after </junk>.
             assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("keep")));
@@ -1515,7 +1537,7 @@ mod tests {
         assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("r")));
         assert!(r.skippable(), "root close offset not backpatched");
         let skipped = r.skip_subtree().unwrap();
-        assert_eq!(skipped.events, info.events);
+        assert_eq!(skipped.events, info.events - 1);
         // v2: the skip folded the root's stored hash, so Eof still
         // verifies the document hash.
         assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);

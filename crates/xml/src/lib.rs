@@ -15,7 +15,8 @@
 //! * [`EventSource`] — the engine-facing input interface: anything that can
 //!   replay the `Open`/`Close`/`Eof` stream drives the engines
 //!   ([`XmlReader`] here; `foxq_store::TapeReader` replays pre-parsed
-//!   tapes without tokenizing).
+//!   tapes without tokenizing), and skips a subtree its consumer has no
+//!   use for (a tape seeks; [`XmlReader`] skims: all checks, no events).
 //! * [`BoundedReader`] — a byte-budget adapter for untrusted transports
 //!   (sockets): reading past its limit fails with a recognizable
 //!   [`ByteLimitExceeded`] instead of buffering without bound.

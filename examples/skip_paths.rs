@@ -1,31 +1,38 @@
-//! Decision data for ROADMAP item 4: what each way of skipping a tape
+//! Decision data for ROADMAP item 4: what each way of skipping a document
 //! delivers and costs, per query, in process.
 //!
 //! ```sh
-//! cargo run --release --example skip_paths -- doc.fet benchmark/queries [rounds]
+//! cargo run --release --example skip_paths -- doc.fet doc.xml benchmark/queries [rounds]
 //! ```
 //!
-//! Three read paths over the same FET2 tape, all obeying the dead-location
-//! rule (a subtree at whose open every lane is dead is seeked over):
+//! Three read paths over a FET2 tape and two over the XML text it was made
+//! from, all obeying the dead-location rule (a subtree at whose open every
+//! lane is dead is skipped: seeked over on the tape, skimmed in the text):
 //!
 //! * **index** — `run_multi_on_tape`: the posting-list cursor when the
 //!   query has a label projection, the scan otherwise;
 //! * **scan+prefilter** — `run_multi_on_tape_scan` under the query's own
 //!   plan: static label prefilter plus the engine's verdict;
 //! * **scan, verdict only** — `run_multi_on_tape_scan` under
-//!   `QuerySetPlan::pass_through`: no static analysis at all.
+//!   `QuerySetPlan::pass_through`: no static analysis at all;
+//! * **xml+prefilter** — `run_multi_with_plan` over an `XmlReader` under the
+//!   query's own plan (what `POST /query` runs);
+//! * **xml, verdict only** — the same under `pass_through` (what `foxq run`
+//!   does, through `run_streaming`).
 //!
-//! Each round times the three paths once per query, in an order that
+//! Each round times the five paths once per query, in an order that
 //! alternates between rounds; the table reports delivered events (exact)
 //! and the median [q1–q3] of the rounds in milliseconds. The last rows are
-//! `service.multi6_over_solo_sum` taken over the tape: six lanes in one
+//! `service.multi6_over_solo_sum` taken over each path: six lanes in one
 //! pass against the sum of six solo passes, outputs discarded.
 
 use foxq::core::stream::StreamLimits;
 use foxq::core::Mft;
-use foxq::service::{run_multi_on_tape, run_multi_on_tape_scan, PreparedQuery, QuerySetPlan};
+use foxq::service::{
+    run_multi_on_tape, run_multi_on_tape_scan, run_multi_with_plan, PreparedQuery, QuerySetPlan,
+};
 use foxq::store::TapeReader;
-use foxq::xml::{NullSink, WriterSink, XmlSink};
+use foxq::xml::{NullSink, WriterSink, XmlReader, XmlSink};
 use std::path::Path;
 use std::time::Instant;
 
@@ -37,23 +44,40 @@ const QUERIES: [(&str, &str); 6] = [
     ("Q17", "query17.xq"),
     ("Q13", "query13.xq"),
 ];
-const PATHS: [&str; 3] = ["index", "scan+prefilter", "scan, verdict only"];
+const PATHS: [&str; 5] = [
+    "index",
+    "scan+prefilter",
+    "scan, verdict only",
+    "xml+prefilter",
+    "xml, verdict only",
+];
 
-/// One replay of `tape` on path `path`; returns lane 0's delivered events
+/// The document in its two forms.
+struct Doc<'a> {
+    tape: &'a Path,
+    xml: &'a Path,
+}
+
+/// One run over `doc` on path `path`; returns lane 0's delivered events
 /// and the wall time in milliseconds.
-fn replay<S: XmlSink>(mfts: &[&Mft], tape: &Path, path: usize, sinks: Vec<S>) -> (u64, f64) {
+fn replay<S: XmlSink>(mfts: &[&Mft], doc: &Doc, path: usize, sinks: Vec<S>) -> (u64, f64) {
     let plan = match path {
-        2 => QuerySetPlan::pass_through(mfts.len()),
+        2 | 4 => QuerySetPlan::pass_through(mfts.len()),
         _ => QuerySetPlan::new(mfts.iter().copied()),
     };
     let start = Instant::now();
-    let reader = TapeReader::open_file(tape).expect("open tape");
     let limits = StreamLimits::serving();
-    let run = match path {
-        0 => run_multi_on_tape(mfts, reader, sinks, limits, &plan),
-        _ => run_multi_on_tape_scan(mfts, reader, sinks, limits, &plan),
-    }
-    .expect("replay");
+    let run = if path < 3 {
+        let reader = TapeReader::open_file(doc.tape).expect("open tape");
+        match path {
+            0 => run_multi_on_tape(mfts, reader, sinks, limits, &plan),
+            _ => run_multi_on_tape_scan(mfts, reader, sinks, limits, &plan),
+        }
+        .expect("replay")
+    } else {
+        let reader = XmlReader::new(std::fs::File::open(doc.xml).expect("open xml"));
+        run_multi_with_plan(mfts, reader, sinks, limits, &plan).expect("parse")
+    };
     let ms = start.elapsed().as_secs_f64() * 1e3;
     let (_, stats) = run
         .results
@@ -73,11 +97,17 @@ fn quartiles(samples: &mut [f64]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (tape, dir) = match args.as_slice() {
-        [tape, dir, ..] => (Path::new(tape), Path::new(dir)),
-        _ => panic!("usage: skip_paths <doc.fet> <queries dir> [rounds]"),
+    let (doc, dir) = match args.as_slice() {
+        [tape, xml, dir, ..] => (
+            Doc {
+                tape: Path::new(tape),
+                xml: Path::new(xml),
+            },
+            Path::new(dir),
+        ),
+        _ => panic!("usage: skip_paths <doc.fet> <doc.xml> <queries dir> [rounds]"),
     };
-    let rounds: usize = args.get(2).map_or(10, |r| r.parse().expect("rounds"));
+    let rounds: usize = args.get(3).map_or(10, |r| r.parse().expect("rounds"));
     let prepared: Vec<PreparedQuery> = QUERIES
         .iter()
         .map(|(_, file)| {
@@ -89,16 +119,16 @@ fn main() {
     println!("| query | path | delivered events | run ms, median [q1–q3] of {rounds} |");
     println!("|---|---|---|---|");
     for ((name, _), query) in QUERIES.iter().zip(&prepared) {
-        let mut delivered = [0u64; 3];
-        let mut times: [Vec<f64>; 3] = Default::default();
+        let mut delivered = [0u64; 5];
+        let mut times: [Vec<f64>; 5] = Default::default();
         for round in 0..rounds {
-            let mut order = [0, 1, 2];
+            let mut order = [0, 1, 2, 3, 4];
             if round % 2 == 1 {
                 order.reverse();
             }
             for path in order {
                 let sink = WriterSink::new(Vec::new());
-                let (events, ms) = replay(&[query.mft()], tape, path, vec![sink]);
+                let (events, ms) = replay(&[query.mft()], &doc, path, vec![sink]);
                 delivered[path] = events;
                 times[path].push(ms);
             }
@@ -112,10 +142,10 @@ fn main() {
     for (path, name) in PATHS.iter().enumerate() {
         let mut ratios = Vec::new();
         for round in 0..rounds {
-            let together = || replay(&six, tape, path, six.iter().map(|_| NullSink).collect()).1;
+            let together = || replay(&six, &doc, path, six.iter().map(|_| NullSink).collect()).1;
             let alone = || -> f64 {
                 six.iter()
-                    .map(|m| replay(&[m], tape, path, vec![NullSink]).1)
+                    .map(|m| replay(&[m], &doc, path, vec![NullSink]).1)
                     .sum()
             };
             let (t, a) = if round % 2 == 0 {

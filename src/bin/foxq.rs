@@ -63,17 +63,21 @@ fn real_main() -> Result<(), String> {
 const USAGE: &str = "\
 usage:
   foxq run [--stream] <query.xq> [input.xml|input.fet]
-      stream input (default stdin) through the query; a .fet input replays
-      the pre-parsed event tape (no XML tokenization) and decodes only what
+      stream input (default stdin) through the query, building only what
       the query can use: after each element's open, if the engine has no
       pending call left at that position (its label prefilter withholding
-      the element is the static case), the tape seeks to the matching
-      close. That helps the queries without a label projection — subtree
-      copies ($i/description), descendant axes below a child path
+      the element is the static case), the subtree is skipped. XML text is
+      skimmed to the matching close: every byte is still checked — a
+      malformed document fails with the error and offset it always got —
+      but no event is built. A .fet input replays the pre-parsed event
+      tape (no XML tokenization) and seeks there instead. That helps the
+      queries without a label projection too — subtree copies
+      ($i/description), descendant axes below a child path
       (/site/regions//item), query sets mixing those with navigators. On
       FET2 every decoded subtree is still checked against its stored hash
       and a skipped one's hash is folded into its parent's; what lies
-      inside a skipped subtree is never read, so never verified. --stream
+      inside a seeked-over subtree is never read, so never verified.
+      foxq stats reports the skipped events as 'prefiltered'. --stream
       flushes stdout at every emission boundary: each irrevocable output
       prefix appears as soon as the engine proves it final, not when the
       output buffer fills or the input ends

@@ -11,7 +11,9 @@
 
 use foxq::core::mft::Mft;
 use foxq::core::profile::StreamProfiler;
-use foxq::core::stream::{BufferSample, Engine, StreamLimits, StreamObserver, StreamStats};
+use foxq::core::stream::{
+    run_streaming, BufferSample, Engine, StreamLimits, StreamObserver, StreamStats,
+};
 use foxq::core::StateId;
 use foxq::gen::Dataset;
 use foxq::obs::AllocScope;
@@ -94,6 +96,49 @@ fn tokenizer_allocates_once_per_text_node_and_never_per_known_name() {
     while reader.next_event().unwrap() != XmlEvent::Eof {}
     assert_eq!(reader.events_read(), 2 + 2 * events_per_copy);
     assert_eq!(scope.delta().allocations, 0, "in the second copy");
+}
+
+#[test]
+fn a_selecting_run_over_xml_bytes_allocates_for_what_it_feeds_only() {
+    // Reader and engine together, as `foxq run` puts them together: the
+    // subtrees Q1 is dead in are skimmed, so the reader allocates for the
+    // events it feeds only. With every event tokenized the same run took
+    // 0.19 (reader) + 0.25 (engine) = 0.44 allocations per input event; the
+    // engine's 0.25 all fall on live events and are not this guard's to
+    // move (`selecting_engine_allocates_only_where_it_expands`).
+    let xml = xmark_document();
+    let events = xmark_events();
+    let q1 = compile("Q1");
+    let scope = AllocScope::begin();
+    let (_, stats) = run_streaming(q1.mft(), XmlReader::new(xml.as_bytes()), NullSink).unwrap();
+    let together = scope.delta().allocations as f64;
+    let input_events = stats.events + stats.prefiltered_events;
+    assert_eq!(input_events, events.len() as u64 + 1);
+    assert!(stats.prefiltered_events * 2 > input_events, "{stats:?}");
+    let per_event = together / events.len() as f64;
+    assert!(per_event <= 0.30, "Q1: {per_event:.3} allocations/event");
+    let reader = per_event - allocations_per_event(q1.mft(), &events);
+    assert!(reader <= 0.03, "Q1: {reader:.3} of them the reader's");
+}
+
+#[test]
+fn skimming_allocates_nothing_once_its_stacks_have_their_size() {
+    // A dead subtree twice under one root, with all that allocates when it
+    // is tokenized — text, attributes, names — left in: the second copy is
+    // skimmed with the window, the scratch space and the stack of skimmed
+    // names at the size the first copy gave them.
+    let xml = xmark_document();
+    let twice = format!("<twice>{xml}{xml}</twice>");
+    let mut reader = XmlReader::new(twice.as_bytes());
+    assert!(matches!(reader.next_event().unwrap(), XmlEvent::Open(_)));
+    assert!(matches!(reader.next_event().unwrap(), XmlEvent::Open(_)));
+    let first = reader.skip_subtree().unwrap();
+    assert!(matches!(reader.next_event().unwrap(), XmlEvent::Open(_)));
+    let scope = AllocScope::begin();
+    let second = reader.skip_subtree().unwrap();
+    assert_eq!(scope.delta().allocations, 0, "in the second copy");
+    assert_eq!(first, second);
+    assert_eq!(first + 1, xmark_events().len() as u64);
 }
 
 #[test]

@@ -3,15 +3,18 @@
 //!
 //! This is the reader of commit 0b6e4f5 moved here verbatim — one
 //! `fill_buf` + `consume(1)` per byte, a `Vec` → `String` → `Arc<str>` per
-//! name and text — with two edits: it is called `ByteReader`, and
+//! name and text — with three edits: it is called `ByteReader`,
 //! `skip_doctype` honours quoted literals, comments and processing
 //! instructions inside the internal subset (the fix the in-window reader
-//! shipped with, so the two define the same language). Every event, every
-//! error variant and every error offset of the in-window reader must equal
-//! what this one produces.
+//! shipped with), and a UTF-8 byte-order mark at offset 0 is dropped (the
+//! fix the skimming reader shipped with), so that the two define the same
+//! language. Every event, every error variant and every error offset of the
+//! in-window reader must equal what this one produces — and what
+//! `XmlReader::skip_subtree` counts and fails with must equal what pulling
+//! the same subtree from this one does (`EventSource`'s default body).
 
 use foxq::forest::Label;
-use foxq::xml::{WhitespaceMode, XmlError, XmlEvent};
+use foxq::xml::{EventSource, WhitespaceMode, XmlError, XmlEvent};
 use std::collections::VecDeque;
 use std::io::BufRead;
 
@@ -83,6 +86,20 @@ impl<R: BufRead> ByteReader<R> {
         }
         if self.finished {
             return Ok(XmlEvent::Eof);
+        }
+        if self.offset == 0 {
+            // The encoding signature (XML 1.0 §4.3.3) is not character
+            // data. The oracle is only ever handed a slice, whose first
+            // `fill_buf` holds all there is.
+            let offset = self.offset;
+            let buf = self
+                .input
+                .fill_buf()
+                .map_err(|e| XmlError::io_at(offset, e))?;
+            if buf.starts_with(b"\xEF\xBB\xBF") {
+                self.input.consume(3);
+                self.offset = 3;
+            }
         }
         loop {
             match self.read_byte()? {
@@ -519,4 +536,14 @@ fn is_name_start(c: u8) -> bool {
 
 fn is_name_cont(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80
+}
+
+impl<R: BufRead> EventSource for ByteReader<R> {
+    fn next_event(&mut self) -> Result<XmlEvent, XmlError> {
+        ByteReader::next_event(self)
+    }
+
+    fn events_read(&self) -> u64 {
+        ByteReader::events_read(self)
+    }
 }

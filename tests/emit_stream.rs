@@ -1,18 +1,20 @@
 //! Byte-identity guard for the earliest-emission subsystem: on every
 //! generated dataset, the concatenation of the streamed prefixes equals the
 //! materialized output — for the XML text source and for FET1 and FET2
-//! tapes, with the label prefilter both on and off.
+//! tapes, with the label prefilter both on and off. Over XML text the
+//! drivers skim the subtrees their engines are dead in; the chunk sequence
+//! must be the one of a run that is fed every event.
 //!
 //! This is the contract [`PreparedQuery::run_streaming`] documents: emission
 //! boundaries change *when* bytes leave, never *which* bytes leave.
 
-use foxq::core::emit::EmitWriter;
-use foxq::core::stream::StreamLimits;
+use foxq::core::emit::{EmitSink, EmitWriter};
+use foxq::core::stream::{run_streaming_emit, Engine, StreamLimits};
 use foxq::core::Mft;
 use foxq::gen::Dataset;
 use foxq::service::{run_multi_emit, run_multi_on_tape_emit, PreparedQuery, QuerySetPlan};
 use foxq::store::{ingest_xml_to_tape, ingest_xml_to_tape_v1, TapeReader};
-use foxq::xml::{forest_to_xml_string, XmlReader};
+use foxq::xml::{forest_to_xml_string, XmlEvent, XmlReader};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -29,26 +31,65 @@ fn query_for(dataset: Dataset) -> &'static str {
     }
 }
 
-/// Stream `xml` through the emit driver, concatenating delivered prefixes.
-fn stream_xml(mft: &Mft, xml: &[u8], plan: &QuerySetPlan) -> (Vec<u8>, usize) {
-    let mut out = Vec::new();
-    let mut chunks = 0usize;
-    let sink = EmitWriter::new(|c: &[u8]| {
-        out.extend_from_slice(c);
-        chunks += 1;
+/// A sink that appends each delivered prefix to `chunks`.
+fn collecting(
+    chunks: &mut Vec<Vec<u8>>,
+) -> EmitWriter<impl FnMut(&[u8]) -> std::io::Result<()> + '_> {
+    EmitWriter::new(|c: &[u8]| {
+        chunks.push(c.to_vec());
         Ok(())
-    });
-    let run = run_multi_emit(
+    })
+}
+
+/// Stream `xml` through the multi-query emit driver: the delivered
+/// prefixes, in order.
+fn stream_xml(mft: &Mft, xml: &[u8], plan: &QuerySetPlan) -> Vec<Vec<u8>> {
+    let mut chunks = Vec::new();
+    let lanes = run_multi_emit(
         &[mft],
         XmlReader::new(xml),
-        vec![sink],
+        vec![collecting(&mut chunks)],
         StreamLimits::default(),
         plan,
     )
-    .unwrap();
-    let (sink, _stats) = run.results.into_iter().next().unwrap().unwrap();
+    .unwrap()
+    .results;
+    for lane in lanes {
+        lane.unwrap().0.finish().unwrap();
+    }
+    chunks
+}
+
+/// The same through the solo emit driver.
+fn stream_xml_solo(mft: &Mft, xml: &[u8]) -> Vec<Vec<u8>> {
+    let mut chunks = Vec::new();
+    let sink = collecting(&mut chunks);
+    let (sink, _stats) =
+        run_streaming_emit(mft, XmlReader::new(xml), sink, StreamLimits::default()).unwrap();
     sink.finish().unwrap();
-    (out, chunks)
+    chunks
+}
+
+/// The prefixes of a run that is fed *every* event of `xml`, dead subtrees
+/// included, with the emission boundary fired after each: what the drivers
+/// delivered before they skimmed.
+fn stream_every_event(mft: &Mft, xml: &[u8]) -> Vec<Vec<u8>> {
+    let mut chunks = Vec::new();
+    let mut engine = Engine::new(mft, collecting(&mut chunks));
+    let mut reader = XmlReader::new(xml);
+    loop {
+        match reader.next_event().unwrap() {
+            XmlEvent::Open(label) => engine.open(&label).unwrap(),
+            XmlEvent::Close(_) => engine.close().unwrap(),
+            XmlEvent::Eof => break,
+        }
+        engine.sink_mut().emit().unwrap();
+    }
+    let (mut sink, stats) = engine.finish().unwrap();
+    assert_eq!(stats.events, reader.events_read() + 1);
+    sink.emit().unwrap();
+    sink.finish().unwrap();
+    chunks
 }
 
 /// Stream a tape through the emit driver (index, seek-scan, or plain replay
@@ -87,19 +128,29 @@ fn assert_streamed_identity(dataset: Dataset, xml: &str) {
     let (fet1, _, _) = ingest_xml_to_tape_v1(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
     let fet1 = fet1.into_inner();
 
+    // Skimming the subtrees the engine is dead in moves no boundary: the
+    // chunk *sequence* is that of a run fed every event.
+    let every_event = stream_every_event(mft, xml.as_bytes());
+    assert_eq!(every_event.concat(), expected.as_bytes());
+    if !expected.is_empty() {
+        assert!(
+            !every_event.is_empty(),
+            "{}: never streamed",
+            dataset.name()
+        );
+    }
+    let solo = stream_xml_solo(mft, xml.as_bytes());
+    assert!(solo == every_event, "{}: xml source, solo", dataset.name());
+
     let on = QuerySetPlan::new([mft]);
     let off = QuerySetPlan::pass_through(1);
     for (plan, mode) in [(&on, "prefilter on"), (&off, "prefilter off")] {
-        let (bytes, chunks) = stream_xml(mft, xml.as_bytes(), plan);
-        assert_eq!(
-            String::from_utf8(bytes).unwrap(),
-            expected,
+        let chunks = stream_xml(mft, xml.as_bytes(), plan);
+        assert!(
+            chunks == every_event,
             "{}: xml source, {mode}",
             dataset.name()
         );
-        if !expected.is_empty() {
-            assert!(chunks >= 1, "{}: output never streamed", dataset.name());
-        }
         for (tape, fmt) in [(&fet1, "FET1"), (&fet2, "FET2")] {
             let bytes = stream_tape(mft, tape, plan);
             assert_eq!(

@@ -10,26 +10,32 @@
 //! * `run_mft ∘ optimize`   — §4.1 (optimizations are semantics-preserving);
 //! * streaming engine       — on both the optimized and unoptimized MFT,
 //!   bare, with a `StreamProfiler` observing, as lanes of a
-//!   pass-through `MultiQueryEngine`, and over a FET2 tape of the document
-//!   whose subtrees are seeked over wherever every lane is dead;
+//!   pass-through `MultiQueryEngine`, over a FET2 tape of the document
+//!   whose subtrees are seeked over wherever every lane is dead, and over
+//!   the document's XML text, whose subtrees are skimmed there instead
+//!   (solo and as lanes, buffered and emitting);
 //! * the GCX baseline       — when it supports the query.
 //!
 //! Queries are generated respecting the §2.1 scope discipline (paths start
 //! at the nearest enclosing for-variable or `$input`), so translation never
 //! rejects them.
 
+use foxq::core::emit::EmitWriter;
 use foxq::core::profile::StreamProfiler;
 use foxq::core::stream::{
-    run_streaming_on_forest, run_streaming_to_string_with_limits, Engine, StreamError,
-    StreamLimits, StreamStats,
+    run_streaming_emit, run_streaming_on_forest, run_streaming_to_string_with_limits,
+    run_streaming_with_limits, Engine, StreamError, StreamLimits, StreamStats,
 };
 use foxq::core::{parse_mft, run_mft, Mft};
 use foxq::forest::term::parse_forest;
 use foxq::forest::{elem, text, Forest, Label, Tree};
 use foxq::gcx::{run_gcx_on_forest, GcxError};
-use foxq::service::{run_multi_on_tape, MultiQueryEngine, QueryCache, QuerySetPlan};
+use foxq::service::{
+    run_multi_emit, run_multi_on_tape, run_multi_with_plan, MultiQueryEngine, QueryCache,
+    QuerySetPlan,
+};
 use foxq::store::{TapeReader, TapeWriter};
-use foxq::xml::{forest_to_xml_string, ForestSink};
+use foxq::xml::{forest_to_xml_string, parse_document, ForestSink, XmlEvent, XmlReader};
 use foxq::xquery::ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
 use foxq::xquery::eval_query;
 use proptest::prelude::*;
@@ -271,6 +277,116 @@ fn stream_profiled(m: &Mft, doc: &[Tree]) -> (String, StreamStats) {
 /// engines' verdict alone.
 static SEEKED_ON_VERDICT: AtomicU64 = AtomicU64::new(0);
 
+/// Events the samples' solo and pass-through runs over XML text had the
+/// reader skim on the engines' verdict alone.
+static SKIMMED_ON_VERDICT: AtomicU64 = AtomicU64::new(0);
+
+/// The sample once more from the XML text of `doc`: solo and as two lanes
+/// (under the lanes' own plan and passed through), into a buffering sink
+/// and into an emitting one. Wherever every engine is dead the reader
+/// skims; no answer may change and no event may go uncounted.
+fn check_over_xml(seed: u64, query: &Query, doc: &[Tree], unopt: &Mft, opt: &Mft) {
+    let xml = forest_to_xml_string(doc);
+    // Adjacent text nodes are one text node once written out: the DOM
+    // evaluator answers for the document the text denotes.
+    let denoted = parse_document(xml.as_bytes()).unwrap();
+    let expected = forest_to_xml_string(&eval_query(query, &denoted).unwrap());
+    let mut full = XmlReader::new(xml.as_bytes());
+    while full.next_event().unwrap() != XmlEvent::Eof {}
+    let input_events = full.events_read() + 1;
+    let limits = StreamLimits::default();
+    let context = |what: &str| format!("{what} over xml (seed {seed})\nquery: {query}\n{xml}");
+    let check = |out: String, stats: &StreamStats, total: u64, what: &str| {
+        assert_eq!(out, expected, "{}", context(what));
+        assert_eq!(total, input_events, "{}", context(what));
+        assert_eq!(
+            stats.events + stats.prefiltered_events,
+            input_events,
+            "{}",
+            context(what)
+        );
+    };
+    let delivered = |bytes: Vec<u8>| String::from_utf8(bytes).unwrap();
+
+    for (label, m) in [("unopt", unopt), ("opt", opt)] {
+        let reader = XmlReader::new(xml.as_bytes());
+        let (sink, stats) = run_streaming_with_limits(m, reader, ForestSink::new(), limits)
+            .unwrap_or_else(|e| panic!("{}: {e}", context(label)));
+        check(
+            forest_to_xml_string(&sink.into_forest()),
+            &stats,
+            input_events,
+            label,
+        );
+        SKIMMED_ON_VERDICT.fetch_add(stats.prefiltered_events, Ordering::Relaxed);
+
+        let mut out = Vec::new();
+        let sink = EmitWriter::new(|chunk: &[u8]| {
+            out.extend_from_slice(chunk);
+            Ok(())
+        });
+        let reader = XmlReader::new(xml.as_bytes());
+        let (sink, emitted) = run_streaming_emit(m, reader, sink, limits).unwrap();
+        sink.finish().unwrap();
+        check(
+            delivered(out),
+            &emitted,
+            input_events,
+            &format!("{label}, emitting"),
+        );
+        assert_eq!(emitted, stats, "{}", context(label));
+    }
+
+    for plan in [
+        QuerySetPlan::new([unopt, opt]),
+        QuerySetPlan::pass_through(2),
+    ] {
+        let what = format!("{} eligible lane(s)", plan.eligible_lanes());
+        let run = run_multi_with_plan(
+            &[unopt, opt],
+            XmlReader::new(xml.as_bytes()),
+            vec![ForestSink::new(), ForestSink::new()],
+            limits,
+            &plan,
+        )
+        .unwrap();
+        let mut buffered = Vec::new();
+        for result in run.results {
+            let (sink, stats) = result.unwrap();
+            let out = forest_to_xml_string(&sink.into_forest());
+            check(out, &stats, run.input_events, &what);
+            if plan.eligible_lanes() == 0 {
+                SKIMMED_ON_VERDICT.fetch_add(stats.prefiltered_events, Ordering::Relaxed);
+            }
+            buffered.push(stats);
+        }
+
+        let mut outs = [Vec::new(), Vec::new()];
+        let sinks = outs
+            .iter_mut()
+            .map(|out| {
+                EmitWriter::new(|chunk: &[u8]| {
+                    out.extend_from_slice(chunk);
+                    Ok(())
+                })
+            })
+            .collect();
+        let reader = XmlReader::new(xml.as_bytes());
+        let run = run_multi_emit(&[unopt, opt], reader, sinks, limits, &plan).unwrap();
+        let total = run.input_events;
+        let mut emitted = Vec::new();
+        for result in run.results {
+            let (sink, stats) = result.unwrap();
+            sink.finish().unwrap();
+            emitted.push(stats);
+        }
+        for ((out, stats), buffered) in outs.into_iter().zip(emitted).zip(buffered) {
+            check(delivered(out), &stats, total, &format!("{what}, emitting"));
+            assert_eq!(stats, buffered, "{}", context(&what));
+        }
+    }
+}
+
 /// Run one (query, doc) sample through every engine and compare.
 fn check_sample(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -376,6 +492,7 @@ fn check_sample(seed: u64) {
             );
         }
     }
+    check_over_xml(seed, &query, &doc, unopt, opt);
     match run_gcx_on_forest(&query, &doc, ForestSink::new()) {
         Ok((sink, _)) => {
             let out = forest_to_xml_string(&sink.into_forest());
@@ -394,6 +511,10 @@ fn engines_agree_on_fixed_seeds() {
     assert!(
         SEEKED_ON_VERDICT.load(Ordering::Relaxed) > 0,
         "no sample ever seeked over a dead subtree"
+    );
+    assert!(
+        SKIMMED_ON_VERDICT.load(Ordering::Relaxed) > 0,
+        "no sample ever skimmed a dead subtree"
     );
 }
 

@@ -8,11 +8,13 @@
 //!   inlining growth budget (~15 ms after) — guarded at 50 ms.
 //!
 //! Plus the foxq-store acceptance bars: replaying a stored tape with
-//! seek-based subtree skipping must stay ≥ 3× faster than re-parsing the
-//! XML for a prefilter-eligible query (measured ~6×), and reading the
-//! same query's matched events through the FET2 merged index cursor must
-//! be ≥ 2× faster again than the FET1 prefilter seek replay (measured
-//! ~2.6× at 2 MiB).
+//! seek-based subtree skipping must stay ≥ 1.4× faster than re-parsing the
+//! XML for a prefilter-eligible query (measured ~2×, against a re-parse
+//! that skims what the query cannot use), and reading the same query's
+//! matched events through the FET2 merged index cursor must be ≥ 2× faster
+//! again than the FET1 prefilter seek replay (measured ~2.6× at 2 MiB).
+//! And the skim's own: skimming a document costs at most half of
+//! tokenizing it (measured ~0.4×).
 //!
 //! Plus the foxq-obs acceptance bar: serving with full tracing enabled
 //! (slow-query ring on every request + JSONL trace log) must stay within
@@ -95,8 +97,20 @@ fn optimizer_is_polynomial_on_nested_doubling_lets() {
     );
 }
 
+/// Best of 3: robust to one-off scheduler hiccups.
+fn best_of_3(f: &mut dyn FnMut()) -> Duration {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .expect("three runs")
+}
+
 #[test]
-fn tape_seek_replay_beats_reparse_by_3x() {
+fn tape_seek_replay_beats_a_skimming_reparse() {
     let Some(_alone) = release_only() else {
         return;
     };
@@ -107,12 +121,14 @@ fn tape_seek_replay_beats_reparse_by_3x() {
     use foxq::xml::{forest_to_xml_string, NullSink, XmlReader};
     use std::io::Cursor;
 
-    // The store_replay acceptance bar: a prefilter-eligible query over a
-    // stored XMark tape must run ≥ 3× faster via the seek path than by
-    // re-parsing the XML (measured 4.3–4.9× at 2 MiB — 2.9 ms against the
-    // in-window tokenizer's 13.8 ms — so 3× leaves 1.5× headroom for
-    // scheduler noise). Scan mode is forced — the index path has its own,
-    // stricter guard below.
+    // The store_replay acceptance bar, a same-run ratio: a
+    // prefilter-eligible query over a stored XMark tape must run ≥ 1.4×
+    // faster via the seek path than by re-parsing the XML. The bar was 3×
+    // while a re-parse tokenized every event (13.8 ms against the seek's
+    // 2.9 ms at 2 MiB, 4.8×). A re-parse now skims what the query cannot
+    // use and takes 5.5–6.7 ms, the seek what it took: 1.9–2.3×, so 1.4×
+    // leaves the headroom for scheduler noise the old bar had. Scan mode is
+    // forced — the index path has its own, stricter guard below.
     let forest = foxq::gen::generate(Dataset::Xmark, 2 << 20, 0xF0E5);
     let xml = forest_to_xml_string(&forest).into_bytes();
     let (out, _, _) = ingest_xml_to_tape(&xml[..], Cursor::new(Vec::new())).unwrap();
@@ -122,21 +138,10 @@ fn tape_seek_replay_beats_reparse_by_3x() {
     let mft = prepared.mft();
     let plan = QuerySetPlan::new([mft]);
 
-    // Best of 3 per engine: robust to one-off scheduler hiccups.
-    let best = |f: &mut dyn FnMut()| {
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                f();
-                start.elapsed()
-            })
-            .min()
-            .unwrap()
-    };
-    let reparse = best(&mut || {
+    let reparse = best_of_3(&mut || {
         run_multi(&[mft], XmlReader::new(&xml[..]), vec![NullSink]).unwrap();
     });
-    let seek = best(&mut || {
+    let seek = best_of_3(&mut || {
         let reader = TapeReader::new(Cursor::new(&tape[..])).unwrap();
         run_multi_on_tape_scan(
             &[mft],
@@ -147,9 +152,45 @@ fn tape_seek_replay_beats_reparse_by_3x() {
         )
         .unwrap();
     });
+    eprintln!("reparse {reparse:?}, seek {seek:?}");
     assert!(
-        seek * 3 <= reparse,
-        "tape seek replay must be ≥ 3× faster than reparse: reparse {reparse:?}, seek {seek:?}"
+        seek * 14 <= reparse * 10,
+        "tape seek replay must be ≥ 1.4× faster than reparse: reparse {reparse:?}, seek {seek:?}"
+    );
+}
+
+#[test]
+fn skimming_costs_at_most_half_of_tokenizing() {
+    let Some(_alone) = release_only() else {
+        return;
+    };
+    use foxq::gen::Dataset;
+    use foxq::xml::{forest_to_xml_string, XmlEvent, XmlReader};
+
+    // What the XML-fed rows gain where the engine is dead: the skim makes
+    // every check of the tokenizer and builds none of its events. A
+    // same-run ratio over one 2 MiB XMark document, skimmed from its root
+    // open (measured 0.37–0.41: 3.4–4.2 ms against 9.1–10.5 ms).
+    let forest = foxq::gen::generate(Dataset::Xmark, 2 << 20, 0xF0E5);
+    let xml = forest_to_xml_string(&forest).into_bytes();
+    let mut events = (0, 0);
+    let tokenize = best_of_3(&mut || {
+        let mut reader = XmlReader::new(&xml[..]);
+        while reader.next_event().unwrap() != XmlEvent::Eof {}
+        events.0 = reader.events_read();
+    });
+    let skim = best_of_3(&mut || {
+        let mut reader = XmlReader::new(&xml[..]);
+        reader.next_event().unwrap();
+        reader.skip_subtree().unwrap();
+        assert_eq!(reader.next_event().unwrap(), XmlEvent::Eof);
+        events.1 = reader.events_read();
+    });
+    eprintln!("tokenize {tokenize:?}, skim {skim:?}, {} events", events.0);
+    assert_eq!(events.0, events.1);
+    assert!(
+        skim * 2 <= tokenize,
+        "skimming must cost ≤ 0.5× tokenizing: tokenize {tokenize:?}, skim {skim:?}"
     );
 }
 

@@ -70,6 +70,19 @@ fn a_doctype_subset_leaves_no_stray_text() {
 }
 
 #[test]
+fn a_byte_order_mark_is_not_text() {
+    // `EF BB BF` at offset 0 is the encoding signature (XML 1.0 §4.3.3):
+    // this query used to answer `<o>\u{FEFF}</o>`, and `store add` baked
+    // the character into tapes.
+    let q = "<o>{$input/text()}</o>";
+    assert_eq!(pipeline(q, "\u{FEFF}<a>x</a>"), "<o></o>");
+    assert_eq!(pipeline(q, "\u{FEFF}<a>x</a>"), reference(q, "<a>x</a>"));
+    // Anywhere else it is the character it always was.
+    let q = "<o>{$input/a/text()}</o>";
+    assert_eq!(pipeline(q, "<a>\u{FEFF}x</a>"), "<o>\u{FEFF}x</o>");
+}
+
+#[test]
 fn streaming_into_a_writer_sink_matches_string_driver() {
     let xml = "<site><a><b>x</b></a><a><b>y</b></a></site>";
     let q = "<o>{$input//b}</o>";

@@ -978,6 +978,123 @@ fn streamed_mid_run_failure_truncates_the_chunked_body() {
     handle.shutdown();
 }
 
+// ---- skimmed subtrees are still checked, and still bounded -------------------
+
+/// XMark Q13: items of `/site/regions/australia`, with their descriptions.
+/// No label projection (it copies `$i/description`), so nothing is withheld
+/// statically: everywhere outside australia its engine is dead and the body
+/// is skimmed.
+const Q13: &str = "<out>{ for $i in /site/regions/australia/item \
+    return <item><name>{$i/name/text()}</name>{$i/description}</item> }</out>";
+/// The same items without the wrapper: nothing is emitted before australia.
+const Q13_BARE: &str = "for $i in /site/regions/australia/item \
+    return <item><name>{$i/name/text()}</name>{$i/description}</item>";
+
+/// `africa_items` items in africa, `damage` spliced into the first one's
+/// description, and one item in australia.
+fn regions_doc(africa_items: usize, damage: &str) -> Vec<u8> {
+    let mut xml = String::from("<site><regions><africa>");
+    for i in 0..africa_items {
+        let damage = if i == 0 { damage } else { "" };
+        xml.push_str(&format!(
+            "<item id=\"a{i}\"><name>n{i}</name><description><parlist>\
+             <listitem>text &amp; more{damage}</listitem></parlist></description></item>"
+        ));
+    }
+    xml.push_str(
+        "</africa><australia><item><name>roo</name><description>hops</description></item>\
+         </australia></regions></site>",
+    );
+    xml.into_bytes()
+}
+
+#[test]
+fn a_malformed_byte_in_a_dead_subtree_still_fails_the_request() {
+    use foxq::xml::{XmlEvent, XmlReader};
+    let handle = start(test_config());
+    let addr = handle.local_addr();
+    let body = regions_doc(3, "</wrong>");
+    // What a reader that builds every event says of the document.
+    let mut reader = XmlReader::new(&body[..]);
+    let error = loop {
+        match reader.next_event() {
+            Ok(XmlEvent::Eof) => panic!("the document is malformed"),
+            Ok(_) => {}
+            Err(e) => break e.to_string(),
+        }
+    };
+    assert!(
+        error.contains("expected </listitem>, found </wrong>") && error.contains("at byte 1"),
+        "{error}"
+    );
+    let expected = format!("malformed XML input: {error}\n");
+
+    let mut c = Client::connect(addr).unwrap();
+    let sound = c
+        .request("POST", &client::query_target(Q13), &[], &regions_doc(3, ""))
+        .unwrap();
+    assert_eq!(sound.status, 200);
+    assert!(
+        sound.text().contains("<name>roo</name>"),
+        "{}",
+        sound.text()
+    );
+    let skimmed: u64 = sound
+        .header("x-foxq-prefiltered-events")
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert!(skimmed >= 3 * 14, "africa was not skimmed: {skimmed}");
+
+    // Buffered, and streamed before the head has gone out: a plain 400 with
+    // the reader's own message, and the connection is not reused.
+    for target in [
+        client::query_target(Q13),
+        client::query_target(Q13_BARE),
+        format!("{}&stream=1", client::query_target(Q13_BARE)),
+    ] {
+        let r = client::post(addr, &target, &body).unwrap();
+        assert_eq!((r.status, r.text()), (400, expected.clone()), "{target}");
+        assert_eq!(r.header("connection"), Some("close"), "{target}");
+    }
+    // Streamed with the head on the wire (`<out>` is final at the first
+    // event): the chunked body is cut short, as for any failure mid-run.
+    let streamed = format!("{}&stream=1", client::query_target(Q13));
+    let err = client::post(addr, &streamed, &body)
+        .expect_err("truncated stream decoded as a complete response");
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData | std::io::ErrorKind::UnexpectedEof
+        ),
+        "unexpected error: {err}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn the_byte_limit_fires_inside_a_skimmed_subtree() {
+    const LIMIT: u64 = 64 << 10;
+    let handle = start(ServerConfig {
+        max_body_bytes: LIMIT,
+        ..test_config()
+    });
+    let addr = handle.local_addr();
+    // Africa alone is several times the limit: the overrun lands while the
+    // reader skims it.
+    let body = regions_doc(3_000, "");
+    assert!(body.len() as u64 > 4 * LIMIT);
+    for target in [
+        client::query_target(Q13),
+        format!("{}&stream=1", client::query_target(Q13_BARE)),
+    ] {
+        let r = client::post(addr, &target, &body).unwrap();
+        assert_eq!(r.status, 413, "{target}: {}", r.text());
+        assert!(r.text().contains("65536 bytes"), "{}", r.text());
+    }
+    handle.shutdown();
+}
+
 // ---- the in-window tokenizer behind the body framing --------------------------
 
 /// ~1 MiB whose every record has a multi-byte character and a reference.

@@ -442,6 +442,40 @@ fn cli_stats_on_a_tape_reports_what_a_copying_query_skipped() {
     );
 }
 
+/// The same verdict over XML text: what the engine is dead in is skimmed,
+/// not fed, and `foxq stats` says how much.
+#[test]
+fn cli_stats_on_xml_reports_what_the_skim_withheld() {
+    let dir = scratch("xml-skim");
+    let q = write(&dir, "copy.xq", "<o>{$input/site/people/person}</o>");
+    let x = write(
+        &dir,
+        "site.xml",
+        "<site><regions><africa><item><name>decoy</name></item></africa></regions>\
+         <people><person><name>Jim</name></person></people></site>",
+    );
+    let out = foxq().arg("stats").arg(&q).arg(&x).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "stderr: {stderr}");
+    let count = |prefix: &str| -> u64 {
+        stderr
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix))
+            .and_then(|rest| rest.split_whitespace().next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{stderr}"))
+    };
+    // <africa>…</africa>: eight events inside <regions> nobody was fed. With
+    // them, the ten nodes' 20 events and the end of input: what `events`
+    // read when every event was fed.
+    assert_eq!(count("prefiltered:"), 8, "{stderr}");
+    assert_eq!(count("events:") + count("prefiltered:"), 21, "{stderr}");
+    assert_eq!(
+        stdout_of(&out),
+        "<o><person><name>Jim</name></person></o>\n"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Examples
 // ---------------------------------------------------------------------------

@@ -8,13 +8,19 @@
 //! the in-window reader must produce the oracle's events, the oracle's
 //! error — variant, offset and every other field — and the same
 //! `events_read()`.
+//!
+//! The same goes for `XmlReader::skip_subtree`, which skims a subtree
+//! instead of building its events. There the expected outcome is the
+//! oracle's, projected: pull the subtree from the oracle (`EventSource`'s
+//! default `skip_subtree`) and count. Kept events, the error, the count,
+//! `events_read()` and — in lock-step — `depth()` must all be equal.
 
 mod common;
 
 use common::byte_reader::ByteReader;
 use foxq::gen::Dataset;
 use foxq::obs::AllocScope;
-use foxq::xml::{forest_to_xml_string, WhitespaceMode, XmlError, XmlEvent, XmlReader};
+use foxq::xml::{forest_to_xml_string, EventSource, WhitespaceMode, XmlError, XmlEvent, XmlReader};
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::io::Read;
@@ -175,6 +181,18 @@ fn corpus() -> Vec<Vec<u8>> {
         b"<a></\xff>",
         b"<a\xff",
         b"<a \xff",
+        // A byte-order mark is the encoding signature at offset 0, and text
+        // anywhere else; two thirds of one are not UTF-8.
+        b"\xef\xbb\xbf<a>x</a>",
+        b"\xef\xbb\xbf\n<?xml version='1.0'?><a/>",
+        b"\xef\xbb\xbftext<a/>",
+        b"\xef\xbb\xbf",
+        b"\xef\xbb\xbf\xef\xbb\xbf<a/>",
+        b"<a>\xef\xbb\xbfx</a>",
+        b" \xef\xbb\xbf<a/>",
+        b"\xef\xbb",
+        b"\xef\xbb<a/>",
+        b"\xef<a/>",
         // Forests.
         b"",
         b"<a/><b/>text<c>x</c>",
@@ -264,19 +282,9 @@ fn the_corpus_reaches_every_error_variant() {
 /// Bytes that mean something to the tokenizer, and two that do not.
 const INTERESTING: &[u8] = b"<>&;\"'/!-]?[=# D\xffa\n";
 
-#[test]
-fn every_mutation_of_the_corpus_agrees_with_the_oracle() {
-    let mut mutants = 0u64;
-    let mut check = |mutant: &[u8]| {
-        mutants += 1;
-        for ws in MODES {
-            let expected = oracle(mutant, ws);
-            for size in [1, 3, usize::MAX] {
-                let got = windowed(mutant, ws, std::iter::repeat(size));
-                assert_eq!(got, expected, "{ws:?}, reads of {size}: {}", show(mutant));
-            }
-        }
-    };
+/// Every truncation, deletion, bit flip and substitution of an
+/// [`INTERESTING`] byte, at every byte of every corpus document.
+fn for_each_mutant(check: &mut dyn FnMut(&[u8])) {
     let mut docs = corpus();
     docs.pop(); // the concatenation is long and made of the others
     for doc in docs {
@@ -294,6 +302,120 @@ fn every_mutation_of_the_corpus_agrees_with_the_oracle() {
             }
         }
     }
+}
+
+#[test]
+fn every_mutation_of_the_corpus_agrees_with_the_oracle() {
+    let mut mutants = 0u64;
+    let mut check = |mutant: &[u8]| {
+        mutants += 1;
+        for ws in MODES {
+            let expected = oracle(mutant, ws);
+            for size in [1, 3, usize::MAX] {
+                let got = windowed(mutant, ws, std::iter::repeat(size));
+                assert_eq!(got, expected, "{ws:?}, reads of {size}: {}", show(mutant));
+            }
+        }
+    };
+    for_each_mutant(&mut check);
+    assert!(mutants > 50_000, "{mutants} mutants");
+}
+
+// ---- skimming: `skip_subtree` against the oracle, projected ----------------
+
+/// Read `doc` with both readers in lock-step, skipping the subtree of every
+/// element opened at nesting depth `skip_depth`: the oracle by pulling it,
+/// the in-window reader by skimming it. Returns how many subtrees were
+/// skipped, or what differed.
+fn skim_in_lock_step(
+    doc: &[u8],
+    ws: WhitespaceMode,
+    skip_depth: usize,
+    sizes: impl Iterator<Item = usize>,
+) -> Result<u64, String> {
+    let mut oracle = ByteReader::with_mode(doc, ws);
+    let mut reader = XmlReader::with_mode(Reads { rest: doc, sizes }, ws);
+    let debug = |e: XmlError| format!("{e:?}");
+    // Nodes open around the next event, text and attribute nodes included.
+    let mut nesting = 0;
+    let mut skipped = 0;
+    loop {
+        let expected = oracle.next_event().map_err(debug);
+        let got = reader.next_event().map_err(debug);
+        if got != expected {
+            return Err(format!("event {got:?}, oracle {expected:?}"));
+        }
+        match got {
+            Err(_) | Ok(XmlEvent::Eof) => break,
+            Ok(XmlEvent::Open(label)) if !label.is_text() && nesting == skip_depth => {
+                let expected = EventSource::skip_subtree(&mut oracle).map_err(debug);
+                let got = reader.skip_subtree().map_err(debug);
+                if got != expected {
+                    return Err(format!("skip of <{label}> {got:?}, oracle {expected:?}"));
+                }
+                if got.is_err() {
+                    break;
+                }
+                skipped += 1;
+            }
+            Ok(XmlEvent::Open(_)) => nesting += 1,
+            Ok(XmlEvent::Close(_)) => nesting -= 1,
+        }
+        if (reader.depth(), reader.events_read()) != (oracle.depth(), oracle.events_read()) {
+            return Err(format!(
+                "depth {} after {} events, oracle {} after {}",
+                reader.depth(),
+                reader.events_read(),
+                oracle.depth(),
+                oracle.events_read()
+            ));
+        }
+    }
+    Ok(skipped)
+}
+
+#[test]
+fn skimmed_corpus_agrees_with_the_oracle_however_it_is_cut() {
+    let mut skipped = 0;
+    for doc in corpus() {
+        for ws in MODES {
+            for skip_depth in 0..=2 {
+                for size in [1, 2, 3, 5, 7, 16, 64, usize::MAX] {
+                    skipped += skim_in_lock_step(&doc, ws, skip_depth, std::iter::repeat(size))
+                        .unwrap_or_else(|e| {
+                            panic!(
+                                "{ws:?}, skipping at {skip_depth}, reads of {size}: {e}\n{}",
+                                show(&doc)
+                            )
+                        });
+                }
+            }
+        }
+    }
+    assert!(skipped > 2_500, "{skipped} subtrees skipped");
+}
+
+#[test]
+fn every_mutation_of_the_corpus_skims_as_the_oracle_reads_it() {
+    let mut mutants = 0u64;
+    let mut check = |mutant: &[u8]| {
+        mutants += 1;
+        for ws in MODES {
+            for skip_depth in 0..=2 {
+                for size in [1, 3, usize::MAX] {
+                    if let Err(e) =
+                        skim_in_lock_step(mutant, ws, skip_depth, std::iter::repeat(size))
+                    {
+                        panic!(
+                            "{ws:?}, skipping at {skip_depth}, reads of {size}: {e}\n{}",
+                            show(mutant)
+                        );
+                    }
+                }
+            }
+        }
+    };
+    for_each_mutant(&mut check);
     assert!(mutants > 50_000, "{mutants} mutants");
 }
 
@@ -323,6 +445,14 @@ proptest! {
         prop_assert!(got == expected, "{} of {size} bytes, seed {seed:#x}", dataset.name());
         let got = windowed(doc.as_bytes(), ws, std::iter::empty());
         prop_assert!(got == expected, "{} of {size} bytes in one read", dataset.name());
+        let skip_depth = (seed >> 32) as usize % 5;
+        let sizes = random_sizes(TestRng::from_seed(!seed));
+        let skimmed = skim_in_lock_step(doc.as_bytes(), ws, skip_depth, sizes);
+        prop_assert!(
+            matches!(skimmed, Ok(skipped) if skipped > 0),
+            "{} of {size} bytes, seed {seed:#x}, skipping at {skip_depth}: {skimmed:?}",
+            dataset.name()
+        );
     }
 
     #[test]
@@ -340,9 +470,12 @@ proptest! {
             }
         }
         let ws = MODES[rng.below(3)];
+        let skip_depth = rng.below(5);
         let expected = oracle(&doc, ws);
-        let got = windowed(&doc, ws, random_sizes(rng));
+        let got = windowed(&doc, ws, random_sizes(TestRng::from_seed(seed)));
         prop_assert!(got == expected, "seed {seed:#x}: {:?} vs {:?}", got.error, expected.error);
+        let skimmed = skim_in_lock_step(&doc, ws, skip_depth, random_sizes(rng));
+        prop_assert!(skimmed.is_ok(), "seed {seed:#x}, skipping at {skip_depth}: {skimmed:?}");
     }
 }
 
@@ -384,6 +517,21 @@ fn constructs_longer_than_the_window_agree_with_the_oracle() {
                 let got = windowed(doc.as_bytes(), ws, sizes);
                 assert!(got == expected, "document {i}, {ws:?}: {:?}", got.error);
             }
+            // The same constructs inside a skimmed subtree (the DOCTYPE,
+            // which has to come first, before one).
+            let (prolog, body) = match doc.starts_with("<!DOCTYPE") {
+                true => (doc.as_str(), "<a/>"),
+                false => ("", doc.as_str()),
+            };
+            let under_root = format!("{prolog}<root><skimmed>{body}</skimmed><kept/></root>");
+            for sizes in [
+                Box::new(std::iter::empty()) as Box<dyn Iterator<Item = usize>>,
+                Box::new(std::iter::repeat(1_000)),
+                Box::new(random_sizes(TestRng::from_seed(i as u64))),
+            ] {
+                let skimmed = skim_in_lock_step(under_root.as_bytes(), ws, 1, sizes);
+                assert!(skimmed.is_ok(), "document {i}, {ws:?}: {skimmed:?}");
+            }
         }
     }
 }
@@ -409,6 +557,38 @@ fn skipped_constructs_of_any_length_take_one_window_of_memory() {
         let held = live_bytes(&scope);
         assert!(held < 100 << 10, "{open}: the reader holds {held} bytes");
     }
+}
+
+#[test]
+fn a_skimmed_subtree_of_any_size_takes_one_window_of_memory() {
+    // 4 MiB of everything that allocates when it is tokenized: names never
+    // seen before, attributes, text with and without references, CDATA.
+    let mut doc = String::from("<root><dead>");
+    for i in 0.. {
+        if doc.len() >= 4 << 20 {
+            break;
+        }
+        doc.push_str(&format!(
+            "<n{i} a{i}='v&amp;{i}'>text {i} &lt; <![CDATA[<{i}>]]><e{i}/></n{i}>"
+        ));
+    }
+    doc.push_str("</dead><live/></root>");
+    let mut reader = XmlReader::new(doc.as_bytes());
+    let scope = AllocScope::begin();
+    for _ in 0..2 {
+        reader.next_event().unwrap();
+    }
+    let skipped = reader.skip_subtree().unwrap();
+    let held = live_bytes(&scope);
+    assert!(held < 100 << 10, "the reader holds {held} bytes");
+    assert!(skipped > 500_000, "{skipped} events");
+    // What follows the skim is read as ever.
+    let (rest, error) = drain(|| reader.next_event());
+    assert_eq!((rest.len(), error), (3, None));
+    assert_eq!(
+        reader.events_read(),
+        oracle(doc.as_bytes(), WhitespaceMode::default()).events_read
+    );
 }
 
 // ---- a hostile vocabulary ---------------------------------------------------
@@ -480,6 +660,22 @@ fn a_construct_full_of_its_closing_byte_costs_linear_work() {
         assert!(
             took < std::time::Duration::from_secs(20),
             "{took:?} for {} bytes",
+            doc.len()
+        );
+        // No different when the construct is skimmed.
+        let under_root = format!("<root>{doc}</root>");
+        let started = std::time::Instant::now();
+        let skimmed = skim_in_lock_step(
+            under_root.as_bytes(),
+            WhitespaceMode::default(),
+            0,
+            std::iter::repeat(512),
+        );
+        let took = started.elapsed();
+        assert_eq!(skimmed, Ok(1));
+        assert!(
+            took < std::time::Duration::from_secs(20),
+            "{took:?} for {} bytes, skimming",
             doc.len()
         );
     }
