@@ -22,10 +22,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use foxq_core::stream::StreamLimits;
 use foxq_forest::ForestStats;
 use foxq_gen::Dataset;
-use foxq_service::{
-    run_multi, run_multi_on_tape, run_multi_on_tape_scan, PreparedQuery, QuerySetPlan,
-};
-use foxq_store::{ingest_xml_to_tape, TapeReader};
+use foxq_service::{run_lanes, run_multi, run_multi_on_tape, PreparedQuery, QuerySetPlan};
+use foxq_store::{ingest_xml_to_tape, TapeDrive, TapeReader};
 use foxq_xml::{forest_to_xml_string, NullSink, XmlReader};
 use std::io::Cursor;
 
@@ -70,10 +68,10 @@ fn bench_store_replay(criterion: &mut Criterion) {
     group.bench_function("replay_seek", |b| {
         b.iter(|| {
             let reader = TapeReader::new(Cursor::new(&tape[..])).unwrap();
-            run_multi_on_tape_scan(
+            run_lanes(
                 &[mft],
-                reader,
-                vec![NullSink],
+                TapeDrive::Linear(reader),
+                vec![(NullSink, ())],
                 StreamLimits::default(),
                 &plan,
             )
@@ -91,7 +89,7 @@ fn bench_store_replay(criterion: &mut Criterion) {
                 &plan,
             )
             .unwrap();
-            assert!(run.index_skipped_bytes > 0, "index path not taken");
+            assert!(run.source.index_skipped_bytes > 0, "index path not taken");
             run
         })
     });
@@ -106,7 +104,7 @@ fn bench_store_replay(criterion: &mut Criterion) {
                 &plan,
             )
             .unwrap();
-            assert!(run.index_skipped_bytes > 0, "index path not taken");
+            assert!(run.source.index_skipped_bytes > 0, "index path not taken");
             run
         })
     });

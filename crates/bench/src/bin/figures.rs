@@ -337,10 +337,8 @@ fn ablation(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
 /// XMark navigator.
 fn store_replay(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
     use foxq_core::stream::StreamLimits;
-    use foxq_service::{
-        run_multi, run_multi_on_tape, run_multi_on_tape_scan, PreparedQuery, QuerySetPlan,
-    };
-    use foxq_store::{ingest_xml_to_tape, TapeReader};
+    use foxq_service::{run_lanes, run_multi, run_multi_on_tape, PreparedQuery, QuerySetPlan};
+    use foxq_store::{ingest_xml_to_tape, TapeDrive, TapeReader};
     use std::io::Cursor;
 
     const QNAME: &str = "people-names";
@@ -386,12 +384,13 @@ fn store_replay(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
         };
         // Skipped bytes: seek-jumped on the scan path, index-jumped on the
         // cursor path — never both nonzero in one run.
-        let lane_stats = |run: &foxq_service::MultiRun<foxq_xml::NullSink>| {
+        type Plain = (foxq_xml::NullSink, foxq_core::stream::StreamStats);
+        let lane_stats = |run: &foxq_service::MultiRun<Plain>| {
             let (_, stats) = run.results[0].as_ref().expect("lane succeeded");
             (
                 stats.peak_live_nodes,
                 stats.output_events,
-                run.seek_skipped_bytes + run.index_skipped_bytes,
+                run.source.seek_skipped_bytes + run.source.index_skipped_bytes,
             )
         };
 
@@ -411,15 +410,20 @@ fn store_replay(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
         });
         let (seek_s, seek_r) = measure(&mut || {
             let reader = TapeReader::new(Cursor::new(&tape[..])).expect("tape open");
-            let run = run_multi_on_tape_scan(
+            let run = run_lanes(
                 &[mft],
-                reader,
-                vec![foxq_xml::NullSink],
+                TapeDrive::Linear(reader),
+                vec![(foxq_xml::NullSink, ())],
                 StreamLimits::default(),
                 &plan,
             )
             .expect("seek run");
-            lane_stats(&run)
+            let (_, stats, ()) = run.results[0].as_ref().expect("lane succeeded");
+            (
+                stats.peak_live_nodes,
+                stats.output_events,
+                run.source.seek_skipped_bytes,
+            )
         });
         let (index_s, index_r) = measure(&mut || {
             let reader = TapeReader::new(Cursor::new(&tape[..])).expect("tape open");
@@ -431,7 +435,7 @@ fn store_replay(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
                 &plan,
             )
             .expect("index run");
-            assert!(run.index_skipped_bytes > 0, "index path not taken");
+            assert!(run.source.index_skipped_bytes > 0, "index path not taken");
             lane_stats(&run)
         });
         let (mmap_s, mmap_r) = measure(&mut || {

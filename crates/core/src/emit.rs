@@ -10,13 +10,16 @@
 //!
 //! This module closes the gap with two pieces:
 //!
-//! * [`EmitSink`] — an [`XmlSink`] with an `emit` boundary. The emission
-//!   drivers ([`run_streaming_emit`](crate::stream::run_streaming_emit) and
-//!   the per-lane variants in `foxq_service`) call `emit` after each
-//!   delivered input event; everything pushed since the previous boundary
-//!   is irrevocable (per the paper's earliest-emission argument: no pending
-//!   state call remains to its left) and can be handed to a socket, stdout,
-//!   or a chunked HTTP response without ever being revoked.
+//! * [`EmitSink`] — an [`XmlSink`] with an `emit` boundary. Every driver
+//!   ([`run_streaming_with_observer`](crate::stream::run_streaming_with_observer)
+//!   and `foxq_service::run_lanes`) calls `emit` after each delivered input
+//!   event; everything pushed since the previous boundary is irrevocable
+//!   (per the paper's earliest-emission argument: no pending state call
+//!   remains to its left) and can be handed to a socket, stdout, or a
+//!   chunked HTTP response without ever being revoked. A sink that holds
+//!   nothing back ([`WriterSink`], the counting and
+//!   forest-building sinks) has nothing to release there: its boundary is
+//!   empty and compiles away.
 //! * [`EmissionAnalysis`] — a static analysis over the compiled MFT that
 //!   answers, per state, *can this state ever have ground output to the
 //!   left of a pending call?* A transducer none of whose reachable states
@@ -30,7 +33,7 @@
 
 use crate::mft::{Mft, Rhs, RhsNode, StateId};
 use foxq_forest::{Label, NodeKind};
-use foxq_xml::{XmlSink, XmlWriter};
+use foxq_xml::{CountingSink, ForestSink, NullSink, WriterSink, XmlSink, XmlWriter};
 use std::io;
 
 // ---------------------------------------------------------------------------
@@ -39,7 +42,7 @@ use std::io;
 
 /// An [`XmlSink`] with an emission boundary.
 ///
-/// The engine's emission drivers call [`EmitSink::emit`] after each fully
+/// The engine's drivers call [`EmitSink::emit`] after each fully
 /// processed input event (and once more after end-of-input). Everything
 /// pushed via `open`/`close` since the previous boundary is *irrevocable* —
 /// no pending state call remains to its left — so the sink may release it
@@ -53,9 +56,20 @@ use std::io;
 ///
 /// [`StreamError::Emit`]: crate::stream::StreamError::Emit
 pub trait EmitSink: XmlSink {
-    /// Release everything accumulated since the previous boundary.
-    fn emit(&mut self) -> io::Result<()>;
+    /// Release everything accumulated since the previous boundary. The
+    /// default is for a sink that accumulates nothing: there is nothing to
+    /// release, and the boundary compiles away.
+    #[inline]
+    fn emit(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
+
+// These hold nothing back for a boundary to release.
+impl EmitSink for NullSink {}
+impl EmitSink for CountingSink {}
+impl EmitSink for ForestSink {}
+impl<W: io::Write> EmitSink for WriterSink<W> {}
 
 // ---------------------------------------------------------------------------
 // EmitWriter
@@ -65,7 +79,7 @@ pub trait EmitSink: XmlSink {
 /// irrevocable prefix to a delivery closure at [`EmitSink::emit`] time.
 ///
 /// Serialization goes through the same [`XmlWriter`] as the materializing
-/// [`WriterSink`](foxq_xml::WriterSink), so the concatenation of delivered
+/// [`WriterSink`], so the concatenation of delivered
 /// prefixes is byte-identical to the buffered output (proptest-guarded in
 /// `tests/emit_stream.rs`). I/O errors from the delivery closure surface at
 /// the next `emit` / [`EmitWriter::finish`], mirroring `WriterSink`'s
@@ -290,7 +304,7 @@ fn rhs_calls_early(rhs: &Rhs, early: &[bool]) -> bool {
 mod tests {
     use super::*;
     use crate::opt::optimize;
-    use crate::stream::{run_streaming_emit, StreamLimits};
+    use crate::stream::{run_streaming_to_string, run_streaming_with_limits, StreamLimits};
     use crate::text::parse_mft;
     use crate::translate::translate;
     use foxq_xquery::parse_query;
@@ -356,11 +370,13 @@ mod tests {
             })
         };
         let reader = foxq_xml::XmlReader::new(doc.as_bytes());
-        let (sink, stats) = run_streaming_emit(&m, reader, sink, StreamLimits::default()).unwrap();
+        let (sink, stats) =
+            run_streaming_with_limits(&m, reader, sink, StreamLimits::default()).unwrap();
         assert!(sink.chunks_delivered() >= 2, "expected incremental chunks");
         sink.finish().unwrap();
         let all: Vec<u8> = chunks.borrow().iter().flatten().copied().collect();
-        let expected = crate::stream::run_streaming_to_string(&m, doc.as_bytes()).unwrap();
+        let expected =
+            run_streaming_to_string(&m, doc.as_bytes(), StreamLimits::default()).unwrap();
         assert_eq!(String::from_utf8(all).unwrap(), expected.output);
         assert!(stats.emit_flushes >= 2, "{}", stats.emit_flushes);
         assert!(stats.first_emit_events > 0);
@@ -376,7 +392,7 @@ mod tests {
             Err(io::Error::new(io::ErrorKind::BrokenPipe, "client gone"))
         });
         let reader = foxq_xml::XmlReader::new(b"<a><b>t</b></a>".as_slice());
-        let err = match run_streaming_emit(&m, reader, sink, StreamLimits::default()) {
+        let err = match run_streaming_with_limits(&m, reader, sink, StreamLimits::default()) {
             Err(e) => e,
             Ok(_) => panic!("expected the run to abort on emit failure"),
         };

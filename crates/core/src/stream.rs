@@ -33,6 +33,7 @@
 //! plots: constant for optimized streamable queries, linear in the input for
 //! the unoptimized translation (which holds `qcopy(x0)` in a parameter).
 
+use crate::emit::EmitSink;
 use crate::mft::{Dispatch, Mft, OutLabel, Rhs, RhsNode, StateId, XVar};
 use foxq_forest::{Label, SymId, Tree};
 use foxq_xml::{EventSource, XmlError, XmlEvent, XmlReader, XmlSink};
@@ -85,7 +86,7 @@ pub enum StreamError {
     Fuel { state: String },
     /// The output-event budget was exhausted.
     OutputLimit { max_output_events: u64 },
-    /// An [`EmitSink`](crate::emit::EmitSink) failed to release an
+    /// An [`EmitSink`] failed to release an
     /// irrevocable prefix downstream (e.g. the client hung up mid-stream).
     /// Aborts the run — there is no point transducing input nobody will
     /// read.
@@ -182,7 +183,7 @@ pub struct StreamStats {
     pub index_skipped_bytes: u64,
     /// Flushes that emitted at least one output event — i.e. input events
     /// after which the irrevocable output prefix actually grew. An
-    /// [`EmitSink`](crate::emit::EmitSink) sees at most this many non-empty
+    /// [`EmitSink`] sees at most this many non-empty
     /// emission boundaries.
     pub emit_flushes: u64,
     /// 1-based index, among the events fed, of the input event whose flush
@@ -988,17 +989,9 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
 // ---------------------------------------------------------------------------
 
 /// Run an MFT over any [`EventSource`] (an [`XmlReader`], a
-/// `foxq_store::TapeReader`, …), pushing output into `sink`.
-pub fn run_streaming<E: EventSource, S: XmlSink>(
-    mft: &Mft,
-    events: E,
-    sink: S,
-) -> Result<(S, StreamStats), StreamError> {
-    run_streaming_with_limits(mft, events, sink, StreamLimits::default())
-}
-
-/// [`run_streaming`] under explicit resource limits.
-pub fn run_streaming_with_limits<E: EventSource, S: XmlSink>(
+/// `foxq_store::TapeReader`, …) under explicit resource limits, pushing
+/// output into `sink`.
+pub fn run_streaming_with_limits<E: EventSource, S: EmitSink>(
     mft: &Mft,
     events: E,
     sink: S,
@@ -1008,31 +1001,24 @@ pub fn run_streaming_with_limits<E: EventSource, S: XmlSink>(
         .map(|(sink, stats, ())| (sink, stats))
 }
 
-/// [`run_streaming_with_limits`] with a live [`StreamObserver`] (e.g. a
-/// `StreamProfiler`), handed back alongside the sink and stats.
-pub fn run_streaming_with_observer<E: EventSource, S: XmlSink, O: StreamObserver>(
-    mft: &Mft,
-    events: E,
-    sink: S,
-    limits: StreamLimits,
-    obs: O,
-) -> Result<(S, StreamStats, O), StreamError> {
-    drive(mft, events, sink, limits, obs, |_| Ok(()))
-}
-
-/// The event-source loop: feed each event to the engine, then let
-/// `after_event` fire on the sink. After an element's open that leaves
-/// [`Engine::is_dead`], the source skips to the matching close
-/// ([`EventSource::skip_subtree`]: an `XmlReader` skims the interior, a tape
-/// seeks over it), the interior is accounted to
+/// The single-lane event-source loop, with a live [`StreamObserver`] (e.g.
+/// a `StreamProfiler`; `()` compiles away) handed back alongside the sink
+/// and stats. Each event is fed to the engine, then the sink's
+/// [`EmitSink::emit`] boundary fires: whatever the flush just made
+/// irrevocable is released downstream before the next event is consumed —
+/// the flushed prefix has already been freed from the expression arena, so
+/// live memory tracks the pending frontier, not the output — and a final
+/// `emit` after end-of-input releases the end-buffered remainder. After an
+/// element's open that leaves [`Engine::is_dead`], the source skips to the
+/// matching close ([`EventSource::skip_subtree`]: an `XmlReader` skims the
+/// interior, a tape seeks over it), the interior is accounted to
 /// [`StreamStats::prefiltered_events`], and the close is fed.
-fn drive<E: EventSource, S: XmlSink, O: StreamObserver>(
+pub fn run_streaming_with_observer<E: EventSource, S: EmitSink, O: StreamObserver>(
     mft: &Mft,
     mut events: E,
     sink: S,
     limits: StreamLimits,
     obs: O,
-    mut after_event: impl FnMut(&mut S) -> Result<(), StreamError>,
 ) -> Result<(S, StreamStats, O), StreamError> {
     let mut engine = Engine::with_observer(mft, sink, limits, obs);
     let mut withheld = 0;
@@ -1042,7 +1028,7 @@ fn drive<E: EventSource, S: XmlSink, O: StreamObserver>(
                 engine.open(&label)?;
                 if !label.is_text() && engine.is_dead() {
                     withheld += events.skip_subtree()? - 1;
-                    after_event(engine.sink_mut())?;
+                    engine.sink_mut().emit()?;
                     engine.close()?;
                 }
             }
@@ -1050,40 +1036,12 @@ fn drive<E: EventSource, S: XmlSink, O: StreamObserver>(
             XmlEvent::Eof => {
                 let (mut sink, mut stats, obs) = engine.finish_observed()?;
                 stats.prefiltered_events = withheld;
-                after_event(&mut sink)?;
+                sink.emit()?;
                 return Ok((sink, stats, obs));
             }
         }
-        after_event(engine.sink_mut())?;
+        engine.sink_mut().emit()?;
     }
-}
-
-/// [`run_streaming_with_limits`] over an [`EmitSink`](crate::emit::EmitSink):
-/// after every delivered input event the sink's `emit` boundary fires, so
-/// whatever the flush just made irrevocable is released downstream before
-/// the next event is consumed. A final `emit` after end-of-input releases
-/// the end-buffered remainder. The flushed prefix has already been freed
-/// from the expression arena by that point, so live memory tracks the
-/// pending frontier, not the output.
-pub fn run_streaming_emit<E: EventSource, S: crate::emit::EmitSink>(
-    mft: &Mft,
-    events: E,
-    sink: S,
-    limits: StreamLimits,
-) -> Result<(S, StreamStats), StreamError> {
-    run_streaming_emit_observed(mft, events, sink, limits, ())
-        .map(|(sink, stats, ())| (sink, stats))
-}
-
-/// [`run_streaming_emit`] with a live [`StreamObserver`].
-pub fn run_streaming_emit_observed<E: EventSource, S: crate::emit::EmitSink, O: StreamObserver>(
-    mft: &Mft,
-    events: E,
-    sink: S,
-    limits: StreamLimits,
-    obs: O,
-) -> Result<(S, StreamStats, O), StreamError> {
-    drive(mft, events, sink, limits, obs, |sink| Ok(sink.emit()?))
 }
 
 /// Drive the engine from an in-memory forest (no XML parsing involved) —
@@ -1115,13 +1073,9 @@ pub struct StreamRunOutput {
     pub stats: StreamStats,
 }
 
-/// Convenience driver: parse `input` as XML, run `mft`, serialize the output.
-pub fn run_streaming_to_string(mft: &Mft, input: &[u8]) -> Result<StreamRunOutput, StreamError> {
-    run_streaming_to_string_with_limits(mft, input, StreamLimits::default())
-}
-
-/// [`run_streaming_to_string`] under explicit resource limits.
-pub fn run_streaming_to_string_with_limits(
+/// Convenience driver: parse `input` as XML, run `mft` under `limits`,
+/// serialize the output.
+pub fn run_streaming_to_string(
     mft: &Mft,
     input: &[u8],
     limits: StreamLimits,
@@ -1263,7 +1217,7 @@ mod tests {
         .unwrap();
         let m = optimize(translate(&q).unwrap());
         let doc = "<person><p_id><a/>person0</p_id><name>Jim</name><c/><name>Li</name></person>";
-        let out = run_streaming_to_string(&m, doc.as_bytes()).unwrap();
+        let out = run_streaming_to_string(&m, doc.as_bytes(), StreamLimits::default()).unwrap();
         // The paper's §2.2 result: <out>JimLi</out>.
         assert_eq!(out.output, "<out>JimLi</out>");
     }
@@ -1375,7 +1329,7 @@ mod tests {
             max_output_events: 10_000,
             ..StreamLimits::default()
         };
-        let r = run_streaming_to_string_with_limits(&m, b"<x/>", limits);
+        let r = run_streaming_to_string(&m, b"<x/>", limits);
         match r {
             Err(StreamError::OutputLimit { max_output_events }) => {
                 assert_eq!(max_output_events, 10_000)
@@ -1383,8 +1337,7 @@ mod tests {
             other => panic!("expected OutputLimit, got {other:?}"),
         }
         // Under the budget, the same shape still runs normally.
-        let out =
-            run_streaming_to_string_with_limits(&param_doubling_bomb(3), b"<x/>", limits).unwrap();
+        let out = run_streaming_to_string(&param_doubling_bomb(3), b"<x/>", limits).unwrap();
         assert_eq!(out.output, "<a></a>".repeat(8));
     }
 

@@ -33,7 +33,7 @@ use crate::http::{
 };
 use crate::metrics::{add, sub, Endpoint, Metrics};
 use crate::reactor::{pin_receive_buffer, Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use foxq_core::emit::EmitWriter;
+use foxq_core::emit::{EmitSink, EmitWriter};
 use foxq_core::profile::{StreamProfile, StreamProfiler};
 use foxq_core::stream::{StreamError, StreamLimits, StreamObserver, StreamStats};
 use foxq_core::Mft;
@@ -42,13 +42,13 @@ use foxq_obs::{
     DEFAULT_TRACE_LOG_MAX_BYTES,
 };
 use foxq_service::{
-    run_multi_emit, run_multi_on_tape_emit, run_multi_on_tape_observed, run_multi_with_limits,
-    run_multi_with_plan_observed, source_key, CompileLimits, MultiRun, ObservedMultiRun,
-    PrepareError, PreparedQuery, ProfileRegistry, RunSample, SharedQueryCache,
+    run_lanes, source_key, CompileLimits, Events, MultiRun, PrepareError, PreparedQuery,
+    ProfileRegistry, QuerySetPlan, RunSample, SharedQueryCache, SourceCost,
 };
 use foxq_store::corpus::valid_doc_id;
 use foxq_store::{ingest_xml_to_tmp, Corpus, StoreError, TapeReader};
 use foxq_xml::{byte_limit_exceeded, BoundedReader, WriterSink, XmlError, XmlReader};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -936,7 +936,7 @@ fn serve_one(conn: &mut Conn, shared: &Shared) -> (Vec<u8>, After) {
             req_start: conn.req_start.unwrap_or_else(Instant::now),
             req_id,
             keep: false,
-            head_written: false,
+            head_written: Cell::new(false),
         };
         serve_request(&mut reader, shared, &ctx, &mut stream_out)
     };
@@ -1247,43 +1247,120 @@ fn xml_error_reply(e: &XmlError, limit: u64) -> Reply {
     Reply::text(400, format!("malformed XML input: {e}\n"))
 }
 
-/// A completed multi-lane run plus whether the request body was consumed
-/// to its framed end (false ⇒ unread bytes remain on the wire and the
-/// reply must not reuse the connection).
-type LanesOutcome = (MultiRun<WriterSink<Vec<u8>>>, bool);
+/// Open the request body every document-carrying endpoint reads. Fails
+/// with the reply to send when the framing is bad or there is no body.
+fn open_body<'a, R: BufRead>(
+    request: &Request,
+    conn: &'a mut R,
+) -> Result<BodyReader<'a, R>, Reply> {
+    match request.body_kind() {
+        // Nothing is on the wire: this error keeps its connection.
+        Ok(BodyKind::Empty) => Err(Reply::text(
+            400,
+            "missing request body (the XML document)\n",
+        )),
+        Ok(kind) => Ok(BodyReader::new(conn, kind)),
+        Err(e) => Err(reply_unconsumed(Reply::text(400, format!("{e}\n")))),
+    }
+}
 
-/// Stream the request body through `mfts` in one pass; shared by /query
-/// (N = 1) and /batch. The body is read *while* the engines run — it is
-/// never accumulated anywhere. The second value of a success is whether
-/// the body was consumed to its framed end: when false, unread bytes
-/// remain on the wire and the reply **must not** reuse the connection
-/// (the next keep-alive request would start mid-body).
-fn run_lanes<R: BufRead>(
+/// One pass of some lanes over a document, as the handlers get it back.
+type LanesRun<S, O> = MultiRun<(S, StreamStats, O)>;
+
+/// Run `lanes` over the request body (/query and /batch). The body is read
+/// *while* the engines run — it is never accumulated anywhere — and no
+/// further than `max_body_bytes`. The second value of a success is whether
+/// it was consumed to its framed end: when not, unread bytes remain on the
+/// wire and the reply **must not** reuse the connection (the next
+/// keep-alive request would start mid-body).
+fn run_over_body<R: BufRead, S: EmitSink, O: StreamObserver>(
     request: &Request,
     conn: &mut R,
     shared: &Shared,
+    ctx: &TraceContext,
     mfts: &[&Mft],
-) -> Result<LanesOutcome, Reply> {
-    let kind = request
-        .body_kind()
-        .map_err(|e| reply_unconsumed(Reply::text(400, format!("{e}\n"))))?;
-    if kind == BodyKind::Empty {
-        // Nothing is on the wire: this error keeps its connection.
-        return Err(Reply::text(
-            400,
-            "missing request body (the XML document)\n",
-        ));
-    }
-    let mut body = BodyReader::new(conn, kind);
+    lanes: Vec<(S, O)>,
+    plan: &QuerySetPlan,
+) -> Result<(LanesRun<S, O>, bool), Reply> {
+    let mut body = open_body(request, conn)?;
     let bounded = BoundedReader::new(&mut body, shared.config.max_body_bytes);
-    let reader = XmlReader::new(bounded);
-    let sinks: Vec<_> = mfts.iter().map(|_| WriterSink::new(Vec::new())).collect();
+    let events = Events(XmlReader::new(bounded));
     add(&shared.metrics.lane_runs_total, mfts.len() as u64);
-    let run = run_multi_with_limits(mfts, reader, sinks, shared.config.stream_limits)
-        .map_err(|e| reply_unconsumed(xml_error_reply(&e, shared.config.max_body_bytes)))?;
-    Ok((run, body.exhausted()))
+    let span = ctx.enter(Stage::Execute);
+    let run = run_lanes(mfts, events, lanes, shared.config.stream_limits, plan);
+    drop(span);
+    let run = run.map_err(|e| xml_error_reply(&e, shared.config.max_body_bytes));
+    Ok((run.map_err(reply_unconsumed)?, body.exhausted()))
 }
 
+/// `doc=<id>`: run `lanes` over the stored tape instead — no parse, and
+/// the tape seeks over what no lane can use. The request must carry no
+/// body (the document is already in the store). Seek and index-probe time
+/// are carved out of the replay total, so the three stages partition the
+/// wall time.
+fn run_over_tape<S: EmitSink, O: StreamObserver>(
+    request: &Request,
+    shared: &Shared,
+    ctx: &TraceContext,
+    id: &str,
+    mfts: &[&Mft],
+    lanes: Vec<(S, O)>,
+    plan: &QuerySetPlan,
+) -> Result<LanesRun<S, O>, Reply> {
+    if shared.corpus.is_none() {
+        return Err(no_corpus_reply(request));
+    }
+    match request.body_kind() {
+        Ok(BodyKind::Empty) => {}
+        Ok(_) => {
+            return Err(reply_unconsumed(Reply::text(
+                400,
+                "no request body allowed with doc= (the document is stored)\n",
+            )))
+        }
+        Err(e) => return Err(reply_unconsumed(Reply::text(400, format!("{e}\n")))),
+    }
+    let path = match shared.corpus().expect("checked above").tape_path(id) {
+        Ok(path) => path,
+        Err(StoreError::UnknownDoc { id }) => {
+            return Err(Reply::text(
+                404,
+                format!("no document {id:?} in the corpus\n"),
+            ))
+        }
+        Err(e) => return Err(Reply::text(500, format!("corpus error: {e}\n"))),
+    };
+    let tape = TapeReader::open_file(&path).map_err(|e| store_error_reply(&e))?;
+    add(&shared.metrics.lane_runs_total, mfts.len() as u64);
+    let start = Instant::now();
+    let run = run_lanes(mfts, tape, lanes, shared.config.stream_limits, plan);
+    let micros = micros_since(start);
+    match run {
+        Ok(run) => {
+            for (stage, stage_micros) in run.source.tape_stages(micros) {
+                ctx.add_micros(stage, stage_micros);
+            }
+            Ok(run)
+        }
+        Err(e) => {
+            ctx.add_micros(Stage::TapeReplay, micros);
+            Err(store_error_reply(&e))
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// /query
+// ---------------------------------------------------------------------------
+
+/// `POST /query`: one prepared query over the request body or, with
+/// `doc=<id>`, over a stored tape (no request body, no parse; the tape
+/// seeks over what no lane can use). The reply is buffered or, with
+/// `stream=1`, written as the run goes: each irrevocable output prefix
+/// goes to the client as it becomes final — the first response byte leaves
+/// long before the document ends — and the run statistics, which do not
+/// exist until the run ends, travel as trailers. With `--profile` every run
+/// is sampled.
 fn handle_query<R: BufRead>(
     request: &Request,
     conn: &mut R,
@@ -1305,173 +1382,28 @@ fn handle_query<R: BufRead>(
         Ok(p) => p,
         Err(e) => return prepare_error_reply(&e),
     };
-    let doc = request.params("doc").next().map(String::from);
-    if request.params("stream").next().is_some_and(|v| v != "0") {
-        return handle_query_stream(
-            request,
-            conn,
-            shared,
-            ctx,
-            &prepared,
-            doc.as_deref(),
-            stream_out,
-        );
+    let streamed = request.params("stream").next().is_some_and(|v| v != "0");
+    if streamed {
+        stream_out.keep = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
     }
-    // The profiled and plain paths monomorphize separately: with `()` as
-    // the observer every hook is an empty `#[inline(always)]` body, so
-    // `--profile` off costs the engine nothing.
-    let mut profiled: Option<(StreamProfile, u64, u64)> = None;
-    let (run, body_exhausted) = if shared.profiles.is_some() {
-        let scope = AllocScope::begin();
-        let start = Instant::now();
-        let profiler = StreamProfiler::for_mft(prepared.mft());
-        match query_run(
-            request,
-            conn,
-            shared,
-            ctx,
-            &prepared,
-            doc.as_deref(),
-            profiler,
-        ) {
-            Ok((orun, exhausted)) => {
-                let execute_micros = micros_since(start);
-                let alloc_bytes = scope.delta().allocated_bytes;
-                let (run, mut observers) = orun.split();
-                if let Some(profiler) = observers.pop().flatten() {
-                    profiled = Some((
-                        profiler.into_profile(prepared.mft()),
-                        alloc_bytes,
-                        execute_micros,
-                    ));
-                }
-                (run, exhausted)
-            }
-            Err(reply) => return reply,
-        }
-    } else {
-        match query_run(request, conn, shared, ctx, &prepared, doc.as_deref(), ()) {
-            Ok((orun, exhausted)) => (orun.split().0, exhausted),
-            Err(reply) => return reply,
-        }
+    let query = Query {
+        request,
+        shared,
+        ctx,
+        prepared: &prepared,
+        doc: request.params("doc").next(),
+        out: streamed.then_some(&*stream_out),
     };
-    add(&shared.metrics.input_events_total, run.input_events);
-    match run.results.into_iter().next().expect("one lane") {
-        Ok((sink, stats)) => {
-            add(&shared.metrics.output_events_total, stats.output_events);
-            add(
-                &shared.metrics.prefilter_skipped_total,
-                stats.prefiltered_events,
-            );
-            shared
-                .metrics
-                .live_nodes_peak
-                .observe_value(stats.peak_live_nodes as u64);
-            shared
-                .metrics
-                .live_bytes_peak
-                .observe_value(stats.peak_live_bytes as u64);
-            if let (Some(registry), Some((profile, alloc_bytes, execute_micros))) =
-                (&shared.profiles, profiled.take())
-            {
-                shared
-                    .metrics
-                    .alloc_bytes_per_request
-                    .observe_value(alloc_bytes);
-                let key = source_key(prepared.source());
-                let sample = RunSample {
-                    input_events: run.input_events,
-                    output_events: stats.output_events,
-                    peak_live_nodes: stats.peak_live_nodes as u64,
-                    peak_live_bytes: stats.peak_live_bytes as u64,
-                    peak_pending_calls: stats.peak_pending_calls as u64,
-                    alloc_bytes,
-                    execute_micros,
-                };
-                registry.record(key, prepared.source(), &sample, Some(&profile));
-                if let Some(log) = &shared.trace_log {
-                    log.append_json(&profile_json(key, &sample, &profile));
-                }
-            }
-            if doc.is_some() {
-                add(&shared.metrics.corpus_hits_total, 1);
-                add(
-                    &shared.metrics.seek_skipped_bytes_total,
-                    run.seek_skipped_bytes,
-                );
-                add(
-                    &shared.metrics.index_skipped_bytes_total,
-                    run.index_skipped_bytes,
-                );
-            }
-            let span = ctx.enter(Stage::Serialize);
-            let body = sink.finish().expect("writing to Vec cannot fail");
-            drop(span);
-            let mut reply = Reply::new(200, "application/xml", body);
-            reply.headers = vec![
-                ("x-foxq-input-events", run.input_events.to_string()),
-                ("x-foxq-output-events", stats.output_events.to_string()),
-                (
-                    "x-foxq-prefiltered-events",
-                    stats.prefiltered_events.to_string(),
-                ),
-                ("x-foxq-peak-live-nodes", stats.peak_live_nodes.to_string()),
-                ("x-foxq-peak-live-bytes", stats.peak_live_bytes.to_string()),
-                (
-                    "x-foxq-peak-pending-calls",
-                    stats.peak_pending_calls.to_string(),
-                ),
-            ];
-            if doc.is_some() {
-                reply.headers.push((
-                    "x-foxq-seek-skipped-bytes",
-                    run.seek_skipped_bytes.to_string(),
-                ));
-                reply.headers.push((
-                    "x-foxq-index-skipped-bytes",
-                    run.index_skipped_bytes.to_string(),
-                ));
-            }
-            if !body_exhausted {
-                // The run succeeded but the framed body was not fully
-                // consumed (trailing bytes after the document): reusing the
-                // connection would desynchronize the next request.
-                return reply_unconsumed(reply);
-            }
-            reply
-        }
-        Err(e) => {
-            add(&shared.metrics.lane_failures_total, 1);
-            if doc.is_some() {
-                // No request body was involved: the connection is clean.
-                stream_error_reply(&e)
-            } else {
-                // The lane died before end-of-input: the body was not
-                // drained.
-                reply_unconsumed(stream_error_reply(&e))
-            }
-        }
+    // Observer and sink are type parameters of the run: with `()` as the
+    // observer every hook is an empty `#[inline(always)]` body, so
+    // `--profile` off costs the engine nothing, and a buffering sink's
+    // emission boundary is as empty.
+    if shared.profiles.is_some() {
+        query.answer(conn, StreamProfiler::for_mft(prepared.mft()))
+    } else {
+        query.answer(conn, ())
     }
 }
-
-// ---------------------------------------------------------------------------
-// Earliest-emission streaming: /query?stream=1
-// ---------------------------------------------------------------------------
-
-/// Trailer names declared on a streamed response head. The values are the
-/// run's statistics — only known once the run finishes, which is exactly
-/// what HTTP trailers are for. On buffered responses the same facts travel
-/// as ordinary headers.
-const STREAM_TRAILERS: &[&str] = &[
-    "x-foxq-input-events",
-    "x-foxq-output-events",
-    "x-foxq-prefiltered-events",
-    "x-foxq-peak-live-nodes",
-    "x-foxq-peak-live-bytes",
-    "x-foxq-peak-pending-calls",
-    "x-foxq-emit-flushes",
-    "x-foxq-first-emit-events",
-];
 
 /// Counts response bytes into the shared metrics as a worker writes them
 /// (the streamed-response analog of [`CountingReader`]).
@@ -1512,27 +1444,38 @@ struct StreamOut<'a> {
     keep: bool,
     /// Set once the chunked head is on the wire — the point of no return:
     /// later failures can only truncate the body, not change the status.
-    head_written: bool,
+    /// (A cell: the lane's sink delivers through a shared borrow while the
+    /// handler watches this.)
+    head_written: Cell<bool>,
 }
 
 impl StreamOut<'_> {
+    fn writer(&self) -> CountingWriter<'_> {
+        CountingWriter {
+            inner: self.stream,
+            metrics: self.metrics,
+        }
+    }
+
     /// Commit the response: status 200, chunked framing, declared
     /// trailers. Records TTFB and the `first_flush` stage — this *is* the
     /// first response byte.
-    fn write_head(&mut self) -> std::io::Result<()> {
-        let mut w = CountingWriter {
-            inner: self.stream,
-            metrics: self.metrics,
-        };
+    fn write_head(&self) -> std::io::Result<()> {
+        // Declared before the run: what every streamed reply will carry.
+        let trailers: Vec<&str> = RUN_FACTS
+            .iter()
+            .filter(|(_, on, _)| *on != On::Doc)
+            .map(|(name, _, _)| *name)
+            .collect();
         write_chunked_head(
-            &mut w,
+            &mut self.writer(),
             200,
             "application/xml",
             &[("x-foxq-request-id", format!("{:016x}", self.req_id))],
-            STREAM_TRAILERS,
+            &trailers,
             self.keep,
         )?;
-        self.head_written = true;
+        self.head_written.set(true);
         self.ctx
             .add_micros(Stage::FirstFlush, micros_since(self.req_start));
         self.metrics.ttfb.observe(self.req_start.elapsed());
@@ -1541,15 +1484,11 @@ impl StreamOut<'_> {
 
     /// Deliver one irrevocable output prefix as an HTTP chunk (head
     /// first, if this is the first flush).
-    fn deliver(&mut self, chunk: &[u8]) -> std::io::Result<()> {
-        if !self.head_written {
+    fn deliver(&self, chunk: &[u8]) -> std::io::Result<()> {
+        if !self.head_written.get() {
             self.write_head()?;
         }
-        let mut w = CountingWriter {
-            inner: self.stream,
-            metrics: self.metrics,
-        };
-        write_chunk(&mut w, chunk)
+        write_chunk(&mut self.writer(), chunk)
     }
 }
 
@@ -1564,320 +1503,256 @@ fn streamed_failure_reply() -> Reply {
     reply
 }
 
-/// A settled one-lane emit run: the shared-pass costs plus the lane's
-/// outcome, with the sink (and its borrow of the connection writer)
-/// dropped.
-struct EmitRun {
-    input_events: u64,
-    seek_skipped_bytes: u64,
-    index_skipped_bytes: u64,
-    lane: Result<StreamStats, StreamError>,
+/// What the observer of a `/query` lane does with a successful run.
+trait LaneObserver: StreamObserver {
+    fn record(self, query: &Query<'_>, facts: &RunFacts, alloc_bytes: u64, execute_micros: u64);
 }
 
-fn settle_emit_lane<F: FnMut(&[u8]) -> std::io::Result<()>>(
-    run: MultiRun<EmitWriter<F>>,
-) -> EmitRun {
-    let input_events = run.input_events;
-    let seek_skipped_bytes = run.seek_skipped_bytes;
-    let index_skipped_bytes = run.index_skipped_bytes;
-    let lane = run
-        .results
-        .into_iter()
-        .next()
-        .expect("one lane")
-        .and_then(|(sink, stats)| {
-            sink.finish()?;
-            Ok(stats)
-        });
-    EmitRun {
-        input_events,
-        seek_skipped_bytes,
-        index_skipped_bytes,
-        lane,
+impl LaneObserver for () {
+    fn record(self, _: &Query<'_>, _: &RunFacts, _: u64, _: u64) {}
+}
+
+/// `--profile`: fold the run into the per-query registry and the trace log.
+impl LaneObserver for StreamProfiler {
+    fn record(self, query: &Query<'_>, facts: &RunFacts, alloc_bytes: u64, execute_micros: u64) {
+        let (shared, prepared) = (query.shared, query.prepared);
+        let Some(registry) = &shared.profiles else {
+            return;
+        };
+        shared
+            .metrics
+            .alloc_bytes_per_request
+            .observe_value(alloc_bytes);
+        let profile = self.into_profile(prepared.mft());
+        let key = source_key(prepared.source());
+        let sample = RunSample {
+            input_events: facts.input_events,
+            output_events: facts.stats.output_events,
+            peak_live_nodes: facts.stats.peak_live_nodes as u64,
+            peak_live_bytes: facts.stats.peak_live_bytes as u64,
+            peak_pending_calls: facts.stats.peak_pending_calls as u64,
+            alloc_bytes,
+            execute_micros,
+        };
+        registry.record(key, prepared.source(), &sample, Some(&profile));
+        if let Some(log) = &shared.trace_log {
+            log.append_json(&profile_json(key, &sample, &profile));
+        }
     }
 }
 
-/// `POST /query?stream=1`: run the single lane through the earliest
-/// emission drivers, writing each irrevocable output prefix to the client
-/// as it becomes final — the first response byte leaves long before the
-/// document ends. Works for both the XML-body and the `doc=` tape paths.
-/// Run statistics travel as trailers (they do not exist until the run
-/// ends); `--profile` sampling applies only to buffered responses.
-fn handle_query_stream<R: BufRead>(
-    request: &Request,
-    conn: &mut R,
-    shared: &Shared,
-    ctx: &TraceContext,
-    prepared: &PreparedQuery,
-    doc: Option<&str>,
-    out: &mut StreamOut<'_>,
-) -> Reply {
-    out.keep = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-    let (run, body_exhausted) = match doc {
-        None => {
-            let kind = match request.body_kind() {
-                Ok(BodyKind::Empty) => {
-                    return Reply::text(400, "missing request body (the XML document)\n");
-                }
-                Ok(kind) => kind,
-                Err(e) => return reply_unconsumed(Reply::text(400, format!("{e}\n"))),
-            };
-            add(&shared.metrics.lane_runs_total, 1);
-            let mut body = BodyReader::new(conn, kind);
-            let bounded = BoundedReader::new(&mut body, shared.config.max_body_bytes);
-            let reader = XmlReader::new(bounded);
-            let span = ctx.enter(Stage::Execute);
-            let run = run_multi_emit(
-                &[prepared.mft()],
-                reader,
-                vec![EmitWriter::new(|chunk: &[u8]| out.deliver(chunk))],
-                shared.config.stream_limits,
-                prepared.solo_plan(),
-            );
-            drop(span);
-            let exhausted = body.exhausted();
-            match run {
-                Ok(run) => (settle_emit_lane(run), exhausted),
-                Err(e) => {
-                    // The input side killed the whole pass. Before the
-                    // head: a normal error answer. After: truncate.
-                    if out.head_written {
-                        add(&shared.metrics.lane_failures_total, 1);
-                        return streamed_failure_reply();
-                    }
-                    return reply_unconsumed(xml_error_reply(&e, shared.config.max_body_bytes));
-                }
-            }
+/// What a successful `/query` run reports.
+struct RunFacts {
+    input_events: u64,
+    stats: StreamStats,
+    source: SourceCost,
+}
+
+/// Which replies carry a run fact.
+#[derive(Clone, Copy, PartialEq)]
+enum On {
+    Every,
+    /// `stream=1` replies only.
+    Streamed,
+    /// `doc=` replies only.
+    Doc,
+}
+
+/// A run statistic as it travels to the client: its field name, the
+/// replies that carry it, its value.
+type RunFact = (&'static str, On, fn(&RunFacts) -> u64);
+
+/// The run's statistics, in the order they travel: headers on a buffered
+/// reply, trailers on a streamed one — they are only known once the run
+/// finishes, which is exactly what HTTP trailers are for.
+const RUN_FACTS: &[RunFact] = &[
+    ("x-foxq-input-events", On::Every, |f| f.input_events),
+    ("x-foxq-output-events", On::Every, |f| f.stats.output_events),
+    ("x-foxq-prefiltered-events", On::Every, |f| {
+        f.stats.prefiltered_events
+    }),
+    ("x-foxq-peak-live-nodes", On::Every, |f| {
+        f.stats.peak_live_nodes as u64
+    }),
+    ("x-foxq-peak-live-bytes", On::Every, |f| {
+        f.stats.peak_live_bytes as u64
+    }),
+    ("x-foxq-peak-pending-calls", On::Every, |f| {
+        f.stats.peak_pending_calls as u64
+    }),
+    ("x-foxq-emit-flushes", On::Streamed, |f| {
+        f.stats.emit_flushes
+    }),
+    ("x-foxq-first-emit-events", On::Streamed, |f| {
+        f.stats.first_emit_events
+    }),
+    ("x-foxq-seek-skipped-bytes", On::Doc, |f| {
+        f.source.seek_skipped_bytes
+    }),
+    ("x-foxq-index-skipped-bytes", On::Doc, |f| {
+        f.source.index_skipped_bytes
+    }),
+];
+
+/// One `/query` request past its checks: what to run, over what, to where.
+struct Query<'a> {
+    request: &'a Request,
+    shared: &'a Shared,
+    ctx: &'a TraceContext,
+    prepared: &'a PreparedQuery,
+    /// `doc=<id>`: read the stored tape, not the request body.
+    doc: Option<&'a str>,
+    /// `stream=1`: where the lane's sink delivers to.
+    out: Option<&'a StreamOut<'a>>,
+}
+
+impl Query<'_> {
+    /// Whether the streamed head is on the wire: from then on a failure
+    /// can only truncate the body.
+    fn head_written(&self) -> bool {
+        self.out.is_some_and(|out| out.head_written.get())
+    }
+
+    /// Nothing ran, or the input side killed the whole pass. Before the
+    /// head: a normal error answer. After: truncate.
+    fn pass_failed(&self, reply: Reply) -> Reply {
+        if self.head_written() {
+            add(&self.shared.metrics.lane_failures_total, 1);
+            return streamed_failure_reply();
         }
-        Some(id) => {
-            if shared.corpus.is_none() {
-                return no_corpus_reply(request);
+        reply
+    }
+
+    /// Pick the lane's sink — the reply's buffer, or the client itself,
+    /// which leaves no body behind — and run.
+    fn answer<R: BufRead, O: LaneObserver>(&self, conn: &mut R, obs: O) -> Reply {
+        match self.out {
+            Some(out) => {
+                let sink = EmitWriter::new(|chunk: &[u8]| out.deliver(chunk));
+                self.answer_into(conn, sink, obs, |sink| sink.finish().map(|()| Vec::new()))
             }
-            match request.body_kind() {
-                Ok(BodyKind::Empty) => {}
-                Ok(_) => {
-                    return reply_unconsumed(Reply::text(
-                        400,
-                        "no request body allowed with doc= (the document is stored)\n",
-                    ))
-                }
-                Err(e) => return reply_unconsumed(Reply::text(400, format!("{e}\n"))),
-            }
-            let path = match shared.corpus().expect("checked above").tape_path(id) {
-                Ok(path) => path,
-                Err(StoreError::UnknownDoc { id }) => {
-                    return Reply::text(404, format!("no document {id:?} in the corpus\n"))
-                }
-                Err(e) => return Reply::text(500, format!("corpus error: {e}\n")),
-            };
-            let tape = match TapeReader::open_file(&path) {
-                Ok(tape) => tape,
-                Err(e) => return store_error_reply(&e),
-            };
-            add(&shared.metrics.lane_runs_total, 1);
-            let start = Instant::now();
-            let run = run_multi_on_tape_emit(
-                &[prepared.mft()],
-                tape,
-                vec![EmitWriter::new(|chunk: &[u8]| out.deliver(chunk))],
-                shared.config.stream_limits,
-                prepared.solo_plan(),
-            );
-            let micros = micros_since(start);
-            match run {
-                Ok(run) => {
-                    ctx.add_micros(Stage::TapeSeek, run.tape_seek_micros);
-                    ctx.add_micros(Stage::IndexProbe, run.index_probe_micros);
-                    ctx.add_micros(
-                        Stage::TapeReplay,
-                        micros.saturating_sub(run.tape_seek_micros + run.index_probe_micros),
-                    );
-                    (settle_emit_lane(run), true)
-                }
-                Err(e) => {
-                    ctx.add_micros(Stage::TapeReplay, micros);
-                    if out.head_written {
-                        add(&shared.metrics.lane_failures_total, 1);
-                        return streamed_failure_reply();
-                    }
-                    return store_error_reply(&e);
-                }
-            }
+            None => self.answer_into(conn, WriterSink::new(Vec::new()), obs, WriterSink::finish),
         }
-    };
-    add(&shared.metrics.input_events_total, run.input_events);
-    let stats = match run.lane {
-        Ok(stats) => stats,
-        Err(e) => {
-            add(&shared.metrics.lane_failures_total, 1);
-            if out.head_written {
+    }
+
+    /// Run the single lane under the query's cached solo plan (repeat
+    /// requests do not re-run the projection analysis) and settle it into
+    /// the reply, whose body is what `finish` makes of the sink.
+    fn answer_into<R: BufRead, S: EmitSink, O: LaneObserver>(
+        &self,
+        conn: &mut R,
+        sink: S,
+        obs: O,
+        finish: impl FnOnce(S) -> std::io::Result<Vec<u8>>,
+    ) -> Reply {
+        let (request, shared, ctx) = (self.request, self.shared, self.ctx);
+        let mfts = [self.prepared.mft()];
+        let lanes = vec![(sink, obs)];
+        let plan = self.prepared.solo_plan();
+        let metered = O::ENABLED.then(|| (AllocScope::begin(), Instant::now()));
+        let ran = match self.doc {
+            None => run_over_body(request, conn, shared, ctx, &mfts, lanes, plan),
+            Some(id) => {
+                run_over_tape(request, shared, ctx, id, &mfts, lanes, plan).map(|run| (run, true))
+            }
+        };
+        let (run, body_exhausted) = match ran {
+            Ok(ran) => ran,
+            Err(reply) => return self.pass_failed(reply),
+        };
+        let metered =
+            metered.map(|(scope, start)| (scope.delta().allocated_bytes, micros_since(start)));
+        add(&shared.metrics.input_events_total, run.input_events);
+        let lane = run.results.into_iter().next().expect("one lane");
+        let settled = lane.and_then(|(sink, stats, obs)| {
+            let _span = ctx.enter(Stage::Serialize);
+            Ok((finish(sink)?, stats, obs))
+        });
+        let (body, stats, obs) = match settled {
+            Ok(settled) => settled,
+            Err(e) => {
+                add(&shared.metrics.lane_failures_total, 1);
+                if self.head_written() {
+                    return streamed_failure_reply();
+                }
+                let reply = stream_error_reply(&e);
+                return if self.doc.is_some() {
+                    // No request body was involved: the connection is clean.
+                    reply
+                } else {
+                    // The lane died before end-of-input: the body was not
+                    // drained.
+                    reply_unconsumed(reply)
+                };
+            }
+        };
+        // A query with no output still owes a streaming client a head.
+        if let Some(out) = self.out {
+            if !out.head_written.get() && out.write_head().is_err() {
                 return streamed_failure_reply();
             }
-            // The lane died before emitting anything: a normal error
-            // answer (the body was not drained on the XML path).
-            let reply = stream_error_reply(&e);
-            return if doc.is_some() {
-                reply
-            } else {
-                reply_unconsumed(reply)
-            };
         }
-    };
-    // A query with no output still owes the client a head.
-    if !out.head_written && out.write_head().is_err() {
-        return streamed_failure_reply();
-    }
-    add(&shared.metrics.streamed_responses_total, 1);
-    add(&shared.metrics.output_events_total, stats.output_events);
-    add(
-        &shared.metrics.prefilter_skipped_total,
-        stats.prefiltered_events,
-    );
-    shared
-        .metrics
-        .live_nodes_peak
-        .observe_value(stats.peak_live_nodes as u64);
-    shared
-        .metrics
-        .live_bytes_peak
-        .observe_value(stats.peak_live_bytes as u64);
-    shared
-        .metrics
-        .first_emit_events
-        .observe_value(stats.first_emit_events);
-    shared
-        .metrics
-        .emit_flushes_per_request
-        .observe_value(stats.emit_flushes);
-    if doc.is_some() {
-        add(&shared.metrics.corpus_hits_total, 1);
-        add(
-            &shared.metrics.seek_skipped_bytes_total,
-            run.seek_skipped_bytes,
-        );
-        add(
-            &shared.metrics.index_skipped_bytes_total,
-            run.index_skipped_bytes,
-        );
-    }
-    let mut trailers: Vec<(&str, String)> = vec![
-        ("x-foxq-input-events", run.input_events.to_string()),
-        ("x-foxq-output-events", stats.output_events.to_string()),
-        (
-            "x-foxq-prefiltered-events",
-            stats.prefiltered_events.to_string(),
-        ),
-        ("x-foxq-peak-live-nodes", stats.peak_live_nodes.to_string()),
-        ("x-foxq-peak-live-bytes", stats.peak_live_bytes.to_string()),
-        (
-            "x-foxq-peak-pending-calls",
-            stats.peak_pending_calls.to_string(),
-        ),
-        ("x-foxq-emit-flushes", stats.emit_flushes.to_string()),
-        (
-            "x-foxq-first-emit-events",
-            stats.first_emit_events.to_string(),
-        ),
-    ];
-    if doc.is_some() {
-        trailers.push((
-            "x-foxq-seek-skipped-bytes",
-            run.seek_skipped_bytes.to_string(),
-        ));
-        trailers.push((
-            "x-foxq-index-skipped-bytes",
-            run.index_skipped_bytes.to_string(),
-        ));
-    }
-    let mut reply = Reply::new(200, "application/xml", chunked_tail(&trailers));
-    reply.streamed = true;
-    reply.reusable = body_exhausted;
-    reply
-}
-
-/// A `/query` lane's outcome: the observed run plus whether the request
-/// body was fully consumed (tape-backed runs have no body and count as
-/// consumed).
-type QueryRunResult<O> = Result<(ObservedMultiRun<WriterSink<Vec<u8>>, O>, bool), Reply>;
-
-/// Run one `/query` request's single lane, XML body or stored tape, with
-/// an arbitrary [`StreamObserver`] attached. Stage attribution (tape
-/// seek/index/replay vs. execute) lands on `ctx` either way.
-fn query_run<R: BufRead, O: StreamObserver>(
-    request: &Request,
-    conn: &mut R,
-    shared: &Shared,
-    ctx: &TraceContext,
-    prepared: &PreparedQuery,
-    doc: Option<&str>,
-    obs: O,
-) -> QueryRunResult<O> {
-    match doc {
-        // `?doc=<id>`: replay the stored tape — no request body, no parse.
-        // Seek time (skipping prefilter-withheld subtrees) is carved out
-        // of the replay total so the two stages partition the wall time.
-        Some(id) => {
-            let start = Instant::now();
-            let outcome = run_on_tape(request, shared, prepared, id, obs);
-            let micros = micros_since(start);
-            match outcome {
-                Ok(run) => {
-                    ctx.add_micros(Stage::TapeSeek, run.tape_seek_micros);
-                    ctx.add_micros(Stage::IndexProbe, run.index_probe_micros);
-                    ctx.add_micros(
-                        Stage::TapeReplay,
-                        micros.saturating_sub(run.tape_seek_micros + run.index_probe_micros),
-                    );
-                    Ok((run, true))
-                }
-                Err(reply) => {
-                    ctx.add_micros(Stage::TapeReplay, micros);
-                    Err(reply)
-                }
-            }
+        let facts = RunFacts {
+            input_events: run.input_events,
+            stats,
+            source: run.source,
+        };
+        if let Some((alloc_bytes, execute_micros)) = metered {
+            obs.record(self, &facts, alloc_bytes, execute_micros);
         }
-        None => {
-            let span = ctx.enter(Stage::Execute);
-            let outcome = run_lane_observed(request, conn, shared, prepared, obs);
-            drop(span);
-            outcome
+        let metrics = &shared.metrics;
+        add(&metrics.output_events_total, stats.output_events);
+        add(&metrics.prefilter_skipped_total, stats.prefiltered_events);
+        metrics
+            .live_nodes_peak
+            .observe_value(stats.peak_live_nodes as u64);
+        metrics
+            .live_bytes_peak
+            .observe_value(stats.peak_live_bytes as u64);
+        if self.out.is_some() {
+            add(&metrics.streamed_responses_total, 1);
+            metrics
+                .first_emit_events
+                .observe_value(stats.first_emit_events);
+            metrics
+                .emit_flushes_per_request
+                .observe_value(stats.emit_flushes);
         }
+        if self.doc.is_some() {
+            add(&metrics.corpus_hits_total, 1);
+            add(
+                &metrics.seek_skipped_bytes_total,
+                facts.source.seek_skipped_bytes,
+            );
+            add(
+                &metrics.index_skipped_bytes_total,
+                facts.source.index_skipped_bytes,
+            );
+        }
+        let carried: Vec<(&'static str, String)> = RUN_FACTS
+            .iter()
+            .filter(|(_, on, _)| match on {
+                On::Every => true,
+                On::Streamed => self.out.is_some(),
+                On::Doc => self.doc.is_some(),
+            })
+            .map(|(name, _, value)| (*name, value(&facts).to_string()))
+            .collect();
+        let mut reply = if self.out.is_some() {
+            let mut reply = Reply::new(200, "application/xml", chunked_tail(&carried));
+            reply.streamed = true;
+            reply
+        } else {
+            let mut reply = Reply::new(200, "application/xml", body);
+            reply.headers = carried;
+            reply
+        };
+        // The run succeeded, but trailing bytes after the document may be
+        // left in the framed body: reusing the connection would then
+        // desynchronize the next request.
+        reply.reusable = body_exhausted;
+        reply
     }
-}
-
-/// The single-lane analog of [`run_lanes`]: stream the request body
-/// through one prepared query under its cached solo plan, observer
-/// attached.
-fn run_lane_observed<R: BufRead, O: StreamObserver>(
-    request: &Request,
-    conn: &mut R,
-    shared: &Shared,
-    prepared: &PreparedQuery,
-    obs: O,
-) -> QueryRunResult<O> {
-    let kind = request
-        .body_kind()
-        .map_err(|e| reply_unconsumed(Reply::text(400, format!("{e}\n"))))?;
-    if kind == BodyKind::Empty {
-        // Nothing is on the wire: this error keeps its connection.
-        return Err(Reply::text(
-            400,
-            "missing request body (the XML document)\n",
-        ));
-    }
-    let mut body = BodyReader::new(conn, kind);
-    let bounded = BoundedReader::new(&mut body, shared.config.max_body_bytes);
-    let reader = XmlReader::new(bounded);
-    add(&shared.metrics.lane_runs_total, 1);
-    let run = run_multi_with_plan_observed(
-        &[prepared.mft()],
-        reader,
-        vec![(WriterSink::new(Vec::new()), obs)],
-        shared.config.stream_limits,
-        prepared.solo_plan(),
-    )
-    .map_err(|e| reply_unconsumed(xml_error_reply(&e, shared.config.max_body_bytes)))?;
-    Ok((run, body.exhausted()))
 }
 
 /// One profiled run as a trace-log JSON line (rides in the same JSONL
@@ -1908,56 +1783,6 @@ fn profile_json(key: u64, sample: &RunSample, profile: &StreamProfile) -> String
     }
     out.push_str("]}}");
     out
-}
-
-/// `POST /query?doc=<id>`: run one prepared query over a stored tape,
-/// seeking over prefilter-withheld subtrees. The request must carry no
-/// body (the document is already in the store).
-fn run_on_tape<O: StreamObserver>(
-    request: &Request,
-    shared: &Shared,
-    prepared: &PreparedQuery,
-    id: &str,
-    obs: O,
-) -> Result<ObservedMultiRun<WriterSink<Vec<u8>>, O>, Reply> {
-    if shared.corpus.is_none() {
-        return Err(no_corpus_reply(request));
-    }
-    match request.body_kind() {
-        Ok(BodyKind::Empty) => {}
-        Ok(_) => {
-            return Err(reply_unconsumed(Reply::text(
-                400,
-                "no request body allowed with doc= (the document is stored)\n",
-            )))
-        }
-        Err(e) => return Err(reply_unconsumed(Reply::text(400, format!("{e}\n")))),
-    }
-    let path = match shared.corpus().expect("checked above").tape_path(id) {
-        Ok(path) => path,
-        Err(StoreError::UnknownDoc { id }) => {
-            return Err(Reply::text(
-                404,
-                format!("no document {id:?} in the corpus\n"),
-            ))
-        }
-        Err(e) => return Err(Reply::text(500, format!("corpus error: {e}\n"))),
-    };
-    let tape = match TapeReader::open_file(&path) {
-        Ok(tape) => tape,
-        Err(e) => return Err(store_error_reply(&e)),
-    };
-    add(&shared.metrics.lane_runs_total, 1);
-    // The plan is cached inside the prepared query: repeat corpus hits do
-    // not re-run the projection analysis.
-    run_multi_on_tape_observed(
-        &[prepared.mft()],
-        tape,
-        vec![(WriterSink::new(Vec::new()), obs)],
-        shared.config.stream_limits,
-        prepared.solo_plan(),
-    )
-    .map_err(|e| store_error_reply(&e))
 }
 
 /// `GET /corpus`: the manifest as tab-separated text.
@@ -1995,17 +1820,13 @@ fn handle_corpus_ingest<R: BufRead>(
             format!("invalid document id {id:?} (use [A-Za-z0-9._-], not starting with '.')\n"),
         ));
     }
-    let kind = match request.body_kind() {
-        Ok(BodyKind::Empty) => {
-            return Reply::text(400, "missing request body (the XML document)\n")
-        }
-        Ok(kind) => kind,
-        Err(e) => return reply_unconsumed(Reply::text(400, format!("{e}\n"))),
+    let mut body = match open_body(request, conn) {
+        Ok(body) => body,
+        Err(reply) => return reply,
     };
     let dir = shared.corpus().expect("checked above").dir().to_path_buf();
     let seq = shared.ingest_seq.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!(".ingest-{seq}-{id}.tmp"));
-    let mut body = BodyReader::new(conn, kind);
     let bounded = BoundedReader::new(&mut body, shared.config.max_body_bytes);
     let span = ctx.enter(Stage::Execute);
     let ingested = ingest_xml_to_tmp(&tmp, bounded);
@@ -2089,11 +1910,14 @@ fn handle_batch<R: BufRead>(
         }
     }
     let mfts: Vec<&Mft> = prepared.iter().map(|p| p.mft()).collect();
-    let span = ctx.enter(Stage::Execute);
-    let outcome = run_lanes(request, conn, shared, &mfts);
-    drop(span);
-    let (run, body_exhausted) = match outcome {
-        Ok(ok) => ok,
+    let lanes = mfts
+        .iter()
+        .map(|_| (WriterSink::new(Vec::new()), ()))
+        .collect();
+    let plan = QuerySetPlan::new(mfts.iter().copied());
+    let (run, body_exhausted) = match run_over_body(request, conn, shared, ctx, &mfts, lanes, &plan)
+    {
+        Ok(ran) => ran,
         Err(reply) => return reply,
     };
     add(&shared.metrics.input_events_total, run.input_events);
@@ -2105,7 +1929,7 @@ fn handle_batch<R: BufRead>(
     for (i, result) in run.results.into_iter().enumerate() {
         body.extend_from_slice(format!("### query {i}\n").as_bytes());
         match result {
-            Ok((sink, stats)) => {
+            Ok((sink, stats, ())) => {
                 any_ok = true;
                 add(&shared.metrics.output_events_total, stats.output_events);
                 add(

@@ -8,13 +8,12 @@
 //! report is **deterministic**: byte-for-byte identical whatever the thread
 //! count or scheduling (proven by `tests/service.rs`).
 
-use crate::multi::{run_multi_on_tape, run_multi_with_plan, QuerySetPlan};
+use crate::multi::{run_lanes, Events, LaneInput, MultiRun, QuerySetPlan, SourceCost};
 use crate::prepared::PreparedQuery;
 use foxq_core::stream::{StreamLimits, StreamStats};
 use foxq_core::Mft;
 use foxq_store::Corpus;
 use foxq_xml::{WriterSink, XmlReader};
-use std::io::{BufRead, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -97,7 +96,12 @@ impl BatchDriver {
     pub fn run(&self, docs: &[Vec<u8>], queries: &[Arc<PreparedQuery>]) -> BatchReport {
         let plan = plan_of(queries);
         self.run_with(docs.len(), |d| {
-            run_one_doc(&docs[d][..], queries, self.limits, &plan)
+            run_one(
+                Events(XmlReader::new(&docs[d][..])),
+                queries,
+                self.limits,
+                &plan,
+            )
         })
     }
 
@@ -112,7 +116,7 @@ impl BatchDriver {
         let plan = plan_of(queries);
         self.run_with(paths.len(), |d| {
             match std::fs::File::open(paths[d].as_ref()) {
-                Ok(file) => run_one_doc(file, queries, self.limits, &plan),
+                Ok(file) => run_one(Events(XmlReader::new(file)), queries, self.limits, &plan),
                 Err(e) => DocRow::failed(
                     &format!("cannot open {}: {e}", paths[d].as_ref().display()),
                     queries,
@@ -141,7 +145,7 @@ impl BatchDriver {
     ) -> CorpusReport {
         let plan = plan_of(queries);
         let report = self.run_with(doc_ids.len(), |d| match corpus.open_tape(&doc_ids[d]) {
-            Ok(tape) => run_one_tape(tape, queries, self.limits, &plan),
+            Ok(tape) => run_one(tape, queries, self.limits, &plan),
             Err(e) => DocRow::failed(&e.to_string(), queries),
         });
         CorpusReport { doc_ids, report }
@@ -194,8 +198,8 @@ impl BatchDriver {
         for row in rows {
             let row = row.expect("every document processed");
             report.input_events += row.input_events;
-            report.seek_skipped_bytes += row.seek_skipped_bytes;
-            report.index_skipped_bytes += row.index_skipped_bytes;
+            report.seek_skipped_bytes += row.source.seek_skipped_bytes;
+            report.index_skipped_bytes += row.source.index_skipped_bytes;
             for cell in &row.cells {
                 match (&cell.output, cell.stats) {
                     (Ok(_), Some(stats)) => report.output_events += stats.output_events,
@@ -221,8 +225,7 @@ pub struct CorpusReport {
 struct DocRow {
     cells: Vec<BatchCell>,
     input_events: u64,
-    seek_skipped_bytes: u64,
-    index_skipped_bytes: u64,
+    source: SourceCost,
 }
 
 impl DocRow {
@@ -238,18 +241,17 @@ impl DocRow {
                 })
                 .collect(),
             input_events: 0,
-            seek_skipped_bytes: 0,
-            index_skipped_bytes: 0,
+            source: SourceCost::default(),
         }
     }
 
-    fn from_run(run: crate::multi::MultiRun<WriterSink<Vec<u8>>>) -> DocRow {
+    fn from_run(run: MultiRun<(WriterSink<Vec<u8>>, StreamStats, ())>) -> DocRow {
         DocRow {
             cells: run
                 .results
                 .into_iter()
                 .map(|r| match r {
-                    Ok((sink, stats)) => match sink.finish() {
+                    Ok((sink, stats, ())) => match sink.finish() {
                         Ok(buf) => BatchCell {
                             output: Ok(String::from_utf8(buf).expect("output is UTF-8")),
                             stats: Some(stats),
@@ -266,8 +268,7 @@ impl DocRow {
                 })
                 .collect(),
             input_events: run.input_events,
-            seek_skipped_bytes: run.seek_skipped_bytes,
-            index_skipped_bytes: run.index_skipped_bytes,
+            source: run.source,
         }
     }
 }
@@ -277,45 +278,25 @@ fn plan_of(queries: &[Arc<PreparedQuery>]) -> QuerySetPlan {
     QuerySetPlan::new(queries.iter().map(|q| q.mft()))
 }
 
-fn sinks_for(queries: &[Arc<PreparedQuery>]) -> Vec<WriterSink<Vec<u8>>> {
-    queries
+/// All queries over one document — XML text, or a stored tape replayed
+/// with seek skipping — in a single pass. An input-side failure (malformed
+/// XML, a corrupt or unreadable tape) fails every cell of the document.
+fn run_one<I: LaneInput>(
+    input: I,
+    queries: &[Arc<PreparedQuery>],
+    limits: StreamLimits,
+    plan: &QuerySetPlan,
+) -> DocRow
+where
+    I::Error: std::fmt::Display,
+{
+    let mfts: Vec<&Mft> = queries.iter().map(|q| q.mft()).collect();
+    let lanes = queries
         .iter()
-        .map(|_| WriterSink::new(Vec::new()))
-        .collect()
-}
-
-/// All queries over one readable document, single pass.
-fn run_one_doc<R: Read>(
-    reader: R,
-    queries: &[Arc<PreparedQuery>],
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> DocRow {
-    let mfts: Vec<&Mft> = queries.iter().map(|q| q.mft()).collect();
-    match run_multi_with_plan(
-        &mfts,
-        XmlReader::new(reader),
-        sinks_for(queries),
-        limits,
-        plan,
-    ) {
+        .map(|_| (WriterSink::new(Vec::new()), ()))
+        .collect();
+    match run_lanes(&mfts, input, lanes, limits, plan) {
         Ok(run) => DocRow::from_run(run),
-        // Malformed input fails every cell of this document.
-        Err(e) => DocRow::failed(&e.to_string(), queries),
-    }
-}
-
-/// All queries over one stored tape, single replay with seek skipping.
-fn run_one_tape<R: BufRead + std::io::Seek>(
-    tape: foxq_store::TapeReader<R>,
-    queries: &[Arc<PreparedQuery>],
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> DocRow {
-    let mfts: Vec<&Mft> = queries.iter().map(|q| q.mft()).collect();
-    match run_multi_on_tape(&mfts, tape, sinks_for(queries), limits, plan) {
-        Ok(run) => DocRow::from_run(run),
-        // A corrupt or unreadable tape fails every cell of this document.
         Err(e) => DocRow::failed(&e.to_string(), queries),
     }
 }

@@ -12,6 +12,8 @@
 //!   [`CacheStats`]);
 //! * [`MultiQueryEngine`] — N queries answered in a **single pass** of the
 //!   input event stream, with per-query statistics and error isolation;
+//!   [`run_lanes`] drives it from XML text or a stored tape, into buffering
+//!   or emitting sinks, with or without a profiler — one loop for all;
 //! * [`BatchDriver`] — M documents × N queries across `std::thread::scope`
 //!   workers, with a deterministic report.
 //!
@@ -20,7 +22,8 @@
 //! ## Quick start: three queries, one document, one pass
 //!
 //! ```
-//! use foxq_service::{run_multi_to_strings, QueryCache};
+//! use foxq_service::{run_multi, QueryCache};
+//! use foxq_xml::{WriterSink, XmlReader};
 //!
 //! let mut cache = QueryCache::new(16);
 //! let queries: Vec<_> = [
@@ -38,11 +41,13 @@
 //!            </people></site>";
 //!
 //! // One parse of `doc` answers all three queries.
-//! let run = run_multi_to_strings(&queries, doc.as_bytes()).unwrap();
-//! let outputs: Vec<&str> = run
+//! let mfts: Vec<_> = queries.iter().map(|q| q.mft()).collect();
+//! let sinks = mfts.iter().map(|_| WriterSink::new(Vec::new())).collect();
+//! let run = run_multi(&mfts, XmlReader::new(doc.as_bytes()), sinks).unwrap();
+//! let outputs: Vec<String> = run
 //!     .results
-//!     .iter()
-//!     .map(|r| r.as_ref().unwrap().0.as_str())
+//!     .into_iter()
+//!     .map(|lane| String::from_utf8(lane.unwrap().0.finish().unwrap()).unwrap())
 //!     .collect();
 //! assert_eq!(outputs[0], "<names>JimLi</names>");
 //! assert_eq!(outputs[1], "<ids>p0p1</ids>");
@@ -61,11 +66,8 @@ pub mod profile;
 
 pub use batch::{BatchCell, BatchDriver, BatchReport, CorpusReport};
 pub use multi::{
-    run_multi, run_multi_emit, run_multi_emit_observed, run_multi_on_forest, run_multi_on_tape,
-    run_multi_on_tape_emit, run_multi_on_tape_emit_observed, run_multi_on_tape_observed,
-    run_multi_on_tape_scan, run_multi_on_tape_scan_emit, run_multi_on_tape_scan_observed,
-    run_multi_to_strings, run_multi_with_limits, run_multi_with_plan, run_multi_with_plan_observed,
-    MultiQueryEngine, MultiRun, ObservedMultiRun, QuerySetPlan,
+    run_lanes, run_multi, run_multi_on_forest, run_multi_on_tape, Events, LaneInput,
+    MultiQueryEngine, MultiRun, QuerySetPlan, SourceCost,
 };
 pub use prepared::{
     source_key, CacheStats, CompileLimits, PrepareError, PreparedQuery, QueryCache, QueryMeta,

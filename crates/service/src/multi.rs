@@ -33,22 +33,42 @@
 //! location has no subscriber ([`Engine::is_dead`]) cannot be affected by
 //! anything inside that subtree. [`MultiQueryEngine::all_lanes_dead`] is
 //! that verdict for the whole set — a lane the prefilter is withholding
-//! from, or one that failed, is dead by definition — and every driver acts
+//! from, or one that failed, is dead by definition — and the driver acts
 //! on it: it feeds the open, and when every lane is dead it has the source
 //! skip to the matching close instead of producing the interior
-//! ([`EventSource::skip_subtree`]). A tape seeks there; an [`XmlReader`]
-//! *skims* — every byte is still checked, so a malformed document fails as
-//! it always did, but no name is interned, no text allocated, no event
-//! built. That is the only skip protocol; "the prefilter withheld it" is
-//! one way of being dead.
+//! ([`EventSource::skip_subtree`]). A tape seeks there; a
+//! [`foxq_xml::XmlReader`] *skims* — every byte is still checked, so a
+//! malformed document fails as it always did, but no name is interned, no
+//! text allocated, no event built. That is the only skip protocol; "the
+//! prefilter withheld it" is one way of being dead.
+//!
+//! ## One driver, three sources
+//!
+//! [`run_lanes`] is the one way to run a query set: it takes any
+//! [`LaneInput`], one [`EmitSink`] and one [`StreamObserver`] per lane
+//! (`()` compiles away), and a [`QuerySetPlan`]. Behind it is one event
+//! loop — open → verdict → skip → close, with every lane's emission
+//! boundary fired after each delivered event — generic over a private
+//! `Source`: how to pull, how to skip, *when* skipping is allowed, and an
+//! end-of-run read-out of the counters the source keeps itself. It is
+//! implemented for [`Events`] (any [`EventSource`], XML text above all:
+//! skip whenever every lane is dead), for [`TapeReader`] (the scan: skip
+//! where the tape has a close offset, and on FET1 only where the prefilter
+//! asks, since a FET1 seek forfeits the footer checksum) and for
+//! [`IndexedReplay`] (the FET2 skip index: what it never visited is
+//! accounted once, at end of input). Each keeps its own error type.
+//! Handing [`run_lanes`] a [`TapeReader`] picks between the last two as
+//! [`index_drive`] decides; a [`TapeDrive`] is run as already picked.
+//! [`run_multi`] and [`run_multi_on_tape`] are that call with plain sinks.
 
 use foxq_core::emit::EmitSink;
 use foxq_core::mft::Mft;
 use foxq_core::stream::{Engine, StreamError, StreamLimits, StreamObserver, StreamStats};
 use foxq_forest::{FxHashSet, Label, Tree};
+use foxq_obs::Stage;
 use foxq_store::tape::VERSION_V1;
 use foxq_store::{index_drive, IndexedReplay, StoreError, TapeDrive, TapeReader};
-use foxq_xml::{EventSource, XmlError, XmlEvent, XmlReader, XmlSink};
+use foxq_xml::{EventSource, XmlError, XmlEvent, XmlSink};
 use std::io::{BufRead, Seek};
 use std::sync::Arc;
 
@@ -151,9 +171,6 @@ struct Prefilter {
     skip_depth: u64,
     /// Events withheld so far (opens + closes).
     skipped: u64,
-    /// Tape bytes a label skip index proved irrelevant on the eligible
-    /// lanes' behalf (see [`MultiQueryEngine::note_index_skipped`]).
-    index_bytes: u64,
     /// One entry per *delivered* open event: was it a text label?
     text_parents: Vec<bool>,
     /// Currently open delivered text nodes. A skip must never start inside
@@ -172,15 +189,11 @@ pub struct MultiQueryEngine<'m, S, O: StreamObserver = ()> {
     filter: Option<Prefilter>,
     running: usize,
     input_events: u64,
-    /// Events inside subtrees a driver had its source skip (a tape seek,
+    /// Events inside subtrees the driver had its source skip (a tape seek,
     /// an XML skim) because every lane was dead at the open — withheld from
     /// *every* lane, on top of what the prefilter withholds from the
     /// eligible ones.
     seek_events: u64,
-    /// Tape bytes those seeks never decoded.
-    seek_bytes: u64,
-    /// Per-lane wall time (nanoseconds), when lane timing is enabled.
-    lane_nanos: Option<Vec<u64>>,
 }
 
 impl<'m, S: XmlSink> MultiQueryEngine<'m, S> {
@@ -244,7 +257,6 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             texts: plan.texts,
             skip_depth: 0,
             skipped: 0,
-            index_bytes: 0,
             text_parents: Vec::new(),
             open_texts: 0,
         });
@@ -255,25 +267,7 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             filter,
             input_events: 0,
             seek_events: 0,
-            seek_bytes: 0,
-            lane_nanos: None,
         }
-    }
-
-    /// Measure per-lane run time: every event delivery is clocked and
-    /// charged to the lane that consumed it. Off by default — two
-    /// monotonic-clock reads per event per lane is real overhead — so
-    /// drivers opt in for diagnostics/ablation, not on the serving hot
-    /// path. Must be called before the first event is fed.
-    pub fn enable_lane_timing(&mut self) {
-        assert_eq!(self.input_events, 0, "enable_lane_timing after events fed");
-        self.lane_nanos = Some(vec![0; self.lanes.len()]);
-    }
-
-    /// Per-lane accumulated run time in nanoseconds; `None` unless
-    /// [`MultiQueryEngine::enable_lane_timing`] was called.
-    pub fn lane_nanos(&self) -> Option<&[u64]> {
-        self.lane_nanos.as_deref()
     }
 
     /// Number of lanes (queries).
@@ -287,7 +281,7 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     }
 
     /// Open/close events fed so far, each counted once (not once per lane);
-    /// matches [`XmlReader::events_read`] when driven from a reader. The
+    /// matches [`EventSource::events_read`] when driven from a reader. The
     /// end-of-input tick is not counted — drivers add it when reporting.
     pub fn input_events(&self) -> u64 {
         self.input_events
@@ -307,31 +301,19 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
         self.seek_events + self.filter.as_ref().map_or(0, |f| f.skipped)
     }
 
-    /// Tape bytes the drivers seeked over because
-    /// [`MultiQueryEngine::all_lanes_dead`] held at a subtree's open.
-    pub fn seek_skipped_bytes(&self) -> u64 {
-        self.seek_bytes
-    }
-
-    /// Bytes an index-driven replay reported via
-    /// [`MultiQueryEngine::note_index_skipped`].
-    pub fn index_skipped_bytes(&self) -> u64 {
-        self.filter.as_ref().map_or(0, |f| f.index_bytes)
-    }
-
-    /// Record what an index-driven tape replay withheld wholesale:
-    /// `events` opens + closes that were never delivered and `bytes` of
-    /// tape the merged cursor jumped over. Reported once at end of input
-    /// (the index knows the exact remainder from the footer's event count,
-    /// not per skipped subtree).
-    pub fn note_index_skipped(&mut self, events: u64, bytes: u64) {
-        self.input_events += events;
-        let f = self
-            .filter
-            .as_mut()
-            .expect("note_index_skipped without a prefilter");
-        f.skipped += events;
-        f.index_bytes += bytes;
+    /// Account the opens + closes an index-driven tape replay never
+    /// visited, on the prefilter's behalf (only a fully prefiltered set is
+    /// driven by an index). Reported once at end of input: the index knows
+    /// the exact remainder from the footer's event count, not per jump.
+    fn note_unvisited(&mut self, events: u64) {
+        if events > 0 {
+            self.input_events += events;
+            let f = self
+                .filter
+                .as_mut()
+                .expect("an index drove unfiltered lanes");
+            f.skipped += events;
+        }
     }
 
     /// Can nothing inside the subtree of the `open` just fed reach any
@@ -361,20 +343,10 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     /// Account the interior of a subtree the source skipped after
     /// [`MultiQueryEngine::all_lanes_dead`]: `events` opens + closes
     /// nobody was fed (the subtree's own open and close are fed and not
-    /// among them) and `bytes` of undecoded tape (0 for skimmed XML).
-    fn note_seek_skipped(&mut self, events: u64, bytes: u64) {
+    /// among them).
+    fn note_seek_skipped(&mut self, events: u64) {
         self.input_events += events;
         self.seek_events += events;
-        self.seek_bytes += bytes;
-    }
-
-    /// Turn the shared prefilter off (every lane then receives every
-    /// event). Must be called before the first event is fed; useful for A/B
-    /// measurements.
-    pub fn disable_prefilter(&mut self) {
-        assert_eq!(self.input_events, 0, "disable_prefilter after events fed");
-        self.filter = None;
-        self.eligible.iter_mut().for_each(|e| *e = false);
     }
 
     /// Feed an event to live lanes; `eligible_too = false` withholds it
@@ -384,17 +356,12 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
         eligible_too: bool,
         mut f: impl FnMut(&mut Engine<'m, S, O>) -> Result<(), StreamError>,
     ) {
-        for (i, (lane, &eligible)) in self.lanes.iter_mut().zip(&self.eligible).enumerate() {
+        for (lane, &eligible) in self.lanes.iter_mut().zip(&self.eligible) {
             if !eligible_too && eligible {
                 continue;
             }
             if let Lane::Running(engine) = lane {
-                let start = self.lane_nanos.is_some().then(std::time::Instant::now);
-                let result = f(engine);
-                if let (Some(start), Some(nanos)) = (start, self.lane_nanos.as_mut()) {
-                    nanos[i] += start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                }
-                if let Err(e) = result {
+                if let Err(e) = f(engine) {
                     *lane = Lane::Failed(e);
                     self.running -= 1;
                 }
@@ -451,23 +418,28 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     }
 
     /// Signal end of input; collect each lane's sink and statistics. Every
-    /// lane reports what tape seeks and XML skims withheld from it in
-    /// [`StreamStats::prefiltered_events`] /
-    /// [`StreamStats::seek_skipped_bytes`]; lanes the prefilter served add
+    /// lane reports what the source's skips withheld from it in
+    /// [`StreamStats::prefiltered_events`]; lanes the prefilter served add
     /// its withheld-event count.
     pub fn finish(self) -> Vec<Result<(S, StreamStats), StreamError>> {
-        self.finish_observed()
-            .into_iter()
-            .map(|r| r.map(|(sink, stats, _)| (sink, stats)))
-            .collect()
+        without_observers(self.finish_observed())
     }
 
     /// [`MultiQueryEngine::finish`], also handing back each lane's
     /// observer.
-    pub fn finish_observed(mut self) -> Vec<Result<(S, StreamStats, O), StreamError>> {
-        let (seek_events, seek_bytes) = (self.seek_events, self.seek_bytes);
+    pub fn finish_observed(self) -> Vec<Result<(S, StreamStats, O), StreamError>> {
+        self.finish_read_from(&SourceCost::default())
+    }
+
+    /// [`MultiQueryEngine::finish_observed`] after a pass over a source
+    /// that skipped `cost`'s bytes: every lane reports the seeked-over
+    /// ones, the lanes the prefilter served the index-skipped ones.
+    fn finish_read_from(
+        mut self,
+        cost: &SourceCost,
+    ) -> Vec<Result<(S, StreamStats, O), StreamError>> {
+        let seek_events = self.seek_events;
         let skipped = self.prefiltered_events();
-        let index_bytes = self.index_skipped_bytes();
         let eligible = std::mem::take(&mut self.eligible);
         self.lanes
             .drain(..)
@@ -475,9 +447,9 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             .map(|(lane, eligible)| match lane {
                 Lane::Running(engine) => engine.finish_observed().map(|(sink, mut stats, obs)| {
                     stats.prefiltered_events = if eligible { skipped } else { seek_events };
-                    stats.seek_skipped_bytes = seek_bytes;
+                    stats.seek_skipped_bytes = cost.seek_skipped_bytes;
                     if eligible {
-                        stats.index_skipped_bytes = index_bytes;
+                        stats.index_skipped_bytes = cost.index_skipped_bytes;
                     }
                     (sink, stats, obs)
                 }),
@@ -491,7 +463,7 @@ impl<'m, S: EmitSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     /// Fire every running lane's emission boundary: whatever its engine
     /// flushed since the previous boundary is irrevocable (no pending
     /// call to its left) and is released downstream. Called by the
-    /// `*_emit` drivers after each delivered event. A delivery failure
+    /// driver after each delivered event. A delivery failure
     /// (e.g. the lane's client hung up) fails only that lane, like any
     /// other engine-side error.
     pub fn emit_running(&mut self) {
@@ -499,87 +471,75 @@ impl<'m, S: EmitSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     }
 }
 
-/// Result of [`run_multi`]: per-query outcomes plus the shared input cost.
-pub struct MultiRun<S> {
-    /// One result per query, in input order. Per-query failures (e.g. fuel
-    /// exhaustion) appear here; they do not abort the other queries.
-    pub results: Vec<Result<(S, StreamStats), StreamError>>,
-    /// Events consumed from the (single) reader pass, including the
-    /// end-of-input tick — equals each successful lane's `stats.events`.
-    pub input_events: u64,
-    /// Input bytes the pass *seeked over* instead of decoding, because
-    /// every lane was dead at a subtree's open. Nonzero only for the tape
-    /// drivers (XML text cannot be skipped without being scanned).
+/// What a pass cost on the input side, as the source itself counted it.
+/// All zero over XML text (nothing can be skipped there without being
+/// scanned) and over an in-memory forest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SourceCost {
+    /// Tape bytes the pass *seeked over* instead of decoding, because
+    /// every lane was dead at a subtree's open.
     pub seek_skipped_bytes: u64,
-    /// Wall time spent seeking (inside [`TapeReader::skip_subtree`]), in
-    /// microseconds — splits tape cost into replay vs. seek for the
-    /// request-level stage breakdown. Nonzero only for
-    /// [`run_multi_on_tape`].
+    /// Wall time spent in those seeks ([`TapeReader::skip_subtree`]), in
+    /// microseconds. Nonzero only on the scan path.
     pub tape_seek_micros: u64,
-    /// Input bytes a FET2 label skip index proved irrelevant, so the
-    /// merged cursor jumped over them without decoding a single frame.
-    /// Nonzero only when [`run_multi_on_tape`] takes the index path.
+    /// Tape bytes a FET2 label skip index proved irrelevant, so the merged
+    /// cursor jumped over them without decoding a single frame. Nonzero
+    /// only on the index path.
     pub index_skipped_bytes: u64,
-    /// Wall time spent merging and advancing posting lists, in
+    /// Wall time spent loading and advancing posting lists, in
     /// microseconds — the index path's analogue of
-    /// [`MultiRun::tape_seek_micros`].
+    /// [`SourceCost::tape_seek_micros`].
     pub index_probe_micros: u64,
 }
 
-/// Result of an `*_observed` driver: [`MultiRun`] whose per-lane
-/// payloads also carry the lane's [`StreamObserver`] (e.g. a
-/// `StreamProfiler` ready to be turned into a profile).
-pub struct ObservedMultiRun<S, O> {
-    /// One result per query, in input order, observer included.
-    pub results: Vec<Result<(S, StreamStats, O), StreamError>>,
-    /// See [`MultiRun::input_events`].
+impl SourceCost {
+    /// Split the wall time of a tape run into its request-level stages:
+    /// what the source clocked as seeking and as index probing, and the
+    /// rest — decoding and the engines — as replay. The parts add up to
+    /// `wall_micros`.
+    pub fn tape_stages(&self, wall_micros: u64) -> [(Stage, u64); 3] {
+        let seek = self.tape_seek_micros.min(wall_micros);
+        let probe = self.index_probe_micros.min(wall_micros - seek);
+        [
+            (Stage::TapeSeek, seek),
+            (Stage::IndexProbe, probe),
+            (Stage::TapeReplay, wall_micros - seek - probe),
+        ]
+    }
+}
+
+/// Result of a run: per-query outcomes plus the shared input cost. The lane
+/// payload `L` is `(sink, stats, observer)` from [`run_lanes`] and `(sink,
+/// stats)` from the plain wrappers.
+pub struct MultiRun<L> {
+    /// One result per query, in input order. Per-query failures (e.g. fuel
+    /// exhaustion, a sink that failed to deliver) appear here; they do not
+    /// abort the other queries.
+    pub results: Vec<Result<L, StreamError>>,
+    /// Events consumed from the (single) pass, including the end-of-input
+    /// tick — equals each successful lane's `stats.events +
+    /// stats.prefiltered_events`.
     pub input_events: u64,
-    /// See [`MultiRun::seek_skipped_bytes`].
-    pub seek_skipped_bytes: u64,
-    /// See [`MultiRun::tape_seek_micros`].
-    pub tape_seek_micros: u64,
-    /// See [`MultiRun::index_skipped_bytes`].
-    pub index_skipped_bytes: u64,
-    /// See [`MultiRun::index_probe_micros`].
-    pub index_probe_micros: u64,
+    /// What the source skipped, and what that took.
+    pub source: SourceCost,
 }
 
-impl<S, O> ObservedMultiRun<S, O> {
-    /// Separate the run from the per-lane observers (`None` for failed
-    /// lanes).
-    pub fn split(self) -> (MultiRun<S>, Vec<Option<O>>) {
-        let mut observers = Vec::with_capacity(self.results.len());
-        let results = self
-            .results
-            .into_iter()
-            .map(|r| match r {
-                Ok((sink, stats, obs)) => {
-                    observers.push(Some(obs));
-                    Ok((sink, stats))
-                }
-                Err(e) => {
-                    observers.push(None);
-                    Err(e)
-                }
-            })
-            .collect();
-        (
-            MultiRun {
-                results,
-                input_events: self.input_events,
-                seek_skipped_bytes: self.seek_skipped_bytes,
-                tape_seek_micros: self.tape_seek_micros,
-                index_skipped_bytes: self.index_skipped_bytes,
-                index_probe_micros: self.index_probe_micros,
-            },
-            observers,
-        )
+impl<S, O> MultiRun<(S, StreamStats, O)> {
+    /// Drop the observers.
+    fn plain(self) -> MultiRun<(S, StreamStats)> {
+        MultiRun {
+            results: without_observers(self.results),
+            input_events: self.input_events,
+            source: self.source,
+        }
     }
+}
 
-    /// Drop the observers, keeping only the plain run.
-    pub fn discard_observers(self) -> MultiRun<S> {
-        self.split().0
-    }
+fn without_observers<S, O>(
+    lanes: Vec<Result<(S, StreamStats, O), StreamError>>,
+) -> Vec<Result<(S, StreamStats), StreamError>> {
+    let plain = |lane: Result<_, _>| lane.map(|(sink, stats, _)| (sink, stats));
+    lanes.into_iter().map(plain).collect()
 }
 
 /// Pair each sink with the disabled `()` observer.
@@ -587,429 +547,313 @@ fn plain_lanes<S>(sinks: Vec<S>) -> Vec<(S, ())> {
     sinks.into_iter().map(|s| (s, ())).collect()
 }
 
-/// Run N transducers over one pass of any event source (an
-/// [`foxq_xml::XmlReader`], a replayed tape, …).
+// ---------------------------------------------------------------------------
+// The driver
+// ---------------------------------------------------------------------------
+
+/// What the event loop needs from an input, and all that differs between
+/// inputs.
+trait Source {
+    type Error;
+
+    /// The next event.
+    fn pull(&mut self) -> Result<XmlEvent, Self::Error>;
+
+    /// Right after an element's open was pulled and fed: may its subtree be
+    /// skipped? (Only asked while some lane is still running.)
+    fn may_skip<S: XmlSink, O: StreamObserver>(&self, engine: &MultiQueryEngine<'_, S, O>) -> bool {
+        engine.all_lanes_dead()
+    }
+
+    /// Consume that subtree through its close; returns the open + close
+    /// events consumed, the close included.
+    fn skip(&mut self) -> Result<u64, Self::Error>;
+
+    /// End of the run: the costs the source kept count of, and how many
+    /// events it never visited (and so never reported in a `skip`).
+    fn read_out(&self) -> (SourceCost, u64) {
+        (SourceCost::default(), 0)
+    }
+}
+
+/// Any [`EventSource`] as a [`run_lanes`] input — XML text through a
+/// [`foxq_xml::XmlReader`] above all — read by that protocol alone: its
+/// [`EventSource::skip_subtree`] is called wherever every lane is dead (an
+/// `XmlReader` skims). The tape types have inputs of their own, which keep
+/// their error type and their counters.
+pub struct Events<E>(pub E);
+
+impl<E: EventSource> Source for Events<E> {
+    type Error = XmlError;
+
+    fn pull(&mut self) -> Result<XmlEvent, XmlError> {
+        self.0.next_event()
+    }
+
+    fn skip(&mut self) -> Result<u64, XmlError> {
+        self.0.skip_subtree()
+    }
+}
+
+/// The scan: frames are decoded in order, dead subtrees seeked over.
+impl<R: BufRead + Seek> Source for TapeReader<R> {
+    type Error = StoreError;
+
+    fn pull(&mut self) -> Result<XmlEvent, StoreError> {
+        self.next_event()
+    }
+
+    fn may_skip<S: XmlSink, O: StreamObserver>(&self, engine: &MultiQueryEngine<'_, S, O>) -> bool {
+        // A FET1 seek forfeits the footer checksum, so those tapes keep the
+        // skips they always took: the ones the prefilter asks for.
+        self.skippable() && engine.lanes_idle(self.info().version != VERSION_V1)
+    }
+
+    fn skip(&mut self) -> Result<u64, StoreError> {
+        self.skip_subtree().map(|skipped| skipped.events)
+    }
+
+    fn read_out(&self) -> (SourceCost, u64) {
+        let cost = SourceCost {
+            seek_skipped_bytes: self.seek_skipped_bytes(),
+            tape_seek_micros: self.seek_micros(),
+            ..SourceCost::default()
+        };
+        (cost, 0)
+    }
+}
+
+/// The index: only the merged cursor's candidate frames are decoded, and
+/// everything it never visited is accounted in one step at end of input
+/// (the footer's event count makes the remainder exact).
+impl<R: BufRead + Seek> Source for IndexedReplay<R> {
+    type Error = StoreError;
+
+    fn pull(&mut self) -> Result<XmlEvent, StoreError> {
+        self.next_event()
+    }
+
+    fn skip(&mut self) -> Result<u64, StoreError> {
+        self.skip_subtree().map(|skipped| skipped.events)
+    }
+
+    fn read_out(&self) -> (SourceCost, u64) {
+        let cost = SourceCost {
+            seek_skipped_bytes: self.seek_skipped_bytes(),
+            index_skipped_bytes: self.index_skipped_bytes(),
+            index_probe_micros: self.probe_micros(),
+            ..SourceCost::default()
+        };
+        (cost, self.info().events - self.events_read())
+    }
+}
+
+/// The one event loop: feed each event to the fan-out, then fire every
+/// lane's emission boundary. After an element's open that leaves the
+/// source free to skip ([`Source::may_skip`]), it skips to the matching
+/// close, the interior is accounted as withheld from every lane, and the
+/// close is fed.
+fn drive<'m, Src: Source, S: EmitSink, O: StreamObserver>(
+    mut source: Src,
+    mut engine: MultiQueryEngine<'m, S, O>,
+) -> Result<MultiRun<(S, StreamStats, O)>, Src::Error> {
+    // Once every lane has failed nothing can produce output any more: the
+    // rest of the input is neither read nor skimmed.
+    while engine.running() > 0 {
+        match source.pull()? {
+            XmlEvent::Open(label) => {
+                engine.open(&label);
+                if !label.is_text() && engine.running() > 0 && source.may_skip(&engine) {
+                    let skipped = source.skip()?;
+                    engine.note_seek_skipped(skipped - 1);
+                    engine.emit_running();
+                    engine.close();
+                }
+            }
+            XmlEvent::Close(_) => engine.close(),
+            XmlEvent::Eof => {
+                let (cost, unvisited) = source.read_out();
+                engine.note_unvisited(unvisited);
+                return Ok(engine.into_run(cost, 1));
+            }
+        }
+        engine.emit_running();
+    }
+    Ok(engine.into_run(source.read_out().0, 0))
+}
+
+impl<'m, S: EmitSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
+    /// Close the pass: `eof_tick` is 1 when the source was read to its
+    /// end. The end-of-input tick ground the remainder of each surviving
+    /// lane's output, so one last emission boundary releases it; a failure
+    /// there turns that lane's result into [`StreamError::Emit`].
+    fn into_run(self, source: SourceCost, eof_tick: u64) -> MultiRun<(S, StreamStats, O)> {
+        let input_events = self.input_events() + eof_tick;
+        let results = self
+            .finish_read_from(&source)
+            .into_iter()
+            .map(|lane| {
+                lane.and_then(|(mut sink, stats, obs)| {
+                    sink.emit()?;
+                    Ok((sink, stats, obs))
+                })
+            })
+            .collect();
+        MultiRun {
+            results,
+            input_events,
+            source,
+        }
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl<E> Sealed for super::Events<E> {}
+    impl<R> Sealed for super::TapeReader<R> {}
+    impl<R> Sealed for super::TapeDrive<R> {}
+}
+
+/// What [`run_lanes`] reads a document from: [`Events`], a [`TapeReader`]
+/// or a [`TapeDrive`]. (Sealed: the set is closed.)
+pub trait LaneInput: sealed::Sealed + Sized {
+    /// Input-side failure, which ends the whole pass.
+    type Error;
+
+    #[doc(hidden)]
+    fn feed<'m, S: EmitSink, O: StreamObserver>(
+        self,
+        engine: MultiQueryEngine<'m, S, O>,
+        plan: &QuerySetPlan,
+    ) -> Result<MultiRun<(S, StreamStats, O)>, Self::Error>;
+}
+
+impl<E: EventSource> LaneInput for Events<E> {
+    type Error = XmlError;
+
+    fn feed<'m, S: EmitSink, O: StreamObserver>(
+        self,
+        engine: MultiQueryEngine<'m, S, O>,
+        _: &QuerySetPlan,
+    ) -> Result<MultiRun<(S, StreamStats, O)>, XmlError> {
+        drive(self, engine)
+    }
+}
+
+/// A tape is read as little as the query set permits, on one of two paths
+/// picked here:
+///
+/// * **Index** — the tape is FET2 with a usable skip index and *every*
+///   lane participates in the prefilter: the matched labels' posting
+///   lists drive a merged cursor ([`foxq_store::index_drive`]) that
+///   decodes only candidate frames and jumps over everything between them
+///   without so much as a tag-byte read ([`SourceCost::index_skipped_bytes`]).
+/// * **Scan** — otherwise (FET1 tapes, flagged tapes, a pass-through lane
+///   in the set): frames are decoded in order.
+///
+/// Either way a subtree at whose open every lane is dead is seeked over
+/// ([`SourceCost::seek_skipped_bytes`]): what the prefilter withholds from
+/// every lane is the static case of that; a subtree-copying or
+/// descendant-axis query gets it wherever its engine has no subscriber
+/// left. On FET2 every decoded subtree is still verified and a skipped
+/// child's stored hash is folded into its parent; a FET1 tape loses its
+/// one footer checksum at the first seek, so there only the prefilter's
+/// withholding triggers one — as it always has — and a pass-through
+/// replay stays fully verified. Output is identical across both paths and
+/// a full replay, and every lane's `events + prefiltered_events` adds up to
+/// [`MultiRun::input_events`] (`tests/store.rs` proves it).
+impl<R: BufRead + Seek> LaneInput for TapeReader<R> {
+    type Error = StoreError;
+
+    fn feed<'m, S: EmitSink, O: StreamObserver>(
+        self,
+        engine: MultiQueryEngine<'m, S, O>,
+        plan: &QuerySetPlan,
+    ) -> Result<MultiRun<(S, StreamStats, O)>, StoreError> {
+        let picked = if plan.prefilters_whole_set() {
+            index_drive(self, plan.matched_labels(), plan.skips_texts())?
+        } else {
+            TapeDrive::Linear(self)
+        };
+        picked.feed(engine, plan)
+    }
+}
+
+/// A tape whose read path is already picked: `TapeDrive::Linear(tape)`
+/// forces the scan (FET1 behaviour on any tape, A/B measurement); an
+/// `Indexed` drive must have been built from `plan`'s labels.
+impl<R: BufRead + Seek> LaneInput for TapeDrive<R> {
+    type Error = StoreError;
+
+    fn feed<'m, S: EmitSink, O: StreamObserver>(
+        self,
+        engine: MultiQueryEngine<'m, S, O>,
+        _: &QuerySetPlan,
+    ) -> Result<MultiRun<(S, StreamStats, O)>, StoreError> {
+        match self {
+            TapeDrive::Indexed(replay) => drive(replay, engine),
+            TapeDrive::Linear(tape) => drive(tape, engine),
+        }
+    }
+}
+
+/// Run N transducers over one pass of `input`: lane `i` is `mfts[i]`
+/// writing into `lanes[i]`'s sink under its observer, every lane under
+/// `limits`, the set under `plan` (which must have been built from the
+/// same MFTs, in the same order).
 ///
 /// Input-side errors fail the whole run (every lane reads the same
 /// stream); engine-side errors are isolated per query. Once *every* lane
 /// has failed the rest of the input is not read (so the tail is no longer
 /// checked for well-formedness) — `input_events` then reflects the events
 /// consumed up to the abort.
-pub fn run_multi<E: EventSource, S: XmlSink>(
+pub fn run_lanes<I: LaneInput, S: EmitSink, O: StreamObserver>(
     mfts: &[&Mft],
-    events: E,
-    sinks: Vec<S>,
-) -> Result<MultiRun<S>, XmlError> {
-    run_multi_with_limits(mfts, events, sinks, StreamLimits::default())
+    input: I,
+    lanes: Vec<(S, O)>,
+    limits: StreamLimits,
+    plan: &QuerySetPlan,
+) -> Result<MultiRun<(S, StreamStats, O)>, I::Error> {
+    assert_eq!(mfts.len(), lanes.len(), "one sink per query");
+    let engine = MultiQueryEngine::with_observers(
+        mfts.iter().copied().zip(lanes).map(|(m, (s, o))| (m, s, o)),
+        limits,
+        plan,
+    );
+    input.feed(engine, plan)
 }
 
-/// [`run_multi`] with explicit per-lane [`StreamLimits`].
-pub fn run_multi_with_limits<E: EventSource, S: XmlSink>(
+/// [`run_lanes`] over any event source (a [`foxq_xml::XmlReader`], …) with
+/// plain sinks, default limits and the set's own plan.
+pub fn run_multi<E: EventSource, S: EmitSink>(
     mfts: &[&Mft],
     events: E,
     sinks: Vec<S>,
-    limits: StreamLimits,
-) -> Result<MultiRun<S>, XmlError> {
+) -> Result<MultiRun<(S, StreamStats)>, XmlError> {
     let plan = QuerySetPlan::new(mfts.iter().copied());
-    run_multi_with_plan(mfts, events, sinks, limits, &plan)
+    let limits = StreamLimits::default();
+    run_lanes(mfts, Events(events), plain_lanes(sinks), limits, &plan).map(MultiRun::plain)
 }
 
-/// [`run_multi_with_limits`] under a precomputed [`QuerySetPlan`] —
-/// evaluating the same query set over many documents computes the
-/// projections once, not once per document.
-pub fn run_multi_with_plan<E: EventSource, S: XmlSink>(
+/// [`run_lanes`] over one replay of a [`TapeReader`] with plain sinks: by
+/// the skip index where the plan and the tape allow it, by a scan
+/// otherwise (see [`LaneInput`] for `TapeReader`).
+pub fn run_multi_on_tape<R: BufRead + Seek, S: EmitSink>(
     mfts: &[&Mft],
-    events: E,
+    tape: TapeReader<R>,
     sinks: Vec<S>,
     limits: StreamLimits,
     plan: &QuerySetPlan,
-) -> Result<MultiRun<S>, XmlError> {
-    run_multi_with_plan_observed(mfts, events, plain_lanes(sinks), limits, plan)
-        .map(ObservedMultiRun::discard_observers)
+) -> Result<MultiRun<(S, StreamStats)>, StoreError> {
+    run_lanes(mfts, tape, plain_lanes(sinks), limits, plan).map(MultiRun::plain)
 }
 
-/// [`run_multi_with_plan`] with a [`StreamObserver`] per lane.
-pub fn run_multi_with_plan_observed<E: EventSource, S: XmlSink, O: StreamObserver>(
-    mfts: &[&Mft],
-    events: E,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<ObservedMultiRun<S, O>, XmlError> {
-    run_multi_hooked(mfts, events, lanes, limits, plan, |_| {})
-}
-
-/// The shared event-source loop: feed each event to the fan-out, then let
-/// `after_event` fire (the `*_emit` drivers release irrevocable prefixes
-/// there; plain drivers pass a no-op that compiles away). After an
-/// element's open that leaves [`MultiQueryEngine::all_lanes_dead`], the
-/// source skips to the matching close — an [`XmlReader`] skims — and the
-/// interior is accounted as withheld from every lane, as on a tape.
-fn run_multi_hooked<'m, E: EventSource, S: XmlSink, O: StreamObserver>(
-    mfts: &[&'m Mft],
-    mut events: E,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-    mut after_event: impl FnMut(&mut MultiQueryEngine<'m, S, O>),
-) -> Result<ObservedMultiRun<S, O>, XmlError> {
-    assert_eq!(mfts.len(), lanes.len(), "one sink per query");
-    let mut engine = MultiQueryEngine::with_observers(
-        mfts.iter().copied().zip(lanes).map(|(m, (s, o))| (m, s, o)),
-        limits,
-        plan,
-    );
-    loop {
-        if engine.running() == 0 {
-            // Every lane failed: nothing can produce output any more, so
-            // don't pay for parsing the rest of the stream.
-            let input_events = engine.input_events();
-            return Ok(ObservedMultiRun {
-                results: engine.finish_observed(),
-                input_events,
-                seek_skipped_bytes: 0,
-                tape_seek_micros: 0,
-                index_skipped_bytes: 0,
-                index_probe_micros: 0,
-            });
-        }
-        match events.next_event()? {
-            XmlEvent::Open(label) => {
-                engine.open(&label);
-                // (With every lane failed the pass is over: nothing is left
-                // to skim for.)
-                if !label.is_text() && engine.running() > 0 && engine.all_lanes_dead() {
-                    // Nobody can use the subtree: the source consumes it
-                    // without building its events (an `XmlReader` skims).
-                    let skipped = events.skip_subtree()?;
-                    engine.note_seek_skipped(skipped - 1, 0);
-                    after_event(&mut engine);
-                    engine.close();
-                }
-            }
-            XmlEvent::Close(_) => engine.close(),
-            XmlEvent::Eof => {
-                let input_events = engine.input_events() + 1;
-                return Ok(ObservedMultiRun {
-                    results: engine.finish_observed(),
-                    input_events,
-                    seek_skipped_bytes: 0,
-                    tape_seek_micros: 0,
-                    index_skipped_bytes: 0,
-                    index_probe_micros: 0,
-                });
-            }
-        }
-        after_event(&mut engine);
+fn feed_tree<S: XmlSink>(engine: &mut MultiQueryEngine<'_, S>, t: &Tree) {
+    engine.open(&t.label);
+    for c in &t.children {
+        feed_tree(engine, c);
     }
-}
-
-/// Run N transducers over one replay of a [`TapeReader`], reading as
-/// little of the tape as the query set permits.
-///
-/// Two read paths, picked automatically:
-///
-/// * **Index** — when the tape is FET2 with a usable skip index and
-///   *every* lane participates in the prefilter, the matched labels'
-///   posting lists drive a merged cursor ([`foxq_store::index_drive`])
-///   that decodes only candidate frames; everything between them is
-///   jumped over without so much as a tag-byte read, reported in
-///   [`MultiRun::index_skipped_bytes`].
-/// * **Scan** — otherwise (FET1 tapes, flagged tapes, a pass-through lane
-///   in the set), frames are decoded in order.
-///
-/// Both obey one skip rule: an element's open is fed, and when
-/// [`MultiQueryEngine::all_lanes_dead`] then holds the source seeks to the
-/// matching close instead of producing the interior
-/// ([`MultiRun::seek_skipped_bytes`]). A subtree the prefilter withholds
-/// from every lane is the static case of that; a subtree-copying or
-/// descendant-axis query gets it wherever its engine has no subscriber
-/// left. On FET2 every decoded subtree is still verified and a skipped
-/// child's stored hash is folded into its parent; a FET1 tape loses its
-/// one footer checksum at the first seek, so there only the prefilter's
-/// withholding triggers one — as it always has — and a pass-through
-/// replay stays fully verified.
-///
-/// Output is identical across both paths and a full replay, and every
-/// lane's `events + prefiltered_events` adds up to
-/// [`MultiRun::input_events`] (`tests/store.rs` proves it);
-/// [`run_multi_on_tape_scan`] forces the scan path for A/B measurement.
-pub fn run_multi_on_tape<R: BufRead + Seek, S: XmlSink>(
-    mfts: &[&Mft],
-    tape: TapeReader<R>,
-    sinks: Vec<S>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<MultiRun<S>, StoreError> {
-    run_multi_on_tape_observed(mfts, tape, plain_lanes(sinks), limits, plan)
-        .map(ObservedMultiRun::discard_observers)
-}
-
-/// [`run_multi_on_tape`] with a [`StreamObserver`] per lane.
-pub fn run_multi_on_tape_observed<R: BufRead + Seek, S: XmlSink, O: StreamObserver>(
-    mfts: &[&Mft],
-    tape: TapeReader<R>,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<ObservedMultiRun<S, O>, StoreError> {
-    if plan.prefilters_whole_set() {
-        return match index_drive(tape, plan.matched_labels(), plan.skips_texts())? {
-            TapeDrive::Indexed(drive) => run_multi_on_index(mfts, drive, lanes, limits, plan),
-            TapeDrive::Linear(tape) => {
-                run_multi_on_tape_scan_observed(mfts, tape, lanes, limits, plan)
-            }
-        };
-    }
-    run_multi_on_tape_scan_observed(mfts, tape, lanes, limits, plan)
-}
-
-/// The index path of [`run_multi_on_tape`]: deliver the merged cursor's
-/// events, then account everything it withheld in one step at end of
-/// input (the footer's event count makes the remainder exact).
-fn run_multi_on_index<R: BufRead + Seek, S: XmlSink, O: StreamObserver>(
-    mfts: &[&Mft],
-    drive: IndexedReplay<R>,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<ObservedMultiRun<S, O>, StoreError> {
-    run_multi_on_index_hooked(mfts, drive, lanes, limits, plan, |_| {})
-}
-
-/// [`run_multi_on_index`] with the shared `after_event` hook.
-fn run_multi_on_index_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObserver>(
-    mfts: &[&'m Mft],
-    mut drive: IndexedReplay<R>,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-    mut after_event: impl FnMut(&mut MultiQueryEngine<'m, S, O>),
-) -> Result<ObservedMultiRun<S, O>, StoreError> {
-    assert_eq!(mfts.len(), lanes.len(), "one sink per query");
-    let mut engine = MultiQueryEngine::with_observers(
-        mfts.iter().copied().zip(lanes).map(|(m, (s, o))| (m, s, o)),
-        limits,
-        plan,
-    );
-    let done = |engine: MultiQueryEngine<'_, S, O>, drive: &IndexedReplay<R>, eof: bool| {
-        let input_events = engine.input_events() + u64::from(eof);
-        let seek_skipped_bytes = engine.seek_skipped_bytes();
-        let index_skipped_bytes = engine.index_skipped_bytes();
-        ObservedMultiRun {
-            results: engine.finish_observed(),
-            input_events,
-            seek_skipped_bytes,
-            tape_seek_micros: 0,
-            index_skipped_bytes,
-            index_probe_micros: drive.probe_micros(),
-        }
-    };
-    loop {
-        if engine.running() == 0 {
-            return Ok(done(engine, &drive, false));
-        }
-        match drive.next_event()? {
-            XmlEvent::Open(label) => {
-                engine.open(&label);
-                if !label.is_text() && engine.all_lanes_dead() {
-                    // The interior's events are part of the remainder
-                    // accounted at end of input.
-                    let skipped = drive.skip_subtree()?;
-                    engine.note_seek_skipped(0, skipped.bytes);
-                    after_event(&mut engine);
-                    engine.close();
-                }
-            }
-            XmlEvent::Close(_) => engine.close(),
-            XmlEvent::Eof => {
-                engine.note_index_skipped(drive.undelivered_events(), drive.index_skipped_bytes());
-                return Ok(done(engine, &drive, true));
-            }
-        }
-        after_event(&mut engine);
-    }
-}
-
-/// [`run_multi_on_tape`] restricted to the scan path — what every tape
-/// got before the FET2 skip index, kept callable for FET1 tapes and A/B
-/// measurement.
-pub fn run_multi_on_tape_scan<R: BufRead + Seek, S: XmlSink>(
-    mfts: &[&Mft],
-    tape: TapeReader<R>,
-    sinks: Vec<S>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<MultiRun<S>, StoreError> {
-    run_multi_on_tape_scan_observed(mfts, tape, plain_lanes(sinks), limits, plan)
-        .map(ObservedMultiRun::discard_observers)
-}
-
-/// [`run_multi_on_tape_scan`] with a [`StreamObserver`] per lane.
-pub fn run_multi_on_tape_scan_observed<R: BufRead + Seek, S: XmlSink, O: StreamObserver>(
-    mfts: &[&Mft],
-    tape: TapeReader<R>,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<ObservedMultiRun<S, O>, StoreError> {
-    run_multi_on_tape_scan_hooked(mfts, tape, lanes, limits, plan, |_| {})
-}
-
-/// [`run_multi_on_tape_scan_observed`] with the shared `after_event` hook.
-fn run_multi_on_tape_scan_hooked<'m, R: BufRead + Seek, S: XmlSink, O: StreamObserver>(
-    mfts: &[&'m Mft],
-    mut tape: TapeReader<R>,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-    mut after_event: impl FnMut(&mut MultiQueryEngine<'m, S, O>),
-) -> Result<ObservedMultiRun<S, O>, StoreError> {
-    assert_eq!(mfts.len(), lanes.len(), "one sink per query");
-    let mut engine = MultiQueryEngine::with_observers(
-        mfts.iter().copied().zip(lanes).map(|(m, (s, o))| (m, s, o)),
-        limits,
-        plan,
-    );
-    let done = |engine: MultiQueryEngine<'_, S, O>, tape_seek_micros: u64, eof: bool| {
-        let input_events = engine.input_events() + u64::from(eof);
-        let seek_skipped_bytes = engine.seek_skipped_bytes();
-        ObservedMultiRun {
-            results: engine.finish_observed(),
-            input_events,
-            seek_skipped_bytes,
-            tape_seek_micros,
-            index_skipped_bytes: 0,
-            index_probe_micros: 0,
-        }
-    };
-    // A FET1 seek forfeits the footer checksum, so those tapes keep the
-    // skips they always took: the ones the prefilter asks for.
-    let ask_engines = tape.info().version != VERSION_V1;
-    loop {
-        if engine.running() == 0 {
-            return Ok(done(engine, tape.seek_micros(), false));
-        }
-        match tape.next_event()? {
-            XmlEvent::Open(label) => {
-                engine.open(&label);
-                if !label.is_text() && tape.skippable() && engine.lanes_idle(ask_engines) {
-                    let skipped = tape.skip_subtree()?;
-                    engine.note_seek_skipped(skipped.events - 1, skipped.bytes);
-                    after_event(&mut engine);
-                    engine.close();
-                }
-            }
-            XmlEvent::Close(_) => engine.close(),
-            XmlEvent::Eof => {
-                let seek_micros = tape.seek_micros();
-                return Ok(done(engine, seek_micros, true));
-            }
-        }
-        after_event(&mut engine);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Earliest-emission drivers
-// ---------------------------------------------------------------------------
-
-/// Fire the end-of-input emission boundary on every surviving lane: the
-/// eof tick's flush ground the remainder of each output, so one last
-/// `emit` releases it. A failure here turns that lane's result into
-/// [`StreamError::Emit`].
-fn final_emits<S: EmitSink, O>(mut run: ObservedMultiRun<S, O>) -> ObservedMultiRun<S, O> {
-    run.results = run
-        .results
-        .into_iter()
-        .map(|r| {
-            r.and_then(|(mut sink, stats, obs)| {
-                sink.emit().map_err(StreamError::from)?;
-                Ok((sink, stats, obs))
-            })
-        })
-        .collect();
-    run
-}
-
-/// [`run_multi_with_plan`] over [`EmitSink`] lanes: after every delivered
-/// event each lane's emission boundary fires, releasing whatever its
-/// engine just made irrevocable — output streams out while the input is
-/// still being read.
-pub fn run_multi_emit<E: EventSource, S: EmitSink>(
-    mfts: &[&Mft],
-    events: E,
-    sinks: Vec<S>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<MultiRun<S>, XmlError> {
-    run_multi_emit_observed(mfts, events, plain_lanes(sinks), limits, plan)
-        .map(ObservedMultiRun::discard_observers)
-}
-
-/// [`run_multi_emit`] with a [`StreamObserver`] per lane.
-pub fn run_multi_emit_observed<E: EventSource, S: EmitSink, O: StreamObserver>(
-    mfts: &[&Mft],
-    events: E,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<ObservedMultiRun<S, O>, XmlError> {
-    run_multi_hooked(mfts, events, lanes, limits, plan, |e| e.emit_running()).map(final_emits)
-}
-
-/// [`run_multi_on_tape`] over [`EmitSink`] lanes — same automatic
-/// index-vs-scan path choice, with per-event emission boundaries.
-pub fn run_multi_on_tape_emit<R: BufRead + Seek, S: EmitSink>(
-    mfts: &[&Mft],
-    tape: TapeReader<R>,
-    sinks: Vec<S>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<MultiRun<S>, StoreError> {
-    run_multi_on_tape_emit_observed(mfts, tape, plain_lanes(sinks), limits, plan)
-        .map(ObservedMultiRun::discard_observers)
-}
-
-/// [`run_multi_on_tape_emit`] with a [`StreamObserver`] per lane.
-pub fn run_multi_on_tape_emit_observed<R: BufRead + Seek, S: EmitSink, O: StreamObserver>(
-    mfts: &[&Mft],
-    tape: TapeReader<R>,
-    lanes: Vec<(S, O)>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<ObservedMultiRun<S, O>, StoreError> {
-    let run = if plan.prefilters_whole_set() {
-        match index_drive(tape, plan.matched_labels(), plan.skips_texts())? {
-            TapeDrive::Indexed(drive) => {
-                run_multi_on_index_hooked(mfts, drive, lanes, limits, plan, |e| e.emit_running())?
-            }
-            TapeDrive::Linear(tape) => {
-                run_multi_on_tape_scan_hooked(mfts, tape, lanes, limits, plan, |e| {
-                    e.emit_running()
-                })?
-            }
-        }
-    } else {
-        run_multi_on_tape_scan_hooked(mfts, tape, lanes, limits, plan, |e| e.emit_running())?
-    };
-    Ok(final_emits(run))
-}
-
-/// [`run_multi_on_tape_scan`] over [`EmitSink`] lanes — forces the
-/// scan-with-seek path (FET1 tapes, A/B measurement).
-pub fn run_multi_on_tape_scan_emit<R: BufRead + Seek, S: EmitSink>(
-    mfts: &[&Mft],
-    tape: TapeReader<R>,
-    sinks: Vec<S>,
-    limits: StreamLimits,
-    plan: &QuerySetPlan,
-) -> Result<MultiRun<S>, StoreError> {
-    run_multi_on_tape_scan_hooked(mfts, tape, plain_lanes(sinks), limits, plan, |e| {
-        e.emit_running()
-    })
-    .map(final_emits)
-    .map(ObservedMultiRun::discard_observers)
+    engine.close();
 }
 
 /// Drive N transducers from an in-memory forest (tests and benchmarks).
@@ -1017,59 +861,18 @@ pub fn run_multi_on_forest<S: XmlSink>(
     mfts: &[&Mft],
     forest: &[Tree],
     sinks: Vec<S>,
-) -> MultiRun<S> {
+) -> MultiRun<(S, StreamStats)> {
     assert_eq!(mfts.len(), sinks.len(), "one sink per query");
     let mut engine = MultiQueryEngine::new(mfts.iter().copied().zip(sinks));
-    fn feed<S: XmlSink>(engine: &mut MultiQueryEngine<'_, S>, t: &Tree) {
-        engine.open(&t.label);
-        for c in &t.children {
-            feed(engine, c);
-        }
-        engine.close();
-    }
     for t in forest {
-        feed(&mut engine, t);
+        feed_tree(&mut engine, t);
     }
     let input_events = engine.input_events() + 1;
     MultiRun {
         results: engine.finish(),
         input_events,
-        seek_skipped_bytes: 0,
-        tape_seek_micros: 0,
-        index_skipped_bytes: 0,
-        index_probe_micros: 0,
+        source: SourceCost::default(),
     }
-}
-
-/// Convenience driver for [`crate::PreparedQuery`] sets: one pass over
-/// `input`, serialized per-query outputs.
-pub fn run_multi_to_strings(
-    queries: &[std::sync::Arc<crate::PreparedQuery>],
-    input: &[u8],
-) -> Result<MultiRun<String>, XmlError> {
-    let mfts: Vec<&Mft> = queries.iter().map(|q| q.mft()).collect();
-    let sinks: Vec<_> = queries
-        .iter()
-        .map(|_| foxq_xml::WriterSink::new(Vec::new()))
-        .collect();
-    let run = run_multi(&mfts, XmlReader::new(input), sinks)?;
-    Ok(MultiRun {
-        results: run
-            .results
-            .into_iter()
-            .map(|r| {
-                r.map(|(sink, stats)| {
-                    let buf = sink.finish().expect("writing to Vec cannot fail");
-                    (String::from_utf8(buf).expect("output is UTF-8"), stats)
-                })
-            })
-            .collect(),
-        input_events: run.input_events,
-        seek_skipped_bytes: run.seek_skipped_bytes,
-        tape_seek_micros: run.tape_seek_micros,
-        index_skipped_bytes: run.index_skipped_bytes,
-        index_probe_micros: run.index_probe_micros,
-    })
 }
 
 #[cfg(test)]
@@ -1079,7 +882,7 @@ mod tests {
     use foxq_core::text::parse_mft;
     use foxq_core::translate::translate;
     use foxq_forest::term::parse_forest;
-    use foxq_xml::{forest_to_xml_string, ForestSink};
+    use foxq_xml::{forest_to_xml_string, ForestSink, XmlReader};
     use foxq_xquery::parse_query;
 
     fn mft_of(q: &str) -> Mft {
@@ -1106,34 +909,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_timing_attributes_run_time_per_lane() {
-        let queries = ["<a>{$input/x}</a>", "<b>{$input//y}</b>"];
-        let mfts: Vec<Mft> = queries.iter().map(|q| mft_of(q)).collect();
-        let doc = parse_forest(&r#"x("1") y(x() y("2")) "#.repeat(200)).unwrap();
-        let mut engine = MultiQueryEngine::new(
-            mfts.iter()
-                .map(|m| (m, foxq_xml::NullSink))
-                .collect::<Vec<_>>(),
-        );
-        assert!(engine.lane_nanos().is_none(), "timing must be opt-in");
-        engine.enable_lane_timing();
-        fn feed<S: XmlSink>(e: &mut MultiQueryEngine<'_, S>, t: &Tree) {
-            e.open(&t.label);
-            for c in &t.children {
-                feed(e, c);
-            }
-            e.close();
-        }
-        for t in &doc {
-            feed(&mut engine, t);
-        }
-        let nanos = engine.lane_nanos().unwrap();
-        assert_eq!(nanos.len(), 2);
-        // ~2,000 delivered events per lane: every lane has measurable time.
-        assert!(nanos.iter().all(|&n| n > 0), "{nanos:?}");
-    }
-
-    #[test]
     fn one_lane_failing_does_not_abort_the_others() {
         let looping = parse_mft("q0(%) -> q0(x0);").unwrap();
         let copy =
@@ -1151,15 +926,8 @@ mod tests {
             ],
             limits,
         );
-        fn feed<S: XmlSink>(e: &mut MultiQueryEngine<'_, S>, t: &Tree) {
-            e.open(&t.label);
-            for c in &t.children {
-                feed(e, c);
-            }
-            e.close();
-        }
         for t in &doc {
-            feed(&mut engine, t);
+            feed_tree(&mut engine, t);
         }
         assert_eq!(engine.running(), 1, "looping lanes should have failed");
         let results = engine.finish();
@@ -1174,14 +942,15 @@ mod tests {
     fn all_lanes_failing_aborts_the_pass_early() {
         let looping = parse_mft("q0(%) -> q0(x0);").unwrap();
         let doc = format!("<a>{}</a>", "<b></b>".repeat(1_000));
-        let run = run_multi_with_limits(
+        let run = run_lanes(
             &[&looping],
-            XmlReader::new(doc.as_bytes()),
-            vec![foxq_xml::NullSink],
+            Events(XmlReader::new(doc.as_bytes())),
+            vec![(foxq_xml::NullSink, ())],
             StreamLimits {
                 max_expansions_per_event: 100,
                 ..StreamLimits::default()
             },
+            &QuerySetPlan::new([&looping]),
         )
         .unwrap();
         assert!(matches!(run.results[0], Err(StreamError::Fuel { .. })));
@@ -1235,8 +1004,11 @@ mod tests {
         let doc = vec![text_with_children];
         let run = run_multi_on_forest(&[&m], &doc, vec![ForestSink::new()]);
         let (sink, stats) = run.results.into_iter().next().unwrap().unwrap();
-        let mut solo = MultiQueryEngine::new(vec![(&m, ForestSink::new())]);
-        solo.disable_prefilter();
+        let mut solo = MultiQueryEngine::with_plan(
+            vec![(&m, ForestSink::new())],
+            StreamLimits::default(),
+            &QuerySetPlan::pass_through(1),
+        );
         solo.open(&doc[0].label);
         solo.open(&doc[0].children[0].label);
         solo.open(&doc[0].children[0].children[0].label);
@@ -1311,17 +1083,17 @@ mod tests {
             &plan,
         )
         .unwrap();
-        let scanned = run_multi_on_tape_scan(
+        let scanned = run_lanes(
             &[&m],
-            tape_of(xml),
-            vec![ForestSink::new()],
+            TapeDrive::Linear(tape_of(xml)),
+            vec![(ForestSink::new(), ())],
             StreamLimits::default(),
             &plan,
         )
         .unwrap();
         let (psink, pstats) = parsed.results.into_iter().next().unwrap().unwrap();
         let (tsink, tstats) = taped.results.into_iter().next().unwrap().unwrap();
-        let (ssink, sstats) = scanned.results.into_iter().next().unwrap().unwrap();
+        let (ssink, sstats, ()) = scanned.results.into_iter().next().unwrap().unwrap();
         let expected = forest_to_xml_string(&psink.into_forest());
         assert_eq!(forest_to_xml_string(&tsink.into_forest()), expected);
         assert_eq!(forest_to_xml_string(&ssink.into_forest()), expected);
@@ -1331,18 +1103,51 @@ mod tests {
         assert_eq!(tstats.prefiltered_events, pstats.prefiltered_events);
         assert_eq!(sstats.prefiltered_events, pstats.prefiltered_events);
         assert!(tstats.prefiltered_events > 0);
-        assert!(taped.index_skipped_bytes > 0);
-        assert_eq!(taped.seek_skipped_bytes, 0);
-        assert_eq!(tstats.index_skipped_bytes, taped.index_skipped_bytes);
-        assert!(scanned.seek_skipped_bytes > 0);
-        assert_eq!(scanned.index_skipped_bytes, 0);
-        assert_eq!(sstats.seek_skipped_bytes, scanned.seek_skipped_bytes);
+        let (taped_cost, scanned_cost) = (taped.source, scanned.source);
+        assert!(taped_cost.index_skipped_bytes > 0);
+        assert_eq!(taped_cost.seek_skipped_bytes, 0);
+        assert_eq!(tstats.index_skipped_bytes, taped_cost.index_skipped_bytes);
+        assert!(scanned_cost.seek_skipped_bytes > 0);
+        assert_eq!(scanned_cost.index_skipped_bytes, 0);
+        assert_eq!(sstats.seek_skipped_bytes, scanned_cost.seek_skipped_bytes);
         assert_eq!(pstats.seek_skipped_bytes, 0);
         assert_eq!(taped.input_events, parsed.input_events);
         assert_eq!(scanned.input_events, parsed.input_events);
         // The index never visits more than the scan path delivers, so it
         // always skips at least what seeking did.
-        assert!(taped.index_skipped_bytes >= scanned.seek_skipped_bytes);
+        assert!(taped_cost.index_skipped_bytes >= scanned_cost.seek_skipped_bytes);
+    }
+
+    #[test]
+    fn tape_stages_partition_the_wall_time() {
+        let m = mft_of("<o>{$input/site/people/person/name/text()}</o>");
+        let xml = "<site><regions><africa><item/></africa></regions>\
+                   <people><person><name>Li</name></person></people></site>";
+        let plan = QuerySetPlan::new([&m]);
+        let sinks = vec![ForestSink::new()];
+        let run = run_multi_on_tape(&[&m], tape_of(xml), sinks, StreamLimits::default(), &plan);
+        let cost = run.unwrap().source;
+        assert!(cost.index_skipped_bytes > 0, "not the index path");
+        let probe = cost.index_probe_micros;
+        assert_eq!(
+            cost.tape_stages(probe + 1_000),
+            [
+                (Stage::TapeSeek, 0),
+                (Stage::IndexProbe, probe),
+                (Stage::TapeReplay, 1_000),
+            ]
+        );
+        // The parts add up to the wall time handed in even when it is
+        // shorter than what the source's own clocks read.
+        let clocked = SourceCost {
+            tape_seek_micros: 7,
+            index_probe_micros: 11,
+            ..cost
+        };
+        for wall in [1_000, 12, 3, 0] {
+            let parts = clocked.tape_stages(wall).map(|(_, micros)| micros);
+            assert_eq!(parts.iter().sum::<u64>(), wall);
+        }
     }
 
     #[test]
@@ -1373,12 +1178,12 @@ mod tests {
             assert!(nav_stats.prefiltered_events > other_stats.prefiltered_events);
             for stats in [nav_stats, other_stats] {
                 assert_eq!(stats.events + stats.prefiltered_events, run.input_events);
-                assert_eq!(stats.seek_skipped_bytes, run.seek_skipped_bytes);
+                assert_eq!(stats.seek_skipped_bytes, run.source.seek_skipped_bytes);
             }
             (
                 forest_to_xml_string(&other.into_forest()),
                 other_stats,
-                run.seek_skipped_bytes,
+                run.source.seek_skipped_bytes,
             )
         };
         // The copier subscribes everywhere: nothing can be seeked over.
@@ -1410,16 +1215,9 @@ mod tests {
         );
         let mut fresh =
             MultiQueryEngine::new(vec![(&a, ForestSink::new()), (&b, ForestSink::new())]);
-        fn feed<S: XmlSink>(e: &mut MultiQueryEngine<'_, S>, t: &Tree) {
-            e.open(&t.label);
-            for c in &t.children {
-                feed(e, c);
-            }
-            e.close();
-        }
         for t in &doc {
-            feed(&mut planned, t);
-            feed(&mut fresh, t);
+            feed_tree(&mut planned, t);
+            feed_tree(&mut fresh, t);
         }
         assert_eq!(planned.prefiltered_events(), fresh.prefiltered_events());
         for (p, f) in planned.finish().into_iter().zip(fresh.finish()) {

@@ -12,7 +12,8 @@
 
 use foxq_core::opt::{optimize_with_stats, OptStats};
 use foxq_core::stream::{
-    run_streaming_to_string_with_limits, StreamError, StreamLimits, StreamRunOutput, StreamStats,
+    run_streaming_to_string, run_streaming_with_limits, StreamError, StreamLimits, StreamRunOutput,
+    StreamStats,
 };
 use foxq_core::translate::{translate, TranslateError};
 use foxq_core::Mft;
@@ -241,21 +242,16 @@ impl PreparedQuery {
             .get_or_init(|| foxq_gcx::GcxEngine::new(&self.query, foxq_xml::NullSink).is_ok())
     }
 
-    /// Convenience: stream one XML document through the optimized MFT,
-    /// under the serving limits ([`StreamLimits::serving`]) — a prepared
-    /// query may come from untrusted text, so a single run is never allowed
-    /// to materialize unbounded output.
-    pub fn run_to_string(&self, input: &[u8]) -> Result<StreamRunOutput, StreamError> {
-        self.run_to_string_with_limits(input, StreamLimits::serving())
-    }
-
-    /// [`PreparedQuery::run_to_string`] under explicit stream limits.
-    pub fn run_to_string_with_limits(
+    /// Convenience: stream one XML document through the optimized MFT into
+    /// a string. A prepared query may come from untrusted text, so pass
+    /// [`StreamLimits::serving`] unless the run is otherwise bounded: it
+    /// never lets a single run materialize unbounded output.
+    pub fn run_to_string(
         &self,
         input: &[u8],
         limits: StreamLimits,
     ) -> Result<StreamRunOutput, StreamError> {
-        run_streaming_to_string_with_limits(&self.opt, input, limits)
+        run_streaming_to_string(&self.opt, input, limits)
     }
 
     /// Stream one XML document through the optimized MFT, delivering each
@@ -263,21 +259,11 @@ impl PreparedQuery {
     /// call remains to its left — the first chunk typically leaves before
     /// the document has finished arriving. The concatenation of delivered
     /// prefixes is byte-identical to [`PreparedQuery::run_to_string`]'s
-    /// output (proptest-guarded). Runs under the serving limits, like
-    /// `run_to_string`.
+    /// output (proptest-guarded).
     ///
     /// A `deliver` failure aborts the run as
     /// [`StreamError::Emit`](foxq_core::stream::StreamError::Emit).
     pub fn run_streaming(
-        &self,
-        input: &[u8],
-        deliver: impl FnMut(&[u8]) -> std::io::Result<()>,
-    ) -> Result<StreamStats, StreamError> {
-        self.run_streaming_with_limits(input, StreamLimits::serving(), deliver)
-    }
-
-    /// [`PreparedQuery::run_streaming`] under explicit stream limits.
-    pub fn run_streaming_with_limits(
         &self,
         input: &[u8],
         limits: StreamLimits,
@@ -285,7 +271,7 @@ impl PreparedQuery {
     ) -> Result<StreamStats, StreamError> {
         let sink = foxq_core::emit::EmitWriter::new(deliver);
         let reader = foxq_xml::XmlReader::new(input);
-        let (sink, stats) = foxq_core::stream::run_streaming_emit(&self.opt, reader, sink, limits)?;
+        let (sink, stats) = run_streaming_with_limits(&self.opt, reader, sink, limits)?;
         sink.finish()?;
         Ok(stats)
     }
@@ -502,7 +488,9 @@ mod tests {
         assert!(p.meta().states > 0);
         assert!(p.gcx_supported());
         assert!(p.mft().size() <= p.unoptimized().size());
-        let out = p.run_to_string(b"<a>x</a><b/>").unwrap();
+        let out = p
+            .run_to_string(b"<a>x</a><b/>", StreamLimits::serving())
+            .unwrap();
         assert_eq!(out.output, "<o><a>x</a></o>");
     }
 
@@ -558,7 +546,7 @@ mod tests {
             max_output_events: 10_000,
             ..StreamLimits::serving()
         };
-        match p.run_to_string_with_limits(b"<r/>", limits) {
+        match p.run_to_string(b"<r/>", limits) {
             Err(StreamError::OutputLimit { max_output_events }) => {
                 assert_eq!(max_output_events, 10_000)
             }

@@ -293,15 +293,14 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
         self.delivered
     }
 
-    /// Events the index withheld: exact, from the footer's event count —
-    /// the counterpart of the scan prefilter's per-skip accounting.
-    pub fn undelivered_events(&self) -> u64 {
-        self.tape.info.events - self.delivered
-    }
-
     /// Tape bytes jumped over (never decoded) so far.
     pub fn index_skipped_bytes(&self) -> u64 {
         self.index_skipped_bytes
+    }
+
+    /// Tape bytes [`IndexedReplay::skip_subtree`] seeked over so far.
+    pub fn seek_skipped_bytes(&self) -> u64 {
+        self.tape.seek_skipped_bytes
     }
 
     /// Wall time spent loading the selected posting lists and advancing
@@ -463,6 +462,7 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
         let bytes = close_at - self.tape.offset;
         self.tape.input.seek(SeekFrom::Start(close_at))?;
         self.tape.offset = close_at;
+        self.tape.seek_skipped_bytes += bytes;
         let before = self.position;
         self.deliver_close()?;
         // The close frame's count moved the position over the interior.

@@ -725,7 +725,7 @@ pub struct TapeReader<R> {
     /// returned plus everything [`TapeReader::skip_subtree`] jumped over.
     /// Every close frame's `subtree_events` is checked against it.
     position: u64,
-    seek_skipped_bytes: u64,
+    pub(crate) seek_skipped_bytes: u64,
     seek_micros: u64,
     hash: EventHash,
     /// v1 only: cleared on the first seek (a partial v1 replay cannot

@@ -7,7 +7,7 @@
 
 use foxq::core::opt::optimize_with_stats;
 use foxq::core::print_mft;
-use foxq::core::stream::run_streaming_to_string;
+use foxq::core::stream::{run_streaming_to_string, StreamLimits};
 use foxq::core::translate::translate;
 use foxq::xquery::parse_query;
 
@@ -41,7 +41,8 @@ fn main() {
 
     // Stream the paper's example document through it.
     let doc = "<person><p_id><a/>person0</p_id><name>Jim</name><c/><name>Li</name></person>";
-    let run = run_streaming_to_string(&opt, doc.as_bytes()).expect("streaming run");
+    let run = run_streaming_to_string(&opt, doc.as_bytes(), StreamLimits::default())
+        .expect("streaming run");
     println!("input:  {doc}");
     println!("output: {}", run.output);
     println!(

@@ -9,16 +9,16 @@
 //! from, all obeying the dead-location rule (a subtree at whose open every
 //! lane is dead is skipped: seeked over on the tape, skimmed in the text):
 //!
-//! * **index** — `run_multi_on_tape`: the posting-list cursor when the
-//!   query has a label projection, the scan otherwise;
-//! * **scan+prefilter** — `run_multi_on_tape_scan` under the query's own
-//!   plan: static label prefilter plus the engine's verdict;
-//! * **scan, verdict only** — `run_multi_on_tape_scan` under
+//! * **index** — `run_lanes` over the `TapeReader`: the posting-list cursor
+//!   when the query has a label projection, the scan otherwise;
+//! * **scan+prefilter** — `run_lanes` over `TapeDrive::Linear` under the
+//!   query's own plan: static label prefilter plus the engine's verdict;
+//! * **scan, verdict only** — the same under
 //!   `QuerySetPlan::pass_through`: no static analysis at all;
-//! * **xml+prefilter** — `run_multi_with_plan` over an `XmlReader` under the
-//!   query's own plan (what `POST /query` runs);
+//! * **xml+prefilter** — `run_lanes` over an `XmlReader`'s `Events` under
+//!   the query's own plan (what `POST /query` runs);
 //! * **xml, verdict only** — the same under `pass_through` (what `foxq run`
-//!   does, through `run_streaming`).
+//!   does, through `run_streaming_with_observer`).
 //!
 //! Each round times the five paths once per query, in an order that
 //! alternates between rounds; the table reports delivered events (exact)
@@ -27,12 +27,10 @@
 //! pass against the sum of six solo passes, outputs discarded.
 
 use foxq::core::stream::StreamLimits;
-use foxq::core::Mft;
-use foxq::service::{
-    run_multi_on_tape, run_multi_on_tape_scan, run_multi_with_plan, PreparedQuery, QuerySetPlan,
-};
-use foxq::store::TapeReader;
-use foxq::xml::{NullSink, WriterSink, XmlReader, XmlSink};
+use foxq::core::{EmitSink, Mft};
+use foxq::service::{run_lanes, Events, PreparedQuery, QuerySetPlan};
+use foxq::store::{TapeDrive, TapeReader};
+use foxq::xml::{NullSink, WriterSink, XmlReader};
 use std::path::Path;
 use std::time::Instant;
 
@@ -60,26 +58,27 @@ struct Doc<'a> {
 
 /// One run over `doc` on path `path`; returns lane 0's delivered events
 /// and the wall time in milliseconds.
-fn replay<S: XmlSink>(mfts: &[&Mft], doc: &Doc, path: usize, sinks: Vec<S>) -> (u64, f64) {
+fn replay<S: EmitSink>(mfts: &[&Mft], doc: &Doc, path: usize, sinks: Vec<S>) -> (u64, f64) {
     let plan = match path {
         2 | 4 => QuerySetPlan::pass_through(mfts.len()),
         _ => QuerySetPlan::new(mfts.iter().copied()),
     };
+    let lanes = sinks.into_iter().map(|sink| (sink, ())).collect();
     let start = Instant::now();
     let limits = StreamLimits::serving();
     let run = if path < 3 {
         let reader = TapeReader::open_file(doc.tape).expect("open tape");
         match path {
-            0 => run_multi_on_tape(mfts, reader, sinks, limits, &plan),
-            _ => run_multi_on_tape_scan(mfts, reader, sinks, limits, &plan),
+            0 => run_lanes(mfts, reader, lanes, limits, &plan),
+            _ => run_lanes(mfts, TapeDrive::Linear(reader), lanes, limits, &plan),
         }
         .expect("replay")
     } else {
         let reader = XmlReader::new(std::fs::File::open(doc.xml).expect("open xml"));
-        run_multi_with_plan(mfts, reader, sinks, limits, &plan).expect("parse")
+        run_lanes(mfts, Events(reader), lanes, limits, &plan).expect("parse")
     };
     let ms = start.elapsed().as_secs_f64() * 1e3;
-    let (_, stats) = run
+    let (_, stats, ()) = run
         .results
         .into_iter()
         .next()

@@ -14,18 +14,15 @@
 //! Output goes to stdout; diagnostics to stderr. Exit code 1 on any error.
 
 use foxq::core::opt::optimize_with_stats;
-use foxq::core::profile::{StreamProfile, StreamProfiler};
+use foxq::core::profile::StreamProfiler;
 use foxq::core::stream::{
-    run_streaming_emit, run_streaming_with_limits, run_streaming_with_observer, StreamLimits,
-    StreamStats, DEFAULT_MAX_OUTPUT_EVENTS,
+    run_streaming_with_observer, StreamLimits, StreamObserver, StreamStats,
+    DEFAULT_MAX_OUTPUT_EVENTS,
 };
 use foxq::core::translate::translate;
-use foxq::core::{print_mft, EmissionAnalysis, EmitWriter, Mft};
+use foxq::core::{print_mft, EmissionAnalysis, EmitSink, EmitWriter, Mft};
 use foxq::obs::{Stage, StageTimes};
-use foxq::service::{
-    run_multi_on_tape, run_multi_on_tape_emit, run_multi_on_tape_observed, run_multi_with_limits,
-    BatchDriver, QueryCache, QuerySetPlan,
-};
+use foxq::service::{run_lanes, BatchDriver, Events, QueryCache, QuerySetPlan, SourceCost};
 use foxq::store::{Corpus, TapeReader};
 use foxq::xml::{WriterSink, XmlReader};
 use foxq::xquery::parse_query;
@@ -212,39 +209,7 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
         max_output_events: max_output,
         ..StreamLimits::default()
     };
-    // A `.fet` input replays the pre-parsed tape, seeking over the
-    // subtrees the engine is dead in, instead of re-tokenizing XML.
-    if let Some(path) = positional.get(1).filter(|p| p.ends_with(".fet")) {
-        if stream {
-            return run_streaming_on_tape(&mft, path, limits);
-        }
-        let t = Instant::now();
-        let (stats, seek_micros, profiled) = run_query_on_tape(&mft, path, limits, profile)?;
-        let replay = micros_since(t);
-        times.add(Stage::TapeSeek, seek_micros);
-        times.add(Stage::TapeReplay, replay.saturating_sub(seek_micros));
-        if report {
-            report_stats(&mft, &stats);
-            if timing {
-                report_timing(&times);
-            }
-            if let Some(p) = profiled {
-                eprint!("{}", p.render());
-            }
-        }
-        return Ok(());
-    }
-    let stdin;
-    let input: Box<dyn Read> = match positional.get(1) {
-        Some(path) => {
-            Box::new(std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?)
-        }
-        None => {
-            stdin = std::io::stdin();
-            Box::new(stdin.lock())
-        }
-    };
-    let reader = XmlReader::new(input);
+    let input = positional.get(1).map(|path| path.as_str());
     let stdout = std::io::stdout();
     if stream {
         // Earliest emission to a pipe: every irrevocable prefix is
@@ -252,8 +217,7 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
         // sees results while the document is still arriving.
         let mut out = stdout.lock();
         let sink = EmitWriter::new(|chunk: &[u8]| out.write_all(chunk).and_then(|_| out.flush()));
-        let (sink, _stats) =
-            run_streaming_emit(&mft, reader, sink, limits).map_err(|e| e.to_string())?;
+        let (sink, ..) = run_query(&mft, input, sink, limits, ())?;
         sink.finish().map_err(|e| e.to_string())?;
         return out
             .write_all(b"\n")
@@ -262,23 +226,32 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
     }
     let sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
     let t = Instant::now();
-    let (sink, stats, profiled) = if profile {
+    let (sink, stats, profiled, tape_cost) = if profile {
         let obs = StreamProfiler::for_mft(&mft);
-        let (sink, stats, obs) = run_streaming_with_observer(&mft, reader, sink, limits, obs)
-            .map_err(|e| e.to_string())?;
-        (sink, stats, Some(obs.into_profile(&mft)))
+        let (sink, stats, obs, cost) = run_query(&mft, input, sink, limits, obs)?;
+        (sink, stats, Some(obs.into_profile(&mft)), cost)
     } else {
-        let (sink, stats) =
-            run_streaming_with_limits(&mft, reader, sink, limits).map_err(|e| e.to_string())?;
-        (sink, stats, None)
+        let (sink, stats, (), cost) = run_query(&mft, input, sink, limits, ())?;
+        (sink, stats, None, cost)
     };
-    times.add(Stage::Execute, micros_since(t));
-    let t = Instant::now();
+    let ran = micros_since(t);
     let mut out = sink.finish().map_err(|e| e.to_string())?;
     out.write_all(b"\n")
         .and_then(|_| out.flush())
         .map_err(|e| e.to_string())?;
-    times.add(Stage::Serialize, micros_since(t));
+    let wall = micros_since(t);
+    match tape_cost {
+        // A tape's stages partition its wall time, the write-out included.
+        Some(cost) => {
+            for (stage, micros) in cost.tape_stages(wall) {
+                times.add(stage, micros);
+            }
+        }
+        None => {
+            times.add(Stage::Execute, ran);
+            times.add(Stage::Serialize, wall - ran);
+        }
+    }
     if report {
         report_stats(&mft, &stats);
         if timing {
@@ -291,75 +264,43 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// `foxq run --stream` over a `.fet` tape: replay with per-event emission
-/// boundaries, flushing each irrevocable prefix to stdout.
-fn run_streaming_on_tape(mft: &Mft, path: &str, limits: StreamLimits) -> Result<(), String> {
-    let tape = TapeReader::open_file(std::path::Path::new(path))
-        .map_err(|e| format!("cannot open tape {path}: {e}"))?;
-    let plan = QuerySetPlan::new([mft]);
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let sink = EmitWriter::new(|chunk: &[u8]| out.write_all(chunk).and_then(|_| out.flush()));
-    let run = run_multi_on_tape_emit(&[mft], tape, vec![sink], limits, &plan)
-        .map_err(|e| format!("{path}: {e}"))?;
-    let (sink, _stats) = run
-        .results
-        .into_iter()
-        .next()
-        .expect("one lane")
-        .map_err(|e| e.to_string())?;
-    sink.finish().map_err(|e| e.to_string())?;
-    out.write_all(b"\n")
-        .and_then(|_| out.flush())
-        .map_err(|e| e.to_string())
+/// One query over one input, into `sink` under `obs`. A `.fet` input
+/// replays the pre-parsed tape — by its skip index where the query has a
+/// label projection, seeking over the subtrees the engine is dead in
+/// otherwise — instead of tokenizing XML, and hands back what that cost;
+/// anything else (stdin by default) is XML text for the single-lane loop,
+/// which pays for no fan-out.
+fn run_query<S: EmitSink, O: StreamObserver>(
+    mft: &Mft,
+    input: Option<&str>,
+    sink: S,
+    limits: StreamLimits,
+    obs: O,
+) -> Result<(S, StreamStats, O, Option<SourceCost>), String> {
+    if let Some(path) = input.filter(|path| path.ends_with(".fet")) {
+        let tape = TapeReader::open_file(std::path::Path::new(path))
+            .map_err(|e| format!("cannot open tape {path}: {e}"))?;
+        let plan = QuerySetPlan::new([mft]);
+        let run = run_lanes(&[mft], tape, vec![(sink, obs)], limits, &plan)
+            .map_err(|e| format!("{path}: {e}"))?;
+        let lane = run.results.into_iter().next().expect("one lane");
+        let (sink, stats, obs) = lane.map_err(|e| e.to_string())?;
+        return Ok((sink, stats, obs, Some(run.source)));
+    }
+    let reader = XmlReader::new(open_xml(input)?);
+    let (sink, stats, obs) =
+        run_streaming_with_observer(mft, reader, sink, limits, obs).map_err(|e| e.to_string())?;
+    Ok((sink, stats, obs, None))
 }
 
-/// One query over one tape file, seeking over subtrees it cannot use.
-/// Returns the lane stats, the microseconds spent seeking, and (with
-/// `--profile`) the finished resource profile.
-fn run_query_on_tape(
-    mft: &Mft,
-    path: &str,
-    limits: StreamLimits,
-    profile: bool,
-) -> Result<(StreamStats, u64, Option<StreamProfile>), String> {
-    let tape = TapeReader::open_file(std::path::Path::new(path))
-        .map_err(|e| format!("cannot open tape {path}: {e}"))?;
-    let plan = QuerySetPlan::new([mft]);
-    let stdout = std::io::stdout();
-    let sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
-    let finish = |sink: WriterSink<std::io::BufWriter<std::io::StdoutLock<'_>>>| {
-        let mut out = sink.finish().map_err(|e| e.to_string())?;
-        out.write_all(b"\n")
-            .and_then(|_| out.flush())
-            .map_err(|e| e.to_string())
-    };
-    if profile {
-        let lane = vec![(sink, StreamProfiler::for_mft(mft))];
-        let run = run_multi_on_tape_observed(&[mft], tape, lane, limits, &plan)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let seek_micros = run.tape_seek_micros;
-        let (sink, stats, obs) = run
-            .results
-            .into_iter()
-            .next()
-            .expect("one lane")
-            .map_err(|e| e.to_string())?;
-        finish(sink)?;
-        Ok((stats, seek_micros, Some(obs.into_profile(mft))))
-    } else {
-        let run = run_multi_on_tape(&[mft], tape, vec![sink], limits, &plan)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let seek_micros = run.tape_seek_micros;
-        let (sink, stats) = run
-            .results
-            .into_iter()
-            .next()
-            .expect("one lane")
-            .map_err(|e| e.to_string())?;
-        finish(sink)?;
-        Ok((stats, seek_micros, None))
-    }
+/// The XML document at `path`, or stdin.
+fn open_xml(path: Option<&str>) -> Result<Box<dyn Read>, String> {
+    Ok(match path {
+        Some(path) => {
+            Box::new(std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?)
+        }
+        None => Box::new(std::io::stdin().lock()),
+    })
 }
 
 /// `foxq stats <tape.fet>`: footer facts, no replay. FET2 tapes get the
@@ -572,22 +513,14 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     if inputs.len() <= 1 {
         // Single document: stream it (stdin or a file) in one pass.
         let doc_name = inputs.first().map(String::as_str).unwrap_or("stdin");
-        let stdin;
-        let input: Box<dyn Read> = match inputs.first() {
-            Some(path) => {
-                Box::new(std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?)
-            }
-            None => {
-                stdin = std::io::stdin();
-                Box::new(stdin.lock())
-            }
-        };
+        let input = open_xml(inputs.first().map(String::as_str))?;
         let mfts: Vec<&Mft> = queries.iter().map(|q| q.mft()).collect();
-        let sinks: Vec<_> = queries
+        let lanes: Vec<_> = queries
             .iter()
-            .map(|_| WriterSink::new(Vec::new()))
+            .map(|_| (WriterSink::new(Vec::new()), ()))
             .collect();
-        match run_multi_with_limits(&mfts, XmlReader::new(input), sinks, limits) {
+        let plan = QuerySetPlan::new(mfts.iter().copied());
+        match run_lanes(&mfts, Events(XmlReader::new(input)), lanes, limits, &plan) {
             Ok(run) => {
                 if report_stats {
                     eprintln!("input events:      {} (one pass)", run.input_events);
@@ -595,7 +528,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                 for (qfile, result) in query_files.iter().zip(run.results) {
                     writeln!(out, "### {doc_name} {qfile}").map_err(|e| e.to_string())?;
                     match result {
-                        Ok((sink, stats)) => {
+                        Ok((sink, stats, ())) => {
                             let buf = sink.finish().map_err(|e| e.to_string())?;
                             out.write_all(&buf)
                                 .and_then(|_| out.write_all(b"\n"))

@@ -47,7 +47,7 @@
 //! let mft = foxq::core::opt::optimize(mft);
 //!
 //! let doc = "<person><p_id>person0</p_id><name>Jim</name><name>Li</name></person>";
-//! let out = foxq::core::stream::run_streaming_to_string(&mft, doc.as_bytes()).unwrap();
+//! let out = run_streaming_to_string(&mft, doc.as_bytes(), StreamLimits::default()).unwrap();
 //! assert_eq!(out.output, "<out>JimLi</out>");
 //! ```
 
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use foxq_core::interp::run_mft;
     pub use foxq_core::mft::Mft;
     pub use foxq_core::opt::optimize;
-    pub use foxq_core::stream::{run_streaming_to_string, StreamStats};
+    pub use foxq_core::stream::{run_streaming_to_string, StreamLimits, StreamStats};
     pub use foxq_core::translate::translate;
     pub use foxq_forest::{Forest, Label, NodeKind, Tree};
     pub use foxq_service::{BatchDriver, MultiQueryEngine, PreparedQuery, QueryCache};

@@ -12,7 +12,7 @@
 use foxq::core::mft::Mft;
 use foxq::core::profile::StreamProfiler;
 use foxq::core::stream::{
-    run_streaming, BufferSample, Engine, StreamLimits, StreamObserver, StreamStats,
+    run_streaming_with_limits, BufferSample, Engine, StreamLimits, StreamObserver, StreamStats,
 };
 use foxq::core::StateId;
 use foxq::gen::Dataset;
@@ -110,7 +110,9 @@ fn a_selecting_run_over_xml_bytes_allocates_for_what_it_feeds_only() {
     let events = xmark_events();
     let q1 = compile("Q1");
     let scope = AllocScope::begin();
-    let (_, stats) = run_streaming(q1.mft(), XmlReader::new(xml.as_bytes()), NullSink).unwrap();
+    let reader = XmlReader::new(xml.as_bytes());
+    let (_, stats) =
+        run_streaming_with_limits(q1.mft(), reader, NullSink, StreamLimits::default()).unwrap();
     let together = scope.delta().allocations as f64;
     let input_events = stats.events + stats.prefiltered_events;
     assert_eq!(input_events, events.len() as u64 + 1);

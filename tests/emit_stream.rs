@@ -9,10 +9,10 @@
 //! boundaries change *when* bytes leave, never *which* bytes leave.
 
 use foxq::core::emit::{EmitSink, EmitWriter};
-use foxq::core::stream::{run_streaming_emit, Engine, StreamLimits};
+use foxq::core::stream::{run_streaming_with_limits, Engine, StreamLimits};
 use foxq::core::Mft;
 use foxq::gen::Dataset;
-use foxq::service::{run_multi_emit, run_multi_on_tape_emit, PreparedQuery, QuerySetPlan};
+use foxq::service::{run_lanes, Events, PreparedQuery, QuerySetPlan};
 use foxq::store::{ingest_xml_to_tape, ingest_xml_to_tape_v1, TapeReader};
 use foxq::xml::{forest_to_xml_string, XmlEvent, XmlReader};
 use proptest::prelude::*;
@@ -41,14 +41,14 @@ fn collecting(
     })
 }
 
-/// Stream `xml` through the multi-query emit driver: the delivered
-/// prefixes, in order.
+/// Stream `xml` through the multi-query driver into an emitting sink: the
+/// delivered prefixes, in order.
 fn stream_xml(mft: &Mft, xml: &[u8], plan: &QuerySetPlan) -> Vec<Vec<u8>> {
     let mut chunks = Vec::new();
-    let lanes = run_multi_emit(
+    let lanes = run_lanes(
         &[mft],
-        XmlReader::new(xml),
-        vec![collecting(&mut chunks)],
+        Events(XmlReader::new(xml)),
+        vec![(collecting(&mut chunks), ())],
         StreamLimits::default(),
         plan,
     )
@@ -60,12 +60,12 @@ fn stream_xml(mft: &Mft, xml: &[u8], plan: &QuerySetPlan) -> Vec<Vec<u8>> {
     chunks
 }
 
-/// The same through the solo emit driver.
+/// The same through the solo driver.
 fn stream_xml_solo(mft: &Mft, xml: &[u8]) -> Vec<Vec<u8>> {
     let mut chunks = Vec::new();
     let sink = collecting(&mut chunks);
     let (sink, _stats) =
-        run_streaming_emit(mft, XmlReader::new(xml), sink, StreamLimits::default()).unwrap();
+        run_streaming_with_limits(mft, XmlReader::new(xml), sink, StreamLimits::default()).unwrap();
     sink.finish().unwrap();
     chunks
 }
@@ -92,23 +92,24 @@ fn stream_every_event(mft: &Mft, xml: &[u8]) -> Vec<Vec<u8>> {
     chunks
 }
 
-/// Stream a tape through the emit driver (index, seek-scan, or plain replay
-/// is the driver's choice), concatenating delivered prefixes.
+/// Stream a tape through the driver into an emitting sink (index,
+/// seek-scan, or plain replay is the driver's choice), concatenating
+/// delivered prefixes.
 fn stream_tape(mft: &Mft, tape_bytes: &[u8], plan: &QuerySetPlan) -> Vec<u8> {
     let mut out = Vec::new();
     let sink = EmitWriter::new(|c: &[u8]| {
         out.extend_from_slice(c);
         Ok(())
     });
-    let run = run_multi_on_tape_emit(
+    let run = run_lanes(
         &[mft],
         TapeReader::new(Cursor::new(tape_bytes.to_vec())).unwrap(),
-        vec![sink],
+        vec![(sink, ())],
         StreamLimits::default(),
         plan,
     )
     .unwrap();
-    let (sink, _stats) = run.results.into_iter().next().unwrap().unwrap();
+    let (sink, _stats, ()) = run.results.into_iter().next().unwrap().unwrap();
     sink.finish().unwrap();
     out
 }
@@ -119,7 +120,7 @@ fn assert_streamed_identity(dataset: Dataset, xml: &str) {
     let prepared = PreparedQuery::compile(query_for(dataset)).unwrap();
     let mft = prepared.mft();
     let expected = prepared
-        .run_to_string_with_limits(xml.as_bytes(), StreamLimits::default())
+        .run_to_string(xml.as_bytes(), StreamLimits::default())
         .unwrap()
         .output;
 

@@ -10,10 +10,14 @@
 //! * `run_mft ∘ optimize`   — §4.1 (optimizations are semantics-preserving);
 //! * streaming engine       — on both the optimized and unoptimized MFT,
 //!   bare, with a `StreamProfiler` observing, as lanes of a
-//!   pass-through `MultiQueryEngine`, over a FET2 tape of the document
-//!   whose subtrees are seeked over wherever every lane is dead, and over
-//!   the document's XML text, whose subtrees are skimmed there instead
-//!   (solo and as lanes, buffered and emitting);
+//!   pass-through `MultiQueryEngine`, and solo over the document's XML
+//!   text, whose subtrees are skimmed wherever the engine is dead;
+//! * the run matrix         — the two as lanes of `run_lanes`, every source
+//!   (XML text, a FET1 tape, a FET2 tape scanned, a FET2 tape read as the
+//!   driver picks) × sink (buffering, emitting) × observer (none, a
+//!   profiler) × plan (the lanes' own, pass-through): subtrees are skimmed
+//!   or seeked over wherever every lane is dead, no answer may change and
+//!   no event go uncounted;
 //! * the GCX baseline       — when it supports the query.
 //!
 //! Queries are generated respecting the §2.1 scope discipline (paths start
@@ -23,19 +27,20 @@
 use foxq::core::emit::EmitWriter;
 use foxq::core::profile::StreamProfiler;
 use foxq::core::stream::{
-    run_streaming_emit, run_streaming_on_forest, run_streaming_to_string_with_limits,
-    run_streaming_with_limits, Engine, StreamError, StreamLimits, StreamStats,
+    run_streaming_on_forest, run_streaming_to_string, run_streaming_with_limits, Engine,
+    StreamError, StreamLimits, StreamObserver, StreamStats,
 };
 use foxq::core::{parse_mft, run_mft, Mft};
 use foxq::forest::term::parse_forest;
 use foxq::forest::{elem, text, Forest, Label, Tree};
 use foxq::gcx::{run_gcx_on_forest, GcxError};
 use foxq::service::{
-    run_multi_emit, run_multi_on_tape, run_multi_with_plan, MultiQueryEngine, QueryCache,
-    QuerySetPlan,
+    run_lanes, Events, LaneInput, MultiQueryEngine, QueryCache, QuerySetPlan, SourceCost,
 };
-use foxq::store::{TapeReader, TapeWriter};
-use foxq::xml::{forest_to_xml_string, parse_document, ForestSink, XmlEvent, XmlReader};
+use foxq::store::{TapeDrive, TapeReader, TapeWriter};
+use foxq::xml::{
+    forest_to_xml_string, parse_document, ForestSink, WriterSink, XmlEvent, XmlReader,
+};
 use foxq::xquery::ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
 use foxq::xquery::eval_query;
 use proptest::prelude::*;
@@ -281,24 +286,21 @@ static SEEKED_ON_VERDICT: AtomicU64 = AtomicU64::new(0);
 /// reader skim on the engines' verdict alone.
 static SKIMMED_ON_VERDICT: AtomicU64 = AtomicU64::new(0);
 
-/// The sample once more from the XML text of `doc`: solo and as two lanes
-/// (under the lanes' own plan and passed through), into a buffering sink
-/// and into an emitting one. Wherever every engine is dead the reader
+/// The sample once more, solo, from the XML text of `doc`, into a buffering
+/// sink and into an emitting one. Wherever the engine is dead the reader
 /// skims; no answer may change and no event may go uncounted.
-fn check_over_xml(seed: u64, query: &Query, doc: &[Tree], unopt: &Mft, opt: &Mft) {
-    let xml = forest_to_xml_string(doc);
-    // Adjacent text nodes are one text node once written out: the DOM
-    // evaluator answers for the document the text denotes.
-    let denoted = parse_document(xml.as_bytes()).unwrap();
-    let expected = forest_to_xml_string(&eval_query(query, &denoted).unwrap());
-    let mut full = XmlReader::new(xml.as_bytes());
-    while full.next_event().unwrap() != XmlEvent::Eof {}
-    let input_events = full.events_read() + 1;
+fn check_over_xml(
+    context: &str,
+    xml: &str,
+    expected: &str,
+    input_events: u64,
+    unopt: &Mft,
+    opt: &Mft,
+) {
     let limits = StreamLimits::default();
-    let context = |what: &str| format!("{what} over xml (seed {seed})\nquery: {query}\n{xml}");
-    let check = |out: String, stats: &StreamStats, total: u64, what: &str| {
+    let context = |what: &str| format!("{what}, solo, over {context}");
+    let check = |out: String, stats: &StreamStats, what: &str| {
         assert_eq!(out, expected, "{}", context(what));
-        assert_eq!(total, input_events, "{}", context(what));
         assert_eq!(
             stats.events + stats.prefiltered_events,
             input_events,
@@ -306,18 +308,12 @@ fn check_over_xml(seed: u64, query: &Query, doc: &[Tree], unopt: &Mft, opt: &Mft
             context(what)
         );
     };
-    let delivered = |bytes: Vec<u8>| String::from_utf8(bytes).unwrap();
 
     for (label, m) in [("unopt", unopt), ("opt", opt)] {
         let reader = XmlReader::new(xml.as_bytes());
         let (sink, stats) = run_streaming_with_limits(m, reader, ForestSink::new(), limits)
             .unwrap_or_else(|e| panic!("{}: {e}", context(label)));
-        check(
-            forest_to_xml_string(&sink.into_forest()),
-            &stats,
-            input_events,
-            label,
-        );
+        check(forest_to_xml_string(&sink.into_forest()), &stats, label);
         SKIMMED_ON_VERDICT.fetch_add(stats.prefiltered_events, Ordering::Relaxed);
 
         let mut out = Vec::new();
@@ -326,65 +322,197 @@ fn check_over_xml(seed: u64, query: &Query, doc: &[Tree], unopt: &Mft, opt: &Mft
             Ok(())
         });
         let reader = XmlReader::new(xml.as_bytes());
-        let (sink, emitted) = run_streaming_emit(m, reader, sink, limits).unwrap();
+        let (sink, emitted) = run_streaming_with_limits(m, reader, sink, limits).unwrap();
         sink.finish().unwrap();
         check(
-            delivered(out),
+            String::from_utf8(out).unwrap(),
             &emitted,
-            input_events,
             &format!("{label}, emitting"),
         );
         assert_eq!(emitted, stats, "{}", context(label));
     }
+}
 
-    for plan in [
-        QuerySetPlan::new([unopt, opt]),
-        QuerySetPlan::pass_through(2),
-    ] {
-        let what = format!("{} eligible lane(s)", plan.eligible_lanes());
-        let run = run_multi_with_plan(
-            &[unopt, opt],
-            XmlReader::new(xml.as_bytes()),
-            vec![ForestSink::new(), ForestSink::new()],
-            limits,
-            &plan,
-        )
-        .unwrap();
-        let mut buffered = Vec::new();
-        for result in run.results {
-            let (sink, stats) = result.unwrap();
-            let out = forest_to_xml_string(&sink.into_forest());
-            check(out, &stats, run.input_events, &what);
-            if plan.eligible_lanes() == 0 {
-                SKIMMED_ON_VERDICT.fetch_add(stats.prefiltered_events, Ordering::Relaxed);
-            }
-            buffered.push(stats);
-        }
+/// What a profiler saw of a lane: expansions, output events, exact peak
+/// bytes. `None` from the disabled observer.
+type Totals = Option<(u64, u64, u64)>;
 
-        let mut outs = [Vec::new(), Vec::new()];
-        let sinks = outs
+trait Watch: StreamObserver {
+    fn totals(self, m: &Mft, stats: &StreamStats) -> Totals;
+}
+
+impl Watch for () {
+    fn totals(self, _: &Mft, _: &StreamStats) -> Totals {
+        None
+    }
+}
+
+impl Watch for StreamProfiler {
+    fn totals(self, m: &Mft, stats: &StreamStats) -> Totals {
+        let profile = self.into_profile(m);
+        let expansions: u64 = profile.states.iter().map(|s| s.expansions).sum();
+        let output_events: u64 = profile.states.iter().map(|s| s.output_events).sum();
+        assert_eq!(expansions, stats.expansions);
+        assert_eq!(output_events, stats.output_events);
+        assert_eq!(profile.peak_live_bytes, stats.peak_live_bytes as u64);
+        Some((expansions, output_events, profile.peak_live_bytes))
+    }
+}
+
+/// One cell of the run matrix, run: per lane the bytes written (the chunks
+/// of an emitting sink, concatenated), the statistics and the profiler's
+/// totals; and what the pass counted.
+#[derive(Debug, PartialEq)]
+struct Cell {
+    lanes: Vec<(String, StreamStats, Totals)>,
+    input_events: u64,
+    seek_skipped_bytes: u64,
+    index_skipped_bytes: u64,
+}
+
+/// `mfts` as the lanes of one `run_lanes` pass over `input`, into emitting
+/// sinks or buffering ones, each lane under its observer.
+fn run_cell<I: LaneInput, O: Watch>(
+    mfts: &[&Mft],
+    input: I,
+    emitting: bool,
+    observers: Vec<O>,
+    plan: &QuerySetPlan,
+) -> Cell
+where
+    I::Error: std::fmt::Debug,
+{
+    let limits = StreamLimits::default();
+    let mut outs = vec![Vec::new(); mfts.len()];
+    let (settled, input_events, source): (Vec<_>, u64, SourceCost) = if emitting {
+        let lanes = outs
             .iter_mut()
-            .map(|out| {
-                EmitWriter::new(|chunk: &[u8]| {
+            .zip(observers)
+            .map(|(out, obs)| {
+                let deliver = move |chunk: &[u8]| {
                     out.extend_from_slice(chunk);
                     Ok(())
-                })
+                };
+                (EmitWriter::new(deliver), obs)
             })
             .collect();
-        let reader = XmlReader::new(xml.as_bytes());
-        let run = run_multi_emit(&[unopt, opt], reader, sinks, limits, &plan).unwrap();
-        let total = run.input_events;
-        let mut emitted = Vec::new();
-        for result in run.results {
-            let (sink, stats) = result.unwrap();
+        let run = run_lanes(mfts, input, lanes, limits, plan).unwrap();
+        let settle = |(sink, stats, obs): (EmitWriter<_>, _, _)| {
             sink.finish().unwrap();
-            emitted.push(stats);
+            (stats, obs)
+        };
+        let settled = run.results.into_iter().map(|lane| settle(lane.unwrap()));
+        (settled.collect(), run.input_events, run.source)
+    } else {
+        let lanes = observers
+            .into_iter()
+            .map(|obs| (WriterSink::new(Vec::new()), obs))
+            .collect();
+        let run = run_lanes(mfts, input, lanes, limits, plan).unwrap();
+        let settle = |(out, (sink, stats, obs)): (&mut Vec<u8>, (WriterSink<_>, _, _))| {
+            *out = sink.finish().unwrap();
+            (stats, obs)
+        };
+        let settled = outs
+            .iter_mut()
+            .zip(run.results.into_iter().map(Result::unwrap));
+        (settled.map(settle).collect(), run.input_events, run.source)
+    };
+    let lanes = outs
+        .into_iter()
+        .zip(settled)
+        .zip(mfts)
+        .map(|((out, (stats, obs)), m)| {
+            (
+                String::from_utf8(out).unwrap(),
+                stats,
+                obs.totals(m, &stats),
+            )
+        })
+        .collect();
+    Cell {
+        lanes,
+        input_events,
+        seek_skipped_bytes: source.seek_skipped_bytes,
+        index_skipped_bytes: source.index_skipped_bytes,
+    }
+}
+
+/// One source's block of the run matrix — sinks × observers × plans, every
+/// cell through `run_lanes`. Every lane of every cell answers as the DOM
+/// evaluator does and accounts for every input event, delivered or
+/// withheld; an emitting cell writes its buffered twin's bytes and an
+/// observed one runs as its plain twin does; a profiler sees the same
+/// totals whichever the sink. Returns what the pass-through cell skipped on
+/// the engines' verdict alone: events withheld, tape bytes seeked over.
+fn check_source<I: LaneInput>(
+    context: &str,
+    source: impl Fn() -> I,
+    mfts: &[&Mft],
+    expected: &str,
+    input_events: u64,
+) -> (u64, u64)
+where
+    I::Error: std::fmt::Debug,
+{
+    let mut on_verdict = (0, 0);
+    for plan in [
+        QuerySetPlan::new(mfts.iter().copied()),
+        QuerySetPlan::pass_through(mfts.len()),
+    ] {
+        let context = format!("{context}, {} eligible lane(s)", plan.eligible_lanes());
+        let cell = |emitting: bool, observed: bool| {
+            if observed {
+                let profilers = mfts.iter().map(|m| StreamProfiler::for_mft(m)).collect();
+                run_cell(mfts, source(), emitting, profilers, &plan)
+            } else {
+                run_cell(mfts, source(), emitting, vec![(); mfts.len()], &plan)
+            }
+        };
+        let plain = cell(false, false);
+        assert_eq!(plain.input_events, input_events, "{context}");
+        for (lane, (out, stats, _)) in plain.lanes.iter().enumerate() {
+            let context = format!("{context}, lane {lane}");
+            assert_eq!(out, expected, "{context}");
+            let accounted = stats.events + stats.prefiltered_events;
+            assert_eq!(accounted, input_events, "{context}");
         }
-        for ((out, stats), buffered) in outs.into_iter().zip(emitted).zip(buffered) {
-            check(delivered(out), &stats, total, &format!("{what}, emitting"));
-            assert_eq!(stats, buffered, "{}", context(&what));
+        // Nothing but what its profilers saw tells a cell from the plain,
+        // buffering one.
+        let unobserved = |cell: Cell| Cell {
+            lanes: cell
+                .lanes
+                .into_iter()
+                .map(|(out, stats, _)| (out, stats, None))
+                .collect(),
+            ..cell
+        };
+        assert_eq!(cell(true, false), plain, "{context}, emitting");
+        let (observed, emitting_observed) = (cell(false, true), cell(true, true));
+        assert!(observed.lanes.iter().all(|(.., totals)| totals.is_some()));
+        assert_eq!(emitting_observed, observed, "{context}, emitting, observed");
+        assert_eq!(unobserved(observed), plain, "{context}, observed");
+        if plan.eligible_lanes() == 0 {
+            on_verdict = (
+                plain.lanes[0].1.prefiltered_events,
+                plain.seek_skipped_bytes,
+            );
         }
     }
+    on_verdict
+}
+
+/// `doc` on a tape of the given format.
+fn tape_of(doc: &[Tree], writer: TapeWriter<std::io::Cursor<Vec<u8>>>) -> (Vec<u8>, u64) {
+    let mut writer = writer;
+    for event in events_of(doc) {
+        match event {
+            Some(label) => writer.open(label).unwrap(),
+            None => writer.close().unwrap(),
+        }
+    }
+    let (tape, info) = writer.finish().unwrap();
+    (tape.into_inner(), info.events + 1)
 }
 
 /// Run one (query, doc) sample through every engine and compare.
@@ -449,50 +577,53 @@ fn check_sample(seed: u64) {
         );
         assert_counts_every_event(&stats, &doc, &format!("multi lane {lane} (seed {seed})"));
     }
-    // The same two lanes over a tape of the document: the drivers seek
-    // over every subtree at whose open both lanes are dead (or withheld
-    // from, under the lanes' own plan), and must not change an answer or
-    // lose an event doing so.
-    let mut writer = TapeWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
-    for event in events_of(&doc) {
-        match event {
-            Some(label) => writer.open(label).unwrap(),
-            None => writer.close().unwrap(),
-        }
-    }
-    let (tape, info) = writer.finish().unwrap();
-    let tape = tape.into_inner();
-    for plan in [
-        QuerySetPlan::new([unopt, opt]),
-        QuerySetPlan::pass_through(2),
-    ] {
-        let run = run_multi_on_tape(
-            &[unopt, opt],
-            TapeReader::new(std::io::Cursor::new(tape.clone())).unwrap(),
-            vec![ForestSink::new(), ForestSink::new()],
-            StreamLimits::default(),
-            &plan,
-        )
-        .unwrap();
-        assert_eq!(run.input_events, info.events + 1, "tape (seed {seed})");
-        if plan.eligible_lanes() == 0 {
-            SEEKED_ON_VERDICT.fetch_add(run.seek_skipped_bytes, Ordering::Relaxed);
-        }
-        for (lane, result) in run.results.into_iter().enumerate() {
-            let (sink, stats) = result.unwrap();
-            assert_eq!(
-                forest_to_xml_string(&sink.into_forest()),
-                expected,
-                "tape lane {lane} (seed {seed})\nquery: {query}"
-            );
-            assert_eq!(
-                stats.events + stats.prefiltered_events,
-                run.input_events,
-                "tape lane {lane} (seed {seed})"
-            );
-        }
-    }
-    check_over_xml(seed, &query, &doc, unopt, opt);
+    // The run matrix. The tapes hold `doc` as it is; its XML text denotes
+    // a document whose adjacent text nodes are one, and the DOM evaluator
+    // answers for that one there.
+    let context = |source: &str| format!("{source} (seed {seed})\nquery: {query}");
+    let lanes = [unopt, opt];
+    let tape = |bytes: &[u8]| TapeReader::new(std::io::Cursor::new(bytes.to_vec())).unwrap();
+    let new_tape = || std::io::Cursor::new(Vec::new());
+    let (fet1, tape_events) = tape_of(&doc, TapeWriter::new_v1(new_tape()).unwrap());
+    let (fet2, _) = tape_of(&doc, TapeWriter::new(new_tape()).unwrap());
+    let (_, seeked) = check_source(
+        &context("FET1 tape"),
+        || tape(&fet1),
+        &lanes,
+        &expected,
+        tape_events,
+    );
+    assert_eq!(seeked, 0, "a FET1 tape seeked on the engines' verdict");
+    let (_, seeked) = check_source(
+        &context("FET2 tape, scanned"),
+        || TapeDrive::Linear(tape(&fet2)),
+        &lanes,
+        &expected,
+        tape_events,
+    );
+    SEEKED_ON_VERDICT.fetch_add(seeked, Ordering::Relaxed);
+    check_source(
+        &context("FET2 tape"),
+        || tape(&fet2),
+        &lanes,
+        &expected,
+        tape_events,
+    );
+    let xml = forest_to_xml_string(&doc);
+    let denoted = parse_document(xml.as_bytes()).unwrap();
+    let expected_of_text = forest_to_xml_string(&eval_query(&query, &denoted).unwrap());
+    let mut full = XmlReader::new(xml.as_bytes());
+    while full.next_event().unwrap() != XmlEvent::Eof {}
+    let (context, text_events) = (context(&format!("XML text {xml}")), full.events_read() + 1);
+    let (skimmed, _) = check_source(
+        &context,
+        || Events(XmlReader::new(xml.as_bytes())),
+        &lanes,
+        &expected_of_text,
+        text_events,
+    );
+    SKIMMED_ON_VERDICT.fetch_add(skimmed, Ordering::Relaxed);
+    check_over_xml(&context, &xml, &expected_of_text, text_events, unopt, opt);
     match run_gcx_on_forest(&query, &doc, ForestSink::new()) {
         Ok((sink, _)) => {
             let out = forest_to_xml_string(&sink.into_forest());
@@ -609,14 +740,14 @@ fn limits_fail_with_the_state_and_budget_they_always_named() {
         max_expansions_per_event: 50,
         ..StreamLimits::default()
     };
-    match run_streaming_to_string_with_limits(&looping, b"<b><c/></b><a/>", limits) {
+    match run_streaming_to_string(&looping, b"<b><c/></b><a/>", limits) {
         Err(StreamError::Fuel { state }) => assert_eq!(state, "spin"),
         other => panic!("expected Fuel, got {other:?}"),
     }
     // Fuel is per event: 50 expansions spread over many events are fine.
     let copy = parse_mft("q(%t(x1) x2) -> %t(q(x1)) q(x2); q(eps) -> eps;").unwrap();
     let wide = "<a/>".repeat(100);
-    let out = run_streaming_to_string_with_limits(&copy, wide.as_bytes(), limits).unwrap();
+    let out = run_streaming_to_string(&copy, wide.as_bytes(), limits).unwrap();
     assert_eq!(out.stats.expansions, 201);
 
     // The output budget admits exactly `max_output_events` events.
@@ -625,7 +756,7 @@ fn limits_fail_with_the_state_and_budget_they_always_named() {
             max_output_events,
             ..StreamLimits::default()
         };
-        match run_streaming_to_string_with_limits(&copy, wide.as_bytes(), limits) {
+        match run_streaming_to_string(&copy, wide.as_bytes(), limits) {
             Ok(out) if fits => assert_eq!(out.stats.output_events, 200),
             Err(StreamError::OutputLimit {
                 max_output_events: reported,

@@ -32,6 +32,26 @@ fn start(config: ServerConfig) -> foxq::server::ServerHandle {
     Server::bind(config).unwrap().start().unwrap()
 }
 
+/// `POST target` on a connection of its own, read to its close: the reply
+/// as it was on the wire after the head (which names the request) — every
+/// chunk with its size line, the last chunk, the trailers.
+fn raw_chunked_reply(addr: std::net::SocketAddr, target: &str, body: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST {target} HTTP/1.1\r\nhost: foxq\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    let (head, chunked) = reply.split_once("\r\n\r\n").expect("a reply head");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    assert!(head.contains("transfer-encoding: chunked"), "{head}");
+    chunked.to_string()
+}
+
 // ---------------------------------------------------------------------------
 // A small Prometheus text-format checker
 // ---------------------------------------------------------------------------
@@ -379,6 +399,23 @@ fn profiler_endpoint_headers_and_json_ring() {
     let text = c.request("GET", "/debug/profile", &[], &[]).unwrap().text();
     assert!(text.contains("runs=2"), "runs did not fold:\n{text}");
 
+    // A third one, streamed, is sampled like the buffered two — and shows
+    // it nowhere in the reply: the chunks, one by one, and the trailers
+    // are those of a server that does not profile.
+    let streamed_target = format!("{target}&stream=1");
+    let streamed = raw_chunked_reply(addr, &streamed_target, &doc(50));
+    let text = c.request("GET", "/debug/profile", &[], &[]).unwrap().text();
+    assert!(text.contains("runs=3"), "streamed run not sampled:\n{text}");
+    assert!(
+        streamed.starts_with("3\r\n<o>\r\n2\r\np0\r\n"),
+        "{streamed}"
+    );
+    assert!(streamed.contains("\r\nx-foxq-emit-flushes: "), "{streamed}");
+    let unprofiled = start(test_config());
+    let plain = raw_chunked_reply(unprofiled.local_addr(), &streamed_target, &doc(50));
+    unprofiled.shutdown();
+    assert_eq!(streamed, plain);
+
     // The slow-query ring serves JSON when asked.
     let json = c
         .request("GET", "/debug/requests?format=json", &[], &[])
@@ -400,16 +437,17 @@ fn profiler_endpoint_headers_and_json_ring() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("metric {name} not found"))
     };
-    assert!(sample("foxq_live_nodes_peak_count") >= 2.0);
-    assert!(sample("foxq_live_bytes_peak_count") >= 2.0);
-    assert!(sample("foxq_alloc_bytes_per_request_count") >= 2.0);
+    assert!(sample("foxq_live_nodes_peak_count") >= 3.0);
+    assert!(sample("foxq_live_bytes_peak_count") >= 3.0);
+    assert!(sample("foxq_alloc_bytes_per_request_count") >= 3.0);
     assert!(sample("foxq_alloc_allocations_total") > 0.0);
     assert!(sample("foxq_process_rss_bytes") > 0.0);
 
     handle.shutdown();
     // Profile records ride in the same JSONL stream as the traces.
     let log = std::fs::read_to_string(&log_path).unwrap();
-    assert!(log.contains("\"profile\""), "no profile record:\n{log}");
+    let profiles = log.lines().filter(|l| l.starts_with("{\"profile\":"));
+    assert_eq!(profiles.count(), 3, "one profile record per run:\n{log}");
     assert!(log.contains("\"hot_states\""), "no hot states:\n{log}");
     let _ = std::fs::remove_file(&log_path);
 }

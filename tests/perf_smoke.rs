@@ -116,8 +116,8 @@ fn tape_seek_replay_beats_a_skimming_reparse() {
     };
     use foxq::core::stream::StreamLimits;
     use foxq::gen::Dataset;
-    use foxq::service::{run_multi, run_multi_on_tape_scan, PreparedQuery, QuerySetPlan};
-    use foxq::store::{ingest_xml_to_tape, TapeReader};
+    use foxq::service::{run_lanes, run_multi, PreparedQuery, QuerySetPlan};
+    use foxq::store::{ingest_xml_to_tape, TapeDrive, TapeReader};
     use foxq::xml::{forest_to_xml_string, NullSink, XmlReader};
     use std::io::Cursor;
 
@@ -143,10 +143,10 @@ fn tape_seek_replay_beats_a_skimming_reparse() {
     });
     let seek = best_of_3(&mut || {
         let reader = TapeReader::new(Cursor::new(&tape[..])).unwrap();
-        run_multi_on_tape_scan(
+        run_lanes(
             &[mft],
-            reader,
-            vec![NullSink],
+            TapeDrive::Linear(reader),
+            vec![(NullSink, ())],
             StreamLimits::default(),
             &plan,
         )
@@ -495,13 +495,13 @@ fn streamed_query_ttfb_and_peak_output_buffer() {
     // (a) Service level: largest single flush vs. materialized output size.
     let prepared = PreparedQuery::compile(query).unwrap();
     let materialized = prepared
-        .run_to_string_with_limits(&xml, StreamLimits::default())
+        .run_to_string(&xml, StreamLimits::default())
         .unwrap()
         .output;
     let mut max_chunk = 0usize;
     let mut total = 0usize;
     prepared
-        .run_streaming_with_limits(&xml, StreamLimits::default(), |c| {
+        .run_streaming(&xml, StreamLimits::default(), |c| {
             max_chunk = max_chunk.max(c.len());
             total += c.len();
             Ok(())

@@ -3,7 +3,7 @@
 //! parse → translate → optimize → stream stack.
 
 use foxq::core::opt::optimize;
-use foxq::core::stream::{run_streaming, run_streaming_to_string};
+use foxq::core::stream::{run_streaming_to_string, run_streaming_with_limits, StreamLimits};
 use foxq::core::translate::translate;
 use foxq::xml::{parse_document, WriterSink, XmlReader};
 use foxq::xquery::{eval_query, parse_query};
@@ -11,7 +11,9 @@ use foxq::xquery::{eval_query, parse_query};
 fn pipeline(query: &str, xml: &str) -> String {
     let q = parse_query(query).unwrap();
     let m = optimize(translate(&q).unwrap());
-    run_streaming_to_string(&m, xml.as_bytes()).unwrap().output
+    run_streaming_to_string(&m, xml.as_bytes(), StreamLimits::default())
+        .unwrap()
+        .output
 }
 
 fn reference(query: &str, xml: &str) -> String {
@@ -37,7 +39,9 @@ fn entities_compare_correctly() {
     // entity-encoded form. They must meet in the data model.
     let parsed = parse_query(q).unwrap();
     let m = optimize(translate(&parsed).unwrap());
-    let out = run_streaming_to_string(&m, xml.as_bytes()).unwrap().output;
+    let out = run_streaming_to_string(&m, xml.as_bytes(), StreamLimits::default())
+        .unwrap()
+        .output;
     assert_eq!(out, "<o>X</o>");
 }
 
@@ -88,10 +92,11 @@ fn streaming_into_a_writer_sink_matches_string_driver() {
     let q = "<o>{$input//b}</o>";
     let parsed = parse_query(q).unwrap();
     let m = optimize(translate(&parsed).unwrap());
-    let (sink, stats) = run_streaming(
+    let (sink, stats) = run_streaming_with_limits(
         &m,
         XmlReader::new(xml.as_bytes()),
         WriterSink::new(Vec::new()),
+        StreamLimits::default(),
     )
     .unwrap();
     let bytes = sink.finish().unwrap();
@@ -107,7 +112,9 @@ fn all_benchmark_queries_run_through_real_xml() {
     for (name, src) in foxq_bench::QUERIES {
         let q = parse_query(src).unwrap();
         let m = optimize(translate(&q).unwrap());
-        let streamed = run_streaming_to_string(&m, xml.as_bytes()).unwrap().output;
+        let streamed = run_streaming_to_string(&m, xml.as_bytes(), StreamLimits::default())
+            .unwrap()
+            .output;
         let expect = foxq::xml::forest_to_xml_string(&eval_query(&q, &forest).unwrap());
         assert_eq!(streamed, expect, "{name} through the byte pipeline");
     }
@@ -117,6 +124,7 @@ fn all_benchmark_queries_run_through_real_xml() {
 fn malformed_xml_surfaces_as_an_error() {
     let q = parse_query("<o>{$input/a}</o>").unwrap();
     let m = optimize(translate(&q).unwrap());
-    assert!(foxq::core::stream::run_streaming_to_string(&m, b"<a><b></a>").is_err());
-    assert!(foxq::core::stream::run_streaming_to_string(&m, b"<a>").is_err());
+    let limits = StreamLimits::default();
+    assert!(run_streaming_to_string(&m, b"<a><b></a>", limits).is_err());
+    assert!(run_streaming_to_string(&m, b"<a>", limits).is_err());
 }

@@ -11,9 +11,10 @@
 //! Plus: multi-query agreement against the ground-truth DOM evaluator and
 //! cache hit/eviction behaviour observable through compile counts.
 
+use foxq::core::stream::StreamLimits;
 use foxq::forest::Forest;
 use foxq::gen::Dataset;
-use foxq::service::{BatchDriver, MultiQueryEngine, PreparedQuery, QueryCache};
+use foxq::service::{BatchDriver, MultiQueryEngine, PreparedQuery, QueryCache, QuerySetPlan};
 use foxq::xml::{forest_to_xml_string, ForestSink, XmlEvent, XmlReader};
 use foxq::xquery::eval_query;
 use proptest::prelude::*;
@@ -90,7 +91,7 @@ fn single_pass_fanout_consumes_identical_events() {
     // Every query's multi-run output equals its solo run.
     assert_eq!(multi_outputs[0], solo_outputs[0]);
     for (q, out) in queries[..4].iter().zip(&multi_outputs) {
-        let solo = q.run_to_string(&doc).unwrap();
+        let solo = q.run_to_string(&doc, StreamLimits::serving()).unwrap();
         assert_eq!(&solo.output, out, "multi vs solo for {}", q.source());
     }
 }
@@ -182,7 +183,6 @@ fn cache_hit_avoids_retranslation() {
 mod prefilter_agreement {
     use super::*;
     use foxq::core::mft::{rhs, Mft, StateId, XVar};
-    use foxq::core::stream::StreamLimits;
     use foxq::forest::{Forest, Label, SymId, Tree};
     use foxq::xml::{forest_to_xml_string, ForestSink};
     use rand::rngs::SmallRng;
@@ -369,11 +369,16 @@ mod prefilter_agreement {
             max_output_events: 200_000,
             ..StreamLimits::default()
         };
-        let mut engine =
-            MultiQueryEngine::with_limits(mfts.iter().map(|m| (*m, ForestSink::new())), limits);
-        if !prefilter {
-            engine.disable_prefilter();
-        }
+        let plan = if prefilter {
+            QuerySetPlan::new(mfts.iter().copied())
+        } else {
+            QuerySetPlan::pass_through(mfts.len())
+        };
+        let mut engine = MultiQueryEngine::with_plan(
+            mfts.iter().map(|m| (*m, ForestSink::new())),
+            limits,
+            &plan,
+        );
         fn feed<S: foxq::xml::XmlSink>(e: &mut MultiQueryEngine<'_, S>, t: &Tree) {
             e.open(&t.label);
             for c in &t.children {

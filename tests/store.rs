@@ -4,16 +4,17 @@
 //! surfaced through the serving layer.
 
 use foxq::core::emit::EmitWriter;
-use foxq::core::stream::{StreamError, StreamLimits};
+use foxq::core::stream::{StreamError, StreamLimits, StreamStats};
 use foxq::core::{parse_mft, Mft};
 use foxq::forest::Label;
 use foxq::gen::Dataset;
 use foxq::service::{
-    run_multi, run_multi_emit, run_multi_on_tape, run_multi_on_tape_emit, run_multi_on_tape_scan,
-    run_multi_on_tape_scan_emit, run_multi_with_plan, BatchDriver, MultiQueryEngine, MultiRun,
+    run_lanes, run_multi, run_multi_on_tape, BatchDriver, Events, MultiQueryEngine, MultiRun,
     PreparedQuery, QuerySetPlan,
 };
-use foxq::store::{ingest_xml_to_tape, ingest_xml_to_tape_v1, Corpus, StoreError, TapeReader};
+use foxq::store::{
+    ingest_xml_to_tape, ingest_xml_to_tape_v1, Corpus, StoreError, TapeDrive, TapeReader,
+};
 use foxq::xml::{forest_to_xml_string, ForestSink, WriterSink, XmlEvent, XmlReader};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -126,17 +127,20 @@ fn prefilter_on_and_off_agree_on_the_tape_path() {
     .unwrap();
     // (c') the same replay with the index path forced off: linear scan with
     // seek-based subtree skipping.
-    let seek = run_multi_on_tape_scan(
+    let seek = run_lanes(
         &[mft],
-        TapeReader::new(Cursor::new(tape_bytes.clone())).unwrap(),
-        vec![ForestSink::new()],
+        TapeDrive::Linear(TapeReader::new(Cursor::new(tape_bytes.clone())).unwrap()),
+        vec![(ForestSink::new(), ())],
         StreamLimits::default(),
         &plan,
     )
     .unwrap();
     // (d) tape replay with the prefilter disabled entirely.
-    let mut off_engine = MultiQueryEngine::new(vec![(mft, ForestSink::new())]);
-    off_engine.disable_prefilter();
+    let mut off_engine = MultiQueryEngine::with_plan(
+        vec![(mft, ForestSink::new())],
+        StreamLimits::default(),
+        &QuerySetPlan::pass_through(1),
+    );
     let mut tape = TapeReader::new(Cursor::new(tape_bytes)).unwrap();
     loop {
         match tape.next_event().unwrap() {
@@ -151,7 +155,7 @@ fn prefilter_on_and_off_agree_on_the_tape_path() {
     let (a, a_stats) = reparse.results.into_iter().next().unwrap().unwrap();
     let (b, b_stats) = replay.results.into_iter().next().unwrap().unwrap();
     let (c, c_stats) = indexed.results.into_iter().next().unwrap().unwrap();
-    let (c2, c2_stats) = seek.results.into_iter().next().unwrap().unwrap();
+    let (c2, c2_stats, ()) = seek.results.into_iter().next().unwrap().unwrap();
     let (d, d_stats) = off.into_iter().next().unwrap().unwrap();
     let expected = output(a);
     assert!(expected.contains("<o>"), "query produced no output");
@@ -179,11 +183,14 @@ fn prefilter_on_and_off_agree_on_the_tape_path() {
     // over frames the scan has to decode just to test the label).
     assert!(c_stats.index_skipped_bytes > 0, "index path never skipped");
     assert_eq!(c_stats.seek_skipped_bytes, 0);
-    assert_eq!(indexed.index_skipped_bytes, c_stats.index_skipped_bytes);
-    assert_eq!(indexed.seek_skipped_bytes, 0);
+    assert_eq!(
+        indexed.source.index_skipped_bytes,
+        c_stats.index_skipped_bytes
+    );
+    assert_eq!(indexed.source.seek_skipped_bytes, 0);
     assert!(c2_stats.seek_skipped_bytes > 0, "seek path never seeked");
     assert_eq!(c2_stats.index_skipped_bytes, 0);
-    assert_eq!(seek.seek_skipped_bytes, c2_stats.seek_skipped_bytes);
+    assert_eq!(seek.source.seek_skipped_bytes, c2_stats.seek_skipped_bytes);
     assert!(c_stats.index_skipped_bytes >= c2_stats.seek_skipped_bytes);
     assert_eq!(a_stats.seek_skipped_bytes, 0);
     assert_eq!(b_stats.seek_skipped_bytes, 0);
@@ -291,11 +298,17 @@ fn fet1_and_fet2_tapes_agree_and_index_only_runs_on_fet2() {
     };
     let r1 = run(v1);
     let r2 = run(v2);
-    assert!(r1.seek_skipped_bytes > 0, "FET1 run must scan and seek");
-    assert_eq!(r1.index_skipped_bytes, 0);
-    assert!(r2.index_skipped_bytes > 0, "FET2 run must use the index");
-    assert_eq!(r2.seek_skipped_bytes, 0);
-    let out = |run: foxq::service::MultiRun<ForestSink>| {
+    assert!(
+        r1.source.seek_skipped_bytes > 0,
+        "FET1 run must scan and seek"
+    );
+    assert_eq!(r1.source.index_skipped_bytes, 0);
+    assert!(
+        r2.source.index_skipped_bytes > 0,
+        "FET2 run must use the index"
+    );
+    assert_eq!(r2.source.seek_skipped_bytes, 0);
+    let out = |run: MultiRun<(ForestSink, StreamStats)>| {
         let (sink, _) = run.results.into_iter().next().unwrap().unwrap();
         forest_to_xml_string(&sink.into_forest())
     };
@@ -477,14 +490,14 @@ fn reader(tape: &[u8]) -> TapeReader<Cursor<Vec<u8>>> {
     TapeReader::new(Cursor::new(tape.to_vec())).unwrap()
 }
 
-/// Per lane: the output bytes and, when the run was an `_emit` one, the
+/// Per lane: the output bytes and, when the sinks were emitting ones, the
 /// sequence of emission chunks — or the error's text.
 type LaneOutcome = Result<(Vec<u8>, Vec<Vec<u8>>), String>;
 
 /// A buffered run's lanes, with the accounting identity checked on every
 /// successful one.
 fn buffered<E: std::fmt::Debug>(
-    run: Result<MultiRun<WriterSink<Vec<u8>>>, E>,
+    run: Result<Unobserved<WriterSink<Vec<u8>>>, E>,
     what: &str,
 ) -> (Vec<LaneOutcome>, u64) {
     let run = run.unwrap_or_else(|e| panic!("{what}: {e:?}"));
@@ -493,7 +506,7 @@ fn buffered<E: std::fmt::Debug>(
         .results
         .into_iter()
         .map(|lane| match lane {
-            Ok((sink, stats)) => {
+            Ok((sink, stats, ())) => {
                 assert_eq!(
                     stats.events + stats.prefiltered_events,
                     input_events,
@@ -524,10 +537,18 @@ fn emitters(chunked: &[Chunks]) -> Vec<EmitWriter<impl FnMut(&[u8]) -> std::io::
         .collect()
 }
 
+/// A run of unobserved lanes.
+type Unobserved<S> = MultiRun<(S, StreamStats, ())>;
+
+/// Pair each sink with the disabled observer.
+fn unobserved<S>(sinks: Vec<S>) -> Vec<(S, ())> {
+    sinks.into_iter().map(|sink| (sink, ())).collect()
+}
+
 /// An emitting run's lanes (bytes = the chunks concatenated), with the
 /// accounting identity checked on every successful one.
 fn emitted<F: FnMut(&[u8]) -> std::io::Result<()>>(
-    run: MultiRun<EmitWriter<F>>,
+    run: Unobserved<EmitWriter<F>>,
     chunked: &[Chunks],
     what: &str,
 ) -> (Vec<LaneOutcome>, u64) {
@@ -537,7 +558,7 @@ fn emitted<F: FnMut(&[u8]) -> std::io::Result<()>>(
         .into_iter()
         .zip(chunked)
         .map(|(lane, chunks)| match lane {
-            Ok((sink, stats)) => {
+            Ok((sink, stats, ())) => {
                 sink.finish().unwrap();
                 assert_eq!(stats.events + stats.prefiltered_events, input, "{what}");
                 let chunks = chunks.borrow().clone();
@@ -564,51 +585,52 @@ fn assert_paths_agree(mfts: &[&Mft], tape: &[u8], limits: StreamLimits, what: &s
     let n = mfts.len();
     let plan = QuerySetPlan::new(mfts.iter().copied());
     let pass = QuerySetPlan::pass_through(n);
-    let sinks = || {
-        (0..n)
-            .map(|_| WriterSink::new(Vec::new()))
-            .collect::<Vec<_>>()
-    };
+    let sinks = || unobserved((0..n).map(|_| WriterSink::new(Vec::new())).collect());
+    let mut chunked: Vec<Chunks> = Vec::new();
+    chunked.resize_with(n, Default::default);
+    let emitting = || unobserved(emitters(&chunked));
 
     // The reference: the generic event-source loop, every frame decoded,
     // nothing withheld.
     let (full, input_events) = buffered(
-        run_multi_with_plan(mfts, reader(tape), sinks(), limits, &pass),
+        run_lanes(mfts, Events(reader(tape)), sinks(), limits, &pass),
         what,
     );
-    let mut chunked: Vec<Chunks> = Vec::new();
-    chunked.resize_with(n, Default::default);
     for (plan, mode) in [(&plan, "plan"), (&pass, "pass-through")] {
         let what = format!("{what}, {mode}");
         // Withholding an event from a lane also withholds the flush it
         // would have made, so the chunk sequence is compared with a full
         // replay under the same plan: seeking must not move a boundary.
         let (full_emit, _) = emitted(
-            run_multi_emit(mfts, reader(tape), emitters(&chunked), limits, plan).unwrap(),
+            run_lanes(mfts, Events(reader(tape)), emitting(), limits, plan).unwrap(),
             &chunked,
             &what,
         );
         assert_eq!(bytes_of(&full_emit), bytes_of(&full), "{what}: full emit");
 
-        let (auto, auto_input) = buffered(
-            run_multi_on_tape(mfts, reader(tape), sinks(), limits, plan),
-            &what,
-        );
+        let (auto, auto_input) =
+            buffered(run_lanes(mfts, reader(tape), sinks(), limits, plan), &what);
         let (scan, scan_input) = buffered(
-            run_multi_on_tape_scan(mfts, reader(tape), sinks(), limits, plan),
+            run_lanes(mfts, TapeDrive::Linear(reader(tape)), sinks(), limits, plan),
             &what,
         );
         assert_eq!(auto, full, "{what}: auto path");
         assert_eq!(scan, full, "{what}: scan path");
 
         let (auto_emit, auto_emit_input) = emitted(
-            run_multi_on_tape_emit(mfts, reader(tape), emitters(&chunked), limits, plan).unwrap(),
+            run_lanes(mfts, reader(tape), emitting(), limits, plan).unwrap(),
             &chunked,
             &what,
         );
         let (scan_emit, scan_emit_input) = emitted(
-            run_multi_on_tape_scan_emit(mfts, reader(tape), emitters(&chunked), limits, plan)
-                .unwrap(),
+            run_lanes(
+                mfts,
+                TapeDrive::Linear(reader(tape)),
+                emitting(),
+                limits,
+                plan,
+            )
+            .unwrap(),
             &chunked,
             &what,
         );
@@ -701,7 +723,7 @@ fn mixed_lane_sets_agree_with_a_full_replay() {
     .unwrap();
     assert!(matches!(run.results[1], Err(StreamError::Fuel { .. })));
     assert!(
-        run.seek_skipped_bytes > 0,
+        run.source.seek_skipped_bytes > 0,
         "a failed lane must not pin the tape"
     );
 }
@@ -734,7 +756,7 @@ fn q13_reads_a_tenth_of_the_2mib_xmark_tape() {
     );
     assert!(stats.seek_skipped_bytes * 10 >= tape.len() as u64 * 7);
     let reparsed = q13
-        .run_to_string_with_limits(xml.as_bytes(), StreamLimits::default())
+        .run_to_string(xml.as_bytes(), StreamLimits::default())
         .unwrap();
     assert_eq!(
         String::from_utf8(sink.finish().unwrap()).unwrap(),
@@ -770,7 +792,7 @@ fn run_q13(tape: &[u8]) -> Result<(String, u64), StoreError> {
         StreamLimits::default(),
         &QuerySetPlan::new([q13.mft()]),
     )?;
-    let seeked = run.seek_skipped_bytes;
+    let seeked = run.source.seek_skipped_bytes;
     let (sink, _) = run.results.into_iter().next().unwrap().unwrap();
     Ok((String::from_utf8(sink.finish().unwrap()).unwrap(), seeked))
 }
