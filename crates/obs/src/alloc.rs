@@ -63,6 +63,12 @@ fn note_free(size: usize) {
     let _ = TL_FREED_BYTES.try_with(|c| c.set(c.get() + size as u64));
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract, and returns what `System` returned;
+// the caller's obligations (valid layout, pointer from this allocator) are
+// passed straight through. The counting on the side only touches atomics
+// and const-initialized thread-locals, so it neither allocates (no
+// re-entry) nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
@@ -193,6 +199,8 @@ fn page_size_bytes() -> u64 {
         }
         // _SC_PAGESIZE is 30 on Linux and the BSDs we care about.
         const SC_PAGESIZE: i32 = 30;
+        // SAFETY: takes no pointers; an unknown name returns -1, which
+        // falls through to the default below.
         let n = unsafe { sysconf(SC_PAGESIZE) };
         if n > 0 {
             return n as u64;

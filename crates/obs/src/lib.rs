@@ -24,6 +24,8 @@
 //! tape store (`foxq_store`), and the HTTP layer (`foxq_server`) all
 //! report through the same stage names.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 mod alloc;
 mod histogram;
 mod sink;
@@ -43,9 +45,9 @@ pub use span::{Span, StageTimes, TraceContext};
 pub enum Stage {
     /// Query text to AST (`foxq_xquery::parse_query`).
     Parse,
-    /// AST to macro forest transducer (`foxq_tt::translate`).
+    /// AST to macro forest transducer (`foxq_core::translate`).
     Translate,
-    /// MFT rewriting: inlining, dead-state elimination (`foxq_tt::optimize`).
+    /// MFT rewriting: inlining, dead-state elimination (`foxq_core::opt`).
     Optimize,
     /// Prepared-query cache probe, including waiting on the cache lock.
     CacheLookup,

@@ -45,6 +45,8 @@
 //! handle.shutdown(); // drains in-flight requests, then joins
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod client;
 pub mod conn;
 pub mod http;

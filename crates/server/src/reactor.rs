@@ -126,6 +126,8 @@ pub struct Poller {
 
 impl Poller {
     pub fn new() -> std::io::Result<Poller> {
+        // SAFETY: takes no pointers; failure is a negative return that
+        // `cvt` turns into an error.
         let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller {
             epfd,
@@ -157,6 +159,9 @@ impl Poller {
             events: interest,
             data: token,
         };
+        // SAFETY: `ev` is a live local for the whole call; the kernel
+        // copies it (DEL ignores it) and keeps no pointer. `epfd` is ours
+        // until drop; a stale `fd` fails with EBADF / ENOENT.
         cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
     }
 
@@ -165,6 +170,10 @@ impl Poller {
     /// is retried internally.
     pub fn wait(&mut self, timeout_ms: i32) -> std::io::Result<Vec<(u64, u32)>> {
         loop {
+            // SAFETY: the kernel writes at most `events.len()` entries into
+            // the buffer, which `&mut self` keeps alive and unaliased for
+            // the call, and returns how many it wrote (read back below only
+            // up to that count).
             let n = unsafe {
                 epoll_wait(
                     self.epfd,
@@ -189,6 +198,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` was created by `new`, is owned by this value
+        // alone, and is closed only here.
         unsafe { close(self.epfd) };
     }
 }
@@ -207,6 +218,8 @@ pub struct Waker {
 
 impl Waker {
     pub fn new() -> std::io::Result<Waker> {
+        // SAFETY: takes no pointers; failure is a negative return that
+        // `cvt` turns into an error.
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(Waker { fd })
     }
@@ -216,12 +229,18 @@ impl Waker {
     /// overflow, which still leaves it readable.
     pub fn wake(&self) {
         let one: u64 = 1;
+        // SAFETY: reads the eight bytes of the live local `one`; the fd is
+        // ours until drop. The only failure (EAGAIN on a saturated counter)
+        // writes nothing and still leaves the fd readable.
         unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
     }
 
     /// Reset the wakeup counter (reactor side).
     pub fn drain(&self) {
         let mut buf = [0u8; 8];
+        // SAFETY: writes at most eight bytes into the live local `buf`; the
+        // fd is ours until drop and non-blocking, so an unset counter is
+        // EAGAIN, not a hang.
         unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
     }
 }
@@ -234,6 +253,8 @@ impl AsRawFd for Waker {
 
 impl Drop for Waker {
     fn drop(&mut self) {
+        // SAFETY: `fd` was created by `new`, is owned by this value alone
+        // (`AsRawFd` lends it, never gives it away), and is closed only here.
         unsafe { close(self.fd) };
     }
 }

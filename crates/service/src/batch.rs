@@ -14,6 +14,7 @@ use foxq_core::stream::{StreamLimits, StreamStats};
 use foxq_core::Mft;
 use foxq_store::Corpus;
 use foxq_xml::{WriterSink, XmlReader};
+use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -28,7 +29,7 @@ pub struct BatchCell {
 }
 
 /// Aggregate outcome of [`BatchDriver::run`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BatchReport {
     /// `cells[d][q]` is document `d` evaluated under query `q`, in the
     /// order both were supplied.
@@ -57,6 +58,24 @@ impl BatchReport {
     /// Convenience accessor: the output of document `d` under query `q`.
     pub fn output(&self, d: usize, q: usize) -> &Result<String, String> {
         &self.cells[d][q].output
+    }
+
+    /// Sum document rows, in order, into one report.
+    fn of_rows(rows: impl IntoIterator<Item = DocRow>) -> BatchReport {
+        let mut report = BatchReport::default();
+        for row in rows {
+            report.input_events += row.input_events;
+            report.seek_skipped_bytes += row.source.seek_skipped_bytes;
+            report.index_skipped_bytes += row.source.index_skipped_bytes;
+            for cell in &row.cells {
+                match (&cell.output, cell.stats) {
+                    (Ok(_), Some(stats)) => report.output_events += stats.output_events,
+                    _ => report.failures += 1,
+                }
+            }
+            report.cells.push(row.cells);
+        }
+        report
     }
 }
 
@@ -103,6 +122,14 @@ impl BatchDriver {
                 &plan,
             )
         })
+    }
+
+    /// Run every query over one XML stream (stdin, a pipe) in one pass: a
+    /// one-document batch, reported like any other.
+    pub fn run_reader(&self, input: impl Read, queries: &[Arc<PreparedQuery>]) -> BatchReport {
+        let plan = plan_of(queries);
+        let row = run_one(Events(XmlReader::new(input)), queries, self.limits, &plan);
+        BatchReport::of_rows([row])
     }
 
     /// Run every query over every document *file*, opened and streamed by
@@ -187,28 +214,10 @@ impl BatchDriver {
                 }
             });
         }
-        let mut report = BatchReport {
-            cells: Vec::with_capacity(count),
-            input_events: 0,
-            output_events: 0,
-            seek_skipped_bytes: 0,
-            index_skipped_bytes: 0,
-            failures: 0,
-        };
-        for row in rows {
-            let row = row.expect("every document processed");
-            report.input_events += row.input_events;
-            report.seek_skipped_bytes += row.source.seek_skipped_bytes;
-            report.index_skipped_bytes += row.source.index_skipped_bytes;
-            for cell in &row.cells {
-                match (&cell.output, cell.stats) {
-                    (Ok(_), Some(stats)) => report.output_events += stats.output_events,
-                    _ => report.failures += 1,
-                }
-            }
-            report.cells.push(row.cells);
-        }
-        report
+        BatchReport::of_rows(
+            rows.into_iter()
+                .map(|row| row.expect("every document processed")),
+        )
     }
 }
 
@@ -343,6 +352,26 @@ mod tests {
         assert!(report.output(1, 0).is_err());
         assert!(report.output(0, 0).is_ok());
         assert!(report.output(2, 0).is_ok());
+    }
+
+    #[test]
+    fn run_reader_is_a_one_document_batch() {
+        let queries = vec![
+            prepared("<o>{$input/r/a}</o>"),
+            prepared("<o>{$input//b}</o>"),
+        ];
+        let doc = &docs()[3];
+        let streamed = BatchDriver::new(2).run_reader(&doc[..], &queries);
+        let batched = BatchDriver::new(2).run(std::slice::from_ref(doc), &queries);
+        assert_eq!(streamed.cells.len(), 1);
+        for q in 0..queries.len() {
+            assert_eq!(streamed.output(0, q), batched.output(0, q));
+        }
+        assert_eq!(streamed.input_events, batched.input_events);
+        assert_eq!(streamed.output_events, batched.output_events);
+        // A malformed stream fails every cell of its one row.
+        let bad = BatchDriver::new(1).run_reader(&b"<r><unclosed>"[..], &queries);
+        assert_eq!(bad.failures, queries.len());
     }
 
     #[test]

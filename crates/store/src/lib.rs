@@ -17,8 +17,7 @@
 //!   ([`TapeReader::skip_subtree`] is the same operation, also reporting
 //!   the bytes it saved). File-opened readers sit on a
 //!   [`TapeInput`] — a raw memory map when the platform grants one
-//!   (zero-copy, page-cache-friendly), buffered file I/O otherwise
-//!   (`FOXQ_STORE_NO_MMAP=1` forces the fallback).
+//!   (zero-copy, page-cache-friendly), buffered file I/O otherwise.
 //! * [`IndexedReplay`] (built by [`index_drive`]) merges the matched
 //!   labels' posting lists and delivers exactly the events the shared
 //!   label prefilter would — cost proportional to the answer, not the
@@ -154,6 +153,8 @@
 //! }
 //! assert_eq!(replayed, 10);
 //! ```
+
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod corpus;
 pub mod cursor;

@@ -6,7 +6,7 @@
 //! reads from: the mapped variant serves `fill_buf` straight out of the
 //! page cache (a borrowed slice, no copy into a reader buffer) and turns
 //! every seek into a cursor assignment; when mapping fails (exotic
-//! filesystem, `FOXQ_STORE_NO_MMAP=1`) it degrades to a plain
+//! filesystem, a platform without `mmap`) it degrades to a plain
 //! `BufReader<File>` with identical semantics.
 
 use std::fs::File;
@@ -44,9 +44,14 @@ pub struct Mmap {
     len: usize,
 }
 
-// The mapping is read-only and owned: moving or sharing it across threads
-// is as safe as sharing a `&[u8]`.
+// SAFETY: the raw pointer is the only thing that keeps `Mmap` from being
+// `Send` automatically. The mapping it points to is owned by this value
+// alone (unmapped once, in `drop`) and is not tied to the thread that
+// made it, so moving it to another thread is moving a `Box<[u8]>`.
 unsafe impl Send for Mmap {}
+// SAFETY: the mapping is `PROT_READ` and no method hands out `&mut`
+// access, so shared references on many threads only ever read — as with
+// a `&[u8]`.
 unsafe impl Sync for Mmap {}
 
 impl Mmap {
@@ -63,6 +68,12 @@ impl Mmap {
                 len: 0,
             });
         }
+        // SAFETY: a null hint lets the kernel choose the address, so no
+        // existing mapping can be replaced; `len` is the file's nonzero
+        // length and the descriptor is open for the whole call (`file` is
+        // borrowed). A private read-only map stays valid after the
+        // descriptor closes. Failure is `MAP_FAILED`, checked below, and
+        // leaves nothing mapped.
         let ptr = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
@@ -95,6 +106,12 @@ impl Mmap {
         if self.len == 0 {
             return &[];
         }
+        // SAFETY: a nonzero `len` means `ptr` came from a successful `mmap`
+        // of exactly `len` readable bytes, mapped until `drop`, which the
+        // returned borrow of `self` outlives. The map is private and
+        // read-only, so nothing in this process writes through it. (A file
+        // truncated underneath a map makes the tail fault on access; tapes
+        // are replaced by rename, never truncated in place.)
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
@@ -112,6 +129,9 @@ impl Drop for Mmap {
     fn drop(&mut self) {
         #[cfg(unix)]
         if self.len > 0 {
+            // SAFETY: `ptr`/`len` are exactly the region `map` obtained, it
+            // is unmapped only here, and `&mut self` proves no slice from
+            // `bytes` is still borrowed.
             unsafe {
                 sys::munmap(self.ptr.cast(), self.len);
             }
@@ -140,18 +160,15 @@ pub enum TapeInput {
 }
 
 impl TapeInput {
-    /// Open `file`, mapping it unless `FOXQ_STORE_NO_MMAP` is set (an ops
-    /// escape hatch) or the map syscall fails.
+    /// Open `file`, mapping it unless the map syscall fails.
     pub fn open(file: File) -> TapeInput {
-        if std::env::var_os("FOXQ_STORE_NO_MMAP").is_none() {
-            if let Ok(map) = Mmap::map(&file) {
-                return TapeInput::Mapped {
-                    map: Arc::new(map),
-                    pos: 0,
-                };
-            }
+        match Mmap::map(&file) {
+            Ok(map) => TapeInput::Mapped {
+                map: Arc::new(map),
+                pos: 0,
+            },
+            Err(_) => TapeInput::Buffered(std::io::BufReader::new(file)),
         }
-        TapeInput::Buffered(std::io::BufReader::new(file))
     }
 
     /// Whether this input is served by a memory map.

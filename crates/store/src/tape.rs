@@ -742,14 +742,6 @@ impl TapeReader<TapeInput> {
     }
 }
 
-impl TapeReader<std::io::BufReader<std::fs::File>> {
-    /// Open a tape file through plain buffered I/O, bypassing the memory
-    /// map (baseline benches; callers that must not map).
-    pub fn open_file_buffered(path: &Path) -> Result<Self, StoreError> {
-        TapeReader::new(std::io::BufReader::new(std::fs::File::open(path)?))
-    }
-}
-
 impl<R: BufRead + Seek> TapeReader<R> {
     /// Validate the header, load the footer (label table, counts, skip
     /// index directory, checksum), and position the reader at the first

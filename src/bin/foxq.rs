@@ -1,34 +1,29 @@
 //! `foxq` — command-line XQuery streaming by forest transducers.
 //!
-//! ```text
-//! foxq run   <query.xq> [input.xml|.fet]  # stream input (or stdin) through the query
-//! foxq compile <query.xq>                 # print the optimized MFT rules
-//! foxq compile --no-opt <query.xq>        # print the raw §3 translation
-//! foxq stats <query.xq> [input.xml|.fet]  # run and report engine statistics
-//! foxq stats <tape.fet>                   # inspect a tape without running a query
-//! foxq batch -q a.xq -q b.xq [in.xml …]   # N queries, one pass per document
-//! foxq store add|ls|rm|query --dir DIR …  # the persistent tape corpus
-//! foxq serve --addr 127.0.0.1:8080        # long-running HTTP server
-//! ```
-//!
+//! Every subcommand is one row of [`COMMANDS`] and every flag one row of
+//! [`FLAGS`]: the subcommands that take it, its value, its help line and
+//! what it sets. One parser ([`parse`]) reads both tables, and
+//! `foxq --help` is rendered from them.
 //! Output goes to stdout; diagnostics to stderr. Exit code 1 on any error.
 
-use foxq::core::opt::optimize_with_stats;
+use foxq::core::opt::{optimize_with_stats, OptStats};
 use foxq::core::profile::StreamProfiler;
-use foxq::core::stream::{
-    run_streaming_with_observer, StreamLimits, StreamObserver, StreamStats,
-    DEFAULT_MAX_OUTPUT_EVENTS,
-};
+use foxq::core::stream::{run_streaming_with_observer, StreamLimits, StreamObserver, StreamStats};
 use foxq::core::translate::translate;
 use foxq::core::{print_mft, EmissionAnalysis, EmitSink, EmitWriter, Mft};
 use foxq::obs::{Stage, StageTimes};
-use foxq::service::{run_lanes, BatchDriver, Events, QueryCache, QuerySetPlan, SourceCost};
+use foxq::server::{Server, ServerConfig};
+use foxq::service::{
+    run_lanes, BatchDriver, BatchReport, PreparedQuery, QueryCache, QuerySetPlan, SourceCost,
+};
 use foxq::store::{Corpus, TapeReader};
 use foxq::xml::{WriterSink, XmlReader};
 use foxq::xquery::parse_query;
 use std::io::{Read, Write};
+use std::num::ParseIntError;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
     match real_main() {
@@ -42,100 +37,378 @@ fn main() -> ExitCode {
 
 fn real_main() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], false),
-        Some("stats") => cmd_run(&args[1..], true),
-        Some("compile") => cmd_compile(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("store") => cmd_store(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            eprint!("{}", USAGE);
-            Ok(())
+    if matches!(
+        args.first().map(String::as_str),
+        None | Some("--help" | "-h")
+    ) {
+        eprint!("{}", usage());
+        return Ok(());
+    }
+    let (command, opts) = parse(&args)?;
+    (command.run)(opts)
+}
+
+// ---------------------------------------------------------------------------
+// The command line: one table of subcommands, one of flags, one parser
+// ---------------------------------------------------------------------------
+
+/// A subcommand: its positional arguments (synopsis and how many), the
+/// flags it cannot do without, what it does, and its entry point.
+struct Command {
+    name: &'static str,
+    args: &'static str,
+    arity: (usize, usize),
+    needs: &'static [&'static str],
+    about: &'static str,
+    run: fn(Opts) -> Result<(), String>,
+}
+
+const ANY: usize = usize::MAX;
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "run", args: "<query.xq> [input.xml|input.fet]", arity: (1, 2), needs: &[],
+        run: |opts| cmd_run(opts, false),
+        about: "stream input (default stdin) through the query, building only what the query \
+            can use: after each element's open, if the engine has no pending call left at that \
+            position (its label prefilter withholding the element is the static case), the \
+            subtree is skipped. XML text is skimmed to the matching close: every byte is still \
+            checked — a malformed document fails with the error and offset it always got — but \
+            no event is built. A .fet input replays the pre-parsed event tape (no XML \
+            tokenization) and seeks there instead; on FET2 every decoded subtree is still \
+            checked against its stored hash, and what lies inside a seeked-over subtree is \
+            never read, so never verified. foxq stats reports the skipped events as \
+            'prefiltered'" },
+    Command { name: "stats", args: "<query.xq> [input.xml|input.fet] | <tape.fet>",
+        arity: (1, 2), needs: &[], run: |opts| cmd_run(opts, true),
+        about: "run and report engine statistics to stderr, including an earliest emission \
+            summary (early-emitting states, streamed output fraction, emitting flushes, events \
+            to first emit). Given only a tape, inspect it instead: events, labels, depth; FET2 \
+            tapes also report text compression and per-label skip-index sizes" },
+    Command { name: "compile", args: "<query.xq>", arity: (1, 1), needs: &[], run: cmd_compile,
+        about: "print the (optimized) MFT in rule notation" },
+    Command { name: "batch", args: "[input.xml]...", arity: (0, ANY), needs: &["-q"],
+        run: cmd_batch,
+        about: "answer all queries over each input in a single pass per document; with no \
+            inputs, one pass over stdin; with several, documents are sharded across worker \
+            threads. Outputs are labeled '### doc query'" },
+    Command { name: "store add", args: "<input.xml>...", arity: (1, ANY), needs: &["--dir"],
+        run: store_add,
+        about: "parse each document once into the corpus at DIR (FET2 tapes + manifest); ids \
+            default to the file stem" },
+    Command { name: "store ls", args: "", arity: (0, 0), needs: &["--dir"], run: store_ls,
+        about: "list the corpus manifest" },
+    Command { name: "store rm", args: "<id>...", arity: (1, ANY), needs: &["--dir"],
+        run: store_rm, about: "remove stored documents" },
+    Command { name: "store migrate", args: "[id]...", arity: (0, ANY), needs: &["--dir"],
+        run: store_migrate,
+        about: "rewrite FET1 tapes as FET2 in place (all documents, or just the given ids); \
+            FET2 tapes are left untouched" },
+    Command { name: "store query", args: "[id]...", arity: (0, ANY), needs: &["--dir", "-q"],
+        run: store_query,
+        about: "run the query set over every stored document (or just the given ids), \
+            replaying tapes via the label skip index where the whole set has a label projection \
+            (FET2) and by a scan otherwise, seeking over every subtree no query of the set can \
+            use — no XML re-parsing either way. Output is labeled as for batch" },
+    Command { name: "serve", args: "", arity: (0, 0), needs: &[], run: cmd_serve,
+        about: "long-running HTTP/1.1 server: POST /query?q=<urlencoded query> and POST \
+            /batch?q=..&q=.. stream the request body through prepared queries; add &stream=1 \
+            to /query for a chunked response whose chunks are the engine's irrevocable output \
+            prefixes (run statistics arrive as HTTP trailers); GET /metrics (Prometheus), GET \
+            /healthz, POST /shutdown (graceful drain). Every response carries \
+            X-Foxq-Request-Id and Server-Timing headers. Runs until shut down" },
+];
+
+/// One flag: its name and alias, the subcommands that take it, its value,
+/// and its help line.
+struct Flag {
+    name: &'static str,
+    alias: Option<&'static str>,
+    cmds: &'static [&'static str],
+    arg: Arg,
+    help: &'static str,
+}
+
+/// What a flag takes, and how it sets [`Opts`].
+enum Arg {
+    /// No value.
+    Switch(fn(&mut Opts)),
+    /// A value, shown as the placeholder.
+    Text(&'static str, fn(&mut Opts, String)),
+    /// A non-negative integer, shown as the placeholder.
+    Number(
+        &'static str,
+        fn(&mut Opts, &str) -> Result<(), ParseIntError>,
+    ),
+}
+
+impl Flag {
+    /// The flag and its value's placeholder, e.g. `--threads N`.
+    fn usage(&self) -> String {
+        match self.arg {
+            Arg::Switch(_) => self.name.to_string(),
+            Arg::Text(what, _) | Arg::Number(what, _) => format!("{} {what}", self.name),
         }
-        Some(other) => Err(format!("unknown command {other:?}\n{USAGE}")),
     }
 }
 
-const USAGE: &str = "\
-usage:
-  foxq run [--stream] <query.xq> [input.xml|input.fet]
-      stream input (default stdin) through the query, building only what
-      the query can use: after each element's open, if the engine has no
-      pending call left at that position (its label prefilter withholding
-      the element is the static case), the subtree is skipped. XML text is
-      skimmed to the matching close: every byte is still checked — a
-      malformed document fails with the error and offset it always got —
-      but no event is built. A .fet input replays the pre-parsed event
-      tape (no XML tokenization) and seeks there instead. That helps the
-      queries without a label projection too — subtree copies
-      ($i/description), descendant axes below a child path
-      (/site/regions//item), query sets mixing those with navigators. On
-      FET2 every decoded subtree is still checked against its stored hash
-      and a skipped one's hash is folded into its parent's; what lies
-      inside a seeked-over subtree is never read, so never verified.
-      foxq stats reports the skipped events as 'prefiltered'. --stream
-      flushes stdout at every emission boundary: each irrevocable output
-      prefix appears as soon as the engine proves it final, not when the
-      output buffer fills or the input ends
-  foxq stats [--timing] [--profile] <query.xq> [input.xml|input.fet]
-      run and report engine statistics to stderr, including an earliest
-      emission summary (early-emitting states, streamed output fraction,
-      emitting flushes, events to first emit); --timing adds a
-      per-stage wall-time table (parse/translate/optimize/execute/...);
-      --profile adds the per-state hot-state table and a sparkline
-      buffer timeline (live bytes / pending calls over the input)
-  foxq stats <tape.fet>                 inspect a tape: events, labels, depth;
-      FET2 tapes also report text compression and per-label skip-index sizes
-  foxq compile [--no-opt] <query.xq>    print the (optimized) MFT in rule notation
-  foxq batch [-q <query.xq>]... [--threads N] [--stats] [input.xml ...]
-      answer all queries over each input in a single pass per document;
-      with no inputs, one pass over stdin; with several, documents are
-      sharded across worker threads. Outputs are labeled '### doc query'.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--stream", alias: None, cmds: &["run"], arg: Arg::Switch(|o| o.stream = true),
+        help: "flush stdout at every emission boundary: each irrevocable output prefix appears \
+            as soon as the engine proves it final, not when the output buffer fills or the \
+            input ends" },
+    Flag { name: "--timing", alias: None, cmds: &["stats"], arg: Arg::Switch(|o| o.timing = true),
+        help: "add a per-stage wall-time table (parse/translate/optimize/execute/...)" },
+    Flag { name: "--profile", alias: None, cmds: &["stats", "serve"],
+        arg: Arg::Switch(|o| o.profile = true),
+        help: "attach the engine resource profiler: stats adds the per-state hot-state table \
+            and a sparkline buffer timeline (live bytes / pending calls over the input); serve \
+            profiles every /query lane and serves per-query aggregates at GET /debug/profile" },
+    Flag { name: "--no-opt", alias: None, cmds: &["compile"], arg: Arg::Switch(|o| o.no_opt = true),
+        help: "print the raw §3 translation instead of the optimized MFT" },
+    Flag { name: "--dir", alias: None,
+        cmds: &["store add", "store ls", "store rm", "store migrate", "store query"],
+        arg: Arg::Text("DIR", |o, dir| o.dir = dir), help: "the corpus directory" },
+    Flag { name: "--id", alias: None, cmds: &["store add"],
+        arg: Arg::Text("ID", |o, id| o.id = Some(id)),
+        help: "store the (single) input under ID instead of its file stem" },
+    Flag { name: "-q", alias: Some("--query-file"), cmds: &["batch", "store query"],
+        arg: Arg::Text("<query.xq>", |o, path| o.queries.push(path)),
+        help: "a query to answer; repeat for more, all answered in one pass per document" },
+    Flag { name: "--stats", alias: None, cmds: &["batch", "store query"],
+        arg: Arg::Switch(|o| o.stats = true),
+        help: "report the run's totals and each answer's peaks to stderr" },
+    Flag { name: "--threads", alias: None, cmds: &["batch", "store query", "serve"],
+        arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().threads = n)),
+        help: "worker threads (default: the available parallelism)" },
+    Flag { name: "--max-output", alias: None, cmds: &["run", "stats", "batch", "store query"],
+        arg: Arg::Number("N", |o, v| v.parse().map(|n| {
+            o.limits.max_output_events = if n == 0 { u64::MAX } else { n }
+        })),
+        help: "abort a run (batch: its answer) once its output exceeds N events (default \
+            1000000000; 0 = unlimited) — a transducer can emit output exponential in its input, \
+            this bounds a run on hostile pairs" },
+    Flag { name: "--addr", alias: None, cmds: &["serve"],
+        arg: Arg::Text("HOST:PORT", |o, addr| o.server().addr = addr),
+        help: "address to listen on (default 127.0.0.1:8080; port 0 = any free port)" },
+    Flag { name: "--corpus", alias: None, cmds: &["serve"],
+        arg: Arg::Text("DIR", |o, dir| o.server().corpus_dir = Some(dir)),
+        help: "serve the corpus at DIR: POST /corpus/{id} ingests documents, GET /corpus lists \
+            them, and POST /query?q=..&doc=<id> answers from the stored tape" },
+    Flag { name: "--max-body-bytes", alias: None, cmds: &["serve"],
+        arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().max_body_bytes = n)),
+        help: "largest request body, decoded, before a 413" },
+    Flag { name: "--cache-capacity", alias: None, cmds: &["serve"],
+        arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().cache_capacity = n)),
+        help: "prepared queries the server keeps compiled" },
+    Flag { name: "--read-timeout-ms", alias: None, cmds: &["serve"],
+        arg: Arg::Number("MS", |o, v| {
+            v.parse().map(|ms| o.server().read_timeout = Duration::from_millis(ms))
+        }),
+        help: "deadline for a request head to arrive complete, and for each read of a body" },
+    Flag { name: "--write-timeout-ms", alias: None, cmds: &["serve"],
+        arg: Arg::Number("MS", |o, v| {
+            v.parse().map(|ms| o.server().write_timeout = Duration::from_millis(ms))
+        }),
+        help: "deadline for the peer to drain a response" },
+    Flag { name: "--max-connections", alias: None, cmds: &["serve"],
+        arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().max_connections = n)),
+        help: "open connections past which the server stops accepting" },
+    Flag { name: "--slow-ms", alias: None, cmds: &["serve"],
+        arg: Arg::Number("MS", |o, v| v.parse().map(|ms| o.server().slow_ms = ms)),
+        help: "requests taking at least MS land in GET /debug/requests (append ?format=json for \
+            JSONL) (default 500; 0 = all)" },
+    Flag { name: "--trace-log", alias: None, cmds: &["serve"],
+        arg: Arg::Text("FILE", |o, path| o.server().trace_log = Some(path)),
+        help: "append every request as one JSON line to FILE" },
+    Flag { name: "--trace-log-max-bytes", alias: None, cmds: &["serve"],
+        arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().trace_log_max_bytes = n)),
+        help: "rotate the trace log to FILE.1 past N bytes (default 64 MiB; 0 = never)" },
+];
 
-  foxq store add --dir DIR [--id ID] <input.xml>...
-      parse each document once into the corpus at DIR (FET2 tapes + manifest);
-      ids default to the file stem (--id only with a single input)
-  foxq store ls --dir DIR               list the corpus manifest
-  foxq store rm --dir DIR <id>...       remove stored documents
-  foxq store migrate --dir DIR [id ...] rewrite FET1 tapes as FET2 in place
-      (all documents, or just the given ids); FET2 tapes are left untouched
-  foxq store query --dir DIR [-q <query.xq>]... [--threads N] [--stats]
-      [--max-output N] [id ...]
-      run the query set over every stored document (or just the given ids),
-      replaying tapes via the label skip index where the whole set has a
-      label projection (FET2) and by a scan otherwise, seeking over every
-      subtree no query of the set can use — no XML re-parsing either way
+/// Everything a command line sets, each at its default until a flag sets it.
+struct Opts {
+    /// Positional arguments, in order.
+    args: Vec<String>,
+    stream: bool,
+    timing: bool,
+    profile: bool,
+    no_opt: bool,
+    stats: bool,
+    /// `-q` files, in order.
+    queries: Vec<String>,
+    dir: String,
+    id: Option<String>,
+    limits: StreamLimits,
+    /// `serve`'s settings, whose `threads` (default: the available
+    /// parallelism) batch and store query use too. Built on first use by
+    /// [`Opts::server`], so a command that takes none of them does not pay
+    /// for working the defaults out.
+    server: Option<ServerConfig>,
+}
 
-  foxq serve --addr HOST:PORT [--threads N] [--max-body-bytes N]
-      [--cache-capacity N] [--read-timeout-ms N] [--write-timeout-ms N]
-      [--max-connections N] [--corpus DIR] [--slow-ms N] [--trace-log FILE]
-      [--trace-log-max-bytes N] [--profile]
-      long-running HTTP/1.1 server: POST /query?q=<urlencoded query> and
-      POST /batch?q=..&q=.. stream the request body through prepared
-      queries; add &stream=1 to /query for a chunked response whose
-      chunks are the engine's irrevocable output prefixes (run statistics
-      arrive as HTTP trailers); with --corpus, POST /corpus/{id} ingests
-      documents, GET /corpus lists them, and POST /query?q=..&doc=<id>
-      answers from the stored tape; GET /metrics (Prometheus),
-      GET /healthz, POST /shutdown (graceful drain). Runs until shut down.
-      Observability: every response carries X-Foxq-Request-Id and
-      Server-Timing headers; requests at or over --slow-ms (default 500;
-      0 = all) land in GET /debug/requests (append ?format=json for
-      JSONL); --trace-log appends every request as one JSON line to
-      FILE, rotating it to FILE.1 past --trace-log-max-bytes (default
-      64 MiB; 0 = never); --profile attaches the engine resource
-      profiler to every /query lane and serves per-query aggregates at
-      GET /debug/profile.
+impl Default for Opts {
+    fn default() -> Self {
+        Opts {
+            args: Vec::new(),
+            stream: false,
+            timing: false,
+            profile: false,
+            no_opt: false,
+            stats: false,
+            queries: Vec::new(),
+            dir: String::new(),
+            id: None,
+            limits: StreamLimits::serving(),
+            server: None,
+        }
+    }
+}
 
-  run/stats/batch/store-query also accept --max-output <events>: abort a run
-  (batch: its cell) once its output exceeds that many events (default
-  1000000000; 0 = unlimited) — a transducer can emit output exponential in
-  its input, this bounds a run on hostile pairs.
-";
+impl Opts {
+    fn server(&mut self) -> &mut ServerConfig {
+        self.server.get_or_insert_with(|| ServerConfig {
+            addr: "127.0.0.1:8080".to_string(),
+            ..ServerConfig::default()
+        })
+    }
+}
 
-/// Compile a query file, timing each stage (for `foxq stats --timing`).
-fn load_query_timed(path: &str) -> Result<(Mft, StageTimes), String> {
+/// Read a command line (after `foxq`): pick its [`Command`], apply each
+/// flag's [`Arg`], and check that the command takes every flag given, has
+/// the ones it needs, and gets as many positional arguments as it takes.
+fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
+    let words = |command: &Command| command.name.split(' ').count();
+    let command = COMMANDS
+        .iter()
+        .find(|c| {
+            let given = args.iter().take(words(c)).map(String::as_str);
+            c.name.split(' ').eq(given)
+        })
+        .ok_or_else(|| {
+            let said = match args.get(1) {
+                Some(sub) if args[0] == "store" => format!("store {sub}"),
+                _ => args[0].clone(),
+            };
+            format!("unknown command {said:?} (foxq --help lists them)")
+        })?;
+    let name = command.name;
+    let fail = |msg: String| format!("{name}: {msg}\nusage: {}", synopsis(command).join(" "));
+    let mut opts = Opts::default();
+    let mut seen = Vec::new();
+    let mut rest = args[words(command)..].iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            opts.args.push(arg.clone());
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == arg || f.alias == Some(arg.as_str()))
+            .ok_or_else(|| fail(format!("unknown flag {arg:?}")))?;
+        if !flag.cmds.contains(&name) {
+            let takers = flag.cmds.join(", ");
+            return Err(fail(format!(
+                "{arg} is not a flag of {name} (only {takers})"
+            )));
+        }
+        seen.push(flag.name);
+        let mut value = |what| {
+            rest.next()
+                .ok_or_else(|| fail(format!("{arg} needs {what}")))
+        };
+        match flag.arg {
+            Arg::Switch(set) => set(&mut opts),
+            Arg::Text(what, set) => set(&mut opts, value(what)?.clone()),
+            Arg::Number(what, set) => {
+                let v = value(what)?;
+                set(&mut opts, v).map_err(|_| fail(format!("{arg} needs a number, not {v:?}")))?;
+            }
+        }
+    }
+    if let Some(missing) = command.needs.iter().find(|flag| !seen.contains(*flag)) {
+        return Err(fail(format!("missing {missing}")));
+    }
+    let (least, most) = command.arity;
+    if opts.args.len() < least {
+        return Err(fail("too few arguments".to_string()));
+    }
+    if let Some(extra) = opts.args.get(most) {
+        return Err(fail(format!("unexpected argument {extra:?}")));
+    }
+    Ok((command, opts))
+}
+
+/// `foxq <command> [flags] <args>`, word by word: the flags a command
+/// needs bare, the others in brackets.
+fn synopsis(command: &Command) -> Vec<String> {
+    let mut words = vec![format!("foxq {}", command.name)];
+    for flag in FLAGS.iter().filter(|f| f.cmds.contains(&command.name)) {
+        let word = flag.usage();
+        let needed = command.needs.contains(&flag.name);
+        words.push(if needed { word } else { format!("[{word}]") });
+    }
+    words.extend(command.args.split_whitespace().map(String::from));
+    words
+}
+
+/// `foxq --help`: every command's synopsis and what it does, then every
+/// flag, its subcommands and its help line — all rendered from
+/// [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut text = String::from("usage:\n");
+    for command in COMMANDS {
+        fill(&mut text, (2, 6), synopsis(command));
+        fill(&mut text, (6, 6), command.about.split_whitespace());
+    }
+    text.push_str("\nflags:\n");
+    for flag in FLAGS {
+        let alias = flag.alias.map(|a| format!(", {a}")).unwrap_or_default();
+        let cmds = flag.cmds.join(", ");
+        text.push_str(&format!("  {}{alias} ({cmds})\n", flag.usage()));
+        fill(&mut text, (6, 6), flag.help.split_whitespace());
+    }
+    text
+}
+
+/// Append `words` to `text` as lines of at most 78 columns: the first
+/// indented by `indent.0` spaces, the rest by `indent.1`.
+fn fill(
+    text: &mut String,
+    indent: (usize, usize),
+    words: impl IntoIterator<Item = impl AsRef<str>>,
+) {
+    let mut col = 0;
+    for word in words {
+        let word = word.as_ref();
+        let width = word.chars().count();
+        if col == 0 || col + 1 + width > 78 {
+            if col > 0 {
+                text.push('\n');
+            }
+            col = if col == 0 { indent.0 } else { indent.1 };
+            text.push_str(&" ".repeat(col));
+        } else {
+            text.push(' ');
+            col += 1;
+        }
+        text.push_str(word);
+        col += width;
+    }
+    text.push('\n');
+}
+
+// ---------------------------------------------------------------------------
+// run / stats / compile
+// ---------------------------------------------------------------------------
+
+/// Compile a query file — optimized, or the raw §3 translation — timing
+/// each stage (for `foxq stats --timing`).
+fn load_query_timed(
+    path: &str,
+    optimize: bool,
+) -> Result<(Mft, Option<OptStats>, StageTimes), String> {
     let src =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read query {path}: {e}"))?;
     let mut times = StageTimes::default();
@@ -145,10 +418,13 @@ fn load_query_timed(path: &str) -> Result<(Mft, StageTimes), String> {
     let t = Instant::now();
     let unopt = translate(&query).map_err(|e| e.to_string())?;
     times.add(Stage::Translate, micros_since(t));
+    if !optimize {
+        return Ok((unopt, None, times));
+    }
     let t = Instant::now();
-    let (opt, _) = optimize_with_stats(unopt);
+    let (opt, stats) = optimize_with_stats(unopt);
     times.add(Stage::Optimize, micros_since(t));
-    Ok((opt, times))
+    Ok((opt, Some(stats), times))
 }
 
 /// Elapsed whole microseconds since `start`.
@@ -156,62 +432,18 @@ fn micros_since(start: Instant) -> u64 {
     start.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
-fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
-    let mut positional: Vec<&String> = Vec::new();
-    let mut max_output = DEFAULT_MAX_OUTPUT_EVENTS;
-    let mut timing = false;
-    let mut profile = false;
-    let mut stream = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--stream" => {
-                if report {
-                    return Err("--stream only applies to foxq run".to_string());
-                }
-                stream = true;
-            }
-            "--max-output" => {
-                i += 1;
-                let n: u64 = args
-                    .get(i)
-                    .ok_or("--max-output needs a number")?
-                    .parse()
-                    .map_err(|_| "--max-output needs a number".to_string())?;
-                max_output = if n == 0 { u64::MAX } else { n };
-            }
-            "--timing" => {
-                if !report {
-                    return Err("--timing only applies to foxq stats".to_string());
-                }
-                timing = true;
-            }
-            "--profile" => {
-                if !report {
-                    return Err("--profile only applies to foxq stats".to_string());
-                }
-                profile = true;
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown flag {other:?}\n{USAGE}"));
-            }
-            _ => positional.push(&args[i]),
-        }
-        i += 1;
-    }
+fn cmd_run(opts: Opts, report: bool) -> Result<(), String> {
     // `foxq stats <tape.fet>`: inspect the tape, no query involved.
-    if report && positional.len() == 1 && positional[0].ends_with(".fet") {
-        return cmd_tape_stats(positional[0]);
+    if let [tape] = &opts.args[..] {
+        if report && tape.ends_with(".fet") {
+            return cmd_tape_stats(tape);
+        }
     }
-    let query_path = positional.first().ok_or("missing query file")?;
-    let (mft, mut times) = load_query_timed(query_path)?;
-    let limits = StreamLimits {
-        max_output_events: max_output,
-        ..StreamLimits::default()
-    };
-    let input = positional.get(1).map(|path| path.as_str());
+    let (mft, _, mut times) = load_query_timed(&opts.args[0], true)?;
+    let input = opts.args.get(1).map(String::as_str);
+    let limits = opts.limits;
     let stdout = std::io::stdout();
-    if stream {
+    if opts.stream {
         // Earliest emission to a pipe: every irrevocable prefix is
         // flushed the moment the engine proves it final, so a consumer
         // sees results while the document is still arriving.
@@ -226,7 +458,7 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
     }
     let sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
     let t = Instant::now();
-    let (sink, stats, profiled, tape_cost) = if profile {
+    let (sink, stats, profiled, tape_cost) = if opts.profile {
         let obs = StreamProfiler::for_mft(&mft);
         let (sink, stats, obs, cost) = run_query(&mft, input, sink, limits, obs)?;
         (sink, stats, Some(obs.into_profile(&mft)), cost)
@@ -254,7 +486,7 @@ fn cmd_run(args: &[String], report: bool) -> Result<(), String> {
     }
     if report {
         report_stats(&mft, &stats);
-        if timing {
+        if opts.timing {
             report_timing(&times);
         }
         if let Some(p) = profiled {
@@ -287,20 +519,16 @@ fn run_query<S: EmitSink, O: StreamObserver>(
         let (sink, stats, obs) = lane.map_err(|e| e.to_string())?;
         return Ok((sink, stats, obs, Some(run.source)));
     }
-    let reader = XmlReader::new(open_xml(input)?);
-    let (sink, stats, obs) =
-        run_streaming_with_observer(mft, reader, sink, limits, obs).map_err(|e| e.to_string())?;
-    Ok((sink, stats, obs, None))
-}
-
-/// The XML document at `path`, or stdin.
-fn open_xml(path: Option<&str>) -> Result<Box<dyn Read>, String> {
-    Ok(match path {
+    let reader: Box<dyn Read> = match input {
         Some(path) => {
             Box::new(std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?)
         }
         None => Box::new(std::io::stdin().lock()),
-    })
+    };
+    let (sink, stats, obs) =
+        run_streaming_with_observer(mft, XmlReader::new(reader), sink, limits, obs)
+            .map_err(|e| e.to_string())?;
+    Ok((sink, stats, obs, None))
 }
 
 /// `foxq stats <tape.fet>`: footer facts, no replay. FET2 tapes get the
@@ -431,72 +659,69 @@ fn report_timing(times: &StageTimes) {
     );
 }
 
-/// `foxq batch`: N prepared queries, one pass over each input document.
-fn cmd_batch(args: &[String]) -> Result<(), String> {
-    let mut query_files: Vec<String> = Vec::new();
-    let mut inputs: Vec<String> = Vec::new();
-    let mut threads: usize = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut report_stats = false;
-    let mut max_output = DEFAULT_MAX_OUTPUT_EVENTS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "-q" | "--query-file" => {
-                i += 1;
-                query_files.push(
-                    args.get(i)
-                        .ok_or("-q/--query-file needs a file argument")?
-                        .clone(),
-                );
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .ok_or("--threads needs a number")?
-                    .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?;
-            }
-            "--stats" => report_stats = true,
-            "--max-output" => {
-                i += 1;
-                let n: u64 = args
-                    .get(i)
-                    .ok_or("--max-output needs a number")?
-                    .parse()
-                    .map_err(|_| "--max-output needs a number".to_string())?;
-                max_output = if n == 0 { u64::MAX } else { n };
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown batch flag {other:?}\n{USAGE}"));
-            }
-            other => inputs.push(other.to_string()),
-        }
-        i += 1;
+fn cmd_compile(opts: Opts) -> Result<(), String> {
+    let (m, optimized, _) = load_query_timed(&opts.args[0], !opts.no_opt)?;
+    if let Some(stats) = optimized {
+        eprintln!(
+            "// optimized: {} states, size {}; removed {} unused + {} constant parameters, \
+             inlined {} stay states, dropped {} unreachable states",
+            m.state_count(),
+            m.size(),
+            stats.unused_params_removed,
+            stats.const_params_removed,
+            stats.stay_states_inlined,
+            stats.states_removed
+        );
     }
-    let limits = StreamLimits {
-        max_output_events: max_output,
-        ..StreamLimits::default()
-    };
-    if query_files.is_empty() {
-        return Err(format!("batch needs at least one -q <query.xq>\n{USAGE}"));
-    }
+    print!("{}", print_mft(&m));
+    Ok(())
+}
 
-    // Compile through the cache: passing the same query file twice (or two
-    // files with identical text) translates it once.
-    let mut cache = QueryCache::new(query_files.len().max(1));
-    let mut queries = Vec::with_capacity(query_files.len());
-    for path in &query_files {
-        let src =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read query {path}: {e}"))?;
-        let prepared = cache
-            .get_or_compile(&src)
-            .map_err(|e| format!("{path}: {e}"))?;
-        queries.push(prepared);
+// ---------------------------------------------------------------------------
+// batch / store query: N queries, one pass per document
+// ---------------------------------------------------------------------------
+
+fn cmd_batch(mut opts: Opts) -> Result<(), String> {
+    let queries = compile_queries(&opts)?;
+    let driver = BatchDriver::new(opts.server().threads).with_limits(opts.limits);
+    if opts.args.is_empty() {
+        let report = driver.run_reader(std::io::stdin().lock(), &queries);
+        return print_report(&opts, &["stdin".to_string()], &report, driver.threads());
     }
-    if report_stats {
+    // Each worker opens and streams the files it claims, so peak memory
+    // does not scale with the corpus size.
+    let report = driver.run_files(&opts.args, &queries);
+    print_report(&opts, &opts.args, &report, driver.threads())
+}
+
+fn store_query(mut opts: Opts) -> Result<(), String> {
+    let corpus = open_corpus(&opts.dir)?;
+    let queries = compile_queries(&opts)?;
+    let driver = BatchDriver::new(opts.server().threads).with_limits(opts.limits);
+    let run = if opts.args.is_empty() {
+        driver.run_corpus(&corpus, &queries)
+    } else {
+        driver.run_corpus_subset(&corpus, opts.args.clone(), &queries)
+    };
+    print_report(&opts, &run.doc_ids, &run.report, driver.threads())
+}
+
+/// Compile the `-q` files through one cache: the same query file twice (or
+/// two files with identical text) is translated once.
+fn compile_queries(opts: &Opts) -> Result<Vec<Arc<PreparedQuery>>, String> {
+    let mut cache = QueryCache::new(opts.queries.len());
+    let queries = opts
+        .queries
+        .iter()
+        .map(|path| {
+            let src = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read query {path}: {e}"))?;
+            cache
+                .get_or_compile(&src)
+                .map_err(|e| format!("{path}: {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    if opts.stats {
         let cs = cache.stats();
         eprintln!(
             "queries:           {} ({} compiled, {} cache hits)",
@@ -505,203 +730,74 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
             cs.hits
         );
     }
+    Ok(queries)
+}
 
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut failures = 0usize;
-
-    if inputs.len() <= 1 {
-        // Single document: stream it (stdin or a file) in one pass.
-        let doc_name = inputs.first().map(String::as_str).unwrap_or("stdin");
-        let input = open_xml(inputs.first().map(String::as_str))?;
-        let mfts: Vec<&Mft> = queries.iter().map(|q| q.mft()).collect();
-        let lanes: Vec<_> = queries
-            .iter()
-            .map(|_| (WriterSink::new(Vec::new()), ()))
-            .collect();
-        let plan = QuerySetPlan::new(mfts.iter().copied());
-        match run_lanes(&mfts, Events(XmlReader::new(input)), lanes, limits, &plan) {
-            Ok(run) => {
-                if report_stats {
-                    eprintln!("input events:      {} (one pass)", run.input_events);
-                }
-                for (qfile, result) in query_files.iter().zip(run.results) {
-                    writeln!(out, "### {doc_name} {qfile}").map_err(|e| e.to_string())?;
-                    match result {
-                        Ok((sink, stats, ())) => {
-                            let buf = sink.finish().map_err(|e| e.to_string())?;
-                            out.write_all(&buf)
-                                .and_then(|_| out.write_all(b"\n"))
-                                .map_err(|e| e.to_string())?;
-                            if report_stats {
-                                eprintln!(
-                                    "{qfile}: {} output events, peak {} nodes / {} bytes",
-                                    stats.output_events,
-                                    stats.peak_live_nodes,
-                                    stats.peak_live_bytes
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            failures += 1;
-                            writeln!(out, "error: {e}").map_err(|e| e.to_string())?;
-                            eprintln!("foxq: {qfile} on {doc_name}: {e}");
-                        }
-                    }
-                }
-            }
-            // Same labeled-row contract as the multi-document path: a bad
-            // document fails every query's block, not the whole command
-            // format.
-            Err(e) => {
-                for qfile in &query_files {
-                    writeln!(out, "### {doc_name} {qfile}").map_err(|e| e.to_string())?;
-                    writeln!(out, "error: {e}").map_err(|e| e.to_string())?;
-                    eprintln!("foxq: {qfile} on {doc_name}: {e}");
-                    failures += 1;
-                }
-            }
+/// A batch's answers on stdout, one `### doc query` block per cell holding
+/// the output or `error: …`; with `--stats`, the run's totals and each
+/// answer's peaks on stderr. Fails when any cell did.
+fn print_report(
+    opts: &Opts,
+    docs: &[String],
+    report: &BatchReport,
+    threads: usize,
+) -> Result<(), String> {
+    if opts.stats {
+        eprintln!("documents:         {} over {threads} threads", docs.len());
+        eprintln!(
+            "input events:      {} (one pass per document)",
+            report.input_events
+        );
+        eprintln!("output events:     {}", report.output_events);
+        if report.seek_skipped_bytes > 0 {
+            eprintln!("seek-skipped:      {} bytes", report.seek_skipped_bytes);
         }
-    } else {
-        // Several documents: shard them across worker threads. Each worker
-        // opens and streams the files it claims, so peak memory does not
-        // scale with the corpus size.
-        let report = BatchDriver::new(threads)
-            .with_limits(limits)
-            .run_files(&inputs, &queries);
-        if report_stats {
-            eprintln!(
-                "documents:         {} over {} threads",
-                inputs.len(),
-                threads.max(1)
-            );
-            eprintln!(
-                "input events:      {} (one pass per document)",
-                report.input_events
-            );
-            eprintln!("output events:     {}", report.output_events);
+        if report.index_skipped_bytes > 0 {
+            eprintln!("index-skipped:     {} bytes", report.index_skipped_bytes);
         }
-        failures += report.failures;
-        for (doc_name, row) in inputs.iter().zip(&report.cells) {
-            for (qfile, cell) in query_files.iter().zip(row) {
-                writeln!(out, "### {doc_name} {qfile}").map_err(|e| e.to_string())?;
-                if report_stats {
-                    if let Some(stats) = &cell.stats {
-                        eprintln!(
-                            "{doc_name} {qfile}: {} output events, peak {} nodes / {} bytes",
-                            stats.output_events, stats.peak_live_nodes, stats.peak_live_bytes
-                        );
-                    }
-                }
-                match &cell.output {
-                    Ok(text) => writeln!(out, "{text}").map_err(|e| e.to_string())?,
-                    Err(e) => {
-                        writeln!(out, "error: {e}").map_err(|e| e.to_string())?;
-                        eprintln!("foxq: {qfile} on {doc_name}: {e}");
-                    }
+    }
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    for (doc, row) in docs.iter().zip(&report.cells) {
+        for (qfile, cell) in opts.queries.iter().zip(row) {
+            writeln!(out, "### {doc} {qfile}").map_err(|e| e.to_string())?;
+            if let (true, Some(stats)) = (opts.stats, &cell.stats) {
+                eprintln!(
+                    "{doc} {qfile}: {} output events, peak {} nodes / {} bytes",
+                    stats.output_events, stats.peak_live_nodes, stats.peak_live_bytes
+                );
+            }
+            match &cell.output {
+                Ok(text) => writeln!(out, "{text}"),
+                Err(e) => {
+                    eprintln!("foxq: {qfile} on {doc}: {e}");
+                    writeln!(out, "error: {e}")
                 }
             }
+            .map_err(|e| e.to_string())?;
         }
     }
     out.flush().map_err(|e| e.to_string())?;
-    if failures > 0 {
-        return Err(format!("{failures} query run(s) failed"));
-    }
-    Ok(())
-}
-
-/// `foxq store`: manage and query the persistent tape corpus.
-fn cmd_store(args: &[String]) -> Result<(), String> {
-    let sub = args.first().map(String::as_str);
-    let rest = &args[1..];
-    match sub {
-        Some("add") => store_add(rest),
-        Some("ls") => store_ls(rest),
-        Some("rm") => store_rm(rest),
-        Some("query") => store_query(rest),
-        Some("migrate") => store_migrate(rest),
-        _ => Err(format!("store needs add|ls|rm|query|migrate\n{USAGE}")),
+    match report.failures {
+        0 => Ok(()),
+        n => Err(format!("{n} query run(s) failed")),
     }
 }
 
-/// Parse `--dir DIR` plus flags out of a store subcommand's arguments;
-/// returns (dir, flag values in declaration order, positionals).
-struct StoreArgs {
-    dir: String,
-    positional: Vec<String>,
-    id: Option<String>,
-    query_files: Vec<String>,
-    threads: usize,
-    report_stats: bool,
-    max_output: u64,
-}
-
-fn parse_store_args(args: &[String]) -> Result<StoreArgs, String> {
-    let mut parsed = StoreArgs {
-        dir: String::new(),
-        positional: Vec::new(),
-        id: None,
-        query_files: Vec::new(),
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        report_stats: false,
-        max_output: DEFAULT_MAX_OUTPUT_EVENTS,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = |what: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i).cloned().ok_or(format!("{flag} needs {what}"))
-        };
-        match flag {
-            "--dir" => parsed.dir = value("a directory")?,
-            "--id" => parsed.id = Some(value("an id")?),
-            "-q" | "--query-file" => {
-                let v = value("a file argument")?;
-                parsed.query_files.push(v);
-            }
-            "--threads" => {
-                parsed.threads = value("a number")?
-                    .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?;
-            }
-            "--stats" => parsed.report_stats = true,
-            "--max-output" => {
-                let n: u64 = value("a number")?
-                    .parse()
-                    .map_err(|_| "--max-output needs a number".to_string())?;
-                parsed.max_output = if n == 0 { u64::MAX } else { n };
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown store flag {other:?}\n{USAGE}"));
-            }
-            other => parsed.positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if parsed.dir.is_empty() {
-        return Err(format!("store needs --dir DIR\n{USAGE}"));
-    }
-    Ok(parsed)
-}
+// ---------------------------------------------------------------------------
+// store add / ls / rm / migrate
+// ---------------------------------------------------------------------------
 
 fn open_corpus(dir: &str) -> Result<Corpus, String> {
     Corpus::open(dir).map_err(|e| format!("corpus {dir}: {e}"))
 }
 
-fn store_add(args: &[String]) -> Result<(), String> {
-    let parsed = parse_store_args(args)?;
-    if parsed.positional.is_empty() {
-        return Err("store add needs at least one input file".to_string());
-    }
-    if parsed.id.is_some() && parsed.positional.len() > 1 {
+fn store_add(opts: Opts) -> Result<(), String> {
+    if opts.id.is_some() && opts.args.len() > 1 {
         return Err("--id only works with a single input file".to_string());
     }
-    let mut corpus = open_corpus(&parsed.dir)?;
-    for path in &parsed.positional {
-        let id = match &parsed.id {
+    let mut corpus = open_corpus(&opts.dir)?;
+    for path in &opts.args {
+        let id = match &opts.id {
             Some(id) => id.clone(),
             None => std::path::Path::new(path)
                 .file_stem()
@@ -721,9 +817,8 @@ fn store_add(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn store_ls(args: &[String]) -> Result<(), String> {
-    let parsed = parse_store_args(args)?;
-    let corpus = open_corpus(&parsed.dir)?;
+fn store_ls(opts: Opts) -> Result<(), String> {
+    let corpus = open_corpus(&opts.dir)?;
     println!(
         "{:<24} {:>4} {:>12} {:>12} {:>12}  checksum",
         "id", "fmt", "events", "xml.bytes", "tape.bytes"
@@ -748,23 +843,18 @@ fn store_ls(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn store_rm(args: &[String]) -> Result<(), String> {
-    let parsed = parse_store_args(args)?;
-    if parsed.positional.is_empty() {
-        return Err("store rm needs at least one document id".to_string());
-    }
-    let mut corpus = open_corpus(&parsed.dir)?;
-    for id in &parsed.positional {
+fn store_rm(opts: Opts) -> Result<(), String> {
+    let mut corpus = open_corpus(&opts.dir)?;
+    for id in &opts.args {
         let meta = corpus.remove(id).map_err(|e| e.to_string())?;
         println!("removed {} ({} events)", meta.id, meta.events);
     }
     Ok(())
 }
 
-fn store_migrate(args: &[String]) -> Result<(), String> {
-    let parsed = parse_store_args(args)?;
-    let mut corpus = open_corpus(&parsed.dir)?;
-    if parsed.positional.is_empty() {
+fn store_migrate(opts: Opts) -> Result<(), String> {
+    let mut corpus = open_corpus(&opts.dir)?;
+    if opts.args.is_empty() {
         let rewritten = corpus.migrate_all().map_err(|e| e.to_string())?;
         println!(
             "migrated {} tape(s) to FET2 ({} document(s) total)",
@@ -772,7 +862,7 @@ fn store_migrate(args: &[String]) -> Result<(), String> {
             corpus.len()
         );
     } else {
-        for id in &parsed.positional {
+        for id in &opts.args {
             let meta = corpus.migrate(id).map_err(|e| format!("{id}: {e}"))?;
             println!(
                 "{}: FET{} — {} events, {} tape bytes",
@@ -783,148 +873,16 @@ fn store_migrate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn store_query(args: &[String]) -> Result<(), String> {
-    let parsed = parse_store_args(args)?;
-    if parsed.query_files.is_empty() {
-        return Err(format!(
-            "store query needs at least one -q <query.xq>\n{USAGE}"
-        ));
-    }
-    let corpus = open_corpus(&parsed.dir)?;
-    let mut cache = QueryCache::new(parsed.query_files.len().max(1));
-    let mut queries = Vec::with_capacity(parsed.query_files.len());
-    for path in &parsed.query_files {
-        let src =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read query {path}: {e}"))?;
-        queries.push(
-            cache
-                .get_or_compile(&src)
-                .map_err(|e| format!("{path}: {e}"))?,
-        );
-    }
-    let limits = StreamLimits {
-        max_output_events: parsed.max_output,
-        ..StreamLimits::default()
-    };
-    let driver = BatchDriver::new(parsed.threads).with_limits(limits);
-    let report = if parsed.positional.is_empty() {
-        driver.run_corpus(&corpus, &queries)
-    } else {
-        driver.run_corpus_subset(&corpus, parsed.positional.clone(), &queries)
-    };
-    if parsed.report_stats {
-        eprintln!(
-            "documents:         {} over {} threads (tape replay, no re-parse)",
-            report.doc_ids.len(),
-            parsed.threads.max(1)
-        );
-        eprintln!("input events:      {}", report.report.input_events);
-        eprintln!("output events:     {}", report.report.output_events);
-        eprintln!(
-            "seek-skipped:      {} bytes",
-            report.report.seek_skipped_bytes
-        );
-        eprintln!(
-            "index-skipped:     {} bytes",
-            report.report.index_skipped_bytes
-        );
-    }
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut failures = 0usize;
-    for (doc_id, row) in report.doc_ids.iter().zip(&report.report.cells) {
-        for (qfile, cell) in parsed.query_files.iter().zip(row) {
-            writeln!(out, "### {doc_id} {qfile}").map_err(|e| e.to_string())?;
-            if parsed.report_stats {
-                if let Some(stats) = &cell.stats {
-                    eprintln!(
-                        "{doc_id} {qfile}: {} output events, peak {} nodes / {} bytes",
-                        stats.output_events, stats.peak_live_nodes, stats.peak_live_bytes
-                    );
-                }
-            }
-            match &cell.output {
-                Ok(text) => writeln!(out, "{text}").map_err(|e| e.to_string())?,
-                Err(e) => {
-                    failures += 1;
-                    writeln!(out, "error: {e}").map_err(|e| e.to_string())?;
-                    eprintln!("foxq: {qfile} on {doc_id}: {e}");
-                }
-            }
-        }
-    }
-    out.flush().map_err(|e| e.to_string())?;
-    if failures > 0 {
-        return Err(format!("{failures} query run(s) failed"));
-    }
-    Ok(())
-}
+// ---------------------------------------------------------------------------
+// serve
+// ---------------------------------------------------------------------------
 
 /// `foxq serve`: the long-running HTTP front-end.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use foxq::server::{Server, ServerConfig};
-    let mut config = ServerConfig {
-        addr: "127.0.0.1:8080".to_string(),
-        ..ServerConfig::default()
+fn cmd_serve(mut opts: Opts) -> Result<(), String> {
+    let config = ServerConfig {
+        profile: opts.profile,
+        ..opts.server().clone()
     };
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = |what: &str| -> Result<&String, String> {
-            i += 1;
-            args.get(i).ok_or(format!("{flag} needs {what}"))
-        };
-        match flag {
-            "--addr" => config.addr = value("HOST:PORT")?.clone(),
-            "--corpus" => config.corpus_dir = Some(value("a directory")?.clone()),
-            "--threads" => {
-                config.threads = value("a number")?
-                    .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?;
-            }
-            "--max-body-bytes" => {
-                config.max_body_bytes = value("a number")?
-                    .parse()
-                    .map_err(|_| "--max-body-bytes needs a number".to_string())?;
-            }
-            "--cache-capacity" => {
-                config.cache_capacity = value("a number")?
-                    .parse()
-                    .map_err(|_| "--cache-capacity needs a number".to_string())?;
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = value("milliseconds")?
-                    .parse()
-                    .map_err(|_| "--read-timeout-ms needs a number".to_string())?;
-                config.read_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--write-timeout-ms" => {
-                let ms: u64 = value("milliseconds")?
-                    .parse()
-                    .map_err(|_| "--write-timeout-ms needs a number".to_string())?;
-                config.write_timeout = std::time::Duration::from_millis(ms);
-            }
-            "--max-connections" => {
-                config.max_connections = value("a number")?
-                    .parse()
-                    .map_err(|_| "--max-connections needs a number".to_string())?;
-            }
-            "--slow-ms" => {
-                config.slow_ms = value("milliseconds")?
-                    .parse()
-                    .map_err(|_| "--slow-ms needs a number".to_string())?;
-            }
-            "--trace-log" => config.trace_log = Some(value("a file path")?.clone()),
-            "--trace-log-max-bytes" => {
-                config.trace_log_max_bytes = value("a number")?
-                    .parse()
-                    .map_err(|_| "--trace-log-max-bytes needs a number".to_string())?;
-            }
-            "--profile" => config.profile = true,
-            other => return Err(format!("unknown serve flag {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
     let server = Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let handle = server.start().map_err(|e| format!("cannot start: {e}"))?;
@@ -934,32 +892,31 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compile(args: &[String]) -> Result<(), String> {
-    let (no_opt, path) = match args {
-        [flag, path] if flag == "--no-opt" => (true, path),
-        [path] => (false, path),
-        _ => return Err("usage: foxq compile [--no-opt] <query.xq>".to_string()),
-    };
-    let src =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read query {path}: {e}"))?;
-    let query = parse_query(&src).map_err(|e| e.to_string())?;
-    let unopt = translate(&query).map_err(|e| e.to_string())?;
-    let m = if no_opt {
-        unopt
-    } else {
-        let (opt, stats) = optimize_with_stats(unopt);
-        eprintln!(
-            "// optimized: {} states, size {}; removed {} unused + {} constant parameters, \
-             inlined {} stay states, dropped {} unreachable states",
-            opt.state_count(),
-            opt.size(),
-            stats.unused_params_removed,
-            stats.const_params_removed,
-            stats.stay_states_inlined,
-            stats.states_removed
-        );
-        opt
-    };
-    print!("{}", print_mft(&m));
-    Ok(())
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_flag_names_real_commands_and_every_need_is_a_flag_taken() {
+        for flag in FLAGS {
+            for cmd in flag.cmds {
+                assert!(
+                    COMMANDS.iter().any(|c| c.name == *cmd),
+                    "{} names {cmd:?}",
+                    flag.name
+                );
+            }
+        }
+        for command in COMMANDS {
+            for need in command.needs {
+                assert!(
+                    FLAGS
+                        .iter()
+                        .any(|f| f.name == *need && f.cmds.contains(&command.name)),
+                    "{} needs {need}",
+                    command.name
+                );
+            }
+        }
+    }
 }

@@ -293,6 +293,104 @@ fn cli_help_succeeds() {
     }
 }
 
+/// Every flag is checked against the subcommand it is given to, and every
+/// subcommand takes only the positional arguments it uses: a misuse exits
+/// 1 naming the argument and the subcommand instead of being ignored.
+#[test]
+fn cli_rejects_misuse_naming_argument_and_subcommand() {
+    let dir = scratch("misuse");
+    write(&dir, "q.xq", QUERY);
+    write(&dir, "a.xml", DOC);
+    write(&dir, "b.xml", DOC);
+    let cases: &[(&[&str], i32, &str)] = &[
+        (
+            &["run", "q.xq", "a.xml", "b.xml"],
+            1,
+            r#"run: unexpected argument "b.xml""#,
+        ),
+        (
+            &["stats", "q.xq", "a.xml", "b.xml"],
+            1,
+            r#"stats: unexpected argument "b.xml""#,
+        ),
+        (
+            &["store", "add", "--dir", "c", "--threads", "4", "a.xml"],
+            1,
+            "store add: --threads is not a flag of store add",
+        ),
+        (
+            &["store", "query", "--dir", "c", "-q", "q.xq", "--id", "x"],
+            1,
+            "store query: --id is not a flag of store query",
+        ),
+        (
+            &["store", "ls", "--dir", "c", "--stats"],
+            1,
+            "store ls: --stats is not a flag of store ls",
+        ),
+        (
+            &["serve", "extra"],
+            1,
+            r#"serve: unexpected argument "extra""#,
+        ),
+        (&["batch", "a.xml"], 1, "batch: missing -q"),
+        (
+            &["run", "--max-output", "x", "q.xq"],
+            1,
+            "run: --max-output needs a number",
+        ),
+        (&["store", "frob"], 1, r#"unknown command "store frob""#),
+        // Flags go anywhere among the positionals.
+        (&["compile", "q.xq", "--no-opt"], 0, ""),
+    ];
+    for (args, code, said) in cases {
+        let out = foxq().args(*args).current_dir(&dir).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*code), "{args:?}: {stderr}");
+        assert!(stderr.contains(said), "{args:?}: {stderr}");
+    }
+    let compile = |args: &[&str]| foxq().args(args).current_dir(&dir).output().unwrap();
+    assert_eq!(
+        compile(&["compile", "q.xq", "--no-opt"]).stdout,
+        compile(&["compile", "--no-opt", "q.xq"]).stdout
+    );
+
+    // The usage text is rendered from the option table: every flag is in it.
+    let help = foxq().arg("--help").output().unwrap();
+    let help = String::from_utf8_lossy(&help.stderr);
+    let words: Vec<&str> = help
+        .split(|c: char| c.is_whitespace() || "[],()".contains(c))
+        .collect();
+    for flag in [
+        "--stream",
+        "--timing",
+        "--profile",
+        "--no-opt",
+        "--dir",
+        "--id",
+        "-q",
+        "--query-file",
+        "--stats",
+        "--threads",
+        "--max-output",
+        "--addr",
+        "--corpus",
+        "--max-body-bytes",
+        "--cache-capacity",
+        "--read-timeout-ms",
+        "--write-timeout-ms",
+        "--max-connections",
+        "--slow-ms",
+        "--trace-log",
+        "--trace-log-max-bytes",
+    ] {
+        assert!(
+            words.contains(&flag),
+            "--help does not name {flag}:\n{help}"
+        );
+    }
+}
+
 #[test]
 fn cli_store_roundtrip_and_tape_stats() {
     let dir = scratch("store");
