@@ -167,19 +167,12 @@ pub struct StreamStats {
     /// solo `run_streaming*` of a selecting query reports it too; 0 when
     /// nothing was dead.
     pub prefiltered_events: u64,
-    /// Tape bytes an upstream seekable event source (`foxq_store`) jumped
-    /// over instead of decoding, on this engine's behalf, each jump
-    /// starting from a decoded open whose subtree no lane could use. The
-    /// events inside those bytes are counted in
-    /// [`StreamStats::prefiltered_events`]. Set by
-    /// `foxq_service::MultiQueryEngine`'s tape drivers on every lane of
-    /// the run; always 0 when the input is parsed XML.
-    pub seek_skipped_bytes: u64,
     /// Tape bytes the label skip index proved irrelevant, so the merged
     /// posting-list cursor never visited them at all (no open frame was
-    /// decoded, unlike [`StreamStats::seek_skipped_bytes`] where each
-    /// skip starts from a decoded open). The events inside are counted in
-    /// [`StreamStats::prefiltered_events`]. Always 0 off the index path.
+    /// decoded, unlike a tape seek, which starts from a decoded open; the
+    /// pass's seeked-over bytes are `foxq_service::SourceCost`'s). The
+    /// events inside are counted in [`StreamStats::prefiltered_events`].
+    /// Always 0 off the index path.
     pub index_skipped_bytes: u64,
     /// Flushes that emitted at least one output event — i.e. input events
     /// after which the irrevocable output prefix actually grew. An

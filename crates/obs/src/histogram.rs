@@ -82,16 +82,6 @@ impl Histogram {
         Histogram::new(Self::REACTOR_BOUNDS_MICROS)
     }
 
-    /// A histogram on the node-count ladder.
-    pub fn nodes() -> Histogram {
-        Histogram::new(Self::NODE_BOUNDS)
-    }
-
-    /// A histogram on the byte-count ladder.
-    pub fn bytes() -> Histogram {
-        Histogram::new(Self::BYTE_BOUNDS)
-    }
-
     /// Record one observation of a dimensionless value (node/byte
     /// ladders). Same storage as `observe_micros`; only rendering
     /// differs (`render_values_into` vs. `render_into`).
@@ -109,7 +99,7 @@ impl Histogram {
 
     /// Record one observation of a [`Duration`].
     pub fn observe(&self, d: Duration) {
-        self.observe_micros(d.as_micros().min(u64::MAX as u128) as u64);
+        self.observe_micros(crate::micros(d));
     }
 
     /// Total observations recorded so far.
@@ -245,7 +235,7 @@ mod tests {
 
     #[test]
     fn value_ladders_render_integer_bounds() {
-        let h = Histogram::bytes();
+        let h = Histogram::new(Histogram::BYTE_BOUNDS);
         h.observe_value(300); // <= 1024
         h.observe_value(5_000_000_000); // overflow -> +Inf only
         let mut out = String::new();

@@ -18,6 +18,8 @@
 //!   allocation/free/live/peak counters ([`alloc_snapshot`]),
 //!   per-thread scoped deltas ([`AllocScope`]) so a worker can bill a
 //!   single run, and RSS sampling ([`read_rss_bytes`]).
+//! - [`Family`]: a Prometheus family declared as one row — name, HELP
+//!   text, [`Kind`] — so a registry renders its families in one loop.
 //!
 //! The stage taxonomy ([`Stage`]) is shared across the stack: the
 //! compile pipeline (`foxq_service`), the engines (`foxq_core`), the
@@ -27,14 +29,28 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 mod alloc;
+mod family;
 mod histogram;
 mod sink;
 mod span;
 
 pub use alloc::{alloc_snapshot, read_rss_bytes, AllocDelta, AllocScope, AllocSnapshot};
+pub use family::{Family, Kind};
 pub use histogram::Histogram;
 pub use sink::{JsonlSink, RingSink, TraceRecord, TraceSink, DEFAULT_TRACE_LOG_MAX_BYTES};
 pub use span::{Span, StageTimes, TraceContext};
+
+use std::time::{Duration, Instant};
+
+/// Whole microseconds elapsed since `start`, saturating.
+pub fn micros_since(start: Instant) -> u64 {
+    micros(start.elapsed())
+}
+
+/// Whole microseconds in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().try_into().unwrap_or(u64::MAX)
+}
 
 /// Pipeline stages shared across the stack.
 ///
@@ -53,7 +69,7 @@ pub enum Stage {
     CacheLookup,
     /// Engine event loop over a parsed XML stream.
     Execute,
-    /// Engine event loop over a FET1 tape (corpus path).
+    /// Engine event loop over a stored event tape (corpus path).
     TapeReplay,
     /// Forward seeks within a tape, over subtrees no lane can use.
     TapeSeek,
@@ -101,20 +117,10 @@ impl Stage {
         }
     }
 
-    /// Index into per-stage arrays; inverse of `ALL[idx]`.
+    /// Index into per-stage arrays: the declaration order, which is the
+    /// order of [`Stage::ALL`] (a test holds the two together).
     pub fn idx(self) -> usize {
-        match self {
-            Stage::Parse => 0,
-            Stage::Translate => 1,
-            Stage::Optimize => 2,
-            Stage::CacheLookup => 3,
-            Stage::Execute => 4,
-            Stage::TapeReplay => 5,
-            Stage::TapeSeek => 6,
-            Stage::IndexProbe => 7,
-            Stage::Serialize => 8,
-            Stage::FirstFlush => 9,
-        }
+        self as usize
     }
 }
 

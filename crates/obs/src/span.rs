@@ -115,7 +115,7 @@ impl TraceContext {
 
     /// Wall time since the context was created, in microseconds.
     pub fn total_micros(&self) -> u64 {
-        self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
+        crate::micros_since(self.start)
     }
 
     /// Snapshot the per-stage accumulator.
@@ -137,8 +137,8 @@ pub struct Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let micros = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        self.ctx.add_micros(self.stage, micros);
+        self.ctx
+            .add_micros(self.stage, crate::micros_since(self.start));
     }
 }
 

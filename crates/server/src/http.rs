@@ -445,20 +445,25 @@ impl<R: BufRead> BufRead for BodyReader<'_, R> {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Standard reason phrase for the status codes the server emits.
+/// Every status code the server emits, with its standard reason phrase.
+pub const STATUSES: [(u16, &str); 9] = [
+    (200, "OK"),
+    (400, "Bad Request"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+    (408, "Request Timeout"),
+    (413, "Content Too Large"),
+    (422, "Unprocessable Content"),
+    (500, "Internal Server Error"),
+    (503, "Service Unavailable"),
+];
+
+/// Standard reason phrase of a status code in [`STATUSES`].
 pub fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Content Too Large",
-        422 => "Unprocessable Content",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
+    STATUSES
+        .iter()
+        .find(|(code, _)| *code == status)
+        .map_or("Unknown", |(_, reason)| reason)
 }
 
 /// Write a complete response with `Content-Length` framing.

@@ -3,12 +3,17 @@
 //! Plain `AtomicU64` counters and [`foxq_obs::Histogram`]s behind an
 //! `Arc`: workers record with `Relaxed` ordering (monotone counters need
 //! no synchronization beyond atomicity), `GET /metrics` renders a
-//! snapshot. Cache statistics are not duplicated here — the render pulls
-//! them live from the shared [`foxq_service::SharedQueryCache`] so the
-//! two views can never drift.
+//! snapshot. Every family is declared once, as a row — the server's own
+//! scalars in `SCALARS`, values read live at render time in `LIVE`,
+//! the per-run facts in [`foxq_service::FACTS`] — and rendering is a loop
+//! over the rows. Cache statistics are not duplicated here — the render
+//! pulls them live from the shared [`foxq_service::SharedQueryCache`] so
+//! the two views can never drift.
 
-use foxq_obs::{Histogram, Stage};
-use foxq_service::CacheStats;
+use crate::http::STATUSES;
+use foxq_obs::{AllocSnapshot, Family, Histogram, Kind, Stage};
+use foxq_service::{CacheStats, ReplyKind, RunReport, FACTS};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The endpoints broken out in `foxq_requests_total`.
@@ -27,113 +32,170 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    const ALL: [Endpoint; 8] = [
-        Endpoint::Healthz,
-        Endpoint::Metrics,
-        Endpoint::Query,
-        Endpoint::Batch,
-        Endpoint::Corpus,
-        Endpoint::Shutdown,
-        Endpoint::Debug,
-        Endpoint::Other,
+    /// Every endpoint with its label, in declaration order.
+    const ALL: [(Endpoint, &'static str); 8] = [
+        (Endpoint::Healthz, "healthz"),
+        (Endpoint::Metrics, "metrics"),
+        (Endpoint::Query, "query"),
+        (Endpoint::Batch, "batch"),
+        (Endpoint::Corpus, "corpus"),
+        (Endpoint::Shutdown, "shutdown"),
+        (Endpoint::Debug, "debug"),
+        (Endpoint::Other, "other"),
     ];
 
     pub(crate) fn name(self) -> &'static str {
-        match self {
-            Endpoint::Healthz => "healthz",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Query => "query",
-            Endpoint::Batch => "batch",
-            Endpoint::Corpus => "corpus",
-            Endpoint::Shutdown => "shutdown",
-            Endpoint::Debug => "debug",
-            Endpoint::Other => "other",
-        }
+        Self::ALL[self.idx()].1
     }
 
     fn idx(self) -> usize {
-        Self::ALL.iter().position(|e| *e == self).unwrap()
+        self as usize
     }
 }
 
-/// Status codes the server can emit (see [`crate::http::reason`]).
-const CODES: [u16; 9] = [200, 400, 404, 405, 408, 413, 422, 500, 503];
+// `Endpoint::idx` is the declaration order, so `ALL` must list it.
+const _: () = {
+    let mut i = 0;
+    while i < Endpoint::ALL.len() {
+        assert!(
+            Endpoint::ALL[i].0 as usize == i,
+            "Endpoint::ALL out of declaration order"
+        );
+        i += 1;
+    }
+};
 
-/// Live corpus gauges spliced into a render (see [`Metrics::render`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CorpusGauges {
-    /// Stored documents.
-    pub docs: u64,
-    /// Stored tapes still on the legacy FET1 format.
-    pub fet1_tapes: u64,
-    /// Stored tapes on the current FET2 format.
-    pub fet2_tapes: u64,
+/// Declares [`Scalar`] and `SCALARS` from one list: every scalar the
+/// server keeps itself, with its family.
+macro_rules! scalars {
+    ($($scalar:ident: $kind:ident($name:literal, $help:literal),)*) => {
+        /// A scalar the server keeps itself.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Scalar {
+            $($scalar,)*
+        }
+
+        /// Every [`Scalar`]'s family, in declaration order.
+        const SCALARS: &[Family] = &[$(Family::$kind($name, $help),)*];
+    };
+}
+
+scalars! {
+    Connections: counter("foxq_connections_total", "Connections accepted."),
+    // Heads and bodies; a lingering close's discarded tail is excluded by
+    // design.
+    BytesIn: counter("foxq_bytes_in_total", "Request bytes delivered to request processing."),
+    BytesOut: counter("foxq_bytes_out_total", "Response bytes written to sockets."),
+    AcceptGateRejections: counter("foxq_accept_gate_rejections_total",
+        "Times the accept gate closed at max_connections."),
+    // Across /query and /batch runs, and corpus ingests.
+    InputEvents: counter("foxq_input_events_total", "XML input events parsed across query runs."),
+    LaneRuns: counter("foxq_lane_runs_total", "Query lanes run (one per query per request)."),
+    // Fuel, output budget, a client that hung up mid-stream.
+    LaneFailures: counter("foxq_lane_failures_total", "Lanes that ended in a per-lane error."),
+    StreamedResponses: counter("foxq_streamed_responses_total",
+        "Responses streamed with chunked transfer-encoding."),
+    CorpusHits: counter("foxq_corpus_hits_total",
+        "Queries answered from a stored tape (/query?doc=)."),
+    CorpusIngests: counter("foxq_corpus_ingests_total", "Documents ingested into the corpus."),
+    ConnectionsActive: gauge("foxq_connections_active", "Connections currently being served."),
+    ConnectionsLingering: gauge("foxq_connections_lingering",
+        "Connections draining in the Linger phase."),
+    WorkerQueueDepth: gauge("foxq_worker_queue_depth",
+        "Requests dispatched to workers but not yet picked up."),
+}
+
+/// What a render reads live instead of keeping.
+struct Live {
+    cache: CacheStats,
+    /// Stored tapes by format version, one per document.
+    tapes: Option<[u64; 2]>,
+    alloc: AllocSnapshot,
+    rss: Option<u64>,
+}
+
+/// How a render reads a live value; `None` leaves the family out (no
+/// corpus configured, no `/proc`).
+type LiveValue = fn(&Live) -> Option<u64>;
+
+/// Families whose value is read at render time.
+#[rustfmt::skip]
+const LIVE: [(Family, LiveValue); 10] = [
+    (Family::counter("foxq_query_cache_hits_total",
+        "Query cache lookups answered without compiling."), |l| Some(l.cache.hits)),
+    (Family::counter("foxq_query_cache_misses_total",
+        "Query cache lookups that required a compile."), |l| Some(l.cache.misses)),
+    (Family::counter("foxq_query_cache_compiles_total",
+        "Successful compilations performed by the cache."), |l| Some(l.cache.compiles)),
+    (Family::counter("foxq_query_cache_evictions_total",
+        "Cache entries evicted."), |l| Some(l.cache.evictions)),
+    (Family::gauge("foxq_corpus_docs",
+        "Documents currently stored in the corpus."), |l| l.tapes.map(|[v1, v2]| v1 + v2)),
+    (Family::counter("foxq_alloc_allocations_total",
+        "Heap allocations observed by the counting allocator."), |l| Some(l.alloc.allocations)),
+    (Family::counter("foxq_alloc_frees_total",
+        "Heap frees observed by the counting allocator."), |l| Some(l.alloc.deallocations)),
+    (Family::gauge("foxq_alloc_live_bytes",
+        "Heap bytes currently live per the counting allocator."), |l| Some(l.alloc.live_bytes)),
+    (Family::gauge("foxq_alloc_peak_bytes",
+        "High-water mark of live heap bytes."), |l| Some(l.alloc.peak_live_bytes)),
+    (Family::gauge("foxq_process_rss_bytes",
+        "Resident set size from /proc/self/statm."), |l| l.rss),
+];
+
+const CORPUS_TAPES: Family = Family::gauge("foxq_corpus_tapes", "Stored tapes, by format version.");
+const HTTP_ERRORS: Family = Family::counter(
+    "foxq_http_errors_total",
+    "Error responses sent, by status class.",
+);
+const REQUESTS: Family = Family::counter("foxq_requests_total", "Requests received, by endpoint.");
+const RESPONSES: Family =
+    Family::counter("foxq_responses_total", "Responses sent, by status code.");
+const REQUEST_LATENCY: Family = Family::seconds(
+    "foxq_request_latency_seconds",
+    "Head-completion to full response flush.",
+);
+const TTFB: Family = Family::seconds(
+    "foxq_ttfb_seconds",
+    "Head-completion to first response byte.",
+);
+const ENGINE_STAGE: Family = Family::seconds(
+    "foxq_engine_stage_seconds",
+    "Per-request engine time, by stage.",
+);
+const LOOP_LAG: Family = Family::seconds(
+    "foxq_reactor_loop_lag_seconds",
+    "Reactor busy time per wakeup.",
+);
+const EPOLL_WAIT: Family = Family::seconds(
+    "foxq_reactor_epoll_wait_seconds",
+    "Time blocked in epoll_wait.",
+);
+
+/// Where a per-run fact's family is kept.
+enum FactStore {
+    Counter(AtomicU64),
+    Values(Histogram),
 }
 
 /// Counter registry shared by every worker.
 pub struct Metrics {
-    /// Connections accepted over the process lifetime.
-    pub connections_total: AtomicU64,
-    /// Connections currently being served (gauge).
-    pub connections_active: AtomicU64,
-    /// Connections draining in the Linger phase (gauge).
-    pub connections_lingering: AtomicU64,
-    /// Requests dispatched to workers but not yet picked up (gauge).
-    pub worker_queue_depth: AtomicU64,
-    /// Times the accept gate closed because `max_connections` was reached.
-    pub accept_gate_rejections_total: AtomicU64,
+    /// Indexed by [`Scalar`].
+    scalars: [AtomicU64; SCALARS.len()],
     /// Requests received, by endpoint.
-    requests: [AtomicU64; 8],
+    requests: [AtomicU64; Endpoint::ALL.len()],
     /// Responses sent, by status code.
-    responses: [AtomicU64; 9],
-    /// Error responses sent, by status class (4xx / 5xx).
-    http_errors_4xx: AtomicU64,
-    http_errors_5xx: AtomicU64,
-    /// Request bytes delivered to request processing (heads and bodies; a
-    /// lingering close's discarded tail is excluded by design).
-    pub bytes_in_total: AtomicU64,
-    /// Response bytes written to sockets.
-    pub bytes_out_total: AtomicU64,
-    /// XML input events parsed across /query and /batch runs.
-    pub input_events_total: AtomicU64,
-    /// Output events produced by successful lanes.
-    pub output_events_total: AtomicU64,
-    /// Query lanes run (one per query per request).
-    pub lane_runs_total: AtomicU64,
-    /// Lanes that ended in a per-lane error (fuel, output budget).
-    pub lane_failures_total: AtomicU64,
-    /// Input events withheld from lanes: by the shared label prefilter, and
-    /// inside subtrees every lane was dead in (tape seek, XML skim).
-    pub prefilter_skipped_total: AtomicU64,
-    /// Tape bytes seeked over (never decoded) on corpus query runs.
-    pub seek_skipped_bytes_total: AtomicU64,
-    /// Tape bytes the FET2 label skip index jumped over on corpus query
-    /// runs (no frame inside was decoded).
-    pub index_skipped_bytes_total: AtomicU64,
-    /// Responses streamed with chunked transfer-encoding (`?stream=1`).
-    pub streamed_responses_total: AtomicU64,
-    /// Queries answered from a stored tape (`/query?doc=` hits).
-    pub corpus_hits_total: AtomicU64,
-    /// Documents ingested into the corpus (`POST /corpus/{id}`).
-    pub corpus_ingests_total: AtomicU64,
+    responses: [AtomicU64; STATUSES.len()],
+    /// Error responses sent, by status class: 4xx, 5xx.
+    http_errors: [AtomicU64; 2],
     /// Head-completion to full-flush latency, by endpoint.
-    request_latency: [Histogram; 8],
+    request_latency: [Histogram; Endpoint::ALL.len()],
     /// Head-completion to first response byte on the socket.
     pub ttfb: Histogram,
     /// Per-request engine time, by pipeline stage.
     engine_stage: [Histogram; Stage::COUNT],
-    /// Input events delivered before the first irrevocable emission flush
-    /// (streamed query runs) — how much document a client waits through
-    /// before the first byte can exist.
-    pub first_emit_events: Histogram,
-    /// Irrevocable emission flushes per streamed query run.
-    pub emit_flushes_per_request: Histogram,
-    /// Per-request peak of live expression nodes (query runs).
-    pub live_nodes_peak: Histogram,
-    /// Per-request peak of approximate live expression bytes.
-    pub live_bytes_peak: Histogram,
-    /// Allocator bytes billed to the worker thread per /query request.
-    pub alloc_bytes_per_request: Histogram,
+    /// Indexed like [`FACTS`]; `None` for facts without a family.
+    facts: [Option<FactStore>; FACTS.len()],
     /// Reactor busy time per wakeup (everything between two epoll waits).
     pub loop_lag: Histogram,
     /// Time blocked inside `epoll_wait` per reactor cycle.
@@ -142,50 +204,29 @@ pub struct Metrics {
 
 impl Default for Metrics {
     fn default() -> Metrics {
+        let fact = |i: usize| {
+            FACTS[i].family.map(|family| match family.kind {
+                Kind::Values(ladder) => FactStore::Values(Histogram::new(ladder)),
+                _ => FactStore::Counter(AtomicU64::new(0)),
+            })
+        };
         Metrics {
-            connections_total: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            connections_lingering: AtomicU64::new(0),
-            worker_queue_depth: AtomicU64::new(0),
-            accept_gate_rejections_total: AtomicU64::new(0),
+            scalars: Default::default(),
             requests: Default::default(),
             responses: Default::default(),
-            http_errors_4xx: AtomicU64::new(0),
-            http_errors_5xx: AtomicU64::new(0),
-            bytes_in_total: AtomicU64::new(0),
-            bytes_out_total: AtomicU64::new(0),
-            input_events_total: AtomicU64::new(0),
-            output_events_total: AtomicU64::new(0),
-            lane_runs_total: AtomicU64::new(0),
-            lane_failures_total: AtomicU64::new(0),
-            prefilter_skipped_total: AtomicU64::new(0),
-            seek_skipped_bytes_total: AtomicU64::new(0),
-            index_skipped_bytes_total: AtomicU64::new(0),
-            streamed_responses_total: AtomicU64::new(0),
-            corpus_hits_total: AtomicU64::new(0),
-            corpus_ingests_total: AtomicU64::new(0),
+            http_errors: Default::default(),
             request_latency: std::array::from_fn(|_| Histogram::latency()),
             ttfb: Histogram::latency(),
             engine_stage: std::array::from_fn(|_| Histogram::latency()),
-            first_emit_events: Histogram::nodes(),
-            emit_flushes_per_request: Histogram::nodes(),
-            live_nodes_peak: Histogram::nodes(),
-            live_bytes_peak: Histogram::bytes(),
-            alloc_bytes_per_request: Histogram::bytes(),
+            facts: std::array::from_fn(fact),
             loop_lag: Histogram::reactor(),
             epoll_wait: Histogram::reactor(),
         }
     }
 }
 
-/// Add to a counter (relaxed; all metrics are monotone or gauge-like).
-pub fn add(counter: &AtomicU64, n: u64) {
+fn bump(counter: &AtomicU64, n: u64) {
     counter.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Decrement a gauge.
-pub fn sub(counter: &AtomicU64, n: u64) {
-    counter.fetch_sub(n, Ordering::Relaxed);
 }
 
 fn get(counter: &AtomicU64) -> u64 {
@@ -193,32 +234,56 @@ fn get(counter: &AtomicU64) -> u64 {
 }
 
 impl Metrics {
+    /// Add to a scalar (relaxed; all metrics are monotone or gauge-like).
+    pub fn add(&self, scalar: Scalar, n: u64) {
+        bump(&self.scalars[scalar as usize], n);
+    }
+
+    /// Decrement a gauge.
+    pub fn sub(&self, scalar: Scalar, n: u64) {
+        self.scalars[scalar as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
     pub fn record_request(&self, endpoint: Endpoint) {
-        add(&self.requests[endpoint.idx()], 1);
+        bump(&self.requests[endpoint.idx()], 1);
     }
 
     pub fn record_response(&self, status: u16) {
-        if let Some(i) = CODES.iter().position(|&c| c == status) {
-            add(&self.responses[i], 1);
+        if let Some(i) = STATUSES.iter().position(|&(c, _)| c == status) {
+            bump(&self.responses[i], 1);
         }
         match status {
-            400..=499 => add(&self.http_errors_4xx, 1),
-            500..=599 => add(&self.http_errors_5xx, 1),
+            400..=499 => bump(&self.http_errors[0], 1),
+            500..=599 => bump(&self.http_errors[1], 1),
             _ => {}
+        }
+    }
+
+    /// Record one successful lane's run, answered in a reply of `kind`:
+    /// every fact with a family, where the reply carries it.
+    pub fn record_run(&self, report: &RunReport, kind: ReplyKind) {
+        for (fact, store) in FACTS.iter().zip(&self.facts) {
+            let carried = fact.field.is_none_or(|(_, on)| kind.carries(on));
+            let Some(store) = store.as_ref().filter(|_| carried) else {
+                continue;
+            };
+            match (store, (fact.value)(report)) {
+                (FactStore::Counter(counter), Some(value)) => bump(counter, value),
+                (FactStore::Values(histogram), Some(value)) => histogram.observe_value(value),
+                (_, None) => {}
+            }
+        }
+        if kind.streamed {
+            self.add(Scalar::StreamedResponses, 1);
+        }
+        if kind.doc {
+            self.add(Scalar::CorpusHits, 1);
         }
     }
 
     /// Requests seen on one endpoint (used by tests).
     pub fn requests(&self, endpoint: Endpoint) -> u64 {
         get(&self.requests[endpoint.idx()])
-    }
-
-    /// Responses sent with one status code (used by tests).
-    pub fn responses(&self, status: u16) -> u64 {
-        CODES
-            .iter()
-            .position(|&c| c == status)
-            .map_or(0, |i| get(&self.responses[i]))
     }
 
     /// The request-latency histogram of one endpoint.
@@ -233,293 +298,98 @@ impl Metrics {
 
     /// Render the Prometheus text exposition, splicing in the query cache's
     /// live counters and (when a corpus is configured) the stored-document
-    /// and per-tape-version gauges.
-    pub fn render(&self, cache: CacheStats, corpus: Option<CorpusGauges>) -> String {
+    /// and per-tape-version gauges from its tapes by format version (FET1,
+    /// FET2).
+    pub fn render(&self, cache: CacheStats, tapes: Option<[u64; 2]>) -> String {
         let mut out = String::with_capacity(8192);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            scalar(&mut out, name, help, "counter", value);
+        for (family, value) in SCALARS.iter().zip(&self.scalars) {
+            family.render_scalar(&mut out, get(value));
+        }
+        let live = Live {
+            cache,
+            tapes,
+            alloc: foxq_obs::alloc_snapshot(),
+            rss: foxq_obs::read_rss_bytes(),
         };
-        counter(
-            "foxq_connections_total",
-            "Connections accepted.",
-            get(&self.connections_total),
-        );
-        counter(
-            "foxq_bytes_in_total",
-            "Request bytes delivered to request processing.",
-            get(&self.bytes_in_total),
-        );
-        counter(
-            "foxq_bytes_out_total",
-            "Response bytes written to sockets.",
-            get(&self.bytes_out_total),
-        );
-        counter(
-            "foxq_accept_gate_rejections_total",
-            "Times the accept gate closed at max_connections.",
-            get(&self.accept_gate_rejections_total),
-        );
-        counter(
-            "foxq_input_events_total",
-            "XML input events parsed across query runs.",
-            get(&self.input_events_total),
-        );
-        counter(
-            "foxq_output_events_total",
-            "Output events produced by successful lanes.",
-            get(&self.output_events_total),
-        );
-        counter(
-            "foxq_lane_runs_total",
-            "Query lanes run (one per query per request).",
-            get(&self.lane_runs_total),
-        );
-        counter(
-            "foxq_lane_failures_total",
-            "Lanes that ended in a per-lane error.",
-            get(&self.lane_failures_total),
-        );
-        counter(
-            "foxq_prefilter_skipped_events_total",
-            "Input events withheld from lanes: by the label prefilter, or skipped (tape seek, XML skim) where every lane was dead.",
-            get(&self.prefilter_skipped_total),
-        );
-        counter(
-            "foxq_seek_skipped_bytes_total",
-            "Tape bytes seeked over (never decoded) on corpus query runs.",
-            get(&self.seek_skipped_bytes_total),
-        );
-        counter(
-            "foxq_index_skipped_bytes_total",
-            "Tape bytes the label skip index jumped over on corpus query runs.",
-            get(&self.index_skipped_bytes_total),
-        );
-        counter(
-            "foxq_streamed_responses_total",
-            "Responses streamed with chunked transfer-encoding.",
-            get(&self.streamed_responses_total),
-        );
-        counter(
-            "foxq_corpus_hits_total",
-            "Queries answered from a stored tape (/query?doc=).",
-            get(&self.corpus_hits_total),
-        );
-        counter(
-            "foxq_corpus_ingests_total",
-            "Documents ingested into the corpus.",
-            get(&self.corpus_ingests_total),
-        );
-        counter(
-            "foxq_query_cache_hits_total",
-            "Query cache lookups answered without compiling.",
-            cache.hits,
-        );
-        counter(
-            "foxq_query_cache_misses_total",
-            "Query cache lookups that required a compile.",
-            cache.misses,
-        );
-        counter(
-            "foxq_query_cache_compiles_total",
-            "Successful compilations performed by the cache.",
-            cache.compiles,
-        );
-        counter(
-            "foxq_query_cache_evictions_total",
-            "Cache entries evicted.",
-            cache.evictions,
-        );
-        scalar(
-            &mut out,
-            "foxq_connections_active",
-            "Connections currently being served.",
-            "gauge",
-            get(&self.connections_active),
-        );
-        scalar(
-            &mut out,
-            "foxq_connections_lingering",
-            "Connections draining in the Linger phase.",
-            "gauge",
-            get(&self.connections_lingering),
-        );
-        scalar(
-            &mut out,
-            "foxq_worker_queue_depth",
-            "Requests dispatched to workers but not yet picked up.",
-            "gauge",
-            get(&self.worker_queue_depth),
-        );
-        if let Some(corpus) = corpus {
-            scalar(
-                &mut out,
-                "foxq_corpus_docs",
-                "Documents currently stored in the corpus.",
-                "gauge",
-                corpus.docs,
-            );
-            out.push_str(
-                "# HELP foxq_corpus_tapes Stored tapes, by format version.\n\
-                 # TYPE foxq_corpus_tapes gauge\n",
-            );
-            out.push_str(&format!(
-                "foxq_corpus_tapes{{version=\"1\"}} {}\n",
-                corpus.fet1_tapes
-            ));
-            out.push_str(&format!(
-                "foxq_corpus_tapes{{version=\"2\"}} {}\n",
-                corpus.fet2_tapes
-            ));
+        for (family, read) in &LIVE {
+            if let Some(value) = read(&live) {
+                family.render_scalar(&mut out, value);
+            }
+        }
+        for (fact, store) in FACTS.iter().zip(&self.facts) {
+            let (Some(family), Some(store)) = (fact.family, store) else {
+                continue;
+            };
+            match store {
+                FactStore::Counter(counter) => family.render_scalar(&mut out, get(counter)),
+                FactStore::Values(histogram) => {
+                    family.describe(&mut out);
+                    histogram.render_values_into(&mut out, family.name, "");
+                }
+            }
         }
 
-        out.push_str("# HELP foxq_http_errors_total Error responses sent, by status class.\n");
-        out.push_str("# TYPE foxq_http_errors_total counter\n");
-        out.push_str(&format!(
-            "foxq_http_errors_total{{class=\"4xx\"}} {}\n",
-            get(&self.http_errors_4xx)
-        ));
-        out.push_str(&format!(
-            "foxq_http_errors_total{{class=\"5xx\"}} {}\n",
-            get(&self.http_errors_5xx)
-        ));
-        out.push_str("# HELP foxq_requests_total Requests received, by endpoint.\n");
-        out.push_str("# TYPE foxq_requests_total counter\n");
-        for e in Endpoint::ALL {
-            out.push_str(&format!(
-                "foxq_requests_total{{endpoint=\"{}\"}} {}\n",
-                e.name(),
-                get(&self.requests[e.idx()])
-            ));
-        }
-        out.push_str("# HELP foxq_responses_total Responses sent, by status code.\n");
-        out.push_str("# TYPE foxq_responses_total counter\n");
-        for (i, code) in CODES.iter().enumerate() {
-            out.push_str(&format!(
-                "foxq_responses_total{{code=\"{code}\"}} {}\n",
-                get(&self.responses[i])
-            ));
-        }
-
-        out.push_str(
-            "# HELP foxq_request_latency_seconds Head-completion to full response flush.\n",
-        );
-        out.push_str("# TYPE foxq_request_latency_seconds histogram\n");
-        for e in Endpoint::ALL {
-            self.request_latency[e.idx()].render_into(
+        if let Some(tapes) = tapes {
+            labeled(
                 &mut out,
-                "foxq_request_latency_seconds",
-                &format!("endpoint=\"{}\"", e.name()),
+                &CORPUS_TAPES,
+                "version",
+                [1, 2].into_iter().zip(tapes),
             );
         }
-        out.push_str("# HELP foxq_ttfb_seconds Head-completion to first response byte.\n");
-        out.push_str("# TYPE foxq_ttfb_seconds histogram\n");
-        self.ttfb.render_into(&mut out, "foxq_ttfb_seconds", "");
-        out.push_str("# HELP foxq_engine_stage_seconds Per-request engine time, by stage.\n");
-        out.push_str("# TYPE foxq_engine_stage_seconds histogram\n");
-        for s in Stage::ALL {
-            self.engine_stage[s.idx()].render_into(
-                &mut out,
-                "foxq_engine_stage_seconds",
-                &format!("stage=\"{}\"", s.name()),
-            );
-        }
-        out.push_str(
-            "# HELP foxq_first_emit_events Input events before the first \
-             irrevocable emission flush on streamed query runs.\n\
-             # TYPE foxq_first_emit_events histogram\n",
-        );
-        self.first_emit_events
-            .render_values_into(&mut out, "foxq_first_emit_events", "");
-        out.push_str(
-            "# HELP foxq_emit_flushes_per_request Irrevocable emission flushes \
-             per streamed query run.\n\
-             # TYPE foxq_emit_flushes_per_request histogram\n",
-        );
-        self.emit_flushes_per_request.render_values_into(
+        let errors = ["4xx", "5xx"].iter().zip(&self.http_errors);
+        labeled(
             &mut out,
-            "foxq_emit_flushes_per_request",
-            "",
+            &HTTP_ERRORS,
+            "class",
+            errors.map(|(c, n)| (c, get(n))),
         );
-        out.push_str(
-            "# HELP foxq_live_nodes_peak Per-request peak of live expression nodes.\n\
-             # TYPE foxq_live_nodes_peak histogram\n",
-        );
-        self.live_nodes_peak
-            .render_values_into(&mut out, "foxq_live_nodes_peak", "");
-        out.push_str(
-            "# HELP foxq_live_bytes_peak Per-request peak of approximate live bytes.\n\
-             # TYPE foxq_live_bytes_peak histogram\n",
-        );
-        self.live_bytes_peak
-            .render_values_into(&mut out, "foxq_live_bytes_peak", "");
-        out.push_str(
-            "# HELP foxq_alloc_bytes_per_request Allocator bytes billed to the \
-             worker thread per query request.\n\
-             # TYPE foxq_alloc_bytes_per_request histogram\n",
-        );
-        self.alloc_bytes_per_request.render_values_into(
+        let requests = Endpoint::ALL.iter().zip(&self.requests);
+        labeled(
             &mut out,
-            "foxq_alloc_bytes_per_request",
-            "",
+            &REQUESTS,
+            "endpoint",
+            requests.map(|((_, e), n)| (e, get(n))),
+        );
+        let responses = STATUSES.iter().zip(&self.responses);
+        labeled(
+            &mut out,
+            &RESPONSES,
+            "code",
+            responses.map(|((c, _), n)| (c, get(n))),
         );
 
-        let alloc = foxq_obs::alloc_snapshot();
-        counter2(
-            &mut out,
-            "foxq_alloc_allocations_total",
-            "Heap allocations observed by the counting allocator.",
-            alloc.allocations,
-        );
-        counter2(
-            &mut out,
-            "foxq_alloc_frees_total",
-            "Heap frees observed by the counting allocator.",
-            alloc.deallocations,
-        );
-        scalar(
-            &mut out,
-            "foxq_alloc_live_bytes",
-            "Heap bytes currently live per the counting allocator.",
-            "gauge",
-            alloc.live_bytes,
-        );
-        scalar(
-            &mut out,
-            "foxq_alloc_peak_bytes",
-            "High-water mark of live heap bytes.",
-            "gauge",
-            alloc.peak_live_bytes,
-        );
-        if let Some(rss) = foxq_obs::read_rss_bytes() {
-            scalar(
-                &mut out,
-                "foxq_process_rss_bytes",
-                "Resident set size from /proc/self/statm.",
-                "gauge",
-                rss,
-            );
+        REQUEST_LATENCY.describe(&mut out);
+        for ((_, endpoint), histogram) in Endpoint::ALL.iter().zip(&self.request_latency) {
+            let labels = format!("endpoint=\"{endpoint}\"");
+            histogram.render_into(&mut out, REQUEST_LATENCY.name, &labels);
         }
-
-        out.push_str("# HELP foxq_reactor_loop_lag_seconds Reactor busy time per wakeup.\n");
-        out.push_str("# TYPE foxq_reactor_loop_lag_seconds histogram\n");
-        self.loop_lag
-            .render_into(&mut out, "foxq_reactor_loop_lag_seconds", "");
-        out.push_str("# HELP foxq_reactor_epoll_wait_seconds Time blocked in epoll_wait.\n");
-        out.push_str("# TYPE foxq_reactor_epoll_wait_seconds histogram\n");
-        self.epoll_wait
-            .render_into(&mut out, "foxq_reactor_epoll_wait_seconds", "");
+        TTFB.describe(&mut out);
+        self.ttfb.render_into(&mut out, TTFB.name, "");
+        ENGINE_STAGE.describe(&mut out);
+        for (stage, histogram) in Stage::ALL.iter().zip(&self.engine_stage) {
+            let labels = format!("stage=\"{}\"", stage.name());
+            histogram.render_into(&mut out, ENGINE_STAGE.name, &labels);
+        }
+        LOOP_LAG.describe(&mut out);
+        self.loop_lag.render_into(&mut out, LOOP_LAG.name, "");
+        EPOLL_WAIT.describe(&mut out);
+        self.epoll_wait.render_into(&mut out, EPOLL_WAIT.name, "");
         out
     }
 }
 
-fn counter2(out: &mut String, name: &str, help: &str, value: u64) {
-    scalar(out, name, help, "counter", value);
-}
-
-fn scalar(out: &mut String, name: &str, help: &str, kind: &str, value: u64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-    ));
+/// A family with one sample per value of its one label.
+fn labeled<V: std::fmt::Display>(
+    out: &mut String,
+    family: &Family,
+    label: &str,
+    samples: impl IntoIterator<Item = (V, u64)>,
+) {
+    family.describe(out);
+    for (value, n) in samples {
+        let _ = writeln!(out, "{}{{{label}=\"{value}\"}} {n}", family.name);
+    }
 }
 
 #[cfg(test)]
@@ -531,21 +401,14 @@ mod tests {
         let m = Metrics::default();
         m.record_request(Endpoint::Query);
         m.record_response(200);
-        add(&m.bytes_in_total, 42);
+        m.add(Scalar::BytesIn, 42);
         let cache = CacheStats {
             hits: 7,
             misses: 2,
             compiles: 2,
             evictions: 0,
         };
-        let text = m.render(
-            cache,
-            Some(CorpusGauges {
-                docs: 3,
-                fet1_tapes: 1,
-                fet2_tapes: 2,
-            }),
-        );
+        let text = m.render(cache, Some([1, 2]));
         assert!(text.contains("foxq_requests_total{endpoint=\"query\"} 1"));
         assert!(text.contains("foxq_requests_total{endpoint=\"debug\"} 0"));
         assert!(text.contains("foxq_responses_total{code=\"200\"} 1"));
@@ -608,5 +471,60 @@ mod tests {
             .contains("foxq_request_latency_seconds_bucket{endpoint=\"query\",le=\"0.0025\"} 1"));
         assert!(text.contains("foxq_engine_stage_seconds_count{stage=\"execute\"} 1"));
         assert!(text.contains("foxq_engine_stage_seconds_sum{stage=\"execute\"} 0.0009"));
+    }
+
+    #[test]
+    fn a_run_is_recorded_where_its_reply_carries_the_facts() {
+        let m = Metrics::default();
+        let mut report = RunReport::default();
+        report.stats.output_events = 5;
+        report.stats.emit_flushes = 2;
+        report.source.seek_skipped_bytes = 70;
+        m.record_run(&report, ReplyKind::default());
+        let text = m.render(CacheStats::default(), None);
+        assert!(text.contains("foxq_output_events_total 5"));
+        assert!(text.contains("foxq_live_nodes_peak_count 1"));
+        assert!(text.contains("foxq_emit_flushes_per_request_count 0"));
+        assert!(text.contains("foxq_seek_skipped_bytes_total 0"));
+        assert!(text.contains("foxq_alloc_bytes_per_request_count 0"));
+        report.alloc_bytes = Some(1 << 20);
+        m.record_run(
+            &report,
+            ReplyKind {
+                streamed: true,
+                doc: true,
+            },
+        );
+        let text = m.render(CacheStats::default(), None);
+        assert!(text.contains("foxq_output_events_total 10"));
+        assert!(text.contains("foxq_emit_flushes_per_request_count 1"));
+        assert!(text.contains("foxq_seek_skipped_bytes_total 70"));
+        assert!(text.contains("foxq_alloc_bytes_per_request_count 1"));
+        assert!(text.contains("foxq_streamed_responses_total 1"));
+        assert!(text.contains("foxq_corpus_hits_total 1"));
+    }
+
+    /// README.md documents every reply field and every `/metrics` family.
+    #[test]
+    fn the_readme_names_every_field_and_family() {
+        let readme = include_str!("../../../README.md");
+        let all = ReplyKind {
+            streamed: true,
+            doc: true,
+        };
+        for name in foxq_service::field_names(all) {
+            assert!(readme.contains(&format!("`{name}`")), "README omits {name}");
+        }
+        let text = Metrics::default().render(CacheStats::default(), Some([0, 0]));
+        let families = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+        let mut count = 0;
+        for family in families.map(|l| l.split(' ').next().unwrap()) {
+            assert!(
+                readme.contains(&format!("`{family}")),
+                "README omits {family}"
+            );
+            count += 1;
+        }
+        assert!(count > 30, "only {count} families rendered");
     }
 }

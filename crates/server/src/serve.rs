@@ -31,19 +31,20 @@ use crate::http::{
     chunked_tail, read_request, write_chunk, write_chunked_head, write_response, BodyKind,
     BodyReader, Request,
 };
-use crate::metrics::{add, sub, Endpoint, Metrics};
+use crate::metrics::{Endpoint, Metrics, Scalar};
 use crate::reactor::{pin_receive_buffer, Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use foxq_core::emit::{EmitSink, EmitWriter};
-use foxq_core::profile::{StreamProfile, StreamProfiler};
+use foxq_core::profile::StreamProfiler;
 use foxq_core::stream::{StreamError, StreamLimits, StreamObserver, StreamStats};
 use foxq_core::Mft;
 use foxq_obs::{
-    AllocScope, JsonlSink, RingSink, Stage, TraceContext, TraceRecord, TraceSink,
+    micros_since, AllocScope, JsonlSink, RingSink, Stage, TraceContext, TraceRecord, TraceSink,
     DEFAULT_TRACE_LOG_MAX_BYTES,
 };
 use foxq_service::{
-    run_lanes, source_key, CompileLimits, Events, MultiRun, PrepareError, PreparedQuery,
-    ProfileRegistry, QuerySetPlan, RunSample, SharedQueryCache, SourceCost,
+    field_names, profile_record, run_lanes, source_key, CompileLimits, Events, MultiRun,
+    PrepareError, PreparedQuery, ProfileRegistry, QuerySetPlan, ReplyKind, RunReport,
+    SharedQueryCache,
 };
 use foxq_store::corpus::valid_doc_id;
 use foxq_store::{ingest_xml_to_tmp, Corpus, StoreError, TapeReader};
@@ -163,14 +164,12 @@ impl Shared {
             .map(|m| m.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
     }
 
-    fn corpus_gauges(&self) -> Option<crate::metrics::CorpusGauges> {
+    /// Stored tapes by format version (FET1, FET2), when a corpus is
+    /// configured.
+    fn corpus_tapes(&self) -> Option<[u64; 2]> {
         self.corpus().map(|c| {
             let fet1 = c.docs().filter(|d| d.version == 1).count() as u64;
-            crate::metrics::CorpusGauges {
-                docs: c.len() as u64,
-                fet1_tapes: fet1,
-                fet2_tapes: c.len() as u64 - fet1,
-            }
+            [fet1, c.len() as u64 - fet1]
         })
     }
 }
@@ -461,8 +460,8 @@ impl Reactor {
                         continue;
                     }
                     stream.set_nodelay(true).ok();
-                    add(&self.shared.metrics.connections_total, 1);
-                    add(&self.shared.metrics.connections_active, 1);
+                    self.shared.metrics.add(Scalar::Connections, 1);
+                    self.shared.metrics.add(Scalar::ConnectionsActive, 1);
                     let token = self.next_token;
                     self.next_token += 1;
                     let deadline = Instant::now() + self.shared.config.read_timeout;
@@ -509,7 +508,7 @@ impl Reactor {
         } else if !want && self.accepting {
             let _ = self.poller.delete(listener.as_raw_fd());
             self.accepting = false;
-            add(&self.shared.metrics.accept_gate_rejections_total, 1);
+            self.shared.metrics.add(Scalar::AcceptGateRejections, 1);
         }
     }
 
@@ -545,7 +544,7 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    add(&self.shared.metrics.bytes_in_total, n as u64);
+                    self.shared.metrics.add(Scalar::BytesIn, n as u64);
                     conn.buf.extend_from_slice(&chunk[..n]);
                     conn.phase = Phase::ReadHead;
                     if conn.head_end().is_some() {
@@ -592,7 +591,7 @@ impl Reactor {
             Some(tx) => match tx.send(conn) {
                 Ok(()) => {
                     self.in_worker += 1;
-                    add(&self.shared.metrics.worker_queue_depth, 1);
+                    self.shared.metrics.add(Scalar::WorkerQueueDepth, 1);
                 }
                 Err(mpsc::SendError(conn)) => self.close(conn),
             },
@@ -648,7 +647,7 @@ impl Reactor {
                         }
                     }
                     written += n;
-                    add(&self.shared.metrics.bytes_out_total, n as u64);
+                    self.shared.metrics.add(Scalar::BytesOut, n as u64);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     if let Phase::WriteResponse {
@@ -711,7 +710,7 @@ impl Reactor {
                 conn.phase = Phase::Linger { drained: 0 };
                 // `close` decrements by matching on the phase, so the
                 // gauge stays balanced on every exit path.
-                add(&self.shared.metrics.connections_lingering, 1);
+                self.shared.metrics.add(Scalar::ConnectionsLingering, 1);
                 conn.deadline = Instant::now() + LINGER_TIMEOUT;
                 if self.arm(&mut conn, EPOLLIN) {
                     self.conns.insert(conn.token, conn);
@@ -796,9 +795,9 @@ impl Reactor {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
         }
         if matches!(conn.phase, Phase::Linger { .. }) {
-            sub(&self.shared.metrics.connections_lingering, 1);
+            self.shared.metrics.sub(Scalar::ConnectionsLingering, 1);
         }
-        sub(&self.shared.metrics.connections_active, 1);
+        self.shared.metrics.sub(Scalar::ConnectionsActive, 1);
         // Dropping the stream closes the fd.
     }
 
@@ -864,7 +863,7 @@ fn worker_loop(
         let Ok(mut conn) = next else {
             return; // queue closed: drain started
         };
-        sub(&shared.metrics.worker_queue_depth, 1);
+        shared.metrics.sub(Scalar::WorkerQueueDepth, 1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             serve_one(&mut conn, shared)
         }));
@@ -898,7 +897,7 @@ struct CountingReader<R> {
 impl<R: Read> Read for CountingReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        add(&self.metrics.bytes_in_total, n as u64);
+        self.metrics.add(Scalar::BytesIn, n as u64);
         Ok(n)
     }
 }
@@ -936,6 +935,7 @@ fn serve_one(conn: &mut Conn, shared: &Shared) -> (Vec<u8>, After) {
             req_start: conn.req_start.unwrap_or_else(Instant::now),
             req_id,
             keep: false,
+            doc: false,
             head_written: Cell::new(false),
         };
         serve_request(&mut reader, shared, &ctx, &mut stream_out)
@@ -1174,7 +1174,7 @@ fn route<R: BufRead>(
                 "text/plain; version=0.0.4; charset=utf-8",
                 shared
                     .metrics
-                    .render(shared.cache.stats(), shared.corpus_gauges())
+                    .render(shared.cache.stats(), shared.corpus_tapes())
                     .into_bytes(),
             ),
             request,
@@ -1285,7 +1285,7 @@ fn run_over_body<R: BufRead, S: EmitSink, O: StreamObserver>(
     let mut body = open_body(request, conn)?;
     let bounded = BoundedReader::new(&mut body, shared.config.max_body_bytes);
     let events = Events(XmlReader::new(bounded));
-    add(&shared.metrics.lane_runs_total, mfts.len() as u64);
+    shared.metrics.add(Scalar::LaneRuns, mfts.len() as u64);
     let span = ctx.enter(Stage::Execute);
     let run = run_lanes(mfts, events, lanes, shared.config.stream_limits, plan);
     drop(span);
@@ -1331,7 +1331,7 @@ fn run_over_tape<S: EmitSink, O: StreamObserver>(
         Err(e) => return Err(Reply::text(500, format!("corpus error: {e}\n"))),
     };
     let tape = TapeReader::open_file(&path).map_err(|e| store_error_reply(&e))?;
-    add(&shared.metrics.lane_runs_total, mfts.len() as u64);
+    shared.metrics.add(Scalar::LaneRuns, mfts.len() as u64);
     let start = Instant::now();
     let run = run_lanes(mfts, tape, lanes, shared.config.stream_limits, plan);
     let micros = micros_since(start);
@@ -1383,15 +1383,17 @@ fn handle_query<R: BufRead>(
         Err(e) => return prepare_error_reply(&e),
     };
     let streamed = request.params("stream").next().is_some_and(|v| v != "0");
+    let doc = request.params("doc").next();
     if streamed {
         stream_out.keep = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
+        stream_out.doc = doc.is_some();
     }
     let query = Query {
         request,
         shared,
         ctx,
         prepared: &prepared,
-        doc: request.params("doc").next(),
+        doc,
         out: streamed.then_some(&*stream_out),
     };
     // Observer and sink are type parameters of the run: with `()` as the
@@ -1415,7 +1417,7 @@ struct CountingWriter<'a> {
 impl Write for CountingWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf)?;
-        add(&self.metrics.bytes_out_total, n as u64);
+        self.metrics.add(Scalar::BytesOut, n as u64);
         Ok(n)
     }
 
@@ -1442,6 +1444,9 @@ struct StreamOut<'a> {
     /// chunk; the final connection disposition still honours body
     /// consumption).
     keep: bool,
+    /// Whether the run reads a stored document (`doc=`), whose trailers
+    /// the head declares too.
+    doc: bool,
     /// Set once the chunked head is on the wire — the point of no return:
     /// later failures can only truncate the body, not change the status.
     /// (A cell: the lane's sink delivers through a shared borrow while the
@@ -1461,12 +1466,12 @@ impl StreamOut<'_> {
     /// trailers. Records TTFB and the `first_flush` stage — this *is* the
     /// first response byte.
     fn write_head(&self) -> std::io::Result<()> {
-        // Declared before the run: what every streamed reply will carry.
-        let trailers: Vec<&str> = RUN_FACTS
-            .iter()
-            .filter(|(_, on, _)| *on != On::Doc)
-            .map(|(name, _, _)| *name)
-            .collect();
+        // Declared before the run: exactly the fields the reply will carry.
+        let kind = ReplyKind {
+            streamed: true,
+            doc: self.doc,
+        };
+        let trailers: Vec<&str> = field_names(kind).collect();
         write_chunked_head(
             &mut self.writer(),
             200,
@@ -1505,94 +1510,28 @@ fn streamed_failure_reply() -> Reply {
 
 /// What the observer of a `/query` lane does with a successful run.
 trait LaneObserver: StreamObserver {
-    fn record(self, query: &Query<'_>, facts: &RunFacts, alloc_bytes: u64, execute_micros: u64);
+    fn record(self, query: &Query<'_>, report: &RunReport);
 }
 
 impl LaneObserver for () {
-    fn record(self, _: &Query<'_>, _: &RunFacts, _: u64, _: u64) {}
+    fn record(self, _: &Query<'_>, _: &RunReport) {}
 }
 
 /// `--profile`: fold the run into the per-query registry and the trace log.
 impl LaneObserver for StreamProfiler {
-    fn record(self, query: &Query<'_>, facts: &RunFacts, alloc_bytes: u64, execute_micros: u64) {
+    fn record(self, query: &Query<'_>, report: &RunReport) {
         let (shared, prepared) = (query.shared, query.prepared);
         let Some(registry) = &shared.profiles else {
             return;
         };
-        shared
-            .metrics
-            .alloc_bytes_per_request
-            .observe_value(alloc_bytes);
         let profile = self.into_profile(prepared.mft());
         let key = source_key(prepared.source());
-        let sample = RunSample {
-            input_events: facts.input_events,
-            output_events: facts.stats.output_events,
-            peak_live_nodes: facts.stats.peak_live_nodes as u64,
-            peak_live_bytes: facts.stats.peak_live_bytes as u64,
-            peak_pending_calls: facts.stats.peak_pending_calls as u64,
-            alloc_bytes,
-            execute_micros,
-        };
-        registry.record(key, prepared.source(), &sample, Some(&profile));
+        registry.record(key, prepared.source(), report, Some(&profile));
         if let Some(log) = &shared.trace_log {
-            log.append_json(&profile_json(key, &sample, &profile));
+            log.append_json(&profile_record(key, report, &profile));
         }
     }
 }
-
-/// What a successful `/query` run reports.
-struct RunFacts {
-    input_events: u64,
-    stats: StreamStats,
-    source: SourceCost,
-}
-
-/// Which replies carry a run fact.
-#[derive(Clone, Copy, PartialEq)]
-enum On {
-    Every,
-    /// `stream=1` replies only.
-    Streamed,
-    /// `doc=` replies only.
-    Doc,
-}
-
-/// A run statistic as it travels to the client: its field name, the
-/// replies that carry it, its value.
-type RunFact = (&'static str, On, fn(&RunFacts) -> u64);
-
-/// The run's statistics, in the order they travel: headers on a buffered
-/// reply, trailers on a streamed one — they are only known once the run
-/// finishes, which is exactly what HTTP trailers are for.
-const RUN_FACTS: &[RunFact] = &[
-    ("x-foxq-input-events", On::Every, |f| f.input_events),
-    ("x-foxq-output-events", On::Every, |f| f.stats.output_events),
-    ("x-foxq-prefiltered-events", On::Every, |f| {
-        f.stats.prefiltered_events
-    }),
-    ("x-foxq-peak-live-nodes", On::Every, |f| {
-        f.stats.peak_live_nodes as u64
-    }),
-    ("x-foxq-peak-live-bytes", On::Every, |f| {
-        f.stats.peak_live_bytes as u64
-    }),
-    ("x-foxq-peak-pending-calls", On::Every, |f| {
-        f.stats.peak_pending_calls as u64
-    }),
-    ("x-foxq-emit-flushes", On::Streamed, |f| {
-        f.stats.emit_flushes
-    }),
-    ("x-foxq-first-emit-events", On::Streamed, |f| {
-        f.stats.first_emit_events
-    }),
-    ("x-foxq-seek-skipped-bytes", On::Doc, |f| {
-        f.source.seek_skipped_bytes
-    }),
-    ("x-foxq-index-skipped-bytes", On::Doc, |f| {
-        f.source.index_skipped_bytes
-    }),
-];
 
 /// One `/query` request past its checks: what to run, over what, to where.
 struct Query<'a> {
@@ -1607,6 +1546,14 @@ struct Query<'a> {
 }
 
 impl Query<'_> {
+    /// The shape of this query's reply.
+    fn kind(&self) -> ReplyKind {
+        ReplyKind {
+            streamed: self.out.is_some(),
+            doc: self.doc.is_some(),
+        }
+    }
+
     /// Whether the streamed head is on the wire: from then on a failure
     /// can only truncate the body.
     fn head_written(&self) -> bool {
@@ -1617,7 +1564,7 @@ impl Query<'_> {
     /// head: a normal error answer. After: truncate.
     fn pass_failed(&self, reply: Reply) -> Reply {
         if self.head_written() {
-            add(&self.shared.metrics.lane_failures_total, 1);
+            self.shared.metrics.add(Scalar::LaneFailures, 1);
             return streamed_failure_reply();
         }
         reply
@@ -1662,16 +1609,16 @@ impl Query<'_> {
         };
         let metered =
             metered.map(|(scope, start)| (scope.delta().allocated_bytes, micros_since(start)));
-        add(&shared.metrics.input_events_total, run.input_events);
-        let lane = run.results.into_iter().next().expect("one lane");
-        let settled = lane.and_then(|(sink, stats, obs)| {
+        shared.metrics.add(Scalar::InputEvents, run.input_events);
+        let lane = run.into_reports().next().expect("one lane");
+        let settled = lane.and_then(|(sink, obs, report)| {
             let _span = ctx.enter(Stage::Serialize);
-            Ok((finish(sink)?, stats, obs))
+            Ok((finish(sink)?, obs, report))
         });
-        let (body, stats, obs) = match settled {
+        let (body, obs, mut report) = match settled {
             Ok(settled) => settled,
             Err(e) => {
-                add(&shared.metrics.lane_failures_total, 1);
+                shared.metrics.add(Scalar::LaneFailures, 1);
                 if self.head_written() {
                     return streamed_failure_reply();
                 }
@@ -1692,52 +1639,14 @@ impl Query<'_> {
                 return streamed_failure_reply();
             }
         }
-        let facts = RunFacts {
-            input_events: run.input_events,
-            stats,
-            source: run.source,
-        };
         if let Some((alloc_bytes, execute_micros)) = metered {
-            obs.record(self, &facts, alloc_bytes, execute_micros);
+            report.alloc_bytes = Some(alloc_bytes);
+            report.execute_micros = Some(execute_micros);
+            obs.record(self, &report);
         }
-        let metrics = &shared.metrics;
-        add(&metrics.output_events_total, stats.output_events);
-        add(&metrics.prefilter_skipped_total, stats.prefiltered_events);
-        metrics
-            .live_nodes_peak
-            .observe_value(stats.peak_live_nodes as u64);
-        metrics
-            .live_bytes_peak
-            .observe_value(stats.peak_live_bytes as u64);
-        if self.out.is_some() {
-            add(&metrics.streamed_responses_total, 1);
-            metrics
-                .first_emit_events
-                .observe_value(stats.first_emit_events);
-            metrics
-                .emit_flushes_per_request
-                .observe_value(stats.emit_flushes);
-        }
-        if self.doc.is_some() {
-            add(&metrics.corpus_hits_total, 1);
-            add(
-                &metrics.seek_skipped_bytes_total,
-                facts.source.seek_skipped_bytes,
-            );
-            add(
-                &metrics.index_skipped_bytes_total,
-                facts.source.index_skipped_bytes,
-            );
-        }
-        let carried: Vec<(&'static str, String)> = RUN_FACTS
-            .iter()
-            .filter(|(_, on, _)| match on {
-                On::Every => true,
-                On::Streamed => self.out.is_some(),
-                On::Doc => self.doc.is_some(),
-            })
-            .map(|(name, _, value)| (*name, value(&facts).to_string()))
-            .collect();
+        let kind = self.kind();
+        shared.metrics.record_run(&report, kind);
+        let carried = report.fields(kind);
         let mut reply = if self.out.is_some() {
             let mut reply = Reply::new(200, "application/xml", chunked_tail(&carried));
             reply.streamed = true;
@@ -1753,36 +1662,6 @@ impl Query<'_> {
         reply.reusable = body_exhausted;
         reply
     }
-}
-
-/// One profiled run as a trace-log JSON line (rides in the same JSONL
-/// stream as the request traces, distinguished by the `"profile"` key).
-fn profile_json(key: u64, sample: &RunSample, profile: &StreamProfile) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!(
-        "{{\"profile\":{{\"query\":\"{key:016x}\",\"input_events\":{},\"output_events\":{},\
-         \"peak_live_nodes\":{},\"peak_live_bytes\":{},\"peak_pending_calls\":{},\
-         \"alloc_bytes\":{},\"execute_us\":{},\"hot_states\":[",
-        sample.input_events,
-        sample.output_events,
-        sample.peak_live_nodes,
-        sample.peak_live_bytes,
-        sample.peak_pending_calls,
-        sample.alloc_bytes,
-        sample.execute_micros
-    );
-    for (i, s) in profile.states.iter().take(8).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"state\":{:?},\"expansions\":{},\"output_events\":{}}}",
-            s.state, s.expansions, s.output_events
-        );
-    }
-    out.push_str("]}}");
-    out
 }
 
 /// `GET /corpus`: the manifest as tab-separated text.
@@ -1840,8 +1719,8 @@ fn handle_corpus_ingest<R: BufRead>(
                     .install_tape(id, &tmp, &info, source_bytes);
             match installed {
                 Ok(meta) => {
-                    add(&shared.metrics.corpus_ingests_total, 1);
-                    add(&shared.metrics.input_events_total, info.events + 1);
+                    shared.metrics.add(Scalar::CorpusIngests, 1);
+                    shared.metrics.add(Scalar::InputEvents, info.events + 1);
                     let reply = Reply::text(
                         200,
                         format!(
@@ -1920,22 +1799,19 @@ fn handle_batch<R: BufRead>(
         Ok(ran) => ran,
         Err(reply) => return reply,
     };
-    add(&shared.metrics.input_events_total, run.input_events);
+    let input_events = run.input_events;
+    shared.metrics.add(Scalar::InputEvents, input_events);
 
     let _serialize = ctx.enter(Stage::Serialize);
     let mut body = Vec::new();
     let mut failures = 0u64;
     let mut any_ok = false;
-    for (i, result) in run.results.into_iter().enumerate() {
+    for (i, result) in run.into_reports().enumerate() {
         body.extend_from_slice(format!("### query {i}\n").as_bytes());
         match result {
-            Ok((sink, stats, ())) => {
+            Ok((sink, (), report)) => {
                 any_ok = true;
-                add(&shared.metrics.output_events_total, stats.output_events);
-                add(
-                    &shared.metrics.prefilter_skipped_total,
-                    stats.prefiltered_events,
-                );
+                shared.metrics.record_run(&report, ReplyKind::default());
                 body.extend_from_slice(&sink.finish().expect("writing to Vec cannot fail"));
                 body.push(b'\n');
             }
@@ -1945,10 +1821,10 @@ fn handle_batch<R: BufRead>(
             }
         }
     }
-    add(&shared.metrics.lane_failures_total, failures);
+    shared.metrics.add(Scalar::LaneFailures, failures);
     let mut reply = Reply::new(200, "text/plain; charset=utf-8", body);
     reply.headers = vec![
-        ("x-foxq-input-events", run.input_events.to_string()),
+        ("x-foxq-input-events", input_events.to_string()),
         ("x-foxq-failed-lanes", failures.to_string()),
     ];
     // If every lane failed the pass aborted early; and even a successful
@@ -1969,11 +1845,6 @@ fn stream_error_reply(e: &StreamError) -> Reply {
 fn reply_unconsumed(mut reply: Reply) -> Reply {
     reply.reusable = false;
     reply
-}
-
-/// Elapsed whole microseconds since `start`.
-fn micros_since(start: Instant) -> u64 {
-    start.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
 /// Cache probe plus (on a miss) compile. Lock and probe overhead is

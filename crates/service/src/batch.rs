@@ -8,7 +8,7 @@
 //! report is **deterministic**: byte-for-byte identical whatever the thread
 //! count or scheduling (proven by `tests/service.rs`).
 
-use crate::multi::{run_lanes, Events, LaneInput, MultiRun, QuerySetPlan, SourceCost};
+use crate::multi::{run_lanes, Events, LaneInput, MultiRun, QuerySetPlan, RunReport, SourceCost};
 use crate::prepared::PreparedQuery;
 use foxq_core::stream::{StreamLimits, StreamStats};
 use foxq_core::Mft;
@@ -24,8 +24,17 @@ use std::sync::Arc;
 pub struct BatchCell {
     /// Serialized XML output, or the per-query error message.
     pub output: Result<String, String>,
-    /// Engine statistics; present exactly when the cell succeeded.
-    pub stats: Option<StreamStats>,
+    /// The run's report; present exactly when the cell succeeded.
+    pub report: Option<RunReport>,
+}
+
+impl BatchCell {
+    fn failed(e: impl std::fmt::Display) -> BatchCell {
+        BatchCell {
+            output: Err(e.to_string()),
+            report: None,
+        }
+    }
 }
 
 /// Aggregate outcome of [`BatchDriver::run`].
@@ -68,8 +77,8 @@ impl BatchReport {
             report.seek_skipped_bytes += row.source.seek_skipped_bytes;
             report.index_skipped_bytes += row.source.index_skipped_bytes;
             for cell in &row.cells {
-                match (&cell.output, cell.stats) {
-                    (Ok(_), Some(stats)) => report.output_events += stats.output_events,
+                match (&cell.output, cell.report) {
+                    (Ok(_), Some(run)) => report.output_events += run.stats.output_events,
                     _ => report.failures += 1,
                 }
             }
@@ -242,42 +251,28 @@ impl DocRow {
     /// malformed XML, corrupt tape).
     fn failed(msg: &str, queries: &[Arc<PreparedQuery>]) -> DocRow {
         DocRow {
-            cells: queries
-                .iter()
-                .map(|_| BatchCell {
-                    output: Err(msg.to_string()),
-                    stats: None,
-                })
-                .collect(),
+            cells: queries.iter().map(|_| BatchCell::failed(msg)).collect(),
             input_events: 0,
             source: SourceCost::default(),
         }
     }
 
     fn from_run(run: MultiRun<(WriterSink<Vec<u8>>, StreamStats, ())>) -> DocRow {
+        let (input_events, source) = (run.input_events, run.source);
+        let cells = run.into_reports().map(|lane| match lane {
+            Ok((sink, (), report)) => match sink.finish() {
+                Ok(buf) => BatchCell {
+                    output: Ok(String::from_utf8(buf).expect("output is UTF-8")),
+                    report: Some(report),
+                },
+                Err(e) => BatchCell::failed(e),
+            },
+            Err(e) => BatchCell::failed(e),
+        });
         DocRow {
-            cells: run
-                .results
-                .into_iter()
-                .map(|r| match r {
-                    Ok((sink, stats, ())) => match sink.finish() {
-                        Ok(buf) => BatchCell {
-                            output: Ok(String::from_utf8(buf).expect("output is UTF-8")),
-                            stats: Some(stats),
-                        },
-                        Err(e) => BatchCell {
-                            output: Err(e.to_string()),
-                            stats: None,
-                        },
-                    },
-                    Err(e) => BatchCell {
-                        output: Err(e.to_string()),
-                        stats: None,
-                    },
-                })
-                .collect(),
-            input_events: run.input_events,
-            source: run.source,
+            cells: cells.collect(),
+            input_events,
+            source,
         }
     }
 }

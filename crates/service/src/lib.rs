@@ -15,7 +15,10 @@
 //!   [`run_lanes`] drives it from XML text or a stored tape, into buffering
 //!   or emitting sinks, with or without a profiler — one loop for all;
 //! * [`BatchDriver`] — M documents × N queries across `std::thread::scope`
-//!   workers, with a deterministic report.
+//!   workers, with a deterministic report;
+//! * [`RunReport`] and [`FACTS`] — what one lane's run reports, and the one
+//!   table every view of it (reply fields, `/metrics`, the profile
+//!   registry) is read through.
 //!
 //! The same engine drives the `foxq batch` CLI subcommand.
 //!
@@ -60,17 +63,19 @@
 //! ```
 
 pub mod batch;
+pub mod facts;
 pub mod multi;
 pub mod prepared;
 pub mod profile;
 
 pub use batch::{BatchCell, BatchDriver, BatchReport, CorpusReport};
+pub use facts::{field_names, Fact, On, ReplyKind, Tracked, FACTS};
 pub use multi::{
     run_lanes, run_multi, run_multi_on_forest, run_multi_on_tape, Events, LaneInput,
-    MultiQueryEngine, MultiRun, QuerySetPlan, SourceCost,
+    MultiQueryEngine, MultiRun, QuerySetPlan, RunReport, SourceCost,
 };
 pub use prepared::{
     source_key, CacheStats, CompileLimits, PrepareError, PreparedQuery, QueryCache, QueryMeta,
     SharedQueryCache,
 };
-pub use profile::{Aggregate, HotState, ProfileRegistry, QueryProfile, RunSample};
+pub use profile::{profile_record, Aggregate, HotState, ProfileRegistry, QueryProfile};

@@ -432,8 +432,8 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     }
 
     /// [`MultiQueryEngine::finish_observed`] after a pass over a source
-    /// that skipped `cost`'s bytes: every lane reports the seeked-over
-    /// ones, the lanes the prefilter served the index-skipped ones.
+    /// that skipped `cost`'s bytes: the lanes the prefilter served report
+    /// the index-skipped ones.
     fn finish_read_from(
         mut self,
         cost: &SourceCost,
@@ -447,7 +447,6 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
             .map(|(lane, eligible)| match lane {
                 Lane::Running(engine) => engine.finish_observed().map(|(sink, mut stats, obs)| {
                     stats.prefiltered_events = if eligible { skipped } else { seek_events };
-                    stats.seek_skipped_bytes = cost.seek_skipped_bytes;
                     if eligible {
                         stats.index_skipped_bytes = cost.index_skipped_bytes;
                     }
@@ -524,7 +523,41 @@ pub struct MultiRun<L> {
     pub source: SourceCost,
 }
 
+/// What one lane's run reports: the lane's own statistics, the pass's input
+/// cost, and — when the run was profiled — what it cost the worker. Every
+/// per-run fact foxq shows is read off it through [`crate::FACTS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunReport {
+    /// The lane's engine statistics.
+    pub stats: StreamStats,
+    /// Events the pass consumed ([`MultiRun::input_events`]).
+    pub input_events: u64,
+    /// What the pass's source skipped, and what that took.
+    pub source: SourceCost,
+    /// Allocator bytes the worker thread billed to the run, when profiled.
+    pub alloc_bytes: Option<u64>,
+    /// Engine wall time in microseconds, when profiled.
+    pub execute_micros: Option<u64>,
+}
+
 impl<S, O> MultiRun<(S, StreamStats, O)> {
+    /// Each lane's outcome, in query order: its sink and observer with its
+    /// [`RunReport`].
+    pub fn into_reports(self) -> impl Iterator<Item = Result<(S, O, RunReport), StreamError>> {
+        let (input_events, source) = (self.input_events, self.source);
+        self.results.into_iter().map(move |lane| {
+            lane.map(|(sink, stats, obs)| {
+                let report = RunReport {
+                    stats,
+                    input_events,
+                    source,
+                    ..RunReport::default()
+                };
+                (sink, obs, report)
+            })
+        })
+    }
+
     /// Drop the observers.
     fn plain(self) -> MultiRun<(S, StreamStats)> {
         MultiRun {
@@ -1109,8 +1142,7 @@ mod tests {
         assert_eq!(tstats.index_skipped_bytes, taped_cost.index_skipped_bytes);
         assert!(scanned_cost.seek_skipped_bytes > 0);
         assert_eq!(scanned_cost.index_skipped_bytes, 0);
-        assert_eq!(sstats.seek_skipped_bytes, scanned_cost.seek_skipped_bytes);
-        assert_eq!(pstats.seek_skipped_bytes, 0);
+        assert_eq!(parsed.source, SourceCost::default());
         assert_eq!(taped.input_events, parsed.input_events);
         assert_eq!(scanned.input_events, parsed.input_events);
         // The index never visits more than the scan path delivers, so it
@@ -1178,7 +1210,6 @@ mod tests {
             assert!(nav_stats.prefiltered_events > other_stats.prefiltered_events);
             for stats in [nav_stats, other_stats] {
                 assert_eq!(stats.events + stats.prefiltered_events, run.input_events);
-                assert_eq!(stats.seek_skipped_bytes, run.source.seek_skipped_bytes);
             }
             (
                 forest_to_xml_string(&other.into_forest()),

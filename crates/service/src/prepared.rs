@@ -160,10 +160,7 @@ impl PreparedQuery {
         }
         let mut compile_times = StageTimes::default();
         let mut timed = |stage: Stage, start: Instant| {
-            compile_times.add(
-                stage,
-                start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            );
+            compile_times.add(stage, foxq_obs::micros_since(start));
         };
         let t = Instant::now();
         let query = parse_query(source)?;

@@ -9,6 +9,8 @@
 //! powers `GET /debug/profile` and the profile records in the trace
 //! log.
 
+use crate::facts::{Fact, Tracked, FACTS};
+use crate::multi::RunReport;
 use foxq_core::profile::{sparkline, StreamProfile, TimelinePoint};
 use foxq_forest::FxHashMap;
 use std::fmt::Write as _;
@@ -52,26 +54,6 @@ pub struct HotState {
     pub output_events: u64,
 }
 
-/// One profiled run's measurements, as fed to
-/// [`ProfileRegistry::record`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunSample {
-    /// Input events the run consumed.
-    pub input_events: u64,
-    /// Output events the run emitted.
-    pub output_events: u64,
-    /// Run peak of live expression nodes.
-    pub peak_live_nodes: u64,
-    /// Run peak of approximate live bytes.
-    pub peak_live_bytes: u64,
-    /// Run peak of pending state calls.
-    pub peak_pending_calls: u64,
-    /// Allocator bytes the worker thread billed to the run.
-    pub alloc_bytes: u64,
-    /// Engine execution wall time in microseconds.
-    pub execute_micros: u64,
-}
-
 /// Everything the registry knows about one query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryProfile {
@@ -79,20 +61,9 @@ pub struct QueryProfile {
     pub source_preview: String,
     /// Profiled runs folded in.
     pub runs: u64,
-    /// Input events per run.
-    pub input_events: Aggregate,
-    /// Output events per run.
-    pub output_events: Aggregate,
-    /// Peak live nodes per run.
-    pub peak_live_nodes: Aggregate,
-    /// Peak live bytes per run.
-    pub peak_live_bytes: Aggregate,
-    /// Peak pending calls per run.
-    pub peak_pending_calls: Aggregate,
-    /// Allocator bytes billed per run.
-    pub alloc_bytes: Aggregate,
-    /// Execute wall micros per run.
-    pub execute_micros: Aggregate,
+    /// Per-run aggregates, indexed like [`FACTS`]; the entries of facts the
+    /// registry does not track stay zero.
+    pub aggregates: [Aggregate; FACTS.len()],
     /// Hot-state table, merged by name, most expansions first.
     pub hot_states: Vec<HotState>,
     /// The most recent run's buffer timeline.
@@ -104,17 +75,13 @@ pub struct QueryProfile {
 }
 
 impl QueryProfile {
-    fn fold(&mut self, sample: &RunSample, profile: Option<&StreamProfile>) {
+    fn fold(&mut self, report: &RunReport, profile: Option<&StreamProfile>) {
         let first = self.runs == 0;
         self.runs += 1;
-        self.input_events.record(sample.input_events, first);
-        self.output_events.record(sample.output_events, first);
-        self.peak_live_nodes.record(sample.peak_live_nodes, first);
-        self.peak_live_bytes.record(sample.peak_live_bytes, first);
-        self.peak_pending_calls
-            .record(sample.peak_pending_calls, first);
-        self.alloc_bytes.record(sample.alloc_bytes, first);
-        self.execute_micros.record(sample.execute_micros, first);
+        for (i, fact) in tracked() {
+            let value = (fact.value)(report).unwrap_or(0);
+            self.aggregates[i].record(value, first);
+        }
         if let Some(profile) = profile {
             for state in &profile.states {
                 match self.hot_states.iter_mut().find(|h| h.state == state.state) {
@@ -174,7 +141,7 @@ impl ProfileRegistry {
         &self,
         key: u64,
         source: &str,
-        sample: &RunSample,
+        report: &RunReport,
         profile: Option<&StreamProfile>,
     ) {
         let mut inner = self.lock();
@@ -190,7 +157,7 @@ impl ProfileRegistry {
             ..QueryProfile::default()
         });
         entry.last_used = tick;
-        entry.fold(sample, profile);
+        entry.fold(report, profile);
     }
 
     /// Number of queries currently profiled.
@@ -232,17 +199,13 @@ impl ProfileRegistry {
                 "\nquery {key:016x} runs={} source={:?}",
                 p.runs, p.source_preview
             );
-            let rows: [(&str, &Aggregate); 7] = [
-                ("input_events", &p.input_events),
-                ("output_events", &p.output_events),
-                ("peak_live_nodes", &p.peak_live_nodes),
-                ("peak_live_bytes", &p.peak_live_bytes),
-                ("peak_pending_calls", &p.peak_pending_calls),
-                ("alloc_bytes", &p.alloc_bytes),
-                ("execute_micros", &p.execute_micros),
-            ];
-            for (name, agg) in rows {
-                let _ = writeln!(out, "  {name:<20} ewma={:<14.1} max={}", agg.ewma, agg.max);
+            for (i, fact) in tracked() {
+                let agg = &p.aggregates[i];
+                let _ = writeln!(
+                    out,
+                    "  {:<20} ewma={:<14.1} max={}",
+                    fact.key, agg.ewma, agg.max
+                );
             }
             if !p.hot_states.is_empty() {
                 let _ = writeln!(out, "  hot states (expansions / output events):");
@@ -276,6 +239,41 @@ impl ProfileRegistry {
     }
 }
 
+/// The tracked facts with their [`FACTS`] index.
+fn tracked() -> impl Iterator<Item = (usize, &'static Fact)> {
+    FACTS
+        .iter()
+        .enumerate()
+        .filter(|(_, fact)| fact.tracked != Tracked::No)
+}
+
+/// One profiled run as a trace-log JSON line (it rides in the same JSONL
+/// stream as the request traces, told apart by its `"profile"` key): the
+/// tracked facts, then the run's hottest states.
+pub fn profile_record(key: u64, report: &RunReport, profile: &StreamProfile) -> String {
+    let mut out = format!("{{\"profile\":{{\"query\":\"{key:016x}\"");
+    for (_, fact) in tracked() {
+        let name = match fact.tracked {
+            Tracked::As(name) => name,
+            _ => fact.key,
+        };
+        let _ = write!(out, ",\"{name}\":{}", (fact.value)(report).unwrap_or(0));
+    }
+    out.push_str(",\"hot_states\":[");
+    for (i, s) in profile.states.iter().take(8).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"state\":{:?},\"expansions\":{},\"output_events\":{}}}",
+            s.state, s.expansions, s.output_events
+        );
+    }
+    out.push_str("]}}");
+    out
+}
+
 /// First line of the source, truncated to a display-safe preview.
 fn preview(source: &str) -> String {
     let line = source.trim().lines().next().unwrap_or("");
@@ -289,16 +287,22 @@ fn preview(source: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foxq_core::stream::StreamStats;
 
-    fn sample(v: u64) -> RunSample {
-        RunSample {
-            input_events: v,
+    fn sample(v: u64) -> RunReport {
+        let stats = StreamStats {
             output_events: v,
-            peak_live_nodes: v,
-            peak_live_bytes: v * 100,
-            peak_pending_calls: v / 2,
-            alloc_bytes: v * 1_000,
-            execute_micros: v * 10,
+            peak_live_nodes: v as usize,
+            peak_live_bytes: v as usize * 100,
+            peak_pending_calls: v as usize / 2,
+            ..StreamStats::default()
+        };
+        RunReport {
+            stats,
+            input_events: v,
+            alloc_bytes: Some(v * 1_000),
+            execute_micros: Some(v * 10),
+            ..RunReport::default()
         }
     }
 
@@ -310,9 +314,14 @@ mod tests {
         let p = reg.get(1).unwrap();
         assert_eq!(p.runs, 2);
         // First run seeds the EWMA; second moves it by alpha.
-        assert_eq!(p.input_events.ewma, 100.0 + 0.2 * 100.0);
-        assert_eq!(p.input_events.max, 200);
-        assert_eq!(p.peak_live_bytes.max, 20_000);
+        let aggregate = |key| {
+            let i = FACTS.iter().position(|fact| fact.key == key).unwrap();
+            p.aggregates[i]
+        };
+        assert_eq!(aggregate("input_events").ewma, 100.0 + 0.2 * 100.0);
+        assert_eq!(aggregate("input_events").max, 200);
+        assert_eq!(aggregate("peak_live_bytes").max, 20_000);
+        assert_eq!(aggregate("prefiltered_events"), Aggregate::default());
         assert!(reg.render().contains("runs=2"));
     }
 

@@ -8,13 +8,13 @@
 
 use foxq::core::opt::{optimize_with_stats, OptStats};
 use foxq::core::profile::StreamProfiler;
-use foxq::core::stream::{run_streaming_with_observer, StreamLimits, StreamObserver, StreamStats};
+use foxq::core::stream::{run_streaming_with_observer, StreamLimits, StreamObserver};
 use foxq::core::translate::translate;
 use foxq::core::{print_mft, EmissionAnalysis, EmitSink, EmitWriter, Mft};
-use foxq::obs::{Stage, StageTimes};
+use foxq::obs::{micros_since, Stage, StageTimes};
 use foxq::server::{Server, ServerConfig};
 use foxq::service::{
-    run_lanes, BatchDriver, BatchReport, PreparedQuery, QueryCache, QuerySetPlan, SourceCost,
+    run_lanes, BatchDriver, BatchReport, PreparedQuery, QueryCache, QuerySetPlan, RunReport,
 };
 use foxq::store::{Corpus, TapeReader};
 use foxq::xml::{WriterSink, XmlReader};
@@ -427,15 +427,10 @@ fn load_query_timed(
     Ok((opt, Some(stats), times))
 }
 
-/// Elapsed whole microseconds since `start`.
-fn micros_since(start: Instant) -> u64 {
-    start.elapsed().as_micros().min(u64::MAX as u128) as u64
-}
-
-fn cmd_run(opts: Opts, report: bool) -> Result<(), String> {
+fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
     // `foxq stats <tape.fet>`: inspect the tape, no query involved.
     if let [tape] = &opts.args[..] {
-        if report && tape.ends_with(".fet") {
+        if stats && is_tape(tape) {
             return cmd_tape_stats(tape);
         }
     }
@@ -458,13 +453,13 @@ fn cmd_run(opts: Opts, report: bool) -> Result<(), String> {
     }
     let sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
     let t = Instant::now();
-    let (sink, stats, profiled, tape_cost) = if opts.profile {
+    let (sink, report, profiled) = if opts.profile {
         let obs = StreamProfiler::for_mft(&mft);
-        let (sink, stats, obs, cost) = run_query(&mft, input, sink, limits, obs)?;
-        (sink, stats, Some(obs.into_profile(&mft)), cost)
+        let (sink, obs, report) = run_query(&mft, input, sink, limits, obs)?;
+        (sink, report, Some(obs.into_profile(&mft)))
     } else {
-        let (sink, stats, (), cost) = run_query(&mft, input, sink, limits, ())?;
-        (sink, stats, None, cost)
+        let (sink, (), report) = run_query(&mft, input, sink, limits, ())?;
+        (sink, report, None)
     };
     let ran = micros_since(t);
     let mut out = sink.finish().map_err(|e| e.to_string())?;
@@ -472,20 +467,17 @@ fn cmd_run(opts: Opts, report: bool) -> Result<(), String> {
         .and_then(|_| out.flush())
         .map_err(|e| e.to_string())?;
     let wall = micros_since(t);
-    match tape_cost {
+    if input.is_some_and(is_tape) {
         // A tape's stages partition its wall time, the write-out included.
-        Some(cost) => {
-            for (stage, micros) in cost.tape_stages(wall) {
-                times.add(stage, micros);
-            }
+        for (stage, micros) in report.source.tape_stages(wall) {
+            times.add(stage, micros);
         }
-        None => {
-            times.add(Stage::Execute, ran);
-            times.add(Stage::Serialize, wall - ran);
-        }
+    } else {
+        times.add(Stage::Execute, ran);
+        times.add(Stage::Serialize, wall - ran);
     }
-    if report {
-        report_stats(&mft, &stats);
+    if stats {
+        report_stats(&mft, &report);
         if opts.timing {
             report_timing(&times);
         }
@@ -499,25 +491,25 @@ fn cmd_run(opts: Opts, report: bool) -> Result<(), String> {
 /// One query over one input, into `sink` under `obs`. A `.fet` input
 /// replays the pre-parsed tape — by its skip index where the query has a
 /// label projection, seeking over the subtrees the engine is dead in
-/// otherwise — instead of tokenizing XML, and hands back what that cost;
-/// anything else (stdin by default) is XML text for the single-lane loop,
-/// which pays for no fan-out.
+/// otherwise — instead of tokenizing XML, and the report says what that
+/// cost; anything else (stdin by default) is XML text for the single-lane
+/// loop, which pays for no fan-out.
 fn run_query<S: EmitSink, O: StreamObserver>(
     mft: &Mft,
     input: Option<&str>,
     sink: S,
     limits: StreamLimits,
     obs: O,
-) -> Result<(S, StreamStats, O, Option<SourceCost>), String> {
-    if let Some(path) = input.filter(|path| path.ends_with(".fet")) {
+) -> Result<(S, O, RunReport), String> {
+    if let Some(path) = input.filter(|path| is_tape(path)) {
         let tape = TapeReader::open_file(std::path::Path::new(path))
             .map_err(|e| format!("cannot open tape {path}: {e}"))?;
         let plan = QuerySetPlan::new([mft]);
         let run = run_lanes(&[mft], tape, vec![(sink, obs)], limits, &plan)
             .map_err(|e| format!("{path}: {e}"))?;
-        let lane = run.results.into_iter().next().expect("one lane");
-        let (sink, stats, obs) = lane.map_err(|e| e.to_string())?;
-        return Ok((sink, stats, obs, Some(run.source)));
+        let lane = run.into_reports().next().expect("one lane");
+        let (sink, obs, report) = lane.map_err(|e| e.to_string())?;
+        return Ok((sink, obs, report));
     }
     let reader: Box<dyn Read> = match input {
         Some(path) => {
@@ -528,7 +520,18 @@ fn run_query<S: EmitSink, O: StreamObserver>(
     let (sink, stats, obs) =
         run_streaming_with_observer(mft, XmlReader::new(reader), sink, limits, obs)
             .map_err(|e| e.to_string())?;
-    Ok((sink, stats, obs, None))
+    // Text skips nothing without scanning it: the source cost is zero.
+    let report = RunReport {
+        stats,
+        input_events: stats.events + stats.prefiltered_events,
+        ..RunReport::default()
+    };
+    Ok((sink, obs, report))
+}
+
+/// Whether `path` names a stored event tape.
+fn is_tape(path: &str) -> bool {
+    path.ends_with(".fet")
 }
 
 /// `foxq stats <tape.fet>`: footer facts, no replay. FET2 tapes get the
@@ -603,7 +606,8 @@ fn cmd_tape_stats(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn report_stats(mft: &Mft, stats: &StreamStats) {
+fn report_stats(mft: &Mft, report: &RunReport) {
+    let (stats, source) = (&report.stats, &report.source);
     eprintln!("events:            {}", stats.events);
     eprintln!(
         "  open / close:    {} / {}",
@@ -637,12 +641,12 @@ fn report_stats(mft: &Mft, stats: &StreamStats) {
     if stats.first_emit_events > 0 {
         eprintln!("  first emit:      at event {}", stats.first_emit_events);
     }
-    if stats.prefiltered_events > 0 || stats.seek_skipped_bytes > 0 {
+    if stats.prefiltered_events > 0 || source.seek_skipped_bytes > 0 {
         eprintln!("prefiltered:       {} events", stats.prefiltered_events);
-        eprintln!("seek-skipped:      {} bytes", stats.seek_skipped_bytes);
+        eprintln!("seek-skipped:      {} bytes", source.seek_skipped_bytes);
     }
-    if stats.index_skipped_bytes > 0 {
-        eprintln!("index-skipped:     {} bytes", stats.index_skipped_bytes);
+    if source.index_skipped_bytes > 0 {
+        eprintln!("index-skipped:     {} bytes", source.index_skipped_bytes);
     }
 }
 
@@ -760,7 +764,8 @@ fn print_report(
     for (doc, row) in docs.iter().zip(&report.cells) {
         for (qfile, cell) in opts.queries.iter().zip(row) {
             writeln!(out, "### {doc} {qfile}").map_err(|e| e.to_string())?;
-            if let (true, Some(stats)) = (opts.stats, &cell.stats) {
+            if let (true, Some(report)) = (opts.stats, &cell.report) {
+                let stats = &report.stats;
                 eprintln!(
                     "{doc} {qfile}: {} output events, peak {} nodes / {} bytes",
                     stats.output_events, stats.peak_live_nodes, stats.peak_live_bytes

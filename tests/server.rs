@@ -951,6 +951,59 @@ fn copying_doc_query_seeks_over_dead_subtrees() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A streamed reply's `Trailer:` header declares exactly the trailers it
+/// then sends, in order — over a request body and over a stored document,
+/// which adds the tape skip counters.
+#[test]
+fn streamed_replies_declare_exactly_the_trailers_they_send() {
+    let dir = std::env::temp_dir().join(format!("foxq-server-trailer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = start(ServerConfig {
+        corpus_dir: Some(dir.to_string_lossy().into_owned()),
+        ..test_config()
+    });
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let body = doc(&["Jim", "Li"]);
+    let r = c.request("POST", "/corpus/alpha", &[], &body).unwrap();
+    assert_eq!(r.status, 200);
+    let over_body = format!("{}&stream=1", client::query_target(PERSON_NAMES));
+    let over_doc = format!(
+        "{}&stream=1",
+        client::query_doc_target(PERSON_NAMES, "alpha")
+    );
+    for (target, body, doc_trailers) in [(over_body, &body[..], 0), (over_doc, &[][..], 2)] {
+        let r = c.request("POST", &target, &[], body).unwrap();
+        assert_eq!((r.status, r.text().as_str()), (200, "<o>JimLi</o>"));
+        let declared: Vec<&str> = r.header("trailer").unwrap().split(", ").collect();
+        let sent: Vec<&str> = r.trailers.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(declared, sent, "{target}");
+        assert_eq!(sent.len(), 8 + doc_trailers, "{target}");
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/batch` reports each successful lane's buffer peaks to `/metrics`, as
+/// `/query` does: one observation per lane.
+#[test]
+fn batch_lanes_observe_the_peak_histograms() {
+    let handle = start(test_config());
+    let addr = handle.local_addr();
+    let peaks = || {
+        let text = client::get(addr, "/metrics").unwrap().text();
+        (
+            metric(&text, "foxq_live_nodes_peak_count"),
+            metric(&text, "foxq_live_bytes_peak_count"),
+        )
+    };
+    assert_eq!(peaks(), (0, 0));
+    let target = client::batch_target([PERSON_NAMES, "<n>{$input//item}</n>"]);
+    let r = client::post(addr, &target, &doc(&["Jim"])).unwrap();
+    assert_eq!(r.header("x-foxq-failed-lanes"), Some("0"));
+    assert_eq!(peaks(), (2, 2));
+    handle.shutdown();
+}
+
 /// A run that fails after the head is on the wire cannot be un-sent: the
 /// server truncates the chunked body (no terminating zero chunk) and closes,
 /// which a conforming client must treat as an incomplete response.

@@ -182,18 +182,16 @@ fn prefilter_on_and_off_agree_on_the_tape_path() {
     // index skips at least as much as the scan path seeks (it also jumps
     // over frames the scan has to decode just to test the label).
     assert!(c_stats.index_skipped_bytes > 0, "index path never skipped");
-    assert_eq!(c_stats.seek_skipped_bytes, 0);
     assert_eq!(
         indexed.source.index_skipped_bytes,
         c_stats.index_skipped_bytes
     );
     assert_eq!(indexed.source.seek_skipped_bytes, 0);
-    assert!(c2_stats.seek_skipped_bytes > 0, "seek path never seeked");
+    assert!(seek.source.seek_skipped_bytes > 0, "seek path never seeked");
     assert_eq!(c2_stats.index_skipped_bytes, 0);
-    assert_eq!(seek.source.seek_skipped_bytes, c2_stats.seek_skipped_bytes);
-    assert!(c_stats.index_skipped_bytes >= c2_stats.seek_skipped_bytes);
-    assert_eq!(a_stats.seek_skipped_bytes, 0);
-    assert_eq!(b_stats.seek_skipped_bytes, 0);
+    assert!(c_stats.index_skipped_bytes >= seek.source.seek_skipped_bytes);
+    assert_eq!(reparse.source.seek_skipped_bytes, 0);
+    assert_eq!(replay.source.seek_skipped_bytes, 0);
 }
 
 #[test]
@@ -754,7 +752,7 @@ fn q13_reads_a_tenth_of_the_2mib_xmark_tape() {
         "Q13 was fed {} of {tape_events} events",
         stats.events
     );
-    assert!(stats.seek_skipped_bytes * 10 >= tape.len() as u64 * 7);
+    assert!(run.source.seek_skipped_bytes * 10 >= tape.len() as u64 * 7);
     let reparsed = q13
         .run_to_string(xml.as_bytes(), StreamLimits::default())
         .unwrap();

@@ -25,6 +25,12 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use std::io::Read;
 
+/// A debug build takes every `STRIDE`th read size, cut and mutated byte —
+/// a different residue per document, so together they still touch every
+/// offset class; a release build (CI's
+/// `cargo test --release --test xml_windows`) takes them all.
+const STRIDE: usize = if cfg!(debug_assertions) { 4 } else { 1 };
+
 const MODES: [WhitespaceMode; 3] = [
     WhitespaceMode::SkipWhitespaceOnly,
     WhitespaceMode::Preserve,
@@ -246,16 +252,16 @@ fn corpus() -> Vec<Vec<u8>> {
 
 #[test]
 fn corpus_agrees_with_the_oracle_however_it_is_cut() {
-    for doc in corpus() {
+    for (d, doc) in corpus().into_iter().enumerate() {
         for ws in MODES {
             let expected = oracle(&doc, ws);
             // Reads of one size …
-            for size in 1..=64 {
+            for size in (1 + d % STRIDE..=64).step_by(STRIDE) {
                 let got = windowed(&doc, ws, std::iter::repeat(size));
                 assert_eq!(got, expected, "{ws:?}, reads of {size}: {}", show(&doc));
             }
             // … and two reads that meet at each byte.
-            for cut in 0..=doc.len() {
+            for cut in (d % STRIDE..=doc.len()).step_by(STRIDE) {
                 let got = windowed(&doc, ws, std::iter::once(cut));
                 assert_eq!(got, expected, "{ws:?}, cut at {cut}: {}", show(&doc));
             }
@@ -283,12 +289,13 @@ fn the_corpus_reaches_every_error_variant() {
 const INTERESTING: &[u8] = b"<>&;\"'/!-]?[=# D\xffa\n";
 
 /// Every truncation, deletion, bit flip and substitution of an
-/// [`INTERESTING`] byte, at every byte of every corpus document.
+/// [`INTERESTING`] byte, at every byte of every corpus document (every
+/// [`STRIDE`]th byte in a debug build).
 fn for_each_mutant(check: &mut dyn FnMut(&[u8])) {
     let mut docs = corpus();
     docs.pop(); // the concatenation is long and made of the others
-    for doc in docs {
-        for at in 0..doc.len() {
+    for (d, doc) in docs.into_iter().enumerate() {
+        for at in (d % STRIDE..doc.len()).step_by(STRIDE) {
             check(&doc[..at]);
             check(&[&doc[..at], &doc[at + 1..]].concat());
             let mut flipped = doc.clone();
@@ -318,7 +325,7 @@ fn every_mutation_of_the_corpus_agrees_with_the_oracle() {
         }
     };
     for_each_mutant(&mut check);
-    assert!(mutants > 50_000, "{mutants} mutants");
+    assert!(mutants > 50_000 / STRIDE as u64, "{mutants} mutants");
 }
 
 // ---- skimming: `skip_subtree` against the oracle, projected ----------------
@@ -416,7 +423,7 @@ fn every_mutation_of_the_corpus_skims_as_the_oracle_reads_it() {
         }
     };
     for_each_mutant(&mut check);
-    assert!(mutants > 50_000, "{mutants} mutants");
+    assert!(mutants > 50_000 / STRIDE as u64, "{mutants} mutants");
 }
 
 // ---- (b) generated documents ----------------------------------------------
