@@ -12,17 +12,21 @@
 //! * [`TapeWriter`] streams events to disk in one pass with constant memory
 //!   (O(depth) bookkeeping plus a fixed-size write buffer); text payloads
 //!   are LZ-compressed per frame, posting lists accumulate per label.
-//! * [`TapeReader`] implements the engine's event-source interface
-//!   ([`foxq_xml::EventSource`]); its `skip_subtree` is a seek
-//!   ([`TapeReader::skip_subtree`] is the same operation, also reporting
-//!   the bytes it saved). File-opened readers sit on a
-//!   [`TapeInput`] — a raw memory map when the platform grants one
-//!   (zero-copy, page-cache-friendly), buffered file I/O otherwise.
-//! * [`IndexedReplay`] (built by [`index_drive`]) merges the matched
-//!   labels' posting lists and delivers exactly the events the shared
-//!   label prefilter would — cost proportional to the answer, not the
-//!   document. It has the same [`IndexedReplay::skip_subtree`], so a
-//!   driver drops a delivered subtree the same way on either path.
+//! * [`TapeReader`] is the one tape cursor: one frame decoder, reading
+//!   through the input's window, and one frame stack on which every close
+//!   is settled by one verification rule. It implements the engine's
+//!   event-source interface ([`foxq_xml::EventSource`]); its
+//!   `skip_subtree` is a seek ([`TapeReader::skip_subtree`] is the same
+//!   operation, also reporting the bytes it saved). File-opened readers
+//!   sit on a [`TapeInput`] — a raw memory map when the platform grants
+//!   one (zero-copy, page-cache-friendly), buffered file I/O otherwise.
+//! * [`IndexedReplay`] (built by [`index_drive`]) selects candidates: it
+//!   merges the matched labels' posting lists and has the cursor open the
+//!   frame at each surviving posting or close the innermost one, so it
+//!   delivers exactly the events the shared label prefilter would — cost
+//!   proportional to the answer, not the document. Its
+//!   [`IndexedReplay::skip_subtree`] is the cursor's, so a driver drops a
+//!   delivered subtree the same way on either path.
 //! * [`Corpus`] manages a directory of tapes with a durable manifest
 //!   (doc id → file, version, byte/event counts, checksum) and can
 //!   [`Corpus::migrate`] FET1 tapes to FET2 in place.
@@ -97,12 +101,15 @@
 //! events of the subtree it terminates, *its own open and close included*
 //! (a leaf carries 2). A seeking reader learns the event count of what it
 //! skipped from the close frame alone, keeping downstream event accounting
-//! exact. The count is not covered by the subtree hash, so readers check
-//! it themselves: at every decoded close against the events replayed since
-//! the matching open (skipped children counted by *their* stored counts),
-//! at `Eof` against the footer's `event_count`, and at a skip — where
-//! nothing was replayed — for being at least 2 and at most what is left
-//! of the tape; any mismatch is [`StoreError::Corrupt`].
+//! exact. The count is not covered by the subtree hash, so the reader
+//! checks it at every close, however it got there — decoded in order,
+//! reached by a seek, or reached by the skip index: against the events
+//! replayed since the matching open (skipped children counted by *their*
+//! stored counts) exactly when the subtree was decoded without gaps, and
+//! otherwise for lying between what was replayed and what is left of the
+//! tape; `Eof` is checked the same way against the footer's
+//! `event_count`. The same close must also sit where its open frame's
+//! `close_delta` points. Any mismatch is [`StoreError::Corrupt`].
 //!
 //! **Compositional checksums.** FET2 hashes each node independently with
 //! FNV-1a 64 (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`):
@@ -117,6 +124,22 @@
 //! parent, so every enclosing check — including the document hash at
 //! `Eof` — survives partial replays. Corruption inside a fully-skipped
 //! subtree is undetectable by construction (its bytes are never read).
+//!
+//! **What is not hashed.** The footer's label table, counts and posting
+//! lists are outside every hash. A replay that decodes every frame still
+//! notices damage to a label name (it is folded into the hash of each node
+//! that carries it), but two paths act on these bytes without decoding
+//! what they decide about: the skip index picks the frames it delivers
+//! from the posting lists and the label table, and a seek is decided on
+//! the label of the open frame it skips — whose only cover is the skipped
+//! subtree's stored hash, folded in unverified. Damage there can change
+//! the answer without an error. `tests/tape_mutations.rs` truncates and
+//! bit-flips every byte of a small FET1/FET2 corpus (7,902 mutants) and
+//! reads each on three paths: the full scan never answered differently;
+//! the index answered differently on 336, all in the footer; a seeking
+//! run did on 112 where the damage moved a seek (14 label ids in open
+//! frames, 98 bytes of the label table). Closing that gap is a format
+//! change: a hash over the label table and the index section.
 //!
 //! **FET1.** Version-1 tapes (magic `"FET1"`) remain fully readable:
 //! `OpenText` is `varint byte_len · bytes` (uncompressed), `Close` carries
@@ -166,6 +189,6 @@ pub use corpus::{ingest_xml_to_tmp, Corpus, DocMeta};
 pub use cursor::{index_drive, IndexedReplay, TapeDrive};
 pub use mmap::{Mmap, TapeInput};
 pub use tape::{
-    ingest_xml_to_tape, ingest_xml_to_tape_v1, inspect, PostingDirEntry, SkippedSubtree,
-    StoreError, TapeInfo, TapeReader, TapeWriter, FLAG_DELTA_OVERFLOW, FLAG_TEXT_CHILDREN,
+    ingest_xml_to_tape, ingest_xml_to_tape_v1, PostingDirEntry, SkippedSubtree, StoreError,
+    TapeInfo, TapeReader, TapeWriter, FLAG_DELTA_OVERFLOW, FLAG_TEXT_CHILDREN,
 };

@@ -194,6 +194,7 @@ impl Read for TapeInput {
 }
 
 impl BufRead for TapeInput {
+    #[inline]
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
         match self {
             TapeInput::Mapped { map, pos } => {
@@ -205,6 +206,7 @@ impl BufRead for TapeInput {
         }
     }
 
+    #[inline]
     fn consume(&mut self, amt: usize) {
         match self {
             TapeInput::Mapped { pos, .. } => *pos += amt as u64,

@@ -1,4 +1,4 @@
-//! The FET tape: writer, reader, inspection.
+//! The FET tape: writer and reader.
 //!
 //! See the crate-level docs for the byte layouts (FET2, and the legacy
 //! FET1 this crate still reads). Everything here is plain `std` I/O: the
@@ -28,10 +28,10 @@ pub const TAPE_START: u64 = 13;
 /// Offset of the backpatched `footer_offset` field.
 const FOOTER_OFFSET_AT: u64 = 5;
 
-pub(crate) const TAG_EOF: u8 = 0x00;
-pub(crate) const TAG_OPEN_ELEM: u8 = 0x01;
-pub(crate) const TAG_OPEN_TEXT: u8 = 0x02;
-pub(crate) const TAG_CLOSE: u8 = 0x03;
+const TAG_EOF: u8 = 0x00;
+const TAG_OPEN_ELEM: u8 = 0x01;
+const TAG_OPEN_TEXT: u8 = 0x02;
+const TAG_CLOSE: u8 = 0x03;
 
 /// `close_delta` sentinel: subtree spans ≥ 4 GiB, scan instead of seeking.
 const DELTA_OVERFLOW: u32 = u32::MAX;
@@ -674,21 +674,6 @@ pub struct SkippedSubtree {
     pub bytes: u64,
 }
 
-/// Seek target of the most recently returned open event.
-#[derive(Debug, Clone, Copy)]
-struct SkipHandle {
-    close_at: u64,
-}
-
-/// One open node on the reader's stack: its label, (v2) the compositional
-/// hash accumulated so far, and the tape position of its open event.
-struct OpenNode {
-    label: Label,
-    hash: EventHash,
-    /// [`TapeReader::position`] right after this node's open.
-    opened_at: u64,
-}
-
 /// Location of one posting list inside a FET2 footer.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingDirEntry {
@@ -700,38 +685,159 @@ pub struct PostingDirEntry {
     pub bytes: u64,
 }
 
-/// Replays a FET tape as parse events, without re-tokenizing any XML.
+/// Longest frame head: a tag and two 10-byte varints (an open text's
+/// lengths), or a tag, a varint and a 4-byte field.
+const MAX_HEAD: usize = 21;
+
+const TRUNCATED: &str = "tape truncated mid-frame";
+
+/// A frame's fixed part, as [`parse_head`] reads it.
+enum Head {
+    Elem {
+        id: u64,
+        close_delta: u32,
+    },
+    /// The payload and the `close_delta` follow.
+    Text {
+        raw_len: u64,
+        enc_len: u64,
+    },
+    Close {
+        events: u64,
+        hash: Option<u32>,
+    },
+    Eof,
+}
+
+/// Parse the frame head at the start of `b`: the head and its length, or
+/// the index in `b` where it fails ([`bad_head`] says why). The one place
+/// a frame tag is read. FET1's two differences from FET2 live here: its
+/// text is stored raw (it reads as `enc_len = raw_len`), and its closes
+/// carry no hash.
+#[inline(always)]
+fn parse_head(b: &[u8], v1: bool) -> Result<(Head, usize), usize> {
+    let mut i = 1;
+    let field = |i: &mut usize| {
+        let bytes = b.get(*i..*i + 4).ok_or(*i)?;
+        *i += 4;
+        Ok::<_, usize>(u32::from_le_bytes(bytes.try_into().unwrap()))
+    };
+    let head = match *b.first().ok_or(0usize)? {
+        TAG_OPEN_ELEM => Head::Elem {
+            id: slice_varint(b, &mut i).ok_or(i)?,
+            close_delta: field(&mut i)?,
+        },
+        TAG_OPEN_TEXT => {
+            let raw_len = slice_varint(b, &mut i).ok_or(i)?;
+            let enc_len = if v1 {
+                raw_len
+            } else {
+                slice_varint(b, &mut i).ok_or(i)?
+            };
+            Head::Text { raw_len, enc_len }
+        }
+        TAG_CLOSE => Head::Close {
+            events: slice_varint(b, &mut i).ok_or(i)?,
+            hash: if v1 { None } else { Some(field(&mut i)?) },
+        },
+        TAG_EOF => Head::Eof,
+        _ => return Err(0),
+    };
+    Ok((head, i))
+}
+
+/// Why [`parse_head`] failed at index `i` of `b`, a frame starting at
+/// offset `at`.
+#[cold]
+fn bad_head(at: u64, b: &[u8], i: usize) -> StoreError {
+    let msg = match b.first() {
+        Some(tag) if i == 0 => format!("unknown frame tag {tag:#04x}"),
+        _ if i >= b.len() => TRUNCATED.to_string(),
+        _ => "varint overflows u64".to_string(),
+    };
+    StoreError::Corrupt {
+        offset: at + i as u64,
+        msg,
+    }
+}
+
+/// One frame, decoded at the read position.
+enum Decoded {
+    /// An element's open frame: its label id (checked against the label
+    /// table) and `close_delta`.
+    Elem {
+        id: u64,
+        close_delta: u32,
+    },
+    /// A text's open frame: its content and `close_delta`.
+    Text {
+        text: Arc<str>,
+        close_delta: u32,
+    },
+    /// `subtree_events` and (FET2) `subtree_hash`.
+    Close {
+        events: u64,
+        hash: Option<u32>,
+    },
+    Eof,
+}
+
+/// One open node on the reader's frame stack. `stack[0]` is a virtual
+/// document root whose close frame is the `Eof` tag, so roots need no
+/// special case; a node's depth is its index.
+struct Frame {
+    label: Label,
+    /// Offset of the close frame's tag; `None` when `close_delta`
+    /// overflowed.
+    close_at: Option<u64>,
+    /// FET2 compositional hash of what was decoded so far.
+    hash: EventHash,
+    /// Every child so far was decoded, adjacent to its predecessor.
+    complete: bool,
+    /// Where the next child frame starts while the subtree has no gaps.
+    next_at: u64,
+    /// [`TapeReader::events_read`] right after this node's open.
+    opened_at: u64,
+}
+
+/// Replays a FET tape as parse events, without re-tokenizing any XML —
+/// the one tape cursor. The scan pulls frames in order
+/// ([`TapeReader::next_event`]); [`TapeReader::skip_subtree`] seeks to a
+/// close; the skip index ([`crate::IndexedReplay`]) jumps from candidate
+/// to candidate and asks this reader to open the frame there or to close
+/// the top one.
 ///
-/// After an `Open` event, [`TapeReader::skippable`] tells whether the
-/// subtree can be seeked over ([`TapeReader::skip_subtree`]); drivers use
-/// that to drop a subtree no query can use in O(1). On v1
-/// tapes, a replay that never seeks verifies the footer checksum at
-/// `Eof`; on v2 tapes every decoded subtree is verified against its close
-/// frame's stored hash — seeks included, because a skipped child's stored
-/// hash is folded into its parent.
+/// Every close, however it was reached, is settled by one rule: the close
+/// frame must sit where its open said; its event count must be exact for a
+/// subtree decoded without gaps, and otherwise between what was replayed
+/// and what is left; its hash is checked when there were no gaps; its
+/// stored hash is folded into the parent. `Eof` is the virtual root's
+/// close, checked against the footer's event count and document hash. A
+/// skipped child is no gap — its stored hash stands in for it — so on FET2
+/// every decoded subtree is verified, seeks included. FET1 has one stream
+/// hash, which the first seek forfeits.
 pub struct TapeReader<R> {
-    pub(crate) input: R,
+    input: R,
     /// Absolute offset of the next unread byte.
-    pub(crate) offset: u64,
+    offset: u64,
     pub(crate) footer_offset: u64,
-    pub(crate) labels: Vec<Label>,
-    pub(crate) info: TapeInfo,
+    labels: Vec<Label>,
+    info: TapeInfo,
     /// FET2 skip index: one entry per element label (label-id order), then
     /// the text-node list. Empty on v1 tapes.
-    pub(crate) postings_dir: Vec<PostingDirEntry>,
-    open_stack: Vec<OpenNode>,
-    last_open: Option<SkipHandle>,
+    postings_dir: Vec<PostingDirEntry>,
+    stack: Vec<Frame>,
     /// Open/close events of the tape behind the read position: the ones
-    /// returned plus everything [`TapeReader::skip_subtree`] jumped over.
-    /// Every close frame's `subtree_events` is checked against it.
+    /// returned, plus each closed subtree's stored count for what was not.
     position: u64,
-    pub(crate) seek_skipped_bytes: u64,
+    seek_skipped_bytes: u64,
     seek_micros: u64,
-    hash: EventHash,
-    /// v1 only: cleared on the first seek (a partial v1 replay cannot
-    /// checksum). v2 replays always verify.
-    verify: bool,
+    /// FET1's single stream hash; the first seek clears it (a partial FET1
+    /// replay cannot checksum). `None` on FET2.
+    stream: Option<EventHash>,
     finished: bool,
+    /// Where a frame cut by a buffered input's window edge is read.
+    scratch: Vec<u8>,
 }
 
 impl TapeReader<TapeInput> {
@@ -740,6 +846,14 @@ impl TapeReader<TapeInput> {
     pub fn open_file(path: &Path) -> Result<Self, StoreError> {
         TapeReader::new(TapeInput::open(std::fs::File::open(path)?))
     }
+}
+
+#[cold]
+fn corrupt<T>(offset: u64, msg: impl Into<String>) -> Result<T, StoreError> {
+    Err(StoreError::Corrupt {
+        offset,
+        msg: msg.into(),
+    })
 }
 
 impl<R: BufRead + Seek> TapeReader<R> {
@@ -756,57 +870,47 @@ impl<R: BufRead + Seek> TapeReader<R> {
         } else if head[..4] == MAGIC {
             VERSION
         } else {
-            return Err(StoreError::Corrupt {
-                offset: 0,
-                msg: "bad magic (not a FET tape)".into(),
-            });
+            return corrupt(0, "bad magic (not a FET tape)");
         };
         if head[4] != version {
-            return Err(StoreError::Corrupt {
-                offset: 4,
-                msg: format!(
-                    "version byte {} contradicts the {} magic",
-                    head[4],
-                    if version == VERSION_V1 {
-                        "FET1"
-                    } else {
-                        "FET2"
-                    }
-                ),
-            });
+            let magic = if version == VERSION_V1 {
+                "FET1"
+            } else {
+                "FET2"
+            };
+            return corrupt(
+                4,
+                format!("version byte {} contradicts the {magic} magic", head[4]),
+            );
         }
         let footer_offset = u64::from_le_bytes(head[5..13].try_into().unwrap());
-        if footer_offset < TAPE_START || footer_offset >= file_bytes {
-            return Err(StoreError::Corrupt {
-                offset: FOOTER_OFFSET_AT,
-                msg: format!("footer offset {footer_offset} outside the file ({file_bytes} bytes)"),
-            });
+        // The Eof tag sits between the header and the footer.
+        if footer_offset <= TAPE_START || footer_offset >= file_bytes {
+            return corrupt(
+                FOOTER_OFFSET_AT,
+                format!("footer offset {footer_offset} outside the file ({file_bytes} bytes)"),
+            );
         }
         input.seek(SeekFrom::Start(footer_offset))?;
         let mut at = footer_offset;
         let label_count = read_varint(&mut input, &mut at)?;
-        if label_count > MAX_LABELS {
-            return Err(StoreError::Corrupt {
-                offset: at,
-                msg: format!("implausible label count {label_count}"),
-            });
+        // Every entry takes at least a byte: a count the footer cannot
+        // hold must not size an allocation.
+        if label_count > MAX_LABELS || label_count > file_bytes - at {
+            return corrupt(at, format!("implausible label count {label_count}"));
         }
         let mut labels = Vec::with_capacity(label_count as usize);
         for _ in 0..label_count {
             let len = read_varint(&mut input, &mut at)?;
             if len > MAX_NAME_LEN {
-                return Err(StoreError::Corrupt {
-                    offset: at,
-                    msg: format!("implausible label length {len}"),
-                });
+                return corrupt(at, format!("implausible label length {len}"));
             }
             let mut name = vec![0u8; len as usize];
             read_exact_at(&mut input, &mut name, at)?;
             at += len;
-            let name = String::from_utf8(name).map_err(|_| StoreError::Corrupt {
-                offset: at,
-                msg: "label table entry is not UTF-8".into(),
-            })?;
+            let Ok(name) = String::from_utf8(name) else {
+                return corrupt(at, "label table entry is not UTF-8");
+            };
             labels.push(Label::elem(name));
         }
         let events = read_varint(&mut input, &mut at)?;
@@ -823,10 +927,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
             at += 1;
             flags = b[0];
             if flags & !KNOWN_FLAGS != 0 {
-                return Err(StoreError::Corrupt {
-                    offset: at - 1,
-                    msg: format!("unknown footer flags {flags:#04x}"),
-                });
+                return corrupt(at - 1, format!("unknown footer flags {flags:#04x}"));
             }
             let index_start = at;
             // One list per element label, then one text bucket per
@@ -836,10 +937,10 @@ impl<R: BufRead + Seek> TapeReader<R> {
                 let count = read_varint(&mut input, &mut at)?;
                 let len = read_varint(&mut input, &mut at)?;
                 if count > events || len > file_bytes.saturating_sub(at) {
-                    return Err(StoreError::Corrupt {
-                        offset: at,
-                        msg: format!("implausible posting list ({count} entries, {len} bytes)"),
-                    });
+                    return corrupt(
+                        at,
+                        format!("implausible posting list ({count} entries, {len} bytes)"),
+                    );
                 }
                 postings_dir.push(PostingDirEntry {
                     count,
@@ -859,6 +960,14 @@ impl<R: BufRead + Seek> TapeReader<R> {
         let checksum = u64::from_le_bytes(sum);
         input.seek(SeekFrom::Start(TAPE_START))?;
         let label_count = labels.len();
+        let root = Frame {
+            label: Label::elem(""),
+            close_at: Some(footer_offset - 1), // the Eof tag
+            hash: EventHash::new(),
+            complete: true,
+            next_at: TAPE_START,
+            opened_at: 0,
+        };
         Ok(TapeReader {
             input,
             offset: TAPE_START,
@@ -879,14 +988,13 @@ impl<R: BufRead + Seek> TapeReader<R> {
                 postings,
             },
             postings_dir,
-            open_stack: Vec::new(),
-            last_open: None,
+            stack: vec![root],
             position: 0,
             seek_skipped_bytes: 0,
             seek_micros: 0,
-            hash: EventHash::new(),
-            verify: true,
+            stream: (version == VERSION_V1).then(EventHash::new),
             finished: false,
+            scratch: Vec::new(),
         })
     }
 
@@ -933,274 +1041,400 @@ impl<R: BufRead + Seek> TapeReader<R> {
         self.seek_micros
     }
 
-    fn corrupt<T>(&self, msg: impl Into<String>) -> Result<T, StoreError> {
-        Err(StoreError::Corrupt {
-            offset: self.offset,
-            msg: msg.into(),
-        })
+    /// At least `n` bytes at the read position — fewer only where the file
+    /// ends — without consuming them, and whether they are the input's
+    /// window. They are whenever it holds `n` bytes, which mapped and
+    /// in-memory inputs always do; at the window edge of a buffered file
+    /// they are read into `scratch` instead.
+    #[inline(always)]
+    fn peek(&mut self, n: usize) -> Result<(&[u8], bool), StoreError> {
+        if self.input.fill_buf()?.len() >= n {
+            return Ok((self.input.fill_buf()?, true));
+        }
+        self.scratch.clear();
+        self.scratch.resize(n, 0);
+        let mut got = 0;
+        while got < n {
+            match self.input.read(&mut self.scratch[got..]) {
+                Ok(0) => break,
+                Ok(k) => got += k,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        self.scratch.truncate(got);
+        Ok((&self.scratch, false))
     }
 
-    fn read_u8(&mut self) -> Result<u8, StoreError> {
-        let mut b = [0u8];
-        read_exact_at(&mut self.input, &mut b, self.offset)?;
-        self.offset += 1;
-        Ok(b[0])
+    /// Consume `n` bytes of what [`TapeReader::peek`] returned.
+    #[inline(always)]
+    fn advance(&mut self, n: usize, from_window: bool) -> Result<(), StoreError> {
+        self.offset += n as u64;
+        if from_window {
+            self.input.consume(n);
+        } else {
+            self.input.seek(SeekFrom::Start(self.offset))?;
+        }
+        Ok(())
     }
 
-    fn read_varint_here(&mut self) -> Result<u64, StoreError> {
-        read_varint(&mut self.input, &mut self.offset)
+    /// The one frame decoder: the frame at the read position, through the
+    /// input's window. (It and the other per-frame steps are
+    /// `#[inline(always)]`: an index replay took 15–20% longer per frame
+    /// when the compiler chose to call them.)
+    #[inline(always)]
+    fn read_frame(&mut self) -> Result<Decoded, StoreError> {
+        let at = self.offset;
+        let v1 = self.info.version == VERSION_V1;
+        let (window, from_window) = self.peek(MAX_HEAD)?;
+        let (head, used) = match parse_head(window, v1) {
+            Ok(parsed) => parsed,
+            Err(i) => return Err(bad_head(at, window, i)),
+        };
+        self.advance(used, from_window)?;
+        match head {
+            Head::Elem { id, .. } if id >= self.labels.len() as u64 => {
+                let n = self.labels.len();
+                corrupt(at, format!("label id {id} out of range ({n} in table)"))
+            }
+            Head::Elem { id, close_delta } => Ok(Decoded::Elem { id, close_delta }),
+            Head::Text { raw_len, enc_len } => self.read_text(raw_len, enc_len),
+            Head::Close { events, hash } => Ok(Decoded::Close { events, hash }),
+            Head::Eof => Ok(Decoded::Eof),
+        }
     }
 
-    /// Read a v2 text frame's payload (after the two length varints),
-    /// decompressing when stored compressed.
-    pub(crate) fn read_text_payload(
-        &mut self,
-        raw_len: u64,
-        enc_len: u64,
-    ) -> Result<Vec<u8>, StoreError> {
-        if enc_len > self.footer_offset.saturating_sub(self.offset) {
-            return self.corrupt(format!(
-                "text encoding ({enc_len} bytes) runs past the tape"
-            ));
+    /// The rest of an open text frame: the payload, decompressed when it
+    /// is stored compressed, and `close_delta`.
+    #[inline(never)]
+    fn read_text(&mut self, raw_len: u64, enc_len: u64) -> Result<Decoded, StoreError> {
+        // Bound both lengths before anything is sized by them; the
+        // saturating form stays correct for a length near u64::MAX.
+        let here = self.offset;
+        if enc_len > self.footer_offset.saturating_sub(here) {
+            return corrupt(
+                here,
+                format!("text encoding ({enc_len} bytes) runs past the tape"),
+            );
         }
         if raw_len > enc_len.saturating_mul(MAX_EXPANSION) {
-            return self.corrupt(format!(
-                "implausible text expansion ({enc_len} encoded bytes claim {raw_len} raw)"
-            ));
+            return corrupt(
+                here,
+                format!("implausible text expansion ({enc_len} encoded bytes claim {raw_len} raw)"),
+            );
         }
         if raw_len < enc_len {
-            return self.corrupt(format!(
-                "text encoding ({enc_len} bytes) longer than its payload ({raw_len})"
-            ));
+            return corrupt(
+                here,
+                format!("text encoding ({enc_len} bytes) longer than its payload ({raw_len})"),
+            );
         }
-        let mut enc = vec![0u8; enc_len as usize];
-        read_exact_at(&mut self.input, &mut enc, self.offset)?;
-        self.offset += enc_len;
-        if enc_len == raw_len {
-            return Ok(enc); // stored raw
-        }
-        match lz::decompress(&enc, raw_len as usize) {
-            Some(raw) => Ok(raw),
-            None => self.corrupt("text payload fails to decompress"),
-        }
-    }
-
-    /// Fold a closed (or skipped) child subtree's stored hash into its
-    /// parent — or into the document hash for a root (v2).
-    fn fold_child(&mut self, trunc: u32) {
-        match self.open_stack.last_mut() {
-            Some(parent) => parent.hash.child(trunc),
-            None => self.hash.child(trunc),
-        }
-    }
-
-    /// Pull the next event. After `Eof`, keeps returning `Eof`.
-    pub fn next_event(&mut self) -> Result<XmlEvent, StoreError> {
-        self.last_open = None;
-        if self.finished {
-            return Ok(XmlEvent::Eof);
-        }
-        match self.read_u8()? {
-            TAG_OPEN_ELEM => {
-                let id = self.read_varint_here()?;
-                let Some(label) = self.labels.get(id as usize).cloned() else {
-                    return self.corrupt(format!(
-                        "label id {id} out of range ({} in table)",
-                        self.labels.len()
-                    ));
-                };
-                self.finish_open(label.clone())?;
-                Ok(XmlEvent::Open(label))
-            }
-            TAG_OPEN_TEXT => {
-                let len = self.read_varint_here()?;
-                let content = if self.info.version == VERSION_V1 {
-                    // Guard the allocation below against corrupt lengths;
-                    // the saturating form stays correct even for a length
-                    // varint near u64::MAX (the plain add would wrap past
-                    // the check).
-                    if len > self.footer_offset.saturating_sub(self.offset) {
-                        return self.corrupt(format!("text length {len} runs past the tape"));
-                    }
-                    let mut content = vec![0u8; len as usize];
-                    read_exact_at(&mut self.input, &mut content, self.offset)?;
-                    self.offset += len;
-                    content
-                } else {
-                    let enc_len = self.read_varint_here()?;
-                    self.read_text_payload(len, enc_len)?
-                };
-                let Ok(content) = String::from_utf8(content) else {
-                    return self.corrupt("text payload is not UTF-8");
-                };
-                let label = Label::text(content);
-                self.finish_open(label.clone())?;
-                Ok(XmlEvent::Open(label))
-            }
-            TAG_CLOSE => {
-                let subtree_events = self.read_varint_here()?;
-                let stored = if self.info.version == VERSION_V1 {
-                    0
-                } else {
-                    let mut b = [0u8; 4];
-                    read_exact_at(&mut self.input, &mut b, self.offset)?;
-                    self.offset += 4;
-                    u32::from_le_bytes(b)
-                };
-                let Some(node) = self.open_stack.pop() else {
-                    return self.corrupt("close frame without an open node");
-                };
-                self.position += 1;
-                // The count is outside the subtree hash, and skip
-                // accounting trusts it: check it wherever it is decoded.
-                let replayed = self.position - node.opened_at + 1;
-                if subtree_events != replayed {
-                    return self.corrupt(format!(
-                        "close frame counts {subtree_events} subtree events, {replayed} replayed"
-                    ));
-                }
-                if self.info.version == VERSION_V1 {
-                    self.hash.close();
-                } else {
-                    let mut h = node.hash;
-                    h.close();
-                    let computed = h.trunc32();
-                    if self.verify && computed != stored {
-                        return Err(StoreError::Checksum {
-                            expected: u64::from(stored),
-                            found: u64::from(computed),
-                        });
-                    }
-                    self.fold_child(stored);
-                }
-                Ok(XmlEvent::Close(node.label))
-            }
-            TAG_EOF => {
-                if !self.open_stack.is_empty() {
-                    return self.corrupt(format!(
-                        "tape ended with {} unclosed node(s)",
-                        self.open_stack.len()
-                    ));
-                }
-                if self.offset != self.footer_offset {
-                    return self.corrupt("Eof frame does not sit at the footer boundary");
-                }
-                if self.position != self.info.events {
-                    return self.corrupt(format!(
-                        "tape replayed {} events, its footer counts {}",
-                        self.position, self.info.events
-                    ));
-                }
-                self.hash.eof();
-                self.finished = true;
-                if self.verify && self.hash.0 != self.info.checksum {
-                    return Err(StoreError::Checksum {
-                        expected: self.info.checksum,
-                        found: self.hash.0,
-                    });
-                }
-                Ok(XmlEvent::Eof)
-            }
-            tag => self.corrupt(format!("unknown frame tag {tag:#04x}")),
-        }
-    }
-
-    /// Shared tail of both open frames: read the `close_delta`, arm the
-    /// skip handle, account the event.
-    fn finish_open(&mut self, label: Label) -> Result<(), StoreError> {
-        let mut delta = [0u8; 4];
-        read_exact_at(&mut self.input, &mut delta, self.offset)?;
-        self.offset += 4;
-        let delta = u32::from_le_bytes(delta);
-        if delta != DELTA_OVERFLOW {
-            let close_at = self.offset + u64::from(delta);
-            if close_at >= self.footer_offset {
-                return self.corrupt(format!("close offset {close_at} runs past the tape"));
-            }
-            self.last_open = Some(SkipHandle { close_at });
-        }
-        let mut node_hash = EventHash::new();
-        if self.info.version == VERSION_V1 {
-            self.hash.open(&label);
+        let enc = enc_len as usize;
+        let (window, from_window) = self.peek(enc + 4)?;
+        let Some(delta) = window.get(enc..enc + 4) else {
+            return corrupt(here + window.len() as u64, TRUNCATED);
+        };
+        let close_delta = u32::from_le_bytes(delta.try_into().unwrap());
+        let text: Option<Arc<str>> = if enc_len == raw_len {
+            std::str::from_utf8(&window[..enc]).ok().map(Arc::from)
         } else {
-            node_hash.open(&label);
+            let Some(raw) = lz::decompress(&window[..enc], raw_len as usize) else {
+                return corrupt(here, "text payload fails to decompress");
+            };
+            String::from_utf8(raw).ok().map(Arc::from)
+        };
+        let Some(text) = text else {
+            return corrupt(here, "text payload is not UTF-8");
+        };
+        self.advance(enc + 4, from_window)?;
+        Ok(Decoded::Text { text, close_delta })
+    }
+
+    /// The top frame's close offset; the footer's when it overflowed.
+    #[inline(always)]
+    pub(crate) fn close_bound(&self) -> u64 {
+        let top = self.stack.last().and_then(|top| top.close_at);
+        top.unwrap_or(self.footer_offset)
+    }
+
+    /// Depth of the innermost open node (0: none, only the virtual root).
+    pub(crate) fn depth(&self) -> u64 {
+        self.stack.len().saturating_sub(1) as u64
+    }
+
+    pub(crate) fn finished(&self) -> bool {
+        self.finished
+    }
+
+    /// Open a node whose open frame started at `at` and ends at the read
+    /// position.
+    #[inline(always)]
+    fn push(&mut self, at: u64, label: Label, close_delta: u32) -> Result<(), StoreError> {
+        let close_at = if close_delta == DELTA_OVERFLOW {
+            if self.index_usable() {
+                return corrupt(at, "overflowed close offset on an index-enabled tape");
+            }
+            None
+        } else {
+            let close_at = self.offset + u64::from(close_delta);
+            if close_at >= self.close_bound() {
+                return corrupt(
+                    at,
+                    format!("close offset {close_at} escapes the enclosing subtree"),
+                );
+            }
+            Some(close_at)
+        };
+        let mut hash = EventHash::new();
+        match &mut self.stream {
+            Some(stream) => stream.open(&label),
+            None => hash.open(&label),
         }
         self.position += 1;
-        self.open_stack.push(OpenNode {
+        let parent = self.stack.last_mut().expect("open after Eof");
+        if at != parent.next_at {
+            parent.complete = false;
+        }
+        self.stack.push(Frame {
             label,
-            hash: node_hash,
+            close_at,
+            hash,
+            complete: true,
+            next_at: self.offset,
             opened_at: self.position,
         });
         Ok(())
     }
 
+    /// What every close is checked for, the `Eof` tag included: where it
+    /// sits and the events it counts. Moves the position over `frame`'s
+    /// subtree and says whether it was decoded without gaps. `own` is 1
+    /// for a node (its own open and close count), 0 for the virtual root.
+    #[inline(always)]
+    fn settle_count(
+        &mut self,
+        frame: &Frame,
+        at: u64,
+        count: u64,
+        own: u64,
+    ) -> Result<bool, StoreError> {
+        if frame.close_at.is_some_and(|close_at| close_at != at) {
+            return corrupt(
+                at,
+                if own == 0 {
+                    "Eof frame does not sit at the footer boundary".to_string()
+                } else {
+                    format!("close frame at {at} is not where its open frame points")
+                },
+            );
+        }
+        let gapless = frame.complete && frame.next_at == at;
+        let replayed = self.position - frame.opened_at + 2 * own;
+        let room = self
+            .info
+            .events
+            .saturating_add(own)
+            .saturating_sub(frame.opened_at);
+        if count < replayed || count > room || (gapless && count != replayed) {
+            return corrupt(
+                at,
+                if own == 0 {
+                    format!("tape replayed {replayed} events, its footer counts {count}")
+                } else {
+                    format!("close frame counts {count} subtree events, {replayed} replayed")
+                },
+            );
+        }
+        self.position = frame.opened_at - own + count;
+        Ok(gapless)
+    }
+
+    /// Settle the top node at the close frame decoded at `at`, which
+    /// stores `count` and (FET2) `stored` — the one verification rule
+    /// (see [`TapeReader`]).
+    #[inline(always)]
+    fn settle(&mut self, at: u64, count: u64, stored: Option<u32>) -> Result<XmlEvent, StoreError> {
+        if self.stack.len() < 2 {
+            return corrupt(at, "close frame without an open node");
+        }
+        let frame = self.stack.pop().expect("checked");
+        let gapless = self.settle_count(&frame, at, count, 1)?;
+        match stored {
+            Some(stored) => {
+                let mut hash = frame.hash;
+                hash.close();
+                if gapless && hash.trunc32() != stored {
+                    return Err(StoreError::Checksum {
+                        expected: u64::from(stored),
+                        found: u64::from(hash.trunc32()),
+                    });
+                }
+                self.stack.last_mut().expect("checked").hash.child(stored);
+            }
+            None => {
+                if let Some(stream) = &mut self.stream {
+                    stream.close();
+                }
+            }
+        }
+        self.stack.last_mut().expect("checked").next_at = self.offset;
+        Ok(XmlEvent::Close(frame.label))
+    }
+
+    /// Settle the virtual root at the `Eof` tag decoded at `at`: the
+    /// footer's event count and document hash stand in for its close.
+    fn settle_root(&mut self, at: u64) -> Result<XmlEvent, StoreError> {
+        let open = self.depth();
+        if open > 0 {
+            return corrupt(at, format!("tape ended with {open} unclosed node(s)"));
+        }
+        let root = self.stack.pop().expect("the virtual root");
+        let gapless = self.settle_count(&root, at, self.info.events, 0)?;
+        self.finished = true;
+        let document = if self.info.version == VERSION_V1 {
+            self.stream.take()
+        } else {
+            gapless.then_some(root.hash)
+        };
+        if let Some(mut document) = document {
+            document.eof();
+            if document.0 != self.info.checksum {
+                return Err(StoreError::Checksum {
+                    expected: self.info.checksum,
+                    found: document.0,
+                });
+            }
+        }
+        Ok(XmlEvent::Eof)
+    }
+
+    /// Pull the next event. After `Eof`, keeps returning `Eof`.
+    pub fn next_event(&mut self) -> Result<XmlEvent, StoreError> {
+        if self.finished {
+            return Ok(XmlEvent::Eof);
+        }
+        let at = self.offset;
+        let (label, close_delta) = match self.read_frame()? {
+            Decoded::Close { events, hash } => return self.settle(at, events, hash),
+            Decoded::Eof => return self.settle_root(at),
+            Decoded::Elem { id, close_delta } => (self.labels[id as usize].clone(), close_delta),
+            Decoded::Text { text, close_delta } => (Label::text(text), close_delta),
+        };
+        self.push(at, label, close_delta)?;
+        Ok(XmlEvent::Open(self.top_label()))
+    }
+
+    /// The innermost open node's label.
+    pub(crate) fn top_label(&self) -> Label {
+        self.stack.last().expect("open node").label.clone()
+    }
+
+    /// Move the read position forward to `to` without decoding what lies
+    /// between; returns the bytes passed over.
+    #[inline(always)]
+    pub(crate) fn jump(&mut self, to: u64) -> Result<u64, StoreError> {
+        if to < self.offset {
+            return corrupt(to, format!("frame offset {to} behind the read position"));
+        }
+        let bytes = to - self.offset;
+        if bytes > 0 {
+            self.input.seek(SeekFrom::Start(to))?;
+            self.offset = to;
+        }
+        Ok(bytes)
+    }
+
+    /// Settle the top frame at the frame under the read position, which
+    /// must be its close (the `Eof` tag for the virtual root).
+    #[inline(always)]
+    pub(crate) fn close_top(&mut self) -> Result<XmlEvent, StoreError> {
+        let at = self.offset;
+        match self.read_frame()? {
+            Decoded::Close { events, hash } => self.settle(at, events, hash),
+            Decoded::Eof => self.settle_root(at),
+            _ => corrupt(at, "close offset points at an open frame"),
+        }
+    }
+
+    /// For the skip index: open the frame under the read position, which
+    /// must be an open of label id `elem_id` (a text when `None`). A node
+    /// `keep` accepts is opened, and the answer is whether it was; one it
+    /// rejects is a gap in its parent.
+    #[inline(always)]
+    pub(crate) fn open_posting(
+        &mut self,
+        elem_id: Option<u64>,
+        keep: impl FnOnce(&Label) -> bool,
+    ) -> Result<bool, StoreError> {
+        let at = self.offset;
+        let (label, close_delta) = match (self.read_frame()?, elem_id) {
+            (Decoded::Elem { id, close_delta }, Some(want)) if id == want => {
+                (self.labels[id as usize].clone(), close_delta)
+            }
+            (Decoded::Text { text, close_delta }, None) => (Label::text(text), close_delta),
+            _ => {
+                let msg = format!("posting for label id {elem_id:?} points at another frame");
+                return corrupt(at, msg);
+            }
+        };
+        if !keep(&label) {
+            self.stack.last_mut().expect("open after Eof").complete = false;
+            return Ok(false);
+        }
+        self.push(at, label, close_delta)?;
+        Ok(true)
+    }
+
+    /// One posting list's bytes, read without moving the read position.
+    pub(crate) fn posting_bytes(&mut self, dir: PostingDirEntry) -> Result<Vec<u8>, StoreError> {
+        let mut bytes = vec![0u8; dir.bytes as usize];
+        self.input.seek(SeekFrom::Start(dir.offset))?;
+        read_exact_at(&mut self.input, &mut bytes, dir.offset)?;
+        self.input.seek(SeekFrom::Start(self.offset))?;
+        Ok(bytes)
+    }
+
     /// Whether the event just returned was an `Open` whose subtree can be
     /// seeked over (its close offset is recorded and did not overflow).
     pub fn skippable(&self) -> bool {
-        self.last_open.is_some()
+        let top = self.stack.last().filter(|_| self.depth() > 0);
+        top.is_some_and(|top| top.opened_at == self.position && top.close_at.is_some())
     }
 
     /// [`EventSource::skip_subtree`] for a tape, which also says how many
-    /// bytes that saved: right after an `Open`, consume its subtree through
-    /// the close frame. Where [`TapeReader::skippable`] holds that is a seek
-    /// and the opens and closes in between are never decoded; an open whose
-    /// close offset overflowed its field is decoded through instead.
+    /// bytes that saved: consume the innermost open subtree through its
+    /// close frame. Where its close offset is recorded that is a seek and
+    /// the frames in between are never decoded; an open whose close offset
+    /// overflowed its field is decoded through instead.
     ///
-    /// On v2 tapes the skipped subtree's stored hash is folded into its
-    /// parent, so verification of everything *around* the skip — including
-    /// the footer's document hash at `Eof` — survives. On v1 tapes the
-    /// first seek disables verification. The close frame's event count is
-    /// the one stored fact a seek takes on trust until an enclosing close
-    /// (or `Eof`) is decoded: a count that cannot be right is
-    /// [`StoreError::Corrupt`] here, a wrong one there.
+    /// The skipped subtree is settled like any other close, as one that
+    /// had gaps: its hash is not checked, its count must lie between what
+    /// was replayed and what is left of the tape, and its stored hash is
+    /// folded into the parent — so on FET2 verification of everything
+    /// *around* the skip, the footer's document hash at `Eof` included,
+    /// survives, and an enclosing close checks the count exactly. On FET1
+    /// the first seek forfeits the stream hash. Panics when no node is
+    /// open.
     pub fn skip_subtree(&mut self) -> Result<SkippedSubtree, StoreError> {
-        let Some(handle) = self.last_open.take() else {
-            let opened = self.open_stack.len();
-            let before = self.position;
-            while self.open_stack.len() >= opened && self.next_event()? != XmlEvent::Eof {}
+        assert!(self.depth() > 0, "skip_subtree outside any open subtree");
+        let before = self.position;
+        let Some(close_at) = self.stack.last().and_then(|top| top.close_at) else {
+            let depth = self.stack.len();
+            while self.stack.len() >= depth && self.next_event()? != XmlEvent::Eof {}
             return Ok(SkippedSubtree {
                 events: self.position - before,
                 bytes: 0,
             });
         };
         let start = std::time::Instant::now();
-        let bytes = handle.close_at - self.offset;
-        self.input.seek(SeekFrom::Start(handle.close_at))?;
-        self.offset = handle.close_at;
-        match self.read_u8()? {
-            TAG_CLOSE => {}
-            tag => {
-                return self.corrupt(format!(
-                    "close offset does not point at a close frame (tag {tag:#04x})"
-                ))
-            }
-        }
-        // The subtree's own open and close included.
-        let events = self.read_varint_here()?;
-        // Nothing was replayed to check the count against, and callers
-        // account it as withheld: it must at least cover the subtree's own
-        // open and close, and cannot exceed what the footer says is left.
-        // Enclosing decoded closes check it exactly.
-        if events < 2 || events - 1 > self.info.events.saturating_sub(self.position) {
-            return self.corrupt(format!(
-                "close frame counts {events} subtree events ({} of {} replayed)",
-                self.position, self.info.events
-            ));
-        }
-        self.position += events - 1;
-        self.open_stack.pop().expect("skip with empty open stack");
-        if self.info.version == VERSION_V1 {
-            self.verify = false;
-        } else {
-            let mut b = [0u8; 4];
-            read_exact_at(&mut self.input, &mut b, self.offset)?;
-            self.offset += 4;
-            self.fold_child(u32::from_le_bytes(b));
-        }
+        self.stack.last_mut().expect("checked non-empty").complete = false;
+        let bytes = self.jump(close_at)?;
+        self.stream = None;
+        self.close_top()?;
         self.seek_skipped_bytes += bytes;
         self.seek_micros += start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         Ok(SkippedSubtree {
-            events: events - 1,
+            events: self.position - before,
             bytes,
         })
     }
@@ -1221,11 +1455,6 @@ impl<R: BufRead + Seek> EventSource for TapeReader<R> {
             Err(e) => Err(e.into_xml()),
         }
     }
-}
-
-/// Read a tape file's footer facts without replaying it.
-pub fn inspect(path: &Path) -> Result<TapeInfo, StoreError> {
-    Ok(*TapeReader::open_file(path)?.info())
 }
 
 // ---------------------------------------------------------------------------
@@ -1421,7 +1650,7 @@ mod tests {
             let skipped = if seeks {
                 r.skip_subtree().unwrap()
             } else {
-                r.last_open = None;
+                r.stack.last_mut().unwrap().close_at = None;
                 let events = EventSource::skip_subtree(&mut r).unwrap();
                 SkippedSubtree { events, bytes: 0 }
             };
