@@ -10,9 +10,11 @@
 //! The one design rule: **bodies are never buffered**. [`BodyReader`]
 //! implements `BufRead` *borrowing* the connection, so a request body flows
 //! straight through `foxq_xml::XmlReader` into the transducer engines while
-//! the socket is still receiving it.
+//! the socket is still receiving it. A streamed response leaves through a
+//! [`Coalescer`], which decides when certain output goes on the wire.
 
-use std::io::{BufRead, Error, ErrorKind, Read, Write};
+use std::cell::RefCell;
+use std::io::{BufRead, Error, ErrorKind, IoSlice, Read, Write};
 
 /// Upper bound on the request line plus all header bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -519,25 +521,13 @@ pub fn write_chunked_head(
     w.flush()
 }
 
-/// Write one body chunk and flush it to the wire. Empty data is a no-op:
-/// a zero-size chunk would terminate the body.
-pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> std::io::Result<()> {
-    if data.is_empty() {
-        return Ok(());
-    }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
-    w.flush()
-}
-
-/// The bytes that terminate a chunked body: the zero-size last chunk, the
-/// trailer fields (computed only after the run — e.g. peak-memory marks),
-/// and the final empty line. Returned as a buffer rather than written so
-/// the reactor's resumable `WriteResponse` phase can flush it under
-/// backpressure.
-pub fn chunked_tail(trailers: &[(&str, String)]) -> Vec<u8> {
-    let mut out = b"0\r\n".to_vec();
+/// Append the bytes that terminate a chunked body: the zero-size last
+/// chunk, the trailer fields (computed only after the run — e.g.
+/// peak-memory marks), and the final empty line. Built in a buffer rather
+/// than written so the reactor's resumable `WriteResponse` phase can flush
+/// it under backpressure.
+pub fn chunked_tail(out: &mut Vec<u8>, trailers: &[(&str, String)]) {
+    out.extend_from_slice(b"0\r\n");
     for (name, value) in trailers {
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(b": ");
@@ -545,7 +535,169 @@ pub fn chunked_tail(trailers: &[(&str, String)]) -> Vec<u8> {
         out.extend_from_slice(b"\r\n");
     }
     out.extend_from_slice(b"\r\n");
-    out
+}
+
+/// How much output a [`Coalescer`] holds back at most: the size of a
+/// server worker's request `BufReader`, so a streamed reply moves in pieces
+/// of the size its request body arrives in.
+pub const COALESCE_BYTES: usize = 16 * 1024;
+
+/// A stream of irrevocable output prefixes, written in few pieces without
+/// any prefix waiting on more input. The rule:
+///
+/// * **First prefix at once**, in one write with whatever
+///   [`lead`](Coalescer::lead) staged ahead of it (a response head).
+/// * **Then by size.** Later prefixes are held. The one that brings the
+///   held bytes to [`COALESCE_BYTES`] goes out with them in one vectored
+///   write, uncopied, so the buffer never outgrows `COALESCE_BYTES`
+///   however large a prefix is.
+/// * **Before the source could block.** [`flush`](Coalescer::flush) writes
+///   what is held; [`FlushBeforeRead`] calls it before every input read.
+/// * **At the end**, [`finish_into`](Coalescer::finish_into) appends what
+///   is held to the caller's tail instead of writing it.
+///
+/// Chunked, every write is one HTTP/1.1 chunk; raw, the bytes go out as
+/// they are. A failed write ends the stream: its error is returned, nothing
+/// stays held, and every later call fails too.
+pub struct Coalescer<W: Write> {
+    out: W,
+    chunked: bool,
+    /// Bytes that go out ahead of the next write; each chunk's size line
+    /// is framed here.
+    lead: Vec<u8>,
+    /// Output held back, always less than [`COALESCE_BYTES`]; allocated
+    /// at the first prefix held, then reused.
+    held: Vec<u8>,
+    /// Whether the first prefix has been written.
+    started: bool,
+    /// The kind of the write error that ended the stream.
+    failed: Option<ErrorKind>,
+}
+
+impl<W: Write> Coalescer<W> {
+    pub fn new(out: W, chunked: bool) -> Self {
+        Coalescer {
+            out,
+            chunked,
+            lead: Vec::new(),
+            held: Vec::new(),
+            started: false,
+            failed: None,
+        }
+    }
+
+    /// Bytes to send ahead of the next write, in the same write.
+    pub fn lead(&mut self) -> &mut Vec<u8> {
+        &mut self.lead
+    }
+
+    /// Deliver one prefix. The first is written at once (even when empty,
+    /// which sends the lead alone); later ones are held until there are
+    /// [`COALESCE_BYTES`] of them.
+    pub fn push(&mut self, data: &[u8]) -> std::io::Result<()> {
+        self.check()?;
+        if !self.started {
+            self.started = true;
+        } else if self.held.len() + data.len() < COALESCE_BYTES {
+            if self.held.capacity() == 0 {
+                self.held.reserve_exact(COALESCE_BYTES);
+            }
+            self.held.extend_from_slice(data);
+            return Ok(());
+        }
+        self.send(data)
+    }
+
+    /// Write whatever is held or staged, now.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        self.check()?;
+        if self.held.is_empty() && self.lead.is_empty() {
+            return Ok(());
+        }
+        self.send(&[])
+    }
+
+    /// End of output: append what is held or staged, framed, to `tail`
+    /// for the caller to write.
+    pub fn finish_into(&mut self, tail: &mut Vec<u8>) {
+        let end = self.frame(self.held.len());
+        tail.extend_from_slice(&self.lead);
+        tail.extend_from_slice(&self.held);
+        tail.extend_from_slice(end);
+        self.lead.clear();
+        self.held.clear();
+    }
+
+    fn check(&self) -> std::io::Result<()> {
+        match self.failed {
+            Some(kind) => Err(Error::new(kind, "an earlier write of this output failed")),
+            None => Ok(()),
+        }
+    }
+
+    /// Stage the size line of a `len`-byte chunk in the lead; returns the
+    /// bytes that close the chunk. Raw, or with nothing to frame: nothing.
+    fn frame(&mut self, len: usize) -> &'static [u8] {
+        if !self.chunked || len == 0 {
+            return b"";
+        }
+        write!(self.lead, "{len:x}\r\n").expect("writing to Vec cannot fail");
+        b"\r\n"
+    }
+
+    /// Write lead, held bytes and `data` as one piece (one chunk).
+    fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
+        let end = self.frame(self.held.len() + data.len());
+        let mut bufs = [
+            IoSlice::new(&self.lead),
+            IoSlice::new(&self.held),
+            IoSlice::new(data),
+            IoSlice::new(end),
+        ];
+        let sent = write_all_vectored(&mut self.out, &mut bufs).and_then(|()| self.out.flush());
+        self.lead.clear();
+        self.held.clear();
+        if let Err(e) = &sent {
+            self.failed = Some(e.kind());
+        }
+        sent
+    }
+}
+
+/// `Write::write_all` over several buffers: one `writev` when the writer
+/// takes them all, as a socket with room does.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0); // drop leading empty buffers
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// An input that first writes what a [`Coalescer`] holds: output that
+/// became certain while the input paused is on the wire before the reader
+/// waits for more. A failed write fails the read.
+pub struct FlushBeforeRead<'a, R, W: Write> {
+    inner: R,
+    wire: &'a RefCell<Coalescer<W>>,
+}
+
+impl<'a, R, W: Write> FlushBeforeRead<'a, R, W> {
+    pub fn new(inner: R, wire: &'a RefCell<Coalescer<W>>) -> Self {
+        FlushBeforeRead { inner, wire }
+    }
+}
+
+impl<R: Read, W: Write> Read for FlushBeforeRead<'_, R, W> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.wire.borrow_mut().flush()?;
+        self.inner.read(buf)
+    }
 }
 
 #[cfg(test)]
@@ -664,9 +816,9 @@ mod tests {
 
     #[test]
     fn chunked_response_wire_format() {
-        let mut out = Vec::new();
+        let mut wire = Coalescer::new(Vec::new(), true);
         write_chunked_head(
-            &mut out,
+            wire.lead(),
             200,
             "application/xml",
             &[("x-req", "abc".to_string())],
@@ -674,10 +826,16 @@ mod tests {
             true,
         )
         .unwrap();
-        write_chunk(&mut out, b"<o>").unwrap();
-        write_chunk(&mut out, b"").unwrap(); // must not terminate the body
-        write_chunk(&mut out, b"hello</o>").unwrap();
-        out.extend_from_slice(&chunked_tail(&[("x-peak", "7".to_string())]));
+        wire.push(b"<o>").unwrap();
+        wire.push(b"").unwrap(); // must not terminate the body
+        wire.push(b"hello").unwrap();
+        wire.flush().unwrap();
+        wire.push(b"</o>").unwrap();
+        let mut tail = Vec::new();
+        wire.finish_into(&mut tail);
+        chunked_tail(&mut tail, &[("x-peak", "7".to_string())]);
+        let mut out = wire.out;
+        out.extend_from_slice(&tail);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("transfer-encoding: chunked\r\n"));
@@ -686,7 +844,7 @@ mod tests {
         let body_at = text.find("\r\n\r\n").unwrap() + 4;
         assert_eq!(
             &text[body_at..],
-            "3\r\n<o>\r\n9\r\nhello</o>\r\n0\r\nx-peak: 7\r\n\r\n"
+            "3\r\n<o>\r\n5\r\nhello\r\n4\r\n</o>\r\n0\r\nx-peak: 7\r\n\r\n"
         );
         // Our own BodyReader decodes it (trailers consumed and dropped).
         let mut conn = BufReader::new(&text.as_bytes()[body_at..]);
@@ -695,6 +853,160 @@ mod tests {
         body.read_to_string(&mut decoded).unwrap();
         assert_eq!(decoded, "<o>hello</o>");
         assert!(body.exhausted());
+    }
+
+    /// A writer that keeps every write it is given as one entry: a whole
+    /// vectored write, or at most `max` bytes of it when `max` is nonzero.
+    /// With `fail` set, every write times out.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+        max: usize,
+        fail: bool,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.fail {
+                return Err(Error::new(ErrorKind::TimedOut, "the peer stopped reading"));
+            }
+            let mut write: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            if self.max > 0 {
+                write.truncate(self.max);
+            }
+            let n = write.len();
+            self.writes.push(write);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn chunked_recorder() -> Coalescer<Recorder> {
+        Coalescer::new(Recorder::default(), true)
+    }
+
+    #[test]
+    fn the_first_prefix_leaves_at_once_with_the_head() {
+        let mut wire = chunked_recorder();
+        wire.lead().extend_from_slice(b"HEAD\r\n\r\n");
+        wire.push(b"<o>").unwrap();
+        assert_eq!(wire.out.writes, [b"HEAD\r\n\r\n3\r\n<o>\r\n".to_vec()]);
+    }
+
+    #[test]
+    fn later_prefixes_wait_for_coalesce_bytes_then_leave_as_one_chunk() {
+        let mut wire = chunked_recorder();
+        wire.push(b"<o>").unwrap();
+        for _ in 0..100 {
+            wire.push(b"<p>x</p>").unwrap();
+        }
+        assert_eq!(wire.out.writes.len(), 1, "800 bytes must be held");
+        // The prefix that brings the held bytes to the threshold takes
+        // them out with it: one write, one chunk.
+        wire.push(&vec![b'y'; COALESCE_BYTES - 800]).unwrap();
+        assert_eq!(wire.out.writes.len(), 2);
+        let chunk = &wire.out.writes[1];
+        assert!(chunk.starts_with(b"4000\r\n<p>x</p>"));
+        assert!(chunk.ends_with(b"y\r\n"));
+        assert_eq!(chunk.len(), 6 + COALESCE_BYTES + 2);
+        assert!(wire.held.is_empty());
+    }
+
+    #[test]
+    fn a_read_first_writes_what_is_held_as_one_chunk() {
+        let wire = RefCell::new(chunked_recorder());
+        wire.borrow_mut().push(b"<o>").unwrap();
+        wire.borrow_mut().push(b"p0").unwrap();
+        wire.borrow_mut().push(b"p1").unwrap();
+        let mut input = FlushBeforeRead::new(&b"<more/>"[..], &wire);
+        let mut buf = [0u8; 64];
+        let n = input.read(&mut buf).unwrap();
+        assert_eq!(&buf[..n], b"<more/>");
+        assert_eq!(wire.borrow().out.writes.len(), 2);
+        assert_eq!(wire.borrow().out.writes[1], b"4\r\np0p1\r\n");
+        // With nothing held, a read writes nothing.
+        assert_eq!(input.read(&mut buf).unwrap(), 0);
+        assert_eq!(wire.borrow().out.writes.len(), 2);
+    }
+
+    #[test]
+    fn a_prefix_past_coalesce_bytes_is_written_through_uncopied() {
+        let mut wire = chunked_recorder();
+        wire.push(b"<o>").unwrap();
+        wire.push(b"ab").unwrap();
+        let big = vec![b'z'; 3 * COALESCE_BYTES];
+        wire.push(&big).unwrap();
+        assert_eq!(wire.out.writes.len(), 2);
+        let chunk = &wire.out.writes[1];
+        let size_line = format!("{:x}\r\nab", 2 + big.len());
+        assert!(chunk.starts_with(size_line.as_bytes()));
+        assert_eq!(chunk.len(), size_line.len() + big.len() + 2);
+        // The buffer held two bytes, never the big prefix.
+        assert!(
+            wire.held.capacity() <= COALESCE_BYTES,
+            "{}",
+            wire.held.capacity()
+        );
+        assert!(wire.lead.capacity() <= 16, "{}", wire.lead.capacity());
+        wire.push(b"c").unwrap();
+        assert_eq!((wire.out.writes.len(), &wire.held[..]), (2, &b"c"[..]));
+    }
+
+    #[test]
+    fn a_write_error_fails_every_later_delivery_and_read() {
+        let wire = RefCell::new(chunked_recorder());
+        wire.borrow_mut().push(b"<o>").unwrap();
+        wire.borrow_mut().push(b"p0").unwrap();
+        wire.borrow_mut().out.fail = true;
+        // The delivery whose write fails reports it...
+        let big = vec![b'z'; COALESCE_BYTES];
+        let err = wire.borrow_mut().push(&big).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        // ...and from then on nothing is held and nothing is written, even
+        // when the writer would take it.
+        wire.borrow_mut().out.fail = false;
+        let err = wire.borrow_mut().push(b"p1").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert!(wire.borrow().held.is_empty());
+        let mut input = FlushBeforeRead::new(&b"<more/>"[..], &wire);
+        let err = input.read(&mut [0u8; 64]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert_eq!(wire.borrow().out.writes.len(), 1);
+
+        // A failing flush before a read fails the read.
+        let wire = RefCell::new(chunked_recorder());
+        wire.borrow_mut().push(b"<o>").unwrap();
+        wire.borrow_mut().push(b"p0").unwrap();
+        wire.borrow_mut().out.fail = true;
+        let mut input = FlushBeforeRead::new(&b"<more/>"[..], &wire);
+        let err = input.read(&mut [0u8; 64]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert!(wire.borrow_mut().push(b"p1").is_err());
+    }
+
+    #[test]
+    fn raw_output_is_unframed_and_survives_short_writes() {
+        let mut wire = Coalescer::new(
+            Recorder {
+                max: 3,
+                ..Recorder::default()
+            },
+            false,
+        );
+        wire.push(b"<o>p").unwrap();
+        wire.push(b"0").unwrap();
+        wire.push(b"p1</o>").unwrap();
+        wire.flush().unwrap();
+        let out: Vec<u8> = wire.out.writes.concat();
+        assert_eq!(out, b"<o>p0p1</o>");
+        assert_eq!(wire.out.writes, [&b"<o>"[..], b"p", b"0p1", b"</o", b">"]);
     }
 
     #[test]

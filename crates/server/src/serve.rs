@@ -28,8 +28,8 @@
 
 use crate::conn::{After, Conn, Phase};
 use crate::http::{
-    chunked_tail, read_request, write_chunk, write_chunked_head, write_response, BodyKind,
-    BodyReader, Request,
+    chunked_tail, read_request, write_chunked_head, write_response, BodyKind, BodyReader,
+    Coalescer, FlushBeforeRead, Request, COALESCE_BYTES,
 };
 use crate::metrics::{Endpoint, Metrics, Scalar};
 use crate::reactor::{pin_receive_buffer, Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -49,7 +49,7 @@ use foxq_service::{
 use foxq_store::corpus::valid_doc_id;
 use foxq_store::{ingest_xml_to_tmp, Corpus, StoreError, TapeReader};
 use foxq_xml::{byte_limit_exceeded, BoundedReader, WriterSink, XmlError, XmlReader};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -914,22 +914,35 @@ fn serve_one(conn: &mut Conn, shared: &Shared) -> (Vec<u8>, After) {
     let _ = conn.stream.set_read_timeout(Some(cfg.read_timeout));
     let _ = conn.stream.set_write_timeout(Some(cfg.write_timeout));
 
+    // Streamed `/query` responses are written by the worker itself, straight
+    // to the (blocking, write-timeout-bounded) socket — a slow client
+    // backpressures only its own lane. What leaves when is the coalescer's
+    // rule; the socket half of the request reader shares it, so output held
+    // back goes out before the worker waits for more input. Other replies
+    // never fill it.
+    let wire = RefCell::new(Coalescer::new(
+        CountingWriter {
+            inner: &conn.stream,
+            metrics: &shared.metrics,
+        },
+        true,
+    ));
     let buffered = std::mem::take(&mut conn.buf);
     let mut reader = BufReader::with_capacity(
-        16 * 1024,
-        Cursor::new(buffered).chain(CountingReader {
-            inner: &conn.stream,
-            metrics: shared.metrics.clone(),
-        }),
+        COALESCE_BYTES,
+        Cursor::new(buffered).chain(FlushBeforeRead::new(
+            CountingReader {
+                inner: &conn.stream,
+                metrics: shared.metrics.clone(),
+            },
+            &wire,
+        )),
     );
     let req_id = shared.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
     let ctx = TraceContext::new(req_id);
     let served = {
-        // Streamed `/query` responses are written by the worker itself,
-        // straight to the (blocking, write-timeout-bounded) socket — a
-        // slow client backpressures only its own lane.
         let mut stream_out = StreamOut {
-            stream: &conn.stream,
+            wire: &wire,
             metrics: &shared.metrics,
             ctx: &ctx,
             req_start: conn.req_start.unwrap_or_else(Instant::now),
@@ -1010,10 +1023,11 @@ fn serve_one(conn: &mut Conn, shared: &Shared) -> (Vec<u8>, After) {
     let keep = keep_requested && reply.reusable && !draining;
     shared.metrics.record_response(reply.status);
     let out = if reply.streamed {
-        // Head and chunks are already on the wire; only the tail — last
-        // chunk plus trailers — remains (or nothing, for a mid-stream
-        // failure: the missing terminator is the truncation signal). The
-        // worker observed TTFB when it wrote the head.
+        // Head and chunks are already on the wire; only the tail — the
+        // output still held, last chunk plus trailers — remains (or
+        // nothing, for a mid-stream failure: the missing terminator is the
+        // truncation signal). The worker observed TTFB when it wrote the
+        // head.
         conn.ttfb_recorded = true;
         std::mem::take(&mut reply.body)
     } else {
@@ -1045,7 +1059,7 @@ fn serve_request<R: BufRead>(
     reader: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
-    stream_out: &mut StreamOut<'_>,
+    stream_out: &mut StreamOut<'_, '_>,
 ) -> Option<(Reply, bool)> {
     let request = match read_request(reader) {
         Ok(Some(req)) => req,
@@ -1091,8 +1105,9 @@ struct Reply {
     detail: String,
     /// True when the handler already wrote the chunked head and body
     /// chunks itself (`/query?stream=1`): `body` then holds only the
-    /// chunked tail (or nothing, on a mid-stream failure), and the usual
-    /// header/serialization step is skipped.
+    /// chunked tail — held output, last chunk, trailers — (or nothing, on
+    /// a mid-stream failure), and the usual header/serialization step is
+    /// skipped.
     streamed: bool,
 }
 
@@ -1124,7 +1139,7 @@ fn route<R: BufRead>(
     conn: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
-    stream_out: &mut StreamOut<'_>,
+    stream_out: &mut StreamOut<'_, '_>,
 ) -> Reply {
     let endpoint = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Endpoint::Healthz,
@@ -1356,17 +1371,17 @@ fn run_over_tape<S: EmitSink, O: StreamObserver>(
 /// `POST /query`: one prepared query over the request body or, with
 /// `doc=<id>`, over a stored tape (no request body, no parse; the tape
 /// seeks over what no lane can use). The reply is buffered or, with
-/// `stream=1`, written as the run goes: each irrevocable output prefix
-/// goes to the client as it becomes final — the first response byte leaves
-/// long before the document ends — and the run statistics, which do not
-/// exist until the run ends, travel as trailers. With `--profile` every run
-/// is sampled.
+/// `stream=1`, written as the run goes: the first irrevocable output prefix
+/// leaves with the head at once — long before the document ends — and the
+/// rest leaves every [`COALESCE_BYTES`] and before each wait for more of
+/// the body. The run statistics, which do not exist until the run ends,
+/// travel as trailers. With `--profile` every run is sampled.
 fn handle_query<R: BufRead>(
     request: &Request,
     conn: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
-    stream_out: &mut StreamOut<'_>,
+    stream_out: &mut StreamOut<'_, '_>,
 ) -> Reply {
     let mut params = request.params("q");
     let Some(q) = params.next() else {
@@ -1421,19 +1436,28 @@ impl Write for CountingWriter<'_> {
         Ok(n)
     }
 
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        let n = self.inner.write_vectored(bufs)?;
+        self.metrics.add(Scalar::BytesOut, n as u64);
+        Ok(n)
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         self.inner.flush()
     }
 }
 
 /// Worker-side writer for a streamed `/query` response: the chunked head
-/// goes out lazily on the first emission flush (so pre-output failures
-/// still get a proper status line), then every irrevocable output prefix
-/// is one HTTP chunk. Writes hit the blocking, write-timeout-bounded
-/// socket directly — a slow client backpressures its own lane and nothing
-/// else.
-struct StreamOut<'a> {
-    stream: &'a TcpStream,
+/// goes out lazily, in one write with the first irrevocable output prefix
+/// (so pre-output failures still get a proper status line); later prefixes
+/// leave by the [`Coalescer`]'s rule, as few large chunks. Writes hit the
+/// blocking, write-timeout-bounded socket directly — a slow client
+/// backpressures its own lane and nothing else — and no more than
+/// [`COALESCE_BYTES`] of output is ever held back.
+struct StreamOut<'a, 'w> {
+    /// The worker's response writer, shared with the socket half of the
+    /// request reader.
+    wire: &'a RefCell<Coalescer<CountingWriter<'w>>>,
     metrics: &'a Metrics,
     ctx: &'a TraceContext,
     /// The request clock (head-complete instant): TTFB and the
@@ -1447,25 +1471,24 @@ struct StreamOut<'a> {
     /// Whether the run reads a stored document (`doc=`), whose trailers
     /// the head declares too.
     doc: bool,
-    /// Set once the chunked head is on the wire — the point of no return:
-    /// later failures can only truncate the body, not change the status.
-    /// (A cell: the lane's sink delivers through a shared borrow while the
-    /// handler watches this.)
+    /// Set once the chunked head is committed to the wire — the point of
+    /// no return: later failures can only truncate the body, not change
+    /// the status. (A cell: the lane's sink delivers through a shared
+    /// borrow while the handler watches this.)
     head_written: Cell<bool>,
 }
 
-impl StreamOut<'_> {
-    fn writer(&self) -> CountingWriter<'_> {
-        CountingWriter {
-            inner: self.stream,
-            metrics: self.metrics,
+impl StreamOut<'_, '_> {
+    /// Deliver one irrevocable output prefix. The first commits the
+    /// response — status 200, chunked framing, declared trailers — and
+    /// leaves with the head at once, so it records TTFB and the
+    /// `first_flush` stage: this *is* the first response byte. An empty
+    /// first prefix sends the head alone.
+    fn deliver(&self, chunk: &[u8]) -> std::io::Result<()> {
+        let mut wire = self.wire.borrow_mut();
+        if self.head_written.replace(true) {
+            return wire.push(chunk);
         }
-    }
-
-    /// Commit the response: status 200, chunked framing, declared
-    /// trailers. Records TTFB and the `first_flush` stage — this *is* the
-    /// first response byte.
-    fn write_head(&self) -> std::io::Result<()> {
         // Declared before the run: exactly the fields the reply will carry.
         let kind = ReplyKind {
             streamed: true,
@@ -1473,27 +1496,27 @@ impl StreamOut<'_> {
         };
         let trailers: Vec<&str> = field_names(kind).collect();
         write_chunked_head(
-            &mut self.writer(),
+            wire.lead(),
             200,
             "application/xml",
             &[("x-foxq-request-id", format!("{:016x}", self.req_id))],
             &trailers,
             self.keep,
         )?;
-        self.head_written.set(true);
+        wire.push(chunk)?;
         self.ctx
             .add_micros(Stage::FirstFlush, micros_since(self.req_start));
         self.metrics.ttfb.observe(self.req_start.elapsed());
         Ok(())
     }
 
-    /// Deliver one irrevocable output prefix as an HTTP chunk (head
-    /// first, if this is the first flush).
-    fn deliver(&self, chunk: &[u8]) -> std::io::Result<()> {
-        if !self.head_written.get() {
-            self.write_head()?;
-        }
-        write_chunk(&mut self.writer(), chunk)
+    /// The end of a successful run: the output still held, then the last
+    /// chunk and `trailers`, for the reactor to write.
+    fn tail(&self, trailers: &[(&str, String)]) -> Vec<u8> {
+        let mut tail = Vec::new();
+        self.wire.borrow_mut().finish_into(&mut tail);
+        chunked_tail(&mut tail, trailers);
+        tail
     }
 }
 
@@ -1510,16 +1533,16 @@ fn streamed_failure_reply() -> Reply {
 
 /// What the observer of a `/query` lane does with a successful run.
 trait LaneObserver: StreamObserver {
-    fn record(self, query: &Query<'_>, report: &RunReport);
+    fn record(self, query: &Query<'_, '_>, report: &RunReport);
 }
 
 impl LaneObserver for () {
-    fn record(self, _: &Query<'_>, _: &RunReport) {}
+    fn record(self, _: &Query<'_, '_>, _: &RunReport) {}
 }
 
 /// `--profile`: fold the run into the per-query registry and the trace log.
 impl LaneObserver for StreamProfiler {
-    fn record(self, query: &Query<'_>, report: &RunReport) {
+    fn record(self, query: &Query<'_, '_>, report: &RunReport) {
         let (shared, prepared) = (query.shared, query.prepared);
         let Some(registry) = &shared.profiles else {
             return;
@@ -1534,7 +1557,7 @@ impl LaneObserver for StreamProfiler {
 }
 
 /// One `/query` request past its checks: what to run, over what, to where.
-struct Query<'a> {
+struct Query<'a, 'w> {
     request: &'a Request,
     shared: &'a Shared,
     ctx: &'a TraceContext,
@@ -1542,10 +1565,10 @@ struct Query<'a> {
     /// `doc=<id>`: read the stored tape, not the request body.
     doc: Option<&'a str>,
     /// `stream=1`: where the lane's sink delivers to.
-    out: Option<&'a StreamOut<'a>>,
+    out: Option<&'a StreamOut<'a, 'w>>,
 }
 
-impl Query<'_> {
+impl Query<'_, '_> {
     /// The shape of this query's reply.
     fn kind(&self) -> ReplyKind {
         ReplyKind {
@@ -1635,7 +1658,7 @@ impl Query<'_> {
         };
         // A query with no output still owes a streaming client a head.
         if let Some(out) = self.out {
-            if !out.head_written.get() && out.write_head().is_err() {
+            if !out.head_written.get() && out.deliver(&[]).is_err() {
                 return streamed_failure_reply();
             }
         }
@@ -1647,8 +1670,8 @@ impl Query<'_> {
         let kind = self.kind();
         shared.metrics.record_run(&report, kind);
         let carried = report.fields(kind);
-        let mut reply = if self.out.is_some() {
-            let mut reply = Reply::new(200, "application/xml", chunked_tail(&carried));
+        let mut reply = if let Some(out) = self.out {
+            let mut reply = Reply::new(200, "application/xml", out.tail(&carried));
             reply.streamed = true;
             reply
         } else {

@@ -12,6 +12,7 @@ use foxq::core::stream::{run_streaming_with_observer, StreamLimits, StreamObserv
 use foxq::core::translate::translate;
 use foxq::core::{print_mft, EmissionAnalysis, EmitSink, EmitWriter, Mft};
 use foxq::obs::{micros_since, Stage, StageTimes};
+use foxq::server::http::{Coalescer, FlushBeforeRead};
 use foxq::server::{Server, ServerConfig};
 use foxq::service::{
     run_lanes, BatchDriver, BatchReport, PreparedQuery, QueryCache, QuerySetPlan, RunReport,
@@ -19,6 +20,7 @@ use foxq::service::{
 use foxq::store::{Corpus, TapeReader};
 use foxq::xml::{WriterSink, XmlReader};
 use foxq::xquery::parse_query;
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::num::ParseIntError;
 use std::process::ExitCode;
@@ -113,8 +115,9 @@ const COMMANDS: &[Command] = &[
     Command { name: "serve", args: "", arity: (0, 0), needs: &[], run: cmd_serve,
         about: "long-running HTTP/1.1 server: POST /query?q=<urlencoded query> and POST \
             /batch?q=..&q=.. stream the request body through prepared queries; add &stream=1 \
-            to /query for a chunked response whose chunks are the engine's irrevocable output \
-            prefixes (run statistics arrive as HTTP trailers); GET /metrics (Prometheus), GET \
+            to /query for a chunked response that carries each irrevocable output prefix before \
+            the server waits for more of the body, the first at once and the rest at least \
+            every 16 KiB (run statistics arrive as HTTP trailers); GET /metrics (Prometheus), GET \
             /healthz, POST /shutdown (graceful drain). Every response carries \
             X-Foxq-Request-Id and Server-Timing headers. Runs until shut down" },
 ];
@@ -155,9 +158,9 @@ impl Flag {
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
     Flag { name: "--stream", alias: None, cmds: &["run"], arg: Arg::Switch(|o| o.stream = true),
-        help: "flush stdout at every emission boundary: each irrevocable output prefix appears \
-            as soon as the engine proves it final, not when the output buffer fills or the \
-            input ends" },
+        help: "write output as the engine proves it final, not when the output buffer fills or \
+            the input ends: the first irrevocable output prefix reaches stdout at once, and each \
+            later one before foxq waits for more input, and at least every 16 KiB" },
     Flag { name: "--timing", alias: None, cmds: &["stats"], arg: Arg::Switch(|o| o.timing = true),
         help: "add a per-stage wall-time table (parse/translate/optimize/execute/...)" },
     Flag { name: "--profile", alias: None, cmds: &["stats", "serve"],
@@ -439,26 +442,30 @@ fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
     let limits = opts.limits;
     let stdout = std::io::stdout();
     if opts.stream {
-        // Earliest emission to a pipe: every irrevocable prefix is
-        // flushed the moment the engine proves it final, so a consumer
-        // sees results while the document is still arriving.
-        let mut out = stdout.lock();
-        let sink = EmitWriter::new(|chunk: &[u8]| out.write_all(chunk).and_then(|_| out.flush()));
-        let (sink, ..) = run_query(&mft, input, sink, limits, ())?;
+        // Earliest emission to a pipe, by the server's rule: the first
+        // irrevocable prefix is written the moment the engine proves it
+        // final, later ones before the next input read and every
+        // `COALESCE_BYTES`, so a consumer sees results while the document
+        // is still arriving.
+        let wire = RefCell::new(Coalescer::new(stdout.lock(), false));
+        let sink = EmitWriter::new(|chunk: &[u8]| wire.borrow_mut().push(chunk));
+        let before_read = |input| FlushBeforeRead::new(input, &wire);
+        let (sink, ..) = run_query(&mft, input, before_read, sink, limits, ())?;
         sink.finish().map_err(|e| e.to_string())?;
-        return out
-            .write_all(b"\n")
-            .and_then(|_| out.flush())
+        let mut wire = wire.borrow_mut();
+        return wire
+            .push(b"\n")
+            .and_then(|()| wire.flush())
             .map_err(|e| e.to_string());
     }
     let sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
     let t = Instant::now();
     let (sink, report, profiled) = if opts.profile {
         let obs = StreamProfiler::for_mft(&mft);
-        let (sink, obs, report) = run_query(&mft, input, sink, limits, obs)?;
+        let (sink, obs, report) = run_query(&mft, input, |input| input, sink, limits, obs)?;
         (sink, report, Some(obs.into_profile(&mft)))
     } else {
-        let (sink, (), report) = run_query(&mft, input, sink, limits, ())?;
+        let (sink, (), report) = run_query(&mft, input, |input| input, sink, limits, ())?;
         (sink, report, None)
     };
     let ran = micros_since(t);
@@ -493,10 +500,11 @@ fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
 /// label projection, seeking over the subtrees the engine is dead in
 /// otherwise — instead of tokenizing XML, and the report says what that
 /// cost; anything else (stdin by default) is XML text for the single-lane
-/// loop, which pays for no fan-out.
-fn run_query<S: EmitSink, O: StreamObserver>(
+/// loop, which pays for no fan-out, read through what `wrap` makes of it.
+fn run_query<S: EmitSink, O: StreamObserver, R: Read>(
     mft: &Mft,
     input: Option<&str>,
+    wrap: impl FnOnce(Box<dyn Read>) -> R,
     sink: S,
     limits: StreamLimits,
     obs: O,
@@ -518,7 +526,7 @@ fn run_query<S: EmitSink, O: StreamObserver>(
         None => Box::new(std::io::stdin().lock()),
     };
     let (sink, stats, obs) =
-        run_streaming_with_observer(mft, XmlReader::new(reader), sink, limits, obs)
+        run_streaming_with_observer(mft, XmlReader::new(wrap(reader)), sink, limits, obs)
             .map_err(|e| e.to_string())?;
     // Text skips nothing without scanning it: the source cost is zero.
     let report = RunReport {

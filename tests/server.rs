@@ -781,10 +781,11 @@ fn streamed_query_matches_buffered_and_moves_stats_to_trailers() {
     handle.shutdown();
 }
 
-/// The point of the subsystem: the response head and first chunks are on the
-/// wire while the request body is still being uploaded. The client holds the
-/// chunked upload open, reads a 200 status line, and only then finishes the
-/// document.
+/// The point of the subsystem: the response head, and all the output the
+/// uploaded part already makes certain, are on the wire while the request
+/// body is still being uploaded. The client holds the chunked upload open,
+/// reads a 200 status line and the last name sent, and only then finishes
+/// the document.
 #[test]
 fn streamed_head_arrives_before_request_body_ends() {
     use std::io::{BufRead, BufReader, Read, Write};
@@ -821,13 +822,23 @@ fn streamed_head_arrives_before_request_body_ends() {
         status.starts_with("HTTP/1.1 200"),
         "bad status line before body end: {status:?}"
     );
+    // And so must all the output the uploaded part makes certain, up to its
+    // last name: the server writes what it holds before it waits for more
+    // of the body.
+    let mut rest = Vec::new();
+    while !String::from_utf8_lossy(&rest).contains("p499") {
+        let got = reader.fill_buf().unwrap();
+        assert!(!got.is_empty(), "eof before p499");
+        rest.extend_from_slice(got);
+        let n = got.len();
+        reader.consume(n);
+    }
 
     // Now close the document and the chunked request body, and drain the
     // rest of the response.
     let tail = "</people></site>";
     write!(stream, "{:x}\r\n{tail}\r\n0\r\n\r\n", tail.len()).unwrap();
     stream.flush().unwrap();
-    let mut rest = Vec::new();
     reader.read_to_end(&mut rest).unwrap();
     let rest = String::from_utf8_lossy(&rest);
     assert!(rest.contains("transfer-encoding: chunked"), "{rest}");
@@ -1028,6 +1039,100 @@ fn streamed_mid_run_failure_truncates_the_chunked_body() {
     );
     let text = client::get(addr, "/metrics").unwrap().text();
     assert!(metric(&text, "foxq_lane_failures_total") >= 1);
+    handle.shutdown();
+}
+
+/// A client that stops reading still backpressures the engine: the server
+/// holds back at most 16 KiB of output, so once the socket buffers are full
+/// the worker's write blocks, its write timeout ends the run, and the
+/// connection closes without a terminating chunk. The one worker is then
+/// free for the next connection. Release only: the upload is 16 MiB.
+#[test]
+fn streamed_slow_reader_hits_write_timeout() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    if cfg!(debug_assertions) {
+        eprintln!(
+            "streamed_slow_reader_hits_write_timeout: skipped (debug build; run with --release)"
+        );
+        return;
+    }
+    let handle = start(ServerConfig {
+        threads: 1,
+        write_timeout: Duration::from_millis(200),
+        ..test_config()
+    });
+    let addr = handle.local_addr();
+    // A copying query: its output is as large as the document, far more
+    // than the loopback socket buffers hold.
+    let copy = format!(
+        "{}&stream=1",
+        client::query_target("<o>{$input/site/people/person}</o>")
+    );
+    let mut body = String::from("<site><people>");
+    for i in 0.. {
+        if body.len() >= 16 << 20 {
+            break;
+        }
+        body.push_str(&format!(
+            "<person><name>p{i}</name><note>never read by the client</note></person>"
+        ));
+    }
+    body.push_str("</people></site>");
+    let mut request = format!(
+        "POST {copy} HTTP/1.1\r\nhost: foxq\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(body.as_bytes());
+    drop(body);
+
+    let stalled = TcpStream::connect(addr).unwrap();
+    // The upload stalls as soon as the server stops reading, and fails once
+    // it closes; how far it gets does not matter.
+    let mut upload = stalled.try_clone().unwrap();
+    upload
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let sender = std::thread::spawn(move || {
+        let _ = upload.write_all(&request);
+    });
+
+    // The worker comes free: a second connection is answered, a streamed
+    // query included, while the first client still has not read a byte.
+    let ok = client::get(addr, "/healthz").unwrap();
+    assert_eq!((ok.status, ok.text().as_str()), (200, "ok\n"));
+    let target = format!("{}&stream=1", client::query_target(PERSON_NAMES));
+    let r = client::post(addr, &target, &doc(&["Jim"])).unwrap();
+    assert_eq!((r.status, r.text().as_str()), (200, "<o>Jim</o>"));
+    let text = client::get(addr, "/metrics").unwrap().text();
+    assert_eq!(metric(&text, "foxq_lane_failures_total"), 1);
+
+    // The stalled connection was closed, its body cut short.
+    let mut stalled = stalled;
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut got = Vec::new();
+    let mut buf = vec![0u8; 1 << 16];
+    loop {
+        match stalled.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => got.extend_from_slice(&buf[..n]),
+            Err(e) => {
+                // A reset is a close too; a timeout is a connection left open.
+                assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
+                break;
+            }
+        }
+    }
+    let got = String::from_utf8_lossy(&got);
+    assert!(got.is_empty() || got.starts_with("HTTP/1.1 200 OK\r\n"));
+    assert!(
+        !got.contains("\r\n0\r\n"),
+        "the stalled body was terminated"
+    );
+    sender.join().unwrap();
     handle.shutdown();
 }
 
