@@ -30,7 +30,7 @@ use foxq::core::stream::{
     run_streaming_on_forest, run_streaming_to_string, run_streaming_with_limits, Engine,
     StreamError, StreamLimits, StreamObserver, StreamStats,
 };
-use foxq::core::{parse_mft, run_mft, Mft};
+use foxq::core::{parse_mft, print_mft, run_mft, Mft};
 use foxq::forest::term::parse_forest;
 use foxq::forest::{elem, text, Forest, Label, Tree};
 use foxq::gcx::{run_gcx_on_forest, GcxError};
@@ -535,18 +535,20 @@ fn check_sample(seed: u64) {
         "printer/parser mismatch (seed {seed})"
     );
     let (unopt, opt) = (prepared.unoptimized(), prepared.mft());
+    let xml = forest_to_xml_string(&doc);
     for (label, m) in [("unopt", unopt), ("opt", opt)] {
+        // Enough to reproduce a failure without the generator.
+        let sample = || {
+            format!(
+                "(seed {seed})\nquery: {query}\ndocument: {xml}\n{label} mft:\n{}",
+                print_mft(m)
+            )
+        };
         let interp = forest_to_xml_string(&foxq::core::run_mft(m, &doc).unwrap());
-        assert_eq!(
-            interp, expected,
-            "{label} interp (seed {seed})\nquery: {query}"
-        );
+        assert_eq!(interp, expected, "{label} interp {}", sample());
         let (sink, stats) = run_streaming_on_forest(m, &doc, ForestSink::new()).unwrap();
         let streamed = forest_to_xml_string(&sink.into_forest());
-        assert_eq!(
-            streamed, expected,
-            "{label} stream (seed {seed})\nquery: {query}"
-        );
+        assert_eq!(streamed, expected, "{label} stream {}", sample());
         assert_counts_every_event(&stats, &doc, &format!("{label} stream (seed {seed})"));
         // An observer sees the same run: same output, same counters.
         let (profiled, profiled_stats) = stream_profiled(m, &doc);
@@ -609,7 +611,6 @@ fn check_sample(seed: u64) {
         &expected,
         tape_events,
     );
-    let xml = forest_to_xml_string(&doc);
     let denoted = parse_document(xml.as_bytes()).unwrap();
     let expected_of_text = forest_to_xml_string(&eval_query(&query, &denoted).unwrap());
     let mut full = XmlReader::new(xml.as_bytes());
