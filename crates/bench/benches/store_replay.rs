@@ -1,8 +1,8 @@
 //! The foxq-store claim: serving a hot corpus from pre-parsed FET tapes
 //! beats re-tokenizing the XML on every query, the close-offset seek path
 //! beats even that by never decoding prefilter-withheld subtrees, and the
-//! FET2 label skip index beats the seek path by never *visiting* frames
-//! the query set cannot match.
+//! label skip index beats the seek path by never *visiting* frames the
+//! query set cannot match.
 //!
 //! Five engines over the same XMark document and the same prefilter-
 //! eligible query:
@@ -10,8 +10,8 @@
 //! * `reparse`           — XML bytes → `XmlReader` → engine;
 //! * `replay`            — tape → `TapeReader` → engine (no tokenization);
 //! * `replay_seek`       — linear scan with seek-based subtree skipping
-//!   (the FET1 read path, forced on a FET2 tape);
-//! * `replay_index`      — FET2 merged posting-list cursor, in-memory;
+//!   (`TapeDrive::Linear`, the index forced off);
+//! * `replay_index`      — merged posting-list cursor, in-memory;
 //! * `replay_index_mmap` — the same cursor over an mmapped tape file.
 //!
 //! The PR's acceptance bars (enforced in `tests/perf_smoke.rs`): the seek

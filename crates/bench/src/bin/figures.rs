@@ -332,7 +332,7 @@ fn ablation(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
     println!("(st = states, pm = max parameters; the paper reports ~1 order of magnitude)");
 }
 
-/// foxq-store: reparse vs tape replay vs seek-skipping scan vs the FET2
+/// foxq-store: reparse vs tape replay vs seek-skipping scan vs the
 /// merged index cursor (in-memory and mmapped), on a prefilter-eligible
 /// XMark navigator.
 fn store_replay(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
@@ -347,7 +347,7 @@ fn store_replay(sizes: &[usize], samples: usize, csv: &mut CsvLog) {
     let mft = prepared.mft();
     let plan = QuerySetPlan::new([mft]);
 
-    println!("\n== foxq-store: XML reparse vs FET2 tape replay (query {QNAME}) ==");
+    println!("\n== foxq-store: XML reparse vs tape replay (query {QNAME}) ==");
     println!(
         "{:<22} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>12}",
         "input",

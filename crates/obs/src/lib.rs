@@ -73,7 +73,7 @@ pub enum Stage {
     TapeReplay,
     /// Forward seeks within a tape, over subtrees no lane can use.
     TapeSeek,
-    /// Merging and advancing FET2 posting lists on the index read path.
+    /// Merging and advancing posting lists on the index read path.
     IndexProbe,
     /// Output forest to response bytes.
     Serialize,

@@ -448,12 +448,13 @@ impl<R: BufRead> BufRead for BodyReader<'_, R> {
 // ---------------------------------------------------------------------------
 
 /// Every status code the server emits, with its standard reason phrase.
-pub const STATUSES: [(u16, &str); 9] = [
+pub const STATUSES: [(u16, &str); 10] = [
     (200, "OK"),
     (400, "Bad Request"),
     (404, "Not Found"),
     (405, "Method Not Allowed"),
     (408, "Request Timeout"),
+    (409, "Conflict"),
     (413, "Content Too Large"),
     (422, "Unprocessable Content"),
     (500, "Internal Server Error"),

@@ -109,7 +109,7 @@ scalars! {
 struct Live {
     cache: CacheStats,
     /// Stored tapes by format version, one per document.
-    tapes: Option<[u64; 2]>,
+    tapes: Option<[u64; 3]>,
     alloc: AllocSnapshot,
     rss: Option<u64>,
 }
@@ -130,7 +130,7 @@ const LIVE: [(Family, LiveValue); 10] = [
     (Family::counter("foxq_query_cache_evictions_total",
         "Cache entries evicted."), |l| Some(l.cache.evictions)),
     (Family::gauge("foxq_corpus_docs",
-        "Documents currently stored in the corpus."), |l| l.tapes.map(|[v1, v2]| v1 + v2)),
+        "Documents currently stored in the corpus."), |l| l.tapes.map(|t| t.iter().sum())),
     (Family::counter("foxq_alloc_allocations_total",
         "Heap allocations observed by the counting allocator."), |l| Some(l.alloc.allocations)),
     (Family::counter("foxq_alloc_frees_total",
@@ -299,8 +299,8 @@ impl Metrics {
     /// Render the Prometheus text exposition, splicing in the query cache's
     /// live counters and (when a corpus is configured) the stored-document
     /// and per-tape-version gauges from its tapes by format version (FET1,
-    /// FET2).
-    pub fn render(&self, cache: CacheStats, tapes: Option<[u64; 2]>) -> String {
+    /// FET2, FET3).
+    pub fn render(&self, cache: CacheStats, tapes: Option<[u64; 3]>) -> String {
         let mut out = String::with_capacity(8192);
         for (family, value) in SCALARS.iter().zip(&self.scalars) {
             family.render_scalar(&mut out, get(value));
@@ -330,12 +330,7 @@ impl Metrics {
         }
 
         if let Some(tapes) = tapes {
-            labeled(
-                &mut out,
-                &CORPUS_TAPES,
-                "version",
-                [1, 2].into_iter().zip(tapes),
-            );
+            labeled(&mut out, &CORPUS_TAPES, "version", (1..=3).zip(tapes));
         }
         let errors = ["4xx", "5xx"].iter().zip(&self.http_errors);
         labeled(
@@ -408,7 +403,7 @@ mod tests {
             compiles: 2,
             evictions: 0,
         };
-        let text = m.render(cache, Some([1, 2]));
+        let text = m.render(cache, Some([1, 2, 3]));
         assert!(text.contains("foxq_requests_total{endpoint=\"query\"} 1"));
         assert!(text.contains("foxq_requests_total{endpoint=\"debug\"} 0"));
         assert!(text.contains("foxq_responses_total{code=\"200\"} 1"));
@@ -421,9 +416,10 @@ mod tests {
         assert!(text.contains("foxq_seek_skipped_bytes_total 0"));
         assert!(text.contains("foxq_index_skipped_bytes_total 0"));
         assert!(text.contains("foxq_corpus_hits_total 0"));
-        assert!(text.contains("foxq_corpus_docs 3"));
+        assert!(text.contains("foxq_corpus_docs 6"));
         assert!(text.contains("foxq_corpus_tapes{version=\"1\"} 1"));
         assert!(text.contains("foxq_corpus_tapes{version=\"2\"} 2"));
+        assert!(text.contains("foxq_corpus_tapes{version=\"3\"} 3"));
         assert!(text.contains("# TYPE foxq_request_latency_seconds histogram"));
         assert!(text.contains("# TYPE foxq_engine_stage_seconds histogram"));
         assert!(text.contains("# TYPE foxq_reactor_loop_lag_seconds histogram"));
@@ -515,7 +511,7 @@ mod tests {
         for name in foxq_service::field_names(all) {
             assert!(readme.contains(&format!("`{name}`")), "README omits {name}");
         }
-        let text = Metrics::default().render(CacheStats::default(), Some([0, 0]));
+        let text = Metrics::default().render(CacheStats::default(), Some([0, 0, 0]));
         let families = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
         let mut count = 0;
         for family in families.map(|l| l.split(' ').next().unwrap()) {

@@ -164,13 +164,11 @@ impl Shared {
             .map(|m| m.lock().unwrap_or_else(|poisoned| poisoned.into_inner()))
     }
 
-    /// Stored tapes by format version (FET1, FET2), when a corpus is
-    /// configured.
-    fn corpus_tapes(&self) -> Option<[u64; 2]> {
-        self.corpus().map(|c| {
-            let fet1 = c.docs().filter(|d| d.version == 1).count() as u64;
-            [fet1, c.len() as u64 - fet1]
-        })
+    /// Stored tapes by format version (FET1, FET2, FET3), when a corpus
+    /// is configured: tapes not yet migrated stay visible.
+    fn corpus_tapes(&self) -> Option<[u64; 3]> {
+        let count = |c: &Corpus, v| c.docs().filter(|d| d.version == v).count() as u64;
+        self.corpus().map(|c| [1, 2, 3].map(|v| count(&c, v)))
     }
 }
 
@@ -1769,9 +1767,14 @@ fn handle_corpus_ingest<R: BufRead>(
 }
 
 /// A store-side failure of a corpus query: the tape is server state, so
-/// corruption is a 500, never the client's fault.
+/// corruption is a 500, never the client's fault — and a tape of an older
+/// format a 409, whose message names the migration.
 fn store_error_reply(e: &StoreError) -> Reply {
-    Reply::text(500, format!("tape replay failed: {e}\n"))
+    let status = match e {
+        StoreError::NeedsMigration { .. } => 409,
+        _ => 500,
+    };
+    Reply::text(status, format!("tape replay failed: {e}\n"))
 }
 
 fn no_corpus_reply(request: &Request) -> Reply {

@@ -56,8 +56,7 @@ pub struct BatchReport {
     pub seek_skipped_bytes: u64,
     /// Tape bytes the label skip index jumped over without decoding,
     /// summed over documents. Nonzero only for
-    /// [`BatchDriver::run_corpus`] over FET2 tapes when the whole query
-    /// set prefilters.
+    /// [`BatchDriver::run_corpus`] when the whole query set prefilters.
     pub index_skipped_bytes: u64,
     /// Cells that ended in an error.
     pub failures: usize,
@@ -408,7 +407,7 @@ mod tests {
         let parallel = BatchDriver::new(3).run_corpus(&corpus, &queries);
         assert_eq!(serial.doc_ids, parallel.doc_ids);
         assert_eq!(serial.report.failures, 0);
-        // New ingests are FET2 and the query set prefilters wholesale, so
+        // Tapes carry a skip index and the query set prefilters wholesale, so
         // the corpus run rides the skip index, not per-subtree seeks.
         assert!(
             serial.report.index_skipped_bytes > 0,

@@ -49,13 +49,10 @@
 //! (`()` compiles away), and a [`QuerySetPlan`]. Behind it is one event
 //! loop — open → verdict → skip → close, with every lane's emission
 //! boundary fired after each delivered event — generic over a private
-//! `Source`: how to pull, how to skip, *when* skipping is allowed, and an
-//! end-of-run read-out of the counters the source keeps itself. It is
-//! implemented for [`Events`] (any [`EventSource`], XML text above all:
-//! skip whenever every lane is dead), for [`TapeReader`] (the scan: skip
-//! where the tape has a close offset, and on FET1 only where the prefilter
-//! asks, since a FET1 seek forfeits the footer checksum) and for
-//! [`IndexedReplay`] (the FET2 skip index: what it never visited is
+//! `Source`: how to pull, how to skip, and an end-of-run read-out of the
+//! counters the source keeps itself. It is implemented for [`Events`] (any
+//! [`EventSource`], XML text above all), for [`TapeReader`] (the scan) and
+//! for [`IndexedReplay`] (the skip index: what it never visited is
 //! accounted once, at end of input). Each keeps its own error type.
 //! Handing [`run_lanes`] a [`TapeReader`] picks between the last two as
 //! [`index_drive`] decides; a [`TapeDrive`] is run as already picked.
@@ -66,7 +63,6 @@ use foxq_core::mft::Mft;
 use foxq_core::stream::{Engine, StreamError, StreamLimits, StreamObserver, StreamStats};
 use foxq_forest::{FxHashSet, Label, Tree};
 use foxq_obs::Stage;
-use foxq_store::tape::VERSION_V1;
 use foxq_store::{index_drive, IndexedReplay, StoreError, TapeDrive, TapeReader};
 use foxq_xml::{EventSource, XmlError, XmlEvent, XmlSink};
 use std::io::{BufRead, Seek};
@@ -322,20 +318,12 @@ impl<'m, S: XmlSink, O: StreamObserver> MultiQueryEngine<'m, S, O> {
     /// count as dead. A seekable source may then jump to the matching
     /// close — which must still be fed — instead of producing the interior.
     pub fn all_lanes_dead(&self) -> bool {
-        self.lanes_idle(true)
-    }
-
-    /// [`MultiQueryEngine::all_lanes_dead`]; with `ask_engines` false only
-    /// the prefilter's withholding counts, not the engines' own verdicts.
-    fn lanes_idle(&self, ask_engines: bool) -> bool {
         let withholding = self.filter.as_ref().is_some_and(|f| f.skip_depth > 0);
         self.lanes
             .iter()
             .zip(&self.eligible)
             .all(|(lane, &eligible)| match lane {
-                Lane::Running(engine) => {
-                    (eligible && withholding) || (ask_engines && engine.is_dead())
-                }
+                Lane::Running(engine) => (eligible && withholding) || engine.is_dead(),
                 Lane::Failed(_) => true,
             })
     }
@@ -481,7 +469,7 @@ pub struct SourceCost {
     /// Wall time spent in those seeks ([`TapeReader::skip_subtree`]), in
     /// microseconds. Nonzero only on the scan path.
     pub tape_seek_micros: u64,
-    /// Tape bytes a FET2 label skip index proved irrelevant, so the merged
+    /// Tape bytes the label skip index proved irrelevant, so the merged
     /// cursor jumped over them without decoding a single frame. Nonzero
     /// only on the index path.
     pub index_skipped_bytes: u64,
@@ -592,14 +580,9 @@ trait Source {
     /// The next event.
     fn pull(&mut self) -> Result<XmlEvent, Self::Error>;
 
-    /// Right after an element's open was pulled and fed: may its subtree be
-    /// skipped? (Only asked while some lane is still running.)
-    fn may_skip<S: XmlSink, O: StreamObserver>(&self, engine: &MultiQueryEngine<'_, S, O>) -> bool {
-        engine.all_lanes_dead()
-    }
-
-    /// Consume that subtree through its close; returns the open + close
-    /// events consumed, the close included.
+    /// Right after an element's open was pulled and fed, when every lane
+    /// is dead: consume its subtree through its close; returns the open +
+    /// close events consumed, the close included.
     fn skip(&mut self) -> Result<u64, Self::Error>;
 
     /// End of the run: the costs the source kept count of, and how many
@@ -634,12 +617,6 @@ impl<R: BufRead + Seek> Source for TapeReader<R> {
 
     fn pull(&mut self) -> Result<XmlEvent, StoreError> {
         self.next_event()
-    }
-
-    fn may_skip<S: XmlSink, O: StreamObserver>(&self, engine: &MultiQueryEngine<'_, S, O>) -> bool {
-        // A FET1 seek forfeits the footer checksum, so those tapes keep the
-        // skips they always took: the ones the prefilter asks for.
-        self.skippable() && engine.lanes_idle(self.info().version != VERSION_V1)
     }
 
     fn skip(&mut self) -> Result<u64, StoreError> {
@@ -682,10 +659,10 @@ impl<R: BufRead + Seek> Source for IndexedReplay<R> {
 }
 
 /// The one event loop: feed each event to the fan-out, then fire every
-/// lane's emission boundary. After an element's open that leaves the
-/// source free to skip ([`Source::may_skip`]), it skips to the matching
-/// close, the interior is accounted as withheld from every lane, and the
-/// close is fed.
+/// lane's emission boundary. After an element's open at which every lane
+/// is dead ([`MultiQueryEngine::all_lanes_dead`]), it skips to the
+/// matching close, the interior is accounted as withheld from every lane,
+/// and the close is fed.
 fn drive<'m, Src: Source, S: EmitSink, O: StreamObserver>(
     mut source: Src,
     mut engine: MultiQueryEngine<'m, S, O>,
@@ -696,7 +673,7 @@ fn drive<'m, Src: Source, S: EmitSink, O: StreamObserver>(
         match source.pull()? {
             XmlEvent::Open(label) => {
                 engine.open(&label);
-                if !label.is_text() && engine.running() > 0 && source.may_skip(&engine) {
+                if !label.is_text() && engine.running() > 0 && engine.all_lanes_dead() {
                     let skipped = source.skip()?;
                     engine.note_seek_skipped(skipped - 1);
                     engine.emit_running();
@@ -776,25 +753,22 @@ impl<E: EventSource> LaneInput for Events<E> {
 /// A tape is read as little as the query set permits, on one of two paths
 /// picked here:
 ///
-/// * **Index** — the tape is FET2 with a usable skip index and *every*
-///   lane participates in the prefilter: the matched labels' posting
-///   lists drive a merged cursor ([`foxq_store::index_drive`]) that
-///   decodes only candidate frames and jumps over everything between them
-///   without so much as a tag-byte read ([`SourceCost::index_skipped_bytes`]).
-/// * **Scan** — otherwise (FET1 tapes, flagged tapes, a pass-through lane
-///   in the set): frames are decoded in order.
+/// * **Index** — the tape's skip index is usable and *every* lane
+///   participates in the prefilter: the matched labels' posting lists drive
+///   a merged cursor ([`foxq_store::index_drive`]) that decodes only
+///   candidate frames and jumps over everything between them without so
+///   much as a tag-byte read ([`SourceCost::index_skipped_bytes`]).
+/// * **Scan** — otherwise (flagged tapes, a pass-through lane in the set):
+///   frames are decoded in order.
 ///
 /// Either way a subtree at whose open every lane is dead is seeked over
 /// ([`SourceCost::seek_skipped_bytes`]): what the prefilter withholds from
 /// every lane is the static case of that; a subtree-copying or
 /// descendant-axis query gets it wherever its engine has no subscriber
-/// left. On FET2 every decoded subtree is still verified and a skipped
-/// child's stored hash is folded into its parent; a FET1 tape loses its
-/// one footer checksum at the first seek, so there only the prefilter's
-/// withholding triggers one — as it always has — and a pass-through
-/// replay stays fully verified. Output is identical across both paths and
-/// a full replay, and every lane's `events + prefiltered_events` adds up to
-/// [`MultiRun::input_events`] (`tests/store.rs` proves it).
+/// left. Every decoded subtree is still verified. Output is identical
+/// across both paths and a full replay, and every lane's `events +
+/// prefiltered_events` adds up to [`MultiRun::input_events`]
+/// (`tests/store.rs` proves it).
 impl<R: BufRead + Seek> LaneInput for TapeReader<R> {
     type Error = StoreError;
 
@@ -813,8 +787,8 @@ impl<R: BufRead + Seek> LaneInput for TapeReader<R> {
 }
 
 /// A tape whose read path is already picked: `TapeDrive::Linear(tape)`
-/// forces the scan (FET1 behaviour on any tape, A/B measurement); an
-/// `Indexed` drive must have been built from `plan`'s labels.
+/// forces the scan (A/B measurement); an `Indexed` drive must have been
+/// built from `plan`'s labels.
 impl<R: BufRead + Seek> LaneInput for TapeDrive<R> {
     type Error = StoreError;
 

@@ -12,10 +12,14 @@
 //! the rename reach disk before the manifest commits.
 
 use crate::mmap::TapeInput;
-use crate::tape::{ingest_xml_to_tape, StoreError, TapeInfo, TapeReader, TapeWriter, VERSION};
+use crate::tape::{
+    check_hash, ingest_xml_to_tape, EventHash, StoreError, TapeInfo, TapeReader, TapeWriter,
+    VERSION,
+};
 use foxq_xml::XmlEvent;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufRead, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// Manifest file name inside the corpus directory.
@@ -28,7 +32,8 @@ pub struct DocMeta {
     pub id: String,
     /// Tape file name, relative to the corpus directory.
     pub file: String,
-    /// Tape format version (1 = FET1, 2 = FET2).
+    /// Tape format version (3; 1 or 2 until [`Corpus::migrate`] rewrites
+    /// the tape).
     pub version: u8,
     /// XML bytes consumed when the document was ingested.
     pub source_bytes: u64,
@@ -36,7 +41,7 @@ pub struct DocMeta {
     pub tape_bytes: u64,
     /// Open + close events on the tape.
     pub events: u64,
-    /// The tape's event-stream checksum (FNV-1a 64).
+    /// The tape's document checksum (FNV-1a 64).
     pub checksum: u64,
 }
 
@@ -173,9 +178,9 @@ impl Corpus {
         Ok(meta)
     }
 
-    /// Rewrite a stored FET1 tape as FET2 in place (tmp file + rename, like
-    /// ingest) and update its manifest entry. A no-op for tapes already on
-    /// the current version.
+    /// Rewrite a stored FET1 or FET2 tape as FET3 in place
+    /// ([`migrate_tape`]; tmp file + rename, like ingest) and update its
+    /// manifest entry. A no-op for tapes already on the current version.
     pub fn migrate(&mut self, id: &str) -> Result<DocMeta, StoreError> {
         let meta = self
             .docs
@@ -186,27 +191,8 @@ impl Corpus {
             return Ok(meta);
         }
         let tmp = self.dir.join(format!(".{id}.migrate.tmp"));
-        let result = (|| {
-            let mut old = TapeReader::open_file(&self.dir.join(&meta.file))?;
-            let mut writer = TapeWriter::new(std::fs::File::create(&tmp)?)?;
-            loop {
-                match old.next_event()? {
-                    XmlEvent::Open(label) => writer.open(&label)?,
-                    XmlEvent::Close(_) => writer.close()?,
-                    XmlEvent::Eof => break,
-                }
-            }
-            let (out, info) = writer.finish()?;
-            out.sync_all()?;
-            Ok(info)
-        })();
-        let info = match result {
-            Ok(info) => info,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
+        let old = TapeInput::open(std::fs::File::open(self.dir.join(&meta.file))?);
+        let info = tape_to_tmp(&tmp, |out| migrate_tape(old, out))?;
         self.install_tape(id, &tmp, &info, meta.source_bytes)
     }
 
@@ -295,20 +281,65 @@ fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
 /// failure the tmp file is removed. The durable half of an ingest — shared
 /// by [`Corpus::add_xml`] and servers that parse outside the corpus lock
 /// and commit with [`Corpus::install_tape`].
-pub fn ingest_xml_to_tmp(
-    tmp: &Path,
-    xml: impl Read,
-) -> Result<(crate::tape::TapeInfo, u64), StoreError> {
-    let result = (|| {
-        let out = std::fs::File::create(tmp)?;
+pub fn ingest_xml_to_tmp(tmp: &Path, xml: impl Read) -> Result<(TapeInfo, u64), StoreError> {
+    tape_to_tmp(tmp, |out| {
         let (out, info, source_bytes) = ingest_xml_to_tape(xml, out)?;
-        out.sync_all()?;
-        Ok((info, source_bytes))
-    })();
+        Ok((out, (info, source_bytes)))
+    })
+}
+
+/// Write a tape with `write` onto a freshly created file at `tmp` and
+/// fsync it; on any failure the tmp file is removed.
+fn tape_to_tmp<T>(
+    tmp: &Path,
+    write: impl FnOnce(File) -> Result<(File, T), StoreError>,
+) -> Result<T, StoreError> {
+    let result = File::create(tmp)
+        .map_err(StoreError::from)
+        .and_then(write)
+        .and_then(|(out, made)| Ok(out.sync_all().map(|()| made)?));
     if result.is_err() {
         let _ = std::fs::remove_file(tmp);
     }
     result
+}
+
+/// Rewrite a tape of any version as the current one — the one reader of
+/// older tapes. The old tape is replayed front to back through the frame
+/// decoder, with no seek and no index, into a [`TapeWriter`]: FET2's
+/// per-node hashes are checked as they are read, and FET1's one stream hash
+/// is recomputed from the events copied and compared with its footer's.
+pub fn migrate_tape<R: BufRead + Seek, W: Write + Seek>(
+    old: R,
+    out: W,
+) -> Result<(W, TapeInfo), StoreError> {
+    let mut old = TapeReader::open(old, true)?;
+    let fet1 = old.info().version == 1;
+    let mut writer = TapeWriter::new(out)?;
+    let mut stream = EventHash::new();
+    loop {
+        let event = if fet1 {
+            old.pull::<true>()
+        } else {
+            old.pull::<false>()
+        };
+        match event? {
+            XmlEvent::Open(label) => {
+                stream.open(&label);
+                writer.open(&label)?;
+            }
+            XmlEvent::Close(_) => {
+                stream.close();
+                writer.close()?;
+            }
+            XmlEvent::Eof => break,
+        }
+    }
+    stream.eof();
+    if fet1 {
+        check_hash(old.info().checksum, stream.0)?;
+    }
+    writer.finish()
 }
 
 /// Delete crash-orphaned ingest temp files (`.ingest-*.tmp`,
@@ -509,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn new_ingests_are_fet2_and_survive_reload() {
+    fn new_ingests_are_current_and_survive_reload() {
         let dir = scratch("version");
         let mut corpus = Corpus::open(&dir).unwrap();
         let meta = corpus.add_xml("d", &b"<a><b>hi</b></a>"[..]).unwrap();
@@ -530,46 +561,59 @@ mod tests {
         assert!(parse_manifest_line("x\tx.fet\tnine\t10\t20\t4\t0").is_err());
     }
 
-    #[test]
-    fn migrate_rewrites_fet1_tapes_and_preserves_events() {
-        use crate::tape::ingest_xml_to_tape_v1;
+    fn fixture(name: &str) -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures")
+            .join(name)
+    }
 
-        let xml = b"<site><person><name>Jim Blake</name></person><x/></site>";
-        let dir = scratch("migrate");
-        let mut corpus = Corpus::open(&dir).unwrap();
-
-        // Plant a FET1 tape the way an old binary would have: ingest to a
-        // tmp file with the v1 writer, then commit it.
-        let tmp = dir.join(".old.ingest.tmp");
-        let (out, info, source_bytes) = {
-            let out = std::fs::File::create(&tmp).unwrap();
-            ingest_xml_to_tape_v1(&xml[..], out).unwrap()
-        };
-        out.sync_all().unwrap();
-        let planted = corpus
-            .install_tape("old", &tmp, &info, source_bytes)
-            .unwrap();
-        assert_eq!(planted.version, 1);
-
-        let migrated = corpus.migrate("old").unwrap();
-        assert_eq!(migrated.version, VERSION);
-        assert_eq!(migrated.source_bytes, planted.source_bytes);
-        assert_eq!(migrated.events, planted.events);
-
-        // The rewritten tape replays the same logical events as a parse.
-        let mut tape = corpus.open_tape("old").unwrap();
-        assert_eq!(tape.info().version, VERSION);
-        let mut parser = foxq_xml::XmlReader::new(&xml[..]);
-        loop {
-            let want = parser.next_event().unwrap();
-            assert_eq!(tape.next_event().unwrap(), want);
-            if want == XmlEvent::Eof {
-                break;
-            }
+    /// A corpus holding the two old-format fixtures (tapes an older foxq
+    /// wrote, and its manifest lines), as that foxq left it.
+    fn plant_fixtures(dir: &Path) -> Corpus {
+        std::fs::create_dir_all(dir).unwrap();
+        let mut manifest = String::new();
+        for version in [1, 2] {
+            let tape = std::fs::read(fixture(&format!("old-fet{version}.fet"))).unwrap();
+            std::fs::write(dir.join(format!("v{version}.fet")), &tape).unwrap();
+            let len = tape.len();
+            manifest += &format!("v{version}\tv{version}.fet\t{version}\t198\t{len}\t32\t0\n");
         }
+        std::fs::write(dir.join(MANIFEST), manifest).unwrap();
+        Corpus::open(dir).unwrap()
+    }
 
-        // Idempotent, and migrate_all finds nothing left to do.
-        assert_eq!(corpus.migrate("old").unwrap(), migrated);
+    #[test]
+    fn both_fixtures_migrate_to_the_current_version_once() {
+        let dir = scratch("migrate");
+        let mut corpus = plant_fixtures(&dir);
+        let xml = std::fs::read(fixture("old.xml")).unwrap();
+        for id in ["v1", "v2"] {
+            assert!(matches!(
+                corpus.open_tape(id),
+                Err(StoreError::NeedsMigration { .. })
+            ));
+        }
+        assert_eq!(corpus.migrate_all().unwrap(), 2);
+        for id in ["v1", "v2"] {
+            let migrated = corpus.get(id).unwrap().clone();
+            assert_eq!(migrated.version, VERSION);
+            assert_eq!(migrated.source_bytes, 198);
+            assert_eq!(migrated.events, 32);
+            // The rewritten tape replays the same logical events as a parse.
+            let mut tape = corpus.open_tape(id).unwrap();
+            let mut parser = foxq_xml::XmlReader::new(&xml[..]);
+            loop {
+                let want = parser.next_event().unwrap();
+                assert_eq!(tape.next_event().unwrap(), want);
+                if want == XmlEvent::Eof {
+                    break;
+                }
+            }
+            // A second migration rewrites nothing.
+            let bytes = std::fs::read(corpus.tape_path(id).unwrap()).unwrap();
+            assert_eq!(corpus.migrate(id).unwrap(), migrated);
+            assert_eq!(std::fs::read(corpus.tape_path(id).unwrap()).unwrap(), bytes);
+        }
         assert_eq!(corpus.migrate_all().unwrap(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

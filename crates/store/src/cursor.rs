@@ -1,8 +1,8 @@
-//! The FET2 skip index as a candidate selector: replaying *only* the
+//! The skip index as a candidate selector: replaying *only* the
 //! matched subtrees.
 //!
 //! A scan decodes every frame and asks the prefilter about every open —
-//! cost proportional to document size. The FET2 footer stores a posting
+//! cost proportional to document size. The footer stores a posting
 //! list per label (open-frame offsets with depth and parent), so a query
 //! set's matched-label union selects a handful of lists and a k-way merge
 //! over them visits exactly the *candidate* frames. [`IndexedReplay`]
@@ -17,7 +17,8 @@
 //! index delivered without gaps is checked against its stored count and
 //! hash; one with gaps (a rejected candidate, a jump between children)
 //! only has its count bounded, and its stored hash stands in for it in the
-//! parent.
+//! parent. The label table and the posting lists that pick the candidates
+//! are checked against the footer's and their own hashes.
 //!
 //! ## Why depth and parent ride in every posting
 //!
@@ -35,13 +36,6 @@
 //!   depth is exactly one below the innermost open frame: a deeper
 //!   posting means some intermediate ancestor was not delivered, so the
 //!   scan would never have reached this node.
-//!
-//! ## What it trusts
-//!
-//! The footer's label table and posting lists are not hashed. They decide
-//! which frames are delivered, so damage there can change the answer
-//! without an error: 336 of the 7,902 damaged tapes of
-//! `tests/tape_mutations.rs`, every one of them damaged in the footer.
 
 use crate::tape::{slice_varint, SkippedSubtree, StoreError, TapeInfo, TapeReader, TAPE_START};
 use foxq_forest::{FxHashSet, Label};
@@ -115,7 +109,7 @@ impl ListCursor {
     }
 }
 
-/// Replays the prefilter-surviving events of a FET2 tape by merging the
+/// Replays the prefilter-surviving events of a tape by merging the
 /// matched labels' posting lists. Built by [`index_drive`]; drives the
 /// same engine interface as a full [`TapeReader`] replay.
 pub struct IndexedReplay<R> {
@@ -139,16 +133,17 @@ pub struct IndexedReplay<R> {
 /// A tape ready to drive a query set: through the merged index cursor
 /// when the tape and the plan allow it, by linear scan otherwise.
 pub enum TapeDrive<R> {
-    /// FET2 index path: only candidate frames are decoded.
+    /// Index path: only candidate frames are decoded.
     Indexed(IndexedReplay<R>),
     /// Scan path: frames are decoded in order, the driver seeks over
-    /// subtrees no lane can use (FET1 tapes, flagged tapes).
+    /// subtrees no lane can use (flagged tapes, and plans the index cannot
+    /// serve).
     Linear(TapeReader<R>),
 }
 
 /// Select the read path for `tape` under a query set's matched-label
-/// union. Returns [`TapeDrive::Indexed`] when the tape is FET2 with no
-/// disabling flags; [`TapeDrive::Linear`] otherwise. `texts` is the
+/// union. Returns [`TapeDrive::Indexed`] when the tape has no disabling
+/// flags; [`TapeDrive::Linear`] otherwise. `texts` is the
 /// plan's text flag: true when every eligible lane may skip unmatched
 /// text events (so only matched texts are delivered).
 pub fn index_drive<R: BufRead + Seek>(
@@ -250,7 +245,10 @@ impl<R: BufRead + Seek> IndexedReplay<R> {
         Ok(skipped)
     }
 
-    /// Pull the next prefilter-surviving event.
+    /// Pull the next prefilter-surviving event. (Kept out of line: where
+    /// the compiler inlined it into a caller's loop, that loop ran up to
+    /// 14% slower, depending on what else the caller inlined.)
+    #[inline(never)]
     pub fn next_event(&mut self) -> Result<XmlEvent, StoreError> {
         if self.tape.finished() {
             return Ok(XmlEvent::Eof);

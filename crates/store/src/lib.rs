@@ -3,11 +3,11 @@
 //! Every engine in this workspace consumes a *parse-event stream*
 //! (Definition 1's `Open`/`Close`/`Eof`), yet a hot corpus pays the XML
 //! tokenizer again on every query. This crate materializes the event stream
-//! **once** into an indexed binary tape (the **FET2** format; the FET1
-//! predecessor stays readable) so repeat queries replay events instead of
-//! re-parsing text — and, because the footer carries a *per-label skip
-//! index*, a query set's matched-label union can drive a merged cursor
-//! that decodes only the matched subtrees, seeking over everything else.
+//! **once** into an indexed binary tape (the **FET3** format) so repeat
+//! queries replay events instead of re-parsing text — and, because the
+//! footer carries a *per-label skip index*, a query set's matched-label
+//! union can drive a merged cursor that decodes only the matched subtrees,
+//! seeking over everything else.
 //!
 //! * [`TapeWriter`] streams events to disk in one pass with constant memory
 //!   (O(depth) bookkeeping plus a fixed-size write buffer); text payloads
@@ -29,9 +29,9 @@
 //!   delivered subtree the same way on either path.
 //! * [`Corpus`] manages a directory of tapes with a durable manifest
 //!   (doc id → file, version, byte/event counts, checksum) and can
-//!   [`Corpus::migrate`] FET1 tapes to FET2 in place.
+//!   [`Corpus::migrate`] older tapes to FET3 in place ([`migrate_tape`]).
 //!
-//! ## The FET2 byte layout
+//! ## The FET3 byte layout
 //!
 //! All multi-byte integers are **little-endian**; `varint` is unsigned
 //! LEB128 (7 data bits per byte, high bit = continuation, at most 10
@@ -39,8 +39,8 @@
 //!
 //! ```text
 //! header (13 bytes):
-//!   offset 0   magic  "FET2"                          (4 bytes)
-//!   offset 4   version u8 = 2
+//!   offset 0   magic  "FET3"                          (4 bytes)
+//!   offset 4   version u8 = 3
 //!   offset 5   footer_offset u64  — absolute offset of the footer
 //!              (backpatched when the tape is finished)
 //!   offset 13  first tape frame
@@ -66,7 +66,10 @@
 //!       element label in id order. Partitioning texts by parent makes
 //!       projection exact: a query loads only the buckets under matched
 //!       parents instead of scanning one global text list. Each list:
-//!           varint posting_count · varint byte_len · byte_len bytes
+//!           varint posting_count · varint byte_len · list_hash u32
+//!           · byte_len bytes (the body; list_hash is the high 32 bits of
+//!           FNV-1a 64 stepped on its 8-byte little-endian words, the last
+//!           one zero-padded)
 //!       each posting:  varint offset_delta — frame-tag offset minus the
 //!                          previous posting's in the same list
 //!                          (first: minus 13)
@@ -76,6 +79,8 @@
 //!   varint raw_text_bytes — total text payload before compression
 //!   varint enc_text_bytes — total text payload as stored
 //!   checksum u64          — document hash (see below)
+//!   footer_hash u64       — FNV-1a 64 of every footer byte before it but
+//!                           the posting-list bodies; the file ends here
 //! ```
 //!
 //! **Text compression.** Each text payload is compressed independently
@@ -86,16 +91,16 @@
 //! `enc_len > raw_len` is corrupt, and `raw_len > 255 × enc_len` is
 //! rejected before any allocation (255 is the codec's maximum expansion).
 //!
-//! **The close-offset invariant** (unchanged from FET1). `close_delta` is
-//! the number of tape bytes from the end of the open frame (the byte after
-//! its `close_delta` field) to the *tag byte* of the matching `Close`
-//! frame. A reader positioned just past an open frame reaches the close
-//! frame by seeking forward exactly `close_delta` bytes; everything in
-//! between is the subtree, skipped without decoding. The sentinel
-//! `0xFFFF_FFFF` means the subtree spans ≥ 4 GiB and must be scanned
-//! instead (and sets `FLAG_DELTA_OVERFLOW`). The writer backpatches the
-//! placeholder on close — in memory when the open frame is still in the
-//! write buffer (the overwhelmingly common case), by a file seek otherwise.
+//! **The close-offset invariant.** `close_delta` is the number of tape
+//! bytes from the end of the open frame (the byte after its `close_delta`
+//! field) to the *tag byte* of the matching `Close` frame. A reader
+//! positioned just past an open frame reaches the close frame by seeking
+//! forward exactly `close_delta` bytes; everything in between is the
+//! subtree, skipped without decoding. The sentinel `0xFFFF_FFFF` means the
+//! subtree spans ≥ 4 GiB and must be scanned instead (and sets
+//! `FLAG_DELTA_OVERFLOW`). The writer backpatches the placeholder on close
+//! — in memory when the open frame is still in the write buffer (the
+//! overwhelmingly common case), by a file seek otherwise.
 //!
 //! `subtree_events` on a `Close` frame is the number of open + close
 //! events of the subtree it terminates, *its own open and close included*
@@ -111,41 +116,35 @@
 //! `event_count`. The same close must also sit where its open frame's
 //! `close_delta` points. Any mismatch is [`StoreError::Corrupt`].
 //!
-//! **Compositional checksums.** FET2 hashes each node independently with
+//! **Compositional checksums.** Each node is hashed independently with
 //! FNV-1a 64 (offset basis `0xcbf29ce484222325`, prime `0x100000001b3`):
 //! fold the open tag byte (`0x01`/`0x02`), the name or raw text bytes,
 //! `0xFF`; then, per direct child in document order, the 4 little-endian
-//! bytes of the child's **stored** 32-bit hash; then `0x03`. The low 32
-//! bits are stored in the node's `Close` frame (`subtree_hash`). The
-//! footer `checksum` folds each root's stored hash the same way, then
-//! `0x00`. Consequences: a reader verifies **exactly the subtrees it
-//! decodes** ([`StoreError::Checksum`] fires at the corrupted node's close,
-//! not at `Eof`); seeking over a subtree folds its stored hash into the
-//! parent, so every enclosing check — including the document hash at
-//! `Eof` — survives partial replays. Corruption inside a fully-skipped
-//! subtree is undetectable by construction (its bytes are never read).
+//! bytes of `stored ^ id · 0x9E3779B9` (wrapping u32 arithmetic), where
+//! `stored` is the child's **stored** 32-bit hash and `id` the label id of
+//! its open frame (`0xFFFFFFFF` for a text); then `0x03`. The low 32 bits
+//! are stored in the node's `Close` frame (`subtree_hash`). The footer
+//! `checksum` folds each root the same way, then `0x00`. Consequences: a
+//! reader verifies **exactly the subtrees it decodes**
+//! ([`StoreError::Checksum`] fires at the corrupted node's close, not at
+//! `Eof`); seeking over a subtree folds its stored hash into the parent, so
+//! every enclosing check — including the document hash at `Eof` — survives
+//! partial replays. Corruption inside a fully-skipped subtree is
+//! undetectable by construction (its bytes are never read).
 //!
-//! **What is not hashed.** The footer's label table, counts and posting
-//! lists are outside every hash. A replay that decodes every frame still
-//! notices damage to a label name (it is folded into the hash of each node
-//! that carries it), but two paths act on these bytes without decoding
-//! what they decide about: the skip index picks the frames it delivers
-//! from the posting lists and the label table, and a seek is decided on
-//! the label of the open frame it skips — whose only cover is the skipped
-//! subtree's stored hash, folded in unverified. Damage there can change
-//! the answer without an error. `tests/tape_mutations.rs` truncates and
-//! bit-flips every byte of a small FET1/FET2 corpus (7,902 mutants) and
-//! reads each on three paths: the full scan never answered differently;
-//! the index answered differently on 336, all in the footer; a seeking
-//! run did on 112 where the damage moved a seek (14 label ids in open
-//! frames, 98 bytes of the label table). Closing that gap is a format
-//! change: a hash over the label table and the index section.
+//! **What is hashed.** Everything a read path acts on. The label id a seek
+//! was decided on is folded with the skipped child's stored hash, so a
+//! damaged one fails at the parent's close. `footer_hash` is checked when
+//! the tape is opened, a `list_hash` when a query loads that list.
+//! `tests/tape_mutations.rs` damages every byte of a small corpus and reads
+//! each mutant on every path: it fails with a [`StoreError`] or answers as
+//! the undamaged tape does.
 //!
-//! **FET1.** Version-1 tapes (magic `"FET1"`) remain fully readable:
-//! `OpenText` is `varint byte_len · bytes` (uncompressed), `Close` carries
-//! no hash, the footer has no flags/index/text-size sections, and the
-//! checksum is a single FNV-1a 64 over the whole logical event stream —
-//! verified only by full replays (the first seek disables it).
+//! **Older tapes: migrate only.** FET1 (raw text, no close hashes, no skip
+//! index, one stream hash) and FET2 (no footer or list hashes, a plain
+//! child fold) are read by [`migrate_tape`] alone, front to back, checking
+//! their hashes. Everything else answers them with
+//! [`StoreError::NeedsMigration`].
 //!
 //! ## Quick start
 //!
@@ -185,10 +184,10 @@ mod lz;
 pub mod mmap;
 pub mod tape;
 
-pub use corpus::{ingest_xml_to_tmp, Corpus, DocMeta};
+pub use corpus::{ingest_xml_to_tmp, migrate_tape, Corpus, DocMeta};
 pub use cursor::{index_drive, IndexedReplay, TapeDrive};
 pub use mmap::{Mmap, TapeInput};
 pub use tape::{
-    ingest_xml_to_tape, ingest_xml_to_tape_v1, PostingDirEntry, SkippedSubtree, StoreError,
-    TapeInfo, TapeReader, TapeWriter, FLAG_DELTA_OVERFLOW, FLAG_TEXT_CHILDREN,
+    ingest_xml_to_tape, PostingDirEntry, SkippedSubtree, StoreError, TapeInfo, TapeReader,
+    TapeWriter, FLAG_DELTA_OVERFLOW, FLAG_TEXT_CHILDREN,
 };

@@ -1,4 +1,4 @@
-//! Byte-oriented LZ compression for FET2 text payloads.
+//! Byte-oriented LZ compression for tape text payloads.
 //!
 //! The format is LZ4-flavoured: a stream of *sequences*, each a literal run
 //! followed by a back-reference copy. One token byte packs both lengths
@@ -50,7 +50,7 @@ fn emit(dst: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
 }
 
 /// Append the encoding of `src` to `dst`. The encoding is self-delimiting
-/// only together with the raw length, which FET2 stores alongside it.
+/// only together with the raw length, which the tape stores alongside it.
 pub(crate) fn compress(src: &[u8], dst: &mut Vec<u8>) {
     let mut table = [0usize; HASH_SLOTS]; // position + 1; 0 = empty
     let mut lit_start = 0;

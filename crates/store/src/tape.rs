@@ -1,11 +1,11 @@
 //! The FET tape: writer and reader.
 //!
-//! See the crate-level docs for the byte layouts (FET2, and the legacy
-//! FET1 this crate still reads). Everything here is plain `std` I/O: the
-//! writer needs `Write + Seek` (close offsets are backpatched), the reader
-//! needs `BufRead + Seek` (the label table lives in the footer, and
-//! skipping is a forward seek). File-opened readers sit on a
-//! [`crate::TapeInput`] — a memory map when the platform grants one.
+//! See the crate-level docs for the byte layout (FET3). Everything here is
+//! plain `std` I/O: the writer needs `Write + Seek` (close offsets are
+//! backpatched), the reader needs `BufRead + Seek` (the label table lives
+//! in the footer, and skipping is a forward seek). File-opened readers sit
+//! on a [`crate::TapeInput`] — a memory map when the platform grants one.
+//! Older tapes are read by migration alone ([`crate::migrate_tape`]).
 
 use crate::lz;
 use crate::mmap::TapeInput;
@@ -15,14 +15,11 @@ use std::io::{BufRead, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic of the legacy format, offset 0.
-pub const MAGIC_V1: [u8; 4] = *b"FET1";
-/// File magic of the current format, offset 0.
-pub const MAGIC: [u8; 4] = *b"FET2";
-/// Legacy format version (readable, writable via [`TapeWriter::new_v1`]).
-pub const VERSION_V1: u8 = 1;
-/// Format version this crate writes by default.
-pub const VERSION: u8 = 2;
+/// File magic, offset 0.
+pub const MAGIC: [u8; 4] = *b"FET3";
+/// The format version this crate writes, and the only one it runs queries
+/// on; FET1 and FET2 tapes are rewritten by [`crate::Corpus::migrate`].
+pub const VERSION: u8 = 3;
 /// Offset of the first frame (magic + version + footer_offset).
 pub const TAPE_START: u64 = 13;
 /// Offset of the backpatched `footer_offset` field.
@@ -43,11 +40,11 @@ const WRITE_BUF_CAP: usize = 256 * 1024;
 const MAX_LABELS: u64 = 1 << 22;
 const MAX_NAME_LEN: u64 = 1 << 16;
 
-/// FET2 footer flag: some node's parent is a text node (hand-built
+/// Footer flag: some node's parent is a text node (hand-built
 /// forests only; XML cannot produce this). The skip index assumes element
 /// parents, so the index-driven read path is disabled.
 pub const FLAG_TEXT_CHILDREN: u8 = 0x01;
-/// FET2 footer flag: some `close_delta` overflowed the u32 sentinel, so
+/// Footer flag: some `close_delta` overflowed the u32 sentinel, so
 /// not every open frame can be seeked over; the index path is disabled.
 pub const FLAG_DELTA_OVERFLOW: u8 = 0x02;
 const KNOWN_FLAGS: u8 = FLAG_TEXT_CHILDREN | FLAG_DELTA_OVERFLOW;
@@ -60,9 +57,13 @@ const MIN_COMPRESS_LEN: usize = 16;
 /// adversarial frames before any allocation.
 const MAX_EXPANSION: u64 = 255;
 
-/// Text nodes have no interned label id; this sentinel marks them on the
-/// writer's open stack.
-const TEXT_NODE: u64 = u64::MAX;
+/// Text nodes have no interned label id; this sentinel stands for one on
+/// the open stacks and in the label fold.
+const TEXT_NODE: u32 = u32::MAX;
+
+/// The label key of [`EventHash::child`]: odd, so distinct ids give
+/// distinct masks.
+const LABEL_KEY: u32 = 0x9E37_79B9;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -78,10 +79,11 @@ pub enum StoreError {
     /// The tape bytes violate the FET grammar (bad magic, unknown frame
     /// tag, truncated frame, out-of-range label id, …).
     Corrupt { offset: u64, msg: String },
-    /// A recomputed checksum did not match the stored one — the footer's
-    /// document hash on a v1 full replay, a close frame's subtree hash on
-    /// a v2 read.
+    /// A recomputed checksum did not match the stored one: the footer's,
+    /// a posting list's, a close frame's subtree hash, or the document's.
     Checksum { expected: u64, found: u64 },
+    /// A tape of an older format version (1 or 2): migrate it.
+    NeedsMigration { version: u8 },
     /// A corpus lookup for an id that is not in the manifest.
     UnknownDoc { id: String },
     /// A document id outside `[A-Za-z0-9._-]` (or starting with `.`).
@@ -101,6 +103,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Checksum { expected, found } => write!(
                 f,
                 "tape checksum mismatch: stored {expected:#x}, replay computed {found:#x}"
+            ),
+            StoreError::NeedsMigration { version } => write!(
+                f,
+                "tape is FET{version}, an older format; rewrite it as FET{VERSION} \
+                 with `foxq store migrate --dir <corpus>`"
             ),
             StoreError::UnknownDoc { id } => write!(f, "no document {id:?} in the corpus"),
             StoreError::BadDocId { id } => write!(
@@ -162,13 +169,12 @@ impl StoreError {
 // Checksum
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64 over event bytes (see the crate docs).
-///
-/// FET1 folds the whole logical event stream into one running hash. FET2
-/// hashes *compositionally*: each node gets a fresh hash seeded with its
-/// open event, children fold their truncated hash into the parent as they
-/// close, and the footer checksum folds the roots — so a seeking reader
-/// can verify exactly the subtrees it decoded.
+/// FNV-1a 64 (see the crate docs). Events are hashed *compositionally*:
+/// each node gets a fresh hash seeded with its open event, children fold
+/// their truncated hash into the parent as they close, and the footer
+/// checksum folds the roots — so a seeking reader can verify exactly the
+/// subtrees it decoded. The footer is hashed as plain bytes, each posting
+/// list by words ([`EventHash::of_list`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EventHash(pub(crate) u64);
 
@@ -178,7 +184,26 @@ impl EventHash {
     }
 
     fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        self.word(u64::from(b));
+    }
+
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x100_0000_01b3);
+    }
+
+    /// A posting list's hash: the FNV-1a step on 8-byte little-endian words
+    /// (the last zero-padded; the length is the directory's), high 32 bits —
+    /// an eighth of the steps, as a query loads its lists on every run.
+    fn of_list(bs: &[u8]) -> u32 {
+        let mut hash = EventHash::new();
+        let mut words = bs.chunks_exact(8);
+        for word in &mut words {
+            hash.word(u64::from_le_bytes(word.try_into().unwrap()));
+        }
+        let mut last = [0u8; 8];
+        last[..words.remainder().len()].copy_from_slice(words.remainder());
+        hash.word(u64::from_le_bytes(last));
+        (hash.0 >> 32) as u32
     }
 
     fn bytes(&mut self, bs: &[u8]) {
@@ -205,14 +230,44 @@ impl EventHash {
         self.byte(TAG_EOF);
     }
 
-    /// The low 32 bits — what a v2 close frame stores for its subtree.
+    /// The low 32 bits — what a close frame stores for its subtree.
     pub(crate) fn trunc32(&self) -> u32 {
         self.0 as u32
     }
 
-    /// Fold a child subtree's stored hash (v2 compositional step).
-    pub(crate) fn child(&mut self, trunc: u32) {
-        self.bytes(&trunc.to_le_bytes());
+    /// Fold a direct child's stored hash, keyed by the label id its open
+    /// frame carries ([`TEXT_NODE`] for a text): `key` is [`LABEL_KEY`] on
+    /// FET3 and 0 on FET2, whose fold is the stored hash alone.
+    pub(crate) fn child(&mut self, stored: u32, id: u32, key: u32) {
+        self.bytes(&(stored ^ id.wrapping_mul(key)).to_le_bytes());
+    }
+}
+
+/// [`StoreError::Checksum`] unless the recomputed hash is the stored one.
+#[inline(always)]
+pub(crate) fn check_hash(
+    expected: impl Into<u64>,
+    found: impl Into<u64>,
+) -> Result<(), StoreError> {
+    let (expected, found) = (expected.into(), found.into());
+    if expected == found {
+        Ok(())
+    } else {
+        Err(StoreError::Checksum { expected, found })
+    }
+}
+
+/// A footer reader that folds every byte it reads into `hash`.
+struct HashedRead<'a, R> {
+    inner: &'a mut R,
+    hash: EventHash,
+}
+
+impl<R: Read> Read for HashedRead<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.hash.bytes(&buf[..n]);
+        Ok(n)
     }
 }
 
@@ -239,7 +294,7 @@ pub(crate) fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
 /// Footer-level facts about one tape, available without replaying it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeInfo {
-    /// Format version (1 or 2).
+    /// Format version ([`VERSION`]; 1 or 2 only when migrating).
     pub version: u8,
     /// Open + close events on the tape (`Eof` excluded).
     pub events: u64,
@@ -251,19 +306,18 @@ pub struct TapeInfo {
     pub tape_bytes: u64,
     /// Total file size.
     pub file_bytes: u64,
-    /// Document checksum (v1: FNV-1a 64 of the event stream; v2: FNV-1a 64
-    /// folding the roots' subtree hashes).
+    /// Document checksum: FNV-1a 64 folding the roots' subtree hashes (on
+    /// FET1, of the event stream).
     pub checksum: u64,
-    /// FET2 footer flags ([`FLAG_TEXT_CHILDREN`], [`FLAG_DELTA_OVERFLOW`]);
-    /// 0 on v1 tapes.
+    /// Footer flags ([`FLAG_TEXT_CHILDREN`], [`FLAG_DELTA_OVERFLOW`]).
     pub flags: u8,
-    /// Total text payload bytes before compression (v2; 0 on v1).
+    /// Total text payload bytes before compression (0 on FET1).
     pub raw_text_bytes: u64,
-    /// Total text payload bytes as stored (v2; 0 on v1).
+    /// Total text payload bytes as stored (0 on FET1).
     pub enc_text_bytes: u64,
-    /// Bytes of the footer's skip-index section (v2; 0 on v1).
+    /// Bytes of the footer's skip-index section (0 on FET1).
     pub index_bytes: u64,
-    /// Total posting entries across all skip-index lists (v2; 0 on v1).
+    /// Total posting entries across all skip-index lists (0 on FET1).
     pub postings: u64,
 }
 
@@ -272,13 +326,13 @@ pub struct TapeInfo {
 // ---------------------------------------------------------------------------
 
 /// One not-yet-closed node: where its `close_delta` placeholder sits, the
-/// event counter when it opened, and (v2) its compositional hash and
-/// label id ([`TEXT_NODE`] for texts).
+/// event counter when it opened, its compositional hash and its label id
+/// ([`TEXT_NODE`] for texts).
 struct PendingOpen {
     patch_at: u64,
     events_at_open: u64,
     hash: EventHash,
-    label_id: u64,
+    label_id: u32,
 }
 
 /// One label's skip-index list under construction: delta-varint postings
@@ -313,12 +367,9 @@ impl PostingList {
 /// the label table and the skip index grow with the *vocabulary* and the
 /// *node count*, not the text volume. Feed events with
 /// [`TapeWriter::open`] / [`TapeWriter::close`] (the usual sink shape),
-/// then call [`TapeWriter::finish`]. [`TapeWriter::new`] writes FET2;
-/// [`TapeWriter::new_v1`] writes the legacy format (migration tests,
-/// baseline benches).
+/// then call [`TapeWriter::finish`].
 pub struct TapeWriter<W: Write + Seek> {
     out: W,
-    version: u8,
     /// Bytes already written to `out`; `out`'s cursor sits there between
     /// calls.
     flushed: u64,
@@ -326,50 +377,34 @@ pub struct TapeWriter<W: Write + Seek> {
     /// memory.
     buf: Vec<u8>,
     stack: Vec<PendingOpen>,
-    label_ids: FxHashMap<Arc<str>, u64>,
+    label_ids: FxHashMap<Arc<str>, u32>,
     label_names: Vec<Arc<str>>,
-    /// Per-element-label posting lists, parallel to `label_names` (v2).
+    /// Per-element-label posting lists, parallel to `label_names`.
     elem_postings: Vec<PostingList>,
     /// Text open frames, partitioned by parent: bucket `p` holds the
     /// texts whose `parent_plus1` is `p` (bucket 0 = forest-root texts).
     /// Partitioning by parent makes the reader's projection exact — a
     /// query selects only the buckets under matched parents instead of
-    /// decode-and-discarding every text posting in the document (v2).
+    /// decode-and-discarding every text posting in the document.
     text_postings: Vec<PostingList>,
     events: u64,
     max_depth: usize,
-    /// v1: running stream hash. v2: document hash folding root subtrees.
+    /// The document hash, folding root subtrees.
     hash: EventHash,
     flags: u8,
     raw_text_bytes: u64,
     enc_text_bytes: u64,
     enc_scratch: Vec<u8>,
-    /// Backpatches that had to seek (telemetry for tests/benches).
-    seek_patches: u64,
 }
 
 impl<W: Write + Seek> TapeWriter<W> {
-    /// Start a FET2 tape on `out` (the header is written immediately).
-    pub fn new(out: W) -> Result<Self, StoreError> {
-        Self::with_version(out, VERSION)
-    }
-
-    /// Start a legacy FET1 tape on `out`.
-    pub fn new_v1(out: W) -> Result<Self, StoreError> {
-        Self::with_version(out, VERSION_V1)
-    }
-
-    fn with_version(mut out: W, version: u8) -> Result<Self, StoreError> {
-        out.write_all(if version == VERSION_V1 {
-            &MAGIC_V1
-        } else {
-            &MAGIC
-        })?;
-        out.write_all(&[version])?;
+    /// Start a tape on `out` (the header is written immediately).
+    pub fn new(mut out: W) -> Result<Self, StoreError> {
+        out.write_all(&MAGIC)?;
+        out.write_all(&[VERSION])?;
         out.write_all(&0u64.to_le_bytes())?; // footer_offset placeholder
         Ok(TapeWriter {
             out,
-            version,
             flushed: TAPE_START,
             buf: Vec::with_capacity(WRITE_BUF_CAP + 4096),
             stack: Vec::new(),
@@ -384,7 +419,6 @@ impl<W: Write + Seek> TapeWriter<W> {
             raw_text_bytes: 0,
             enc_text_bytes: 0,
             enc_scratch: Vec::new(),
-            seek_patches: 0,
         })
     }
 
@@ -411,7 +445,6 @@ impl<W: Write + Seek> TapeWriter<W> {
             let i = (at - self.flushed) as usize;
             self.buf[i..i + 4].copy_from_slice(&bytes);
         } else {
-            self.seek_patches += 1;
             self.out.seek(SeekFrom::Start(at))?;
             self.out.write_all(&bytes)?;
             self.out.seek(SeekFrom::Start(self.flushed))?;
@@ -419,16 +452,14 @@ impl<W: Write + Seek> TapeWriter<W> {
         Ok(())
     }
 
-    fn intern(&mut self, name: &Arc<str>) -> u64 {
+    fn intern(&mut self, name: &Arc<str>) -> u32 {
         if let Some(&id) = self.label_ids.get(name) {
             return id;
         }
-        let id = self.label_names.len() as u64;
+        let id = self.label_names.len() as u32;
         self.label_ids.insert(name.clone(), id);
         self.label_names.push(name.clone());
-        if self.version != VERSION_V1 {
-            self.elem_postings.push(PostingList::new());
-        }
+        self.elem_postings.push(PostingList::new());
         id
     }
 
@@ -445,49 +476,39 @@ impl<W: Write + Seek> TapeWriter<W> {
                 self.flags |= FLAG_TEXT_CHILDREN;
                 0
             }
-            Some(p) => p.label_id + 1,
+            Some(p) => u64::from(p.label_id) + 1,
         };
         let mut node_hash = EventHash::new();
-        if self.version == VERSION_V1 {
-            self.hash.open(label);
-        } else {
-            node_hash.open(label);
-        }
+        node_hash.open(label);
         let label_id = if label.is_text() {
             let raw = label.name.as_bytes();
             self.buf.push(TAG_OPEN_TEXT);
             push_varint(&mut self.buf, raw.len() as u64);
-            if self.version == VERSION_V1 {
-                self.buf.extend_from_slice(raw);
+            let bucket = parent_plus1 as usize;
+            if self.text_postings.len() <= bucket {
+                self.text_postings.resize_with(bucket + 1, PostingList::new);
+            }
+            self.text_postings[bucket].push(frame_at, depth, parent_plus1);
+            self.raw_text_bytes += raw.len() as u64;
+            self.enc_scratch.clear();
+            if raw.len() >= MIN_COMPRESS_LEN {
+                lz::compress(raw, &mut self.enc_scratch);
+            }
+            if !self.enc_scratch.is_empty() && self.enc_scratch.len() < raw.len() {
+                push_varint(&mut self.buf, self.enc_scratch.len() as u64);
+                self.buf.extend_from_slice(&self.enc_scratch);
+                self.enc_text_bytes += self.enc_scratch.len() as u64;
             } else {
-                let bucket = parent_plus1 as usize;
-                if self.text_postings.len() <= bucket {
-                    self.text_postings.resize_with(bucket + 1, PostingList::new);
-                }
-                self.text_postings[bucket].push(frame_at, depth, parent_plus1);
-                self.raw_text_bytes += raw.len() as u64;
-                self.enc_scratch.clear();
-                if raw.len() >= MIN_COMPRESS_LEN {
-                    lz::compress(raw, &mut self.enc_scratch);
-                }
-                if !self.enc_scratch.is_empty() && self.enc_scratch.len() < raw.len() {
-                    push_varint(&mut self.buf, self.enc_scratch.len() as u64);
-                    self.buf.extend_from_slice(&self.enc_scratch);
-                    self.enc_text_bytes += self.enc_scratch.len() as u64;
-                } else {
-                    push_varint(&mut self.buf, raw.len() as u64);
-                    self.buf.extend_from_slice(raw);
-                    self.enc_text_bytes += raw.len() as u64;
-                }
+                push_varint(&mut self.buf, raw.len() as u64);
+                self.buf.extend_from_slice(raw);
+                self.enc_text_bytes += raw.len() as u64;
             }
             TEXT_NODE
         } else {
             let id = self.intern(&label.name);
-            if self.version != VERSION_V1 {
-                self.elem_postings[id as usize].push(frame_at, depth, parent_plus1);
-            }
+            self.elem_postings[id as usize].push(frame_at, depth, parent_plus1);
             self.buf.push(TAG_OPEN_ELEM);
-            push_varint(&mut self.buf, id);
+            push_varint(&mut self.buf, u64::from(id));
             id
         };
         let patch_at = self.pos();
@@ -519,32 +540,19 @@ impl<W: Write + Seek> TapeWriter<W> {
         let subtree_events = self.events - open.events_at_open + 1;
         self.buf.push(TAG_CLOSE);
         push_varint(&mut self.buf, subtree_events);
-        if self.version == VERSION_V1 {
-            self.hash.close();
-        } else {
-            let mut h = open.hash;
-            h.close();
-            let trunc = h.trunc32();
-            self.buf.extend_from_slice(&trunc.to_le_bytes());
-            match self.stack.last_mut() {
-                Some(parent) => parent.hash.child(trunc),
-                None => self.hash.child(trunc),
-            }
-        }
+        let mut h = open.hash;
+        h.close();
+        let trunc = h.trunc32();
+        self.buf.extend_from_slice(&trunc.to_le_bytes());
+        let parent = match self.stack.last_mut() {
+            Some(parent) => &mut parent.hash,
+            None => &mut self.hash,
+        };
+        parent.child(trunc, open.label_id, LABEL_KEY);
         if self.buf.len() >= WRITE_BUF_CAP {
             self.flush_buf()?;
         }
         Ok(())
-    }
-
-    /// Open/close events recorded so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Backpatches that fell outside the write buffer and cost a seek.
-    pub fn seek_patches(&self) -> u64 {
-        self.seek_patches
     }
 
     /// Write the `Eof` frame and the footer, backpatch the header, and
@@ -555,6 +563,11 @@ impl<W: Write + Seek> TapeWriter<W> {
         self.buf.push(TAG_EOF);
         self.hash.eof();
         let footer_offset = self.pos();
+        // The footer hash covers every footer byte but the posting-list
+        // bodies, which carry their own: `covered` takes the bytes from
+        // `from` on before each body is appended.
+        let mut covered = EventHash::new();
+        let mut from = self.buf.len();
         push_varint(&mut self.buf, self.label_names.len() as u64);
         for name in &self.label_names {
             push_varint(&mut self.buf, name.len() as u64);
@@ -562,28 +575,31 @@ impl<W: Write + Seek> TapeWriter<W> {
         }
         push_varint(&mut self.buf, self.events);
         push_varint(&mut self.buf, self.max_depth as u64);
-        let mut index_bytes = 0u64;
+        self.buf.push(self.flags);
+        let index_start = self.pos();
+        let lists = std::mem::take(&mut self.elem_postings);
+        // Text buckets cover every possible parent_plus1 (0 = forest
+        // root, then one per element label), empty or not, so the
+        // reader's directory is position-addressable.
+        let mut texts = std::mem::take(&mut self.text_postings);
+        texts.resize_with(self.label_names.len() + 1, PostingList::new);
         let mut postings = 0u64;
-        if self.version != VERSION_V1 {
-            self.buf.push(self.flags);
-            let index_start = self.pos();
-            let lists = std::mem::take(&mut self.elem_postings);
-            // Text buckets cover every possible parent_plus1 (0 = forest
-            // root, then one per element label), empty or not, so the
-            // reader's directory is position-addressable.
-            let mut texts = std::mem::take(&mut self.text_postings);
-            texts.resize_with(self.label_names.len() + 1, PostingList::new);
-            for list in lists.iter().chain(texts.iter()) {
-                push_varint(&mut self.buf, list.count);
-                push_varint(&mut self.buf, list.bytes.len() as u64);
-                self.buf.extend_from_slice(&list.bytes);
-                postings += list.count;
-            }
-            index_bytes = self.pos() - index_start;
-            push_varint(&mut self.buf, self.raw_text_bytes);
-            push_varint(&mut self.buf, self.enc_text_bytes);
+        for list in lists.iter().chain(texts.iter()) {
+            push_varint(&mut self.buf, list.count);
+            push_varint(&mut self.buf, list.bytes.len() as u64);
+            let list_hash = EventHash::of_list(&list.bytes);
+            self.buf.extend_from_slice(&list_hash.to_le_bytes());
+            covered.bytes(&self.buf[from..]);
+            self.buf.extend_from_slice(&list.bytes);
+            from = self.buf.len();
+            postings += list.count;
         }
+        let index_bytes = self.pos() - index_start;
+        push_varint(&mut self.buf, self.raw_text_bytes);
+        push_varint(&mut self.buf, self.enc_text_bytes);
         self.buf.extend_from_slice(&self.hash.0.to_le_bytes());
+        covered.bytes(&self.buf[from..]);
+        self.buf.extend_from_slice(&covered.0.to_le_bytes());
         self.flush_buf()?;
         self.out.seek(SeekFrom::Start(FOOTER_OFFSET_AT))?;
         self.out.write_all(&footer_offset.to_le_bytes())?;
@@ -592,7 +608,7 @@ impl<W: Write + Seek> TapeWriter<W> {
         Ok((
             self.out,
             TapeInfo {
-                version: self.version,
+                version: VERSION,
                 events: self.events,
                 label_count: self.label_names.len(),
                 max_depth: self.max_depth,
@@ -609,28 +625,13 @@ impl<W: Write + Seek> TapeWriter<W> {
     }
 }
 
-/// Parse XML and write it to a FET2 tape in one streaming pass. Returns
-/// the tape facts and the number of XML source bytes consumed.
+/// Parse XML and write it to a tape in one streaming pass. Returns the
+/// tape facts and the number of XML source bytes consumed.
 pub fn ingest_xml_to_tape<R: Read, W: Write + Seek>(
     xml: R,
     out: W,
 ) -> Result<(W, TapeInfo, u64), StoreError> {
-    ingest_with(xml, TapeWriter::new(out)?)
-}
-
-/// Like [`ingest_xml_to_tape`] but writing the legacy FET1 format — the
-/// migration-equivalence and perf-baseline counterpart.
-pub fn ingest_xml_to_tape_v1<R: Read, W: Write + Seek>(
-    xml: R,
-    out: W,
-) -> Result<(W, TapeInfo, u64), StoreError> {
-    ingest_with(xml, TapeWriter::new_v1(out)?)
-}
-
-fn ingest_with<R: Read, W: Write + Seek>(
-    xml: R,
-    mut writer: TapeWriter<W>,
-) -> Result<(W, TapeInfo, u64), StoreError> {
+    let mut writer = TapeWriter::new(out)?;
     let mut counted = CountingRead { inner: xml, n: 0 };
     let mut parser = XmlReader::new(&mut counted);
     loop {
@@ -674,7 +675,7 @@ pub struct SkippedSubtree {
     pub bytes: u64,
 }
 
-/// Location of one posting list inside a FET2 footer.
+/// Location of one posting list inside the footer.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingDirEntry {
     /// Number of posting entries in the list.
@@ -683,6 +684,9 @@ pub struct PostingDirEntry {
     pub offset: u64,
     /// Encoded length of the list in bytes.
     pub bytes: u64,
+    /// The list's hash ([`EventHash::of_list`]), checked when the list is
+    /// loaded.
+    pub hash: u32,
 }
 
 /// Longest frame head: a tag and two 10-byte varints (an open text's
@@ -693,15 +697,18 @@ const TRUNCATED: &str = "tape truncated mid-frame";
 
 /// A frame's fixed part, as [`parse_head`] reads it.
 enum Head {
+    /// An element's open frame: its label id and `close_delta`.
     Elem {
         id: u64,
         close_delta: u32,
     },
-    /// The payload and the `close_delta` follow.
+    /// A text's open frame: the payload and the `close_delta` follow
+    /// ([`TapeReader::read_text`]).
     Text {
         raw_len: u64,
         enc_len: u64,
     },
+    /// `subtree_events` and (not on FET1) `subtree_hash`.
     Close {
         events: u64,
         hash: Option<u32>,
@@ -711,11 +718,11 @@ enum Head {
 
 /// Parse the frame head at the start of `b`: the head and its length, or
 /// the index in `b` where it fails ([`bad_head`] says why). The one place
-/// a frame tag is read. FET1's two differences from FET2 live here: its
-/// text is stored raw (it reads as `enc_len = raw_len`), and its closes
-/// carry no hash.
+/// a frame tag is read. `FET1` is the layout migration reads older tapes
+/// in, which differs from FET2 and FET3 in two places: its text is stored
+/// raw (it reads as `enc_len = raw_len`), and its closes carry no hash.
 #[inline(always)]
-fn parse_head(b: &[u8], v1: bool) -> Result<(Head, usize), usize> {
+fn parse_head<const FET1: bool>(b: &[u8]) -> Result<(Head, usize), usize> {
     let mut i = 1;
     let field = |i: &mut usize| {
         let bytes = b.get(*i..*i + 4).ok_or(*i)?;
@@ -729,7 +736,7 @@ fn parse_head(b: &[u8], v1: bool) -> Result<(Head, usize), usize> {
         },
         TAG_OPEN_TEXT => {
             let raw_len = slice_varint(b, &mut i).ok_or(i)?;
-            let enc_len = if v1 {
+            let enc_len = if FET1 {
                 raw_len
             } else {
                 slice_varint(b, &mut i).ok_or(i)?
@@ -738,7 +745,7 @@ fn parse_head(b: &[u8], v1: bool) -> Result<(Head, usize), usize> {
         }
         TAG_CLOSE => Head::Close {
             events: slice_varint(b, &mut i).ok_or(i)?,
-            hash: if v1 { None } else { Some(field(&mut i)?) },
+            hash: if FET1 { None } else { Some(field(&mut i)?) },
         },
         TAG_EOF => Head::Eof,
         _ => return Err(0),
@@ -761,36 +768,17 @@ fn bad_head(at: u64, b: &[u8], i: usize) -> StoreError {
     }
 }
 
-/// One frame, decoded at the read position.
-enum Decoded {
-    /// An element's open frame: its label id (checked against the label
-    /// table) and `close_delta`.
-    Elem {
-        id: u64,
-        close_delta: u32,
-    },
-    /// A text's open frame: its content and `close_delta`.
-    Text {
-        text: Arc<str>,
-        close_delta: u32,
-    },
-    /// `subtree_events` and (FET2) `subtree_hash`.
-    Close {
-        events: u64,
-        hash: Option<u32>,
-    },
-    Eof,
-}
-
 /// One open node on the reader's frame stack. `stack[0]` is a virtual
 /// document root whose close frame is the `Eof` tag, so roots need no
 /// special case; a node's depth is its index.
 struct Frame {
     label: Label,
+    /// The label id of its open frame ([`TEXT_NODE`] for a text).
+    id: u32,
     /// Offset of the close frame's tag; `None` when `close_delta`
     /// overflowed.
     close_at: Option<u64>,
-    /// FET2 compositional hash of what was decoded so far.
+    /// Compositional hash of what was decoded so far.
     hash: EventHash,
     /// Every child so far was decoded, adjacent to its predecessor.
     complete: bool,
@@ -811,11 +799,13 @@ struct Frame {
 /// frame must sit where its open said; its event count must be exact for a
 /// subtree decoded without gaps, and otherwise between what was replayed
 /// and what is left; its hash is checked when there were no gaps; its
-/// stored hash is folded into the parent. `Eof` is the virtual root's
-/// close, checked against the footer's event count and document hash. A
-/// skipped child is no gap — its stored hash stands in for it — so on FET2
-/// every decoded subtree is verified, seeks included. FET1 has one stream
-/// hash, which the first seek forfeits.
+/// stored hash is folded into the parent, keyed by the label id of its
+/// open frame. `Eof` is the virtual root's close, checked against the
+/// footer's event count and document hash. A skipped child is no gap — its
+/// stored hash stands in for it — so every decoded subtree is verified,
+/// seeks included, and so is the label each seek was decided on. The
+/// footer is verified when the tape is opened, each posting list when it
+/// is loaded.
 pub struct TapeReader<R> {
     input: R,
     /// Absolute offset of the next unread byte.
@@ -823,8 +813,8 @@ pub struct TapeReader<R> {
     pub(crate) footer_offset: u64,
     labels: Vec<Label>,
     info: TapeInfo,
-    /// FET2 skip index: one entry per element label (label-id order), then
-    /// the text-node list. Empty on v1 tapes.
+    /// Skip index: one entry per element label (label-id order), then the
+    /// text-node buckets. Empty on FET1.
     postings_dir: Vec<PostingDirEntry>,
     stack: Vec<Frame>,
     /// Open/close events of the tape behind the read position: the ones
@@ -832,9 +822,9 @@ pub struct TapeReader<R> {
     position: u64,
     seek_skipped_bytes: u64,
     seek_micros: u64,
-    /// FET1's single stream hash; the first seek clears it (a partial FET1
-    /// replay cannot checksum). `None` on FET2.
-    stream: Option<EventHash>,
+    /// The label key of [`EventHash::child`]: [`LABEL_KEY`], or 0 on a FET2
+    /// tape opened for migration.
+    key: u32,
     finished: bool,
     /// Where a frame cut by a buffered input's window edge is read.
     scratch: Vec<u8>,
@@ -857,31 +847,34 @@ fn corrupt<T>(offset: u64, msg: impl Into<String>) -> Result<T, StoreError> {
 }
 
 impl<R: BufRead + Seek> TapeReader<R> {
-    /// Validate the header, load the footer (label table, counts, skip
-    /// index directory, checksum), and position the reader at the first
-    /// frame.
-    pub fn new(mut input: R) -> Result<Self, StoreError> {
+    /// Validate the header, load and verify the footer (label table,
+    /// counts, skip index directory, checksums), and position the reader
+    /// at the first frame. A FET1 or FET2 tape is
+    /// [`StoreError::NeedsMigration`].
+    pub fn new(input: R) -> Result<Self, StoreError> {
+        Self::open(input, false)
+    }
+
+    /// [`TapeReader::new`]; with `older_too` — for migration, the one
+    /// reader of older tapes — FET1 and FET2 open as well.
+    pub(crate) fn open(mut input: R, older_too: bool) -> Result<Self, StoreError> {
         let file_bytes = input.seek(SeekFrom::End(0))?;
         input.seek(SeekFrom::Start(0))?;
         let mut head = [0u8; 13];
-        read_exact_at(&mut input, &mut head, 0)?;
-        let version = if head[..4] == MAGIC_V1 {
-            VERSION_V1
-        } else if head[..4] == MAGIC {
-            VERSION
-        } else {
-            return corrupt(0, "bad magic (not a FET tape)");
+        read_exact_at(&mut input, &mut head, &mut 0)?;
+        let version = match head[..4] {
+            [b'F', b'E', b'T', digit @ b'1'..=b'3'] => digit - b'0',
+            _ => return corrupt(0, "bad magic (not a FET tape)"),
         };
         if head[4] != version {
-            let magic = if version == VERSION_V1 {
-                "FET1"
-            } else {
-                "FET2"
-            };
+            let found = head[4];
             return corrupt(
                 4,
-                format!("version byte {} contradicts the {magic} magic", head[4]),
+                format!("version byte {found} contradicts the FET{version} magic"),
             );
+        }
+        if version != VERSION && !older_too {
+            return Err(StoreError::NeedsMigration { version });
         }
         let footer_offset = u64::from_le_bytes(head[5..13].try_into().unwrap());
         // The Eof tag sits between the header and the footer.
@@ -892,8 +885,14 @@ impl<R: BufRead + Seek> TapeReader<R> {
             );
         }
         input.seek(SeekFrom::Start(footer_offset))?;
+        // Every footer byte is read through `footer`, and so hashed, but
+        // the posting-list bodies, which are seeked over.
+        let mut footer = HashedRead {
+            inner: &mut input,
+            hash: EventHash::new(),
+        };
         let mut at = footer_offset;
-        let label_count = read_varint(&mut input, &mut at)?;
+        let label_count = read_varint(&mut footer, &mut at)?;
         // Every entry takes at least a byte: a count the footer cannot
         // hold must not size an allocation.
         if label_count > MAX_LABELS || label_count > file_bytes - at {
@@ -901,30 +900,30 @@ impl<R: BufRead + Seek> TapeReader<R> {
         }
         let mut labels = Vec::with_capacity(label_count as usize);
         for _ in 0..label_count {
-            let len = read_varint(&mut input, &mut at)?;
+            let len = read_varint(&mut footer, &mut at)?;
             if len > MAX_NAME_LEN {
                 return corrupt(at, format!("implausible label length {len}"));
             }
             let mut name = vec![0u8; len as usize];
-            read_exact_at(&mut input, &mut name, at)?;
-            at += len;
+            read_exact_at(&mut footer, &mut name, &mut at)?;
             let Ok(name) = String::from_utf8(name) else {
                 return corrupt(at, "label table entry is not UTF-8");
             };
             labels.push(Label::elem(name));
         }
-        let events = read_varint(&mut input, &mut at)?;
-        let max_depth = read_varint(&mut input, &mut at)?;
-        let mut flags = 0u8;
+        let events = read_varint(&mut footer, &mut at)?;
+        let max_depth = read_varint(&mut footer, &mut at)?;
+        // FET1 predates the flags: any of its close offsets may have
+        // overflowed.
+        let mut flags = FLAG_DELTA_OVERFLOW;
         let mut postings_dir = Vec::new();
         let mut raw_text_bytes = 0;
         let mut enc_text_bytes = 0;
         let mut index_bytes = 0;
         let mut postings = 0;
-        if version != VERSION_V1 {
+        if version > 1 {
             let mut b = [0u8];
-            read_exact_at(&mut input, &mut b, at)?;
-            at += 1;
+            read_exact_at(&mut footer, &mut b, &mut at)?;
             flags = b[0];
             if flags & !KNOWN_FLAGS != 0 {
                 return corrupt(at - 1, format!("unknown footer flags {flags:#04x}"));
@@ -934,8 +933,12 @@ impl<R: BufRead + Seek> TapeReader<R> {
             // possible parent: the forest root, then each element label.
             postings_dir.reserve(2 * labels.len() + 1);
             for _ in 0..2 * labels.len() + 1 {
-                let count = read_varint(&mut input, &mut at)?;
-                let len = read_varint(&mut input, &mut at)?;
+                let count = read_varint(&mut footer, &mut at)?;
+                let len = read_varint(&mut footer, &mut at)?;
+                let mut hash = [0u8; 4];
+                if version == VERSION {
+                    read_exact_at(&mut footer, &mut hash, &mut at)?;
+                }
                 if count > events || len > file_bytes.saturating_sub(at) {
                     return corrupt(
                         at,
@@ -946,22 +949,32 @@ impl<R: BufRead + Seek> TapeReader<R> {
                     count,
                     offset: at,
                     bytes: len,
+                    hash: u32::from_le_bytes(hash),
                 });
                 postings += count;
-                input.seek(SeekFrom::Start(at + len))?;
+                footer.inner.seek(SeekFrom::Start(at + len))?;
                 at += len;
             }
             index_bytes = at - index_start;
-            raw_text_bytes = read_varint(&mut input, &mut at)?;
-            enc_text_bytes = read_varint(&mut input, &mut at)?;
+            raw_text_bytes = read_varint(&mut footer, &mut at)?;
+            enc_text_bytes = read_varint(&mut footer, &mut at)?;
         }
         let mut sum = [0u8; 8];
-        read_exact_at(&mut input, &mut sum, at)?;
+        read_exact_at(&mut footer, &mut sum, &mut at)?;
         let checksum = u64::from_le_bytes(sum);
+        if version == VERSION {
+            let found = footer.hash.0;
+            read_exact_at(&mut input, &mut sum, &mut at)?;
+            check_hash(u64::from_le_bytes(sum), found)?;
+        }
+        if at != file_bytes {
+            return corrupt(at, "bytes after the end of the footer");
+        }
         input.seek(SeekFrom::Start(TAPE_START))?;
         let label_count = labels.len();
         let root = Frame {
             label: Label::elem(""),
+            id: 0,
             close_at: Some(footer_offset - 1), // the Eof tag
             hash: EventHash::new(),
             complete: true,
@@ -992,7 +1005,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
             position: 0,
             seek_skipped_bytes: 0,
             seek_micros: 0,
-            stream: (version == VERSION_V1).then(EventHash::new),
+            key: if version == VERSION { LABEL_KEY } else { 0 },
             finished: false,
             scratch: Vec::new(),
         })
@@ -1008,19 +1021,18 @@ impl<R: BufRead + Seek> TapeReader<R> {
         &self.labels
     }
 
-    /// The FET2 skip-index directory: one list per element label in
-    /// label-id order, then the text-node buckets — one per possible
-    /// parent, forest root first, then each element label in id order
-    /// (entry `labels.len() + 1 + id` holds the texts under label `id`).
-    /// Empty on v1 tapes.
+    /// The skip-index directory: one list per element label in label-id
+    /// order, then the text-node buckets — one per possible parent, forest
+    /// root first, then each element label in id order (entry
+    /// `labels.len() + 1 + id` holds the texts under label `id`).
     pub fn posting_dir(&self) -> &[PostingDirEntry] {
         &self.postings_dir
     }
 
-    /// Whether this tape supports the index-driven read path: a FET2 tape
-    /// with no disabling flags.
+    /// Whether this tape supports the index-driven read path: no footer
+    /// flag disables it.
     pub fn index_usable(&self) -> bool {
-        self.info.version != VERSION_V1 && self.info.flags & KNOWN_FLAGS == 0
+        self.info.flags & KNOWN_FLAGS == 0
     }
 
     /// Open/close events consumed so far: the ones returned and the ones
@@ -1078,16 +1090,16 @@ impl<R: BufRead + Seek> TapeReader<R> {
         Ok(())
     }
 
-    /// The one frame decoder: the frame at the read position, through the
-    /// input's window. (It and the other per-frame steps are
-    /// `#[inline(always)]`: an index replay took 15–20% longer per frame
-    /// when the compiler chose to call them.)
+    /// The one frame decoder: the frame head at the read position, through
+    /// the input's window, in the FET3 layout or ([`parse_head`]) FET1's;
+    /// an element's label id is checked against the label table. (It and
+    /// the other per-frame steps are `#[inline(always)]`: an index replay
+    /// took 15–20% longer per frame when the compiler chose to call them.)
     #[inline(always)]
-    fn read_frame(&mut self) -> Result<Decoded, StoreError> {
+    fn read_frame<const FET1: bool>(&mut self) -> Result<Head, StoreError> {
         let at = self.offset;
-        let v1 = self.info.version == VERSION_V1;
         let (window, from_window) = self.peek(MAX_HEAD)?;
-        let (head, used) = match parse_head(window, v1) {
+        let (head, used) = match parse_head::<FET1>(window) {
             Ok(parsed) => parsed,
             Err(i) => return Err(bad_head(at, window, i)),
         };
@@ -1097,17 +1109,15 @@ impl<R: BufRead + Seek> TapeReader<R> {
                 let n = self.labels.len();
                 corrupt(at, format!("label id {id} out of range ({n} in table)"))
             }
-            Head::Elem { id, close_delta } => Ok(Decoded::Elem { id, close_delta }),
-            Head::Text { raw_len, enc_len } => self.read_text(raw_len, enc_len),
-            Head::Close { events, hash } => Ok(Decoded::Close { events, hash }),
-            Head::Eof => Ok(Decoded::Eof),
+            head => Ok(head),
         }
     }
 
     /// The rest of an open text frame: the payload, decompressed when it
-    /// is stored compressed, and `close_delta`.
+    /// is stored compressed, and `close_delta` — what an open frame yields:
+    /// the label, its id ([`TEXT_NODE`]) and `close_delta`.
     #[inline(never)]
-    fn read_text(&mut self, raw_len: u64, enc_len: u64) -> Result<Decoded, StoreError> {
+    fn read_text(&mut self, raw_len: u64, enc_len: u64) -> Result<(Label, u32, u32), StoreError> {
         // Bound both lengths before anything is sized by them; the
         // saturating form stays correct for a length near u64::MAX.
         let here = self.offset;
@@ -1147,7 +1157,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
             return corrupt(here, "text payload is not UTF-8");
         };
         self.advance(enc + 4, from_window)?;
-        Ok(Decoded::Text { text, close_delta })
+        Ok((Label::text(text), TEXT_NODE, close_delta))
     }
 
     /// The top frame's close offset; the footer's when it overflowed.
@@ -1166,10 +1176,10 @@ impl<R: BufRead + Seek> TapeReader<R> {
         self.finished
     }
 
-    /// Open a node whose open frame started at `at` and ends at the read
-    /// position.
+    /// Open a node whose open frame, carrying label id `id`, started at
+    /// `at` and ends at the read position.
     #[inline(always)]
-    fn push(&mut self, at: u64, label: Label, close_delta: u32) -> Result<(), StoreError> {
+    fn push(&mut self, at: u64, label: Label, id: u32, close_delta: u32) -> Result<(), StoreError> {
         let close_at = if close_delta == DELTA_OVERFLOW {
             if self.index_usable() {
                 return corrupt(at, "overflowed close offset on an index-enabled tape");
@@ -1186,10 +1196,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
             Some(close_at)
         };
         let mut hash = EventHash::new();
-        match &mut self.stream {
-            Some(stream) => stream.open(&label),
-            None => hash.open(&label),
-        }
+        hash.open(&label);
         self.position += 1;
         let parent = self.stack.last_mut().expect("open after Eof");
         if at != parent.next_at {
@@ -1197,6 +1204,7 @@ impl<R: BufRead + Seek> TapeReader<R> {
         }
         self.stack.push(Frame {
             label,
+            id,
             close_at,
             hash,
             complete: true,
@@ -1250,8 +1258,8 @@ impl<R: BufRead + Seek> TapeReader<R> {
     }
 
     /// Settle the top node at the close frame decoded at `at`, which
-    /// stores `count` and (FET2) `stored` — the one verification rule
-    /// (see [`TapeReader`]).
+    /// stores `count` and (not on FET1) `stored` — the one verification
+    /// rule (see [`TapeReader`]).
     #[inline(always)]
     fn settle(&mut self, at: u64, count: u64, stored: Option<u32>) -> Result<XmlEvent, StoreError> {
         if self.stack.len() < 2 {
@@ -1259,31 +1267,23 @@ impl<R: BufRead + Seek> TapeReader<R> {
         }
         let frame = self.stack.pop().expect("checked");
         let gapless = self.settle_count(&frame, at, count, 1)?;
-        match stored {
-            Some(stored) => {
-                let mut hash = frame.hash;
-                hash.close();
-                if gapless && hash.trunc32() != stored {
-                    return Err(StoreError::Checksum {
-                        expected: u64::from(stored),
-                        found: u64::from(hash.trunc32()),
-                    });
-                }
-                self.stack.last_mut().expect("checked").hash.child(stored);
+        let parent = self.stack.last_mut().expect("checked");
+        if let Some(stored) = stored {
+            let mut hash = frame.hash;
+            hash.close();
+            if gapless {
+                check_hash(stored, hash.trunc32())?;
             }
-            None => {
-                if let Some(stream) = &mut self.stream {
-                    stream.close();
-                }
-            }
+            parent.hash.child(stored, frame.id, self.key);
         }
-        self.stack.last_mut().expect("checked").next_at = self.offset;
+        parent.next_at = self.offset;
         Ok(XmlEvent::Close(frame.label))
     }
 
     /// Settle the virtual root at the `Eof` tag decoded at `at`: the
-    /// footer's event count and document hash stand in for its close.
-    fn settle_root(&mut self, at: u64) -> Result<XmlEvent, StoreError> {
+    /// footer's event count and (when `document` is set) its document hash
+    /// stand in for its close.
+    fn settle_root(&mut self, at: u64, document: bool) -> Result<XmlEvent, StoreError> {
         let open = self.depth();
         if open > 0 {
             return corrupt(at, format!("tape ended with {open} unclosed node(s)"));
@@ -1291,36 +1291,37 @@ impl<R: BufRead + Seek> TapeReader<R> {
         let root = self.stack.pop().expect("the virtual root");
         let gapless = self.settle_count(&root, at, self.info.events, 0)?;
         self.finished = true;
-        let document = if self.info.version == VERSION_V1 {
-            self.stream.take()
-        } else {
-            gapless.then_some(root.hash)
-        };
-        if let Some(mut document) = document {
-            document.eof();
-            if document.0 != self.info.checksum {
-                return Err(StoreError::Checksum {
-                    expected: self.info.checksum,
-                    found: document.0,
-                });
-            }
+        if gapless && document {
+            let mut found = root.hash;
+            found.eof();
+            check_hash(self.info.checksum, found.0)?;
         }
         Ok(XmlEvent::Eof)
     }
 
     /// Pull the next event. After `Eof`, keeps returning `Eof`.
     pub fn next_event(&mut self) -> Result<XmlEvent, StoreError> {
+        self.pull::<false>()
+    }
+
+    /// [`TapeReader::next_event`] in the FET3 layout or, for migration,
+    /// FET1's: its closes carry no hash, and its footer's is the event
+    /// stream's, which the caller recomputes.
+    #[inline(always)]
+    pub(crate) fn pull<const FET1: bool>(&mut self) -> Result<XmlEvent, StoreError> {
         if self.finished {
             return Ok(XmlEvent::Eof);
         }
         let at = self.offset;
-        let (label, close_delta) = match self.read_frame()? {
-            Decoded::Close { events, hash } => return self.settle(at, events, hash),
-            Decoded::Eof => return self.settle_root(at),
-            Decoded::Elem { id, close_delta } => (self.labels[id as usize].clone(), close_delta),
-            Decoded::Text { text, close_delta } => (Label::text(text), close_delta),
+        let (label, id, close_delta) = match self.read_frame::<FET1>()? {
+            Head::Close { events, hash } => return self.settle(at, events, hash),
+            Head::Eof => return self.settle_root(at, !FET1),
+            Head::Elem { id, close_delta } => {
+                (self.labels[id as usize].clone(), id as u32, close_delta)
+            }
+            Head::Text { raw_len, enc_len } => self.read_text(raw_len, enc_len)?,
         };
-        self.push(at, label, close_delta)?;
+        self.push(at, label, id, close_delta)?;
         Ok(XmlEvent::Open(self.top_label()))
     }
 
@@ -1349,9 +1350,9 @@ impl<R: BufRead + Seek> TapeReader<R> {
     #[inline(always)]
     pub(crate) fn close_top(&mut self) -> Result<XmlEvent, StoreError> {
         let at = self.offset;
-        match self.read_frame()? {
-            Decoded::Close { events, hash } => self.settle(at, events, hash),
-            Decoded::Eof => self.settle_root(at),
+        match self.read_frame::<false>()? {
+            Head::Close { events, hash } => self.settle(at, events, hash),
+            Head::Eof => self.settle_root(at, true),
             _ => corrupt(at, "close offset points at an open frame"),
         }
     }
@@ -1367,11 +1368,11 @@ impl<R: BufRead + Seek> TapeReader<R> {
         keep: impl FnOnce(&Label) -> bool,
     ) -> Result<bool, StoreError> {
         let at = self.offset;
-        let (label, close_delta) = match (self.read_frame()?, elem_id) {
-            (Decoded::Elem { id, close_delta }, Some(want)) if id == want => {
-                (self.labels[id as usize].clone(), close_delta)
+        let (label, id, close_delta) = match (self.read_frame::<false>()?, elem_id) {
+            (Head::Elem { id, close_delta }, Some(want)) if id == want => {
+                (self.labels[id as usize].clone(), id as u32, close_delta)
             }
-            (Decoded::Text { text, close_delta }, None) => (Label::text(text), close_delta),
+            (Head::Text { raw_len, enc_len }, None) => self.read_text(raw_len, enc_len)?,
             _ => {
                 let msg = format!("posting for label id {elem_id:?} points at another frame");
                 return corrupt(at, msg);
@@ -1381,24 +1382,19 @@ impl<R: BufRead + Seek> TapeReader<R> {
             self.stack.last_mut().expect("open after Eof").complete = false;
             return Ok(false);
         }
-        self.push(at, label, close_delta)?;
+        self.push(at, label, id, close_delta)?;
         Ok(true)
     }
 
-    /// One posting list's bytes, read without moving the read position.
+    /// One posting list's bytes, read without moving the read position and
+    /// checked against the list's hash.
     pub(crate) fn posting_bytes(&mut self, dir: PostingDirEntry) -> Result<Vec<u8>, StoreError> {
         let mut bytes = vec![0u8; dir.bytes as usize];
         self.input.seek(SeekFrom::Start(dir.offset))?;
-        read_exact_at(&mut self.input, &mut bytes, dir.offset)?;
+        read_exact_at(&mut self.input, &mut bytes, &mut { dir.offset })?;
         self.input.seek(SeekFrom::Start(self.offset))?;
+        check_hash(dir.hash, EventHash::of_list(&bytes))?;
         Ok(bytes)
-    }
-
-    /// Whether the event just returned was an `Open` whose subtree can be
-    /// seeked over (its close offset is recorded and did not overflow).
-    pub fn skippable(&self) -> bool {
-        let top = self.stack.last().filter(|_| self.depth() > 0);
-        top.is_some_and(|top| top.opened_at == self.position && top.close_at.is_some())
     }
 
     /// [`EventSource::skip_subtree`] for a tape, which also says how many
@@ -1410,11 +1406,11 @@ impl<R: BufRead + Seek> TapeReader<R> {
     /// The skipped subtree is settled like any other close, as one that
     /// had gaps: its hash is not checked, its count must lie between what
     /// was replayed and what is left of the tape, and its stored hash is
-    /// folded into the parent — so on FET2 verification of everything
-    /// *around* the skip, the footer's document hash at `Eof` included,
-    /// survives, and an enclosing close checks the count exactly. On FET1
-    /// the first seek forfeits the stream hash. Panics when no node is
-    /// open.
+    /// folded into the parent, keyed by its open frame's label id — so
+    /// verification of everything *around* the skip, the footer's document
+    /// hash at `Eof` included, survives, an enclosing close checks the
+    /// count exactly, and a label id damaged into a different skip decision
+    /// fails there. Panics when no node is open.
     pub fn skip_subtree(&mut self) -> Result<SkippedSubtree, StoreError> {
         assert!(self.depth() > 0, "skip_subtree outside any open subtree");
         let before = self.position;
@@ -1429,7 +1425,6 @@ impl<R: BufRead + Seek> TapeReader<R> {
         let start = std::time::Instant::now();
         self.stack.last_mut().expect("checked non-empty").complete = false;
         let bytes = self.jump(close_at)?;
-        self.stream = None;
         self.close_top()?;
         self.seek_skipped_bytes += bytes;
         self.seek_micros += start.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -1461,23 +1456,23 @@ impl<R: BufRead + Seek> EventSource for TapeReader<R> {
 // Low-level read helpers
 // ---------------------------------------------------------------------------
 
-/// `read_exact` that reports truncation as [`StoreError::Corrupt`] at the
-/// given offset (a tape that ends mid-frame is corrupt, not "EOF").
+/// `read_exact` of the bytes at `at`, advancing it, that reports
+/// truncation as [`StoreError::Corrupt`] there (a tape that ends mid-frame
+/// is corrupt, not "EOF").
 pub(crate) fn read_exact_at<R: Read>(
     input: &mut R,
     buf: &mut [u8],
-    at: u64,
+    at: &mut u64,
 ) -> Result<(), StoreError> {
-    input.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Corrupt {
-                offset: at,
-                msg: "tape truncated mid-frame".into(),
-            }
-        } else {
-            StoreError::Io(e)
-        }
-    })
+    input.read_exact(buf).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => StoreError::Corrupt {
+            offset: *at,
+            msg: TRUNCATED.into(),
+        },
+        _ => StoreError::Io(e),
+    })?;
+    *at += buf.len() as u64;
+    Ok(())
 }
 
 /// LEB128 decode, advancing `at` by the bytes consumed.
@@ -1486,8 +1481,7 @@ pub(crate) fn read_varint<R: Read>(input: &mut R, at: &mut u64) -> Result<u64, S
     let mut shift = 0u32;
     loop {
         let mut b = [0u8];
-        read_exact_at(input, &mut b, *at)?;
-        *at += 1;
+        read_exact_at(input, &mut b, at)?;
         let b = b[0];
         if shift >= 63 && b > 1 {
             return Err(StoreError::Corrupt {
@@ -1542,12 +1536,6 @@ mod tests {
         (out.into_inner(), info)
     }
 
-    fn tape_of_v1(xml: &str) -> (Vec<u8>, TapeInfo) {
-        let (out, info, _src) =
-            ingest_xml_to_tape_v1(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
-        (out.into_inner(), info)
-    }
-
     fn replay(bytes: Vec<u8>) -> Vec<XmlEvent> {
         let mut r = TapeReader::new(Cursor::new(bytes)).unwrap();
         let mut out = Vec::new();
@@ -1578,7 +1566,6 @@ mod tests {
     fn roundtrip_equals_direct_parse() {
         let xml = r#"<site><a x="1">hi &amp; ho</a><b/><c><d>deep</d></c></site>"#;
         assert_eq!(replay(tape_of(xml).0), parse_events(xml));
-        assert_eq!(replay(tape_of_v1(xml).0), parse_events(xml));
     }
 
     #[test]
@@ -1622,15 +1609,72 @@ mod tests {
     }
 
     #[test]
-    fn v1_tapes_still_read_and_report_their_version() {
-        let (bytes, info) = tape_of_v1("<a><b>t</b><b>u</b></a>");
-        assert_eq!(info.version, VERSION_V1);
-        assert_eq!(info.postings, 0);
-        assert_eq!(info.index_bytes, 0);
-        let r = TapeReader::new(Cursor::new(bytes)).unwrap();
-        assert_eq!(r.info(), &info);
-        assert!(r.posting_dir().is_empty());
-        assert!(!r.index_usable());
+    fn older_tapes_need_migration_and_open_only_to_migrate() {
+        for (bytes, version) in [
+            (
+                &include_bytes!("../../../tests/fixtures/old-fet1.fet")[..],
+                1,
+            ),
+            (
+                &include_bytes!("../../../tests/fixtures/old-fet2.fet")[..],
+                2,
+            ),
+        ] {
+            match TapeReader::new(Cursor::new(bytes)) {
+                Err(e @ StoreError::NeedsMigration { .. }) => {
+                    assert!(matches!(e, StoreError::NeedsMigration { version: v } if v == version));
+                    assert!(e.to_string().contains("foxq store migrate --dir"), "{e}");
+                }
+                other => panic!("FET{version}: {:?}", other.map(|_| "a reader")),
+            }
+            let r = TapeReader::open(Cursor::new(bytes), true).unwrap();
+            assert_eq!(r.info().version, version);
+        }
+    }
+
+    #[test]
+    fn damage_to_the_footer_fails_at_open_and_to_a_list_when_it_is_loaded() {
+        let (bytes, info) = tape_of("<a><b>t</b><b>u</b></a>");
+        let footer_offset = (TAPE_START + info.tape_bytes) as usize;
+        // The label table's first name: "a" becomes "c".
+        let mut renamed = bytes.clone();
+        assert_eq!(renamed[footer_offset + 2], b'a');
+        renamed[footer_offset + 2] = b'c';
+        assert!(matches!(
+            TapeReader::new(Cursor::new(renamed)),
+            Err(StoreError::Checksum { .. })
+        ));
+        // <b>'s posting list body: the tape opens, the list fails to load.
+        let dir = TapeReader::new(Cursor::new(&bytes)).unwrap().posting_dir()[1];
+        let mut moved = bytes.clone();
+        moved[dir.offset as usize] ^= 0x01;
+        let mut r = TapeReader::new(Cursor::new(moved)).unwrap();
+        assert!(matches!(
+            r.posting_bytes(dir),
+            Err(StoreError::Checksum { .. })
+        ));
+        // Nothing may follow the footer.
+        let mut longer = bytes;
+        longer.push(0);
+        assert!(matches!(
+            TapeReader::new(Cursor::new(longer)),
+            Err(StoreError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn a_seek_decided_on_a_damaged_label_id_fails_at_the_parents_close() {
+        // <r>: 13..19, <a>: 19..25, <x>: 25..31, ...; ids r = 0, a = 1.
+        let (mut bytes, _) = tape_of("<r><a><x/></a><b/></r>");
+        assert_eq!(bytes[19..21], [TAG_OPEN_ELEM, 1]);
+        bytes[20] = 3; // <a> now reads as <b>
+        let mut r = TapeReader::new(Cursor::new(bytes)).unwrap();
+        assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("r")));
+        assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("b")));
+        r.skip_subtree().unwrap();
+        assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("b")));
+        assert_eq!(r.next_event().unwrap(), XmlEvent::Close(Label::elem("b")));
+        assert!(matches!(r.next_event(), Err(StoreError::Checksum { .. })));
     }
 
     #[test]
@@ -1638,15 +1682,10 @@ mod tests {
         let xml = "<r><junk><x>1</x><y>2</y></junk><keep>3</keep></r>";
         // By a seek — or, had the close offset overflowed its field, by
         // decoding; through the trait it is the same operation.
-        for ((bytes, _), seeks) in [
-            (tape_of(xml), true),
-            (tape_of_v1(xml), true),
-            (tape_of(xml), false),
-        ] {
+        for ((bytes, _), seeks) in [(tape_of(xml), true), (tape_of(xml), false)] {
             let mut r = TapeReader::new(Cursor::new(bytes)).unwrap();
             assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("r")));
             assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("junk")));
-            assert!(r.skippable());
             let skipped = if seeks {
                 r.skip_subtree().unwrap()
             } else {
@@ -1684,32 +1723,8 @@ mod tests {
     }
 
     #[test]
-    fn flipped_text_byte_fails_the_checksum() {
-        // v1: detected at Eof against the footer's stream hash.
-        let xml = "<a>checksum-me</a>";
-        let (mut bytes, info) = tape_of_v1(xml);
-        let pos = bytes
-            .windows(b"checksum-me".len())
-            .position(|w| w == b"checksum-me")
-            .unwrap();
-        bytes[pos] ^= 0x20;
-        let mut r = TapeReader::new(Cursor::new(bytes)).unwrap();
-        let err = loop {
-            match r.next_event() {
-                Ok(XmlEvent::Eof) => panic!("corruption not detected"),
-                Ok(_) => continue,
-                Err(e) => break e,
-            }
-        };
-        match err {
-            StoreError::Checksum { expected, .. } => assert_eq!(expected, info.checksum),
-            other => panic!("expected Checksum, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn v2_flipped_text_byte_fails_at_the_nodes_close() {
-        // v2: detected locally, at the corrupted node's close frame — long
+    fn flipped_text_byte_fails_at_the_nodes_close() {
+        // Detected locally, at the corrupted node's close frame — long
         // before Eof. ("checksum-me" is < 16 bytes, so it is stored raw and
         // the flip corrupts content, not the compression framing.)
         let (mut bytes, _) = tape_of("<a>checksum-me<b>fine</b></a>");
@@ -1756,11 +1771,11 @@ mod tests {
         let bytes = out.into_inner();
         let mut r = TapeReader::new(Cursor::new(bytes)).unwrap();
         assert_eq!(r.next_event().unwrap(), XmlEvent::Open(Label::elem("r")));
-        assert!(r.skippable(), "root close offset not backpatched");
         let skipped = r.skip_subtree().unwrap();
+        assert!(skipped.bytes > 0, "root close offset not backpatched");
         assert_eq!(skipped.events, info.events - 1);
-        // v2: the skip folded the root's stored hash, so Eof still
-        // verifies the document hash.
+        // The skip folded the root's stored hash, so Eof still verifies
+        // the document hash.
         assert_eq!(r.next_event().unwrap(), XmlEvent::Eof);
     }
 
@@ -1779,51 +1794,52 @@ mod tests {
         assert!(!r.index_usable());
     }
 
+    /// A tape of one hand-made text frame (`raw_len`, `enc_len`, then
+    /// `rest`) at the root, with a footer sealed as the writer seals one:
+    /// no labels, the text's posting in the root bucket, the footer hash.
+    fn hand_built(raw_len: u64, enc_len: u64, rest: &[u8]) -> Vec<u8> {
+        let mut tape = MAGIC.to_vec();
+        tape.push(VERSION);
+        tape.extend_from_slice(&[0; 8]);
+        tape.push(TAG_OPEN_TEXT);
+        push_varint(&mut tape, raw_len);
+        push_varint(&mut tape, enc_len);
+        tape.extend_from_slice(rest);
+        tape.push(TAG_EOF);
+        let footer_offset = tape.len();
+        tape[5..13].copy_from_slice(&(footer_offset as u64).to_le_bytes());
+        let list = [0, 1, 0]; // offset delta 0, depth 1, at the root
+                              // No labels, 2 events, depth 1, no flags; the list's directory
+                              // entry.
+        tape.extend_from_slice(&[0, 2, 1, 0, 1, list.len() as u8]);
+        tape.extend_from_slice(&EventHash::of_list(&list).to_le_bytes());
+        let mut covered = EventHash::new();
+        covered.bytes(&tape[footer_offset..]);
+        tape.extend_from_slice(&list);
+        let from = tape.len();
+        push_varint(&mut tape, raw_len.min(1 << 40)); // raw_text_bytes
+        push_varint(&mut tape, enc_len.min(1 << 40)); // enc_text_bytes
+        tape.extend_from_slice(&0u64.to_le_bytes()); // document checksum
+        covered.bytes(&tape[from..]);
+        tape.extend_from_slice(&covered.0.to_le_bytes());
+        tape
+    }
+
     #[test]
     fn huge_text_length_varint_is_corrupt_not_a_panic() {
-        // A hand-crafted v1 tape whose single frame claims a text payload
-        // of u64::MAX bytes: the bounds check must not wrap into accepting
-        // it (release builds would then die on a capacity-overflow alloc).
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC_V1);
-        bytes.push(VERSION_V1);
-        bytes.extend_from_slice(&24u64.to_le_bytes()); // footer right after
-        bytes.push(TAG_OPEN_TEXT);
-        bytes.extend_from_slice(&[0xFF; 9]); // LEB128 u64::MAX …
-        bytes.push(0x01); // … final byte
-        bytes.extend_from_slice(&[0x00, 0x00, 0x00]); // footer: 0 labels/events/depth
-        bytes.extend_from_slice(&0u64.to_le_bytes()); // checksum
-        let mut r = TapeReader::new(Cursor::new(bytes)).unwrap();
+        // A text frame claiming an encoding of u64::MAX bytes: the bounds
+        // check must not wrap into accepting it (release builds would then
+        // die on a capacity-overflow alloc).
+        let mut r = TapeReader::new(Cursor::new(hand_built(u64::MAX, u64::MAX, &[]))).unwrap();
         assert!(matches!(r.next_event(), Err(StoreError::Corrupt { .. })));
     }
 
     #[test]
     fn huge_raw_len_on_a_tiny_encoding_is_corrupt_not_an_alloc() {
-        // A hand-built v2 text frame claiming a terabyte raw length for a
-        // few encoded bytes must be rejected by the expansion bound before
-        // allocating anything.
-        let mut evil = Vec::new();
-        evil.extend_from_slice(&MAGIC);
-        evil.push(VERSION);
-        evil.extend_from_slice(&0u64.to_le_bytes());
-        evil.push(TAG_OPEN_TEXT);
-        push_varint(&mut evil, 1 << 40); // raw_len: a terabyte
-        push_varint(&mut evil, 4); // enc_len: four bytes
-        evil.extend_from_slice(b"abcd");
-        evil.extend_from_slice(&[0u8; 4]); // close_delta
-        evil.push(TAG_EOF);
-        let footer_offset = evil.len() as u64; // footer starts after Eof
-        evil[5..13].copy_from_slice(&footer_offset.to_le_bytes());
-        push_varint(&mut evil, 0); // labels
-        push_varint(&mut evil, 2); // events
-        push_varint(&mut evil, 1); // max_depth
-        evil.push(0); // flags
-        push_varint(&mut evil, 1); // root text bucket (the only list): 1 posting …
-        push_varint(&mut evil, 3);
-        evil.extend_from_slice(&[0, 1, 0]); // … delta 0, depth 1, root
-        push_varint(&mut evil, 1 << 40); // raw_text_bytes
-        push_varint(&mut evil, 4); // enc_text_bytes
-        evil.extend_from_slice(&0u64.to_le_bytes()); // checksum
+        // A text frame claiming a terabyte raw length for a few encoded
+        // bytes must be rejected by the expansion bound before allocating
+        // anything.
+        let evil = hand_built(1 << 40, 4, b"abcd\0\0\0\0");
         let mut r = TapeReader::new(Cursor::new(evil)).unwrap();
         match r.next_event() {
             Err(StoreError::Corrupt { msg, .. }) => {

@@ -5,7 +5,7 @@
 //! cargo run --release --example skip_paths -- doc.fet doc.xml benchmark/queries [rounds]
 //! ```
 //!
-//! Three read paths over a FET2 tape and two over the XML text it was made
+//! Three read paths over a tape and two over the XML text it was made
 //! from, all obeying the dead-location rule (a subtree at whose open every
 //! lane is dead is skipped: seeked over on the tape, skimmed in the text):
 //!

@@ -17,6 +17,7 @@ use foxq::server::{Server, ServerConfig};
 use foxq::service::{
     run_lanes, BatchDriver, BatchReport, PreparedQuery, QueryCache, QuerySetPlan, RunReport,
 };
+use foxq::store::tape::VERSION;
 use foxq::store::{Corpus, TapeReader};
 use foxq::xml::{WriterSink, XmlReader};
 use foxq::xquery::parse_query;
@@ -76,17 +77,17 @@ const COMMANDS: &[Command] = &[
             position (its label prefilter withholding the element is the static case), the \
             subtree is skipped. XML text is skimmed to the matching close: every byte is still \
             checked — a malformed document fails with the error and offset it always got — but \
-            no event is built. A .fet input replays the pre-parsed event tape (no XML \
-            tokenization) and seeks there instead; on FET2 every decoded subtree is still \
-            checked against its stored hash, and what lies inside a seeked-over subtree is \
-            never read, so never verified. foxq stats reports the skipped events as \
-            'prefiltered'" },
+            no event is built. A .fet input replays the pre-parsed FET3 event tape (no XML \
+            tokenization) and seeks there instead; every decoded subtree is still checked \
+            against its stored hash, and what lies inside a seeked-over subtree is never \
+            read, so never verified. An older tape fails, naming foxq store migrate --dir. \
+            foxq stats reports the skipped events as 'prefiltered'" },
     Command { name: "stats", args: "<query.xq> [input.xml|input.fet] | <tape.fet>",
         arity: (1, 2), needs: &[], run: |opts| cmd_run(opts, true),
         about: "run and report engine statistics to stderr, including an earliest emission \
             summary (early-emitting states, streamed output fraction, emitting flushes, events \
-            to first emit). Given only a tape, inspect it instead: events, labels, depth; FET2 \
-            tapes also report text compression and per-label skip-index sizes" },
+            to first emit). Given only a tape, inspect it instead: format, events, labels, \
+            depth, text compression and per-label skip-index sizes" },
     Command { name: "compile", args: "<query.xq>", arity: (1, 1), needs: &[], run: cmd_compile,
         about: "print the (optimized) MFT in rule notation" },
     Command { name: "batch", args: "[input.xml]...", arity: (0, ANY), needs: &["-q"],
@@ -96,7 +97,7 @@ const COMMANDS: &[Command] = &[
             threads. Outputs are labeled '### doc query'" },
     Command { name: "store add", args: "<input.xml>...", arity: (1, ANY), needs: &["--dir"],
         run: store_add,
-        about: "parse each document once into the corpus at DIR (FET2 tapes + manifest); ids \
+        about: "parse each document once into the corpus at DIR (FET3 tapes + manifest); ids \
             default to the file stem" },
     Command { name: "store ls", args: "", arity: (0, 0), needs: &["--dir"], run: store_ls,
         about: "list the corpus manifest" },
@@ -104,13 +105,14 @@ const COMMANDS: &[Command] = &[
         run: store_rm, about: "remove stored documents" },
     Command { name: "store migrate", args: "[id]...", arity: (0, ANY), needs: &["--dir"],
         run: store_migrate,
-        about: "rewrite FET1 tapes as FET2 in place (all documents, or just the given ids); \
-            FET2 tapes are left untouched" },
+        about: "rewrite FET1 and FET2 tapes as FET3 in place (all documents, or just the \
+            given ids), reading each old tape once front to back and checking its hashes; \
+            FET3 tapes are left untouched. Every other command refuses older tapes" },
     Command { name: "store query", args: "[id]...", arity: (0, ANY), needs: &["--dir", "-q"],
         run: store_query,
         about: "run the query set over every stored document (or just the given ids), \
             replaying tapes via the label skip index where the whole set has a label projection \
-            (FET2) and by a scan otherwise, seeking over every subtree no query of the set can \
+            and by a scan otherwise, seeking over every subtree no query of the set can \
             use — no XML re-parsing either way. Output is labeled as for batch" },
     Command { name: "serve", args: "", arity: (0, 0), needs: &[], run: cmd_serve,
         about: "long-running HTTP/1.1 server: POST /query?q=<urlencoded query> and POST \
@@ -542,17 +544,12 @@ fn is_tape(path: &str) -> bool {
     path.ends_with(".fet")
 }
 
-/// `foxq stats <tape.fet>`: footer facts, no replay. FET2 tapes get the
-/// index and compression sections on top of the shared counters.
+/// `foxq stats <tape.fet>`: footer facts, no replay.
 fn cmd_tape_stats(path: &str) -> Result<(), String> {
     let tape = TapeReader::open_file(std::path::Path::new(path))
         .map_err(|e| format!("cannot inspect {path}: {e}"))?;
     let info = *tape.info();
-    println!(
-        "format:            {} v{}",
-        if info.version == 1 { "FET1" } else { "FET2" },
-        info.version
-    );
+    println!("format:            FET{}", info.version);
     println!("events:            {}", info.events);
     println!(
         "  open / close:    {} / {}",
@@ -566,50 +563,48 @@ fn cmd_tape_stats(path: &str) -> Result<(), String> {
         info.tape_bytes, info.file_bytes
     );
     println!("checksum:          {:016x}", info.checksum);
-    if info.version >= 2 {
-        let pct = |part: u64, whole: u64| {
-            if whole == 0 {
-                0.0
-            } else {
-                part as f64 * 100.0 / whole as f64
-            }
+    let pct = |part: u64, whole: u64| {
+        if whole == 0 {
+            0.0
+        } else {
+            part as f64 * 100.0 / whole as f64
+        }
+    };
+    println!(
+        "text bytes:        {} raw, {} stored ({:.1}% of raw)",
+        info.raw_text_bytes,
+        info.enc_text_bytes,
+        pct(info.enc_text_bytes, info.raw_text_bytes.max(1))
+    );
+    println!(
+        "skip index:        {} posting(s), {} bytes ({:.1}% of tape)",
+        info.postings,
+        info.index_bytes,
+        pct(info.index_bytes, info.tape_bytes)
+    );
+    if !tape.index_usable() {
+        println!("  (index disabled: flags {:#04x})", info.flags);
+    }
+    // Per-label posting-list sizes: element lists in label-id order, then
+    // the per-parent text buckets. Empty text buckets (most parents never
+    // hold a text) are elided.
+    let labels = tape.labels();
+    for (i, dir) in tape.posting_dir().iter().enumerate() {
+        let name = if let Some(label) = labels.get(i) {
+            format!("<{}>", label.name)
+        } else if i == labels.len() {
+            "#text (root)".to_string()
+        } else {
+            let parent = &labels[i - labels.len() - 1];
+            format!("#text in <{}>", parent.name)
         };
-        println!(
-            "text bytes:        {} raw, {} stored ({:.1}% of raw)",
-            info.raw_text_bytes,
-            info.enc_text_bytes,
-            pct(info.enc_text_bytes, info.raw_text_bytes.max(1))
-        );
-        println!(
-            "skip index:        {} posting(s), {} bytes ({:.1}% of tape)",
-            info.postings,
-            info.index_bytes,
-            pct(info.index_bytes, info.tape_bytes)
-        );
-        if !tape.index_usable() {
-            println!("  (index disabled: flags {:#04x})", info.flags);
+        if labels.get(i).is_none() && dir.count == 0 {
+            continue;
         }
-        // Per-label posting-list sizes: element lists in label-id order,
-        // then the per-parent text buckets. Empty text buckets (most
-        // parents never hold a text) are elided.
-        let labels = tape.labels();
-        for (i, dir) in tape.posting_dir().iter().enumerate() {
-            let name = if let Some(label) = labels.get(i) {
-                format!("<{}>", label.name)
-            } else if i == labels.len() {
-                "#text (root)".to_string()
-            } else {
-                let parent = &labels[i - labels.len() - 1];
-                format!("#text in <{}>", parent.name)
-            };
-            if labels.get(i).is_none() && dir.count == 0 {
-                continue;
-            }
-            println!(
-                "  {:<16} {:>8} posting(s) {:>10} bytes",
-                name, dir.count, dir.bytes
-            );
-        }
+        println!(
+            "  {:<16} {:>8} posting(s) {:>10} bytes",
+            name, dir.count, dir.bytes
+        );
     }
     Ok(())
 }
@@ -870,7 +865,7 @@ fn store_migrate(opts: Opts) -> Result<(), String> {
     if opts.args.is_empty() {
         let rewritten = corpus.migrate_all().map_err(|e| e.to_string())?;
         println!(
-            "migrated {} tape(s) to FET2 ({} document(s) total)",
+            "migrated {} tape(s) to FET{VERSION} ({} document(s) total)",
             rewritten,
             corpus.len()
         );

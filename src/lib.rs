@@ -27,8 +27,9 @@
 //! * [`gen`] — deterministic XMark/TreeBank/Medline/Protein-like generators;
 //! * [`service`] — the serving layer: prepared-query cache, multi-query
 //!   single-pass engine, parallel batch driver (the `foxq batch` command);
-//! * [`store`] — the document store: FET1 event tapes with O(1) subtree
-//!   seeks, plus the corpus manifest (the `foxq store` commands);
+//! * [`store`] — the document store: FET3 event tapes with O(1) subtree
+//!   seeks and a label skip index, plus the corpus manifest (the `foxq
+//!   store` commands);
 //! * [`server`] — the network front-end: a hand-rolled HTTP/1.1 server with
 //!   streaming request bodies and Prometheus metrics (`foxq serve`);
 //! * [`obs`] — the observability core shared by the CLI and the server:

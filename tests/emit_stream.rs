@@ -1,7 +1,7 @@
 //! Byte-identity guard for the earliest-emission subsystem: on every
 //! generated dataset, the concatenation of the streamed prefixes equals the
-//! materialized output — for the XML text source and for FET1 and FET2
-//! tapes, with the label prefilter both on and off. Over XML text the
+//! materialized output — for the XML text source and for tapes, with the
+//! label prefilter both on and off. Over XML text the
 //! drivers skim the subtrees their engines are dead in; the chunk sequence
 //! must be the one of a run that is fed every event.
 //!
@@ -13,7 +13,7 @@ use foxq::core::stream::{run_streaming_with_limits, Engine, StreamLimits};
 use foxq::core::Mft;
 use foxq::gen::Dataset;
 use foxq::service::{run_lanes, Events, PreparedQuery, QuerySetPlan};
-use foxq::store::{ingest_xml_to_tape, ingest_xml_to_tape_v1, TapeReader};
+use foxq::store::{ingest_xml_to_tape, TapeReader};
 use foxq::xml::{forest_to_xml_string, XmlEvent, XmlReader};
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -124,10 +124,8 @@ fn assert_streamed_identity(dataset: Dataset, xml: &str) {
         .unwrap()
         .output;
 
-    let (fet2, _, _) = ingest_xml_to_tape(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
-    let fet2 = fet2.into_inner();
-    let (fet1, _, _) = ingest_xml_to_tape_v1(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
-    let fet1 = fet1.into_inner();
+    let (tape, _, _) = ingest_xml_to_tape(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
+    let tape = tape.into_inner();
 
     // Skimming the subtrees the engine is dead in moves no boundary: the
     // chunk *sequence* is that of a run fed every event.
@@ -152,15 +150,13 @@ fn assert_streamed_identity(dataset: Dataset, xml: &str) {
             "{}: xml source, {mode}",
             dataset.name()
         );
-        for (tape, fmt) in [(&fet1, "FET1"), (&fet2, "FET2")] {
-            let bytes = stream_tape(mft, tape, plan);
-            assert_eq!(
-                String::from_utf8(bytes).unwrap(),
-                expected,
-                "{}: {fmt} tape, {mode}",
-                dataset.name()
-            );
-        }
+        let bytes = stream_tape(mft, &tape, plan);
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            expected,
+            "{}: tape, {mode}",
+            dataset.name()
+        );
     }
 }
 

@@ -13,8 +13,7 @@
 //!   pass-through `MultiQueryEngine`, and solo over the document's XML
 //!   text, whose subtrees are skimmed wherever the engine is dead;
 //! * the run matrix         — the two as lanes of `run_lanes`, every source
-//!   (XML text, a FET1 tape, a FET2 tape scanned, a FET2 tape read as the
-//!   driver picks) × sink (buffering, emitting) × observer (none, a
+//!   (XML text, a tape scanned, a tape read as the driver picks) × sink (buffering, emitting) × observer (none, a
 //!   profiler) × plan (the lanes' own, pass-through): subtrees are skimmed
 //!   or seeked over wherever every lane is dead, no answer may change and
 //!   no event go uncounted;
@@ -502,9 +501,9 @@ where
     on_verdict
 }
 
-/// `doc` on a tape of the given format.
-fn tape_of(doc: &[Tree], writer: TapeWriter<std::io::Cursor<Vec<u8>>>) -> (Vec<u8>, u64) {
-    let mut writer = writer;
+/// `doc` on a tape, and the events a pass over it reads.
+fn tape_of(doc: &[Tree]) -> (Vec<u8>, u64) {
+    let mut writer = TapeWriter::new(std::io::Cursor::new(Vec::new())).unwrap();
     for event in events_of(doc) {
         match event {
             Some(label) => writer.open(label).unwrap(),
@@ -585,28 +584,18 @@ fn check_sample(seed: u64) {
     let context = |source: &str| format!("{source} (seed {seed})\nquery: {query}");
     let lanes = [unopt, opt];
     let tape = |bytes: &[u8]| TapeReader::new(std::io::Cursor::new(bytes.to_vec())).unwrap();
-    let new_tape = || std::io::Cursor::new(Vec::new());
-    let (fet1, tape_events) = tape_of(&doc, TapeWriter::new_v1(new_tape()).unwrap());
-    let (fet2, _) = tape_of(&doc, TapeWriter::new(new_tape()).unwrap());
+    let (bytes, tape_events) = tape_of(&doc);
     let (_, seeked) = check_source(
-        &context("FET1 tape"),
-        || tape(&fet1),
-        &lanes,
-        &expected,
-        tape_events,
-    );
-    assert_eq!(seeked, 0, "a FET1 tape seeked on the engines' verdict");
-    let (_, seeked) = check_source(
-        &context("FET2 tape, scanned"),
-        || TapeDrive::Linear(tape(&fet2)),
+        &context("tape, scanned"),
+        || TapeDrive::Linear(tape(&bytes)),
         &lanes,
         &expected,
         tape_events,
     );
     SEEKED_ON_VERDICT.fetch_add(seeked, Ordering::Relaxed);
     check_source(
-        &context("FET2 tape"),
-        || tape(&fet2),
+        &context("tape"),
+        || tape(&bytes),
         &lanes,
         &expected,
         tape_events,

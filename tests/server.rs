@@ -430,7 +430,7 @@ fn corpus_ingest_list_query_and_metrics() {
         )
         .unwrap();
     assert_eq!((r.status, r.text().as_str()), (200, "<o>JimLi</o>"));
-    // Corpus tapes are FET2, so the query rides the label skip index:
+    // Corpus tapes carry a skip index, so the query rides it:
     // unmatched regions are never visited, let alone seeked over.
     let index: u64 = r
         .header("x-foxq-index-skipped-bytes")
@@ -476,6 +476,70 @@ fn corpus_ingest_list_query_and_metrics() {
     )
     .unwrap();
     assert_eq!((r.status, r.text().as_str()), (200, "<o>Ada</o>"));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tape of an older format is server state, not broken state: a `doc=`
+/// query on it is a 409 naming the migration, buffered or streamed, and the
+/// version gauge shows it until it is migrated.
+#[test]
+fn a_stale_corpus_tape_is_a_409_naming_the_migration() {
+    let dir = std::env::temp_dir().join(format!("foxq-server-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/old-fet2.fet");
+    let tape = std::fs::read(fixture).unwrap();
+    std::fs::write(dir.join("old.fet"), &tape).unwrap();
+    let line = format!("old\told.fet\t2\t198\t{}\t32\t0\n", tape.len());
+    std::fs::write(dir.join("manifest.tsv"), line).unwrap();
+    let config = || ServerConfig {
+        corpus_dir: Some(dir.to_string_lossy().into_owned()),
+        ..test_config()
+    };
+    let target = client::query_doc_target(PERSON_NAMES, "old");
+
+    let handle = start(config());
+    let addr = handle.local_addr();
+    for target in [target.clone(), format!("{target}&stream=1")] {
+        let r = client::post(addr, &target, &[]).unwrap();
+        assert_eq!(r.status, 409, "{}", r.text());
+        assert!(
+            r.text().contains("foxq store migrate --dir"),
+            "{}",
+            r.text()
+        );
+    }
+    let text = client::get(addr, "/metrics").unwrap().text();
+    assert!(
+        text.contains("foxq_corpus_tapes{version=\"2\"} 1"),
+        "{text}"
+    );
+    assert!(
+        text.contains("foxq_corpus_tapes{version=\"3\"} 0"),
+        "{text}"
+    );
+    assert!(
+        text.contains("foxq_responses_total{code=\"409\"} 2"),
+        "{text}"
+    );
+    handle.shutdown();
+
+    foxq::store::Corpus::open(&dir)
+        .unwrap()
+        .migrate_all()
+        .unwrap();
+    let handle = start(config());
+    let r = client::post(handle.local_addr(), &target, &[]).unwrap();
+    assert_eq!(
+        (r.status, r.text().as_str()),
+        (200, "<o>Jim BlakeZo\u{eb} Ruiz</o>")
+    );
+    let text = client::get(handle.local_addr(), "/metrics").unwrap().text();
+    assert!(
+        text.contains("foxq_corpus_tapes{version=\"3\"} 1"),
+        "{text}"
+    );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -874,7 +938,7 @@ fn streamed_doc_query_serves_from_corpus_tape() {
     assert_eq!(streamed.header("transfer-encoding"), Some("chunked"));
     assert_eq!(streamed.body, buffered.body);
     assert_eq!(streamed.text(), "<o>JimLi</o>");
-    // FET2 tapes ride the label skip index even when streaming.
+    // Tapes ride the label skip index even when streaming.
     let index: u64 = streamed
         .trailer("x-foxq-index-skipped-bytes")
         .unwrap()

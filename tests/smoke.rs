@@ -423,9 +423,9 @@ fn cli_store_roundtrip_and_tape_stats() {
         .unwrap();
     assert!(out.status.success());
     assert!(stdout_of(&out).contains("person"), "{}", stdout_of(&out));
-    assert!(stdout_of(&out).contains("FET2"), "{}", stdout_of(&out));
+    assert!(stdout_of(&out).contains("FET3"), "{}", stdout_of(&out));
 
-    // migrate is a no-op on an already-FET2 corpus.
+    // migrate is a no-op on a corpus of current tapes.
     let out = foxq()
         .args(["store", "migrate", "--dir"])
         .arg(&corpus)
@@ -466,7 +466,7 @@ fn cli_store_roundtrip_and_tape_stats() {
     assert!(out.status.success());
     let text = stdout_of(&out);
     for line in [
-        "format:            FET2 v2",
+        "format:            FET3",
         "events:",
         "label table:",
         "max depth:",

@@ -12,13 +12,11 @@ use foxq::service::{
     run_lanes, run_multi, run_multi_on_tape, BatchDriver, Events, MultiQueryEngine, MultiRun,
     PreparedQuery, QuerySetPlan,
 };
-use foxq::store::{
-    ingest_xml_to_tape, ingest_xml_to_tape_v1, Corpus, StoreError, TapeDrive, TapeReader,
-};
+use foxq::store::{ingest_xml_to_tape, Corpus, StoreError, TapeDrive, TapeReader};
 use foxq::xml::{forest_to_xml_string, ForestSink, WriterSink, XmlEvent, XmlReader};
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn scratch(test: &str) -> PathBuf {
@@ -114,7 +112,7 @@ fn prefilter_on_and_off_agree_on_the_tape_path() {
     )
     .unwrap();
     // (c) tape replay through the auto-dispatched path: the plan prefilters
-    // the whole set and the tape is FET2, so this takes the merged index
+    // the whole set and the tape has a skip index, so this takes the merged index
     // cursor.
     let plan = QuerySetPlan::new([mft]);
     let indexed = run_multi_on_tape(
@@ -238,10 +236,7 @@ fn corrupt_tapes_fail_cleanly_through_the_batch_driver() {
     let err = run.report.output(0, 0).as_ref().unwrap_err();
     assert!(err.contains("checksum"), "unexpected error: {err}");
     let err = run.report.output(1, 0).as_ref().unwrap_err();
-    assert!(
-        err.contains("corrupt") || err.contains("FET1"),
-        "unexpected error: {err}"
-    );
+    assert!(err.contains("corrupt"), "unexpected error: {err}");
     assert_eq!(
         run.report.output(2, 0).as_ref().unwrap(),
         "<o><name>ok</name></o>"
@@ -249,70 +244,137 @@ fn corrupt_tapes_fail_cleanly_through_the_batch_driver() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Replay every event of `tape` (any version, any input).
-fn drain<R: std::io::BufRead + std::io::Seek>(mut tape: TapeReader<R>) -> Vec<XmlEvent> {
-    let mut events = Vec::new();
-    loop {
-        let ev = tape.next_event().unwrap();
-        let done = ev == XmlEvent::Eof;
-        events.push(ev);
-        if done {
-            return events;
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// A corpus at `dir` holding both old-format fixtures as the foxq that
+/// wrote them left it: the tapes `fet1` and `fet2` and their manifest lines.
+fn plant_fixtures(dir: &Path) -> Corpus {
+    std::fs::create_dir_all(dir).unwrap();
+    let mut manifest = String::new();
+    for version in [1, 2] {
+        let tape = std::fs::read(fixture(&format!("old-fet{version}.fet"))).unwrap();
+        std::fs::write(dir.join(format!("fet{version}.fet")), &tape).unwrap();
+        let len = tape.len();
+        manifest += &format!("fet{version}\tfet{version}.fet\t{version}\t198\t{len}\t32\t0\n");
+    }
+    std::fs::write(dir.join("manifest.tsv"), manifest).unwrap();
+    Corpus::open(dir).unwrap()
+}
+
+/// What every refusal of an older tape names.
+const MIGRATE_HINT: &str = "foxq store migrate --dir";
+
+#[test]
+fn old_fixtures_migrate_and_answer_as_the_xml_path() {
+    let dir = scratch("fixtures");
+    let mut corpus = plant_fixtures(&dir);
+    let xml = std::fs::read(fixture("old.xml")).unwrap();
+    assert_eq!(corpus.migrate_all().unwrap(), 2);
+    let sources = [
+        NAMES_QUERY,
+        "<o>{$input/site/people/person}</o>",
+        "<o>{$input//name}</o>",
+        "<o>{$input/site/*}</o>",
+    ];
+    for id in ["fet1", "fet2"] {
+        assert_eq!(corpus.get(id).unwrap().version, 3);
+        let tape = std::fs::read(corpus.tape_path(id).unwrap()).unwrap();
+        for source in sources {
+            let prepared = PreparedQuery::compile(source).unwrap();
+            let mft = prepared.mft();
+            let from_xml = prepared
+                .run_to_string(&xml[..], StreamLimits::default())
+                .unwrap()
+                .output;
+            let run = run_multi_on_tape(
+                &[mft],
+                reader(&tape),
+                vec![WriterSink::new(Vec::new())],
+                StreamLimits::default(),
+                &QuerySetPlan::new([mft]),
+            )
+            .unwrap();
+            // The child-path query rides the rewritten tape's skip index.
+            let indexed = run.source.index_skipped_bytes > 0;
+            assert_eq!(indexed, source == NAMES_QUERY, "{id} {source}");
+            let (sink, _) = run.results.into_iter().next().unwrap().unwrap();
+            let from_tape = String::from_utf8(sink.finish().unwrap()).unwrap();
+            assert_eq!(from_tape, from_xml, "{id} {source}");
         }
     }
+    // A second migration rewrites nothing.
+    let tapes = ["fet1", "fet2"].map(|id| std::fs::read(corpus.tape_path(id).unwrap()).unwrap());
+    assert_eq!(corpus.migrate_all().unwrap(), 0);
+    for (id, tape) in ["fet1", "fet2"].iter().zip(tapes) {
+        assert_eq!(corpus.migrate(id).unwrap().version, 3);
+        assert_eq!(std::fs::read(corpus.tape_path(id).unwrap()).unwrap(), tape);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn fet1_and_fet2_tapes_agree_and_index_only_runs_on_fet2() {
-    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 80_000, 3));
-    let (v1, v1_info, _) = ingest_xml_to_tape_v1(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
-    let (v2, v2_info, _) = ingest_xml_to_tape(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
-    assert_eq!(v1_info.version, 1);
-    assert_eq!(v2_info.version, 2);
-    assert_eq!(v1_info.events, v2_info.events);
-    let (v1, v2) = (v1.into_inner(), v2.into_inner());
-
-    // Identical event streams from both formats.
-    assert_eq!(
-        drain(TapeReader::new(Cursor::new(v1.clone())).unwrap()),
-        drain(TapeReader::new(Cursor::new(v2.clone())).unwrap()),
-        "FET1 and FET2 replays drifted"
-    );
-
-    // The same query answered from both: FET1 falls back to seek-based
-    // scanning, FET2 goes through the index — same output either way.
-    let prepared = PreparedQuery::compile(NAMES_QUERY).unwrap();
-    let mft = prepared.mft();
-    let plan = QuerySetPlan::new([mft]);
-    let run = |bytes: Vec<u8>| {
-        run_multi_on_tape(
-            &[mft],
-            TapeReader::new(Cursor::new(bytes)).unwrap(),
-            vec![ForestSink::new()],
-            StreamLimits::default(),
-            &plan,
-        )
-        .unwrap()
+fn a_stale_tape_fails_the_same_way_at_every_entry_point() {
+    let dir = scratch("stale");
+    let corpus_dir = dir.join("corpus");
+    let corpus = plant_fixtures(&corpus_dir);
+    let query = dir.join("q.xq");
+    std::fs::write(&query, NAMES_QUERY).unwrap();
+    let foxq = |args: &[&Path]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_foxq"))
+            .args(args)
+            .output()
+            .unwrap()
     };
-    let r1 = run(v1);
-    let r2 = run(v2);
-    assert!(
-        r1.source.seek_skipped_bytes > 0,
-        "FET1 run must scan and seek"
-    );
-    assert_eq!(r1.source.index_skipped_bytes, 0);
-    assert!(
-        r2.source.index_skipped_bytes > 0,
-        "FET2 run must use the index"
-    );
-    assert_eq!(r2.source.seek_skipped_bytes, 0);
-    let out = |run: MultiRun<(ForestSink, StreamStats)>| {
-        let (sink, _) = run.results.into_iter().next().unwrap().unwrap();
-        forest_to_xml_string(&sink.into_forest())
-    };
-    let (o1, o2) = (out(r1), out(r2));
-    assert!(o1.contains("<o>"), "query produced no output");
-    assert_eq!(o1, o2, "FET1 and FET2 answers drifted");
+    let (run, stats) = (Path::new("run"), Path::new("stats"));
+    for id in ["fet1", "fet2"] {
+        let tape = corpus.tape_path(id).unwrap();
+        assert!(matches!(
+            TapeReader::open_file(&tape),
+            Err(StoreError::NeedsMigration { .. })
+        ));
+        assert!(matches!(
+            corpus.open_tape(id),
+            Err(StoreError::NeedsMigration { .. })
+        ));
+        for args in [
+            [run, &query, &tape].as_slice(),
+            &[stats, &query, &tape],
+            &[stats, &tape],
+        ] {
+            let out = foxq(args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(MIGRATE_HINT), "{args:?}: {stderr}");
+        }
+    }
+    let queries = vec![Arc::new(PreparedQuery::compile(NAMES_QUERY).unwrap())];
+    let batch = BatchDriver::new(2).run_corpus(&corpus, &queries);
+    assert_eq!(batch.report.failures, 2);
+    for d in 0..2 {
+        let err = batch.report.output(d, 0).as_ref().unwrap_err();
+        assert!(err.contains(MIGRATE_HINT), "{err}");
+    }
+    // `foxq store migrate` mends them; then the tapes answer as the XML.
+    let out = foxq(&[
+        Path::new("store"),
+        Path::new("migrate"),
+        Path::new("--dir"),
+        &corpus_dir,
+    ]);
+    assert!(out.status.success());
+    let said = String::from_utf8_lossy(&out.stdout);
+    assert!(said.contains("migrated 2 tape(s) to FET3"), "{said}");
+    let from_xml = foxq(&[run, &query, &fixture("old.xml")]);
+    assert!(String::from_utf8_lossy(&from_xml.stdout).contains("Jim Blake"));
+    for id in ["fet1", "fet2"] {
+        let out = foxq(&[run, &query, &corpus_dir.join(format!("{id}.fet"))]);
+        assert_eq!(out.stdout, from_xml.stdout, "{id}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -356,10 +418,8 @@ fn corrupt_posting_list_fails_cleanly_on_the_index_path() {
     .map(|_| ())
     .expect_err("smashed posting list must not answer queries")
     .to_string();
-    assert!(
-        err.contains("posting") || err.contains("corrupt"),
-        "unexpected error: {err}"
-    );
+    // Refused by the list's own hash before a posting is decoded.
+    assert!(err.contains("checksum"), "unexpected error: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -474,13 +534,8 @@ fn corpus_round_trip_over_all_datasets() {
 // Engine-driven subtree skipping: one answer on every read path
 // ---------------------------------------------------------------------------
 
-fn v2_tape(xml: &str) -> Vec<u8> {
+fn tape_of(xml: &str) -> Vec<u8> {
     let (out, _, _) = ingest_xml_to_tape(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
-    out.into_inner()
-}
-
-fn v1_tape(xml: &str) -> Vec<u8> {
-    let (out, _, _) = ingest_xml_to_tape_v1(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
     out.into_inner()
 }
 
@@ -661,7 +716,7 @@ fn copying_query_for(dataset: Dataset) -> &'static str {
 fn every_read_path_agrees_with_a_full_replay() {
     for dataset in Dataset::ALL {
         let xml = forest_to_xml_string(&foxq::gen::generate(dataset, 40_000, 0x5EED));
-        let (v1, v2) = (v1_tape(&xml), v2_tape(&xml));
+        let tape = tape_of(&xml);
         let mut sources: Vec<(&str, &str)> = foxq_bench::QUERIES
             .iter()
             .filter(|(name, _)| *name != "fourstar")
@@ -671,14 +726,12 @@ fn every_read_path_agrees_with_a_full_replay() {
         sources.push(("native", copying_query_for(dataset)));
         for (name, source) in sources {
             let prepared = PreparedQuery::compile(source).unwrap();
-            for (tape, fmt) in [(&v1, "FET1"), (&v2, "FET2")] {
-                assert_paths_agree(
-                    &[prepared.mft()],
-                    tape,
-                    StreamLimits::default(),
-                    &format!("{} {fmt} {name}", dataset.name()),
-                );
-            }
+            assert_paths_agree(
+                &[prepared.mft()],
+                &tape,
+                StreamLimits::default(),
+                &format!("{} {name}", dataset.name()),
+            );
         }
     }
 }
@@ -686,7 +739,7 @@ fn every_read_path_agrees_with_a_full_replay() {
 #[test]
 fn mixed_lane_sets_agree_with_a_full_replay() {
     let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 60_000, 21));
-    let (v1, v2) = (v1_tape(&xml), v2_tape(&xml));
+    let tape = tape_of(&xml);
     let compile = |name: &str| PreparedQuery::compile(foxq_bench::query_source(name)).unwrap();
     let (q1, q13, q16) = (compile("Q1"), compile("Q13"), compile("Q16"));
     let copy = PreparedQuery::compile("<o>{$input/site/people}</o>").unwrap();
@@ -705,15 +758,13 @@ fn mixed_lane_sets_agree_with_a_full_replay() {
         ("every lane out of fuel", vec![&looping, &looping]),
     ];
     for (name, mfts) in &sets {
-        for (tape, fmt) in [(&v1, "FET1"), (&v2, "FET2")] {
-            assert_paths_agree(mfts, tape, limits, &format!("{name}, {fmt}"));
-        }
+        assert_paths_agree(mfts, &tape, limits, name);
     }
     // The failing lane really failed, and the others really skipped.
     let mfts = &sets[1].1;
     let run = run_multi_on_tape(
         mfts,
-        reader(&v2),
+        reader(&tape),
         (0..3).map(|_| WriterSink::new(Vec::new())).collect(),
         limits,
         &QuerySetPlan::new(mfts.iter().copied()),
@@ -729,7 +780,7 @@ fn mixed_lane_sets_agree_with_a_full_replay() {
 #[test]
 fn q13_reads_a_tenth_of_the_2mib_xmark_tape() {
     let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 2 << 20, 0xF0E5));
-    let tape = v2_tape(&xml);
+    let tape = tape_of(&xml);
     let tape_events = reader(&tape).info().events;
     let q13 = PreparedQuery::compile(foxq_bench::query_source("Q13")).unwrap();
     assert!(
@@ -797,7 +848,7 @@ fn run_q13(tape: &[u8]) -> Result<(String, u64), StoreError> {
 
 #[test]
 fn a_skipping_replay_verifies_what_it_decodes_and_only_that() {
-    let tape = v2_tape(TWO_REGIONS);
+    let tape = tape_of(TWO_REGIONS);
     let (clean, seeked) = run_q13(&tape).unwrap();
     assert!(clean.contains("wantedtext") && !clean.contains("decoy"));
     assert!(seeked > 0, "<africa> was not seeked over");
@@ -817,21 +868,9 @@ fn a_skipping_replay_verifies_what_it_decodes_and_only_that() {
         let (out, _) = run_q13(&flip_text(&tape, text)).unwrap();
         assert_eq!(out, clean, "flip in {text}");
     }
-    // A FET1 tape has one checksum, at the end of a full replay, and a
-    // pass-through query keeps it: no seek is made on its engine's word.
-    let v1 = v1_tape(TWO_REGIONS);
-    let (out, seeked) = run_q13(&v1).unwrap();
-    assert_eq!((out, seeked), (clean, 0));
-    for text in ["decoytext", "decoyname", "wantedtext", "wantedname"] {
-        match run_q13(&flip_text(&v1, text)) {
-            Err(StoreError::Checksum { .. }) => {}
-            other => panic!("FET1 flip in {text}: {other:?}"),
-        }
-    }
 }
 
-/// Offsets of the `subtree_events` varint of every close frame of a FET2
-/// tape, found by walking the frames as the crate docs lay them out.
+/// Offsets of the `subtree_events` varint of every close frame of a tape, found by walking the frames as the crate docs lay them out.
 fn close_count_offsets(tape: &[u8]) -> Vec<usize> {
     fn varint(bytes: &[u8], at: &mut usize) -> u64 {
         let (mut value, mut shift) = (0u64, 0);
@@ -872,7 +911,7 @@ fn close_count_offsets(tape: &[u8]) -> Vec<usize> {
 
 #[test]
 fn a_wrong_subtree_event_count_is_corrupt_wherever_it_is_read() {
-    let tape = v2_tape(TWO_REGIONS);
+    let tape = tape_of(TWO_REGIONS);
     let events = reader(&tape).info().events;
     let (clean, _) = run_q13(&tape).unwrap();
     let names =
