@@ -43,7 +43,7 @@
 
 use crate::emit::EmitSink;
 use crate::mft::{Dispatch, Mft, OutLabel, Rhs, RhsNode, StateId, XVar};
-use foxq_forest::{Label, SymId, Tree};
+use foxq_forest::{Alphabet, Label, SymId, Tree};
 use foxq_xml::{EventSource, XmlError, XmlEvent, XmlReader, XmlSink};
 use std::collections::VecDeque;
 
@@ -393,38 +393,165 @@ impl Cells {
     }
 }
 
+/// What a slot holds, in the low [`TAG_BITS`] of [`Slot::what`]; the bits
+/// above are the payload: a pending call's state, a node's label.
+const FREE: u32 = 0;
+const FOREST: u32 = 1;
+const NODE: u32 = 2;
+const PENDING: u32 = 3;
+const TAG_BITS: u32 = 2;
+const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
+/// States and label handles must fit above the tag.
+const PAYLOAD_LIMIT: usize = 1 << (32 - TAG_BITS);
+
+/// A live slot's expression, decoded.
+#[derive(Clone, Copy)]
 enum Expr {
     /// A forest of sub-expressions (also the result of an expansion).
     Forest(List),
     /// A ground output node (element or text).
-    Node { label: Label, children: List },
+    Node { label: LabelId, children: List },
     /// A state call waiting for its input location to be defined.
     Pending { state: StateId, args: List },
-}
-
-impl Expr {
-    /// The children of a forest or a node.
-    fn children_mut(&mut self) -> &mut List {
-        match self {
-            Expr::Forest(children) | Expr::Node { children, .. } => children,
-            Expr::Pending { .. } => unreachable!("children of a pending call"),
-        }
-    }
 }
 
 struct Slot {
     gen: u32,
     rc: u32,
-    expr: Option<Expr>,
-    bytes: usize,
+    /// Tag and payload; [`FREE`] while the slot is on the free list.
+    what: u32,
+    /// The accounting weight of the expression, see [`Arena::weight`].
+    weight: u32,
+    /// A forest's members, a node's children or a call's arguments. A free
+    /// slot chains to the next free one through `list.head`.
+    list: List,
 }
 
-#[derive(Default)]
-struct Arena {
+impl Slot {
+    fn tag(&self) -> u32 {
+        self.what & TAG_MASK
+    }
+
+    fn expr(&self) -> Expr {
+        let payload = self.what >> TAG_BITS;
+        match self.tag() {
+            FOREST => Expr::Forest(self.list),
+            NODE => Expr::Node {
+                label: LabelId(payload),
+                children: self.list,
+            },
+            PENDING => Expr::Pending {
+                state: StateId(payload),
+                args: self.list,
+            },
+            _ => unreachable!("expression of a free slot"),
+        }
+    }
+
+    fn set(&mut self, expr: Expr) {
+        let (tag, payload, list) = match expr {
+            Expr::Forest(list) => (FOREST, 0, list),
+            Expr::Node { label, children } => (NODE, label.0, children),
+            Expr::Pending { state, args } => (PENDING, state.0, args),
+        };
+        debug_assert!((payload as usize) < PAYLOAD_LIMIT);
+        self.what = payload << TAG_BITS | tag;
+        self.list = list;
+    }
+}
+
+/// Handle of an output node's label in [`Labels`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct LabelId(u32);
+
+/// The labels of the arena's nodes. A handle below the alphabet's size is
+/// that symbol of the transducer, fixed for the run. Each handle above it
+/// names a refcounted entry holding an input label: the one an open event
+/// copies with `%t`, made at its first use and shared by every node the
+/// event labels with it, so a further copy is a counter increment.
+struct Labels<'m> {
+    alphabet: &'m Alphabet,
+    /// The alphabet's size: the first entry's handle.
+    fixed: u32,
+    entries: Vec<LabelEntry>,
+    /// The first free entry; free entries chain through `rc`.
+    free: u32,
+}
+
+struct LabelEntry {
+    /// `None` while the entry is free.
+    label: Option<Label>,
+    /// The references to the entry, or the next free entry.
+    rc: u32,
+}
+
+impl<'m> Labels<'m> {
+    fn new(alphabet: &'m Alphabet) -> Self {
+        assert!(alphabet.len() < PAYLOAD_LIMIT, "fewer than 2^30 symbols");
+        Labels {
+            alphabet,
+            fixed: alphabet.len() as u32,
+            entries: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    fn get(&self, id: LabelId) -> &Label {
+        match id.0.checked_sub(self.fixed) {
+            None => self.alphabet.label(SymId(id.0)),
+            Some(e) => self.entries[e as usize].label.as_ref().unwrap(),
+        }
+    }
+
+    /// A new entry for `label`, holding one reference.
+    fn add(&mut self, label: Label) -> LabelId {
+        let entry = LabelEntry {
+            label: Some(label),
+            rc: 1,
+        };
+        let e = match self.free {
+            NIL => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+            e => {
+                self.free = self.entries[e as usize].rc;
+                self.entries[e as usize] = entry;
+                e as usize
+            }
+        };
+        let id = self.fixed as usize + e;
+        assert!(id < PAYLOAD_LIMIT, "fewer than 2^30 live labels");
+        LabelId(id as u32)
+    }
+
+    fn share(&mut self, id: LabelId) {
+        if let Some(e) = id.0.checked_sub(self.fixed) {
+            self.entries[e as usize].rc += 1;
+        }
+    }
+
+    fn release(&mut self, id: LabelId) {
+        if let Some(e) = id.0.checked_sub(self.fixed) {
+            let entry = &mut self.entries[e as usize];
+            entry.rc -= 1;
+            if entry.rc == 0 {
+                entry.label = None;
+                entry.rc = self.free;
+                self.free = e;
+            }
+        }
+    }
+}
+
+struct Arena<'m> {
     slots: Vec<Slot>,
-    free: Vec<u32>,
+    /// The first free slot; free slots chain through `list.head`.
+    free: u32,
     /// The lists of every live expression.
     cells: Cells,
+    /// The labels of every live node.
+    labels: Labels<'m>,
     live: usize,
     live_bytes: usize,
     peak_live: usize,
@@ -435,67 +562,78 @@ struct Arena {
     releasing: Vec<ExprId>,
 }
 
-impl Arena {
+impl<'m> Arena<'m> {
+    fn new(alphabet: &'m Alphabet) -> Self {
+        Arena {
+            slots: Vec::new(),
+            free: NIL,
+            cells: Cells::default(),
+            labels: Labels::new(alphabet),
+            live: 0,
+            live_bytes: 0,
+            peak_live: 0,
+            peak_bytes: 0,
+            pending: 0,
+            peak_pending: 0,
+            releasing: Vec::new(),
+        }
+    }
+
     fn alloc(&mut self, expr: Expr) -> ExprId {
-        let bytes = approx_bytes(&expr);
-        let is_pending = matches!(expr, Expr::Pending { .. });
-        let idx = match self.free.pop() {
-            Some(i) => {
-                let slot = &mut self.slots[i as usize];
-                slot.rc = 1;
-                slot.expr = Some(expr);
-                slot.bytes = bytes;
-                i
-            }
-            None => {
+        let weight = self.weight(expr);
+        let idx = match self.free {
+            NIL => {
                 self.slots.push(Slot {
                     gen: 0,
                     rc: 1,
-                    expr: Some(expr),
-                    bytes,
+                    what: FREE,
+                    weight,
+                    list: List::EMPTY,
                 });
-                (self.slots.len() - 1) as u32
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live slots")
+            }
+            i => {
+                let slot = &mut self.slots[i as usize];
+                self.free = slot.list.head;
+                slot.rc = 1;
+                slot.weight = weight;
+                i
             }
         };
+        let slot = &mut self.slots[idx as usize];
+        slot.set(expr);
+        let gen = slot.gen;
         self.live += 1;
-        self.live_bytes += bytes;
+        self.live_bytes += weight as usize;
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
         if self.live_bytes > self.peak_bytes {
             self.peak_bytes = self.live_bytes;
         }
-        if is_pending {
+        if matches!(expr, Expr::Pending { .. }) {
             self.pending += 1;
             if self.pending > self.peak_pending {
                 self.peak_pending = self.pending;
             }
         }
-        ExprId {
-            idx,
-            gen: self.slots[idx as usize].gen,
-        }
+        ExprId { idx, gen }
     }
 
     fn alive(&self, id: ExprId) -> bool {
         let slot = &self.slots[id.idx as usize];
-        slot.gen == id.gen && slot.expr.is_some()
+        slot.gen == id.gen && slot.tag() != FREE
     }
 
-    fn get(&self, id: ExprId) -> &Expr {
+    fn get(&self, id: ExprId) -> Expr {
         debug_assert!(self.alive(id));
-        self.slots[id.idx as usize].expr.as_ref().unwrap()
-    }
-
-    fn get_mut(&mut self, id: ExprId) -> &mut Expr {
-        debug_assert!(self.alive(id));
-        self.slots[id.idx as usize].expr.as_mut().unwrap()
+        self.slots[id.idx as usize].expr()
     }
 
     /// The label of a ground output node.
     fn node_label(&self, id: ExprId) -> &Label {
         match self.get(id) {
-            Expr::Node { label, .. } => label,
+            Expr::Node { label, .. } => self.labels.get(label),
             _ => unreachable!("tag of a non-node"),
         }
     }
@@ -516,25 +654,30 @@ impl Arena {
         while let Some(id) = stack.pop() {
             let slot = &mut self.slots[id.idx as usize];
             debug_assert!(
-                slot.gen == id.gen && slot.expr.is_some(),
+                slot.gen == id.gen && slot.tag() != FREE,
                 "release of dead node"
             );
             slot.rc -= 1;
             if slot.rc > 0 {
                 continue;
             }
-            let expr = slot.expr.take().unwrap();
-            slot.gen = slot.gen.wrapping_add(1);
+            let expr = slot.expr();
+            let list = slot.list;
+            slot.what = FREE;
+            // A slot whose generation would wrap is retired, not reused: an
+            // id of its first generation may still sit in a subscriber list.
+            if slot.gen < u32::MAX {
+                slot.gen += 1;
+                slot.list.head = self.free;
+                self.free = id.idx;
+            }
             self.live -= 1;
-            self.live_bytes -= slot.bytes;
-            self.free.push(id.idx);
-            let list = match expr {
-                Expr::Forest(children) | Expr::Node { children, .. } => children,
-                Expr::Pending { args, .. } => {
-                    self.pending -= 1;
-                    args
-                }
-            };
+            self.live_bytes -= slot.weight as usize;
+            match expr {
+                Expr::Forest(_) => {}
+                Expr::Node { label, .. } => self.labels.release(label),
+                Expr::Pending { .. } => self.pending -= 1,
+            }
             self.cells.drain(list, &mut stack);
         }
         self.releasing = stack;
@@ -542,16 +685,18 @@ impl Arena {
 
     /// Take the first child of a forest or a node, with its reference.
     fn pop_child(&mut self, id: ExprId) -> Option<ExprId> {
-        debug_assert!(self.alive(id));
-        let expr = self.slots[id.idx as usize].expr.as_mut().unwrap();
-        self.cells.pop_front(expr.children_mut())
+        debug_assert!(matches!(
+            self.get(id),
+            Expr::Forest(_) | Expr::Node { .. }
+        ));
+        self.cells.pop_front(&mut self.slots[id.idx as usize].list)
     }
 
     /// Release the children of `id` from its first up to and including
     /// cell `last`.
     fn release_through(&mut self, id: ExprId, last: u32) {
         loop {
-            let head = self.get_mut(id).children_mut().head;
+            let head = self.slots[id.idx as usize].list.head;
             let child = self.pop_child(id).expect("`last` is one of the children");
             self.release(child);
             if head == last {
@@ -560,40 +705,49 @@ impl Arena {
         }
     }
 
-    /// Replace a pending call's expression in place (the expansion
-    /// rewrite), keeping the pending count and byte estimate honest.
-    fn resolve(&mut self, id: ExprId, expr: Expr) {
-        debug_assert!(matches!(self.get(id), Expr::Pending { .. }));
-        if !matches!(expr, Expr::Pending { .. }) {
-            self.pending -= 1;
+    /// Take a pending call's state and arguments, for its expansion.
+    fn take_call(&mut self, id: ExprId) -> (StateId, List) {
+        debug_assert!(self.alive(id));
+        let slot = &mut self.slots[id.idx as usize];
+        match slot.expr() {
+            Expr::Pending { state, args } => {
+                slot.list = List::EMPTY;
+                (state, args)
+            }
+            _ => unreachable!("expand target must be pending"),
         }
-        *self.get_mut(id) = expr;
-        self.rebytes(id);
     }
 
-    /// Refresh the slot's byte estimate after an in-place rewrite.
-    fn rebytes(&mut self, id: ExprId) {
+    /// Rewrite an expanded call in place to the forest its rule built,
+    /// keeping the pending count and byte estimate honest.
+    fn resolve(&mut self, id: ExprId, children: List) {
+        debug_assert!(matches!(self.get(id), Expr::Pending { .. }));
+        self.pending -= 1;
+        let expr = Expr::Forest(children);
+        let weight = self.weight(expr);
         let slot = &mut self.slots[id.idx as usize];
-        let new = slot.expr.as_ref().map(approx_bytes).unwrap_or(0);
-        self.live_bytes = self.live_bytes - slot.bytes + new;
-        slot.bytes = new;
+        slot.set(expr);
+        self.live_bytes = self.live_bytes - slot.weight as usize + weight as usize;
+        slot.weight = weight;
         if self.live_bytes > self.peak_bytes {
             self.peak_bytes = self.live_bytes;
         }
     }
-}
 
-/// The weight an expression adds to [`StreamStats::peak_live_bytes`]: an
-/// accounting weight, fixed when the expression is built or rewritten, not
-/// its memory layout. The formula predates the cell lists and is kept as it
-/// was, so byte peaks stay comparable across versions.
-fn approx_bytes(e: &Expr) -> usize {
-    const BASE: usize = 48;
-    let len = |list: &List| list.len as usize;
-    match e {
-        Expr::Forest(c) => BASE + 8 * len(c),
-        Expr::Node { label, children } => BASE + label.name.len() + 8 * len(children),
-        Expr::Pending { args, .. } => BASE + 8 * len(args),
+    /// The weight an expression adds to [`StreamStats::peak_live_bytes`]:
+    /// an accounting weight, fixed when the expression is built or
+    /// rewritten, not its memory layout. The formula predates the cell
+    /// lists and is kept as it was, so byte peaks stay comparable across
+    /// versions.
+    fn weight(&self, e: Expr) -> u32 {
+        const BASE: u32 = 48;
+        match e {
+            Expr::Forest(c) => BASE + 8 * c.len,
+            Expr::Node { label, children } => {
+                BASE + self.labels.get(label).name.len() as u32 + 8 * children.len
+            }
+            Expr::Pending { args, .. } => BASE + 8 * args.len,
+        }
     }
 }
 
@@ -653,7 +807,7 @@ pub struct Engine<'m, S, O: StreamObserver = ()> {
     mft: &'m Mft,
     dispatch: Dispatch<'m>,
     sink: S,
-    arena: Arena,
+    arena: Arena<'m>,
     /// Subscriber lists by [`Loc`]. A list goes back to `free_locs`, with
     /// its capacity, when its location's event arrives, so the slab holds
     /// one list per location subscribed to at once: O(depth).
@@ -671,6 +825,9 @@ pub struct Engine<'m, S, O: StreamObserver = ()> {
     /// each gets a list when its first subscriber arrives.
     child: Loc,
     sib: Loc,
+    /// The label entry of the `open` event in progress, once a `%t` made
+    /// it; the event holds a reference until its expansions are done.
+    event_label: Option<LabelId>,
     /// The calls still to expand within the event in progress.
     work: VecDeque<ExprId>,
     /// The arguments of the call being expanded, drained from its cells.
@@ -697,7 +854,8 @@ impl<'m, S: XmlSink> Engine<'m, S> {
 impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
     /// An engine whose hook sites report to `obs`.
     pub fn with_observer(mft: &'m Mft, sink: S, limits: StreamLimits, obs: O) -> Self {
-        let mut arena = Arena::default();
+        assert!(mft.states.len() < PAYLOAD_LIMIT, "fewer than 2^30 states");
+        let mut arena = Arena::new(&mft.alphabet);
         let root = arena.alloc(Expr::Pending {
             state: mft.initial,
             args: List::EMPTY,
@@ -720,6 +878,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             dead_depth: 0,
             child: DEAD,
             sib: DEAD,
+            event_label: None,
             work: VecDeque::new(),
             args: Vec::new(),
             used: Vec::new(),
@@ -868,13 +1027,16 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             }
             if fuel == 0 {
                 let state = match self.arena.get(id) {
-                    Expr::Pending { state, .. } => self.mft.name_of(*state).to_string(),
+                    Expr::Pending { state, .. } => self.mft.name_of(state).to_string(),
                     _ => "?".to_string(),
                 };
                 return Err(StreamError::Fuel { state });
             }
             fuel -= 1;
             self.expand_one(id, ctx);
+        }
+        if let Some(label) = self.event_label.take() {
+            self.arena.labels.release(label);
         }
         Ok(())
     }
@@ -887,10 +1049,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         } else {
             (0, 0, 0)
         };
-        let (state, cells) = match self.arena.get_mut(id) {
-            Expr::Pending { state, args } => (*state, std::mem::replace(args, List::EMPTY)),
-            _ => unreachable!("expand target must be pending"),
-        };
+        let (state, cells) = self.arena.take_call(id);
         // Expansion is never re-entered, so one scratch buffer serves.
         let mut args = std::mem::take(&mut self.args);
         args.clear();
@@ -911,7 +1070,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         }
         self.args = args;
         self.used = used;
-        self.arena.resolve(id, Expr::Forest(children));
+        self.arena.resolve(id, children);
         if O::ENABLED {
             self.obs.on_expansion(
                 state,
@@ -939,9 +1098,9 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                 }
                 RhsNode::Out { label, children } => {
                     let label = match label {
-                        OutLabel::Sym(s) => self.mft.alphabet.label(*s).clone(),
+                        OutLabel::Sym(s) => LabelId(s.0),
                         OutLabel::Current => match ctx {
-                            Ctx::Open { label, .. } => label.clone(),
+                            Ctx::Open { label, sym } => self.event_label(label, sym),
                             Ctx::Eps => unreachable!("%t in ε context (validated)"),
                         },
                     };
@@ -982,6 +1141,21 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             self.arena.cells.push_back(&mut out, item);
         }
         out
+    }
+
+    /// The handle a `%t` of the `open` event in progress labels its node
+    /// with: the label's symbol if it has one, else the event's entry, made
+    /// at the first use.
+    fn event_label(&mut self, label: &Label, sym: Option<SymId>) -> LabelId {
+        if let Some(sym) = sym {
+            return LabelId(sym.0);
+        }
+        let labels = &mut self.arena.labels;
+        let id = *self
+            .event_label
+            .get_or_insert_with(|| labels.add(label.clone()));
+        labels.share(id);
+        id
     }
 
     /// Add `id` to the subscribers of `loc`, giving it a (recycled) list
@@ -1038,8 +1212,8 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             let node = top.node;
             let (is_node, children) = match self.arena.get(node) {
                 Expr::Pending { .. } => return Ok(()),
-                Expr::Forest(children) => (false, *children),
-                Expr::Node { children, .. } => (true, *children),
+                Expr::Forest(children) => (false, children),
+                Expr::Node { children, .. } => (true, children),
             };
             if is_node && !top.opened {
                 top.opened = true;
