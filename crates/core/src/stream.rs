@@ -23,12 +23,18 @@
 //!   k−1 reference-count increments. Dropping a branch (e.g. the losing arm
 //!   of an XPath predicate) releases its subgraph. This mirrors the sharing
 //!   the OCaml engine gets from immutable values plus garbage collection.
-//! * Expressions live in a slab of generational slots, and the children of
-//!   a forest or a node and the arguments of a call are **cell lists**: one
-//!   `(expression, next)` cell per edge, in a second slab whose freed
-//!   cells chain into a free list. Both slabs grow to the most the run
-//!   holds at once and are then recycled, so building output allocates
-//!   nothing once they have their size.
+//! * Expressions live in a slab of 24-byte generational slots: a
+//!   generation, a reference count, a 2-bit tag (free, forest, node,
+//!   pending) under a 30-bit payload — a call's state, a node's label
+//!   handle — and a list. The children of a forest or a node and the
+//!   arguments of a call are **cell lists**: one 12-byte `(expression,
+//!   next)` cell per edge, in a second slab. A node's label is a handle
+//!   into a **label table**: the transducer's symbols are fixed handles,
+//!   and an input label a `%t` copies gets one refcounted entry per open
+//!   event, shared by every node that event labels with it. Freed slots,
+//!   cells and entries chain into free lists, so the three slabs grow to
+//!   the most the run holds at once and are then recycled: building output
+//!   allocates nothing once they have their size.
 //! * After every event the **emitter** walks the leftmost frontier of the
 //!   graph and pushes everything ground to the [`XmlSink`] — destructively
 //!   where the engine holds the only reference, by cursor where the subgraph
@@ -37,7 +43,8 @@
 //!   and consumes the rest.
 //!
 //! Peak live graph size is the engine's memory measure, reported in
-//! [`StreamStats`] — it is exactly the "buffer" the paper's evaluation
+//! [`StreamStats`] as nodes and as the bytes of the slots, cells and label
+//! entries they hold — it is exactly the "buffer" the paper's evaluation
 //! plots: constant for optimized streamable queries, linear in the input for
 //! the unoptimized translation (which holds `qcopy(x0)` in a parameter).
 
@@ -146,7 +153,10 @@ pub struct StreamStats {
     pub expansions: u64,
     /// Peak number of live expression nodes (the buffer measure).
     pub peak_live_nodes: usize,
-    /// Peak approximate bytes of live expression nodes.
+    /// Peak bytes the arena held for live expressions: 24 per slot, 12 per
+    /// list cell, and each label entry with its name's bytes, counted once
+    /// however many nodes share it. These are the bytes of the layout, not
+    /// an accounting weight; slab capacity not in use is not counted.
     pub peak_live_bytes: usize,
     /// Peak number of simultaneously *pending* state calls — output
     /// positions whose value is still unresolved. This is the part of
@@ -225,7 +235,8 @@ pub struct BufferSample {
     pub input_event_index: u64,
     /// Live expression nodes right now.
     pub live_nodes: usize,
-    /// Approximate bytes of live expression nodes right now.
+    /// Bytes the arena holds for live expressions right now, counted as
+    /// [`StreamStats::peak_live_bytes`] counts them.
     pub live_bytes: usize,
     /// Unresolved pending state calls right now.
     pub pending_calls: usize,
@@ -420,12 +431,18 @@ struct Slot {
     rc: u32,
     /// Tag and payload; [`FREE`] while the slot is on the free list.
     what: u32,
-    /// The accounting weight of the expression, see [`Arena::weight`].
-    weight: u32,
     /// A forest's members, a node's children or a call's arguments. A free
     /// slot chains to the next free one through `list.head`.
     list: List,
 }
+
+const _: () = assert!(size_of::<Slot>() == 24 && size_of::<Cell>() == 12);
+
+/// What [`StreamStats::peak_live_bytes`] charges: each live slot and cell,
+/// and each label entry with its name's bytes.
+const SLOT_BYTES: usize = size_of::<Slot>();
+const CELL_BYTES: usize = size_of::<Cell>();
+const LABEL_BYTES: usize = size_of::<LabelEntry>();
 
 impl Slot {
     fn tag(&self) -> u32 {
@@ -531,16 +548,20 @@ impl<'m> Labels<'m> {
         }
     }
 
-    fn release(&mut self, id: LabelId) {
-        if let Some(e) = id.0.checked_sub(self.fixed) {
-            let entry = &mut self.entries[e as usize];
-            entry.rc -= 1;
-            if entry.rc == 0 {
-                entry.label = None;
-                entry.rc = self.free;
-                self.free = e;
-            }
+    /// Drop a reference; the bytes freed if it was the entry's last.
+    fn release(&mut self, id: LabelId) -> usize {
+        let Some(e) = id.0.checked_sub(self.fixed) else {
+            return 0;
+        };
+        let entry = &mut self.entries[e as usize];
+        entry.rc -= 1;
+        if entry.rc > 0 {
+            return 0;
         }
+        let label = entry.label.take().unwrap();
+        entry.rc = self.free;
+        self.free = e;
+        LABEL_BYTES + label.name.len()
     }
 }
 
@@ -579,15 +600,21 @@ impl<'m> Arena<'m> {
         }
     }
 
+    /// Count `bytes` more live, raising the peak.
+    fn grow(&mut self, bytes: usize) {
+        self.live_bytes += bytes;
+        if self.live_bytes > self.peak_bytes {
+            self.peak_bytes = self.live_bytes;
+        }
+    }
+
     fn alloc(&mut self, expr: Expr) -> ExprId {
-        let weight = self.weight(expr);
         let idx = match self.free {
             NIL => {
                 self.slots.push(Slot {
                     gen: 0,
                     rc: 1,
                     what: FREE,
-                    weight,
                     list: List::EMPTY,
                 });
                 u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live slots")
@@ -596,7 +623,6 @@ impl<'m> Arena<'m> {
                 let slot = &mut self.slots[i as usize];
                 self.free = slot.list.head;
                 slot.rc = 1;
-                slot.weight = weight;
                 i
             }
         };
@@ -604,13 +630,10 @@ impl<'m> Arena<'m> {
         slot.set(expr);
         let gen = slot.gen;
         self.live += 1;
-        self.live_bytes += weight as usize;
         if self.live > self.peak_live {
             self.peak_live = self.live;
         }
-        if self.live_bytes > self.peak_bytes {
-            self.peak_bytes = self.live_bytes;
-        }
+        self.grow(SLOT_BYTES);
         if matches!(expr, Expr::Pending { .. }) {
             self.pending += 1;
             if self.pending > self.peak_pending {
@@ -672,10 +695,10 @@ impl<'m> Arena<'m> {
                 self.free = id.idx;
             }
             self.live -= 1;
-            self.live_bytes -= slot.weight as usize;
+            self.live_bytes -= SLOT_BYTES + CELL_BYTES * list.len as usize;
             match expr {
                 Expr::Forest(_) => {}
-                Expr::Node { label, .. } => self.labels.release(label),
+                Expr::Node { label, .. } => self.release_label(label),
                 Expr::Pending { .. } => self.pending -= 1,
             }
             self.cells.drain(list, &mut stack);
@@ -689,7 +712,32 @@ impl<'m> Arena<'m> {
             self.get(id),
             Expr::Forest(_) | Expr::Node { .. }
         ));
-        self.cells.pop_front(&mut self.slots[id.idx as usize].list)
+        let child = self.cells.pop_front(&mut self.slots[id.idx as usize].list);
+        if child.is_some() {
+            self.live_bytes -= CELL_BYTES;
+        }
+        child
+    }
+
+    fn push_back(&mut self, list: &mut List, item: ExprId) {
+        self.cells.push_back(list, item);
+        self.grow(CELL_BYTES);
+    }
+
+    /// Append the items of `list` to `out` and free its cells.
+    fn drain(&mut self, list: List, out: &mut Vec<ExprId>) {
+        self.live_bytes -= CELL_BYTES * list.len as usize;
+        self.cells.drain(list, out);
+    }
+
+    /// A label entry for `label`, holding one reference.
+    fn add_label(&mut self, label: Label) -> LabelId {
+        self.grow(LABEL_BYTES + label.name.len());
+        self.labels.add(label)
+    }
+
+    fn release_label(&mut self, id: LabelId) {
+        self.live_bytes -= self.labels.release(id);
     }
 
     /// Release the children of `id` from its first up to and including
@@ -719,35 +767,11 @@ impl<'m> Arena<'m> {
     }
 
     /// Rewrite an expanded call in place to the forest its rule built,
-    /// keeping the pending count and byte estimate honest.
+    /// keeping the pending count honest.
     fn resolve(&mut self, id: ExprId, children: List) {
         debug_assert!(matches!(self.get(id), Expr::Pending { .. }));
         self.pending -= 1;
-        let expr = Expr::Forest(children);
-        let weight = self.weight(expr);
-        let slot = &mut self.slots[id.idx as usize];
-        slot.set(expr);
-        self.live_bytes = self.live_bytes - slot.weight as usize + weight as usize;
-        slot.weight = weight;
-        if self.live_bytes > self.peak_bytes {
-            self.peak_bytes = self.live_bytes;
-        }
-    }
-
-    /// The weight an expression adds to [`StreamStats::peak_live_bytes`]:
-    /// an accounting weight, fixed when the expression is built or
-    /// rewritten, not its memory layout. The formula predates the cell
-    /// lists and is kept as it was, so byte peaks stay comparable across
-    /// versions.
-    fn weight(&self, e: Expr) -> u32 {
-        const BASE: u32 = 48;
-        match e {
-            Expr::Forest(c) => BASE + 8 * c.len,
-            Expr::Node { label, children } => {
-                BASE + self.labels.get(label).name.len() as u32 + 8 * children.len
-            }
-            Expr::Pending { args, .. } => BASE + 8 * args.len,
-        }
+        self.slots[id.idx as usize].set(Expr::Forest(children));
     }
 }
 
@@ -956,6 +980,12 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
 
     /// [`Engine::finish`], also handing back the observer.
     pub fn finish_observed(mut self) -> Result<(S, StreamStats, O), StreamError> {
+        self.end_input()?;
+        Ok((self.sink, self.stats, self.obs))
+    }
+
+    /// The end-of-input event: the last expansions and the last flush.
+    fn end_input(&mut self) -> Result<(), StreamError> {
         debug_assert!(
             self.stack.is_empty() && self.dead_depth == 0,
             "unclosed elements at finish"
@@ -974,7 +1004,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             "output frontier not ground after end of input"
         );
         self.finished = true;
-        Ok((self.sink, self.stats, self.obs))
+        Ok(())
     }
 
     /// Whether the location at the current parse position has no
@@ -1036,7 +1066,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             self.expand_one(id, ctx);
         }
         if let Some(label) = self.event_label.take() {
-            self.arena.labels.release(label);
+            self.arena.release_label(label);
         }
         Ok(())
     }
@@ -1053,7 +1083,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         // Expansion is never re-entered, so one scratch buffer serves.
         let mut args = std::mem::take(&mut self.args);
         args.clear();
-        self.arena.cells.drain(cells, &mut args);
+        self.arena.drain(cells, &mut args);
         let rhs = match ctx {
             Ctx::Eps => self.dispatch.eps_rule(state),
             Ctx::Open { label, sym } => self.dispatch.node_rule(state, sym, label.is_text()),
@@ -1119,7 +1149,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                     for a in cargs {
                         let f = self.instantiate(a, ctx, args, used);
                         let f = self.arena.alloc(Expr::Forest(f));
-                        self.arena.cells.push_back(&mut new_args, f);
+                        self.arena.push_back(&mut new_args, f);
                     }
                     let pid = self.arena.alloc(Expr::Pending {
                         state: *state,
@@ -1138,7 +1168,7 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                     pid
                 }
             };
-            self.arena.cells.push_back(&mut out, item);
+            self.arena.push_back(&mut out, item);
         }
         out
     }
@@ -1150,11 +1180,11 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         if let Some(sym) = sym {
             return LabelId(sym.0);
         }
-        let labels = &mut self.arena.labels;
+        let arena = &mut self.arena;
         let id = *self
             .event_label
-            .get_or_insert_with(|| labels.add(label.clone()));
-        labels.share(id);
+            .get_or_insert_with(|| arena.add_label(label.clone()));
+        arena.labels.share(id);
         id
     }
 
@@ -1345,17 +1375,18 @@ pub fn run_streaming_on_forest<S: XmlSink>(
     sink: S,
 ) -> Result<(S, StreamStats), StreamError> {
     let mut engine = Engine::new(mft, sink);
-    fn feed<S: XmlSink>(engine: &mut Engine<'_, S>, t: &Tree) -> Result<(), StreamError> {
-        engine.open(&t.label)?;
-        for c in &t.children {
-            feed(engine, c)?;
-        }
-        engine.close()
-    }
     for t in forest {
-        feed(&mut engine, t)?;
+        feed_tree(&mut engine, t)?;
     }
     engine.finish()
+}
+
+fn feed_tree<S: XmlSink>(engine: &mut Engine<'_, S>, t: &Tree) -> Result<(), StreamError> {
+    engine.open(&t.label)?;
+    for c in &t.children {
+        feed_tree(engine, c)?;
+    }
+    engine.close()
 }
 
 /// Output and statistics of [`run_streaming_to_string`].
@@ -1391,7 +1422,7 @@ mod tests {
     use crate::text::parse_mft;
     use crate::translate::translate;
     use foxq_forest::term::parse_forest;
-    use foxq_xml::{forest_to_xml_string, ForestSink};
+    use foxq_xml::{forest_to_xml_string, ForestSink, NullSink};
     use foxq_xquery::parse_query;
 
     /// Streaming output must equal the in-memory interpreter's output.
@@ -1679,5 +1710,104 @@ mod tests {
         assert_eq!(stats.max_depth, 3);
         assert!(stats.expansions > 0);
         assert_eq!(stats.output_events, 6);
+    }
+
+    /// Run `m` over `doc` up to and including the end of input, and check
+    /// that every slot, cell and label entry is back on its free list.
+    fn check_drained(m: &Mft, doc: &str) {
+        let mut engine = Engine::new(m, NullSink);
+        for t in &parse_forest(doc).unwrap() {
+            feed_tree(&mut engine, t).unwrap();
+        }
+        engine.end_input().unwrap();
+        let arena = &engine.arena;
+        assert_eq!((arena.live, arena.live_bytes, arena.pending), (0, 0, 0));
+        let mut free_slots = 0;
+        let mut s = arena.free;
+        while s != NIL {
+            let slot = &arena.slots[s as usize];
+            assert_eq!(slot.tag(), FREE);
+            free_slots += 1;
+            s = slot.list.head;
+        }
+        assert_eq!(free_slots, arena.slots.len(), "slots of {doc}");
+        let mut free_cells = 0;
+        let mut c = arena.cells.free;
+        while c != NIL {
+            free_cells += 1;
+            c = arena.cells.slab[c as usize].next;
+        }
+        assert_eq!(free_cells, arena.cells.slab.len(), "cells of {doc}");
+        let labels = &arena.labels;
+        assert!(!labels.entries.is_empty(), "{doc} copied no label");
+        let mut free_labels = 0;
+        let mut e = labels.free;
+        while e != NIL {
+            let entry = &labels.entries[e as usize];
+            assert!(entry.label.is_none());
+            free_labels += 1;
+            e = entry.rc;
+        }
+        assert_eq!(free_labels, labels.entries.len(), "labels of {doc}");
+    }
+
+    #[test]
+    fn everything_is_freed_at_the_end_of_input() {
+        let copy =
+            parse_mft("qcopy(%t(x1) x2) -> %t(qcopy(x1)) qcopy(x2); qcopy(eps) -> eps;").unwrap();
+        check_drained(&copy, r#"a(b("t") c) d(e(f))"#);
+        let cases = [
+            (
+                "<double><r1>{$input/*}</r1>{$input/*}</double>",
+                r#"site(a("x" b()) c("y"))"#,
+            ),
+            // The shared walk of `<o>` loses its other reference midway.
+            (
+                "let $w := $input/r/e/a return for $v in $input/r/a return <o>{$w}</o>",
+                "r(a() e(a(\"t\")) a())",
+            ),
+        ];
+        for (query, doc) in cases {
+            let unopt = translate(&parse_query(query).unwrap()).unwrap();
+            check_drained(&optimize(unopt.clone()), doc);
+            check_drained(&unopt, doc);
+        }
+    }
+
+    #[test]
+    fn an_engine_dropped_after_an_output_limit_error_does_not_panic() {
+        let q = parse_query("<double><r1>{$input/*}</r1>{$input/*}</double>").unwrap();
+        let m = optimize(translate(&q).unwrap());
+        let limits = StreamLimits {
+            max_output_events: 5,
+            ..StreamLimits::default()
+        };
+        let r = run_streaming_to_string(&m, b"<site><a>x</a><b/><c/></site>", limits);
+        assert!(matches!(r, Err(StreamError::OutputLimit { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn a_slot_whose_generation_would_wrap_is_retired() {
+        let alphabet = Alphabet::new();
+        let mut arena = Arena::new(&alphabet);
+        let a = arena.alloc(Expr::Forest(List::EMPTY));
+        arena.slots[a.idx as usize].gen = u32::MAX - 1;
+        let a = ExprId {
+            gen: u32::MAX - 1,
+            ..a
+        };
+        arena.release(a);
+        // Recycled once more, at the last generation ...
+        let b = arena.alloc(Expr::Forest(List::EMPTY));
+        assert_eq!((b.idx, b.gen), (a.idx, u32::MAX));
+        arena.release(b);
+        // ... and then never again: the next generation would be 0.
+        let c = arena.alloc(Expr::Forest(List::EMPTY));
+        assert_ne!(c.idx, a.idx);
+        for stale in [a, b, ExprId { idx: a.idx, gen: 0 }] {
+            assert!(!arena.alive(stale), "{stale:?}");
+        }
+        assert!(arena.alive(c));
+        assert_eq!(arena.live, 1);
     }
 }

@@ -48,12 +48,6 @@ impl Label {
     pub fn is_text(&self) -> bool {
         self.kind == NodeKind::Text
     }
-
-    /// Approximate heap footprint in bytes (used by the streaming engine's
-    /// memory accounting).
-    pub fn approx_bytes(&self) -> usize {
-        self.name.len()
-    }
 }
 
 impl fmt::Debug for Label {

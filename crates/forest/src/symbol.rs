@@ -6,7 +6,7 @@
 //! probe rather than a string comparison.
 
 use crate::fxhash::FxHashMap;
-use crate::label::{Label, NodeKind};
+use crate::label::Label;
 use std::fmt;
 
 /// Interned id of a symbol σ ∈ Σ.
@@ -57,18 +57,6 @@ impl Alphabet {
         self.index.get(label).copied()
     }
 
-    /// Look up by kind and name without building a `Label`.
-    pub fn lookup_parts(&self, kind: NodeKind, name: &str) -> Option<SymId> {
-        // Label construction is cheap enough here (Arc from &str allocates),
-        // but this is only used on cold paths; hot paths pre-resolve SymIds.
-        self.index
-            .get(&Label {
-                kind,
-                name: name.into(),
-            })
-            .copied()
-    }
-
     /// The label of an interned symbol.
     pub fn label(&self, id: SymId) -> &Label {
         &self.labels[id.0 as usize]
@@ -101,6 +89,7 @@ impl fmt::Debug for Alphabet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::NodeKind;
 
     #[test]
     fn intern_is_idempotent() {
@@ -128,6 +117,5 @@ mod tests {
         let id = a.intern_elem("site");
         assert_eq!(a.lookup(&Label::elem("site")), Some(id));
         assert_eq!(a.lookup(&Label::elem("nope")), None);
-        assert_eq!(a.lookup_parts(NodeKind::Element, "site"), Some(id));
     }
 }
