@@ -516,7 +516,10 @@ impl<'m> Labels<'m> {
     fn get(&self, id: LabelId) -> &Label {
         match id.0.checked_sub(self.fixed) {
             None => self.alphabet.label(SymId(id.0)),
-            Some(e) => self.entries[e as usize].label.as_ref().unwrap(),
+            Some(e) => self.entries[e as usize]
+                .label
+                .as_ref()
+                .expect("a live handle names a used entry"),
         }
     }
 
@@ -558,7 +561,7 @@ impl<'m> Labels<'m> {
         if entry.rc > 0 {
             return 0;
         }
-        let label = entry.label.take().unwrap();
+        let label = entry.label.take().expect("a used entry holds its label");
         entry.rc = self.free;
         self.free = e;
         LABEL_BYTES + label.name.len()
@@ -708,10 +711,7 @@ impl<'m> Arena<'m> {
 
     /// Take the first child of a forest or a node, with its reference.
     fn pop_child(&mut self, id: ExprId) -> Option<ExprId> {
-        debug_assert!(matches!(
-            self.get(id),
-            Expr::Forest(_) | Expr::Node { .. }
-        ));
+        debug_assert!(matches!(self.get(id), Expr::Forest(_) | Expr::Node { .. }));
         let child = self.cells.pop_front(&mut self.slots[id.idx as usize].list);
         if child.is_some() {
             self.live_bytes -= CELL_BYTES;

@@ -218,7 +218,10 @@ fn double_holds_a_bounded_number_of_bytes_per_input_node() {
     }
     let (_, stats) = engine.finish().unwrap();
     let per_node = stats.peak_live_bytes as f64 / stats.open_events as f64;
-    assert!(per_node <= 149.2 * 1.05, "{per_node:.1} bytes per open event");
+    assert!(
+        per_node <= 149.2 * 1.05,
+        "{per_node:.1} bytes per open event"
+    );
 }
 
 /// A [`StreamProfiler`] that also checks `on_event` fires exactly once per
