@@ -27,8 +27,6 @@ fn start_server() -> foxq_server::ServerHandle {
         threads: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
-        read_timeout: Duration::from_secs(10),
-        write_timeout: Duration::from_secs(10),
         ..ServerConfig::default()
     })
     .expect("bind")

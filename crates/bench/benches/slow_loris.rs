@@ -15,6 +15,7 @@
 use criterion::{criterion_group, criterion_main, summarize, BenchmarkId, Criterion};
 use foxq_server::client::{self, Client};
 use foxq_server::{Server, ServerConfig};
+use foxq_service::Limits;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,8 +31,10 @@ fn start_server() -> foxq_server::ServerHandle {
         // Long enough that the stalled connections outlive the measurement
         // (the reactor's head deadline would otherwise reap them, which is
         // the defense but not what we are measuring).
-        read_timeout: Duration::from_secs(60),
-        write_timeout: Duration::from_secs(10),
+        limits: Limits {
+            read_timeout: Duration::from_secs(60),
+            ..Limits::serving()
+        },
         ..ServerConfig::default()
     })
     .expect("bind")

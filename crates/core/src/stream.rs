@@ -54,14 +54,19 @@ use foxq_forest::{Alphabet, Label, SymId, Tree};
 use foxq_xml::{EventSource, XmlError, XmlEvent, XmlReader, XmlSink};
 use std::collections::VecDeque;
 
-/// The output-event budget [`PreparedQuery`](../../foxq_service) serving and
-/// the `foxq` CLI apply by default: generous enough for any legitimate run
-/// (10⁹ events is hundreds of gigabytes of XML), tight enough that a
-/// doubling-transducer bomb over untrusted input fails fast instead of
-/// filling the disk.
+/// The output-event budget the `foxq` CLI and server apply by default
+/// (`max_output_events` in `foxq_service::LIMITS`): generous enough for any
+/// legitimate run (10⁹ events is hundreds of gigabytes of XML), tight
+/// enough that a doubling-transducer bomb over untrusted input fails fast
+/// instead of filling the disk.
 pub const DEFAULT_MAX_OUTPUT_EVENTS: u64 = 1_000_000_000;
 
-/// Resource limits for a streaming run.
+/// The expansion fuel per input event every run gets by default
+/// (`max_expansions_per_event` in `foxq_service::LIMITS`).
+pub const DEFAULT_MAX_EXPANSIONS_PER_EVENT: u64 = 10_000_000;
+
+/// Resource limits for a streaming run: the engine's view of
+/// `foxq_service::Limits`.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamLimits {
     /// Maximum rule expansions per input event (guards stay-move loops).
@@ -76,7 +81,7 @@ pub struct StreamLimits {
 impl Default for StreamLimits {
     fn default() -> Self {
         StreamLimits {
-            max_expansions_per_event: 10_000_000,
+            max_expansions_per_event: DEFAULT_MAX_EXPANSIONS_PER_EVENT,
             max_output_events: u64::MAX,
         }
     }
@@ -98,7 +103,10 @@ pub enum StreamError {
     /// The input XML was malformed.
     Xml(XmlError),
     /// Expansion fuel exhausted — almost certainly a stay-move loop.
-    Fuel { state: String },
+    Fuel {
+        state: String,
+        max_expansions_per_event: u64,
+    },
     /// The output-event budget was exhausted.
     OutputLimit { max_output_events: u64 },
     /// An [`EmitSink`] failed to release an
@@ -112,7 +120,7 @@ impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StreamError::Xml(e) => write!(f, "{e}"),
-            StreamError::Fuel { state } => {
+            StreamError::Fuel { state, .. } => {
                 write!(
                     f,
                     "expansion fuel exhausted in state {state} (stay-move loop?)"
@@ -1060,7 +1068,10 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
                     Expr::Pending { state, .. } => self.mft.name_of(state).to_string(),
                     _ => "?".to_string(),
                 };
-                return Err(StreamError::Fuel { state });
+                return Err(StreamError::Fuel {
+                    state,
+                    max_expansions_per_event: self.limits.max_expansions_per_event,
+                });
             }
             fuel -= 1;
             self.expand_one(id, ctx);

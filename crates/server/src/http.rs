@@ -13,28 +13,24 @@
 //! the socket is still receiving it. A streamed response leaves through a
 //! [`Coalescer`], which decides when certain output goes on the wire.
 
+use foxq_service::limits::{Limit, Tripped, HEADERS, HEAD_BYTES};
 use std::cell::RefCell;
 use std::io::{BufRead, Error, ErrorKind, IoSlice, Read, Write};
 
 /// Upper bound on the request line plus all header bytes.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub const MAX_HEAD_BYTES: usize = HEAD_BYTES.serve as usize;
 /// Upper bound on the number of request headers.
-pub const MAX_HEADERS: usize = 100;
+pub const MAX_HEADERS: usize = HEADERS.serve as usize;
 
-/// A parse-level failure; mapped to `400 Bad Request` (or `431`) upstream.
-#[derive(Debug)]
-pub struct HttpError(pub String);
-
-impl std::fmt::Display for HttpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
+/// A parse-level failure, answered `400 Bad Request` upstream.
+fn bad(msg: impl Into<String>) -> Error {
+    Error::new(ErrorKind::InvalidData, msg.into())
 }
 
-impl std::error::Error for HttpError {}
-
-fn bad(msg: impl Into<String>) -> Error {
-    Error::new(ErrorKind::InvalidData, HttpError(msg.into()))
+/// A head past one of its bounds: a parse failure that carries its row,
+/// whose status it is answered with.
+fn over(limit: &'static Limit) -> Error {
+    Tripped::new(limit, limit.serve, String::new()).into()
 }
 
 /// How a request frames its body.
@@ -61,6 +57,8 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// False for `HTTP/1.0` (connections then default to close).
     pub http11: bool,
+    /// How the body is framed ([`Request::body_kind`]).
+    pub body: BodyKind,
 }
 
 impl Request {
@@ -96,9 +94,10 @@ impl Request {
     /// * more than one `Content-Length` header, even with equal values;
     /// * a `Content-Length` list value (`"5, 5"`) or any non-digit byte.
     ///
-    /// Callers must treat `Err` as 400 *and* close the connection: the body
-    /// length is unknowable, so the next request's start is too.
-    pub fn body_kind(&self) -> Result<BodyKind, Error> {
+    /// [`read_request`] fails a request framed so, which must be answered
+    /// 400 *and* close the connection: the body length is unknowable, so the
+    /// next request's start is too.
+    fn body_kind(&self) -> Result<BodyKind, Error> {
         let te: Vec<&str> = self.header_values("transfer-encoding").collect();
         let cl: Vec<&str> = self.header_values("content-length").collect();
         if !te.is_empty() {
@@ -151,8 +150,13 @@ impl Request {
 }
 
 /// Read one head line (request line or header), CRLF- or LF-terminated,
-/// within the shared head budget. `Ok(None)` = clean EOF before any byte.
-fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>, Error> {
+/// within the shared head budget, failing with `too_long()` past it.
+/// `Ok(None)` = clean EOF before any byte.
+fn read_line<R: BufRead>(
+    r: &mut R,
+    budget: &mut usize,
+    too_long: fn() -> Error,
+) -> Result<Option<String>, Error> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let buf = r.fill_buf()?;
@@ -165,7 +169,7 @@ fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>
         let nl = buf.iter().position(|&b| b == b'\n');
         let take = nl.map(|i| i + 1).unwrap_or(buf.len());
         if take > *budget {
-            return Err(bad("request head too large"));
+            return Err(too_long());
         }
         *budget -= take;
         line.extend_from_slice(&buf[..take]);
@@ -181,11 +185,13 @@ fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>
     }
 }
 
-/// Parse one request head off the connection. `Ok(None)` when the peer
-/// closed the connection cleanly between requests (keep-alive end).
+/// Parse one request head off the connection, its body framing included.
+/// `Ok(None)` when the peer closed the connection cleanly between requests
+/// (keep-alive end).
 pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, Error> {
     let mut budget = MAX_HEAD_BYTES;
-    let Some(request_line) = read_line(r, &mut budget)? else {
+    let head_line = |r: &mut R, budget: &mut usize| read_line(r, budget, || over(&HEAD_BYTES));
+    let Some(request_line) = head_line(r, &mut budget)? else {
         return Ok(None);
     };
     let mut parts = request_line.split_ascii_whitespace();
@@ -218,12 +224,12 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, Error> {
 
     let mut headers = Vec::new();
     loop {
-        let line = read_line(r, &mut budget)?.ok_or_else(|| bad("EOF inside headers"))?;
+        let line = head_line(r, &mut budget)?.ok_or_else(|| bad("EOF inside headers"))?;
         if line.is_empty() {
             break;
         }
         if headers.len() >= MAX_HEADERS {
-            return Err(bad("too many headers"));
+            return Err(over(&HEADERS));
         }
         let (name, value) = line
             .split_once(':')
@@ -231,13 +237,16 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, Error> {
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    Ok(Some(Request {
+    let mut request = Request {
         method: method.to_string(),
         path,
         query,
         headers,
         http11,
-    }))
+        body: BodyKind::Empty,
+    };
+    request.body = request.body_kind()?;
+    Ok(Some(request))
 }
 
 /// Decode `%XX` escapes (strict: a lone `%` is an error → `None`).
@@ -328,7 +337,9 @@ impl<'a, R: BufRead> BodyReader<'a, R> {
     /// Read one CRLF/LF-terminated chunk-framing line (bounded).
     fn framing_line(&mut self) -> Result<String, Error> {
         let mut budget = 256usize;
-        read_line(self.inner, &mut budget)?.ok_or_else(|| bad("EOF inside chunked framing"))
+        let too_long = || bad("chunked framing line too long");
+        read_line(self.inner, &mut budget, too_long)?
+            .ok_or_else(|| bad("EOF inside chunked framing"))
     }
 
     /// Advance chunked state until data is available or the body ends.
@@ -398,10 +409,7 @@ impl<'a, R: BufRead> BodyReader<'a, R> {
 }
 
 fn closed_mid_body() -> Error {
-    Error::new(
-        ErrorKind::UnexpectedEof,
-        HttpError("connection closed mid-body".into()),
-    )
+    Error::new(ErrorKind::UnexpectedEof, "connection closed mid-body")
 }
 
 impl<R: BufRead> Read for BodyReader<'_, R> {
@@ -712,6 +720,11 @@ mod tests {
             .unwrap()
     }
 
+    /// A head's body framing, or why it was refused.
+    fn framing(head: &str) -> Result<BodyKind, Error> {
+        read_request(&mut BufReader::new(head.as_bytes())).map(|r| r.unwrap().body)
+    }
+
     #[test]
     fn request_line_and_headers() {
         let r = parse("POST /query?q=%3Co%2F%3E&q=two+words HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello");
@@ -719,41 +732,41 @@ mod tests {
         assert_eq!(r.path, "/query");
         assert_eq!(r.params("q").collect::<Vec<_>>(), vec!["<o/>", "two words"]);
         assert_eq!(r.header("host"), Some("x"));
-        assert_eq!(r.body_kind().unwrap(), BodyKind::Sized(5));
+        assert_eq!(r.body, BodyKind::Sized(5));
         assert!(r.keep_alive());
     }
 
     #[test]
     fn ambiguous_body_framing_is_rejected() {
         // Two Content-Length headers, conflicting values.
-        let r = parse("POST /q HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\n");
-        assert!(r.body_kind().unwrap_err().to_string().contains("ambiguous"));
+        let r = framing("POST /q HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\n");
+        assert!(r.unwrap_err().to_string().contains("ambiguous"));
         // Two Content-Length headers, *equal* values: still rejected (a
         // front proxy may merge or drop one).
-        let r = parse("POST /q HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n");
-        assert!(r.body_kind().is_err());
+        let r = framing("POST /q HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n");
+        assert!(r.is_err());
         // A list value smuggled in one header line.
-        let r = parse("POST /q HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\n");
-        assert!(r.body_kind().is_err());
+        let r = framing("POST /q HTTP/1.1\r\nContent-Length: 5, 5\r\n\r\n");
+        assert!(r.is_err());
         // Signs and garbage.
         for v in ["+5", "-1", "5x", ""] {
-            let r = parse(&format!("POST /q HTTP/1.1\r\nContent-Length: {v}\r\n\r\n"));
-            assert!(r.body_kind().is_err(), "content-length {v:?} accepted");
+            let r = framing(&format!("POST /q HTTP/1.1\r\nContent-Length: {v}\r\n\r\n"));
+            assert!(r.is_err(), "content-length {v:?} accepted");
         }
         // Transfer-Encoding together with Content-Length.
         let r =
-            parse("POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 4\r\n\r\n");
-        assert!(r.body_kind().unwrap_err().to_string().contains("ambiguous"));
+            framing("POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 4\r\n\r\n");
+        assert!(r.unwrap_err().to_string().contains("ambiguous"));
         // Doubled Transfer-Encoding headers.
-        let r = parse(
+        let r = framing(
             "POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n",
         );
-        assert!(r.body_kind().is_err());
+        assert!(r.is_err());
         // The well-formed shapes still parse.
-        let r = parse("POST /q HTTP/1.1\r\nContent-Length: 7\r\n\r\n");
-        assert_eq!(r.body_kind().unwrap(), BodyKind::Sized(7));
-        let r = parse("POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
-        assert_eq!(r.body_kind().unwrap(), BodyKind::Chunked);
+        let r = framing("POST /q HTTP/1.1\r\nContent-Length: 7\r\n\r\n");
+        assert_eq!(r.unwrap(), BodyKind::Sized(7));
+        let r = framing("POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
+        assert_eq!(r.unwrap(), BodyKind::Chunked);
     }
 
     #[test]

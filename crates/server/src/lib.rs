@@ -15,14 +15,14 @@
 //! | `GET /healthz`    | liveness                                              |
 //! | `POST /shutdown`  | graceful drain (also [`ServerHandle::shutdown`])      |
 //!
-//! The whole path is streaming and bounded end to end: request bodies flow
-//! straight off the socket through [`foxq_xml::BoundedReader`] (413 past
-//! `max_body_bytes`, body never buffered whole) and `XmlReader` into a
+//! The whole path is streaming and bounded end to end, by the rows of
+//! [`foxq_service::LIMITS`]: request bodies flow straight off the socket
+//! through [`foxq_xml::BoundedReader`] (413 past `max_body_bytes`, body
+//! never buffered whole) and `XmlReader` into a
 //! [`foxq_service::MultiQueryEngine`]; query text is compiled through a
-//! process-wide [`foxq_service::SharedQueryCache`] under
-//! [`foxq_service::CompileLimits`]; lanes run under
-//! [`foxq_core::stream::StreamLimits::serving`]; connections carry
-//! read/write timeouts so no peer can wedge a worker.
+//! process-wide [`foxq_service::SharedQueryCache`] under the compile bounds;
+//! lanes run under the output and fuel bounds; connections carry read/write
+//! timeouts so no peer can wedge a worker.
 //!
 //! Connection I/O is readiness-driven: an epoll reactor thread
 //! ([`reactor`]) owns every socket and its per-connection state machine

@@ -8,13 +8,16 @@
 //!   heads, flushes responses, and enforces idle/head/write deadlines —
 //!   all readiness-driven, so a thousand slow or idle connections cost a
 //!   thousand small buffers, **not** a thousand parked threads;
-//! * a fixed pool of **worker** threads runs the CPU-bound half only: a
-//!   connection whose request head is complete is handed over, the worker
-//!   streams the body straight off the socket through a
-//!   [`foxq_xml::BoundedReader`] into the XML parser and the transducer
-//!   lanes (a request body is **never buffered whole**; reading stops at
-//!   `max_body_bytes` → 413), serializes the response, and hands the
-//!   connection back to the reactor for the write;
+//! * a fixed pool of **worker** threads, each on a stack of
+//!   [`WORKER_STACK_BYTES`], runs the CPU-bound half only: a connection
+//!   whose request head is complete is handed over, the worker streams the
+//!   body straight off the socket through a [`foxq_xml::BoundedReader`]
+//!   into the XML parser and the transducer lanes (a request body is
+//!   **never buffered whole**; reading stops at `max_body_bytes` → 413),
+//!   serializes the response, and hands the connection back to the reactor
+//!   for the write;
+//! * a request that trips a bound is answered from its row of
+//!   [`foxq_service::LIMITS`] ([`error_reply`]);
 //! * per-connection state is an explicit machine ([`crate::conn`]):
 //!   `Idle → ReadHead → RouteBody → WriteResponse → Idle/Close`, with head
 //!   reads and response writes resumable across `WouldBlock`;
@@ -35,20 +38,21 @@ use crate::metrics::{Endpoint, Metrics, Scalar};
 use crate::reactor::{pin_receive_buffer, Poller, Waker, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use foxq_core::emit::{EmitSink, EmitWriter};
 use foxq_core::profile::StreamProfiler;
-use foxq_core::stream::{StreamError, StreamLimits, StreamObserver, StreamStats};
+use foxq_core::stream::{StreamError, StreamObserver, StreamStats};
 use foxq_core::Mft;
 use foxq_obs::{
     micros_since, AllocScope, JsonlSink, RingSink, Stage, TraceContext, TraceRecord, TraceSink,
     DEFAULT_TRACE_LOG_MAX_BYTES,
 };
+use foxq_service::limits::{BATCH_QUERIES, HEAD_BYTES, READ_TIMEOUT};
 use foxq_service::{
-    field_names, profile_record, run_lanes, source_key, CompileLimits, Events, MultiRun,
-    PrepareError, PreparedQuery, ProfileRegistry, QuerySetPlan, ReplyKind, RunReport,
-    SharedQueryCache,
+    field_names, profile_record, run_lanes, source_key, Events, Limits, MultiRun, PrepareError,
+    PreparedQuery, ProfileRegistry, QuerySetPlan, ReplyKind, RunReport, SharedQueryCache, Tripped,
+    Trips, WORKER_STACK_BYTES,
 };
 use foxq_store::corpus::valid_doc_id;
 use foxq_store::{ingest_xml_to_tmp, Corpus, StoreError, TapeReader};
-use foxq_xml::{byte_limit_exceeded, BoundedReader, WriterSink, XmlError, XmlReader};
+use foxq_xml::{BoundedReader, WriterSink, XmlReader};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Cursor, ErrorKind, Read, Write};
@@ -67,27 +71,11 @@ pub struct ServerConfig {
     /// Worker threads (CPU-bound request execution; connection I/O is the
     /// reactor's and costs no worker).
     pub threads: usize,
-    /// Maximum *decoded* request-body bytes before a 413.
-    pub max_body_bytes: u64,
     /// Capacity of the process-wide prepared-query cache.
     pub cache_capacity: usize,
-    /// Compile-time bounds on untrusted query text.
-    pub compile_limits: CompileLimits,
-    /// Per-lane streaming bounds (defaults to [`StreamLimits::serving`]).
-    pub stream_limits: StreamLimits,
-    /// Deadline for an idle keep-alive connection's next request head to
-    /// arrive *completely* (slow-loris bound: the clock starts at accept or
-    /// reuse and is *not* reset by trickled bytes), and the worker-side
-    /// socket read timeout while a request body streams.
-    pub read_timeout: Duration,
-    /// Deadline for the peer to drain a response (reactor-side), and the
-    /// worker-side socket write timeout.
-    pub write_timeout: Duration,
-    /// Maximum `q` parameters accepted by `POST /batch`.
-    pub max_queries_per_batch: usize,
-    /// Open-connection cap; past it the reactor stops accepting until load
-    /// drops (kernel backlog backpressure) instead of queueing unboundedly.
-    pub max_connections: usize,
+    /// Every bound a request can trip (defaults: the `serve` column of
+    /// [`foxq_service::LIMITS`]).
+    pub limits: Limits,
     /// Corpus directory for the document-store endpoints
     /// (`POST /corpus/{id}`, `GET /corpus`, `POST /query?doc=`). `None`
     /// disables them (503).
@@ -117,14 +105,8 @@ impl Default for ServerConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            max_body_bytes: 256 << 20, // 256 MiB of XML per request
             cache_capacity: 256,
-            compile_limits: CompileLimits::default(),
-            stream_limits: StreamLimits::serving(),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_queries_per_batch: 64,
-            max_connections: 4096,
+            limits: Limits::serving(),
             corpus_dir: None,
             slow_ms: 500,
             trace_log: None,
@@ -192,7 +174,7 @@ impl Server {
         if let Err(e) = pin_receive_buffer(listener.as_raw_fd()) {
             eprintln!("foxq-server: receive buffers stay autotuned: {e}");
         }
-        let cache = SharedQueryCache::with_limits(config.cache_capacity, config.compile_limits);
+        let cache = SharedQueryCache::with_limits(config.cache_capacity, config.limits);
         let corpus = match &config.corpus_dir {
             Some(dir) => Some(Mutex::new(Corpus::open(dir).map_err(|e| {
                 std::io::Error::new(ErrorKind::InvalidInput, format!("corpus {dir}: {e}"))
@@ -260,6 +242,7 @@ impl Server {
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("foxq-worker-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(&job_rx, &done_tx, &waker, &shared))?,
             );
         }
@@ -312,17 +295,6 @@ impl ServerHandle {
     /// The live metrics registry (what `GET /metrics` renders).
     pub fn metrics(&self) -> Arc<Metrics> {
         self.shared.metrics.clone()
-    }
-
-    /// The process-wide prepared-query cache.
-    pub fn cache(&self) -> SharedQueryCache {
-        self.shared.cache.clone()
-    }
-
-    /// Whether a shutdown has been signalled (locally or via
-    /// `POST /shutdown`).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Signal shutdown and wait for every in-flight request to drain.
@@ -462,14 +434,14 @@ impl Reactor {
                     self.shared.metrics.add(Scalar::ConnectionsActive, 1);
                     let token = self.next_token;
                     self.next_token += 1;
-                    let deadline = Instant::now() + self.shared.config.read_timeout;
+                    let deadline = Instant::now() + self.shared.config.limits.read_timeout;
                     let mut conn = Conn::new(stream, token, deadline);
                     if self.arm(&mut conn, EPOLLIN) {
                         self.conns.insert(token, conn);
                     } else {
                         self.close(conn);
                     }
-                    if self.open_connections() >= self.shared.config.max_connections {
+                    if self.open_connections() >= self.shared.config.limits.max_connections {
                         break; // gate check below will pause accepting
                     }
                 }
@@ -494,7 +466,7 @@ impl Reactor {
         let Some(listener) = &self.listener else {
             return;
         };
-        let want = self.open_connections() < self.shared.config.max_connections;
+        let want = self.open_connections() < self.shared.config.limits.max_connections;
         if want && !self.accepting {
             if self
                 .poller
@@ -536,7 +508,7 @@ impl Reactor {
                         self.close(conn);
                     } else {
                         self.shared.metrics.record_response(400);
-                        let response = simple_response(400, "connection closed mid-head\n");
+                        let response = simple_response(400, b"connection closed mid-head\n");
                         self.start_write(conn, response, After::Close);
                     }
                     return;
@@ -550,8 +522,10 @@ impl Reactor {
                         return;
                     }
                     if conn.buf.len() > Conn::HEAD_BUF_CAP {
-                        self.shared.metrics.record_response(400);
-                        let response = simple_response(400, "request head too large\n");
+                        let tripped = Tripped::new(&HEAD_BYTES, HEAD_BYTES.serve, String::new());
+                        let reply = error_reply(&tripped, 400, "");
+                        self.shared.metrics.record_response(reply.status);
+                        let response = simple_response(reply.status, &reply.body);
                         self.start_write(conn, response, After::Close);
                         return;
                     }
@@ -614,7 +588,7 @@ impl Reactor {
     }
 
     fn start_write(&mut self, mut conn: Conn, out: Vec<u8>, after: After) {
-        conn.deadline = Instant::now() + self.shared.config.write_timeout;
+        conn.deadline = Instant::now() + self.shared.config.limits.write_timeout;
         conn.phase = Phase::WriteResponse {
             out,
             written: 0,
@@ -680,7 +654,7 @@ impl Reactor {
         }
         match after {
             After::Reuse if !self.drain_started => {
-                conn.deadline = Instant::now() + self.shared.config.read_timeout;
+                conn.deadline = Instant::now() + self.shared.config.limits.read_timeout;
                 if conn.head_end().is_some() {
                     // The next request was pipelined into an earlier
                     // segment: no readiness event will announce it.
@@ -828,14 +802,14 @@ impl Reactor {
 
 /// Serialize a minimal framing-level error response (no `Reply` routing
 /// involved; used by the reactor for head-level failures).
-fn simple_response(status: u16, body: &str) -> Vec<u8> {
+fn simple_response(status: u16, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(128 + body.len());
     write_response(
         &mut out,
         status,
         "text/plain; charset=utf-8",
         &[],
-        body.as_bytes(),
+        body,
         false,
     )
     .expect("writing to Vec cannot fail");
@@ -884,17 +858,24 @@ fn worker_loop(
     }
 }
 
-/// Counts request bytes into the shared metrics as they stream in. Wraps
-/// only the *socket* half of a worker's reader: bytes the reactor already
-/// buffered were counted when they were first read.
+/// Counts request bytes into the shared metrics as they stream in, and
+/// turns a stalled read into the [`READ_TIMEOUT`] bound. Wraps only the
+/// *socket* half of a worker's reader: bytes the reactor already buffered
+/// were counted when they were first read.
 struct CountingReader<R> {
     inner: R,
     metrics: Arc<Metrics>,
+    timeout_ms: u64,
 }
 
 impl<R: Read> Read for CountingReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
+        let n = self.inner.read(buf).map_err(|e| match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                Tripped::new(&READ_TIMEOUT, self.timeout_ms, String::new()).into()
+            }
+            _ => e,
+        })?;
         self.metrics.add(Scalar::BytesIn, n as u64);
         Ok(n)
     }
@@ -905,12 +886,12 @@ impl<R: Read> Read for CountingReader<R> {
 /// Runs on a worker with the socket temporarily in blocking mode; all
 /// response I/O is left to the reactor.
 fn serve_one(conn: &mut Conn, shared: &Shared) -> (Vec<u8>, After) {
-    let cfg = &shared.config;
+    let limits = &shared.config.limits;
     if conn.stream.set_nonblocking(false).is_err() {
         return (Vec::new(), After::Close);
     }
-    let _ = conn.stream.set_read_timeout(Some(cfg.read_timeout));
-    let _ = conn.stream.set_write_timeout(Some(cfg.write_timeout));
+    let _ = conn.stream.set_read_timeout(Some(limits.read_timeout));
+    let _ = conn.stream.set_write_timeout(Some(limits.write_timeout));
 
     // Streamed `/query` responses are written by the worker itself, straight
     // to the (blocking, write-timeout-bounded) socket — a slow client
@@ -932,6 +913,7 @@ fn serve_one(conn: &mut Conn, shared: &Shared) -> (Vec<u8>, After) {
             CountingReader {
                 inner: &conn.stream,
                 metrics: shared.metrics.clone(),
+                timeout_ms: limits.read_timeout.as_millis() as u64,
             },
             &wire,
         )),
@@ -1063,24 +1045,18 @@ fn serve_request<R: BufRead>(
         Ok(Some(req)) => req,
         Ok(None) => return None, // raced peer close
         Err(e) => {
-            // Head-level garbage: answer 400 when the error is a parse
-            // failure, close silently on transport errors.
+            // Head-level garbage — ambiguous body framing included, for
+            // *every* endpoint (RFC 9112 §6.3: the request-smuggling shapes)
+            // — is answered 400 (or the tripped bound's status) and the
+            // connection closed; a transport error closes it silently.
             if e.kind() == ErrorKind::InvalidData {
-                return Some((reply_unconsumed(Reply::text(400, format!("{e}\n"))), false));
+                return Some((reply_unconsumed(error_reply(&e, 400, "")), false));
             }
             return None;
         }
     };
     let keep_requested = request.keep_alive();
-    // Ambiguous body framing (duplicate/conflicting Content-Length,
-    // Transfer-Encoding + Content-Length, list values) is rejected up
-    // front for *every* endpoint, and the connection is closed: where the
-    // next request starts is unknowable (RFC 9112 §6.3 — the
-    // request-smuggling shapes).
-    let reply = match request.body_kind() {
-        Err(e) => reply_unconsumed(Reply::text(400, format!("{e}\n"))),
-        Ok(_) => route(&request, reader, shared, ctx, stream_out),
-    };
+    let reply = route(&request, reader, shared, ctx, stream_out);
     Some((reply, keep_requested))
 }
 
@@ -1158,7 +1134,7 @@ fn route<R: BufRead>(
     // there is no body to desynchronize on.
     let bodyless = |reply: Reply, request: &Request| -> Reply {
         let mut reply = reply;
-        reply.reusable = reply.reusable && matches!(request.body_kind(), Ok(BodyKind::Empty));
+        reply.reusable = reply.reusable && request.body == BodyKind::Empty;
         reply
     };
 
@@ -1234,30 +1210,15 @@ fn route<R: BufRead>(
     reply
 }
 
-/// Classify a compile failure. The request body was not touched yet, so
-/// the reply is marked non-reusable.
-fn prepare_error_reply(e: &PrepareError) -> Reply {
-    reply_unconsumed(match e {
-        PrepareError::TooLarge { .. } => Reply::text(413, format!("query rejected: {e}\n")),
-        _ => Reply::text(400, format!("query rejected: {e}\n")),
-    })
-}
-
-/// Classify an input-side XML failure (shared by /query and /batch).
-fn xml_error_reply(e: &XmlError, limit: u64) -> Reply {
-    if let XmlError::Io { source, .. } = e {
-        if byte_limit_exceeded(source).is_some() {
-            return Reply::text(
-                413,
-                format!("request body exceeded the limit of {limit} bytes\n"),
-            );
-        }
-        // A transport stall is the peer's fault, not the document's.
-        if matches!(source.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-            return Reply::text(408, "timed out reading the request body\n".to_string());
-        }
+/// The reply to a failed request. A tripped bound is answered from its row
+/// of [`foxq_service::LIMITS`]: the row's status, and a message naming the
+/// row and the bound in force. Any other failure gets `status`, and says
+/// `what` failed before why.
+fn error_reply(e: &impl Trips, status: u16, what: &str) -> Reply {
+    match e.tripped() {
+        Some(tripped) => Reply::text(tripped.status(), format!("{tripped}\n")),
+        None => Reply::text(status, format!("{what}{e}\n")),
     }
-    Reply::text(400, format!("malformed XML input: {e}\n"))
 }
 
 /// Open the request body every document-carrying endpoint reads. Fails
@@ -1266,14 +1227,13 @@ fn open_body<'a, R: BufRead>(
     request: &Request,
     conn: &'a mut R,
 ) -> Result<BodyReader<'a, R>, Reply> {
-    match request.body_kind() {
+    match request.body {
         // Nothing is on the wire: this error keeps its connection.
-        Ok(BodyKind::Empty) => Err(Reply::text(
+        BodyKind::Empty => Err(Reply::text(
             400,
             "missing request body (the XML document)\n",
         )),
-        Ok(kind) => Ok(BodyReader::new(conn, kind)),
-        Err(e) => Err(reply_unconsumed(Reply::text(400, format!("{e}\n")))),
+        kind => Ok(BodyReader::new(conn, kind)),
     }
 }
 
@@ -1296,14 +1256,15 @@ fn run_over_body<R: BufRead, S: EmitSink, O: StreamObserver>(
     plan: &QuerySetPlan,
 ) -> Result<(LanesRun<S, O>, bool), Reply> {
     let mut body = open_body(request, conn)?;
-    let bounded = BoundedReader::new(&mut body, shared.config.max_body_bytes);
+    let limits = &shared.config.limits;
+    let bounded = BoundedReader::new(&mut body, limits.max_body_bytes);
     let events = Events(XmlReader::new(bounded));
     shared.metrics.add(Scalar::LaneRuns, mfts.len() as u64);
     let span = ctx.enter(Stage::Execute);
-    let run = run_lanes(mfts, events, lanes, shared.config.stream_limits, plan);
+    let run = run_lanes(mfts, events, lanes, limits.stream(), plan);
     drop(span);
-    let run = run.map_err(|e| xml_error_reply(&e, shared.config.max_body_bytes));
-    Ok((run.map_err(reply_unconsumed)?, body.exhausted()))
+    let run = run.map_err(|e| reply_unconsumed(error_reply(&e, 400, "malformed XML input: ")))?;
+    Ok((run, body.exhausted()))
 }
 
 /// `doc=<id>`: run `lanes` over the stored tape instead — no parse, and
@@ -1323,15 +1284,9 @@ fn run_over_tape<S: EmitSink, O: StreamObserver>(
     if shared.corpus.is_none() {
         return Err(no_corpus_reply(request));
     }
-    match request.body_kind() {
-        Ok(BodyKind::Empty) => {}
-        Ok(_) => {
-            return Err(reply_unconsumed(Reply::text(
-                400,
-                "no request body allowed with doc= (the document is stored)\n",
-            )))
-        }
-        Err(e) => return Err(reply_unconsumed(Reply::text(400, format!("{e}\n")))),
+    if request.body != BodyKind::Empty {
+        let stored = "no request body allowed with doc= (the document is stored)\n";
+        return Err(reply_unconsumed(Reply::text(400, stored)));
     }
     let path = match shared.corpus().expect("checked above").tape_path(id) {
         Ok(path) => path,
@@ -1343,10 +1298,20 @@ fn run_over_tape<S: EmitSink, O: StreamObserver>(
         }
         Err(e) => return Err(Reply::text(500, format!("corpus error: {e}\n"))),
     };
-    let tape = TapeReader::open_file(&path).map_err(|e| store_error_reply(&e))?;
+    // The tape is server state: corruption is a 500, never the client's
+    // fault, and a tape of an older format a 409 naming the migration.
+    let failed = |e: StoreError| {
+        let status = if let StoreError::NeedsMigration { .. } = e {
+            409
+        } else {
+            500
+        };
+        error_reply(&e, status, "tape replay failed: ")
+    };
+    let tape = TapeReader::open_file(&path).map_err(failed)?;
     shared.metrics.add(Scalar::LaneRuns, mfts.len() as u64);
     let start = Instant::now();
-    let run = run_lanes(mfts, tape, lanes, shared.config.stream_limits, plan);
+    let run = run_lanes(mfts, tape, lanes, shared.config.limits.stream(), plan);
     let micros = micros_since(start);
     match run {
         Ok(run) => {
@@ -1357,7 +1322,7 @@ fn run_over_tape<S: EmitSink, O: StreamObserver>(
         }
         Err(e) => {
             ctx.add_micros(Stage::TapeReplay, micros);
-            Err(store_error_reply(&e))
+            Err(failed(e))
         }
     }
 }
@@ -1393,7 +1358,7 @@ fn handle_query<R: BufRead>(
     }
     let prepared = match lookup_traced(shared, ctx, q) {
         Ok(p) => p,
-        Err(e) => return prepare_error_reply(&e),
+        Err(e) => return reply_unconsumed(error_reply(&e, 400, "query rejected: ")),
     };
     let streamed = request.params("stream").next().is_some_and(|v| v != "0");
     let doc = request.params("doc").next();
@@ -1643,7 +1608,10 @@ impl Query<'_, '_> {
                 if self.head_written() {
                     return streamed_failure_reply();
                 }
-                let reply = stream_error_reply(&e);
+                let reply = match e {
+                    StreamError::Xml(_) => error_reply(&e, 400, "malformed XML input: "),
+                    _ => error_reply(&e, 422, "query run failed: "),
+                };
                 return if self.doc.is_some() {
                     // No request body was involved: the connection is clean.
                     reply
@@ -1727,7 +1695,7 @@ fn handle_corpus_ingest<R: BufRead>(
     let dir = shared.corpus().expect("checked above").dir().to_path_buf();
     let seq = shared.ingest_seq.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!(".ingest-{seq}-{id}.tmp"));
-    let bounded = BoundedReader::new(&mut body, shared.config.max_body_bytes);
+    let bounded = BoundedReader::new(&mut body, shared.config.limits.max_body_bytes);
     let span = ctx.enter(Stage::Execute);
     let ingested = ingest_xml_to_tmp(&tmp, bounded);
     drop(span);
@@ -1759,27 +1727,14 @@ fn handle_corpus_ingest<R: BufRead>(
             }
         }
         // The helper already removed the tmp file.
-        Err(StoreError::Xml(xml)) => {
-            reply_unconsumed(xml_error_reply(&xml, shared.config.max_body_bytes))
-        }
-        Err(other) => reply_unconsumed(Reply::text(500, format!("ingest failed: {other}\n"))),
+        Err(StoreError::Xml(e)) => reply_unconsumed(error_reply(&e, 400, "malformed XML input: ")),
+        Err(e) => reply_unconsumed(error_reply(&e, 500, "ingest failed: ")),
     }
-}
-
-/// A store-side failure of a corpus query: the tape is server state, so
-/// corruption is a 500, never the client's fault — and a tape of an older
-/// format a 409, whose message names the migration.
-fn store_error_reply(e: &StoreError) -> Reply {
-    let status = match e {
-        StoreError::NeedsMigration { .. } => 409,
-        _ => 500,
-    };
-    Reply::text(status, format!("tape replay failed: {e}\n"))
 }
 
 fn no_corpus_reply(request: &Request) -> Reply {
     let mut reply = Reply::text(503, "no corpus configured (start with --corpus DIR)\n");
-    reply.reusable = matches!(request.body_kind(), Ok(BodyKind::Empty));
+    reply.reusable = request.body == BodyKind::Empty;
     reply
 }
 
@@ -1793,24 +1748,18 @@ fn handle_batch<R: BufRead>(
     if queries.is_empty() {
         return reply_unconsumed(Reply::text(400, "missing query parameters q\n"));
     }
-    if queries.len() > shared.config.max_queries_per_batch {
-        return reply_unconsumed(Reply::text(
-            400,
-            format!(
-                "{} queries exceed the batch limit of {}\n",
-                queries.len(),
-                shared.config.max_queries_per_batch
-            ),
-        ));
+    let bound = shared.config.limits.max_queries_per_batch;
+    if queries.len() > bound {
+        let found = format!(" ({})", queries.len());
+        let tripped = Tripped::new(&BATCH_QUERIES, bound as u64, found);
+        return reply_unconsumed(error_reply(&tripped, 400, ""));
     }
     let mut prepared = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
         match lookup_traced(shared, ctx, q) {
             Ok(p) => prepared.push(p),
             Err(e) => {
-                let mut reply = prepare_error_reply(&e);
-                reply.body = format!("query {i} rejected: {e}\n").into_bytes();
-                return reply;
+                return reply_unconsumed(error_reply(&e, 400, &format!("query {i} rejected: ")))
             }
         }
     }
@@ -1858,13 +1807,6 @@ fn handle_batch<R: BufRead>(
     // connection cannot be reused.
     reply.reusable = any_ok && body_exhausted;
     reply
-}
-
-fn stream_error_reply(e: &StreamError) -> Reply {
-    match e {
-        StreamError::Xml(xml) => Reply::text(400, format!("malformed XML input: {xml}\n")),
-        _ => Reply::text(422, format!("query run failed: {e}\n")),
-    }
 }
 
 /// Mark a reply as leaving unread body bytes on the wire.

@@ -5,8 +5,10 @@
 //! that pipeline into something a server can sit on:
 //!
 //! * [`PreparedQuery`] — parse → translate → §4.1-optimize **once**, keep
-//!   the optimized [`foxq_core::Mft`] plus metadata (state/rule counts,
-//!   GCX-baseline support);
+//!   the optimized [`foxq_core::Mft`] plus metadata (optimizer removals,
+//!   stage times);
+//! * [`LIMITS`] and [`Limits`] — every bound a request can trip, one row
+//!   each, and the values a process applies;
 //! * [`QueryCache`] — hash-keyed LRU over prepared queries, so repeated
 //!   query texts never recompile (hits/misses/compiles are observable via
 //!   [`CacheStats`]);
@@ -64,18 +66,19 @@
 
 pub mod batch;
 pub mod facts;
+pub mod limits;
 pub mod multi;
 pub mod prepared;
 pub mod profile;
 
 pub use batch::{BatchCell, BatchDriver, BatchReport, CorpusReport};
 pub use facts::{field_names, Fact, On, ReplyKind, Tracked, FACTS};
+pub use limits::{Limit, Limits, SetLimit, Tripped, Trips, LIMITS, WORKER_STACK_BYTES};
 pub use multi::{
     run_lanes, run_multi, run_multi_on_forest, run_multi_on_tape, Events, LaneInput,
     MultiQueryEngine, MultiRun, QuerySetPlan, RunReport, SourceCost,
 };
 pub use prepared::{
-    source_key, CacheStats, CompileLimits, PrepareError, PreparedQuery, QueryCache, QueryMeta,
-    SharedQueryCache,
+    source_key, CacheStats, PrepareError, PreparedQuery, QueryCache, QueryMeta, SharedQueryCache,
 };
 pub use profile::{profile_record, Aggregate, HotState, ProfileRegistry, QueryProfile};

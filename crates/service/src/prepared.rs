@@ -2,14 +2,16 @@
 //!
 //! The library pipeline (parse → translate → §4.1 optimize) is pure and
 //! deterministic, so a query text compiles to the same [`Mft`] every time.
-//! [`PreparedQuery`] runs the pipeline once and keeps everything a serving
-//! layer needs: both transducers (optimized for execution, unoptimized for
-//! ablation/debugging), the parsed AST, and metadata such as state/rule
-//! counts and whether the GCX baseline accepts the query. [`QueryCache`]
+//! [`PreparedQuery`] runs the pipeline once, under the compile bounds of
+//! [`Limits`], and keeps everything a serving layer needs: both transducers
+//! (optimized for execution, unoptimized for ablation/debugging), the
+//! parsed AST, what the optimizer removed and each stage's wall time.
+//! [`QueryCache`]
 //! keys prepared queries by an FxHash of the (trimmed) source text with LRU
 //! eviction, so repeated query texts — the common case under serving traffic
 //! — never recompile.
 
+use crate::limits::{Limit, Limits, Tripped, NESTING, SOURCE_BYTES, TRANSLATED_SIZE};
 use foxq_core::opt::{optimize_with_stats, OptStats};
 use foxq_core::stream::{
     run_streaming_to_string, run_streaming_with_limits, StreamError, StreamLimits, StreamRunOutput,
@@ -20,7 +22,7 @@ use foxq_core::Mft;
 use foxq_forest::fxhash::FxHasher;
 use foxq_forest::FxHashMap;
 use foxq_obs::{Stage, StageTimes};
-use foxq_xquery::{parse_query, Query, XqSyntaxError};
+use foxq_xquery::{parse_query, Query, XqSyntaxError, MAX_NESTING};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -35,31 +37,6 @@ pub fn source_key(source: &str) -> u64 {
     h.finish()
 }
 
-/// Compile-time resource bounds for [`PreparedQuery::compile_with_limits`].
-///
-/// `PreparedQuery::compile` serves *untrusted* query text, so every
-/// compilation stage is bounded: source length up front, translated
-/// transducer size after the (linear) §3 translation. The §4.1 optimizer is
-/// internally bounded by its own inlining growth budget
-/// (`foxq_core::opt::OptLimits`), so a query that passes these two checks
-/// compiles in polynomial time and memory.
-#[derive(Debug, Clone, Copy)]
-pub struct CompileLimits {
-    /// Maximum query source length in bytes.
-    pub max_source_bytes: usize,
-    /// Maximum size `|M|` of the translated (pre-optimization) MFT.
-    pub max_translated_size: usize,
-}
-
-impl Default for CompileLimits {
-    fn default() -> Self {
-        CompileLimits {
-            max_source_bytes: 1 << 20,      // 1 MiB of query text
-            max_translated_size: 4_000_000, // ~paper-size × 10⁴ headroom
-        }
-    }
-}
-
 /// Failure to compile a query.
 #[derive(Debug)]
 pub enum PrepareError {
@@ -67,13 +44,9 @@ pub enum PrepareError {
     Syntax(XqSyntaxError),
     /// The query parsed but violates the §2.1 translation restrictions.
     Translate(TranslateError),
-    /// A [`CompileLimits`] bound was exceeded.
-    TooLarge {
-        /// Which bound tripped (`"query source"` or `"translated MFT"`).
-        what: &'static str,
-        size: usize,
-        limit: usize,
-    },
+    /// A compile bound was reached: the source's bytes, its nesting, or the
+    /// translated transducer's size.
+    Limit(Tripped),
 }
 
 impl std::fmt::Display for PrepareError {
@@ -81,9 +54,7 @@ impl std::fmt::Display for PrepareError {
         match self {
             PrepareError::Syntax(e) => write!(f, "{e}"),
             PrepareError::Translate(e) => write!(f, "{e}"),
-            PrepareError::TooLarge { what, size, limit } => {
-                write!(f, "{what} too large: {size} exceeds the limit of {limit}")
-            }
+            PrepareError::Limit(e) => write!(f, "{e}"),
         }
     }
 }
@@ -92,27 +63,18 @@ impl std::error::Error for PrepareError {}
 
 impl From<XqSyntaxError> for PrepareError {
     fn from(e: XqSyntaxError) -> Self {
-        PrepareError::Syntax(e)
+        if !e.too_deep {
+            return PrepareError::Syntax(e);
+        }
+        let at = format!(" at byte {}", e.offset);
+        PrepareError::Limit(Tripped::new(&NESTING, MAX_NESTING as u64, at))
     }
 }
 
-impl From<TranslateError> for PrepareError {
-    fn from(e: TranslateError) -> Self {
-        PrepareError::Translate(e)
-    }
-}
-
-/// Compile-time metadata of a prepared query.
+/// Compile-time metadata of a prepared query (what the transducers
+/// themselves answer — states, size, parameters — is asked of them).
 #[derive(Debug, Clone, Copy)]
 pub struct QueryMeta {
-    /// States of the optimized MFT.
-    pub states: usize,
-    /// Size (total rule right-hand sides) of the optimized MFT.
-    pub size: usize,
-    /// Maximum parameter count of the optimized MFT (0 ⇒ it is an FT).
-    pub max_params: usize,
-    /// Whether the optimized transducer is parameterless (Theorem 2).
-    pub is_ft: bool,
     /// What the §4.1 optimizer removed.
     pub opt_stats: OptStats,
     /// Wall time of each compile stage (parse / translate / optimize).
@@ -132,32 +94,28 @@ pub struct PreparedQuery {
     unopt: Mft,
     opt: Mft,
     meta: QueryMeta,
-    /// Lazily computed: GCX compilation is not needed on the serving path.
-    gcx_supported: OnceLock<bool>,
     /// Lazily computed single-lane prefilter plan (projection fixpoint +
     /// matched-label set), shared by every run of this query alone.
     solo_plan: OnceLock<crate::multi::QuerySetPlan>,
 }
 
 impl PreparedQuery {
-    /// Run the full compilation pipeline on `source` under the default
-    /// [`CompileLimits`].
+    /// Run the full compilation pipeline on `source` under `foxq serve`'s
+    /// bounds.
     pub fn compile(source: &str) -> Result<PreparedQuery, PrepareError> {
-        PreparedQuery::compile_with_limits(source, CompileLimits::default())
+        PreparedQuery::compile_with_limits(source, &Limits::serving())
     }
 
-    /// [`PreparedQuery::compile`] under explicit compile-time bounds.
+    /// [`PreparedQuery::compile`] under explicit bounds. The source's size
+    /// is checked up front, its nesting by the parser, and the transducer's
+    /// size after the (linear) §3 translation; the §4.1 optimizer bounds
+    /// itself (`foxq_core::opt::OptLimits`), so a query that passes compiles
+    /// in polynomial time and memory.
     pub fn compile_with_limits(
         source: &str,
-        limits: CompileLimits,
+        limits: &Limits,
     ) -> Result<PreparedQuery, PrepareError> {
-        if source.len() > limits.max_source_bytes {
-            return Err(PrepareError::TooLarge {
-                what: "query source",
-                size: source.len(),
-                limit: limits.max_source_bytes,
-            });
-        }
+        too_large(&SOURCE_BYTES, source.len(), limits.max_source_bytes)?;
         let mut compile_times = StageTimes::default();
         let mut timed = |stage: Stage, start: Instant| {
             compile_times.add(stage, foxq_obs::micros_since(start));
@@ -166,23 +124,13 @@ impl PreparedQuery {
         let query = parse_query(source)?;
         timed(Stage::Parse, t);
         let t = Instant::now();
-        let unopt = translate(&query)?;
+        let unopt = translate(&query).map_err(PrepareError::Translate)?;
         timed(Stage::Translate, t);
-        if unopt.size() > limits.max_translated_size {
-            return Err(PrepareError::TooLarge {
-                what: "translated MFT",
-                size: unopt.size(),
-                limit: limits.max_translated_size,
-            });
-        }
+        too_large(&TRANSLATED_SIZE, unopt.size(), limits.max_translated_size)?;
         let t = Instant::now();
         let (opt, opt_stats) = optimize_with_stats(unopt.clone());
         timed(Stage::Optimize, t);
         let meta = QueryMeta {
-            states: opt.state_count(),
-            size: opt.size(),
-            max_params: opt.max_params(),
-            is_ft: opt.is_ft(),
             opt_stats,
             compile_times,
         };
@@ -192,7 +140,6 @@ impl PreparedQuery {
             unopt,
             opt,
             meta,
-            gcx_supported: OnceLock::new(),
             solo_plan: OnceLock::new(),
         })
     }
@@ -230,15 +177,6 @@ impl PreparedQuery {
             .get_or_init(|| crate::multi::QuerySetPlan::new([self.mft()]))
     }
 
-    /// Whether the GCX-substitute baseline accepts this query. Computed on
-    /// first call and cached (a full GCX compile, which the serving path
-    /// never needs).
-    pub fn gcx_supported(&self) -> bool {
-        *self
-            .gcx_supported
-            .get_or_init(|| foxq_gcx::GcxEngine::new(&self.query, foxq_xml::NullSink).is_ok())
-    }
-
     /// Convenience: stream one XML document through the optimized MFT into
     /// a string. A prepared query may come from untrusted text, so pass
     /// [`StreamLimits::serving`] unless the run is otherwise bounded: it
@@ -274,6 +212,19 @@ impl PreparedQuery {
     }
 }
 
+/// `size` past `bound` is a [`PrepareError::Limit`] of `limit`'s row.
+fn too_large(limit: &'static Limit, size: usize, bound: usize) -> Result<(), PrepareError> {
+    if size <= bound {
+        return Ok(());
+    }
+    let found = format!(" ({size} {})", limit.unit);
+    Err(PrepareError::Limit(Tripped::new(
+        limit,
+        bound as u64,
+        found,
+    )))
+}
+
 /// Counters of a [`QueryCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -301,7 +252,7 @@ struct CacheEntry {
 /// next lookup retries).
 pub struct QueryCache {
     capacity: usize,
-    limits: CompileLimits,
+    limits: Limits,
     map: FxHashMap<u64, CacheEntry>,
     tick: u64,
     stats: CacheStats,
@@ -309,14 +260,14 @@ pub struct QueryCache {
 
 impl QueryCache {
     /// A cache holding at most `capacity` prepared queries (min 1), under
-    /// the default [`CompileLimits`].
+    /// `foxq serve`'s compile bounds.
     pub fn new(capacity: usize) -> Self {
-        Self::with_limits(capacity, CompileLimits::default())
+        Self::with_limits(capacity, Limits::serving())
     }
 
-    /// [`QueryCache::new`] with explicit compile-time bounds applied to
-    /// every compilation the cache performs.
-    pub fn with_limits(capacity: usize, limits: CompileLimits) -> Self {
+    /// [`QueryCache::new`] with explicit compile bounds applied to every
+    /// compilation the cache performs.
+    pub fn with_limits(capacity: usize, limits: Limits) -> Self {
         QueryCache {
             capacity: capacity.max(1),
             limits,
@@ -353,7 +304,7 @@ impl QueryCache {
             // FxHash collision between different texts: recompile in place.
         }
         self.stats.misses += 1;
-        let prepared = Arc::new(PreparedQuery::compile_with_limits(source, self.limits)?);
+        let prepared = Arc::new(PreparedQuery::compile_with_limits(source, &self.limits)?);
         self.stats.compiles += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             self.evict_lru();
@@ -408,7 +359,7 @@ impl QueryCache {
 /// same handle without interrupting serving. The mutex is held across the
 /// compilation itself — deliberately: concurrent first requests for the
 /// same hot query then compile it once instead of racing, and compilation
-/// is bounded by [`CompileLimits`] so the hold time is too. Compilation is
+/// is bounded by [`Limits`] so the hold time is too. Compilation is
 /// pure, so a poisoned lock (a panicking worker) cannot have corrupted
 /// entries and is simply cleared.
 #[derive(Clone)]
@@ -417,13 +368,9 @@ pub struct SharedQueryCache {
 }
 
 impl SharedQueryCache {
-    /// A shared cache holding at most `capacity` prepared queries.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_limits(capacity, CompileLimits::default())
-    }
-
-    /// [`SharedQueryCache::new`] with explicit compile-time bounds.
-    pub fn with_limits(capacity: usize, limits: CompileLimits) -> Self {
+    /// A shared cache holding at most `capacity` prepared queries, compiled
+    /// under `limits`.
+    pub fn with_limits(capacity: usize, limits: Limits) -> Self {
         SharedQueryCache {
             inner: Arc::new(std::sync::Mutex::new(QueryCache::with_limits(
                 capacity, limits,
@@ -437,13 +384,8 @@ impl SharedQueryCache {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Look up `source`, compiling (and inserting) on a miss.
-    pub fn get_or_compile(&self, source: &str) -> Result<Arc<PreparedQuery>, PrepareError> {
-        self.lock().get_or_compile(source)
-    }
-
-    /// [`SharedQueryCache::get_or_compile`], also reporting whether the
-    /// lookup was a hit (see [`QueryCache::lookup_or_compile`]).
+    /// Look up `source`, compiling (and inserting) on a miss, and report
+    /// whether the lookup was a hit (see [`QueryCache::lookup_or_compile`]).
     pub fn lookup_or_compile(
         &self,
         source: &str,
@@ -454,20 +396,6 @@ impl SharedQueryCache {
     /// Hit/miss/compile/eviction counters (a consistent snapshot).
     pub fn stats(&self) -> CacheStats {
         self.lock().stats()
-    }
-
-    /// Cached entry count.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Maximum entry count.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity()
     }
 }
 
@@ -482,20 +410,12 @@ mod tests {
     #[test]
     fn prepared_query_compiles_and_runs() {
         let p = PreparedQuery::compile(Q1).unwrap();
-        assert!(p.meta().states > 0);
-        assert!(p.gcx_supported());
+        assert!(p.mft().state_count() > 0);
         assert!(p.mft().size() <= p.unoptimized().size());
         let out = p
             .run_to_string(b"<a>x</a><b/>", StreamLimits::serving())
             .unwrap();
         assert_eq!(out.output, "<o><a>x</a></o>");
-    }
-
-    #[test]
-    fn gcx_support_is_detected() {
-        // Top-level bare $input is outside the GCX fragment.
-        let p = PreparedQuery::compile("<o>{$input}</o>").unwrap();
-        assert!(!p.gcx_supported());
     }
 
     #[test]
@@ -511,23 +431,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn gcx_probe_hits_the_inlining_cap_on_nested_lets() {
-        // Each let doubles the uses of the previous variable; the GCX
-        // support probe must hit gcx's inlining size cap instead of
-        // materializing a 2^n-node query on the serving path. (n is kept
-        // moderate because the §4.1 optimizer has its own super-linear
-        // behaviour on this family — a ROADMAP item, independent of gcx.)
-        let mut src = String::from("let $a0 := $input/r/a return ");
-        for i in 1..=12 {
-            let p = i - 1;
-            src.push_str(&format!("let $a{i} := <x>{{$a{p}}}{{$a{p}}}</x> return "));
-        }
-        src.push_str("<o>{$a12}</o>");
-        let prepared = PreparedQuery::compile(&src).unwrap();
-        assert!(!prepared.gcx_supported());
-    }
-
     use foxq_core::opt::nested_doubling_lets;
 
     #[test]
@@ -535,7 +438,7 @@ mod tests {
         // Compile must stay polynomial (the optimizer's inlining growth
         // budget keeps the doubled value as a shared parameter)…
         let p = PreparedQuery::compile(&nested_doubling_lets(40)).unwrap();
-        assert!(p.meta().size < 100_000, "compiled size {}", p.meta().size);
+        assert!(p.mft().size() < 100_000, "compiled size {}", p.mft().size());
         // …and a run cannot materialize the 2^40-node output: the output
         // budget aborts it (the shared-graph engine would otherwise emit
         // forever from a tiny live arena).
@@ -556,7 +459,7 @@ mod tests {
     fn oversized_query_sources_are_rejected() {
         let big = format!("<o>{}</o>", " ".repeat(2 << 20));
         match PreparedQuery::compile(&big) {
-            Err(PrepareError::TooLarge { what, .. }) => assert_eq!(what, "query source"),
+            Err(PrepareError::Limit(t)) => assert_eq!(t.limit.name, "max_source_bytes"),
             other => panic!("expected TooLarge, got {:?}", other.map(|_| "ok")),
         }
     }
@@ -608,13 +511,13 @@ mod tests {
 
     #[test]
     fn shared_cache_serves_concurrent_workers() {
-        let cache = SharedQueryCache::new(4);
+        let cache = SharedQueryCache::with_limits(4, Limits::serving());
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let cache = cache.clone();
                 scope.spawn(move || {
                     for q in [Q1, Q2, Q1, Q3, Q1] {
-                        cache.get_or_compile(q).unwrap();
+                        cache.lookup_or_compile(q).unwrap();
                     }
                 });
             }
@@ -636,15 +539,15 @@ mod tests {
     fn cache_compile_limits_are_enforced() {
         let mut cache = QueryCache::with_limits(
             2,
-            CompileLimits {
+            Limits {
                 max_source_bytes: 64,
-                ..CompileLimits::default()
+                ..Limits::serving()
             },
         );
         let big = format!("<o>{}</o>", " ".repeat(100));
         assert!(matches!(
             cache.get_or_compile(&big),
-            Err(PrepareError::TooLarge { .. })
+            Err(PrepareError::Limit(_))
         ));
     }
 }

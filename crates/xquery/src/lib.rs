@@ -16,4 +16,4 @@ pub mod parser;
 
 pub use ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
 pub use eval::{eval_query, Doc, XqRunError};
-pub use parser::{parse_query, XqSyntaxError};
+pub use parser::{parse_query, XqSyntaxError, MAX_NESTING};

@@ -9,12 +9,22 @@
 
 use crate::ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
 
+/// How deep a query may nest: parentheses, element constructors, `for` and
+/// `let` bodies, predicates, and the steps of a path each count one level.
+/// Translation, optimization, printing and dropping all recurse along this
+/// nesting, so the bound is what keeps every later pass on its stack.
+pub const MAX_NESTING: usize = 256;
+
 /// Parse error with source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XqSyntaxError {
     pub line: usize,
     pub col: usize,
+    /// Byte offset into the source.
+    pub offset: usize,
     pub msg: String,
+    /// Whether the query nests deeper than [`MAX_NESTING`].
+    pub too_deep: bool,
 }
 
 impl std::fmt::Display for XqSyntaxError {
@@ -34,6 +44,7 @@ pub fn parse_query(src: &str) -> Result<Query, XqSyntaxError> {
     let mut p = P {
         src: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.ws();
     let q = p.query()?;
@@ -47,6 +58,8 @@ pub fn parse_query(src: &str) -> Result<Query, XqSyntaxError> {
 struct P<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Nesting levels open at `pos`.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -65,8 +78,29 @@ impl<'a> P<'a> {
         Err(XqSyntaxError {
             line,
             col,
+            offset: self.pos,
             msg: msg.into(),
+            too_deep: false,
         })
+    }
+
+    /// Parse `f` one nesting level deeper; an error past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: fn(&mut Self) -> Result<T, XqSyntaxError>,
+    ) -> Result<T, XqSyntaxError> {
+        if self.depth == MAX_NESTING {
+            let msg = format!("nested deeper than {MAX_NESTING} levels");
+            let too_deep = |e| XqSyntaxError {
+                too_deep: true,
+                ..e
+            };
+            return self.err(msg).map_err(too_deep);
+        }
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn peek(&self) -> Option<u8> {
@@ -201,9 +235,9 @@ impl<'a> P<'a> {
                 .peek2()
                 .is_some_and(|c| c.is_ascii_alphabetic() || c == b'_')
         {
-            self.element()
+            self.nested(Self::element)
         } else {
-            self.clause()
+            self.nested(Self::clause)
         }
     }
 
@@ -235,7 +269,7 @@ impl<'a> P<'a> {
                         self.expect(">")?;
                         return Ok(Query::Element { name, content });
                     }
-                    content.push(self.element()?);
+                    content.push(self.nested(Self::element)?);
                 }
                 Some(b'{') if self.peek2() == Some(b'{') => {
                     self.pos += 2;
@@ -327,11 +361,19 @@ impl<'a> P<'a> {
         } else {
             return self.err("expected '$var' or '/' to start a path")?;
         };
-        let mut steps = Vec::new();
-        while self.peek() == Some(b'/') {
-            steps.push(self.step()?);
-        }
+        let steps = self.steps()?;
         Ok(Path { start, steps })
+    }
+
+    /// The `/`-steps of a path: each one nesting level deeper than the last.
+    fn steps(&mut self) -> Result<Vec<Step>, XqSyntaxError> {
+        let (depth, mut steps) = (self.depth, Vec::new());
+        while self.peek() == Some(b'/') {
+            steps.push(self.nested(Self::step)?);
+            self.depth += 1;
+        }
+        self.depth = depth;
+        Ok(steps)
     }
 
     fn step(&mut self) -> Result<Step, XqSyntaxError> {
@@ -379,7 +421,7 @@ impl<'a> P<'a> {
         loop {
             self.ws();
             if self.eat("[") {
-                preds.push(self.predicate()?);
+                preds.push(self.nested(Self::predicate)?);
                 self.ws();
                 self.expect("]")?;
             } else {
@@ -440,9 +482,7 @@ impl<'a> P<'a> {
         let mut steps = Vec::new();
         self.ws();
         if self.peek() == Some(b'/') {
-            while self.peek() == Some(b'/') {
-                steps.push(self.step()?);
-            }
+            steps = self.steps()?;
         } else {
             // A bare step (no slash): `[name]`, `[text()="x"]`.
             if self.peek() != Some(b']') && self.peek() != Some(b'=') && self.peek() != Some(b'!') {
@@ -451,7 +491,7 @@ impl<'a> P<'a> {
                 loop {
                     self.ws();
                     if self.eat("[") {
-                        preds.push(self.predicate()?);
+                        preds.push(self.nested(Self::predicate)?);
                         self.ws();
                         self.expect("]")?;
                     } else {

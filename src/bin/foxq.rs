@@ -1,32 +1,30 @@
 //! `foxq` — command-line XQuery streaming by forest transducers.
 //!
 //! Every subcommand is one row of [`COMMANDS`] and every flag one row of
-//! [`FLAGS`]: the subcommands that take it, its value, its help line and
-//! what it sets. One parser ([`parse`]) reads both tables, and
-//! `foxq --help` is rendered from them.
+//! [`FLAGS`] — the subcommands that take it, its value, its help line and
+//! what it sets — or, for a bound, of [`LIMITS`]. One parser ([`parse`])
+//! reads the tables, and `foxq --help` is rendered from them.
 //! Output goes to stdout; diagnostics to stderr. Exit code 1 on any error.
 
-use foxq::core::opt::{optimize_with_stats, OptStats};
 use foxq::core::profile::StreamProfiler;
 use foxq::core::stream::{run_streaming_with_observer, StreamLimits, StreamObserver};
-use foxq::core::translate::translate;
 use foxq::core::{print_mft, EmissionAnalysis, EmitSink, EmitWriter, Mft};
 use foxq::obs::{micros_since, Stage, StageTimes};
 use foxq::server::http::{Coalescer, FlushBeforeRead};
 use foxq::server::{Server, ServerConfig};
 use foxq::service::{
-    run_lanes, BatchDriver, BatchReport, PreparedQuery, QueryCache, QuerySetPlan, RunReport,
+    run_lanes, BatchDriver, BatchReport, Limit, Limits, PreparedQuery, QueryCache, QuerySetPlan,
+    RunReport, SetLimit, LIMITS,
 };
 use foxq::store::tape::VERSION;
 use foxq::store::{Corpus, TapeReader};
 use foxq::xml::{WriterSink, XmlReader};
-use foxq::xquery::parse_query;
 use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::num::ParseIntError;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn main() -> ExitCode {
     match real_main() {
@@ -126,6 +124,7 @@ const COMMANDS: &[Command] = &[
 
 /// One flag: its name and alias, the subcommands that take it, its value,
 /// and its help line.
+#[derive(Clone, Copy)]
 struct Flag {
     name: &'static str,
     alias: Option<&'static str>,
@@ -135,6 +134,7 @@ struct Flag {
 }
 
 /// What a flag takes, and how it sets [`Opts`].
+#[derive(Clone, Copy)]
 enum Arg {
     /// No value.
     Switch(fn(&mut Opts)),
@@ -145,6 +145,8 @@ enum Arg {
         &'static str,
         fn(&mut Opts, &str) -> Result<(), ParseIntError>,
     ),
+    /// The bound of a [`LIMITS`] row; 0 lifts it.
+    Limit(&'static Limit, SetLimit),
 }
 
 impl Flag {
@@ -153,8 +155,21 @@ impl Flag {
         match self.arg {
             Arg::Switch(_) => self.name.to_string(),
             Arg::Text(what, _) | Arg::Number(what, _) => format!("{} {what}", self.name),
+            Arg::Limit(..) => format!("{} N", self.name),
         }
     }
+}
+
+/// Every flag: [`FLAGS`], then that of each [`LIMITS`] row with one, which
+/// the commands that run queries take if they meet its bound, else `serve`.
+#[rustfmt::skip]
+fn flags() -> impl Iterator<Item = Flag> {
+    let bounds = LIMITS.iter().filter_map(|&limit| {
+        let (name, set) = limit.flag?;
+        let cmds = if limit.cli.is_some() { &["run", "stats", "batch", "store query"] } else { &["serve"][..] };
+        Some(Flag { name, alias: None, cmds, arg: Arg::Limit(limit, set), help: "" })
+    });
+    FLAGS.iter().copied().chain(bounds)
 }
 
 #[rustfmt::skip]
@@ -187,13 +202,6 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--threads", alias: None, cmds: &["batch", "store query", "serve"],
         arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().threads = n)),
         help: "worker threads (default: the available parallelism)" },
-    Flag { name: "--max-output", alias: None, cmds: &["run", "stats", "batch", "store query"],
-        arg: Arg::Number("N", |o, v| v.parse().map(|n| {
-            o.limits.max_output_events = if n == 0 { u64::MAX } else { n }
-        })),
-        help: "abort a run (batch: its answer) once its output exceeds N events (default \
-            1000000000; 0 = unlimited) — a transducer can emit output exponential in its input, \
-            this bounds a run on hostile pairs" },
     Flag { name: "--addr", alias: None, cmds: &["serve"],
         arg: Arg::Text("HOST:PORT", |o, addr| o.server().addr = addr),
         help: "address to listen on (default 127.0.0.1:8080; port 0 = any free port)" },
@@ -201,25 +209,9 @@ const FLAGS: &[Flag] = &[
         arg: Arg::Text("DIR", |o, dir| o.server().corpus_dir = Some(dir)),
         help: "serve the corpus at DIR: POST /corpus/{id} ingests documents, GET /corpus lists \
             them, and POST /query?q=..&doc=<id> answers from the stored tape" },
-    Flag { name: "--max-body-bytes", alias: None, cmds: &["serve"],
-        arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().max_body_bytes = n)),
-        help: "largest request body, decoded, before a 413" },
     Flag { name: "--cache-capacity", alias: None, cmds: &["serve"],
         arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().cache_capacity = n)),
         help: "prepared queries the server keeps compiled" },
-    Flag { name: "--read-timeout-ms", alias: None, cmds: &["serve"],
-        arg: Arg::Number("MS", |o, v| {
-            v.parse().map(|ms| o.server().read_timeout = Duration::from_millis(ms))
-        }),
-        help: "deadline for a request head to arrive complete, and for each read of a body" },
-    Flag { name: "--write-timeout-ms", alias: None, cmds: &["serve"],
-        arg: Arg::Number("MS", |o, v| {
-            v.parse().map(|ms| o.server().write_timeout = Duration::from_millis(ms))
-        }),
-        help: "deadline for the peer to drain a response" },
-    Flag { name: "--max-connections", alias: None, cmds: &["serve"],
-        arg: Arg::Number("N", |o, v| v.parse().map(|n| o.server().max_connections = n)),
-        help: "open connections past which the server stops accepting" },
     Flag { name: "--slow-ms", alias: None, cmds: &["serve"],
         arg: Arg::Number("MS", |o, v| v.parse().map(|ms| o.server().slow_ms = ms)),
         help: "requests taking at least MS land in GET /debug/requests (append ?format=json for \
@@ -245,7 +237,8 @@ struct Opts {
     queries: Vec<String>,
     dir: String,
     id: Option<String>,
-    limits: StreamLimits,
+    /// The bounds: the rows' CLI defaults, or `serve`'s for `serve`.
+    limits: Limits,
     /// `serve`'s settings, whose `threads` (default: the available
     /// parallelism) batch and store query use too. Built on first use by
     /// [`Opts::server`], so a command that takes none of them does not pay
@@ -265,7 +258,7 @@ impl Default for Opts {
             queries: Vec::new(),
             dir: String::new(),
             id: None,
-            limits: StreamLimits::serving(),
+            limits: Limits::cli(),
             server: None,
         }
     }
@@ -301,6 +294,9 @@ fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
     let name = command.name;
     let fail = |msg: String| format!("{name}: {msg}\nusage: {}", synopsis(command).join(" "));
     let mut opts = Opts::default();
+    if name == "serve" {
+        opts.limits = Limits::serving();
+    }
     let mut seen = Vec::new();
     let mut rest = args[words(command)..].iter();
     while let Some(arg) = rest.next() {
@@ -308,8 +304,7 @@ fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
             opts.args.push(arg.clone());
             continue;
         }
-        let flag = FLAGS
-            .iter()
+        let flag = flags()
             .find(|f| f.name == arg || f.alias == Some(arg.as_str()))
             .ok_or_else(|| fail(format!("unknown flag {arg:?}")))?;
         if !flag.cmds.contains(&name) {
@@ -330,6 +325,13 @@ fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
                 let v = value(what)?;
                 set(&mut opts, v).map_err(|_| fail(format!("{arg} needs a number, not {v:?}")))?;
             }
+            Arg::Limit(_, set) => {
+                let v = value("N")?;
+                let n = v
+                    .parse()
+                    .map_err(|_| fail(format!("{arg} needs a number, not {v:?}")))?;
+                set(&mut opts.limits, if n == 0 { u64::MAX } else { n });
+            }
         }
     }
     if let Some(missing) = command.needs.iter().find(|flag| !seen.contains(*flag)) {
@@ -349,7 +351,7 @@ fn parse(args: &[String]) -> Result<(&'static Command, Opts), String> {
 /// needs bare, the others in brackets.
 fn synopsis(command: &Command) -> Vec<String> {
     let mut words = vec![format!("foxq {}", command.name)];
-    for flag in FLAGS.iter().filter(|f| f.cmds.contains(&command.name)) {
+    for flag in flags().filter(|f| f.cmds.contains(&command.name)) {
         let word = flag.usage();
         let needed = command.needs.contains(&flag.name);
         words.push(if needed { word } else { format!("[{word}]") });
@@ -360,7 +362,7 @@ fn synopsis(command: &Command) -> Vec<String> {
 
 /// `foxq --help`: every command's synopsis and what it does, then every
 /// flag, its subcommands and its help line — all rendered from
-/// [`COMMANDS`] and [`FLAGS`].
+/// [`COMMANDS`], [`FLAGS`] and [`LIMITS`].
 fn usage() -> String {
     let mut text = String::from("usage:\n");
     for command in COMMANDS {
@@ -368,11 +370,15 @@ fn usage() -> String {
         fill(&mut text, (6, 6), command.about.split_whitespace());
     }
     text.push_str("\nflags:\n");
-    for flag in FLAGS {
+    for flag in flags() {
         let alias = flag.alias.map(|a| format!(", {a}")).unwrap_or_default();
         let cmds = flag.cmds.join(", ");
         text.push_str(&format!("  {}{alias} ({cmds})\n", flag.usage()));
-        fill(&mut text, (6, 6), flag.help.split_whitespace());
+        let help = match flag.arg {
+            Arg::Limit(limit, _) => limit.help(),
+            _ => flag.help.to_string(),
+        };
+        fill(&mut text, (6, 6), help.split_whitespace());
     }
     text
 }
@@ -408,28 +414,13 @@ fn fill(
 // run / stats / compile
 // ---------------------------------------------------------------------------
 
-/// Compile a query file — optimized, or the raw §3 translation — timing
-/// each stage (for `foxq stats --timing`).
-fn load_query_timed(
-    path: &str,
-    optimize: bool,
-) -> Result<(Mft, Option<OptStats>, StageTimes), String> {
-    let src =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read query {path}: {e}"))?;
-    let mut times = StageTimes::default();
-    let t = Instant::now();
-    let query = parse_query(&src).map_err(|e| e.to_string())?;
-    times.add(Stage::Parse, micros_since(t));
-    let t = Instant::now();
-    let unopt = translate(&query).map_err(|e| e.to_string())?;
-    times.add(Stage::Translate, micros_since(t));
-    if !optimize {
-        return Ok((unopt, None, times));
-    }
-    let t = Instant::now();
-    let (opt, stats) = optimize_with_stats(unopt);
-    times.add(Stage::Optimize, micros_since(t));
-    Ok((opt, Some(stats), times))
+fn read_query(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read query {path}: {e}"))
+}
+
+/// Compile a query file under the command's bounds.
+fn compile(path: &str, limits: &Limits) -> Result<PreparedQuery, String> {
+    PreparedQuery::compile_with_limits(&read_query(path)?, limits).map_err(|e| e.to_string())
 }
 
 fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
@@ -439,9 +430,10 @@ fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
             return cmd_tape_stats(tape);
         }
     }
-    let (mft, _, mut times) = load_query_timed(&opts.args[0], true)?;
+    let prepared = compile(&opts.args[0], &opts.limits)?;
+    let (mft, mut times) = (prepared.mft(), prepared.meta().compile_times);
     let input = opts.args.get(1).map(String::as_str);
-    let limits = opts.limits;
+    let limits = opts.limits.stream();
     let stdout = std::io::stdout();
     if opts.stream {
         // Earliest emission to a pipe, by the server's rule: the first
@@ -452,7 +444,7 @@ fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
         let wire = RefCell::new(Coalescer::new(stdout.lock(), false));
         let sink = EmitWriter::new(|chunk: &[u8]| wire.borrow_mut().push(chunk));
         let before_read = |input| FlushBeforeRead::new(input, &wire);
-        let (sink, ..) = run_query(&mft, input, before_read, sink, limits, ())?;
+        let (sink, ..) = run_query(mft, input, before_read, sink, limits, ())?;
         sink.finish().map_err(|e| e.to_string())?;
         let mut wire = wire.borrow_mut();
         return wire
@@ -463,11 +455,11 @@ fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
     let sink = WriterSink::new(std::io::BufWriter::new(stdout.lock()));
     let t = Instant::now();
     let (sink, report, profiled) = if opts.profile {
-        let obs = StreamProfiler::for_mft(&mft);
-        let (sink, obs, report) = run_query(&mft, input, |input| input, sink, limits, obs)?;
-        (sink, report, Some(obs.into_profile(&mft)))
+        let obs = StreamProfiler::for_mft(mft);
+        let (sink, obs, report) = run_query(mft, input, |input| input, sink, limits, obs)?;
+        (sink, report, Some(obs.into_profile(mft)))
     } else {
-        let (sink, (), report) = run_query(&mft, input, |input| input, sink, limits, ())?;
+        let (sink, (), report) = run_query(mft, input, |input| input, sink, limits, ())?;
         (sink, report, None)
     };
     let ran = micros_since(t);
@@ -486,7 +478,7 @@ fn cmd_run(opts: Opts, stats: bool) -> Result<(), String> {
         times.add(Stage::Serialize, wall - ran);
     }
     if stats {
-        report_stats(&mft, &report);
+        report_stats(mft, &report);
         if opts.timing {
             report_timing(&times);
         }
@@ -667,20 +659,23 @@ fn report_timing(times: &StageTimes) {
 }
 
 fn cmd_compile(opts: Opts) -> Result<(), String> {
-    let (m, optimized, _) = load_query_timed(&opts.args[0], !opts.no_opt)?;
-    if let Some(stats) = optimized {
-        eprintln!(
-            "// optimized: {} states, size {}; removed {} unused + {} constant parameters, \
-             inlined {} stay states, dropped {} unreachable states",
-            m.state_count(),
-            m.size(),
-            stats.unused_params_removed,
-            stats.const_params_removed,
-            stats.stay_states_inlined,
-            stats.states_removed
-        );
+    let prepared = compile(&opts.args[0], &opts.limits)?;
+    if opts.no_opt {
+        print!("{}", print_mft(prepared.unoptimized()));
+        return Ok(());
     }
-    print!("{}", print_mft(&m));
+    let (m, stats) = (prepared.mft(), prepared.meta().opt_stats);
+    eprintln!(
+        "// optimized: {} states, size {}; removed {} unused + {} constant parameters, \
+         inlined {} stay states, dropped {} unreachable states",
+        m.state_count(),
+        m.size(),
+        stats.unused_params_removed,
+        stats.const_params_removed,
+        stats.stay_states_inlined,
+        stats.states_removed
+    );
+    print!("{}", print_mft(m));
     Ok(())
 }
 
@@ -690,7 +685,7 @@ fn cmd_compile(opts: Opts) -> Result<(), String> {
 
 fn cmd_batch(mut opts: Opts) -> Result<(), String> {
     let queries = compile_queries(&opts)?;
-    let driver = BatchDriver::new(opts.server().threads).with_limits(opts.limits);
+    let driver = BatchDriver::new(opts.server().threads).with_limits(opts.limits.stream());
     if opts.args.is_empty() {
         let report = driver.run_reader(std::io::stdin().lock(), &queries);
         return print_report(&opts, &["stdin".to_string()], &report, driver.threads());
@@ -704,7 +699,7 @@ fn cmd_batch(mut opts: Opts) -> Result<(), String> {
 fn store_query(mut opts: Opts) -> Result<(), String> {
     let corpus = open_corpus(&opts.dir)?;
     let queries = compile_queries(&opts)?;
-    let driver = BatchDriver::new(opts.server().threads).with_limits(opts.limits);
+    let driver = BatchDriver::new(opts.server().threads).with_limits(opts.limits.stream());
     let run = if opts.args.is_empty() {
         driver.run_corpus(&corpus, &queries)
     } else {
@@ -716,13 +711,12 @@ fn store_query(mut opts: Opts) -> Result<(), String> {
 /// Compile the `-q` files through one cache: the same query file twice (or
 /// two files with identical text) is translated once.
 fn compile_queries(opts: &Opts) -> Result<Vec<Arc<PreparedQuery>>, String> {
-    let mut cache = QueryCache::new(opts.queries.len());
+    let mut cache = QueryCache::with_limits(opts.queries.len(), opts.limits);
     let queries = opts
         .queries
         .iter()
         .map(|path| {
-            let src = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read query {path}: {e}"))?;
+            let src = read_query(path)?;
             cache
                 .get_or_compile(&src)
                 .map_err(|e| format!("{path}: {e}"))
@@ -889,6 +883,7 @@ fn store_migrate(opts: Opts) -> Result<(), String> {
 fn cmd_serve(mut opts: Opts) -> Result<(), String> {
     let config = ServerConfig {
         profile: opts.profile,
+        limits: opts.limits,
         ..opts.server().clone()
     };
     let server = Server::bind(config).map_err(|e| format!("cannot bind: {e}"))?;
@@ -906,7 +901,7 @@ mod tests {
 
     #[test]
     fn every_flag_names_real_commands_and_every_need_is_a_flag_taken() {
-        for flag in FLAGS {
+        for flag in flags() {
             for cmd in flag.cmds {
                 assert!(
                     COMMANDS.iter().any(|c| c.name == *cmd),
@@ -918,9 +913,7 @@ mod tests {
         for command in COMMANDS {
             for need in command.needs {
                 assert!(
-                    FLAGS
-                        .iter()
-                        .any(|f| f.name == *need && f.cmds.contains(&command.name)),
+                    flags().any(|f| f.name == *need && f.cmds.contains(&command.name)),
                     "{} needs {need}",
                     command.name
                 );

@@ -731,7 +731,7 @@ fn limits_fail_with_the_state_and_budget_they_always_named() {
         ..StreamLimits::default()
     };
     match run_streaming_to_string(&looping, b"<b><c/></b><a/>", limits) {
-        Err(StreamError::Fuel { state }) => assert_eq!(state, "spin"),
+        Err(StreamError::Fuel { state, .. }) => assert_eq!(state, "spin"),
         other => panic!("expected Fuel, got {other:?}"),
     }
     // Fuel is per event: 50 expansions spread over many events are fine.

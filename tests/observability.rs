@@ -4,6 +4,7 @@
 
 use foxq::server::client::{self, Client};
 use foxq::server::{Server, ServerConfig};
+use foxq::service::Limits;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -22,8 +23,11 @@ fn test_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 4,
-        read_timeout: Duration::from_secs(5),
-        write_timeout: Duration::from_secs(5),
+        limits: Limits {
+            read_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(5),
+            ..Limits::serving()
+        },
         ..ServerConfig::default()
     }
 }
@@ -465,10 +469,9 @@ fn debug_profile_is_disabled_without_the_flag() {
 
 #[test]
 fn liveness_gauges_and_accept_gate_counter() {
-    let handle = start(ServerConfig {
-        max_connections: 1,
-        ..test_config()
-    });
+    let mut config = test_config();
+    config.limits.max_connections = 1;
+    let handle = start(config);
     let addr = handle.local_addr();
 
     // The single allowed connection: accepting it closes the gate, which

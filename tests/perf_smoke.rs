@@ -310,6 +310,7 @@ fn instrumented_keep_alive_throughput_within_5_percent() {
     };
     use foxq::server::client::{self, Client};
     use foxq::server::{Server, ServerConfig};
+    use foxq::service::Limits;
 
     // A/B over the same binary: a default server vs. one with maximal
     // tracing (ring on every request + JSONL log). Keep-alive requests on
@@ -319,8 +320,11 @@ fn instrumented_keep_alive_throughput_within_5_percent() {
     let base_config = || ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        read_timeout: Duration::from_secs(5),
-        write_timeout: Duration::from_secs(5),
+        limits: Limits {
+            read_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(5),
+            ..Limits::serving()
+        },
         ..ServerConfig::default()
     };
     let query = "<o>{$input/site/people/person/name/text()}</o>";
@@ -392,6 +396,7 @@ fn profiled_keep_alive_throughput_within_5_percent() {
     };
     use foxq::server::client::{self, Client};
     use foxq::server::{Server, ServerConfig};
+    use foxq::service::Limits;
 
     // A/B over the same binary: observer-off vs. `--profile` (a
     // StreamProfiler on every /query lane plus allocator scope billing
@@ -402,8 +407,11 @@ fn profiled_keep_alive_throughput_within_5_percent() {
     let base_config = || ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        read_timeout: Duration::from_secs(5),
-        write_timeout: Duration::from_secs(5),
+        limits: Limits {
+            read_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(5),
+            ..Limits::serving()
+        },
         ..ServerConfig::default()
     };
     let query = "<o>{$input/site/people/person/name/text()}</o>";
@@ -518,8 +526,6 @@ fn streamed_query_ttfb_and_peak_output_buffer() {
     let handle = Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
-        read_timeout: Duration::from_secs(10),
-        write_timeout: Duration::from_secs(10),
         ..ServerConfig::default()
     })
     .unwrap()

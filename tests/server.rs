@@ -16,6 +16,7 @@
 
 use foxq::server::client::{self, Client};
 use foxq::server::{Server, ServerConfig};
+use foxq::service::{Limits, LIMITS};
 use std::time::Duration;
 
 const PERSON_NAMES: &str = "<o>{$input/site/people/person/name/text()}</o>";
@@ -33,8 +34,11 @@ fn test_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 8,
-        read_timeout: Duration::from_secs(5),
-        write_timeout: Duration::from_secs(5),
+        limits: Limits {
+            read_timeout: Duration::from_secs(5),
+            write_timeout: Duration::from_secs(5),
+            ..Limits::serving()
+        },
         ..ServerConfig::default()
     }
 }
@@ -153,23 +157,102 @@ fn bad_requests_are_rejected_cleanly() {
         .unwrap();
     assert_eq!(r.status, 400);
 
-    // A query that cannot stream within its fuel: per-run failure is 422.
-    let bomb = "<o>{$input//a//a//a//a//a//a//a//a}</o>";
-    let deep = format!("<a>{}</a>", "<a>".repeat(60) + &"</a>".repeat(60));
-    let r = client::post(addr, &client::query_target(bomb), deep.as_bytes()).unwrap();
-    // Either it completes (200) or trips a serving limit (422) — never 5xx,
-    // never a hung connection.
-    assert!(r.status == 200 || r.status == 422, "status {}", r.status);
-
     handle.shutdown();
+}
+
+/// A request that trips one bound of `foxq_service::LIMITS`, against a
+/// server whose bounds `set` shrinks so that a small request suffices.
+struct Trip {
+    set: fn(&mut Limits),
+    send: fn(std::net::SocketAddr) -> client::Response,
+}
+
+/// `<a>` nested `depth` deep.
+fn nested_a(depth: usize) -> Vec<u8> {
+    ("<a>".repeat(depth) + &"</a>".repeat(depth)).into_bytes()
+}
+
+fn post(addr: std::net::SocketAddr, query: &str, body: &[u8]) -> client::Response {
+    client::post(addr, &client::query_target(query), body).unwrap()
+}
+
+fn head(addr: std::net::SocketAddr, headers: &[(&str, &str)]) -> client::Response {
+    let mut c = Client::connect(addr).unwrap();
+    c.request("GET", "/healthz", headers, &[]).unwrap()
+}
+
+/// The tripping case of each row with a status.
+fn trip(limit: &str) -> Option<Trip> {
+    #[rustfmt::skip]
+    let trip = match limit {
+        "max_head_bytes" => Trip { set: |_| {},
+            send: |addr| head(addr, &[("x-pad", &"p".repeat(16_500))]) },
+        "max_headers" => Trip { set: |_| {}, send: |addr| {
+            let names: Vec<String> = (0..101).map(|i| format!("x-h{i}")).collect();
+            head(addr, &names.iter().map(|n| (n.as_str(), "v")).collect::<Vec<_>>())
+        } },
+        "read_timeout" => Trip { set: |l| l.read_timeout = Duration::from_millis(300),
+            send: |addr| {
+                let mut c = Client::connect(addr).unwrap();
+                let target = client::query_target(PERSON_NAMES);
+                let head = format!("POST {target} HTTP/1.1\r\ncontent-length: 100\r\n\r\n<a>");
+                std::io::Write::write_all(c.raw_writer(), head.as_bytes()).unwrap();
+                c.read_response().unwrap()
+            } },
+        "max_body_bytes" => Trip { set: |l| l.max_body_bytes = 64,
+            send: |addr| post(addr, PERSON_NAMES, &doc(&["Jim", "Li", "Ada"])) },
+        "max_queries_per_batch" => Trip { set: |l| l.max_queries_per_batch = 2,
+            send: |addr| {
+                let target = client::batch_target([PERSON_NAMES; 3]);
+                client::post(addr, &target, &doc(&["Jim"])).unwrap()
+            } },
+        "max_source_bytes" => Trip { set: |l| l.max_source_bytes = 32,
+            send: |addr| post(addr, PERSON_NAMES, &doc(&["Jim"])) },
+        // 4,000 parentheses, unescaped: an 8 KB head that once overflowed a
+        // worker's stack and aborted the process.
+        "max_nesting" => Trip { set: |_| {}, send: |addr| {
+            let q = format!("{}%24input%2Fa{}", "(".repeat(4000), ")".repeat(4000));
+            client::post(addr, &format!("/query?q={q}"), &doc(&["Jim"])).unwrap()
+        } },
+        "max_translated_size" => Trip { set: |l| l.max_translated_size = 8,
+            send: |addr| post(addr, PERSON_NAMES, &doc(&["Jim"])) },
+        "max_expansions_per_event" => Trip { set: |l| l.max_expansions_per_event = 8,
+            send: |addr| post(addr, "<o>{$input//a//a}</o>", &nested_a(16)) },
+        "max_output_events" => Trip { set: |l| l.max_output_events = 8,
+            send: |addr| post(addr, "<o>{$input//a}</o>", &nested_a(16)) },
+        _ => return None,
+    };
+    Some(trip)
+}
+
+/// The table is the contract: for every row with a status, a minimal
+/// request that trips that row alone gets the row's status and a message
+/// naming the row, is counted once under that status, and leaves a server
+/// that answers `/healthz`. A row without a case fails here.
+#[test]
+fn every_limit_row_is_tripped_alone_by_a_minimal_request() {
+    for limit in LIMITS.iter().filter(|limit| limit.status.is_some()) {
+        let name = limit.name;
+        let trip = trip(name).unwrap_or_else(|| panic!("no tripping case for {name}"));
+        let mut config = test_config();
+        (trip.set)(&mut config.limits);
+        let handle = start(config);
+        let addr = handle.local_addr();
+        let r = (trip.send)(addr);
+        assert_eq!(Some(r.status), limit.status, "{name}: {}", r.text());
+        assert!(r.text().contains(name), "{name}: {}", r.text());
+        let metrics = client::get(addr, "/metrics").unwrap().text();
+        let code = format!("foxq_responses_total{{code=\"{}\"}}", r.status);
+        assert_eq!(metric(&metrics, &code), 1, "{name}");
+        assert_eq!(client::get(addr, "/healthz").unwrap().status, 200, "{name}");
+        handle.shutdown();
+    }
 }
 
 #[test]
 fn oversized_bodies_get_413_without_being_buffered() {
-    let config = ServerConfig {
-        max_body_bytes: 4 * 1024,
-        ..test_config()
-    };
+    let mut config = test_config();
+    config.limits.max_body_bytes = 4 * 1024;
     let handle = start(config);
     let addr = handle.local_addr();
     let metrics0 = client::get(addr, "/metrics").unwrap().text();
@@ -1121,11 +1204,12 @@ fn streamed_slow_reader_hits_write_timeout() {
         );
         return;
     }
-    let handle = start(ServerConfig {
+    let mut config = ServerConfig {
         threads: 1,
-        write_timeout: Duration::from_millis(200),
         ..test_config()
-    });
+    };
+    config.limits.write_timeout = Duration::from_millis(200);
+    let handle = start(config);
     let addr = handle.local_addr();
     // A copying query: its output is as large as the document, far more
     // than the loopback socket buffers hold.
@@ -1297,10 +1381,9 @@ fn a_malformed_byte_in_a_dead_subtree_still_fails_the_request() {
 #[test]
 fn the_byte_limit_fires_inside_a_skimmed_subtree() {
     const LIMIT: u64 = 64 << 10;
-    let handle = start(ServerConfig {
-        max_body_bytes: LIMIT,
-        ..test_config()
-    });
+    let mut config = test_config();
+    config.limits.max_body_bytes = LIMIT;
+    let handle = start(config);
     let addr = handle.local_addr();
     // Africa alone is several times the limit: the overrun lands while the
     // reader skims it.
@@ -1396,10 +1479,9 @@ fn chunk_boundaries_inside_tags_references_and_characters_do_not_show() {
 #[test]
 fn the_byte_limit_fires_at_limit_plus_one_within_one_window() {
     const LIMIT: usize = 100_000;
-    let handle = start(ServerConfig {
-        max_body_bytes: LIMIT as u64,
-        ..test_config()
-    });
+    let mut config = test_config();
+    config.limits.max_body_bytes = LIMIT as u64;
+    let handle = start(config);
     let addr = handle.local_addr();
     let target = client::query_target(PERSON_NAMES);
     // Padded with trailing whitespace to an exact size.

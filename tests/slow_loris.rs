@@ -19,6 +19,7 @@
 
 use foxq::server::client::{self, Client};
 use foxq::server::{Server, ServerConfig};
+use foxq::service::Limits;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,8 +59,10 @@ fn healthy_throughput_survives_64_stalled_connections() {
         addr: "127.0.0.1:0".to_string(),
         // The stalled connections must outlive the measurement; the head
         // deadline reaping them early is the *other* defense, not this one.
-        read_timeout: Duration::from_secs(60),
-        write_timeout: Duration::from_secs(10),
+        limits: Limits {
+            read_timeout: Duration::from_secs(60),
+            ..Limits::serving()
+        },
         ..ServerConfig::default()
     })
     .expect("bind")
