@@ -1066,11 +1066,11 @@ struct Reply {
     content_type: &'static str,
     headers: Vec<(&'static str, String)>,
     body: Vec<u8>,
-    /// False when the request body was not consumed to its framed end —
-    /// the connection cannot be reused without desynchronizing, and the
-    /// close must linger so the response outlives the peer's unsent tail.
-    /// Tracks actual body consumption, *not* the status: an error answer
-    /// to a body-free request keeps its keep-alive connection.
+    /// False when the request was not read to its framed end — the
+    /// connection cannot be reused without desynchronizing, and the close
+    /// must linger so the response outlives the peer's unsent tail. `route`
+    /// sets it from the body's consumption, *not* from the status: an
+    /// error answer to a body-free request keeps its keep-alive connection.
     reusable: bool,
     /// Which endpoint produced this reply (drives the per-endpoint
     /// request-latency histogram; stamped by `route`).
@@ -1130,18 +1130,11 @@ fn route<R: BufRead>(
     };
     shared.metrics.record_request(endpoint);
 
-    // Endpoints that ignore the body can only reuse the connection if
-    // there is no body to desynchronize on.
-    let bodyless = |reply: Reply, request: &Request| -> Reply {
-        let mut reply = reply;
-        reply.reusable = reply.reusable && request.body == BodyKind::Empty;
-        reply
-    };
-
+    let mut body = BodyReader::new(conn, request.body);
     let mut reply = match endpoint {
-        Endpoint::Healthz => bodyless(Reply::text(200, "ok\n"), request),
+        Endpoint::Healthz => Reply::text(200, "ok\n"),
         Endpoint::Debug => {
-            let reply = if request.path == "/debug/profile" {
+            if request.path == "/debug/profile" {
                 match &shared.profiles {
                     Some(registry) => Reply::text(200, registry.render()),
                     None => Reply::text(503, "profiling disabled (start with --profile)\n"),
@@ -1154,32 +1147,28 @@ fn route<R: BufRead>(
                 )
             } else {
                 Reply::text(200, shared.trace_ring.dump())
-            };
-            bodyless(reply, request)
+            }
         }
-        Endpoint::Metrics => bodyless(
-            Reply::new(
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                shared
-                    .metrics
-                    .render(shared.cache.stats(), shared.corpus_tapes())
-                    .into_bytes(),
-            ),
-            request,
+        Endpoint::Metrics => Reply::new(
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            shared
+                .metrics
+                .render(shared.cache.stats(), shared.corpus_tapes())
+                .into_bytes(),
         ),
         Endpoint::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            bodyless(Reply::text(200, "draining\n"), request)
+            Reply::text(200, "draining\n")
         }
-        Endpoint::Query => handle_query(request, conn, shared, ctx, stream_out),
-        Endpoint::Batch => handle_batch(request, conn, shared, ctx),
+        Endpoint::Query => handle_query(request, &mut body, shared, ctx, stream_out),
+        Endpoint::Batch => handle_batch(request, &mut body, shared, ctx),
         Endpoint::Corpus => {
             if request.method == "GET" {
-                bodyless(handle_corpus_list(shared), request)
+                handle_corpus_list(shared)
             } else {
                 let id = request.path["/corpus/".len()..].to_string();
-                handle_corpus_ingest(request, conn, shared, ctx, &id)
+                handle_corpus_ingest(request, &mut body, shared, ctx, &id)
             }
         }
         Endpoint::Other => {
@@ -1196,15 +1185,15 @@ fn route<R: BufRead>(
                         | "/debug/profile"
                 );
             let status = if known { 405 } else { 404 };
-            bodyless(
-                Reply::text(
-                    status,
-                    format!("{} {}\n", status, crate::http::reason(status)),
-                ),
-                request,
+            Reply::text(
+                status,
+                format!("{} {}\n", status, crate::http::reason(status)),
             )
         }
     };
+    // The next request starts where this one's body ends: unread body
+    // bytes (a handler's early answer, a run cut short) forbid reuse.
+    reply.reusable &= body.exhausted();
     reply.endpoint = endpoint;
     reply.detail = format!("{} {}", request.method, request.path);
     reply
@@ -1221,20 +1210,15 @@ fn error_reply(e: &impl Trips, status: u16, what: &str) -> Reply {
     }
 }
 
-/// Open the request body every document-carrying endpoint reads. Fails
-/// with the reply to send when the framing is bad or there is no body.
-fn open_body<'a, R: BufRead>(
-    request: &Request,
-    conn: &'a mut R,
-) -> Result<BodyReader<'a, R>, Reply> {
-    match request.body {
-        // Nothing is on the wire: this error keeps its connection.
-        BodyKind::Empty => Err(Reply::text(
+/// Fail a document-carrying request that has no body.
+fn require_body(request: &Request) -> Result<(), Reply> {
+    if request.body == BodyKind::Empty {
+        return Err(Reply::text(
             400,
             "missing request body (the XML document)\n",
-        )),
-        kind => Ok(BodyReader::new(conn, kind)),
+        ));
     }
+    Ok(())
 }
 
 /// One pass of some lanes over a document, as the handlers get it back.
@@ -1242,29 +1226,25 @@ type LanesRun<S, O> = MultiRun<(S, StreamStats, O)>;
 
 /// Run `lanes` over the request body (/query and /batch). The body is read
 /// *while* the engines run — it is never accumulated anywhere — and no
-/// further than `max_body_bytes`. The second value of a success is whether
-/// it was consumed to its framed end: when not, unread bytes remain on the
-/// wire and the reply **must not** reuse the connection (the next
-/// keep-alive request would start mid-body).
+/// further than `max_body_bytes`.
 fn run_over_body<R: BufRead, S: EmitSink, O: StreamObserver>(
     request: &Request,
-    conn: &mut R,
+    input: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
     mfts: &[&Mft],
     lanes: Vec<(S, O)>,
     plan: &QuerySetPlan,
-) -> Result<(LanesRun<S, O>, bool), Reply> {
-    let mut body = open_body(request, conn)?;
+) -> Result<LanesRun<S, O>, Reply> {
+    require_body(request)?;
     let limits = &shared.config.limits;
-    let bounded = BoundedReader::new(&mut body, limits.max_body_bytes);
+    let bounded = BoundedReader::new(input, limits.max_body_bytes);
     let events = Events(XmlReader::new(bounded));
     shared.metrics.add(Scalar::LaneRuns, mfts.len() as u64);
     let span = ctx.enter(Stage::Execute);
     let run = run_lanes(mfts, events, lanes, limits.stream(), plan);
     drop(span);
-    let run = run.map_err(|e| reply_unconsumed(error_reply(&e, 400, "malformed XML input: ")))?;
-    Ok((run, body.exhausted()))
+    run.map_err(|e| reply_unconsumed(error_reply(&e, 400, "malformed XML input: ")))
 }
 
 /// `doc=<id>`: run `lanes` over the stored tape instead — no parse, and
@@ -1282,11 +1262,11 @@ fn run_over_tape<S: EmitSink, O: StreamObserver>(
     plan: &QuerySetPlan,
 ) -> Result<LanesRun<S, O>, Reply> {
     if shared.corpus.is_none() {
-        return Err(no_corpus_reply(request));
+        return Err(Reply::text(503, NO_CORPUS));
     }
     if request.body != BodyKind::Empty {
         let stored = "no request body allowed with doc= (the document is stored)\n";
-        return Err(reply_unconsumed(Reply::text(400, stored)));
+        return Err(Reply::text(400, stored));
     }
     let path = match shared.corpus().expect("checked above").tape_path(id) {
         Ok(path) => path,
@@ -1341,24 +1321,21 @@ fn run_over_tape<S: EmitSink, O: StreamObserver>(
 /// travel as trailers. With `--profile` every run is sampled.
 fn handle_query<R: BufRead>(
     request: &Request,
-    conn: &mut R,
+    input: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
     stream_out: &mut StreamOut<'_, '_>,
 ) -> Reply {
     let mut params = request.params("q");
     let Some(q) = params.next() else {
-        return reply_unconsumed(Reply::text(400, "missing query parameter q\n"));
+        return Reply::text(400, "missing query parameter q\n");
     };
     if params.next().is_some() {
-        return reply_unconsumed(Reply::text(
-            400,
-            "one q per /query request; use /batch for sets\n",
-        ));
+        return Reply::text(400, "one q per /query request; use /batch for sets\n");
     }
     let prepared = match lookup_traced(shared, ctx, q) {
         Ok(p) => p,
-        Err(e) => return reply_unconsumed(error_reply(&e, 400, "query rejected: ")),
+        Err(e) => return error_reply(&e, 400, "query rejected: "),
     };
     let streamed = request.params("stream").next().is_some_and(|v| v != "0");
     let doc = request.params("doc").next();
@@ -1379,9 +1356,9 @@ fn handle_query<R: BufRead>(
     // `--profile` off costs the engine nothing, and a buffering sink's
     // emission boundary is as empty.
     if shared.profiles.is_some() {
-        query.answer(conn, StreamProfiler::for_mft(prepared.mft()))
+        query.answer(input, StreamProfiler::for_mft(prepared.mft()))
     } else {
-        query.answer(conn, ())
+        query.answer(input, ())
     }
 }
 
@@ -1558,13 +1535,13 @@ impl Query<'_, '_> {
 
     /// Pick the lane's sink — the reply's buffer, or the client itself,
     /// which leaves no body behind — and run.
-    fn answer<R: BufRead, O: LaneObserver>(&self, conn: &mut R, obs: O) -> Reply {
+    fn answer<R: BufRead, O: LaneObserver>(&self, input: &mut R, obs: O) -> Reply {
         match self.out {
             Some(out) => {
                 let sink = EmitWriter::new(|chunk: &[u8]| out.deliver(chunk));
-                self.answer_into(conn, sink, obs, |sink| sink.finish().map(|()| Vec::new()))
+                self.answer_into(input, sink, obs, |sink| sink.finish().map(|()| Vec::new()))
             }
-            None => self.answer_into(conn, WriterSink::new(Vec::new()), obs, WriterSink::finish),
+            None => self.answer_into(input, WriterSink::new(Vec::new()), obs, WriterSink::finish),
         }
     }
 
@@ -1573,7 +1550,7 @@ impl Query<'_, '_> {
     /// the reply, whose body is what `finish` makes of the sink.
     fn answer_into<R: BufRead, S: EmitSink, O: LaneObserver>(
         &self,
-        conn: &mut R,
+        input: &mut R,
         sink: S,
         obs: O,
         finish: impl FnOnce(S) -> std::io::Result<Vec<u8>>,
@@ -1584,13 +1561,11 @@ impl Query<'_, '_> {
         let plan = self.prepared.solo_plan();
         let metered = O::ENABLED.then(|| (AllocScope::begin(), Instant::now()));
         let ran = match self.doc {
-            None => run_over_body(request, conn, shared, ctx, &mfts, lanes, plan),
-            Some(id) => {
-                run_over_tape(request, shared, ctx, id, &mfts, lanes, plan).map(|run| (run, true))
-            }
+            None => run_over_body(request, input, shared, ctx, &mfts, lanes, plan),
+            Some(id) => run_over_tape(request, shared, ctx, id, &mfts, lanes, plan),
         };
-        let (run, body_exhausted) = match ran {
-            Ok(ran) => ran,
+        let run = match ran {
+            Ok(run) => run,
             Err(reply) => return self.pass_failed(reply),
         };
         let metered =
@@ -1636,7 +1611,7 @@ impl Query<'_, '_> {
         let kind = self.kind();
         shared.metrics.record_run(&report, kind);
         let carried = report.fields(kind);
-        let mut reply = if let Some(out) = self.out {
+        if let Some(out) = self.out {
             let mut reply = Reply::new(200, "application/xml", out.tail(&carried));
             reply.streamed = true;
             reply
@@ -1644,19 +1619,14 @@ impl Query<'_, '_> {
             let mut reply = Reply::new(200, "application/xml", body);
             reply.headers = carried;
             reply
-        };
-        // The run succeeded, but trailing bytes after the document may be
-        // left in the framed body: reusing the connection would then
-        // desynchronize the next request.
-        reply.reusable = body_exhausted;
-        reply
+        }
     }
 }
 
 /// `GET /corpus`: the manifest as tab-separated text.
 fn handle_corpus_list(shared: &Shared) -> Reply {
     let Some(corpus) = shared.corpus() else {
-        return Reply::text(503, "no corpus configured (start with --corpus DIR)\n");
+        return Reply::text(503, NO_CORPUS);
     };
     let mut body = String::from("# id\tevents\tsource_bytes\ttape_bytes\tchecksum\n");
     for meta in corpus.docs() {
@@ -1674,28 +1644,27 @@ fn handle_corpus_list(shared: &Shared) -> Reply {
 /// blocks `/query?doc=` resolution.
 fn handle_corpus_ingest<R: BufRead>(
     request: &Request,
-    conn: &mut R,
+    input: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
     id: &str,
 ) -> Reply {
     if shared.corpus.is_none() {
-        return no_corpus_reply(request);
+        return Reply::text(503, NO_CORPUS);
     }
     if !valid_doc_id(id) {
-        return reply_unconsumed(Reply::text(
+        return Reply::text(
             400,
             format!("invalid document id {id:?} (use [A-Za-z0-9._-], not starting with '.')\n"),
-        ));
+        );
     }
-    let mut body = match open_body(request, conn) {
-        Ok(body) => body,
-        Err(reply) => return reply,
-    };
+    if let Err(reply) = require_body(request) {
+        return reply;
+    }
     let dir = shared.corpus().expect("checked above").dir().to_path_buf();
     let seq = shared.ingest_seq.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!(".ingest-{seq}-{id}.tmp"));
-    let bounded = BoundedReader::new(&mut body, shared.config.limits.max_body_bytes);
+    let bounded = BoundedReader::new(input, shared.config.limits.max_body_bytes);
     let span = ctx.enter(Stage::Execute);
     let ingested = ingest_xml_to_tmp(&tmp, bounded);
     drop(span);
@@ -1710,18 +1679,13 @@ fn handle_corpus_ingest<R: BufRead>(
                 Ok(meta) => {
                     shared.metrics.add(Scalar::CorpusIngests, 1);
                     shared.metrics.add(Scalar::InputEvents, info.events + 1);
-                    let reply = Reply::text(
+                    Reply::text(
                         200,
                         format!(
                             "stored {}: {} events, {} tape bytes (from {} XML bytes)\n",
                             meta.id, meta.events, meta.tape_bytes, meta.source_bytes
                         ),
-                    );
-                    if body.exhausted() {
-                        reply
-                    } else {
-                        reply_unconsumed(reply)
-                    }
+                    )
                 }
                 Err(e) => Reply::text(500, format!("corpus commit failed: {e}\n")),
             }
@@ -1732,35 +1696,28 @@ fn handle_corpus_ingest<R: BufRead>(
     }
 }
 
-fn no_corpus_reply(request: &Request) -> Reply {
-    let mut reply = Reply::text(503, "no corpus configured (start with --corpus DIR)\n");
-    reply.reusable = request.body == BodyKind::Empty;
-    reply
-}
+const NO_CORPUS: &str = "no corpus configured (start with --corpus DIR)\n";
 
 fn handle_batch<R: BufRead>(
     request: &Request,
-    conn: &mut R,
+    input: &mut R,
     shared: &Shared,
     ctx: &TraceContext,
 ) -> Reply {
     let queries: Vec<&str> = request.params("q").collect();
     if queries.is_empty() {
-        return reply_unconsumed(Reply::text(400, "missing query parameters q\n"));
+        return Reply::text(400, "missing query parameters q\n");
     }
     let bound = shared.config.limits.max_queries_per_batch;
     if queries.len() > bound {
         let found = format!(" ({})", queries.len());
-        let tripped = Tripped::new(&BATCH_QUERIES, bound as u64, found);
-        return reply_unconsumed(error_reply(&tripped, 400, ""));
+        return error_reply(&Tripped::new(&BATCH_QUERIES, bound as u64, found), 400, "");
     }
     let mut prepared = Vec::with_capacity(queries.len());
     for (i, q) in queries.iter().enumerate() {
         match lookup_traced(shared, ctx, q) {
             Ok(p) => prepared.push(p),
-            Err(e) => {
-                return reply_unconsumed(error_reply(&e, 400, &format!("query {i} rejected: ")))
-            }
+            Err(e) => return error_reply(&e, 400, &format!("query {i} rejected: ")),
         }
     }
     let mfts: Vec<&Mft> = prepared.iter().map(|p| p.mft()).collect();
@@ -1769,9 +1726,8 @@ fn handle_batch<R: BufRead>(
         .map(|_| (WriterSink::new(Vec::new()), ()))
         .collect();
     let plan = QuerySetPlan::new(mfts.iter().copied());
-    let (run, body_exhausted) = match run_over_body(request, conn, shared, ctx, &mfts, lanes, &plan)
-    {
-        Ok(ran) => ran,
+    let run = match run_over_body(request, input, shared, ctx, &mfts, lanes, &plan) {
+        Ok(run) => run,
         Err(reply) => return reply,
     };
     let input_events = run.input_events;
@@ -1802,10 +1758,9 @@ fn handle_batch<R: BufRead>(
         ("x-foxq-input-events", input_events.to_string()),
         ("x-foxq-failed-lanes", failures.to_string()),
     ];
-    // If every lane failed the pass aborted early; and even a successful
-    // pass can leave trailing framed bytes unread. Either way the
-    // connection cannot be reused.
-    reply.reusable = any_ok && body_exhausted;
+    // If every lane failed, the pass aborted early: the connection cannot
+    // be reused.
+    reply.reusable = any_ok;
     reply
 }
 
