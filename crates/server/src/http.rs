@@ -57,7 +57,7 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// False for `HTTP/1.0` (connections then default to close).
     pub http11: bool,
-    /// How the body is framed ([`Request::body_kind`]).
+    /// How the body is framed, as [`read_request`] checked it.
     pub body: BodyKind,
 }
 

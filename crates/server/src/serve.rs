@@ -17,7 +17,7 @@
 //!   serializes the response, and hands the connection back to the reactor
 //!   for the write;
 //! * a request that trips a bound is answered from its row of
-//!   [`foxq_service::LIMITS`] ([`error_reply`]);
+//!   [`foxq_service::LIMITS`] (`error_reply`);
 //! * per-connection state is an explicit machine ([`crate::conn`]):
 //!   `Idle → ReadHead → RouteBody → WriteResponse → Idle/Close`, with head
 //!   reads and response writes resumable across `WouldBlock`;

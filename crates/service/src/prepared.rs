@@ -71,8 +71,7 @@ impl From<XqSyntaxError> for PrepareError {
     }
 }
 
-/// Compile-time metadata of a prepared query (what the transducers
-/// themselves answer — states, size, parameters — is asked of them).
+/// Compile-time metadata of a prepared query.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryMeta {
     /// What the §4.1 optimizer removed.
