@@ -3,8 +3,8 @@
 //! * the Lemma 2 complexity claim — stay-move composition scales
 //!   quadratically while the classical construction is exponential in the
 //!   chain length k;
-//! * interpretation of the accumulator-encoded FT∘FT composition (the
-//!   memoizing shared-value evaluator's headline case);
+//! * interpretation of the accumulator-encoded FT∘FT composition by the
+//!   reference interpreter (`run_mft`);
 //! * `opt::optimize` on the nested value-doubling let adversary at
 //!   n = 12/16/20 (polynomial only thanks to the inlining growth budget).
 

@@ -1,9 +1,10 @@
 //! Benchmark harness reproducing the paper's evaluation (§5).
 //!
-//! The nine benchmark programs of Fig. 3 are embedded verbatim from
-//! `queries/`; [`run_engine`] executes one (query, engine, document) cell of
-//! the paper's Figure 4 and reports elapsed time plus the engine's own
-//! buffer peak — the two series in every plot. The `figures` binary prints
+//! The nine benchmark programs of Fig. 3 are embedded verbatim from the
+//! benchmark package's `benchmark/queries/`; [`run_engine`] executes one
+//! (query, engine, document) cell of the paper's Figure 4 and reports
+//! elapsed time plus the engine's own buffer peak — the two series in every
+//! plot. The `figures` binary prints
 //! the tables; the Criterion benches cover per-figure timing at a fixed
 //! size.
 
@@ -20,15 +21,24 @@ use std::time::{Duration, Instant};
 
 /// The benchmark programs of Fig. 3, in paper order.
 pub const QUERIES: [(&str, &str); 9] = [
-    ("Q1", include_str!("../queries/query01.xq")),
-    ("Q2", include_str!("../queries/query02.xq")),
-    ("Q4", include_str!("../queries/query04.xq")),
-    ("Q13", include_str!("../queries/query13.xq")),
-    ("Q16", include_str!("../queries/query16.xq")),
-    ("Q17", include_str!("../queries/query17.xq")),
-    ("double", include_str!("../queries/double.xq")),
-    ("fourstar", include_str!("../queries/fourstar.xq")),
-    ("deepdup", include_str!("../queries/deepdup.xq")),
+    ("Q1", include_str!("../../../benchmark/queries/query01.xq")),
+    ("Q2", include_str!("../../../benchmark/queries/query02.xq")),
+    ("Q4", include_str!("../../../benchmark/queries/query04.xq")),
+    ("Q13", include_str!("../../../benchmark/queries/query13.xq")),
+    ("Q16", include_str!("../../../benchmark/queries/query16.xq")),
+    ("Q17", include_str!("../../../benchmark/queries/query17.xq")),
+    (
+        "double",
+        include_str!("../../../benchmark/queries/double.xq"),
+    ),
+    (
+        "fourstar",
+        include_str!("../../../benchmark/queries/fourstar.xq"),
+    ),
+    (
+        "deepdup",
+        include_str!("../../../benchmark/queries/deepdup.xq"),
+    ),
 ];
 
 /// Fetch a benchmark query's source by name.

@@ -1,42 +1,28 @@
-//! In-memory (denotational) MFT interpreter.
+//! In-memory (denotational) MFT interpreter: the reference semantics.
 //!
 //! Implements the semantics of §2.2: every state `q` of rank m+1 realizes
 //! `[[q]] : F^{m+1} → F`, defined by structural recursion over the input
-//! forest; parameters are forest values.
+//! forest; parameters are forest values, copied at each use. [`run_mft`]
+//! is the oracle the streaming engine, the §3 translation, the §4.1
+//! optimizations and the §4.2 compositions are tested against; no query
+//! runs on it.
 //!
-//! Two evaluators live here:
-//!
-//! * [`run_mft`] / [`run_mft_with_limits`] — the production evaluator.
-//!   Forest values are **shared DAGs** ([`foxq_forest::value::Value`]):
-//!   parameter reuse is O(1), concatenation is O(1), and a memo table keyed
-//!   by `(state, input position, parameter fingerprints)` caches repeated
-//!   sub-evaluations. Because values are hash-consed per run, structurally
-//!   equal parameters have equal fingerprints, so the accumulator-heavy
-//!   transducers of the §4.2 composition constructions evaluate in steps
-//!   linear in the shared graph rather than the unfolded output. The result
-//!   is materialized once, at the output boundary, under
-//!   [`RunLimits::max_output_nodes`].
-//! * [`run_mft_naive`] / [`run_mft_naive_with_limits`] — the original
-//!   copy-everything reference implementation, retained verbatim as the
-//!   oracle the value-based evaluator (and the streaming engine, and all
-//!   optimizations) are property-tested against.
-//!
-//! The paper only deals with *terminating* MFTs; since stay moves can loop,
-//! both evaluators enforce a configurable step budget and report
-//! [`RunError::StepLimit`] on exhaustion.
+//! The paper only deals with *terminating* MFTs; since stay moves can loop
+//! and parameters can double, a run enforces a step budget and an output
+//! budget ([`RunLimits`]), and its recursion depth is bounded by a constant.
 
 use crate::mft::{Mft, OutLabel, Rhs, RhsNode, StateId, XVar};
-use foxq_forest::value::{Value, ValueInterner};
-use foxq_forest::{Forest, FxHashMap, Label, Tree};
+use foxq_forest::{forest_size, Forest, Label, Tree};
+use std::rc::Rc;
 
 /// Limits for one interpreter run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunLimits {
     /// Maximum number of rule applications.
     pub max_steps: u64,
-    /// Maximum number of tree nodes the run may materialize as output.
-    /// Shared values make it cheap to *represent* astronomically large
-    /// outputs; this is the guard that refuses to unfold them.
+    /// Maximum number of tree nodes the run may build. A parameter is
+    /// copied at each use and its nodes count each time, so this bounds a
+    /// parameter-doubling chain, which builds 2^n nodes in O(n) steps.
     pub max_output_nodes: u64,
 }
 
@@ -59,6 +45,15 @@ impl RunLimits {
     }
 }
 
+/// How deep right-hand sides may nest during a run: a state call, an output
+/// node's children and a call's argument each evaluate one level deeper. A
+/// level costs one `eval_rhs` frame and at most one `eval_state` frame,
+/// together 2,000 bytes in a debug build and 544 in release (rustc 1.95),
+/// so this many levels take under half of the 2 MiB stack a test thread
+/// gets, leaving the rest to the caller. The constant and that stack change
+/// together, as the server's `WORKER_STACK_BYTES` and its nesting bound do.
+const MAX_DEPTH: u32 = 512;
+
 /// Runtime failure of an interpreter run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
@@ -68,8 +63,11 @@ pub enum RunError {
     /// `%t` was required in a context with no current node (an ε-rule);
     /// [`Mft::validate`] rejects such transducers statically.
     CurrentLabelAtEps { state: String },
-    /// The output budget was exhausted while materializing the result.
+    /// The output budget was exhausted.
     OutputLimit { max_output_nodes: u64 },
+    /// The recursion nested deeper than the interpreter's stack allows (a
+    /// stay-move loop, or an input too deep or too wide for it).
+    DepthLimit { max_depth: u32 },
 }
 
 impl std::fmt::Display for RunError {
@@ -86,6 +84,9 @@ impl std::fmt::Display for RunError {
             }
             RunError::OutputLimit { max_output_nodes } => {
                 write!(f, "output limit of {max_output_nodes} nodes exceeded")
+            }
+            RunError::DepthLimit { max_depth } => {
+                write!(f, "recursion nested deeper than {max_depth} levels")
             }
         }
     }
@@ -104,189 +105,111 @@ pub fn run_mft_with_limits(
     input: &[Tree],
     limits: RunLimits,
 ) -> Result<Forest, RunError> {
-    run_mft_with_stats(mft, input, limits).map(|(out, _)| out)
-}
-
-/// Counters from one in-memory interpreter run: the value-core memo
-/// gauges (hit/miss/size) plus the step count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InterpStats {
-    /// Memo probes that found an existing value.
-    pub memo_hits: u64,
-    /// Memo probes that missed (the configuration had to be evaluated).
-    pub memo_misses: u64,
-    /// Entries resident in the memo table at end of run.
-    pub memo_entries: usize,
-    /// Evaluation steps consumed (vs. [`RunLimits::max_steps`]).
-    pub steps: u64,
-}
-
-/// [`run_mft_with_limits`], additionally reporting memo-table counters.
-pub fn run_mft_with_stats(
-    mft: &Mft,
-    input: &[Tree],
-    limits: RunLimits,
-) -> Result<(Forest, InterpStats), RunError> {
     let mut ctx = Ctx {
         mft,
-        steps: 0,
         limits,
-        interner: ValueInterner::new(),
-        memo: FxHashMap::default(),
-        memo_hits: 0,
-        memo_misses: 0,
+        steps: 0,
+        produced: 0,
+        depth: 0,
     };
-    let value = ctx.eval_state(mft.initial, input, Vec::new())?;
     let mut out = Vec::new();
-    value
-        .write_into(&mut out, limits.max_output_nodes)
-        .map_err(|e| RunError::OutputLimit {
-            max_output_nodes: e.max_nodes,
-        })?;
-    let stats = InterpStats {
-        memo_hits: ctx.memo_hits,
-        memo_misses: ctx.memo_misses,
-        memo_entries: ctx.memo.len(),
-        steps: ctx.steps,
-    };
-    Ok((out, stats))
-}
-
-/// Memo key of one state evaluation.
-///
-/// The input forest is identified by its slice address: `x1`/`x2` always
-/// denote sub-slices of the (immutable, borrowed) input, so equal
-/// `(ptr, len)` implies equal content for the duration of the run.
-/// Parameters are identified by value fingerprints: equal fingerprints
-/// imply structurally equal values (the soundness direction), and the
-/// per-run [`ValueInterner`] — which keeps every produced value alive, so
-/// fingerprints are never reused — makes same-shape re-derivations
-/// pointer-equal, which is where the hit rate comes from.
-#[derive(PartialEq, Eq, Hash)]
-struct MemoKey {
-    state: StateId,
-    input: (usize, usize),
-    params: Box<[usize]>,
+    ctx.eval_state(mft.initial, input, &[], &mut out)?;
+    Ok(out)
 }
 
 struct Ctx<'a> {
     mft: &'a Mft,
-    steps: u64,
     limits: RunLimits,
-    interner: ValueInterner,
-    memo: FxHashMap<MemoKey, Value>,
-    memo_hits: u64,
-    memo_misses: u64,
+    steps: u64,
+    /// Output nodes built so far, argument forests included.
+    produced: u64,
+    /// Nesting of `eval_rhs`, at most [`MAX_DEPTH`]. A failed run is not
+    /// unwound, so it is only restored on success.
+    depth: u32,
 }
 
-/// Variable bindings while evaluating one rhs. `'a` is the input forest's
-/// lifetime; `'p` the (stack-local) parameter slice's.
-struct Bind<'a, 'p> {
+/// Variable bindings while evaluating one rhs.
+struct Bind<'a> {
     /// x0: the full current forest.
     x0: &'a [Tree],
-    /// x1/x2 and the current label; `None` in ε context.
+    /// The current label and x1/x2; `None` in ε context.
     node: Option<(&'a Label, &'a [Tree], &'a [Tree])>,
-    params: &'p [Value],
+    params: &'a [Rc<Forest>],
 }
 
-impl<'a> Ctx<'a> {
-    /// Evaluate `[[q]](g0, params)`. Single-call right-hand sides (stay
-    /// chains and CPS-style forwarding states, ubiquitous in the §3
-    /// translation and the §4.2 compositions) are executed as a loop, not by
-    /// recursion. A *cyclic* stay loop (the same configuration reached
-    /// again) can never produce a value, so it is reported as
-    /// [`RunError::StepLimit`] immediately — in constant stack and memory —
-    /// rather than after burning the whole step budget.
+impl Ctx<'_> {
+    /// Append `[[q]](g0, params)` to `out`.
     fn eval_state(
         &mut self,
-        mut q: StateId,
-        mut g0: &'a [Tree],
-        mut params: Vec<Value>,
-    ) -> Result<Value, RunError> {
-        // Configs traversed by tail calls; they all share the final value.
-        // A set: re-reaching a member proves divergence.
-        let mut pending: foxq_forest::FxHashSet<MemoKey> = foxq_forest::FxHashSet::default();
-        loop {
-            self.steps += 1;
-            if self.steps > self.limits.max_steps {
-                return Err(RunError::StepLimit {
-                    max_steps: self.limits.max_steps,
-                });
-            }
-            let key = MemoKey {
-                state: q,
-                input: (g0.as_ptr() as usize, g0.len()),
-                params: params.iter().map(Value::fingerprint).collect(),
-            };
-            if let Some(v) = self.memo.get(&key) {
-                self.memo_hits += 1;
-                let v = v.clone();
-                for k in pending {
-                    self.memo.insert(k, v.clone());
-                }
-                return Ok(v);
-            }
-            self.memo_misses += 1;
-            let rules = &self.mft.rules[q.idx()];
-            let (rhs, node) = match g0.split_first() {
-                None => (&rules.eps, None),
-                Some((t, rest)) => {
-                    let rhs = match self.mft.alphabet.lookup(&t.label) {
-                        Some(sym) if rules.by_sym.contains_key(&sym) => &rules.by_sym[&sym],
-                        _ if t.is_text() && rules.text_default.is_some() => {
-                            rules.text_default.as_ref().unwrap()
-                        }
-                        _ => &rules.default,
-                    };
-                    (rhs, Some((&t.label, t.children.as_slice(), rest)))
-                }
-            };
-            if let [RhsNode::Call { state, input, args }] = rhs.as_slice() {
-                // Tail call: evaluate the arguments, then loop.
+        q: StateId,
+        g0: &[Tree],
+        params: &[Rc<Forest>],
+        out: &mut Forest,
+    ) -> Result<(), RunError> {
+        self.steps += 1;
+        if self.steps > self.limits.max_steps {
+            return Err(RunError::StepLimit {
+                max_steps: self.limits.max_steps,
+            });
+        }
+        let rules = &self.mft.rules[q.idx()];
+        match g0.split_first() {
+            None => {
                 let bind = Bind {
                     x0: g0,
-                    node,
-                    params: &params,
+                    node: None,
+                    params,
                 };
-                let mut arg_vals = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_vals.push(self.eval_rhs(q, a, &bind)?);
-                }
-                let g = match input {
-                    XVar::X0 => bind.x0,
-                    XVar::X1 => bind.node.map(|(_, x1, _)| x1).unwrap_or(&[]),
-                    XVar::X2 => bind.node.map(|(_, _, x2)| x2).unwrap_or(&[]),
+                self.eval_rhs(q, &rules.eps, &bind, out)
+            }
+            Some((t, rest)) => {
+                let rhs = match self.mft.alphabet.lookup(&t.label) {
+                    Some(sym) if rules.by_sym.contains_key(&sym) => &rules.by_sym[&sym],
+                    _ if t.is_text() && rules.text_default.is_some() => {
+                        rules.text_default.as_ref().unwrap()
+                    }
+                    _ => &rules.default,
                 };
-                if !pending.insert(key) {
-                    // The chain closed a cycle: `[[q]]` diverges here.
-                    return Err(RunError::StepLimit {
-                        max_steps: self.limits.max_steps,
-                    });
-                }
-                q = *state;
-                g0 = g;
-                params = arg_vals;
-                continue;
+                let bind = Bind {
+                    x0: g0,
+                    node: Some((&t.label, &t.children, rest)),
+                    params,
+                };
+                self.eval_rhs(q, rhs, &bind, out)
             }
-            let bind = Bind {
-                x0: g0,
-                node,
-                params: &params,
-            };
-            let value = self.eval_rhs(q, rhs, &bind)?;
-            self.memo.insert(key, value.clone());
-            for k in pending {
-                self.memo.insert(k, value.clone());
-            }
-            return Ok(value);
         }
     }
 
-    fn eval_rhs(&mut self, q: StateId, rhs: &Rhs, bind: &Bind<'a, '_>) -> Result<Value, RunError> {
-        let mut acc = self.interner.empty();
+    fn count_produced(&mut self, nodes: u64) -> Result<(), RunError> {
+        self.produced = self.produced.saturating_add(nodes);
+        if self.produced > self.limits.max_output_nodes {
+            return Err(RunError::OutputLimit {
+                max_output_nodes: self.limits.max_output_nodes,
+            });
+        }
+        Ok(())
+    }
+
+    fn eval_rhs(
+        &mut self,
+        q: StateId,
+        rhs: &Rhs,
+        bind: &Bind<'_>,
+        out: &mut Forest,
+    ) -> Result<(), RunError> {
+        if self.depth == MAX_DEPTH {
+            return Err(RunError::DepthLimit {
+                max_depth: MAX_DEPTH,
+            });
+        }
+        self.depth += 1;
         for node in rhs {
-            let v = match node {
-                RhsNode::Param(i) => bind.params[*i].clone(),
+            match node {
+                RhsNode::Param(i) => {
+                    let param = &bind.params[*i];
+                    self.count_produced(forest_size(param) as u64)?;
+                    out.extend_from_slice(param);
+                }
                 RhsNode::Out { label, children } => {
                     let label = match label {
                         OutLabel::Sym(s) => self.mft.alphabet.label(*s).clone(),
@@ -299,8 +222,13 @@ impl<'a> Ctx<'a> {
                             }
                         },
                     };
-                    let kids = self.eval_rhs(q, children, bind)?;
-                    self.interner.node(&label, &kids)
+                    let mut kids = Vec::new();
+                    self.eval_rhs(q, children, bind, &mut kids)?;
+                    self.count_produced(1)?;
+                    out.push(Tree {
+                        label,
+                        children: kids,
+                    });
                 }
                 RhsNode::Call { state, input, args } => {
                     let g = match input {
@@ -310,176 +238,16 @@ impl<'a> Ctx<'a> {
                     };
                     let mut arg_vals = Vec::with_capacity(args.len());
                     for a in args {
-                        arg_vals.push(self.eval_rhs(q, a, bind)?);
+                        let mut v = Vec::new();
+                        self.eval_rhs(q, a, bind, &mut v)?;
+                        arg_vals.push(Rc::new(v));
                     }
-                    self.eval_state(*state, g, arg_vals)?
-                }
-            };
-            acc = self.interner.concat(&acc, &v);
-        }
-        Ok(acc)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The retained naive reference evaluator
-// ---------------------------------------------------------------------------
-
-/// [`run_mft_naive`]: the original copy-per-use reference evaluator, kept as
-/// the oracle for property tests. Both [`RunLimits`] budgets apply: a
-/// parameter-doubling chain materializes 2^n output nodes in only O(n)
-/// steps, so `max_output_nodes` (counted as nodes are built, arguments
-/// included) is enforced independently of `max_steps`.
-pub fn run_mft_naive(mft: &Mft, input: &[Tree]) -> Result<Forest, RunError> {
-    run_mft_naive_with_limits(mft, input, RunLimits::default())
-}
-
-/// [`run_mft_naive`] with explicit step and output budgets.
-pub fn run_mft_naive_with_limits(
-    mft: &Mft,
-    input: &[Tree],
-    limits: RunLimits,
-) -> Result<Forest, RunError> {
-    let mut ctx = naive::Ctx {
-        mft,
-        steps: 0,
-        produced: 0,
-        limits,
-    };
-    let mut out = Vec::new();
-    ctx.eval_state(mft.initial, input, &[], &mut out)?;
-    Ok(out)
-}
-
-mod naive {
-    //! The pre-sharing evaluator, verbatim: parameters are `Rc<Forest>`
-    //! clones extended via `extend_from_slice`, state evaluation appends
-    //! into a caller-owned `Vec`.
-
-    use super::{RunError, RunLimits};
-    use crate::mft::{Mft, OutLabel, Rhs, RhsNode, StateId, XVar};
-    use foxq_forest::{Forest, Label, Tree};
-    use std::rc::Rc;
-
-    pub(super) struct Ctx<'a> {
-        pub mft: &'a Mft,
-        pub steps: u64,
-        /// Output nodes materialized so far (argument forests included —
-        /// this evaluator copies per use, so every built node counts).
-        pub produced: u64,
-        pub limits: RunLimits,
-    }
-
-    struct Bind<'a> {
-        x0: &'a [Tree],
-        node: Option<(&'a Label, &'a [Tree], &'a [Tree])>,
-        params: &'a [Rc<Forest>],
-    }
-
-    impl<'a> Ctx<'a> {
-        pub fn eval_state(
-            &mut self,
-            q: StateId,
-            g0: &[Tree],
-            params: &[Rc<Forest>],
-            out: &mut Forest,
-        ) -> Result<(), RunError> {
-            self.steps += 1;
-            if self.steps > self.limits.max_steps {
-                return Err(RunError::StepLimit {
-                    max_steps: self.limits.max_steps,
-                });
-            }
-            let rules = &self.mft.rules[q.idx()];
-            match g0.split_first() {
-                None => {
-                    let bind = Bind {
-                        x0: g0,
-                        node: None,
-                        params,
-                    };
-                    self.eval_rhs(q, &rules.eps, &bind, out)
-                }
-                Some((t, rest)) => {
-                    let rhs = match self.mft.alphabet.lookup(&t.label) {
-                        Some(sym) if rules.by_sym.contains_key(&sym) => &rules.by_sym[&sym],
-                        _ if t.is_text() && rules.text_default.is_some() => {
-                            rules.text_default.as_ref().unwrap()
-                        }
-                        _ => &rules.default,
-                    };
-                    let bind = Bind {
-                        x0: g0,
-                        node: Some((&t.label, &t.children, rest)),
-                        params,
-                    };
-                    self.eval_rhs(q, rhs, &bind, out)
+                    self.eval_state(*state, g, &arg_vals, out)?;
                 }
             }
         }
-
-        fn count_produced(&mut self, nodes: u64) -> Result<(), RunError> {
-            self.produced = self.produced.saturating_add(nodes);
-            if self.produced > self.limits.max_output_nodes {
-                return Err(RunError::OutputLimit {
-                    max_output_nodes: self.limits.max_output_nodes,
-                });
-            }
-            Ok(())
-        }
-
-        fn eval_rhs(
-            &mut self,
-            q: StateId,
-            rhs: &Rhs,
-            bind: &Bind<'_>,
-            out: &mut Forest,
-        ) -> Result<(), RunError> {
-            for node in rhs {
-                match node {
-                    RhsNode::Param(i) => {
-                        let param = &bind.params[*i];
-                        self.count_produced(foxq_forest::forest_size(param) as u64)?;
-                        out.extend_from_slice(param);
-                    }
-                    RhsNode::Out { label, children } => {
-                        let label = match label {
-                            OutLabel::Sym(s) => self.mft.alphabet.label(*s).clone(),
-                            OutLabel::Current => match bind.node {
-                                Some((l, _, _)) => l.clone(),
-                                None => {
-                                    return Err(RunError::CurrentLabelAtEps {
-                                        state: self.mft.name_of(q).to_string(),
-                                    })
-                                }
-                            },
-                        };
-                        let mut kids = Vec::new();
-                        self.eval_rhs(q, children, bind, &mut kids)?;
-                        self.count_produced(1)?;
-                        out.push(Tree {
-                            label,
-                            children: kids,
-                        });
-                    }
-                    RhsNode::Call { state, input, args } => {
-                        let g = match input {
-                            XVar::X0 => bind.x0,
-                            XVar::X1 => bind.node.map(|(_, x1, _)| x1).unwrap_or(&[]),
-                            XVar::X2 => bind.node.map(|(_, _, x2)| x2).unwrap_or(&[]),
-                        };
-                        let mut arg_vals = Vec::with_capacity(args.len());
-                        for a in args {
-                            let mut v = Vec::new();
-                            self.eval_rhs(q, a, bind, &mut v)?;
-                            arg_vals.push(Rc::new(v));
-                        }
-                        self.eval_state(*state, g, &arg_vals, out)?;
-                    }
-                }
-            }
-            Ok(())
-        }
+        self.depth -= 1;
+        Ok(())
     }
 }
 
@@ -511,7 +279,6 @@ mod tests {
         for src in ["", "a", "a(b(\"t\") c) d(e)"] {
             let f = parse_forest(src).unwrap();
             assert_eq!(run_mft(&m, &f).unwrap(), f, "on {src:?}");
-            assert_eq!(run_mft_naive(&m, &f).unwrap(), f, "naive on {src:?}");
         }
     }
 
@@ -532,13 +299,12 @@ mod tests {
         let f = parse_forest("a a a a").unwrap();
         let out = run_mft(&m, &f).unwrap();
         assert_eq!(out.len(), 16);
-        assert_eq!(run_mft_naive(&m, &f).unwrap(), out);
     }
 
     #[test]
     fn doubling_output_budget_is_enforced() {
         // 20 a's → 2^20 output trees; a budget below that must refuse to
-        // materialize — in far fewer than 2^20 steps.
+        // build them, in far fewer than 2^20 steps.
         let mut m = Mft::new();
         let a = m.alphabet.intern_elem("a");
         let q = m.add_state("q", 0);
@@ -561,18 +327,6 @@ mod tests {
                 max_output_nodes: 1_000
             })
         );
-        // With the budget lifted the same run succeeds (sharing keeps the
-        // evaluation itself far below the step limit).
-        let out = run_mft_with_limits(
-            &m,
-            &f,
-            RunLimits {
-                max_steps: 10_000,
-                max_output_nodes: u64::MAX,
-            },
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1 << 20);
     }
 
     #[test]
@@ -597,10 +351,6 @@ mod tests {
         m.validate().unwrap();
         let f = parse_forest("a b c").unwrap();
         assert_eq!(forest_to_term(&run_mft(&m, &f).unwrap()), "c() b() a()");
-        assert_eq!(
-            forest_to_term(&run_mft_naive(&m, &f).unwrap()),
-            "c() b() a()"
-        );
     }
 
     #[test]
@@ -610,18 +360,15 @@ mod tests {
         m.initial = q;
         m.set_eps_rule(q, vec![call(q, XVar::X0, vec![])]);
         m.validate().unwrap();
-        let limits = RunLimits::with_max_steps(1000);
+        let limits = RunLimits::with_max_steps(100);
         let r = run_mft_with_limits(&m, &[], limits);
-        assert_eq!(r, Err(RunError::StepLimit { max_steps: 1000 }));
-        // Same behavior from the reference evaluator.
-        let r = run_mft_naive_with_limits(&m, &[], limits);
-        assert_eq!(r, Err(RunError::StepLimit { max_steps: 1000 }));
+        assert_eq!(r, Err(RunError::StepLimit { max_steps: 100 }));
     }
 
     #[test]
-    fn naive_output_budget_stops_param_doubling() {
-        // p_i(x0, y1 y1): 2^40 output nodes in ~42 steps. Both evaluators
-        // must refuse under the same budget with the same error.
+    fn output_budget_stops_param_doubling() {
+        // p_i(x0, y1 y1): 2^40 output nodes in ~42 steps. The output budget
+        // must refuse them although the step budget never would.
         let mut src = String::from("q0(%) -> p0(x0, a());\n");
         for i in 0..40 {
             src.push_str(&format!("p{i}(%, y1) -> p{}(x0, y1 y1);\n", i + 1));
@@ -635,15 +382,15 @@ mod tests {
         let expected = Err(RunError::OutputLimit {
             max_output_nodes: 1_000,
         });
-        assert_eq!(run_mft_naive_with_limits(&m, &[], limits), expected);
         assert_eq!(run_mft_with_limits(&m, &[], limits), expected);
     }
 
     #[test]
     fn cyclic_stay_loop_fails_fast_under_default_limits() {
-        // A pure stay loop closes a configuration cycle on its second tail
-        // call; with the default 200M-step budget the evaluator must report
-        // divergence immediately (constant memory), not burn the budget.
+        // Every step of a pure stay loop nests one level deeper; under the
+        // default 200M-step budget the run must stop at the depth bound
+        // with an error, not overflow a test thread's stack or burn the
+        // budget.
         let mut m = Mft::new();
         let q = m.add_state("q", 0);
         m.initial = q;
@@ -651,76 +398,16 @@ mod tests {
         m.validate().unwrap();
         let start = std::time::Instant::now();
         let r = run_mft(&m, &[]);
-        assert!(matches!(r, Err(RunError::StepLimit { .. })), "{r:?}");
-        assert!(
-            start.elapsed() < std::time::Duration::from_secs(5),
-            "cycle not detected eagerly: {:?}",
-            start.elapsed()
-        );
-    }
-
-    #[test]
-    fn memoization_collapses_repeated_subevaluations() {
-        // The doubling FT revisits the same (state, suffix) pair 2^i times;
-        // with memoization the step count stays linear in the input, even
-        // though the output is exponential.
-        let mut m = Mft::new();
-        let a = m.alphabet.intern_elem("a");
-        let q = m.add_state("q", 0);
-        m.initial = q;
-        m.set_sym_rule(
-            q,
-            a,
-            vec![call(q, XVar::X2, vec![]), call(q, XVar::X2, vec![])],
-        );
-        m.set_eps_rule(q, vec![out(a, vec![])]);
-        m.validate().unwrap();
-        let f = parse_forest(&"a ".repeat(30)).unwrap();
-        // 2^30 output trees; the naive evaluator would need ≥ 2^30 steps.
-        // 1000 steps suffice for the memoizing evaluator.
-        let r = run_mft_with_limits(
-            &m,
-            &f,
-            RunLimits {
-                max_steps: 1_000,
-                max_output_nodes: 100,
-            },
-        );
-        // It reaches the output boundary (not the step limit) and correctly
-        // refuses to materialize 2^30 nodes.
         assert_eq!(
             r,
-            Err(RunError::OutputLimit {
-                max_output_nodes: 100
+            Err(RunError::DepthLimit {
+                max_depth: MAX_DEPTH
             })
         );
-    }
-
-    #[test]
-    fn interp_stats_report_memo_behavior() {
-        // Same doubling FT as above, shallow enough to materialize: each
-        // suffix is evaluated once (a miss) and hit once by the second
-        // branch of the rule that revisits it.
-        let mut m = Mft::new();
-        let a = m.alphabet.intern_elem("a");
-        let q = m.add_state("q", 0);
-        m.initial = q;
-        m.set_sym_rule(
-            q,
-            a,
-            vec![call(q, XVar::X2, vec![]), call(q, XVar::X2, vec![])],
-        );
-        m.set_eps_rule(q, vec![out(a, vec![])]);
-        m.validate().unwrap();
-        let f = parse_forest(&"a ".repeat(8)).unwrap();
-        let (_, stats) = run_mft_with_stats(&m, &f, RunLimits::default()).unwrap();
-        assert!(stats.memo_hits >= 8, "{stats:?}");
-        assert!(stats.memo_misses >= stats.memo_entries as u64, "{stats:?}");
-        assert!(stats.memo_entries >= 8, "{stats:?}");
-        assert_eq!(
-            stats.steps,
-            stats.memo_hits + stats.memo_misses,
-            "{stats:?}"
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "loop not stopped eagerly: {:?}",
+            start.elapsed()
         );
     }
 
@@ -765,8 +452,8 @@ mod tests {
 
     #[test]
     fn current_label_at_eps_error_parity() {
-        // Built without validate(): %t in an ε-rule must fail identically in
-        // both evaluators.
+        // Built without validate(): %t in an ε-rule must fail with an error
+        // naming the state.
         let mut m = Mft::new();
         let q = m.add_state("qbad", 0);
         m.initial = q;
@@ -775,6 +462,5 @@ mod tests {
             state: "qbad".to_string(),
         });
         assert_eq!(run_mft(&m, &[]), expected);
-        assert_eq!(run_mft_naive(&m, &[]), expected);
     }
 }

@@ -3,8 +3,8 @@
 //! This crate is the paper's primary contribution, end to end:
 //!
 //! * [`mft`] — the transducer model of Definition 2 (§2.2);
-//! * [`interp`] — the denotational semantics `[[q]]` as a reference
-//!   interpreter;
+//! * [`interp`] — the denotational semantics `[[q]]` as the reference
+//!   interpreter every other path is tested against;
 //! * [`text`] — the paper's rule notation (parser + printer);
 //! * [`stream`] — the streaming execution engine (§1 contribution (1),
 //!   in the style of Nakano & Mu's pushdown machine);
@@ -28,8 +28,6 @@ pub mod text;
 pub mod translate;
 
 pub use emit::{EmissionAnalysis, EmitSink, EmitWriter};
-pub use interp::{
-    run_mft, run_mft_naive, run_mft_naive_with_limits, run_mft_with_limits, RunError, RunLimits,
-};
+pub use interp::{run_mft, run_mft_with_limits, RunError, RunLimits};
 pub use mft::{Mft, MftError, OutLabel, Rhs, RhsNode, StateId, XVar};
 pub use text::{parse_mft, print_mft};

@@ -13,10 +13,7 @@
 //! * the transducer alphabet Σ is a finite set of interned labels
 //!   ([`Alphabet`], [`SymId`]);
 //! * forests have a **term notation** (`doc(a(b() "txt"))`, [`term`]) and the
-//!   classical **first-child/next-sibling** binary encoding ([`fcns`]);
-//! * forest *values* — what MFT parameters and state results denote — have a
-//!   shared-DAG representation with O(1) concatenation and reuse and
-//!   budgeted materialization ([`value`]).
+//!   classical **first-child/next-sibling** binary encoding ([`fcns`]).
 
 pub mod fcns;
 pub mod fxhash;
@@ -25,7 +22,6 @@ pub mod stats;
 pub mod symbol;
 pub mod term;
 pub mod tree;
-pub mod value;
 
 pub use fcns::BinTree;
 pub use fxhash::{FxHashMap, FxHashSet};
@@ -33,4 +29,3 @@ pub use label::{Label, NodeKind};
 pub use stats::ForestStats;
 pub use symbol::{Alphabet, SymId};
 pub use tree::{elem, forest_size, text, Forest, Tree};
-pub use value::{Value, ValueInterner};

@@ -1031,10 +1031,8 @@ mod tests {
             let expected = run_mft(&d, &run_mft(&d, &f).unwrap()).unwrap();
             assert_eq!(run_mft(&composed, &f).unwrap(), expected, "on {src}");
         }
-        // 4 input trees ⇒ 2^16 output trees. Feasible only because the
-        // memoizing shared-value evaluator runs the accumulator encoding in
-        // steps linear in the shared graph (the naive evaluator needs
-        // minutes here; see tests/perf_smoke.rs for the release guard).
+        // 4 input trees ⇒ 2^16 output trees (see tests/perf_smoke.rs for
+        // the release guard on this run).
         let f = parse_forest("a a a a").unwrap();
         let expected = run_mft(&d, &run_mft(&d, &f).unwrap()).unwrap();
         assert_eq!(expected.len(), 1 << 16);

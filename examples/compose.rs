@@ -16,7 +16,7 @@ use foxq::core::interp::run_mft;
 use foxq::core::mft::XVar;
 use foxq::core::parse_mft;
 use foxq::forest::term::parse_forest;
-use foxq::tt::{compose_ft_ft, compose_tt_tt, compose_tt_tt_naive, run_mtt, Mtt, TNode};
+use foxq_tt::{compose_ft_ft, compose_tt_tt, compose_tt_tt_naive, run_mtt, Mtt, TNode};
 
 fn main() {
     let max_k: usize = std::env::args()

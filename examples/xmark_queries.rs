@@ -9,29 +9,11 @@ use foxq::core::opt::optimize;
 use foxq::core::stream::run_streaming_on_forest;
 use foxq::core::translate::translate;
 use foxq::forest::ForestStats;
-use foxq::gcx::{run_gcx_on_forest, GcxError};
-use foxq::gen::{generate, Dataset};
 use foxq::xml::{forest_to_xml_string, CountingSink, ForestSink};
 use foxq::xquery::{eval_query, parse_query};
+use foxq_gcx::{run_gcx_on_forest, GcxError};
+use foxq_gen::{generate, Dataset};
 use std::time::Instant;
-
-const QUERIES: [(&str, &str); 9] = [
-    ("Q1", include_str!("../crates/bench/queries/query01.xq")),
-    ("Q2", include_str!("../crates/bench/queries/query02.xq")),
-    ("Q4", include_str!("../crates/bench/queries/query04.xq")),
-    ("Q13", include_str!("../crates/bench/queries/query13.xq")),
-    ("Q16", include_str!("../crates/bench/queries/query16.xq")),
-    ("Q17", include_str!("../crates/bench/queries/query17.xq")),
-    ("double", include_str!("../crates/bench/queries/double.xq")),
-    (
-        "fourstar",
-        include_str!("../crates/bench/queries/fourstar.xq"),
-    ),
-    (
-        "deepdup",
-        include_str!("../crates/bench/queries/deepdup.xq"),
-    ),
-];
 
 fn main() {
     let kib: usize = std::env::args()
@@ -46,7 +28,7 @@ fn main() {
         "query", "opt.ms", "gcx.ms", "opt.mem", "gcx.mem", "agree"
     );
 
-    for (name, src) in QUERIES {
+    for (name, src) in foxq_bench::QUERIES {
         let query = parse_query(src).unwrap();
         let mft = optimize(translate(&query).unwrap());
         let expected = forest_to_xml_string(&eval_query(&query, &input).unwrap());

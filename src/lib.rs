@@ -18,13 +18,9 @@
 //!
 //! * [`forest`] — unranked forests, labels, term notation, fcns encoding;
 //! * [`xml`] — streaming XML parser / serializer;
-//! * [`core`] — MFT model, interpreter, streaming engine, translation,
-//!   optimizations;
+//! * [`core`] — MFT model, reference interpreter, streaming engine,
+//!   translation, optimizations;
 //! * [`xquery`] — MinXQuery AST, parser, ground-truth evaluator;
-//! * [`tt`] — binary-tree transducers and the composition constructions of
-//!   Section 4.2 (Lemmas 1–3, Theorems 3–5);
-//! * [`gcx`] — the GCX-substitute streaming baseline used in the evaluation;
-//! * [`gen`] — deterministic XMark/TreeBank/Medline/Protein-like generators;
 //! * [`service`] — the serving layer: prepared-query cache, multi-query
 //!   single-pass engine, parallel batch driver (the `foxq batch` command);
 //! * [`store`] — the document store: FET3 event tapes with O(1) subtree
@@ -34,6 +30,10 @@
 //!   streaming request bodies and Prometheus metrics (`foxq serve`);
 //! * [`obs`] — the observability core shared by the CLI and the server:
 //!   latency histograms, per-stage spans, trace sinks.
+//!
+//! The §4.2 composition constructions (`foxq_tt`), the GCX baseline
+//! (`foxq_gcx`) and the dataset generators (`foxq_gen`) are crates of their
+//! own for tests, examples and benches; nothing here runs them.
 //!
 //! ## Quick start
 //!
@@ -54,19 +54,15 @@
 
 pub use foxq_core as core;
 pub use foxq_forest as forest;
-pub use foxq_gcx as gcx;
-pub use foxq_gen as gen;
 pub use foxq_obs as obs;
 pub use foxq_server as server;
 pub use foxq_service as service;
 pub use foxq_store as store;
-pub use foxq_tt as tt;
 pub use foxq_xml as xml;
 pub use foxq_xquery as xquery;
 
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
-    pub use foxq_core::interp::run_mft;
     pub use foxq_core::mft::Mft;
     pub use foxq_core::opt::optimize;
     pub use foxq_core::stream::{run_streaming_to_string, StreamLimits, StreamStats};

@@ -16,15 +16,15 @@ use foxq::core::stream::{
 };
 use foxq::core::StateId;
 use foxq::forest::Label;
-use foxq::gen::Dataset;
 use foxq::obs::AllocScope;
 use foxq::service::PreparedQuery;
 use foxq::xml::{forest_to_xml_string, NullSink, XmlEvent, XmlReader};
 use foxq_bench::query_source;
+use foxq_gen::Dataset;
 
 /// 256 KiB of XMark.
 fn xmark_document() -> String {
-    forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 256 << 10, 0xF0E5))
+    forest_to_xml_string(&foxq_gen::generate(Dataset::Xmark, 256 << 10, 0xF0E5))
 }
 
 /// The document, tokenized ahead of the measured runs.

@@ -5,7 +5,7 @@
 use foxq::core::mft::{OutLabel, StateId, XVar};
 use foxq::forest::fcns::fcns;
 use foxq::forest::{BinTree, Forest};
-use foxq::tt::{compose_ft_ft, compose_tt_tt, compose_tt_tt_naive, Mtt, TNode};
+use foxq_tt::{compose_ft_ft, compose_tt_tt, compose_tt_tt_naive, Mtt, TNode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -106,7 +106,7 @@ fn random_input(rng: &mut SmallRng) -> BinTree {
 /// it — bound the interpreter and run on a large stack so pathological
 /// seeds are skipped instead of exhausting memory.
 fn check_tt_composition(seed: u64) {
-    use foxq::tt::run_mtt_with_limit;
+    use foxq_tt::run_mtt_with_limit;
     let mut rng = SmallRng::seed_from_u64(seed);
     let m1 = random_tt(&mut rng);
     let m2 = random_tt(&mut rng);
@@ -173,12 +173,13 @@ fn ft_composition_agrees_on_fixed_seeds() {
 }
 
 fn ft_composition_body() {
-    use foxq::core::RunLimits;
-    use foxq::core::{run_mft_naive_with_limits, run_mft_with_limits};
+    use foxq::core::stream::run_streaming_on_forest;
+    use foxq::core::{run_mft_with_limits, RunLimits};
+    use foxq::xml::ForestSink;
     for seed in (0..100u64).step_by(SEED_STRIDE) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let f1 = foxq::tt::mtt_to_mft(&random_tt(&mut rng));
-        let f2 = foxq::tt::mtt_to_mft(&random_tt(&mut rng));
+        let f1 = foxq_tt::mtt_to_mft(&random_tt(&mut rng));
+        let f2 = foxq_tt::mtt_to_mft(&random_tt(&mut rng));
         let composed = compose_ft_ft(&f1, &f2);
         let limits = RunLimits::with_max_steps(5_000_000);
         for _ in 0..4 {
@@ -189,13 +190,13 @@ fn ft_composition_body() {
             let Ok(expected) = run_mft_with_limits(&f2, &mid, limits) else {
                 continue;
             };
-            let got = run_mft_with_limits(&composed, &input, limits).unwrap();
-            assert_eq!(got, expected, "FT∘FT differs (seed {seed})");
-            // The accumulator-encoded composition is exactly the shape the
-            // memoizing evaluator accelerates; the naive reference must
-            // still agree wherever it terminates within its step budget.
-            if let Ok(naive) = run_mft_naive_with_limits(&composed, &input, limits) {
-                assert_eq!(naive, expected, "naive vs composed differs (seed {seed})");
+            // The composed MFT runs on the streaming engine, as a query
+            // would; the reference must agree too wherever it terminates
+            // within its budgets.
+            let (sink, _) = run_streaming_on_forest(&composed, &input, ForestSink::new()).unwrap();
+            assert_eq!(sink.into_forest(), expected, "FT∘FT differs (seed {seed})");
+            if let Ok(direct) = run_mft_with_limits(&composed, &input, limits) {
+                assert_eq!(direct, expected, "reference on FT∘FT differs (seed {seed})");
             }
         }
     }

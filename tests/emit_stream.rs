@@ -11,10 +11,10 @@
 use foxq::core::emit::{EmitSink, EmitWriter};
 use foxq::core::stream::{run_streaming_with_limits, Engine, StreamLimits};
 use foxq::core::Mft;
-use foxq::gen::Dataset;
 use foxq::service::{run_lanes, Events, PreparedQuery, QuerySetPlan};
 use foxq::store::{ingest_xml_to_tape, TapeReader};
 use foxq::xml::{forest_to_xml_string, XmlEvent, XmlReader};
+use foxq_gen::Dataset;
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -163,7 +163,7 @@ fn assert_streamed_identity(dataset: Dataset, xml: &str) {
 #[test]
 fn streamed_prefixes_concatenate_to_materialized_output() {
     for dataset in Dataset::ALL {
-        let forest = foxq::gen::generate(dataset, 60_000, 0xF0C5);
+        let forest = foxq_gen::generate(dataset, 60_000, 0xF0C5);
         assert_streamed_identity(dataset, &forest_to_xml_string(&forest));
     }
 }
@@ -175,7 +175,7 @@ proptest! {
     fn streamed_prefixes_match_materialized_randomized(seed in any::<u64>()) {
         let dataset = Dataset::ALL[(seed % 4) as usize];
         let size = 2_000 + (seed >> 3) as usize % 28_000;
-        let xml = forest_to_xml_string(&foxq::gen::generate(dataset, size, seed));
+        let xml = forest_to_xml_string(&foxq_gen::generate(dataset, size, seed));
         assert_streamed_identity(dataset, &xml);
     }
 }

@@ -32,7 +32,6 @@ use foxq::core::stream::{
 use foxq::core::{parse_mft, print_mft, run_mft, Mft};
 use foxq::forest::term::parse_forest;
 use foxq::forest::{elem, text, Forest, Label, Tree};
-use foxq::gcx::{run_gcx_on_forest, GcxError};
 use foxq::service::{
     run_lanes, Events, LaneInput, MultiQueryEngine, QueryCache, QuerySetPlan, SourceCost,
 };
@@ -42,6 +41,7 @@ use foxq::xml::{
 };
 use foxq::xquery::ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
 use foxq::xquery::eval_query;
+use foxq_gcx::{run_gcx_on_forest, GcxError};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -1,12 +1,16 @@
-//! Equivalence of the two MFT evaluators: the shared-value memoizing
-//! interpreter (`run_mft`) must agree with the retained naive reference
-//! (`run_mft_naive`) — on outputs over random transducers and inputs, and on
-//! errors (ε-rule `%t`, step limits).
+//! The streaming engine against the reference interpreter (`run_mft`, the
+//! §2.2 semantics) on random *general* MFTs — accumulating parameters,
+//! `%t`, text rules — which the §3 translation never produces, so
+//! `engine_agreement` never feeds them to the engine. Plus the reference's
+//! own behaviour on translated queries and on errors (ε-rule `%t`, step
+//! and output budgets).
 
 use foxq::core::mft::{rhs, Mft, StateId, XVar};
-use foxq::core::{run_mft_naive_with_limits, run_mft_with_limits, RunError, RunLimits};
+use foxq::core::stream::run_streaming_on_forest;
+use foxq::core::{run_mft_with_limits, RunError, RunLimits};
 use foxq::forest::term::parse_forest;
 use foxq::forest::{Forest, Label, Tree};
+use foxq::xml::ForestSink;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -113,27 +117,28 @@ fn random_input(rng: &mut SmallRng) -> Forest {
     forest(rng, &mut budget, 0)
 }
 
-/// One seed: both evaluators agree on every input (output or error).
+/// One seed: wherever the reference finishes, the streaming engine
+/// produces the same forest.
 fn check_agreement(seed: u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let m = random_mft(&mut rng);
-    // Parameter-duplicating MFTs can be output-exponential; bound the
-    // reference by steps and the value evaluator by output size, and only
-    // compare where the reference finished.
+    // Parameter-duplicating MFTs can be output-exponential: bound the
+    // reference, and compare only where it finished.
     let limits = RunLimits {
         max_steps: 2_000_000,
         max_output_nodes: 50_000_000,
     };
     for _ in 0..5 {
         let input = random_input(&mut rng);
-        let Ok(expected) = run_mft_naive_with_limits(&m, &input, limits) else {
+        let Ok(expected) = run_mft_with_limits(&m, &input, limits) else {
             continue;
         };
-        let got = run_mft_with_limits(&m, &input, limits)
-            .unwrap_or_else(|e| panic!("value evaluator failed (seed {seed}): {e}\n{m:?}"));
+        let (sink, _) = run_streaming_on_forest(&m, &input, ForestSink::new())
+            .unwrap_or_else(|e| panic!("streaming engine failed (seed {seed}): {e}\n{m:?}"));
         assert_eq!(
-            got, expected,
-            "evaluators disagree (seed {seed}) on {input:?}"
+            sink.into_forest(),
+            expected,
+            "engine disagrees with the reference (seed {seed}) on {input:?}"
         );
     }
 }
@@ -155,10 +160,12 @@ proptest! {
 
 #[test]
 fn evaluators_agree_on_translated_queries() {
-    // The richer family: transducers produced by the §3 translation.
+    // Transducers produced by the §3 translation: the reference must answer
+    // as the DOM evaluator does, before and after the §4.1 optimizations.
     use foxq::core::opt::optimize;
     use foxq::core::translate::translate;
-    use foxq::xquery::parse_query;
+    use foxq::xml::forest_to_xml_string;
+    use foxq::xquery::{eval_query, parse_query};
     let cases = [
         (
             r#"<out>{ for $b in $input/person[./p_id/text() = "person0"]
@@ -176,10 +183,11 @@ fn evaluators_agree_on_translated_queries() {
         let unopt = translate(&q).unwrap();
         let opt = optimize(unopt.clone());
         let f = parse_forest(doc).unwrap();
+        let expected = forest_to_xml_string(&eval_query(&q, &f).unwrap());
         for m in [&unopt, &opt] {
             assert_eq!(
-                foxq::core::run_mft(m, &f).unwrap(),
-                foxq::core::run_mft_naive(m, &f).unwrap(),
+                forest_to_xml_string(&foxq::core::run_mft(m, &f).unwrap()),
+                expected,
                 "{query} on {doc}"
             );
         }
@@ -193,13 +201,13 @@ fn step_limit_error_parity_on_stay_loops() {
     let f = parse_forest("a").unwrap();
     let expected = Err(RunError::StepLimit { max_steps: 500 });
     assert_eq!(run_mft_with_limits(&m, &f, limits), expected);
-    assert_eq!(run_mft_naive_with_limits(&m, &f, limits), expected);
 }
 
 #[test]
 fn eps_current_label_error_parity() {
-    // %t in an ε-rule is rejected by validate(); build it anyway — both
-    // evaluators must report the same CurrentLabelAtEps, naming the state.
+    // %t in an ε-rule is rejected by validate(); build it anyway — the
+    // reference must report CurrentLabelAtEps, naming the state, whether
+    // the ε-rule is reached at the top or below a node.
     let mut m = Mft::new();
     let q0 = m.add_state("q0", 0);
     let bad = m.add_state("qbad", 0);
@@ -213,19 +221,14 @@ fn eps_current_label_error_parity() {
     });
     for doc in ["", "a(b)"] {
         let f = parse_forest(doc).unwrap();
-        assert_eq!(foxq::core::run_mft(&m, &f), expected, "value on {doc:?}");
-        assert_eq!(
-            foxq::core::run_mft_naive(&m, &f),
-            expected,
-            "naive on {doc:?}"
-        );
+        assert_eq!(foxq::core::run_mft(&m, &f), expected, "on {doc:?}");
     }
 }
 
 #[test]
 fn output_budget_refuses_exponential_unfolds_cheaply() {
-    // Doubling over 60 trees: 2^60 output trees. The value evaluator
-    // represents it in O(n) steps and then refuses to materialize.
+    // Doubling over 60 trees: 2^60 output trees. The output budget stops
+    // the run after about 10,000 nodes, long before the step budget would.
     let m = foxq::core::parse_mft(
         "q(%t(x1) x2) -> q(x2) q(x2);
          q(eps) -> a();",

@@ -107,7 +107,7 @@ fn streaming_into_a_writer_sink_matches_string_driver() {
 #[test]
 fn all_benchmark_queries_run_through_real_xml() {
     // Serialize a generated XMark document and run the full byte pipeline.
-    let forest = foxq::gen::generate(foxq::gen::Dataset::Xmark, 30_000, 9);
+    let forest = foxq_gen::generate(foxq_gen::Dataset::Xmark, 30_000, 9);
     let xml = foxq::xml::forest_to_xml_string(&forest);
     for (name, src) in foxq_bench::QUERIES {
         let q = parse_query(src).unwrap();

@@ -77,9 +77,9 @@ proptest! {
             "q(a(x1) x2) -> b(q(x1)) q(x2); q(%t(x1) x2) -> %t(q(x1)) q(x2); q(eps) -> eps;",
         ] {
             let m = foxq::core::parse_mft(src).unwrap();
-            let n = foxq::tt::mft_to_mtt(&m);
+            let n = foxq_tt::mft_to_mtt(&m);
             let expected = fcns(&foxq::core::run_mft(&m, &f).unwrap());
-            let got = foxq::tt::eval_btree(&foxq::tt::run_mtt(&n, &fcns(&f)).unwrap());
+            let got = foxq_tt::eval_btree(&foxq_tt::run_mtt(&n, &fcns(&f)).unwrap());
             prop_assert_eq!(got, expected);
         }
     }

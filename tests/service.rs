@@ -13,10 +13,10 @@
 
 use foxq::core::stream::StreamLimits;
 use foxq::forest::Forest;
-use foxq::gen::Dataset;
 use foxq::service::{BatchDriver, MultiQueryEngine, PreparedQuery, QueryCache, QuerySetPlan};
 use foxq::xml::{forest_to_xml_string, ForestSink, XmlEvent, XmlReader};
 use foxq::xquery::eval_query;
+use foxq_gen::Dataset;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ fn prepared_pool() -> Vec<Arc<PreparedQuery>> {
 }
 
 fn xmark(bytes: usize, seed: u64) -> Forest {
-    foxq::gen::generate(Dataset::Xmark, bytes, seed)
+    foxq_gen::generate(Dataset::Xmark, bytes, seed)
 }
 
 fn xmark_xml(bytes: usize, seed: u64) -> Vec<u8> {

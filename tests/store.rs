@@ -7,13 +7,13 @@ use foxq::core::emit::EmitWriter;
 use foxq::core::stream::{StreamError, StreamLimits, StreamStats};
 use foxq::core::{parse_mft, Mft};
 use foxq::forest::Label;
-use foxq::gen::Dataset;
 use foxq::service::{
     run_lanes, run_multi, run_multi_on_tape, BatchDriver, Events, MultiQueryEngine, MultiRun,
     PreparedQuery, QuerySetPlan,
 };
 use foxq::store::{ingest_xml_to_tape, Corpus, StoreError, TapeDrive, TapeReader};
 use foxq::xml::{forest_to_xml_string, ForestSink, WriterSink, XmlEvent, XmlReader};
+use foxq_gen::Dataset;
 use proptest::prelude::*;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -59,7 +59,7 @@ fn tape_events(xml: &[u8]) -> Vec<XmlEvent> {
 #[test]
 fn tape_roundtrips_every_generated_dataset() {
     for dataset in Dataset::ALL {
-        let forest = foxq::gen::generate(dataset, 60_000, 0xBEEF);
+        let forest = foxq_gen::generate(dataset, 60_000, 0xBEEF);
         let xml = forest_to_xml_string(&forest);
         let direct = parse_events(xml.as_bytes());
         let replayed = tape_events(xml.as_bytes());
@@ -80,7 +80,7 @@ proptest! {
     fn tape_roundtrip_randomized(seed in any::<u64>()) {
         let dataset = Dataset::ALL[(seed % 4) as usize];
         let size = 2_000 + (seed >> 3) as usize % 38_000;
-        let xml = forest_to_xml_string(&foxq::gen::generate(dataset, size, seed));
+        let xml = forest_to_xml_string(&foxq_gen::generate(dataset, size, seed));
         prop_assert_eq!(tape_events(xml.as_bytes()), parse_events(xml.as_bytes()));
     }
 }
@@ -92,7 +92,7 @@ const NAMES_QUERY: &str = "<o>{$input/site/people/person/name/text()}</o>";
 fn prefilter_on_and_off_agree_on_the_tape_path() {
     let prepared = PreparedQuery::compile(NAMES_QUERY).unwrap();
     let mft = prepared.mft();
-    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 120_000, 7));
+    let xml = forest_to_xml_string(&foxq_gen::generate(Dataset::Xmark, 120_000, 7));
     let (out, _, _) = ingest_xml_to_tape(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
     let tape_bytes = out.into_inner();
 
@@ -382,7 +382,7 @@ fn corrupt_posting_list_fails_cleanly_on_the_index_path() {
     let dir = scratch("postings");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("doc.fet");
-    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 60_000, 11));
+    let xml = forest_to_xml_string(&foxq_gen::generate(Dataset::Xmark, 60_000, 11));
     ingest_xml_to_tape(xml.as_bytes(), std::fs::File::create(&path).unwrap()).unwrap();
 
     // Locate <name>'s posting list via the footer directory and overwrite
@@ -511,7 +511,7 @@ fn corpus_round_trip_over_all_datasets() {
     let dir = scratch("datasets");
     let mut corpus = Corpus::open(&dir).unwrap();
     for (i, dataset) in Dataset::ALL.iter().enumerate() {
-        let xml = forest_to_xml_string(&foxq::gen::generate(*dataset, 30_000, i as u64));
+        let xml = forest_to_xml_string(&foxq_gen::generate(*dataset, 30_000, i as u64));
         let id = format!("ds{i}");
         let meta = corpus.add_xml(&id, xml.as_bytes()).unwrap();
         assert_eq!(meta.source_bytes, xml.len() as u64);
@@ -715,7 +715,7 @@ fn copying_query_for(dataset: Dataset) -> &'static str {
 #[test]
 fn every_read_path_agrees_with_a_full_replay() {
     for dataset in Dataset::ALL {
-        let xml = forest_to_xml_string(&foxq::gen::generate(dataset, 40_000, 0x5EED));
+        let xml = forest_to_xml_string(&foxq_gen::generate(dataset, 40_000, 0x5EED));
         let tape = tape_of(&xml);
         let mut sources: Vec<(&str, &str)> = foxq_bench::QUERIES
             .iter()
@@ -738,7 +738,7 @@ fn every_read_path_agrees_with_a_full_replay() {
 
 #[test]
 fn mixed_lane_sets_agree_with_a_full_replay() {
-    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 60_000, 21));
+    let xml = forest_to_xml_string(&foxq_gen::generate(Dataset::Xmark, 60_000, 21));
     let tape = tape_of(&xml);
     let compile = |name: &str| PreparedQuery::compile(foxq_bench::query_source(name)).unwrap();
     let (q1, q13, q16) = (compile("Q1"), compile("Q13"), compile("Q16"));
@@ -779,7 +779,7 @@ fn mixed_lane_sets_agree_with_a_full_replay() {
 
 #[test]
 fn q13_reads_a_tenth_of_the_2mib_xmark_tape() {
-    let xml = forest_to_xml_string(&foxq::gen::generate(Dataset::Xmark, 2 << 20, 0xF0E5));
+    let xml = forest_to_xml_string(&foxq_gen::generate(Dataset::Xmark, 2 << 20, 0xF0E5));
     let tape = tape_of(&xml);
     let tape_events = reader(&tape).info().events;
     let q13 = PreparedQuery::compile(foxq_bench::query_source("Q13")).unwrap();

@@ -18,9 +18,9 @@
 mod common;
 
 use common::byte_reader::ByteReader;
-use foxq::gen::Dataset;
 use foxq::obs::AllocScope;
 use foxq::xml::{forest_to_xml_string, EventSource, WhitespaceMode, XmlError, XmlEvent, XmlReader};
+use foxq_gen::Dataset;
 use proptest::prelude::*;
 use proptest::TestRng;
 use std::io::Read;
@@ -444,7 +444,7 @@ proptest! {
         let dataset = [Dataset::Xmark, Dataset::Treebank, Dataset::Xmark, Dataset::Medline]
             [(seed % 4) as usize];
         let size = 2_000 + (seed >> 3) as usize % 150_000;
-        let doc = forest_to_xml_string(&foxq::gen::generate(dataset, size, seed));
+        let doc = forest_to_xml_string(&foxq_gen::generate(dataset, size, seed));
         let ws = MODES[(seed >> 24) as usize % 3];
         let expected = oracle(doc.as_bytes(), ws);
         prop_assert!(expected.error.is_none());
@@ -466,7 +466,7 @@ proptest! {
     fn damaged_generated_documents_agree_too(seed in any::<u64>()) {
         let mut rng = TestRng::from_seed(seed);
         let dataset = [Dataset::Xmark, Dataset::Treebank][rng.below(2)];
-        let forest = foxq::gen::generate(dataset, 2_000 + rng.below(20_000), seed);
+        let forest = foxq_gen::generate(dataset, 2_000 + rng.below(20_000), seed);
         let mut doc = forest_to_xml_string(&forest).into_bytes();
         for _ in 0..1 + rng.below(3) {
             let at = rng.below(doc.len());
