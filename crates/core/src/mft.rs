@@ -209,6 +209,34 @@ impl Mft {
             })
     }
 
+    /// Whether `q` is an *identity state*: no parameters, no `(q,σ)`- or
+    /// text-default rule, and exactly
+    /// `q(%t(x1) x2) → %t(q(x1)) q(x2); q(ε) → ε` — the translator's
+    /// `qcopy`. A call of one copies its input forest unchanged, which the
+    /// streaming engine exploits by passing the input events straight to
+    /// its sink.
+    pub fn is_identity_state(&self, q: StateId) -> bool {
+        let r = &self.rules[q.idx()];
+        let recurse = |node: &RhsNode, x: XVar| {
+            matches!(node, RhsNode::Call { state, input, args }
+                if *state == q && *input == x && args.is_empty())
+        };
+        self.params_of(q) == 0
+            && r.by_sym.is_empty()
+            && r.text_default.is_none()
+            && r.eps.is_empty()
+            && match r.default.as_slice() {
+                [RhsNode::Out {
+                    label: OutLabel::Current,
+                    children,
+                }, sib] => {
+                    matches!(children.as_slice(), [child] if recurse(child, XVar::X1))
+                        && recurse(sib, XVar::X2)
+                }
+                _ => false,
+            }
+    }
+
     /// A *forest transducer* (FT) is an MFT in which no state has parameters.
     pub fn is_ft(&self) -> bool {
         self.states.iter().all(|s| s.params == 0)
@@ -538,13 +566,15 @@ struct StateDispatch<'m> {
     text: &'m Rhs,
     default: &'m Rhs,
     eps: &'m Rhs,
+    /// [`Mft::is_identity_state`].
+    identity: bool,
 }
 
 impl<'m> Dispatch<'m> {
     pub(crate) fn new(mft: &'m Mft) -> Self {
         let mut by_sym = Vec::with_capacity(mft.rules.iter().map(|r| r.by_sym.len()).sum());
         let mut states = Vec::with_capacity(mft.rules.len());
-        for rules in &mft.rules {
+        for (i, rules) in mft.rules.iter().enumerate() {
             let at = by_sym.len();
             by_sym.extend(rules.by_sym.iter().map(|(sym, rhs)| (*sym, rhs)));
             by_sym[at..].sort_unstable_by_key(|(sym, _)| *sym);
@@ -554,6 +584,7 @@ impl<'m> Dispatch<'m> {
                 text: rules.text_default.as_ref().unwrap_or(&rules.default),
                 default: &rules.default,
                 eps: &rules.eps,
+                identity: mft.is_identity_state(StateId(i as u32)),
             });
         }
         let text_rules = by_sym
@@ -588,6 +619,11 @@ impl<'m> Dispatch<'m> {
     /// The ε-rule of `q`.
     pub(crate) fn eps_rule(&self, q: StateId) -> &'m Rhs {
         self.states[q.idx()].eps
+    }
+
+    /// Whether `q` is an identity state ([`Mft::is_identity_state`]).
+    pub(crate) fn is_identity(&self, q: StateId) -> bool {
+        self.states[q.idx()].identity
     }
 }
 
@@ -769,6 +805,30 @@ mod tests {
         assert!(m.is_stay_state(p));
         m.set_default_rule(p, vec![call(p, XVar::X2, vec![])]);
         assert!(!m.is_stay_state(p));
+    }
+
+    #[test]
+    fn identity_state_detection() {
+        let identity = |src: &str| {
+            let m = crate::text::parse_mft(src).unwrap();
+            m.is_identity_state(m.initial)
+        };
+        assert!(identity("q(%t(x1) x2) -> %t(q(x1)) q(x2); q(eps) -> eps;"));
+        for not_identity in [
+            // Renames, reorders, drops or adds to what it reads.
+            "q(%t(x1) x2) -> b(q(x1)) q(x2); q(eps) -> eps;",
+            "q(%t(x1) x2) -> q(x2) %t(q(x1)); q(eps) -> eps;",
+            "q(%t(x1) x2) -> %t(q(x1)); q(eps) -> eps;",
+            "q(%t(x1) x2) -> %t(q(x1)) q(x2); q(eps) -> b;",
+            // Recurses into another state.
+            "q(%t(x1) x2) -> %t(p(x1)) q(x2); q(eps) -> eps; \
+             p(%t(x1) x2) -> %t(p(x1)) p(x2); p(eps) -> eps;",
+            // Has a rule besides the default.
+            "q(%t(x1) x2) -> %t(q(x1)) q(x2); q(%ttext(x1) x2) -> q(x2); q(eps) -> eps;",
+            "q(a(x1) x2) -> a(q(x1)) q(x2); q(%t(x1) x2) -> %t(q(x1)) q(x2); q(eps) -> eps;",
+        ] {
+            assert!(!identity(not_identity), "{not_identity}");
+        }
     }
 
     #[test]

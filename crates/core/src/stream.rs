@@ -41,6 +41,17 @@
 //!   is shared (it will be emitted again for another copy). A shared walk
 //!   whose other reference goes mid-walk releases the children it passed
 //!   and consumes the rest.
+//! * **Pass-through.** When the emitter stalls at a call of an *identity
+//!   state* ([`Mft::is_identity_state`], the translator's `qcopy`) that it
+//!   alone holds and that reads the current location, the call's value is
+//!   the rest of that location's input, verbatim, and nothing is to its
+//!   left. So the call leaves the location's subscribers, and until the
+//!   location ends each `open` and `close` goes straight to the sink — no
+//!   slot, cell, label entry or frame — with the counters the graph would
+//!   have moved; the close that ends the location resolves the call to ε.
+//!   A location passed through is never [`Engine::is_dead`], since its
+//!   events are output. A copy that is shared, or not yet on the frontier
+//!   (`double`'s second), is built as a graph as before.
 //!
 //! Peak live graph size is the engine's memory measure, reported in
 //! [`StreamStats`] as nodes and as the bytes of the slots, cells and label
@@ -268,7 +279,9 @@ pub trait StreamObserver {
 
     /// One rule expansion finished: `state` was rewritten in place, and
     /// the arena's live-node/byte/pending counts moved by the deltas
-    /// (instantiation minus dropped-argument releases).
+    /// (instantiation minus dropped-argument releases). A pass-through
+    /// reports the expansion each of its events stands for: no deltas,
+    /// but the pending call it resolves at the end of its location.
     fn on_expansion(&mut self, state: StateId, d_nodes: i64, d_bytes: i64, d_pending: i64);
 
     /// One output event (open or close) was pushed to the sink.
@@ -826,6 +839,15 @@ struct Frame {
     opened: bool,
 }
 
+/// A pass-through in progress: an identity call on the output frontier,
+/// held by the emitter alone, whose location's events go straight to the
+/// sink until the location ends.
+#[derive(Clone, Copy)]
+struct Pass {
+    call: ExprId,
+    state: StateId,
+}
+
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
@@ -867,6 +889,11 @@ pub struct Engine<'m, S, O: StreamObserver = ()> {
     /// Which arguments of the call being expanded its rule has used.
     used: Vec<bool>,
     frames: Vec<Frame>,
+    /// The pass-through in progress, if any.
+    pass: Option<Pass>,
+    /// The nodes the pass-through has opened and not yet closed, innermost
+    /// last: [`Engine::close`] takes no label.
+    open_passed: Vec<Label>,
     limits: StreamLimits,
     stats: StreamStats,
     obs: O,
@@ -915,6 +942,8 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             args: Vec::new(),
             used: Vec::new(),
             frames,
+            pass: None,
+            open_passed: Vec::new(),
             limits,
             stats: StreamStats::default(),
             obs,
@@ -927,14 +956,20 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         debug_assert!(!self.finished);
         self.stats.events += 1;
         self.stats.open_events += 1;
-        if self.current == DEAD {
-            // The child and sibling of a dead location are dead.
-            self.dead_depth += 1;
-        } else {
+        let live = self.current != DEAD;
+        if live {
             let sym = self.dispatch.sym(label);
             self.expand_subscribers(Ctx::Open { label, sym })?;
             self.stack.push(self.sib);
             self.current = self.child;
+        } else {
+            // The child and sibling of a dead location are dead.
+            self.dead_depth += 1;
+        }
+        if let Some(pass) = self.pass {
+            self.pass_open(pass, label)?;
+        }
+        if live {
             self.flush()?;
         }
         let depth = self.stack.len() + self.dead_depth;
@@ -948,13 +983,19 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         debug_assert!(!self.finished);
         self.stats.events += 1;
         self.stats.close_events += 1;
-        if self.dead_depth > 0 {
-            self.dead_depth -= 1; // on to a dead sibling location
-        } else {
+        let live = self.dead_depth == 0;
+        if live {
             if self.current != DEAD {
                 self.expand_subscribers(Ctx::Eps)?;
             }
             self.current = self.stack.pop().expect("close without matching open");
+        } else {
+            self.dead_depth -= 1; // on to a dead sibling location
+        }
+        if let Some(pass) = self.pass {
+            self.pass_close(pass)?;
+        }
+        if live {
             self.flush()?;
         }
         self.end_event();
@@ -1005,6 +1046,10 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
         if self.current != DEAD {
             self.expand_subscribers(Ctx::Eps)?;
         }
+        if let Some(pass) = self.pass {
+            debug_assert!(self.open_passed.is_empty(), "unclosed elements at finish");
+            self.pass_close(pass)?;
+        }
         self.flush()?;
         self.end_event();
         debug_assert!(
@@ -1020,9 +1065,10 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
     /// the whole subtree: nothing below can subscribe either, so feeding
     /// its interior would move only `events`, `open_events`,
     /// `close_events` and `max_depth` — a seekable source may jump to the
-    /// matching close instead (the close itself must still be fed).
+    /// matching close instead (the close itself must still be fed). A
+    /// location a pass-through copies is never dead: its events are output.
     pub fn is_dead(&self) -> bool {
-        self.current == DEAD
+        self.current == DEAD && self.pass.is_none()
     }
 
     /// Access the sink mid-run (e.g. to inspect counters).
@@ -1247,12 +1293,19 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
     /// the sink and stalling at the first pending state call. Flushed
     /// nodes whose reference moved into the frame (`holds_ref`, rc == 1)
     /// are released from the arena on the spot, so live memory tracks
-    /// the pending frontier rather than the emitted output.
+    /// the pending frontier rather than the emitted output. A stall at an
+    /// identity call starts a pass-through where [`Engine::enter_pass`]
+    /// allows one.
     fn flush_frontier(&mut self) -> Result<(), StreamError> {
         while let Some(top) = self.frames.last_mut() {
             let node = top.node;
             let (is_node, children) = match self.arena.get(node) {
-                Expr::Pending { .. } => return Ok(()),
+                Expr::Pending { state, .. } => {
+                    if top.holds_ref && self.dispatch.is_identity(state) {
+                        self.enter_pass(node, state);
+                    }
+                    return Ok(());
+                }
                 Expr::Forest(children) => (false, children),
                 Expr::Node { children, .. } => (true, children),
             };
@@ -1315,6 +1368,71 @@ impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
             }
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pass-through
+// ---------------------------------------------------------------------------
+
+impl<'m, S: XmlSink, O: StreamObserver> Engine<'m, S, O> {
+    /// Start passing the current location's events to the sink on behalf
+    /// of `call`, an identity call the emitter stalled at — if the emitter
+    /// holds the only reference to it (so its value is output once, right
+    /// here) and it reads the current location. The call leaves the
+    /// location's subscribers, and a location left without any is dead as
+    /// ever, except to [`Engine::is_dead`].
+    fn enter_pass(&mut self, call: ExprId, state: StateId) {
+        if self.pass.is_some() || self.current == DEAD || self.arena.rc(call) != 1 {
+            return;
+        }
+        let subscribers = &mut self.locs[self.current as usize];
+        let Some(i) = subscribers.iter().position(|&s| s == call) else {
+            return;
+        };
+        subscribers.remove(i);
+        if subscribers.is_empty() {
+            self.free_locs.push(self.current);
+            self.current = DEAD;
+        }
+        self.pass = Some(Pass { call, state });
+    }
+
+    /// The pass-through's share of an `open` of `label`: the tag goes
+    /// straight to the sink.
+    fn pass_open(&mut self, pass: Pass, label: &Label) -> Result<(), StreamError> {
+        self.count_pass_expansion(pass.state, 0);
+        self.stats.emit_flushes += 1;
+        self.count_output_event()?;
+        self.sink.open(label);
+        self.open_passed.push(label.clone());
+        Ok(())
+    }
+
+    /// The pass-through's share of a close or of the end of input: the
+    /// innermost passed node's close tag, or — with none open — the end of
+    /// the location, which resolves the call to ε.
+    fn pass_close(&mut self, pass: Pass) -> Result<(), StreamError> {
+        let Some(label) = self.open_passed.pop() else {
+            self.pass = None;
+            self.arena.resolve(pass.call, List::EMPTY);
+            self.count_pass_expansion(pass.state, -1);
+            return Ok(());
+        };
+        self.count_pass_expansion(pass.state, 0);
+        self.stats.emit_flushes += 1;
+        self.count_output_event()?;
+        self.sink.close(&label);
+        Ok(())
+    }
+
+    /// Count the expansion the graph path would make of the identity call
+    /// on this event; the arena moves by `d_pending` pending calls only.
+    fn count_pass_expansion(&mut self, state: StateId, d_pending: i64) {
+        self.stats.expansions += 1;
+        if O::ENABLED {
+            self.obs.on_expansion(state, 0, 0, d_pending);
+        }
     }
 }
 
@@ -1433,7 +1551,7 @@ mod tests {
     use crate::text::parse_mft;
     use crate::translate::translate;
     use foxq_forest::term::parse_forest;
-    use foxq_xml::{forest_to_xml_string, ForestSink, NullSink};
+    use foxq_xml::{forest_to_xml_string, ForestSink, NullSink, XmlEvent};
     use foxq_xquery::parse_query;
 
     /// Streaming output must equal the in-memory interpreter's output.
@@ -1463,10 +1581,11 @@ mod tests {
 
     #[test]
     fn pending_calls_high_water_mark_is_tracked() {
-        // Identity holds at most a handful of unresolved calls at once
-        // (the frontier of the copy), regardless of document size.
-        let m =
-            parse_mft("qcopy(%t(x1) x2) -> %t(qcopy(x1)) qcopy(x2); qcopy(eps) -> eps;").unwrap();
+        // A copy that renames every node holds at most a handful of
+        // unresolved calls at once (the frontier of the copy), regardless
+        // of document size. (An identity copy passes through, holding the
+        // same few calls at any depth.)
+        let m = parse_mft("q(%t(x1) x2) -> b(q(x1)) q(x2); q(eps) -> eps;").unwrap();
         let stats = check_stream(&m, r#"a(b("t") c) d(e(f))"#);
         assert!(
             stats.peak_pending_calls >= 1,
@@ -1795,6 +1914,209 @@ mod tests {
         };
         let r = run_streaming_to_string(&m, b"<site><a>x</a><b/><c/></site>", limits);
         assert!(matches!(r, Err(StreamError::OutputLimit { .. })), "{r:?}");
+    }
+
+    /// The identity, in the name the disguised-identity tests give it.
+    const COPY: &str = "qc(%t(x1) x2) -> %t(qc(x1)) qc(x2); qc(eps) -> eps;";
+
+    /// `m` with a redundant `(q, a)`-rule on each identity state `q`:
+    /// `q(a(x1) x2) -> a(q(x1)) q(x2)`. The function is the same, but the
+    /// engine no longer recognises the state, so its copies run on the
+    /// graph path — the oracle of the pass-through.
+    fn disguised(m: &Mft) -> Mft {
+        use crate::mft::rhs::{call, out};
+        let mut d = m.clone();
+        let a = d.alphabet.intern_elem("a");
+        for i in 0..d.state_count() {
+            let q = StateId(i as u32);
+            if d.is_identity_state(q) {
+                let rule = vec![
+                    out(a, vec![call(q, XVar::X1, vec![])]),
+                    call(q, XVar::X2, vec![]),
+                ];
+                d.set_sym_rule(q, a, rule);
+            }
+        }
+        assert!((0..d.state_count()).all(|i| !d.is_identity_state(StateId(i as u32))));
+        d
+    }
+
+    /// A random forest in term syntax: at most `budget` nodes over the
+    /// elements `a`, `b`, `c`, `site` and one text node, nested up to
+    /// `depth` deep.
+    fn random_forest(rng: &mut u64, budget: &mut usize, depth: usize, out: &mut String) {
+        fn next(rng: &mut u64) -> u64 {
+            *rng ^= *rng << 13;
+            *rng ^= *rng >> 7;
+            *rng ^= *rng << 17;
+            *rng
+        }
+        while *budget > 0 && next(rng) % 4 != 0 {
+            *budget -= 1;
+            match next(rng) % 5 {
+                0 => out.push_str("\"t\" "),
+                i => {
+                    out.push_str(["a", "b", "c", "site"][i as usize - 1]);
+                    if depth > 0 && next(rng) % 2 == 0 {
+                        out.push('(');
+                        random_forest(rng, budget, depth - 1, out);
+                        out.push(')');
+                    }
+                    out.push(' ');
+                }
+            }
+        }
+    }
+
+    /// The counters of a run that do not depend on how much the arena held.
+    fn non_peak(s: &StreamStats) -> StreamStats {
+        StreamStats {
+            peak_live_nodes: 0,
+            peak_live_bytes: 0,
+            peak_pending_calls: 0,
+            ..*s
+        }
+    }
+
+    #[test]
+    fn pass_through_agrees_with_the_disguised_identity_on_random_documents() {
+        let queries = [
+            "<o>{$input/site}</o>",
+            "<double><r1>{$input/site}</r1>{$input/site}</double>",
+            "<o>{ for $x in $input/site/a return <r><r1>{$x/b}</r1>{$x/b}</r> }</o>",
+            "<o>{$input//a}</o>",
+            "<o>{$input/site/b/text()}<x/>{$input/site/c}</o>",
+        ];
+        let mut mfts = vec![parse_mft(COPY).unwrap()];
+        for query in queries {
+            mfts.push(optimize(translate(&parse_query(query).unwrap()).unwrap()));
+        }
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for m in &mfts {
+            let oracle = disguised(m);
+            for _ in 0..200 {
+                let mut term = String::new();
+                random_forest(&mut rng, &mut 40, 5, &mut term);
+                let xml = forest_to_xml_string(&parse_forest(&term).unwrap());
+                let xml = format!("<site>{xml}</site>{xml}");
+                let got =
+                    run_streaming_to_string(m, xml.as_bytes(), StreamLimits::default()).unwrap();
+                let want =
+                    run_streaming_to_string(&oracle, xml.as_bytes(), StreamLimits::default())
+                        .unwrap();
+                assert_eq!(got.output, want.output, "{m:?} on {xml}");
+                assert_eq!(
+                    non_peak(&got.stats),
+                    non_peak(&want.stats),
+                    "{m:?} on {xml}"
+                );
+                assert!(got.stats.peak_live_nodes <= want.stats.peak_live_nodes);
+            }
+        }
+    }
+
+    #[test]
+    fn a_top_level_identity_passes_through_to_the_end_of_input() {
+        let m = parse_mft(COPY).unwrap();
+        let mut engine = Engine::new(&m, ForestSink::new());
+        for t in &parse_forest(r#"a(b("t")) c"#).unwrap() {
+            feed_tree(&mut engine, t).unwrap();
+        }
+        // The second top-level copy reads the location the end of input
+        // closes.
+        assert!(engine.pass.is_some());
+        let (sink, stats) = engine.finish().unwrap();
+        assert_eq!(
+            forest_to_xml_string(&sink.into_forest()),
+            "<a><b>t</b></a><c></c>"
+        );
+        let want = run_streaming_on_forest(
+            &disguised(&m),
+            &parse_forest(r#"a(b("t")) c"#).unwrap(),
+            NullSink,
+        )
+        .unwrap()
+        .1;
+        assert_eq!(non_peak(&stats), non_peak(&want));
+        // The initial call while its first expansion makes two.
+        assert_eq!(stats.peak_pending_calls, 3);
+    }
+
+    #[test]
+    fn a_shared_copy_does_not_pass_through() {
+        // Unoptimized, `$x` is one value in a parameter used twice: the
+        // emitter walks it by cursor, holding no reference of its own.
+        let q = parse_query("let $x := $input/a return ($x, $x)").unwrap();
+        let m = translate(&q).unwrap();
+        let doc = r#"a(b(c "t")) d a(c)"#;
+        let mut engine = Engine::new(&m, ForestSink::new());
+        for t in &parse_forest(doc).unwrap() {
+            engine.open(&t.label).unwrap();
+            for c in &t.children {
+                feed_tree(&mut engine, c).unwrap();
+                assert!(engine.pass.is_none(), "passed through a shared copy");
+            }
+            engine.close().unwrap();
+        }
+        let (sink, _) = engine.finish().unwrap();
+        let once = "<a><b><c></c>t</b></a><a><c></c></a>";
+        assert_eq!(forest_to_xml_string(&sink.into_forest()), once.repeat(2));
+    }
+
+    #[test]
+    fn the_output_limit_trips_mid_pass_at_the_same_event() {
+        let chain = format!("<site>{}{}</site>", "<a>".repeat(20), "</a>".repeat(20));
+        let m = optimize(translate(&parse_query("<o>{$input/site}</o>").unwrap()).unwrap());
+        for limit in [3, 7, 20, 41] {
+            let limits = StreamLimits {
+                max_output_events: limit,
+                ..StreamLimits::default()
+            };
+            let tripped_at = |m: &Mft| {
+                let mut engine = Engine::with_limits(m, NullSink, limits);
+                let mut reader = XmlReader::new(chain.as_bytes());
+                loop {
+                    let r = match reader.next_event().unwrap() {
+                        XmlEvent::Open(label) => engine.open(&label),
+                        XmlEvent::Close(_) => engine.close(),
+                        XmlEvent::Eof => panic!("the limit of {limit} did not trip"),
+                    };
+                    if let Err(e) = r {
+                        assert!(matches!(e, StreamError::OutputLimit { .. }), "{e}");
+                        return (engine.pass.is_some(), *engine.stats());
+                    }
+                }
+            };
+            let (passing, got) = tripped_at(&m);
+            let (_, want) = tripped_at(&disguised(&m));
+            assert!(passing || limit == 3, "limit {limit}");
+            assert_eq!(non_peak(&got), non_peak(&want), "limit {limit}");
+        }
+    }
+
+    #[test]
+    fn a_copied_subtree_is_never_dead() {
+        let m = optimize(translate(&parse_query("<o>{$input/r/a}</o>").unwrap()).unwrap());
+        let mut engine = Engine::new(&m, NullSink);
+        engine.open(&Label::elem("r")).unwrap();
+        engine.open(&Label::elem("a")).unwrap();
+        // Nothing but the copy reads inside <a>: its location left the
+        // subscriber lists, yet its events are output.
+        assert!(engine.pass.is_some() && engine.current == DEAD);
+        assert!(!engine.is_dead());
+        engine.open(&Label::elem("b")).unwrap();
+        assert!(!engine.is_dead());
+        engine.close().unwrap();
+        engine.close().unwrap();
+        assert!(engine.pass.is_none());
+        engine.open(&Label::elem("z")).unwrap();
+        assert!(engine.is_dead());
+
+        // The XML skim skips <z> and copies <a> whole.
+        let xml = "<r><a><b><c/>t</b></a><z><y/></z><a/></r>";
+        let got = run_streaming_to_string(&m, xml.as_bytes(), StreamLimits::default()).unwrap();
+        assert_eq!(got.output, "<o><a><b><c></c>t</b></a><a></a></o>");
+        assert_eq!(got.stats.prefiltered_events, 2);
     }
 
     #[test]

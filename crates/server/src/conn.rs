@@ -76,7 +76,7 @@ pub struct Conn {
     /// Bytes read off the socket but not yet consumed by request
     /// processing, in wire order.
     pub buf: Vec<u8>,
-    /// How far [`head_end`] has already scanned `buf` (avoids re-scanning
+    /// How far [`Conn::head_end`] has already scanned `buf` (avoids re-scanning
     /// the prefix as a slow head trickles in).
     pub scanned: usize,
     pub phase: Phase,

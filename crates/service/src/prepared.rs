@@ -196,7 +196,7 @@ impl PreparedQuery {
     /// output (proptest-guarded).
     ///
     /// A `deliver` failure aborts the run as
-    /// [`StreamError::Emit`](foxq_core::stream::StreamError::Emit).
+    /// [`StreamError::Emit`].
     pub fn run_streaming(
         &self,
         input: &[u8],

@@ -684,8 +684,9 @@ pub struct PostingDirEntry {
     pub offset: u64,
     /// Encoded length of the list in bytes.
     pub bytes: u64,
-    /// The list's hash ([`EventHash::of_list`]), checked when the list is
-    /// loaded.
+    /// The list's hash, checked when the list is loaded: FNV-1a on the
+    /// list's bytes as 8-byte little-endian words (the last zero-padded),
+    /// high 32 bits.
     pub hash: u32,
 }
 

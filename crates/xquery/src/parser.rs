@@ -157,39 +157,45 @@ impl<'a> P<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, XqSyntaxError> {
-        let start = self.pos;
-        match self.peek() {
-            Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.pos += 1,
-            _ => return self.err("expected a name"),
-        }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.') {
-                self.pos += 1;
-            } else {
-                break;
+    /// The end of the name that starts at `pos`; `pos` itself if none
+    /// does. A probe: it builds no string and no error, so trying a word
+    /// costs the word's length, not the query's.
+    fn name_end(&self) -> usize {
+        let is_start = |c: &u8| c.is_ascii_alphabetic() || *c == b'_';
+        let is_cont = |c: &u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.');
+        let mut end = self.pos;
+        if self.src.get(end).is_some_and(is_start) {
+            end += 1;
+            while self.src.get(end).is_some_and(is_cont) {
+                end += 1;
             }
         }
-        Ok(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+        end
     }
 
-    /// Peek the next name without consuming (after whitespace).
-    fn peek_word(&mut self) -> Option<String> {
+    fn name(&mut self) -> Result<String, XqSyntaxError> {
+        let start = self.pos;
+        let end = self.name_end();
+        if end == start {
+            return self.err("expected a name");
+        }
+        self.pos = end;
+        Ok(String::from_utf8_lossy(&self.src[start..end]).into_owned())
+    }
+
+    /// Whether the next name (after whitespace) is `word`, compared in
+    /// place without consuming it.
+    fn at_word(&mut self, word: &str) -> bool {
         self.ws();
-        let save = self.pos;
-        let w = self.name().ok();
-        self.pos = save;
-        w
+        &self.src[self.pos..self.name_end()] == word.as_bytes()
     }
 
     fn keyword(&mut self, kw: &str) -> bool {
-        if self.peek_word().as_deref() == Some(kw) {
-            self.ws();
+        let found = self.at_word(kw);
+        if found {
             self.pos += kw.len();
-            true
-        } else {
-            false
         }
+        found
     }
 
     fn string_lit(&mut self) -> Result<String, XqSyntaxError> {
@@ -392,25 +398,27 @@ impl<'a> P<'a> {
             Some(a) => a,
             None => {
                 let mut a = Axis::Child;
-                if let Ok(word) = self.name() {
+                let src = self.src;
+                let word = &src[save..self.name_end()];
+                if !word.is_empty() {
+                    self.pos += word.len();
                     self.ws();
                     if self.eat("::") {
-                        a = match word.as_str() {
-                            "child" => Axis::Child,
-                            "descendant" => Axis::Descendant,
-                            "following-sibling" => Axis::FollowingSibling,
+                        a = match word {
+                            b"child" => Axis::Child,
+                            b"descendant" => Axis::Descendant,
+                            b"following-sibling" => Axis::FollowingSibling,
                             other => {
                                 return self.err(format!(
-                                    "unsupported axis '{other}' (MinXQuery allows child, \
-                                     descendant, following-sibling)"
+                                    "unsupported axis '{}' (MinXQuery allows child, \
+                                     descendant, following-sibling)",
+                                    String::from_utf8_lossy(other)
                                 ))
                             }
                         };
                     } else {
                         self.pos = save;
                     }
-                } else {
-                    self.pos = save;
                 }
                 a
             }
@@ -449,9 +457,8 @@ impl<'a> P<'a> {
 
     fn predicate(&mut self) -> Result<Pred, XqSyntaxError> {
         self.ws();
-        if self.peek_word().as_deref() == Some("empty") {
+        if self.at_word("empty") {
             let save = self.pos;
-            self.ws();
             self.pos += "empty".len();
             self.ws();
             if self.eat("(") {

@@ -4,7 +4,7 @@
 
 use foxq::core::opt::{optimize_with_stats, OptStats};
 use foxq::core::translate::translate;
-use foxq::core::{parse_mft, print_mft, run_mft};
+use foxq::core::{parse_mft, print_mft, run_mft, StateId};
 use foxq::forest::term::parse_forest;
 use foxq::forest::Forest;
 use foxq::xquery::ast::{Axis, NodeTest, Path, Pred, Query, RelPath, Step};
@@ -157,4 +157,31 @@ fn optimization_shrinks_and_stays_valid() {
         );
         assert!(m1.state_count() <= m0.state_count(), "seed {seed}");
     }
+}
+
+/// The states the engine passes through are exactly the translator's copy:
+/// over every benchmark query, the identity states after optimization are
+/// the surviving states named `qcopy`.
+#[test]
+fn identity_states_are_the_translators_qcopy() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/queries");
+    let mut queries: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    queries.sort();
+    let mut copying = 0;
+    for path in queries {
+        let source = std::fs::read_to_string(&path).unwrap();
+        let query = foxq::xquery::parse_query(&source).unwrap();
+        let (m, _) = optimize_with_stats(translate(&query).unwrap());
+        let states = || (0..m.state_count() as u32).map(StateId);
+        let identity: Vec<_> = states().filter(|&q| m.is_identity_state(q)).collect();
+        let qcopy: Vec<_> = states().filter(|&q| m.name_of(q) == "qcopy").collect();
+        assert_eq!(identity, qcopy, "{}", path.display());
+        copying += usize::from(!identity.is_empty());
+    }
+    // All 11 copy some part of their input today; the test must not
+    // pass on an empty directory.
+    assert!(copying > 0, "{dir}");
 }

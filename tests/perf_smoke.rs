@@ -6,7 +6,10 @@
 //!   guarded at 1 s — and the whole of `examples/compose.rs` ~0.1 s —
 //!   guarded at 10 s wall clock;
 //! * `opt::optimize` on 20 nested value-doubling lets was ~5.8 s before the
-//!   inlining growth budget (~15 ms after) — guarded at 50 ms.
+//!   inlining growth budget (~15 ms after) — guarded at 50 ms;
+//! * parsing a flat sequence 4× as long takes at most 5× the time: the
+//!   parser's keyword probe once built an error, counting lines from the
+//!   first byte, per miss (~16×).
 //!
 //! Plus the foxq-store acceptance bars: replaying a stored tape with
 //! seek-based subtree skipping must stay ≥ 1.4× faster than re-parsing the
@@ -97,6 +100,31 @@ fn optimizer_is_polynomial_on_nested_doubling_lets() {
         elapsed < Duration::from_millis(50),
         "optimize on the 20-nested-let adversary took {elapsed:?} (was ~5.8 s \
          before the inlining growth budget; must stay under 50 ms)"
+    );
+}
+
+#[test]
+fn parsing_a_flat_sequence_is_linear() {
+    let Some(_alone) = release_only() else {
+        return;
+    };
+    use foxq::xquery::parse_query;
+    let flat = |n: usize| {
+        let items = vec!["$input/site/people/person/name"; n];
+        format!("<o>{{(\n        {}\n)}}</o>", items.join(",\n        "))
+    };
+    let (short, long) = (flat(1_000), flat(4_000));
+    let parse = |src: &str| {
+        let start = Instant::now();
+        parse_query(src).unwrap();
+        start.elapsed()
+    };
+    let (short, long) = alternate_best_of_5(&mut || parse(&short), &mut || parse(&long));
+    eprintln!("flat sequence parse: {short:?} for 1,000 items, {long:?} for 4,000");
+    assert!(
+        long <= short * 5,
+        "4x the query took {:.1}x the time ({short:?} -> {long:?}); linear is 4x",
+        long.as_secs_f64() / short.as_secs_f64()
     );
 }
 

@@ -193,6 +193,45 @@ fn prefilter_on_and_off_agree_on_the_tape_path() {
 }
 
 #[test]
+fn a_copied_subtree_is_replayed_whole_on_the_seek_path() {
+    // The copy of each <a> passes its events straight to the sink, so no
+    // call subscribes inside it; the engine must not report it dead all
+    // the same, or the seek would skip what has to be copied. Nothing
+    // reads <z>: it is seeked over.
+    let query = PreparedQuery::compile("<o>{$input/r/a}</o>").unwrap();
+    let xml = "<r><a><b><c/>t</b></a><z><y/>u</z><a>v</a></r>";
+    let want = "<o><a><b><c></c>t</b></a><a>v</a></o>";
+    let (out, _, _) = ingest_xml_to_tape(xml.as_bytes(), Cursor::new(Vec::new())).unwrap();
+    let tape = out.into_inner();
+
+    let reader = TapeReader::new(Cursor::new(tape.clone())).unwrap();
+    let sink = WriterSink::new(Vec::new());
+    let (sink, stats) = foxq::core::stream::run_streaming_with_limits(
+        query.mft(),
+        reader,
+        sink,
+        StreamLimits::default(),
+    )
+    .unwrap();
+    assert_eq!(String::from_utf8(sink.finish().unwrap()).unwrap(), want);
+    // <y/> and `u`: two opens and two closes.
+    assert_eq!(stats.prefiltered_events, 4);
+
+    let seek = run_lanes(
+        &[query.mft()],
+        TapeDrive::Linear(TapeReader::new(Cursor::new(tape)).unwrap()),
+        vec![(WriterSink::new(Vec::new()), ())],
+        StreamLimits::default(),
+        &QuerySetPlan::new([query.mft()]),
+    )
+    .unwrap();
+    assert!(seek.source.seek_skipped_bytes > 0, "nothing was seeked");
+    let (sink, lane_stats, ()) = seek.results.into_iter().next().unwrap().unwrap();
+    assert_eq!(String::from_utf8(sink.finish().unwrap()).unwrap(), want);
+    assert_eq!(lane_stats, stats);
+}
+
+#[test]
 fn corrupt_tapes_fail_cleanly_through_the_batch_driver() {
     let dir = scratch("corrupt");
     let mut corpus = Corpus::open(&dir).unwrap();
